@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service experiments experiments-full clean
+.PHONY: install lint test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test experiments experiments-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -51,6 +51,14 @@ bench-full:
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_load.py -m smoke
 	$(PYTHON) -m pytest tests/test_service.py tests/test_service_equivalence.py
+
+# The floor-timed benchmark BENCHMARK.json declares (perf/README.md):
+# every workload, each in its own process, results to perf/out/.
+perf:
+	python3 perf/run.py --all --seed 0
+
+perf-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perf/ -q
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all --charts

@@ -496,6 +496,16 @@ class AdaptiveDht(Dht):
         )
         return self._inner.key_count() - copies
 
+    # Membership reaches the substrate: crash and durable restart are
+    # not operations a wrapper retries, faults or adapts.
+
+    def fail(self, name: str) -> None:
+        """Crash peer *name* on the wrapped substrate."""
+        self._inner.fail(name)
+
+    def _do_restart(self, name: str) -> None:
+        self._inner._do_restart(name)
+
     # The abstract primitives never run — every public method delegates —
     # but the ABC requires them.
 

@@ -17,12 +17,21 @@ Buckets are the unit of DHT storage: the bucket of leaf λ lives at DHT
 key ``fmd(λ)``.  On the wire a bucket travels as its struct-packed
 codec form (:mod:`repro.core.codec`) — pickling a bucket (the service
 runtime's frames, churn handoff) embeds the codec bytes rather than a
-Python object graph.
+Python object graph.  A *decoded* bucket is lazy: it keeps the bytes it
+arrived as and builds its record store on the first use of
+:attr:`store` / :attr:`records` / :meth:`add` / :meth:`remove` /
+:meth:`matching`; the label store, :attr:`load`, :attr:`is_empty` and
+:meth:`encoded_wire_size` answer from the validated header, so a lookup
+probe or a peer that only stores and forwards never builds one.
 
 Hot-path caches (all derived, invisible to equality/repr):
 
 * :attr:`region` is computed once per bucket — the label never changes
   after construction;
+* the **codec bytes** of the current contents are kept as a memo tagged
+  with the store's generation (:meth:`encoded_memo`): re-encoding an
+  unmutated bucket, or one whose store was never built, copies nothing
+  and packs nothing;
 * each store backend rebuilds its own query structure lazily, tagged
   by the store's **generation counter** (bumped on every mutation) —
   never by comparing record counts, so an equal-count remove+add can
@@ -32,11 +41,20 @@ Hot-path caches (all derived, invisible to equality/repr):
 
 from __future__ import annotations
 
+import threading
+
 from repro.common.errors import InvalidLabelError
 from repro.common.geometry import Region, region_of_label
 from repro.common.labels import ancestors, branch_nodes_between, is_valid_label
 from repro.core.records import Record
 from repro.core.store import DEFAULT_STORE, RecordStore, Rows, create_store
+
+
+#: Serialises the one-time store build of decoded buckets: a bucket
+#: resident on a service peer is reachable from the event-loop thread
+#: and (through the ``items()`` / ``load_by_peer`` oracles) from client
+#: threads, and two threads must never end up holding different stores.
+_BUILD_LOCK = threading.Lock()
 
 
 def split_dim_of(label: str, dims: int) -> int:
@@ -47,10 +65,25 @@ def split_dim_of(label: str, dims: int) -> int:
     return depth % dims if depth > 0 else 0
 
 
+def _check_label(label: str, dims: int) -> None:
+    if not is_valid_label(label, dims):
+        raise InvalidLabelError(
+            f"{label!r} is not a valid {dims}-d leaf label"
+        )
+
+
 class LeafBucket:
     """One leaf of the space kd-tree, as stored in the DHT."""
 
-    __slots__ = ("label", "dims", "_store", "_region")
+    __slots__ = (
+        "label",
+        "dims",
+        "_store",
+        "_region",
+        "_encoded",
+        "_encoded_generation",
+        "_encoded_count",
+    )
 
     def __init__(
         self,
@@ -59,13 +92,13 @@ class LeafBucket:
         records=None,
         store: str | RecordStore | None = None,
     ) -> None:
-        if not is_valid_label(label, dims):
-            raise InvalidLabelError(
-                f"{label!r} is not a valid {dims}-d leaf label"
-            )
+        _check_label(label, dims)
         self.label = label
         self.dims = dims
         self._region: Region | None = None
+        self._encoded: bytes | None = None
+        self._encoded_generation = -1
+        self._encoded_count = 0
         if isinstance(records, RecordStore):
             self._store = records
         elif isinstance(store, RecordStore):
@@ -83,31 +116,70 @@ class LeafBucket:
                 kind, dims, split_dim_of(label, dims), source
             )
 
+    @classmethod
+    def from_encoded(
+        cls, label: str, dims: int, count: int, data: bytes
+    ) -> "LeafBucket":
+        """A lazy bucket over its codec bytes *data*, whose header
+        (*label*, *dims*, *count*) :func:`repro.core.codec.decode_bucket`
+        has already validated.  The record store is built on first use;
+        until then *data* is both the memo and the contents."""
+        _check_label(label, dims)
+        bucket = cls.__new__(cls)
+        bucket.label = label
+        bucket.dims = dims
+        bucket._region = None
+        bucket._store = None
+        bucket._encoded = data
+        bucket._encoded_generation = -1
+        bucket._encoded_count = count
+        return bucket
+
     # ------------------------------------------------------------------
     # Record store
     # ------------------------------------------------------------------
 
     @property
     def store(self) -> RecordStore:
-        """The pluggable record-store backend holding this leaf's data."""
-        return self._store
+        """The pluggable record-store backend holding this leaf's data
+        (built from the codec bytes on first use, for a decoded
+        bucket)."""
+        store = self._store
+        if store is None:
+            store = self._build_store()
+        return store
+
+    def _build_store(self) -> RecordStore:
+        from repro.core.codec import decode_store
+
+        with _BUILD_LOCK:
+            store = self._store
+            if store is None:
+                store = decode_store(self._encoded, self.split_dim)
+                # The bytes describe exactly what was just built: tag
+                # them before publishing the store, which is assigned
+                # once and last.
+                self._encoded_generation = store.generation
+                self._store = store
+        return store
 
     @property
     def records(self) -> list[Record]:
         """The stored records, insertion order (read-only view: mutate
         through :meth:`add`/:meth:`remove` so the store's generation
         counter tracks every change)."""
-        return self._store.records()
+        return self.store.records()
 
     @property
     def load(self) -> int:
         """Number of records stored (the paper's bucket load ``l``)."""
-        return self._store.count
+        store = self._store
+        return self._encoded_count if store is None else store.count
 
     @property
     def is_empty(self) -> bool:
         """True for an empty bucket (the Fig. 6b measure)."""
-        return self._store.count == 0
+        return self.load == 0
 
     def add(self, record: Record) -> None:
         """Insert *record*; its key must fall inside this cell."""
@@ -115,11 +187,11 @@ class LeafBucket:
             raise InvalidLabelError(
                 f"record {record.key} outside cell of leaf {self.label!r}"
             )
-        self._store.add(record)
+        self.store.add(record)
 
     def remove(self, record: Record) -> bool:
         """Remove one occurrence of *record*; True when found."""
-        return self._store.remove(record)
+        return self.store.remove(record)
 
     @property
     def split_dim(self) -> int:
@@ -133,13 +205,13 @@ class LeafBucket:
         Served by the record-store backend; answers are bit-identical
         to :meth:`matching_naive`, in the same (insertion) order.
         """
-        return self._store.matching(query.lows, query.highs)
+        return self.store.matching(query.lows, query.highs)
 
     def matching_naive(self, query: Region) -> list[Record]:
         """Reference linear scan (the pre-columnar implementation)."""
         return [
             record
-            for record in self._store.records()
+            for record in self.store.records()
             if query.contains_point_closed(record.key)
         ]
 
@@ -147,9 +219,31 @@ class LeafBucket:
     # Wire form
     # ------------------------------------------------------------------
 
+    def encoded_memo(self) -> bytes | None:
+        """The codec bytes of the *current* contents, when known.
+
+        Valid while the store is not built yet or still at the
+        generation the bytes were taken at — the generation is the only
+        staleness signal, so a direct ``bucket.store.add(...)`` or an
+        equal-count remove+add invalidates the memo like any other
+        mutation."""
+        data = self._encoded
+        if data is not None:
+            store = self._store
+            if store is None or store.generation == self._encoded_generation:
+                return data
+        return None
+
+    def remember_encoding(self, data: bytes, generation: int) -> None:
+        """Keep *data* as the memo of the store at *generation* (read
+        before the columns were packed)."""
+        self._encoded = data
+        self._encoded_generation = generation
+
     def encoded_wire_size(self) -> int:
         """Exact codec byte size — the unified byte-accounting hook
-        (:func:`repro.core.codec.payload_wire_size`)."""
+        (:func:`repro.core.codec.payload_wire_size`).  Never encodes:
+        the memo's length when it is valid, arithmetic otherwise."""
         from repro.core.codec import encoded_bucket_size
 
         return encoded_bucket_size(self)

@@ -37,12 +37,13 @@ from typing import Any
 
 from repro.common.errors import ReproError
 from repro.dht import api as dht_api
-from repro.core.store import Rows
+from repro.core.store import Rows, create_store
 
 __all__ = [
     "CODEC_MAGIC",
     "encode_bucket",
     "decode_bucket",
+    "decode_store",
     "encoded_bucket_size",
     "payload_wire_size",
     "data_wire_size",
@@ -99,8 +100,17 @@ def _values_blob(store) -> bytes:
 
 
 def encode_bucket(bucket) -> bytes:
-    """Serialize *bucket* (label, store kind, columns, values)."""
+    """Serialize *bucket* (label, store kind, columns, values).
+
+    A bucket whose contents are unchanged since they were last encoded
+    or decoded answers with those same bytes (its generation-tagged
+    memo); only a mutated bucket packs its columns, and that encoding
+    becomes the new memo."""
+    data = bucket.encoded_memo()
+    if data is not None:
+        return data
     store = bucket.store
+    generation = store.generation
     kind = store.kind.encode("ascii")
     label = bucket.label.encode("ascii")
     rows = store.to_rows()
@@ -116,32 +126,68 @@ def encode_bucket(bucket) -> bytes:
     parts.extend(_column_bytes(column) for column in rows.columns)
     if values_blob:
         parts.append(values_blob)
-    return b"".join(parts)
+    data = b"".join(parts)
+    bucket.remember_encoding(data, generation)
+    return data
 
 
-def decode_bucket(data: bytes):
-    """Inverse of :func:`encode_bucket`; rebuilds the same store kind
-    (degrading per the registry, e.g. numpy -> columnar when numpy is
-    unavailable)."""
-    from repro.core.bucket import LeafBucket
-
+def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
+    """``(dims, kind, label, count, flags, offset of the columns)`` of
+    an encoded bucket, with every declared length checked against the
+    buffer: whatever passes can be cut into columns and a values blob
+    without running off the end."""
     if len(data) < _FIXED_BYTES or data[:4] != CODEC_MAGIC:
         raise CodecError("not an encoded bucket (bad magic or truncated)")
     _, version, dims, kind_len = _HEAD.unpack_from(data)
     if version != CODEC_VERSION:
         raise CodecError(f"unsupported bucket codec version {version}")
-    offset = _HEAD.size
-    kind = data[offset : offset + kind_len].decode("ascii")
-    offset += kind_len
-    (label_len,) = struct.unpack_from("!H", data, offset)
-    offset += 2
-    label = data[offset : offset + label_len].decode("ascii")
-    offset += label_len
-    count, flags = struct.unpack_from("!IB", data, offset)
-    offset += 5
-    column_bytes = count * 8
-    if len(data) < offset + dims * column_bytes:
+    try:
+        offset = _HEAD.size
+        kind = data[offset : offset + kind_len].decode("ascii")
+        offset += kind_len
+        (label_len,) = struct.unpack_from("!H", data, offset)
+        offset += 2
+        label = data[offset : offset + label_len].decode("ascii")
+        offset += label_len
+        count, flags = struct.unpack_from("!IB", data, offset)
+        offset += 5
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CodecError(f"encoded bucket header is malformed: {exc}") from exc
+    surplus = len(data) - (offset + dims * count * 8)
+    if surplus < 0:
         raise CodecError("encoded bucket truncated in its column section")
+    if bool(flags & _FLAG_VALUES) != (surplus > 0):
+        raise CodecError(
+            f"encoded bucket has {surplus} byte(s) after its columns, "
+            f"flags say {flags:#x}"
+        )
+    return dims, kind, label, count, flags, offset
+
+
+def decode_bucket(data: bytes):
+    """Inverse of :func:`encode_bucket`, lazily.
+
+    The header is validated here (magic, version, label, declared
+    lengths against the buffer) and answers ``label`` / ``region`` /
+    ``load`` on its own; the record store is built by
+    :func:`decode_store` on the bucket's first use of it, and until a
+    mutation *data* stays the bucket's encoding."""
+    from repro.core.bucket import LeafBucket
+
+    data = bytes(data)
+    dims, _, label, count, _, _ = _parse_header(data)
+    return LeafBucket.from_encoded(label, dims, count, data)
+
+
+def decode_store(data: bytes, sort_dim: int):
+    """The record store an encoded bucket holds — the deferred half of
+    :func:`decode_bucket`.  Rebuilds the same store kind (degrading per
+    the registry, e.g. numpy -> columnar when numpy is unavailable);
+    columns are copied out of *data*, never views of it.  A values blob
+    that does not unpickle to one value per record raises
+    :class:`CodecError` here, at first touch."""
+    dims, kind, _, count, flags, offset = _parse_header(data)
+    column_bytes = count * 8
     columns = []
     for _ in range(dims):
         columns.append(
@@ -152,17 +198,27 @@ def decode_bucket(data: bytes):
         offset += column_bytes
     values = None
     if flags & _FLAG_VALUES:
-        values = pickle.loads(data[offset:])
-        if len(values) != count:
+        try:
+            values = pickle.loads(data[offset:])
+            n_values = len(values)
+        except Exception as exc:  # pickle raises many concrete types
             raise CodecError(
-                f"{len(values)} values for {count} encoded records"
+                f"encoded bucket values are undecodable: {exc}"
+            ) from exc
+        if n_values != count:
+            raise CodecError(
+                f"{n_values} values for {count} encoded records"
             )
-    rows = Rows(dims, columns, values)
-    return LeafBucket(label, dims, records=rows, store=kind)
+    return create_store(kind, dims, sort_dim, Rows(dims, columns, values))
 
 
 def encoded_bucket_size(bucket) -> int:
-    """``len(encode_bucket(bucket))`` without packing the columns."""
+    """``len(encode_bucket(bucket))`` without packing the columns: the
+    memo's length while it is valid, arithmetic over the store
+    otherwise."""
+    data = bucket.encoded_memo()
+    if data is not None:
+        return len(data)
     store = bucket.store
     return (
         _FIXED_BYTES
@@ -203,6 +259,18 @@ def _record_list_size(value, records) -> int:
     return size
 
 
+def _row_bytes(value: Any) -> int | None:
+    """Codec bytes of a row-bearing object (a leaf bucket, an encoded
+    blob, a baseline trie node); ``None`` for anything else."""
+    sizer = getattr(value, "encoded_wire_size", None)
+    if callable(sizer):
+        return sizer()
+    records = getattr(value, "records", None)
+    if _record_like(records):
+        return _record_list_size(value, records)
+    return None
+
+
 def payload_wire_size(value: Any) -> int:
     """Bytes *value* occupies as a message payload.
 
@@ -213,13 +281,8 @@ def payload_wire_size(value: Any) -> int:
     """
     if value is None:
         return 0
-    sizer = getattr(value, "encoded_wire_size", None)
-    if callable(sizer):
-        return sizer()
-    records = getattr(value, "records", None)
-    if _record_like(records):
-        return _record_list_size(value, records)
-    return dht_api.ENVELOPE_WIRE_BYTES
+    size = _row_bytes(value)
+    return dht_api.ENVELOPE_WIRE_BYTES if size is None else size
 
 
 def data_wire_size(value: Any) -> int:
@@ -227,13 +290,7 @@ def data_wire_size(value: Any) -> int:
     zero for control payloads — feeds ``NetworkStats.payload_bytes``."""
     if value is None:
         return 0
-    sizer = getattr(value, "encoded_wire_size", None)
-    if callable(sizer):
-        return sizer()
-    records = getattr(value, "records", None)
-    if _record_like(records):
-        return _record_list_size(value, records)
-    return 0
+    return _row_bytes(value) or 0
 
 
 dht_api.install_wire_model(payload_wire_size, data_wire_size)

@@ -64,7 +64,9 @@ def install_wire_model(payload_size, data_size) -> None:
 
     *payload_size(value)* prices a message payload; *data_size(value)*
     prices only its data-plane bytes (encoded records), feeding
-    ``NetworkStats.payload_bytes``.  Called once by
+    ``NetworkStats.payload_bytes``.  A value with data-plane bytes is
+    all data — both functions return the same number for it — so a
+    caller needing both sizes it once.  Called once by
     :mod:`repro.core.codec`; replaceable by external codecs the same
     way.
     """

@@ -390,3 +390,13 @@ class FaultyDht(Dht):
 
     def key_count(self) -> int:
         return self._inner.key_count()
+
+    # Membership reaches the substrate: crash and durable restart are
+    # not operations a wrapper retries, faults or adapts.
+
+    def fail(self, name: str) -> None:
+        """Crash peer *name* on the wrapped substrate."""
+        self._inner.fail(name)
+
+    def _do_restart(self, name: str) -> None:
+        self._inner._do_restart(name)

@@ -31,7 +31,7 @@ from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
-from repro.dht.api import BatchFailure, Dht, data_wire_size
+from repro.dht.api import BatchFailure, Dht
 from repro.dht.durable import (
     backend_path,
     create_store_backend,
@@ -49,7 +49,7 @@ from repro.service.wire import (
     encode_frame,
     encode_reply,
     encode_request,
-    frame_wire_cost,
+    frame_wire_sizes,
     rebuild_error,
 )
 
@@ -656,11 +656,8 @@ class ServiceDht(Dht):
             frame_bytes = encode_request(op, request_id, key, value)
             cost_value = value
         stats.record_rpc()
-        stats.record_message(
-            op.name.lower(),
-            frame_wire_cost(op, key, cost_value),
-            payload=data_wire_size(cost_value),
-        )
+        cost, payload = frame_wire_sizes(op, key, cost_value)
+        stats.record_message(op.name.lower(), cost, payload=payload)
         if self._transport_kind == "tcp":
             channel = self._channels.get(actor.peer.name)
             if channel is None:  # crashed via fail(): listener is gone
@@ -670,11 +667,8 @@ class ServiceDht(Dht):
             reply = await channel.call(frame_bytes, request_id)
         else:
             reply = await actor.call(frame_bytes)
-        stats.record_message(
-            op.name.lower() + ":reply",
-            frame_wire_cost(reply.op, "", reply.body),
-            payload=data_wire_size(reply.body),
-        )
+        cost, payload = frame_wire_sizes(reply.op, "", reply.body)
+        stats.record_message(op.name.lower() + ":reply", cost, payload=payload)
         if reply.op is Op.REPLY_ERR:
             raise rebuild_error(reply.body)
         return reply.body

@@ -34,7 +34,7 @@ from enum import IntEnum
 from typing import Any
 
 from repro.common.errors import ReproError
-from repro.dht.api import estimate_wire_size
+from repro.dht.api import data_wire_size, estimate_wire_size
 
 #: Frame header: magic, version, opcode, request id, payload length.
 HEADER = struct.Struct("!4sBBII")
@@ -206,14 +206,27 @@ class FrameDecoder:
         return frames
 
 
-def frame_wire_cost(op: Op, key: str = "", value: Any = None) -> int:
-    """Modelled on-the-wire size of one message, in bytes.
+def frame_wire_sizes(
+    op: Op, key: str = "", value: Any = None
+) -> tuple[int, int]:
+    """``(modelled frame bytes, data-plane bytes)`` of one message,
+    sizing *value* once.
 
-    Header plus the key's own bytes plus the value's codec size — the
-    same :func:`~repro.dht.api.estimate_wire_size` accounting the
-    simulated substrates charge (exact encoded bytes for record-bearing
-    payloads, one envelope for control payloads), applied to the real
-    protocol so ``bytes_sent`` for a trace agrees between a simulated
-    and a TCP run.
+    The frame is header plus the key's own bytes plus the value's
+    payload size — the same :func:`~repro.dht.api.estimate_wire_size`
+    accounting the simulated substrates charge (exact encoded bytes for
+    record-bearing payloads, one envelope for control payloads), applied
+    to the real protocol so ``bytes_sent`` for a trace agrees between a
+    simulated and a TCP run.  A value with data-plane bytes is all data
+    (the wire model's contract), so only a control payload is priced a
+    second time, and that price does not look at its contents.
     """
-    return HEADER.size + len(key.encode()) + estimate_wire_size(value)
+    data = data_wire_size(value)
+    payload = data if data else estimate_wire_size(value)
+    return HEADER.size + len(key.encode()) + payload, data
+
+
+def frame_wire_cost(op: Op, key: str = "", value: Any = None) -> int:
+    """Modelled on-the-wire size of one message, in bytes (the first
+    half of :func:`frame_wire_sizes`)."""
+    return frame_wire_sizes(op, key, value)[0]

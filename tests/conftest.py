@@ -105,3 +105,26 @@ def make_dht():
         close = getattr(dht, "close", None)
         if close is not None:
             close()
+
+
+@pytest.fixture
+def store_builds(monkeypatch) -> list[str]:
+    """The kind of every record store built through the registry while
+    the test runs, on any thread (a service runtime's event loop
+    included) — how tests observe that a decoded bucket stayed lazy."""
+    from repro.core import store as store_module
+
+    built: list[str] = []
+
+    def counting(kind, factory):
+        def build(dims, sort_dim, source=None):
+            built.append(kind)
+            return factory(dims, sort_dim, source)
+
+        return build
+
+    for kind, factory in list(store_module._STORES.items()):
+        monkeypatch.setitem(
+            store_module._STORES, kind, counting(kind, factory)
+        )
+    return built

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.adaptive import AdaptiveConfig, AdaptiveDht
 from repro.common.config import IndexConfig
 from repro.common.errors import (
     CorruptValueError,
@@ -11,6 +12,8 @@ from repro.common.errors import (
     UnknownDurabilityError,
 )
 from repro.common.rng import derive_seed, make_rng
+from repro.core.bulkload import bulk_load
+from repro.core.index import MLightIndex
 from repro.dht.chord import ChordDht
 from repro.dht.churn import generate_schedule, run_churn
 from repro.dht.durable import (
@@ -448,6 +451,37 @@ class TestRestartProtocol:
         finally:
             dht.close()
 
+    def test_service_replay_keeps_bytes_until_the_first_read(
+        self, make_dht, store_builds
+    ):
+        """Replay hands each journalled blob back as a bucket that is
+        still its bytes: no record store is built by the restart, nor
+        by lookups routed through the recovered peer — only by the
+        client that finally asks for records."""
+        dht = make_dht(kind="asyncio", n_peers=3, durability="log")
+        config = IndexConfig(runtime="asyncio", durability="log")
+        rng = make_rng(derive_seed(14, "replay-lazy"))
+        points = [(rng.random(), rng.random()) for _ in range(500)]
+        bulk_load(dht, points[:400], config)
+        index = MLightIndex(dht, config)
+        index.insert_many(points[400:])
+        victim = max(dht.load_by_peer(), key=dht.load_by_peer().get)
+        held = dht.load_by_peer()[victim]
+        assert held > 0
+        dht.fail(victim)
+        store_builds.clear()
+        dht.restart(victim)
+        assert dht.stats.restart_replayed == held
+        for point in points[::25]:
+            assert index.lookup(point).bucket.covers(point)
+        assert index.total_records() == len(points)
+        assert store_builds == []
+        found = index.range_query(((0.0, 0.0), (1.0, 1.0)))
+        assert found.complete
+        assert sorted(r.key for r in found.records) == sorted(points)
+        assert store_builds and set(store_builds) == {"columnar"}
+        index.check_invariants()
+
     def test_leave_then_restart_does_not_resurrect(self):
         """Graceful leave hands keys off and wipes the log; a later
         restart of that peer rejoins it empty — the wiped backend must
@@ -461,6 +495,86 @@ class TestRestartProtocol:
         assert dht.stats.restart_replayed == 0
         assert dht.key_count() == 40
         assert all(dht.get(f"k{i}") == i for i in range(40))
+
+
+# ----------------------------------------------------------------------
+# Membership through the wrapper chain (ROADMAP 4-ii)
+# ----------------------------------------------------------------------
+
+
+def _durable_chord():
+    return create_dht(RuntimeConfig(
+        kind="sim", overlay="chord", n_peers=8, durability="log"
+    ))
+
+
+WRAPPERS = {
+    "retry": lambda inner: RetryingDht(inner),
+    "faults": lambda inner: FaultyDht(inner, FaultPlan(seed=1)),
+    "adaptive": lambda inner: AdaptiveDht(inner, AdaptiveConfig()),
+    "retry-over-faults": lambda inner: RetryingDht(
+        FaultyDht(inner, FaultPlan(seed=1))
+    ),
+}
+
+
+@pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS.keys())
+class TestMembershipThroughWrappers:
+    def test_fail_and_restart_reach_the_durable_substrate(self, wrap):
+        dht = wrap(_durable_chord())
+        for index in range(40):
+            dht.put(f"k{index}", {"v": index})
+        victim = dht.peer_of("k0")
+        dht.fail(victim)
+        assert victim not in dht.peers()
+        dht.restart(victim)
+        assert victim in dht.peers()
+        assert dht.stats.restarts == 1
+        assert dht.stats.restart_replayed > 0
+        assert all(
+            dht.get(f"k{index}") == {"v": index} for index in range(40)
+        )
+
+    def test_restart_is_one_span_on_the_shared_tracer(self, wrap):
+        dht = wrap(_durable_chord())
+        dht.put("k", 1)
+        victim = dht.peer_of("k")
+        dht.fail(victim)
+        dht.tracer = Tracer()
+        dht.restart(victim)
+        assert [s.name for s in dht.tracer.spans].count("restart") == 1
+
+    def test_restart_without_durability_still_raises(self, wrap):
+        dht = wrap(ChordDht.build(4))
+        victim = dht.peers()[0]
+        dht.fail(victim)
+        with pytest.raises(ReproError, match="durab"):
+            dht.restart(victim)
+
+
+class TestRestartThroughIndexConfig:
+    """``IndexConfig`` can put one wrapper in front of the substrate
+    (the adaptive plane); a retrying DHT is handed to the index by the
+    caller.  Restart must be reachable through ``index.dht`` on both."""
+
+    @pytest.mark.parametrize("adaptive", [None, AdaptiveConfig()])
+    def test_index_over_retrying_durable_chord_recovers(self, adaptive):
+        config = IndexConfig(
+            dims=2, split_threshold=8, merge_threshold=4, max_depth=16,
+            durability="log", adaptive=adaptive,
+        )
+        index = MLightIndex(RetryingDht(_durable_chord()), config)
+        rng = make_rng(derive_seed(7, "wrapped-restart"))
+        points = [(rng.random(), rng.random()) for _ in range(120)]
+        index.insert_many(points)
+        dht = index.dht
+        victim = dht.peers()[0]
+        dht.fail(victim)
+        dht.restart(victim)
+        index.check_invariants()
+        found = index.range_query(((0.0, 0.0), (1.0, 1.0)))
+        assert found.complete
+        assert sorted(r.key for r in found.records) == sorted(points)
 
 
 # ----------------------------------------------------------------------

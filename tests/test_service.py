@@ -4,15 +4,22 @@ retry/fault/tracer integration, and the load generator."""
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
+from repro.common.config import IndexConfig
 from repro.common.errors import (
     DhtKeyError,
     NodeUnreachableError,
     ReproError,
 )
+from repro.common.rng import derive_seed, make_rng
+from repro.core import codec
+from repro.core.bulkload import bulk_load
+from repro.core.index import MLightIndex
 from repro.dht.api import ENVELOPE_WIRE_BYTES
+from repro.dht.durable import AppendLogBackend, backend_path
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.retry import RetryingDht
 from repro.dht.faults import FaultPlan, FaultyDht
@@ -223,6 +230,123 @@ class TestServiceOracles:
         assert list(dht.items()) == []
         assert sum(dht.load_by_peer().values()) == 0
         dht.close()
+
+
+class TestBucketBytePath:
+    """The life of a bucket's bytes on the service runtime: packed by
+    whoever mutated the bucket, copied by everyone else; a record store
+    exists only where records were asked for."""
+
+    DIMS = 2
+
+    def _index(self, make_dht, tmp_path):
+        dht = make_dht(
+            kind="asyncio", n_peers=3, durability="log",
+            data_dir=str(tmp_path),
+        )
+        config = IndexConfig(runtime="asyncio", durability="log")
+        rng = make_rng(derive_seed(14, "byte-path"))
+        points = [(rng.random(), rng.random()) for _ in range(600)]
+        bulk_load(dht, points, config)
+        return MLightIndex(dht, config), points
+
+    def test_cold_lookup_builds_no_store_on_either_side(
+        self, make_dht, tmp_path, store_builds, monkeypatch
+    ):
+        index, points = self._index(make_dht, tmp_path)
+        packed = _count_column_packings(monkeypatch)
+        store_builds.clear()
+        for point in points[:20]:
+            result = index.lookup(point)
+            assert result.lookups > 1  # a binary search, not one probe
+            assert result.bucket.covers(point)
+            assert result.bucket.load > 0
+        assert store_builds == [] and packed == []
+        assert point in [r.key for r in result.bucket.records]
+        assert store_builds == ["columnar"]  # the client asked, once
+
+    def test_plain_insert_builds_one_store_and_packs_once(
+        self, make_dht, tmp_path, store_builds, monkeypatch
+    ):
+        index, _ = self._index(make_dht, tmp_path)
+        config = index.config
+        point = (0.40625, 0.71875)
+        assert index.lookup(point).bucket.load < config.split_threshold - 1
+        splits_before = index.tree_size()
+        packed = _count_column_packings(monkeypatch)
+        store_builds.clear()
+        result = index.insert(point, "payload")
+        assert store_builds == ["columnar"]      # the client's, for add()
+        assert len(packed) == self.DIMS          # one packing, the client's
+        assert index.tree_size() == splits_before
+        # Reading it back copies the peer's resident bytes: no store on
+        # the peer, no packing anywhere.
+        store_builds.clear()
+        again = index.lookup(point).bucket
+        assert store_builds == [] and len(packed) == self.DIMS
+        assert codec.encode_bucket(again) == codec.encode_bucket(result.bucket)
+
+    def test_journal_holds_the_put_frames_codec_bytes(
+        self, make_dht, tmp_path, monkeypatch
+    ):
+        from repro.service import node
+
+        frames = []
+        real_encode_request = node.encode_request
+
+        def recording(op, request_id, key, value=None):
+            frame = real_encode_request(op, request_id, key, value)
+            frames.append((op, key, frame))
+            return frame
+
+        index, _ = self._index(make_dht, tmp_path)
+        monkeypatch.setattr(node, "encode_request", recording)
+        bucket = index.insert((0.40625, 0.71875), "payload").bucket
+        dht = index.dht
+        (put_key, put_frame), = [
+            (key, frame) for op, key, frame in frames if op is Op.PUT
+        ]
+        codec_bytes = codec.encode_bucket(bucket)
+        assert codec_bytes in put_frame
+        owner = dht.peer_of(put_key)
+        dht.close()
+        journal = AppendLogBackend(backend_path(tmp_path, owner))
+        try:
+            blob = journal.replay()[put_key]
+        finally:
+            journal.close()
+        assert codec_bytes in blob
+        assert blob == pickle.dumps(bucket, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def test_oracle_reads_of_resident_buckets_stay_consistent(
+        self, make_dht, tmp_path, store_builds
+    ):
+        index, points = self._index(make_dht, tmp_path)
+        dht = index.dht
+        store_builds.clear()
+        assert index.total_records() == len(points)
+        assert sum(
+            dht.load_by_peer(lambda bucket: bucket.load).values()
+        ) == len(points)
+        assert store_builds == []  # loads come from headers
+        by_records = dht.load_by_peer(lambda bucket: len(bucket.records))
+        assert sum(by_records.values()) == len(points)
+        # The client thread built the peers' stores; the peers keep
+        # serving the same bytes.
+        assert index.lookup(points[0]).bucket.covers(points[0])
+
+
+def _count_column_packings(monkeypatch) -> list:
+    """One entry per coordinate column packed by ``encode_bucket``."""
+    packed = []
+    real = codec._column_bytes
+
+    def counting(column):
+        packed.append(len(column))
+        return real(column)
+
+    monkeypatch.setattr(codec, "_column_bytes", counting)
+    return packed
 
 
 class TestWrapperStack:
