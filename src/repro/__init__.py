@@ -20,13 +20,10 @@ Quickstart::
 Substrates are constructed through the runtime-neutral factory
 (:func:`repro.runtime.create_dht` with a
 :class:`~repro.runtime.RuntimeConfig`): one surface selects the
-simulated substrates *and* the asyncio/TCP service runtime.  The old
-per-overlay constructor aliases (``repro.LocalDht`` & co.) still
-resolve, with a :class:`DeprecationWarning`; import them from their
-defining modules (or use the factory) instead.
+simulated substrates *and* the asyncio/TCP service runtime; the
+per-overlay classes live in their defining modules
+(``repro.dht.chord.ChordDht`` & co.).
 """
-
-import warnings
 
 from repro.adaptive import AdaptiveConfig
 from repro.common.config import IndexConfig
@@ -54,34 +51,6 @@ from repro.obs import (
 from repro.runtime import RuntimeConfig, create_dht
 from repro.service.node import ServiceDht
 
-#: Deprecated top-level aliases -> (module, attribute).  Resolved
-#: lazily so importing :mod:`repro` stops endorsing scattered
-#: per-overlay construction; `create_dht` is the supported surface.
-_DEPRECATED_ALIASES = {
-    "LocalDht": ("repro.dht.localhash", "LocalDht"),
-    "ChordDht": ("repro.dht.chord", "ChordDht"),
-    "KademliaDht": ("repro.dht.kademlia", "KademliaDht"),
-    "PastryDht": ("repro.dht.pastry", "PastryDht"),
-}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attribute = target
-    warnings.warn(
-        f"importing {name} from the repro top level is deprecated; "
-        f"build substrates with repro.create_dht(RuntimeConfig(...)) or "
-        f"import {name} from {module_name}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
 __version__ = "1.1.0"
 
 __all__ = [
@@ -105,10 +74,6 @@ __all__ = [
     "RuntimeConfig",
     "create_dht",
     "ServiceDht",
-    "ChordDht",
-    "KademliaDht",
-    "LocalDht",
-    "PastryDht",
     "JsonlTraceSink",
     "MetricsRegistry",
     "Span",

@@ -67,7 +67,7 @@ from repro.adaptive.replication import (
 )
 from repro.adaptive.shortcuts import ShortcutTable
 from repro.common.errors import DhtKeyError, NodeUnreachableError
-from repro.dht.api import BatchFailure, Dht, _raise_batch_failures
+from repro.dht.api import BatchFailure, Dht, DhtDecorator
 from repro.obs.registry import MetricsRegistry
 
 #: The index key namespace the plane adapts; other keys pass through.
@@ -109,12 +109,11 @@ class AdaptiveStats:
             setattr(self, spec.name, spec.default)
 
 
-class AdaptiveDht(Dht):
+class AdaptiveDht(DhtDecorator):
     """Wrap *inner* with hotspot replication and learned shortcuts.
 
-    Shares the inner substrate's stats and tracer (one counter set,
-    one span tree) and exposes ``inner`` so tracer attachment, metrics
-    discovery and layer walks see through it.  ``config`` selects the
+    A :class:`~repro.dht.api.DhtDecorator`: everything it does not
+    adapt reaches the wrapped facade unchanged.  ``config`` selects the
     behaviour; ``max_replicas=0`` with ``shortcut_capacity=0`` yields
     a pure observation plane (read counting only), which the fig6
     query-balance instrumentation uses.
@@ -132,8 +131,7 @@ class AdaptiveDht(Dht):
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__()
-        self._inner = inner
+        super().__init__(inner)
         self._config = config if config is not None else AdaptiveConfig()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._reads = BucketReadCounters()
@@ -156,20 +154,10 @@ class AdaptiveDht(Dht):
         self._pending_learn: OrderedDict[str, int] = OrderedDict()
         self._cold_streak: dict[str, int] = {}
         self._since_sample = 0
-        # Share the inner stats object (and tracer, when one is already
-        # attached) so the plane's own traffic is metered in one place
-        # and index layers keep reading the usual counters.
-        self.stats = inner.stats
-        self.tracer = inner.tracer
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def inner(self) -> Dht:
-        """The wrapped substrate."""
-        return self._inner
 
     @property
     def config(self) -> AdaptiveConfig:
@@ -204,12 +192,6 @@ class AdaptiveDht(Dht):
         """
         if self._shortcuts is not None:
             self._shortcuts.bump_generation()
-
-    def close(self) -> None:
-        """Forward to the substrate (service runtimes own real loops)."""
-        close = getattr(self._inner, "close", None)
-        if close is not None:
-            close()
 
     # ------------------------------------------------------------------
     # Adaptation engine
@@ -388,9 +370,6 @@ class AdaptiveDht(Dht):
             self._maybe_learn(target)
         return value
 
-    def get_many(self, keys: Sequence[str]) -> list[Any | None]:
-        return _raise_batch_failures(self.get_many_outcomes(keys))
-
     def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
         keys = list(keys)
         if not keys:
@@ -458,26 +437,8 @@ class AdaptiveDht(Dht):
         return value
 
     # ------------------------------------------------------------------
-    # Passthrough
+    # Oracle access
     # ------------------------------------------------------------------
-
-    def lookup(self, key: str) -> str:
-        return self._inner.lookup(key)
-
-    def lookup_many(self, keys: Sequence[str]) -> list[str]:
-        return self._inner.lookup_many(keys)
-
-    def get_direct(self, peer: str, key: str) -> Any | None:
-        return self._inner.get_direct(peer, key)
-
-    def peek(self, key: str) -> Any | None:
-        return self._inner.peek(key)
-
-    def peer_of(self, key: str) -> str:
-        return self._inner.peer_of(key)
-
-    def peers(self) -> list[str]:
-        return self._inner.peers()
 
     def items(self) -> Iterator[tuple[str, Any]]:
         # Replica copies are the plane's private state, not index
@@ -489,37 +450,9 @@ class AdaptiveDht(Dht):
 
     def key_count(self) -> int:
         # Same replica filter as items(), but via the substrate's
-        # non-decoding count: subtract the copies the directory knows
-        # it created instead of walking (and unpickling) every value.
+        # count: subtract the copies the directory knows it created
+        # instead of walking every value.
         copies = sum(
             self._replicas.count(key) for key in self._replicas.keys()
         )
         return self._inner.key_count() - copies
-
-    # Membership reaches the substrate: crash and durable restart are
-    # not operations a wrapper retries, faults or adapts.
-
-    def fail(self, name: str) -> None:
-        """Crash peer *name* on the wrapped substrate."""
-        self._inner.fail(name)
-
-    def _do_restart(self, name: str) -> None:
-        self._inner._do_restart(name)
-
-    # The abstract primitives never run — every public method delegates —
-    # but the ABC requires them.
-
-    def _do_lookup(self, key: str) -> str:  # pragma: no cover
-        return self._inner._do_lookup(key)
-
-    def _do_get(self, key: str) -> Any | None:  # pragma: no cover
-        return self._inner._do_get(key)
-
-    def _do_put(self, key: str, value: Any) -> None:  # pragma: no cover
-        self._inner._do_put(key, value)
-
-    def _do_remove(self, key: str) -> Any:  # pragma: no cover
-        return self._inner._do_remove(key)
-
-    def _do_contains(self, key: str) -> bool:  # pragma: no cover
-        return self._inner._do_contains(key)

@@ -59,11 +59,11 @@ class UnknownDurabilityError(ReproError, ValueError):
 class CorruptValueError(ReproError, RuntimeError):
     """A stored byte blob could not be decoded back into an object.
 
-    Raised instead of a bare :mod:`pickle` exception when an
-    :class:`~repro.dht.storage.EncodedValue` blob is truncated or
-    otherwise mangled — a torn durable-log write, a corrupted handoff
-    frame.  Catching :class:`ReproError` at the API boundary therefore
-    covers data corruption too.
+    Raised instead of a bare :mod:`pickle` exception when a journaled
+    blob replayed by :meth:`~repro.dht.storage.PeerStore.recover` is
+    truncated or otherwise mangled — a torn durable-log write.
+    Catching :class:`ReproError` at the API boundary therefore covers
+    data corruption too.
     """
 
 

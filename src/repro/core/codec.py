@@ -260,8 +260,8 @@ def _record_list_size(value, records) -> int:
 
 
 def _row_bytes(value: Any) -> int | None:
-    """Codec bytes of a row-bearing object (a leaf bucket, an encoded
-    blob, a baseline trie node); ``None`` for anything else."""
+    """Codec bytes of a row-bearing object (a leaf bucket, a baseline
+    trie node); ``None`` for anything else."""
     sizer = getattr(value, "encoded_wire_size", None)
     if callable(sizer):
         return sizer()

@@ -52,9 +52,16 @@ its own extra wire rounds locally:
   reported upward and surfaces as ``result.unresolved``, mirroring the
   engine's per-slot degradation on ``get_many_outcomes``.
 
-``query()`` additionally publishes the whole-query ``batch_rounds``
-delta on the builder so observability dashboards can compare the two
-execution models' batching behaviour directly.
+The published ``batch_rounds`` is the whole-query stats delta, so
+observability dashboards can compare the two execution models'
+batching behaviour directly.
+
+Everything algorithmic — which bucket to read, how a region splits,
+the fallback search, how child answers merge, what a hop adds to the
+round count — is :func:`repro.core.rangequery.peer_subquery` and
+:func:`~repro.core.rangequery.query_via_peers`.  This module is their
+``SimNetwork`` driver: it resolves owners, carries agent RPCs and
+accounts the wire rounds each hop spent.
 """
 
 from __future__ import annotations
@@ -62,72 +69,22 @@ from __future__ import annotations
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
-from repro.common.geometry import Region, clip, region_of_label
-from repro.common.labels import branch_nodes_between
-from repro.core.keys import bucket_key
-from repro.core.lookup import lookup_point
-from repro.core.naming import naming_function
-from repro.core.rangequery import compute_lca
-from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.core.records import Record
-from repro.dht.api import BatchFailure, Dht
+from repro.common.geometry import Region
+from repro.core.rangequery import (
+    AgentResult,
+    Hop,
+    HopOutcome,
+    Probe,
+    peer_subquery,
+    query_via_peers,
+)
+from repro.core.results import RangeQueryResult
+from repro.dht.api import BatchFailure, Dht, _capture
+from repro.dht.overlay import RoutedOverlay
 from repro.net.message import Message
 
 #: Suffix appended to a peer's network address for its query agent.
 AGENT_SUFFIX = "#mlight"
-
-#: The (records, visited leaf labels, subtree rounds, unresolved
-#: subregions) tuple every agent RPC returns.
-AgentResult = tuple[list[Record], list[str], int, list[Region]]
-
-
-def split_region(
-    bucket: Any, target: str, subquery: Region, query: Region, dims: int
-) -> tuple[list[Record], str, list[tuple[str, Region]]]:
-    """One recursive-split step of Section 6, as a pure function.
-
-    The peer owning ``fmd(target)`` holds *bucket*; return its matches
-    against *query*, its leaf label, and the clipped branch subqueries
-    to forward onward (empty when the leaf is ancestor-or-self of
-    *target*, i.e. one leaf covers the whole subquery).  Shared by the
-    simulated peer agents here and the service-plane multicast
-    handlers in :mod:`repro.mcast.service`.
-    """
-    label = bucket.label
-    if target.startswith(label):
-        return list(bucket.matching(query)), label, []
-    if not label.startswith(target):
-        raise ReproError(
-            f"leaf {label!r} is not prefix-comparable with "
-            f"target {target!r}"
-        )
-    records = list(bucket.matching(query))
-    branches = []
-    for branch in branch_nodes_between(label, target, dims):
-        clipped = clip(subquery, region_of_label(branch, dims))
-        if clipped is not None:
-            branches.append((branch, clipped))
-    return records, label, branches
-
-
-def _find_substrate(dht: Dht) -> Dht:
-    """Walk the wrapper chain (``RetryingDht``/``FaultyDht`` expose
-    ``.inner``) down to the routed substrate that owns peers and a
-    network.  The *outer* dht keeps doing the metered operations so
-    retries and injected faults stay on the wire path."""
-    candidate: Any = dht
-    while candidate is not None:
-        if (
-            getattr(candidate, "_nodes", None)
-            and getattr(candidate, "network", None) is not None
-        ):
-            return candidate
-        candidate = getattr(candidate, "inner", None)
-    raise ReproError(
-        "distributed execution needs a routed substrate with "
-        "peers (Chord/Kademlia/Pastry); LocalDht has no peers "
-        "to host agents on"
-    )
 
 
 class PeerQueryAgent:
@@ -138,76 +95,28 @@ class PeerQueryAgent:
         self._node = node
         self.address = node.name + runtime.suffix
 
-    def handle_rpc(self, message: Message) -> Any:
-        args, kwargs = message.payload
+    def handle_rpc(self, message: Message) -> AgentResult:
+        """Drive one subquery this peer received to its answer."""
         if message.msg_type != "execute":
             raise ReproError(f"unknown agent RPC {message.msg_type!r}")
-        return self.execute(*args, **kwargs)
-
-    def execute(
-        self, target: str, subquery: Region, query: Region
-    ) -> AgentResult:
-        """Process a subquery this peer received for node *target*.
-
-        Returns (matching records, visited leaf labels, rounds consumed
-        by this subtree, unresolved subregions).  The bucket named
-        ``fmd(target)`` is read from the local store — this peer owns
-        it, that is why the subquery was routed here.
-        """
+        (target, subquery, query), _ = message.payload
         runtime = self._runtime
-        name = naming_function(target, runtime.dims)
-        bucket = self._node.store.get(bucket_key(name))
-
-        if bucket is None:
-            return self._fallback(target, subquery, query)
-
-        records, label, branches = split_region(
-            bucket, target, subquery, query, runtime.dims
+        step = peer_subquery(
+            self._node.store.get, target, subquery, query,
+            runtime.dims, runtime.max_depth, runtime.dht.stats,
         )
-        if not branches:
-            # Ancestor-or-self: one leaf covers the whole subquery.
-            return records, [label], 0, []
-
-        visited = [label]
-        deepest = 0
-        unresolved: list[Region] = []
-        for (
-            child_records,
-            child_visited,
-            child_rounds,
-            child_unresolved,
-        ) in runtime.forward_all(self._node.name, branches, query):
-            records.extend(child_records)
-            visited.extend(child_visited)
-            unresolved.extend(child_unresolved)
-            deepest = max(deepest, child_rounds)
-        return records, visited, deepest, unresolved
-
-    def _fallback(
-        self, target: str, subquery: Region, query: Region
-    ) -> AgentResult:
-        """Missing target: its covering leaf is an ancestor; find it by
-        a bounded point lookup issued from this peer."""
-        runtime = self._runtime
         try:
-            found = lookup_point(
-                runtime.dht,
-                subquery.lows,
-                runtime.dims,
-                runtime.max_depth,
-                max_label_length=len(target) - 1,
-            )
-        except NodeUnreachableError:
-            # The covering leaf's owner stayed unreachable through the
-            # retry budget — degrade this subregion, don't abort.
-            return [], [], 0, [subquery]
-        bucket = found.bucket
-        return (
-            list(bucket.matching(query)),
-            [bucket.label],
-            found.rounds,
-            [],
-        )
+            request = next(step)
+            while True:
+                if isinstance(request, Probe):
+                    outcome = _capture(runtime.dht.get, request.key)
+                else:
+                    outcome = runtime.forward_all(
+                        self._node.name, request.hops, query
+                    )
+                request = step.send(outcome)
+        except StopIteration as done:
+            return done.value
 
 
 class DistributedQueryRuntime:
@@ -227,7 +136,19 @@ class DistributedQueryRuntime:
     suffix = AGENT_SUFFIX
 
     def __init__(self, dht: Dht, dims: int, max_depth: int) -> None:
-        substrate = _find_substrate(dht)
+        substrate = next(
+            (
+                layer for layer in dht.unwrap()
+                if isinstance(layer, RoutedOverlay)
+            ),
+            None,
+        )
+        if substrate is None:
+            raise ReproError(
+                "distributed execution needs a routed substrate with "
+                "peers (Chord/Kademlia/Pastry); LocalDht has no peers "
+                "to host agents on"
+            )
         self.dht = dht
         self.dims = dims
         self.max_depth = max_depth
@@ -235,9 +156,6 @@ class DistributedQueryRuntime:
         self._network = substrate.network
         self._agents: dict[str, PeerQueryAgent] = {}
         self.refresh_agents()
-
-    def _make_agent(self, node: Any) -> PeerQueryAgent:
-        return PeerQueryAgent(self, node)
 
     def refresh_agents(self) -> None:
         """(Re)register one query agent per currently-live peer.
@@ -253,10 +171,10 @@ class DistributedQueryRuntime:
         for agent in self._agents.values():
             network.unregister(agent.address)
         self._agents = {}
-        for node in self._substrate._nodes.values():
-            agent = self._make_agent(node)
+        for name in self._substrate.peers():
+            agent = PeerQueryAgent(self, self._substrate.node(name))
             network.register(agent.address, agent)
-            self._agents[node.name] = agent
+            self._agents[name] = agent
 
     # ------------------------------------------------------------------
     # Owner resolution (override point for the multicast plane)
@@ -282,46 +200,40 @@ class DistributedQueryRuntime:
     # Forwarding
     # ------------------------------------------------------------------
 
-    def forward(
-        self, src_peer: str, target: str, subquery: Region, query: Region
-    ) -> AgentResult:
-        """Route a subquery to the owner of ``fmd(target)``.
+    def _deliver(
+        self, src_peer: str, owner: str, hop: Hop, query: Region
+    ) -> AgentResult | BatchFailure:
+        """One agent message (a dead agent fails only this hop)."""
+        return _capture(
+            self._network.rpc,
+            src_peer + self.suffix,
+            owner + self.suffix,
+            "execute",
+            hop.target,
+            hop.subquery,
+            query,
+        )
 
-        One DHT-lookup (the routing) plus one agent message; the
-        child's round count is incremented by the hop, plus one
-        sequential round per retried resolution attempt.  An owner
-        that stays unreachable degrades the subregion to unresolved.
+    def forward(self, src_peer: str, hop: Hop, query: Region) -> HopOutcome:
+        """Route one subquery to the owner of its key.
+
+        One DHT-lookup (the routing) plus one agent message: the hop
+        spends one wire round, plus one per retried resolution attempt
+        (each retry ran sequentially on this hop's critical path).  An
+        owner that stays unreachable spent only the retries.
         """
-        name = naming_function(target, self.dims)
         stats = self.dht.stats
         retries_before = stats.retries
         try:
-            owner = self._resolve_target(src_peer, bucket_key(name))
-        except NodeUnreachableError:
-            return [], [], stats.retries - retries_before, [subquery]
-        # Each retried lookup attempt was one more wire round spent
-        # sequentially on this hop (satellite-1 fix: the old code
-        # reported `rounds + 1` regardless of retries).
-        extra = stats.retries - retries_before
-        try:
-            records, visited, rounds, unresolved = self._network.rpc(
-                src_peer + self.suffix,
-                owner + self.suffix,
-                "execute",
-                target,
-                subquery,
-                query,
-            )
-        except NodeUnreachableError:
-            return [], [], 1 + extra, [subquery]
-        return records, visited, rounds + 1 + extra, unresolved
+            owner = self._resolve_target(src_peer, hop.key)
+        except NodeUnreachableError as error:
+            return BatchFailure(error), stats.retries - retries_before
+        spent = 1 + stats.retries - retries_before
+        return self._deliver(src_peer, owner, hop, query), spent
 
     def forward_all(
-        self,
-        src_peer: str,
-        branches: list[tuple[str, Region]],
-        query: Region,
-    ) -> list[AgentResult]:
+        self, src_peer: str, hops: list[Hop], query: Region
+    ) -> list[HopOutcome]:
         """Forward one agent's branch subqueries as one parallel round.
 
         This is the paper's "Ri is forwarded to βi" step executed the
@@ -329,58 +241,32 @@ class DistributedQueryRuntime:
         go out together: one batched resolution finds every owner,
         then the agent messages ride a single network message round
         (each forward its own chain).  Per-branch costs are unchanged
-        — one DHT-lookup plus one agent message each, child rounds
-        incremented by the hop.  Retried resolution waves each add one
-        parallel wire round gating the whole step; branches whose
-        owner stays unreachable (or whose agent RPC fails) degrade to
-        unresolved subregions instead of aborting the query.
+        — one DHT-lookup plus one agent message each.  Retried
+        resolution waves each add one parallel wire round gating the
+        whole step; a branch whose owner stays unreachable spent only
+        those.
         """
-        if not branches:
-            return []
-        keys = [
-            bucket_key(naming_function(target, self.dims))
-            for target, _ in branches
-        ]
         stats = self.dht.stats
         batch_before = stats.batch_rounds
         try:
-            outcomes = self._resolve_targets(src_peer, keys)
-        except NodeUnreachableError:
+            owners = self._resolve_targets(
+                src_peer, [hop.key for hop in hops]
+            )
+        except NodeUnreachableError as error:
             # Whole-batch resolution failure (unwrapped FaultyDht):
             # every branch degrades.
-            extra = max(0, stats.batch_rounds - batch_before - 1)
-            return [
-                ([], [], extra, [subquery]) for _, subquery in branches
-            ]
-        # Each retry wave re-issued the failed subset as its own batch
-        # round; those rounds gate every branch of this parallel step.
+            owners = [BatchFailure(error)] * len(hops)
         extra = max(0, stats.batch_rounds - batch_before - 1)
-        results: list[AgentResult] = []
+        outcomes: list[HopOutcome] = []
         with self._network.message_round() as round_:
-            for (target, subquery), outcome in zip(branches, outcomes):
-                if isinstance(outcome, BatchFailure):
-                    results.append(([], [], extra, [subquery]))
+            for hop, owner in zip(hops, owners):
+                if isinstance(owner, BatchFailure):
+                    outcomes.append((owner, extra))
                     continue
                 with round_.chain():
-                    try:
-                        payload = self._network.rpc(
-                            src_peer + self.suffix,
-                            outcome + self.suffix,
-                            "execute",
-                            target,
-                            subquery,
-                            query,
-                        )
-                    except NodeUnreachableError:
-                        payload = None
-                if payload is None:
-                    results.append(([], [], 1 + extra, [subquery]))
-                else:
-                    records, visited, rounds, unresolved = payload
-                    results.append(
-                        (records, visited, rounds + 1 + extra, unresolved)
-                    )
-        return results
+                    reply = self._deliver(src_peer, owner, hop, query)
+                outcomes.append((reply, 1 + extra))
+        return outcomes
 
     def query(
         self, query: Region, initiator: str | None = None
@@ -390,19 +276,10 @@ class DistributedQueryRuntime:
             initiator = min(self._agents)
         if initiator not in self._agents:
             raise ReproError(f"unknown initiator peer {initiator!r}")
-        lca = compute_lca(query, self.dims, self.max_depth)
-        stats = self.dht.stats
-        lookups_before = stats.lookups
-        batch_before = stats.batch_rounds
-        records, visited, rounds, unresolved = self.forward(
-            initiator, lca, query, query
+        return query_via_peers(
+            query,
+            self.dims,
+            self.max_depth,
+            self.dht.stats,
+            lambda hop: self.forward(initiator, hop, query),
         )
-        builder = RangeQueryBuilder()
-        builder.records.extend(records)
-        builder.visited_leaves.update(visited)
-        builder.rounds = rounds
-        builder.lookups = stats.lookups - lookups_before
-        builder.batch_rounds = stats.batch_rounds - batch_before
-        for region in unresolved:
-            builder.mark_unresolved(region)
-        return builder.build()

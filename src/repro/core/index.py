@@ -21,7 +21,8 @@ search, and range queries warm the cache with every leaf they visit.
 
 Typical use::
 
-    from repro import LocalDht, MLightIndex, IndexConfig, Region
+    from repro import MLightIndex, IndexConfig, Region
+    from repro.dht.localhash import LocalDht
 
     config = IndexConfig(dims=2, max_depth=28, cache_capacity=256)
     index = MLightIndex(LocalDht(128), config)
@@ -31,9 +32,7 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
 from typing import Any
 
 from repro.common.config import IndexConfig
@@ -130,24 +129,6 @@ class MLightIndex:
         )
         self._dissemination: Any | None = None
         self._bootstrap()
-
-    @classmethod
-    def with_data_aware_splitting(
-        cls, dht: Dht, config: IndexConfig | None = None
-    ) -> "MLightIndex":
-        """Deprecated alias for ``IndexConfig(strategy="data-aware")``.
-
-        Kept for source compatibility; new code selects the Section-4.2
-        strategy through the config instead.
-        """
-        warnings.warn(
-            "MLightIndex.with_data_aware_splitting is deprecated; pass "
-            'IndexConfig(strategy="data-aware") instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = config if config is not None else IndexConfig()
-        return cls(dht, replace(config, strategy="data-aware"))
 
     # ------------------------------------------------------------------
     # Properties

@@ -45,6 +45,17 @@ over a faulty substrate never raises
 :class:`~repro.common.errors.NodeUnreachableError` — it returns what
 it could prove, and says what it couldn't.
 
+One kernel, three drivers: every *decision* of Algorithms 2/3 lives in
+this module as sans-IO code — :func:`compute_lca` (where to jump),
+:func:`branch_subqueries` (the probe-outcome case analysis),
+:func:`fallback_cursor` (the bounded search for a missing target),
+:func:`peer_subquery` (one peer's step as a resumable state machine)
+and :func:`query_via_peers` (folding a peer-side answer into a
+result).  The drivers own only transport and metering:
+:class:`RangeQueryEngine` below (one client, BFS-batched rounds), the
+``SimNetwork`` RPC agents of :mod:`repro.core.distributed`, and the
+asyncio ``MCAST`` handler of :mod:`repro.mcast.service`.
+
 CPU hot path: with rounds batched (PR 2), local computation dominates
 wall-clock.  Every ``region_of_label`` this engine issues (LCA
 descent, speculative expansion, branch clipping) hits the memoized
@@ -55,8 +66,9 @@ path").
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.common.errors import IndexCorruptionError, InvalidRegionError
 from repro.common.geometry import (
@@ -78,16 +90,26 @@ from repro.core.keys import bucket_key
 from repro.core.lookup import PointLookupCursor
 from repro.core.naming import naming_function
 from repro.core.plane import make_plane
+from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.dht.api import BatchFailure, Dht
+from repro.dht.api import BatchFailure, Dht, DhtStats
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
 __all__ = [
+    "AgentResult",
+    "Forward",
+    "Hop",
+    "HopOutcome",
+    "Probe",
     "RangeQueryEngine",
     "RangeQueryResult",
+    "branch_subqueries",
     "compute_lca",
+    "fallback_cursor",
+    "peer_subquery",
+    "query_via_peers",
 ]
 
 
@@ -130,6 +152,205 @@ def compute_lca(query: Region, dims: int, max_depth: int) -> str:
         else:
             break
     return label
+
+
+
+def branch_subqueries(
+    leaf: str, target: str, subquery: Region, dims: int
+) -> list[tuple[str, Region]]:
+    """The probe-outcome case analysis: where *subquery* goes next.
+
+    The probe of ``fmd(target)`` returned the leaf labelled *leaf*.
+
+    * *leaf* is an ancestor-or-self of *target* → that one leaf covers
+      the whole subquery: no branches.
+    * *leaf* is a descendant of *target* → a corner cell (Theorem 1).
+      Its label alone reconstructs the local tree: each branch node
+      between the leaf and the target whose cell overlaps *subquery*
+      receives the clipped subquery (Algorithm 3).  The branch cells
+      tile the target's cell minus the leaf's, so the returned
+      subqueries are disjoint.
+    * anything else is impossible under the naming invariant and raises
+      :class:`IndexCorruptionError`.
+    """
+    if target.startswith(leaf):
+        return []
+    if not leaf.startswith(target):
+        raise IndexCorruptionError(
+            f"leaf {leaf!r} named {naming_function(target, dims)!r} is "
+            f"not prefix-comparable with target {target!r}; the naming "
+            "invariant is broken"
+        )
+    branches = []
+    for branch in branch_nodes_between(leaf, target, dims):
+        clipped = clip(subquery, region_of_label(branch, dims))
+        if clipped is not None:
+            branches.append((branch, clipped))
+    return branches
+
+
+def fallback_cursor(
+    stats: DhtStats,
+    target: str,
+    subquery: Region,
+    dims: int,
+    max_depth: int,
+    *,
+    anchor: str | None = None,
+    cache: LeafCache | None = None,
+    tracer: "Tracer | None" = None,
+) -> PointLookupCursor:
+    """Point-lookup cursor for a *target* whose probe found no bucket.
+
+    The covering leaf is a proper ancestor of the target, so the
+    search stops one label short of it.  *anchor*, when given, is a
+    label known to exist above the target (it may itself be the
+    covering leaf): a target produced by speculative expansion below
+    its anchor bounds the search from below as well, so the interval
+    is at most the expansion depth — usually one probe.
+    """
+    min_length = None
+    if anchor is not None and target != anchor and target.startswith(anchor):
+        min_length = len(anchor)
+    return PointLookupCursor(
+        stats,
+        subquery.lows,
+        dims,
+        max_depth,
+        min_label_length=min_length,
+        max_label_length=len(target) - 1,
+        cache=cache,
+        tracer=tracer,
+    )
+
+
+# ----------------------------------------------------------------------
+# Peer-side execution: the same decisions, taken where the bucket lives
+# ----------------------------------------------------------------------
+
+#: What one peer answers for one subquery: (matching records, visited
+#: leaf labels, wire rounds its subtree spent, unresolved subregions).
+AgentResult = tuple[list[Record], list[str], int, list[Region]]
+
+
+class Hop(NamedTuple):
+    """A subquery on its way to the peer owning ``fmd(target)``."""
+
+    key: str
+    target: str
+    subquery: Region
+
+
+class Probe(NamedTuple):
+    """Request: one metered DHT-get of *key*.  Answer with the bucket,
+    ``None``, or a :class:`~repro.dht.api.BatchFailure`."""
+
+    key: str
+
+
+#: What delivering one hop yields: the receiving peer's answer (a
+#: :class:`~repro.dht.api.BatchFailure` when its owner or agent stayed
+#: unreachable) and the wire rounds the hop itself spent.
+HopOutcome = tuple[AgentResult | BatchFailure, int]
+
+
+class Forward(NamedTuple):
+    """Request: deliver *hops* as one parallel round.  Answer with one
+    :data:`HopOutcome` per hop."""
+
+    hops: list[Hop]
+
+
+def _hop_result(
+    reply: AgentResult | BatchFailure, spent: int, subquery: Region
+) -> AgentResult:
+    """Fold one hop into what it carried back: *spent* rounds on top of
+    the receiver's own, or — undeliverable — its subquery unresolved."""
+    if isinstance(reply, BatchFailure):
+        return [], [], spent, [subquery]
+    records, visited, rounds, unresolved = reply
+    return records, visited, rounds + spent, unresolved
+
+
+def peer_subquery(
+    read_local: Callable[[str], Any],
+    target: str,
+    subquery: Region,
+    query: Region,
+    dims: int,
+    max_depth: int,
+    stats: DhtStats,
+) -> Generator[Probe | Forward, Any, AgentResult]:
+    """One peer's step of a range query, as a resumable state machine.
+
+    The peer owns ``fmd(target)`` — that is why *subquery* was routed
+    to it — so it reads that bucket through *read_local* at no cost.
+    The generator yields what it needs from the network (:class:`Probe`
+    while the bounded fallback search runs for a missing target, then
+    at most one :class:`Forward` carrying the branch subqueries),
+    consumes the answers through ``send``, and returns the
+    :data:`AgentResult`.  A subtree costs its deepest child's rounds;
+    probes spent by the fallback count as rounds whether or not it
+    reached the covering leaf; an unreachable probe or hop degrades
+    exactly its own subregion.
+    """
+    bucket = read_local(bucket_key(naming_function(target, dims)))
+    rounds = 0
+    if bucket is None:
+        cursor = fallback_cursor(stats, target, subquery, dims, max_depth)
+        while not cursor.done:
+            outcome = yield Probe(cursor.current_key())
+            if not isinstance(outcome, BatchFailure):
+                cursor.advance(outcome)
+            elif not cursor.probe_failed():
+                return [], [], cursor.probes, [subquery]
+        bucket, rounds = cursor.result.bucket, cursor.result.rounds
+    branches = branch_subqueries(bucket.label, target, subquery, dims)
+    records = list(bucket.matching(query))
+    visited = [bucket.label]
+    unresolved: list[Region] = []
+    if branches:
+        replies = yield Forward([
+            Hop(bucket_key(naming_function(branch, dims)), branch, clipped)
+            for branch, clipped in branches
+        ])
+        for (_, clipped), (reply, spent) in zip(branches, replies):
+            below, leaves, depth, lost = _hop_result(reply, spent, clipped)
+            records.extend(below)
+            visited.extend(leaves)
+            rounds = max(rounds, depth)
+            unresolved.extend(lost)
+    return records, visited, rounds, unresolved
+
+
+def query_via_peers(
+    query: Region,
+    dims: int,
+    max_depth: int,
+    stats: DhtStats,
+    send: Callable[[Hop], HopOutcome],
+) -> RangeQueryResult:
+    """Run *query* peer-side: one hop to the owner of ``fmd(LCA(R))``.
+
+    *send* delivers that hop and answers like one :class:`Forward`
+    slot; ``lookups`` and ``batch_rounds`` are the *stats* deltas
+    around it, so everything the peers metered on the way is in.
+    """
+    lca = compute_lca(query, dims, max_depth)
+    lookups_before = stats.lookups
+    batch_before = stats.batch_rounds
+    reply, spent = send(
+        Hop(bucket_key(naming_function(lca, dims)), lca, query)
+    )
+    records, visited, rounds, unresolved = _hop_result(reply, spent, query)
+    return RangeQueryBuilder(
+        records=records,
+        lookups=stats.lookups - lookups_before,
+        rounds=rounds,
+        visited_leaves=set(visited),
+        batch_rounds=stats.batch_rounds - batch_before,
+        unresolved=unresolved,
+    ).build()
 
 
 class RangeQueryEngine:
@@ -329,55 +550,22 @@ class RangeQueryEngine:
         builder: RangeQueryBuilder,
         next_tasks: list[_Task],
     ) -> None:
-        """Dispatch on one resolved probe outcome for *task*."""
-        label = bucket.label
-        if task.target.startswith(label):
-            # Ancestor-or-self: this one leaf covers the whole subquery.
-            # (Fallback-resolved targets always land here: the covering
-            # leaf of a missing target is a proper ancestor of it.)
-            self._collect(bucket, query, builder)
-            return
-        if label.startswith(task.target):
-            # Corner-cell leaf inside the target: collect it, then
-            # forward the clipped subquery to each overlapping branch
-            # node between the leaf and the target (Algorithm 3).
-            self._collect(bucket, query, builder)
-            for branch in branch_nodes_between(
-                label, task.target, self._dims
-            ):
-                clipped = clip(
-                    task.subquery, region_of_label(branch, self._dims)
-                )
-                if clipped is not None:
-                    next_tasks.append(_Task(branch, clipped, branch))
-            return
-        raise IndexCorruptionError(
-            f"leaf {label!r} named "
-            f"{naming_function(task.target, self._dims)!r} is not "
-            f"prefix-comparable with target {task.target!r}; the naming "
-            "invariant is broken"
+        """Collect one resolved probe's leaf and queue its branches."""
+        branches = branch_subqueries(
+            bucket.label, task.target, task.subquery, self._dims
         )
+        self._collect(bucket, query, builder)
+        for branch, clipped in branches:
+            next_tasks.append(_Task(branch, clipped, branch))
 
     def _fallback_cursor(self, task: _Task) -> PointLookupCursor:
-        """Point-lookup cursor for a missing target.
-
-        The covering leaf is a proper ancestor of the target and (when
-        the target came from speculative expansion below a node known
-        to exist) lies strictly below the task's anchor, so the search
-        interval is at most the expansion depth — usually one probe.
-        """
-        min_length = None
-        if task.target.startswith(task.anchor) and task.target != task.anchor:
-            # The anchor exists (it may itself be the covering leaf),
-            # so the target's covering leaf is no shorter than it.
-            min_length = len(task.anchor)
-        return PointLookupCursor(
+        return fallback_cursor(
             self._dht.stats,
-            task.subquery.lows,
+            task.target,
+            task.subquery,
             self._dims,
             self._max_depth,
-            min_label_length=min_length,
-            max_label_length=len(task.target) - 1,
+            anchor=task.anchor,
             cache=self._cache,
             tracer=self.tracer,
         )

@@ -29,6 +29,7 @@ if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
 from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
+from repro.net.events import EventScheduler
 
 #: Rough wire size of one record and of an object envelope.  The
 #: record constant survives only as the *fallback* model (active before
@@ -318,6 +319,12 @@ class Dht(ABC):
     and :class:`DhtStats` deltas agree by construction.
     """
 
+    #: The transport this stack routes over — a
+    #: :class:`~repro.net.simnet.SimNetwork` or the service runtime's
+    #: transport, each with ``stats``, ``clock`` and ``tracer`` — or
+    #: ``None`` for substrates that route over nothing (``LocalDht``).
+    network: Any = None
+
     def __init__(self) -> None:
         self.stats = DhtStats()
         self.tracer: "Tracer | None" = None
@@ -522,6 +529,30 @@ class Dht(ABC):
             "(RuntimeConfig(durability=...))"
         )
 
+    # ------------------------------------------------------------------
+    # Lifecycle and stack introspection
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release runtime resources (loop threads, sockets).  In-process
+        substrates hold none, so the default does nothing."""
+
+    def __enter__(self) -> "Dht":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def unwrap(self) -> Iterator["Dht"]:
+        """The wrapper stack from this layer down, outermost first.
+
+        A bare substrate yields only itself; a :class:`DhtDecorator`
+        yields itself, then everything beneath it.  Code that needs one
+        particular layer (the routed overlay, the service runtime, the
+        adaptive plane) selects it from this walk by type.
+        """
+        yield self
+
     def rewrite_local(self, key: str, value: Any) -> None:
         """Replace the value at an existing key at zero metered cost.
 
@@ -549,10 +580,8 @@ class Dht(ABC):
         """Number of distinct keys stored anywhere (oracle, unmetered).
 
         The counting path for churn and restart accounting.  This
-        default counts :meth:`items`, which on an encoded store decodes
-        every value; substrates override it with a non-decoding
-        ``PeerStore.keys()`` walk, so counting a store never unpickles
-        it.
+        default counts :meth:`items`; substrates override it with a
+        ``PeerStore.keys()`` walk that never touches values.
         """
         return sum(1 for _ in self.items())
 
@@ -612,6 +641,163 @@ class Dht(ABC):
 
     def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
         return [_capture(self._do_lookup, key) for key in keys]
+
+
+class DhtDecorator(Dht):
+    """Base of every wrapper that decorates another :class:`Dht`.
+
+    Owns the wrapped ``inner`` facade, shares its ``stats`` and
+    ``tracer`` (one counter set, one span tree for the whole stack),
+    resolves the simulated clock time-costing wrappers charge, and
+    forwards the complete facade once: metered operations, ``_do_*``
+    primitives, the unmetered oracle, membership and lifecycle.  A
+    subclass overrides only what it changes — public operations to
+    intercept whole calls (retry, adaptive reads), ``_do_*`` primitives
+    to intercept below the metering (fault injection).
+
+    *clock* defaults to the stack's own: the clock of a decorator
+    underneath, else the clock of the ``network`` the substrate routes
+    over, else a private scheduler.
+    """
+
+    def __init__(
+        self, inner: Dht, clock: EventScheduler | None = None
+    ) -> None:
+        # No ``super().__init__()``: a wrapper has no counters of its
+        # own — every attempt, injection and copy is metered on the
+        # substrate's.
+        self._inner = inner
+        self.stats = inner.stats
+        self.tracer = inner.tracer
+        if clock is None:
+            if isinstance(inner, DhtDecorator):
+                clock = inner.clock
+            elif inner.network is not None:
+                clock = inner.network.clock
+            else:
+                clock = EventScheduler()
+        self._clock = clock
+
+    @property
+    def inner(self) -> Dht:
+        """The wrapped facade."""
+        return self._inner
+
+    @property
+    def clock(self) -> EventScheduler:
+        """The clock backoff waits and injected delays advance."""
+        return self._clock
+
+    @property
+    def network(self) -> Any:
+        return self._inner.network
+
+    def unwrap(self) -> Iterator[Dht]:
+        yield self
+        yield from self._inner.unwrap()
+
+    # Metered operations: the inner facade meters each call.
+
+    def lookup(self, key: str) -> str:
+        return self._inner.lookup(key)
+
+    def get(self, key: str) -> Any | None:
+        return self._inner.get(key)
+
+    def get_direct(self, peer: str, key: str) -> Any | None:
+        return self._inner.get_direct(peer, key)
+
+    def put(self, key: str, value: Any, *, records_moved: int = 0) -> None:
+        self._inner.put(key, value, records_moved=records_moved)
+
+    def remove(self, key: str, *, records_moved: int = 0) -> Any:
+        return self._inner.remove(key, records_moved=records_moved)
+
+    def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
+        return self._inner.get_many_outcomes(keys)
+
+    def put_many(
+        self,
+        items: Sequence[tuple[str, Any]],
+        *,
+        records_moved: Sequence[int] | None = None,
+    ) -> None:
+        self._inner.put_many(items, records_moved=records_moved)
+
+    def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
+        return self._inner.lookup_many_outcomes(keys)
+
+    def rewrite_local(self, key: str, value: Any) -> None:
+        self._inner.rewrite_local(key, value)
+
+    # Oracle access.
+
+    def peek(self, key: str) -> Any | None:
+        return self._inner.peek(key)
+
+    def peer_of(self, key: str) -> str:
+        return self._inner.peer_of(key)
+
+    def peers(self) -> list[str]:
+        return self._inner.peers()
+
+    def items(self) -> Iterator[tuple[str, Any]]:
+        return self._inner.items()
+
+    def key_count(self) -> int:
+        return self._inner.key_count()
+
+    # Membership and lifecycle reach the substrate: churn, crash and
+    # durable restart are not operations a wrapper retries, faults or
+    # adapts.
+
+    def join(self, name: str, gateway: str | None = None) -> None:
+        self._inner.join(name, gateway=gateway)
+
+    def leave(self, name: str) -> None:
+        self._inner.leave(name)
+
+    def fail(self, name: str) -> None:
+        self._inner.fail(name)
+
+    def _do_restart(self, name: str) -> None:
+        self._inner._do_restart(name)
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def __enter__(self) -> "DhtDecorator":
+        self._inner.__enter__()
+        return self
+
+    # Substrate primitives.
+
+    def _do_lookup(self, key: str) -> str:
+        return self._inner._do_lookup(key)
+
+    def _do_get(self, key: str) -> Any | None:
+        return self._inner._do_get(key)
+
+    def _do_get_direct(self, peer: str, key: str) -> Any | None:
+        return self._inner._do_get_direct(peer, key)
+
+    def _do_put(self, key: str, value: Any) -> None:
+        self._inner._do_put(key, value)
+
+    def _do_remove(self, key: str) -> Any:
+        return self._inner._do_remove(key)
+
+    def _do_contains(self, key: str) -> bool:
+        return self._inner._do_contains(key)
+
+    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
+        return self._inner._do_get_many(keys)
+
+    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
+        return self._inner._do_put_many(items)
+
+    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
+        return self._inner._do_lookup_many(keys)
 
 
 def _capture(operation, *args: Any) -> Any:

@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.common.errors import DhtKeyError, ReproError
 from repro.dht.api import Dht, data_wire_size, request_wire_size
-from repro.dht.batching import NetworkRoundBatchMixin
+from repro.dht.overlay import RoutedOverlay
 from repro.dht.durable import (
     backend_path,
     create_store_backend,
@@ -72,14 +72,13 @@ class ChordNode:
         self,
         name: str,
         network: SimNetwork,
-        encoded: bool = False,
         store: PeerStore | None = None,
     ) -> None:
         self.name = name
         self.ident = node_id_from_name(name)
         self.ref = _NodeRef(self.ident, name)
         self.network = network
-        self.store = store if store is not None else PeerStore(encoded=encoded)
+        self.store = store if store is not None else PeerStore()
         self.successors: list[_NodeRef] = [self.ref]
         self.predecessor: _NodeRef | None = None
         self.fingers: list[_NodeRef | None] = [None] * ID_BITS
@@ -242,7 +241,7 @@ class ChordNode:
             self.predecessor = None
 
 
-class ChordDht(NetworkRoundBatchMixin, Dht):
+class ChordDht(RoutedOverlay, Dht):
     """The :class:`~repro.dht.api.Dht` facade over a Chord ring.
 
     *replication* > 1 stores each key on the owner plus that many minus
@@ -255,7 +254,6 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         self,
         network: SimNetwork | None = None,
         replication: int = 1,
-        encoded_storage: bool = False,
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> None:
@@ -266,9 +264,6 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
             )
         self.network = network if network is not None else SimNetwork()
         self.replication = replication
-        #: Keep peer values as encoded wire bytes (decode on access),
-        #: so churn handoff moves byte blobs, not object graphs.
-        self.encoded_storage = encoded_storage
         #: Durable backend kind every peer store journals into
         #: (``None``: in-memory only, no restart support).
         self.durability = durability
@@ -285,7 +280,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
             backend = create_store_backend(
                 self.durability, backend_path(self.data_dir, name)
             )
-        return PeerStore(encoded=self.encoded_storage, backend=backend)
+        return PeerStore(backend=backend)
 
     # ------------------------------------------------------------------
     # Construction and membership
@@ -297,14 +292,13 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         n_peers: int,
         network: SimNetwork | None = None,
         replication: int = 1,
-        encoded_storage: bool = False,
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> "ChordDht":
         """Create a converged ring of *n_peers* directly."""
         if n_peers < 1:
             raise ReproError(f"n_peers must be >= 1, got {n_peers}")
-        dht = cls(network, replication, encoded_storage, durability, data_dir)
+        dht = cls(network, replication, durability, data_dir)
         for index in range(n_peers):
             name = f"chord-{index:04d}"
             dht._nodes[name] = ChordNode(
@@ -361,9 +355,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
     def leave(self, name: str) -> None:
         """Graceful departure: push keys to the successor, then go.
 
-        Handoff moves the store's raw entries (on an encoded ring,
-        byte blobs — nothing is unpickled on the way out), and the
-        peer's durable state is wiped: a handed-off key must never
+        The peer's durable state is wiped: a handed-off key must never
         resurrect through a later :meth:`restart`.
         """
         node = self._nodes.get(name)
@@ -414,7 +406,7 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         backend = create_store_backend(
             self.durability, backend_path(self.data_dir, name)
         )
-        store = PeerStore.recover(backend, encoded=self.encoded_storage)
+        store = PeerStore.recover(backend)
         node = ChordNode(name, self.network, store=store)
         self._nodes[name] = node
         stats = self.stats
@@ -480,11 +472,6 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
     # Routing
     # ------------------------------------------------------------------
 
-    def _gateway(self) -> ChordNode:
-        if not self._nodes:
-            raise ReproError("the ring has no peers")
-        return self._nodes[min(self._nodes)]
-
     def _rpc_insistent(self, src: str, dst: str, method: str, *args: Any):
         """RPC with bounded retries for *transient* message drops.
 
@@ -548,6 +535,11 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
         """Public routed successor lookup (address of the owner)."""
         return self._route(self._gateway().ref, ident).name
 
+    def route_owner(self, key: str, src: str | None = None) -> str:
+        """Greedy finger routing from *src*'s own ref (default: the
+        gateway's); see :meth:`RoutedOverlay.route_owner`."""
+        return self._route(self._route_start(src).ref, key_digest(key)).name
+
     # ------------------------------------------------------------------
     # Oracle access
     # ------------------------------------------------------------------
@@ -593,15 +585,6 @@ class ChordDht(NetworkRoundBatchMixin, Dht):
     # ------------------------------------------------------------------
     # Substrate primitives
     # ------------------------------------------------------------------
-
-    def _owner(self, key: str) -> ChordNode:
-        owner_name = self._route(
-            self._gateway().ref, key_digest(key)
-        ).name
-        return self._nodes[owner_name]
-
-    def _do_lookup(self, key: str) -> str:
-        return self._owner(key).name
 
     def _do_get(self, key: str) -> Any | None:
         owner = self._owner(key)

@@ -107,8 +107,9 @@ def run_churn(
     """Apply a churn schedule to *dht*, stabilizing between events.
 
     Works on any overlay exposing ``join(name, gateway=...)``,
-    ``leave(name)`` and ``fail(name)``; ``stabilize_all`` and
-    ``repair_replicas`` are driven when present.  Leaves and crashes
+    ``leave(name)`` and ``fail(name)`` — bare or under a wrapper stack;
+    the substrate's ``stabilize_all`` and ``repair_replicas`` are
+    driven when present.  Leaves and crashes
     are suppressed while the overlay has *min_peers* or fewer, so the
     ring never churns itself away.
 
@@ -120,9 +121,7 @@ def run_churn(
 
     Key accounting (``keys_before`` / ``keys_after``) walks
     :meth:`repro.dht.api.Dht.key_count`, which counts stored keys
-    without decoding values — on an ``encoded_storage`` substrate the
-    old ``sum(1 for _ in dht.items())`` walk unpickled every stored
-    blob just to count it.
+    without touching values.
 
     The victim-selection stream is sub-seeded with
     ``derive_seed(seed, "churn-victims")``; see
@@ -132,7 +131,8 @@ def run_churn(
     rng = make_rng(derive_seed(seed, "churn-victims"))
     report = ChurnReport()
     report.keys_before = dht.key_count()
-    stabilize = getattr(dht, "stabilize_all", None)
+    *_, substrate = dht.unwrap()
+    stabilize = getattr(substrate, "stabilize_all", None)
     next_id = 100_000
     down: list[str] = []  # crash victims awaiting a restart draw
     for kind in generate_schedule(
@@ -165,9 +165,9 @@ def run_churn(
         # Repair between events, not only at the end: two crashes with
         # an unrepaired replica set between them can both land on the
         # same key's holders, losing data replication should have kept.
-        _repair(dht, report)
+        _repair(substrate, report)
     if stabilize is not None:
         stabilize(stabilize_rounds)
-    _repair(dht, report)
+    _repair(substrate, report)
     report.keys_after = dht.key_count()
     return report

@@ -53,7 +53,7 @@ from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.rng import derive_seed, make_rng
-from repro.dht.api import BatchFailure, Dht
+from repro.dht.api import BatchFailure, Dht, DhtDecorator
 from repro.net.events import EventScheduler
 
 __all__ = [
@@ -153,15 +153,14 @@ class FaultPlan:
         return None
 
 
-class FaultyDht(Dht):
+class FaultyDht(DhtDecorator):
     """Wrap *inner* so its primitives fail according to a *plan*.
 
     Shares the inner substrate's :class:`~repro.dht.api.DhtStats` (so
     index layers keep reading one counter set) and meters every
     injection on the ``faults_*`` counters.  Time-costing faults
-    advance *clock* — resolved from ``inner.network.clock`` when the
-    substrate routes over a :class:`~repro.net.simnet.SimNetwork`, or
-    a private :class:`~repro.net.events.EventScheduler` otherwise.
+    advance *clock* (default: the stack's own, see
+    :class:`~repro.dht.api.DhtDecorator`).
 
     Injection sits at the ``_do_*`` boundary: public operations meter
     as usual, then the primitive consults the plan.  ``rewrite_local``
@@ -176,38 +175,18 @@ class FaultyDht(Dht):
         *,
         clock: EventScheduler | None = None,
     ) -> None:
-        super().__init__()
-        self._inner = inner
+        super().__init__(inner, clock)
         self._plan = plan
         self.enabled = True
-        if clock is None:
-            network = getattr(inner, "network", None)
-            clock = getattr(network, "clock", None) or EventScheduler()
-        self._clock = clock
         # Superseded values for stale reads: key -> the value the most
         # recent routed put replaced.
         self._superseded: dict[str, Any] = {}
         self._last_written: dict[str, Any] = {}
-        # Share the inner stats object (and tracer, when one is already
-        # attached) so injections, costs and retries all land on the one
-        # counter set experiments read.
-        self.stats = inner.stats
-        self.tracer = inner.tracer
-
-    @property
-    def inner(self) -> Dht:
-        """The wrapped substrate."""
-        return self._inner
 
     @property
     def plan(self) -> FaultPlan:
         """The active fault plan."""
         return self._plan
-
-    @property
-    def clock(self) -> EventScheduler:
-        """The simulated clock time-costing faults charge."""
-        return self._clock
 
     @contextmanager
     def suspended(self) -> Iterator[None]:
@@ -273,6 +252,20 @@ class FaultyDht(Dht):
     # ------------------------------------------------------------------
     # Substrate primitives (inject, then delegate)
     # ------------------------------------------------------------------
+    #
+    # Injection sits *below* the metering, so the public operations are
+    # the metering facade itself rather than the decorator's forwarders:
+    # each call meters once on the shared stats, then reaches the
+    # injecting primitives.
+
+    lookup = Dht.lookup
+    get = Dht.get
+    get_direct = Dht.get_direct
+    put = Dht.put
+    remove = Dht.remove
+    get_many_outcomes = Dht.get_many_outcomes
+    put_many = Dht.put_many
+    lookup_many_outcomes = Dht.lookup_many_outcomes
 
     def _do_lookup(self, key: str) -> str:
         self._inject("lookup", key)
@@ -375,28 +368,3 @@ class FaultyDht(Dht):
         # from writes observed through the wrapper alone.
         self._inner.rewrite_local(key, value)
         self._record_write(key, value)
-
-    def peek(self, key: str) -> Any | None:
-        return self._inner.peek(key)
-
-    def peer_of(self, key: str) -> str:
-        return self._inner.peer_of(key)
-
-    def peers(self) -> list[str]:
-        return self._inner.peers()
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        return self._inner.items()
-
-    def key_count(self) -> int:
-        return self._inner.key_count()
-
-    # Membership reaches the substrate: crash and durable restart are
-    # not operations a wrapper retries, faults or adapts.
-
-    def fail(self, name: str) -> None:
-        """Crash peer *name* on the wrapped substrate."""
-        self._inner.fail(name)
-
-    def _do_restart(self, name: str) -> None:
-        self._inner._do_restart(name)

@@ -20,9 +20,9 @@ import heapq
 from collections.abc import Iterator
 from typing import Any
 
-from repro.common.errors import DhtKeyError, ReproError
+from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
 from repro.dht.api import Dht, data_wire_size, request_wire_size
-from repro.dht.batching import NetworkRoundBatchMixin
+from repro.dht.overlay import RoutedOverlay
 from repro.dht.durable import (
     backend_path,
     create_store_backend,
@@ -130,19 +130,17 @@ class KademliaNode:
         return key in self.store
 
 
-class KademliaDht(NetworkRoundBatchMixin, Dht):
+class KademliaDht(RoutedOverlay, Dht):
     """The :class:`~repro.dht.api.Dht` facade over a Kademlia overlay."""
 
     def __init__(
         self,
         network: SimNetwork | None = None,
-        encoded_storage: bool = False,
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> None:
         super().__init__()
         self.network = network if network is not None else SimNetwork()
-        self.encoded_storage = encoded_storage
         self.durability = durability
         self.data_dir = (
             resolve_data_dir(data_dir, "kad")
@@ -157,21 +155,20 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
             backend = create_store_backend(
                 self.durability, backend_path(self.data_dir, name)
             )
-        return PeerStore(encoded=self.encoded_storage, backend=backend)
+        return PeerStore(backend=backend)
 
     @classmethod
     def build(
         cls,
         n_peers: int,
         network: SimNetwork | None = None,
-        encoded_storage: bool = False,
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> "KademliaDht":
         """Create *n_peers* and bootstrap their routing tables."""
         if n_peers < 1:
             raise ReproError(f"n_peers must be >= 1, got {n_peers}")
-        dht = cls(network, encoded_storage, durability, data_dir)
+        dht = cls(network, durability, data_dir)
         for index in range(n_peers):
             name = f"kad-{index:04d}"
             dht._nodes[name] = KademliaNode(
@@ -224,8 +221,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         """Graceful departure: push each stored key to the remaining
         node closest to its digest, then go.
 
-        Handoff moves raw store entries (blobs on an encoded overlay)
-        and wipes the peer's durable state so handed-off keys cannot
+        The peer's durable state is wiped so handed-off keys cannot
         resurrect through a later :meth:`restart`."""
         node = self._nodes.get(name)
         if node is None:
@@ -265,7 +261,7 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
         backend = create_store_backend(
             self.durability, backend_path(self.data_dir, name)
         )
-        store = PeerStore.recover(backend, encoded=self.encoded_storage)
+        store = PeerStore.recover(backend)
         node = KademliaNode(name, self.network, store=store)
         self._nodes[name] = node
         stats = self.stats
@@ -426,28 +422,22 @@ class KademliaDht(NetworkRoundBatchMixin, Dht):
     # Substrate primitives
     # ------------------------------------------------------------------
 
-    def _gateway(self) -> KademliaNode:
-        if not self._nodes:
-            raise ReproError("the overlay has no peers")
-        return self._nodes[min(self._nodes)]
-
-    def _owner(self, key: str) -> KademliaNode:
+    def route_owner(self, key: str, src: str | None = None) -> str:
+        """Iterative FIND_NODE whose shortlist starts from *src*'s own
+        buckets (default: the gateway's); see
+        :meth:`RoutedOverlay.route_owner`."""
         digest = key_digest(key)
-        shortlist = self._iterative_find(self._gateway(), digest)
+        shortlist = self._iterative_find(self._route_start(src), digest)
         # Mid-churn lookups can still shortlist a contact that died
         # since it was learned; ownership goes to the closest *live*
         # candidate, exactly as a real client falls through its
         # shortlist when the best entry stops answering.
         live = [pair for pair in shortlist if pair[1] in self._nodes]
         if not live:
-            raise ReproError("iterative lookup returned no live contacts")
-        _, owner_name = min(
-            live, key=lambda pair: xor_distance(pair[0], digest)
-        )
-        return self._nodes[owner_name]
-
-    def _do_lookup(self, key: str) -> str:
-        return self._owner(key).name
+            raise NodeUnreachableError(
+                "iterative lookup returned no live contacts"
+            )
+        return min(live, key=lambda pair: xor_distance(pair[0], digest))[1]
 
     def _do_get(self, key: str) -> Any | None:
         owner = self._owner(key)

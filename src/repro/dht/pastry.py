@@ -21,7 +21,7 @@ from typing import Any
 
 from repro.common.errors import DhtKeyError, ReproError
 from repro.dht.api import Dht, data_wire_size, request_wire_size
-from repro.dht.batching import NetworkRoundBatchMixin
+from repro.dht.overlay import RoutedOverlay
 from repro.dht.durable import (
     backend_path,
     create_store_backend,
@@ -212,19 +212,17 @@ class PastryNode:
         )
 
 
-class PastryDht(NetworkRoundBatchMixin, Dht):
+class PastryDht(RoutedOverlay, Dht):
     """The :class:`~repro.dht.api.Dht` facade over a Pastry overlay."""
 
     def __init__(
         self,
         network: SimNetwork | None = None,
-        encoded_storage: bool = False,
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> None:
         super().__init__()
         self.network = network if network is not None else SimNetwork()
-        self.encoded_storage = encoded_storage
         self.durability = durability
         self.data_dir = (
             resolve_data_dir(data_dir, "pastry")
@@ -239,21 +237,20 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
             backend = create_store_backend(
                 self.durability, backend_path(self.data_dir, name)
             )
-        return PeerStore(encoded=self.encoded_storage, backend=backend)
+        return PeerStore(backend=backend)
 
     @classmethod
     def build(
         cls,
         n_peers: int,
         network: SimNetwork | None = None,
-        encoded_storage: bool = False,
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> "PastryDht":
         """Create *n_peers* with fully populated state."""
         if n_peers < 1:
             raise ReproError(f"n_peers must be >= 1, got {n_peers}")
-        dht = cls(network, encoded_storage, durability, data_dir)
+        dht = cls(network, durability, data_dir)
         for index in range(n_peers):
             name = f"pastry-{index:04d}"
             dht._nodes[name] = PastryNode(
@@ -302,8 +299,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         """Graceful departure: hand each stored key to the remaining
         numerically closest node, then go.
 
-        Handoff moves raw store entries (blobs on an encoded overlay)
-        and wipes the peer's durable state so handed-off keys cannot
+        The peer's durable state is wiped so handed-off keys cannot
         resurrect through a later :meth:`restart`."""
         node = self._nodes.get(name)
         if node is None:
@@ -393,7 +389,7 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
         backend = create_store_backend(
             self.durability, backend_path(self.data_dir, name)
         )
-        store = PeerStore.recover(backend, encoded=self.encoded_storage)
+        store = PeerStore.recover(backend)
         node = PastryNode(name, self.network, store=store)
         self._nodes[name] = node
         stats = self.stats
@@ -455,11 +451,6 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
     # Routing
     # ------------------------------------------------------------------
 
-    def _gateway(self) -> PastryNode:
-        if not self._nodes:
-            raise ReproError("the overlay has no peers")
-        return self._nodes[min(self._nodes)]
-
     def _route_from(self, start: PastryNode, ident: int) -> str:
         """Iterative prefix routing; meters overlay hops.
 
@@ -508,12 +499,10 @@ class PastryDht(NetworkRoundBatchMixin, Dht):
     # Substrate primitives
     # ------------------------------------------------------------------
 
-    def _owner(self, key: str) -> PastryNode:
-        owner_name = self._route_from(self._gateway(), key_digest(key))
-        return self._nodes[owner_name]
-
-    def _do_lookup(self, key: str) -> str:
-        return self._owner(key).name
+    def route_owner(self, key: str, src: str | None = None) -> str:
+        """Prefix routing from *src*'s own node (default: the
+        gateway's); see :meth:`RoutedOverlay.route_owner`."""
+        return self._route_from(self._route_start(src), key_digest(key))
 
     def _do_get(self, key: str) -> Any | None:
         owner = self._owner(key)

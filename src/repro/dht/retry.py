@@ -25,7 +25,7 @@ retries, no clock interaction.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -33,13 +33,14 @@ from repro.common.rng import derive_seed, make_rng
 from repro.dht.api import (
     BatchFailure,
     Dht,
+    DhtDecorator,
     _check_records_moved,
     _raise_batch_failures,
 )
 from repro.net.events import EventScheduler
 
 
-class RetryingDht(Dht):
+class RetryingDht(DhtDecorator):
     """Wrap *inner* so transient RPC failures are retried.
 
     Only :class:`NodeUnreachableError` (and its subclasses ``RpcError``
@@ -51,9 +52,8 @@ class RetryingDht(Dht):
     *backoff_base* > 0 enables exponential backoff: the wait before
     retry ``n`` (0-based) is ``backoff_base * backoff_factor**n``
     plus ``uniform(0, jitter)`` drawn from a private RNG seeded with
-    *seed*.  Waits advance *clock* — resolved from
-    ``inner.network.clock`` when the substrate routes over a simulated
-    network, or a private scheduler otherwise — and are tallied in
+    *seed*.  Waits advance *clock* (default: the stack's own, see
+    :class:`~repro.dht.api.DhtDecorator`) and are tallied in
     ``stats.backoff_waits``.
     """
 
@@ -69,7 +69,7 @@ class RetryingDht(Dht):
         clock: EventScheduler | None = None,
         seed: int = 0,
     ) -> None:
-        super().__init__()
+        super().__init__(inner, clock)
         if attempts < 1:
             raise ReproError(f"attempts must be >= 1, got {attempts}")
         if backoff_base < 0:
@@ -86,29 +86,12 @@ class RetryingDht(Dht):
             raise ReproError(
                 f"deadline must be positive, got {deadline}"
             )
-        self._inner = inner
         self._attempts = attempts
         self._backoff_base = backoff_base
         self._backoff_factor = backoff_factor
         self._jitter = jitter
         self._deadline = deadline
-        if clock is None:
-            network = getattr(inner, "network", None)
-            clock = getattr(network, "clock", None)
-            if clock is None:
-                clock = getattr(inner, "clock", None) or EventScheduler()
-        self._clock = clock
         self._rng = make_rng(derive_seed(seed, "retry-backoff"))
-        # Share the inner stats object (and tracer, when one is already
-        # attached) so every attempt is metered in one place and index
-        # layers keep reading the usual counters.
-        self.stats = inner.stats
-        self.tracer = inner.tracer
-
-    @property
-    def inner(self) -> Dht:
-        """The wrapped substrate."""
-        return self._inner
 
     @property
     def backoff_time(self) -> float:
@@ -119,11 +102,6 @@ class RetryingDht(Dht):
         every other counter instead of leaking across phases.
         """
         return self.stats.backoff_time
-
-    @property
-    def clock(self) -> EventScheduler:
-        """The simulated clock backoff waits advance."""
-        return self._clock
 
     @property
     def retries(self) -> int:
@@ -250,9 +228,6 @@ class RetryingDht(Dht):
                 break
         return outcomes
 
-    def get_many(self, keys: Sequence[str]) -> list[Any | None]:
-        return _raise_batch_failures(self.get_many_outcomes(keys))
-
     def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
         keys = list(keys)
         if not keys:
@@ -287,9 +262,6 @@ class RetryingDht(Dht):
             ),
         ))
 
-    def lookup_many(self, keys: Sequence[str]) -> list[str]:
-        return _raise_batch_failures(self.lookup_many_outcomes(keys))
-
     def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
         keys = list(keys)
         if not keys:
@@ -300,54 +272,3 @@ class RetryingDht(Dht):
             keys,
             lambda pending: self.stats.meter_batch(len(pending)),
         )
-
-    def rewrite_local(self, key: str, value: Any) -> None:
-        # Local rewrites never cross the wire; no retry needed.
-        self._inner.rewrite_local(key, value)
-
-    # ------------------------------------------------------------------
-    # Oracle passthrough
-    # ------------------------------------------------------------------
-
-    def peek(self, key: str) -> Any | None:
-        return self._inner.peek(key)
-
-    def peer_of(self, key: str) -> str:
-        return self._inner.peer_of(key)
-
-    def peers(self) -> list[str]:
-        return self._inner.peers()
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        return self._inner.items()
-
-    def key_count(self) -> int:
-        return self._inner.key_count()
-
-    # Membership reaches the substrate: crash and durable restart are
-    # not operations a wrapper retries, faults or adapts.
-
-    def fail(self, name: str) -> None:
-        """Crash peer *name* on the wrapped substrate."""
-        self._inner.fail(name)
-
-    def _do_restart(self, name: str) -> None:
-        self._inner._do_restart(name)
-
-    # The abstract primitives never run — every public method delegates —
-    # but the ABC requires them.
-
-    def _do_lookup(self, key: str) -> str:  # pragma: no cover
-        return self._inner._do_lookup(key)
-
-    def _do_get(self, key: str) -> Any | None:  # pragma: no cover
-        return self._inner._do_get(key)
-
-    def _do_put(self, key: str, value: Any) -> None:  # pragma: no cover
-        self._inner._do_put(key, value)
-
-    def _do_remove(self, key: str) -> Any:  # pragma: no cover
-        return self._inner._do_remove(key)
-
-    def _do_contains(self, key: str) -> bool:  # pragma: no cover
-        return self._inner._do_contains(key)

@@ -13,57 +13,25 @@ if TYPE_CHECKING:
     from repro.dht.durable import DurableBackend
 
 
-class EncodedValue:
-    """One stored object held as its pickled wire bytes.
-
-    The frame a bucket travels in (:meth:`LeafBucket.__reduce__` embeds
-    the codec encoding) is exactly what an encoded store keeps, so
-    churn handoff moves these byte blobs — not live object graphs.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-
-    @classmethod
-    def encode(cls, value: Any) -> "EncodedValue":
-        return cls(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def decode(self) -> Any:
-        """Rebuild the stored object from its blob.
-
-        A truncated or mangled blob — a torn durable-log write, a
-        corrupted handoff — raises the typed
-        :class:`~repro.common.errors.CorruptValueError` instead of
-        whichever bare exception :mod:`pickle` happened to hit.
-        """
-        try:
-            return pickle.loads(self.data)
-        except Exception as exc:
-            raise CorruptValueError(
-                f"encoded value of {len(self.data)} bytes is "
-                f"undecodable: {exc}"
-            ) from exc
-
-    def encoded_wire_size(self) -> int:
-        """Exact payload bytes this blob occupies on the wire; hooks
-        into :func:`repro.core.codec.payload_wire_size` so handoff of
-        still-encoded values is priced by real blob length."""
-        return len(self.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        return f"EncodedValue({len(self.data)} bytes)"
-
-
 def _blob_of(value: Any) -> bytes:
     """The byte representation a durable backend journals for *value*."""
-    if isinstance(value, EncodedValue):
-        return value.data
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _value_of(blob: bytes) -> Any:
+    """Rebuild a journaled object from its blob.
+
+    A truncated or mangled blob — a torn durable-log write that somehow
+    passed the backend's checksum — raises the typed
+    :class:`~repro.common.errors.CorruptValueError` instead of
+    whichever bare exception :mod:`pickle` happened to hit.
+    """
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        raise CorruptValueError(
+            f"journaled value of {len(blob)} bytes is undecodable: {exc}"
+        ) from exc
 
 
 class PeerStore:
@@ -73,34 +41,15 @@ class PeerStore:
     churn (transferring the sub-range of keys a new peer takes over)
     does not re-hash the whole store.
 
-    With ``encoded=True`` every value is kept as its pickled wire bytes
-    (:class:`EncodedValue`) and decoded on access: what lives on the
-    peer, and what :meth:`pop_range` moves during churn, is the same
-    byte string a wire frame would carry.  A plain store accepts
-    :class:`EncodedValue` blobs on ``put`` (a handoff from an encoded
-    peer) and decodes them immediately — a corrupt blob raises
-    :class:`~repro.common.errors.CorruptValueError` before anything is
-    stored or journaled.
-
     With a *backend* (:class:`~repro.dht.durable.DurableBackend`)
     attached, every mutation is journaled as a byte blob, so the
     peer's state survives a crash and :meth:`recover` can rebuild it.
     """
 
-    def __init__(
-        self,
-        encoded: bool = False,
-        backend: "DurableBackend | None" = None,
-    ) -> None:
+    def __init__(self, backend: "DurableBackend | None" = None) -> None:
         self._values: dict[str, Any] = {}
         self._digests: dict[str, int] = {}
-        self._encoded = encoded
         self._backend = backend
-
-    @property
-    def encoded(self) -> bool:
-        """True when values are kept as pickled bytes between accesses."""
-        return self._encoded
 
     @property
     def backend(self) -> "DurableBackend | None":
@@ -108,21 +57,18 @@ class PeerStore:
         return self._backend
 
     @classmethod
-    def recover(
-        cls, backend: "DurableBackend", encoded: bool = False
-    ) -> "PeerStore":
+    def recover(cls, backend: "DurableBackend") -> "PeerStore":
         """Rebuild a store from *backend*'s durable state.
 
-        Replayed blobs enter through the normal :meth:`put` path (as
-        :class:`EncodedValue`), so a plain store decodes them — and a
-        torn-write blob that somehow passed the backend's checksum
-        still surfaces as :class:`CorruptValueError`, not silent
-        garbage.  The backend is attached only after replay: replay
-        itself journals nothing.
+        A torn-write blob that somehow passed the backend's checksum
+        surfaces as :class:`CorruptValueError`, not silent garbage.
+        The backend is attached only after replay: replay itself
+        journals nothing.
         """
-        store = cls(encoded=encoded)
+        store = cls()
         for key, blob in backend.replay().items():
-            store.put(key, EncodedValue(blob))
+            store._digests[key] = key_digest(key)
+            store._values[key] = _value_of(blob)
         store._backend = backend
         return store
 
@@ -133,25 +79,14 @@ class PeerStore:
         return key in self._values
 
     def get(self, key: str) -> Any | None:
-        value = self._values.get(key)
-        if isinstance(value, EncodedValue):
-            return value.decode()
-        return value
+        return self._values.get(key)
 
     def put(self, key: str, value: Any) -> None:
         if key not in self._digests:
             self._digests[key] = key_digest(key)
-        blob = value.data if isinstance(value, EncodedValue) else None
-        if self._encoded:
-            if not isinstance(value, EncodedValue):
-                value = EncodedValue.encode(value)
-        elif isinstance(value, EncodedValue):
-            value = value.decode()
         self._values[key] = value
         if self._backend is not None:
-            if blob is None:
-                blob = _blob_of(value)
-            self._backend.record_put(key, blob)
+            self._backend.record_put(key, _blob_of(value))
             self._maybe_compact()
 
     def remove(self, key: str) -> Any:
@@ -161,24 +96,15 @@ class PeerStore:
         value = self._values.pop(key)
         if self._backend is not None:
             self._backend.record_remove(key)
-        if isinstance(value, EncodedValue):
-            return value.decode()
         return value
 
     def keys(self) -> Iterator[str]:
-        """Iterate stored keys without touching (or decoding) values.
-
-        The counting path: churn accounting and ``Dht.key_count`` use
-        this so an encoded store is never unpickled just to be counted.
-        """
+        """Iterate stored keys without touching values (the counting
+        path of churn accounting and ``Dht.key_count``)."""
         return iter(self._values.keys())
 
     def items(self) -> Iterator[tuple[str, Any]]:
-        for key, value in self._values.items():
-            if isinstance(value, EncodedValue):
-                yield key, value.decode()
-            else:
-                yield key, value
+        return iter(self._values.items())
 
     def digest_of(self, key: str) -> int:
         try:
@@ -190,12 +116,7 @@ class PeerStore:
 
     def pop_range(self, predicate) -> list[tuple[str, Any]]:
         """Remove and return every (key, value) whose digest satisfies
-        *predicate*; used for key handoff during churn.
-
-        On an encoded store the values handed off are the raw
-        :class:`EncodedValue` blobs — churn moves bytes, and the
-        receiving store's ``put`` decides whether to keep or decode
-        them."""
+        *predicate*; used for key handoff during churn."""
         moved = [
             (key, value)
             for key, value in self._values.items()

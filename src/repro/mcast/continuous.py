@@ -55,23 +55,7 @@ from repro.mcast.subscriptions import (
     sub_key,
 )
 from repro.net.message import Message
-
-
-def _find_network(dht: Any) -> Any | None:
-    """The simulated network under *dht*'s wrapper chain, if any.
-
-    Only an rpc-capable network qualifies: ``ServiceDht`` exposes a
-    ``network`` too (a byte-metering transport with no addressing), and
-    its deliveries go over wire frames instead
-    (:class:`repro.mcast.service.ServiceContinuousPlane`).
-    """
-    candidate = dht
-    while candidate is not None:
-        network = getattr(candidate, "network", None)
-        if network is not None and hasattr(network, "rpc"):
-            return network
-        candidate = getattr(candidate, "inner", None)
-    return None
+from repro.net.simnet import SimNetwork
 
 
 class Subscriber:
@@ -135,7 +119,12 @@ class ContinuousQueryPlane:
         self._index = index
         self._dht = index.dht
         self._dims = index.dims
-        self._network = _find_network(index.dht)
+        # Deliveries ride simulated RPCs only on an rpc-capable network;
+        # the service runtime's transport has no addressing, and its
+        # deliveries go over wire frames instead
+        # (:class:`repro.mcast.service.ServiceContinuousPlane`).
+        network = index.dht.network
+        self._network = network if isinstance(network, SimNetwork) else None
         self._subscribers: dict[str, Subscriber] = {}
         #: Leaf labels whose subscription table is (believed) non-empty
         #: — the zero-cost client-side filter on the insert path.

@@ -6,14 +6,12 @@ exactly one thing: *where owner resolutions originate*.  The base
 runtime resolves every branch owner through the client-facing
 ``dht.lookup`` — faithful to a put/get service, but every resolution
 is an initiator-originated message.  Here each forwarding peer routes
-to the next owner **from its own position in the overlay**:
-
-* Chord — greedy finger routing from the peer's own ref
-  (``ChordDht._route``);
-* Pastry — prefix routing from the peer's own node
-  (``PastryDht._route_from``);
-* Kademlia — an iterative FIND_NODE whose shortlist starts from the
-  peer's own buckets (``KademliaDht._iterative_find``).
+to the next owner **from its own position in the overlay**, through
+the overlays' public routing seam
+:meth:`~repro.dht.overlay.RoutedOverlay.route_owner` (Chord: greedy
+finger routing from the peer's own ref; Pastry: prefix routing from
+the peer's own node; Kademlia: an iterative FIND_NODE whose shortlist
+starts from the peer's own buckets).
 
 The initiator therefore sends exactly **one** message per range query
 (to the owner of ``fmd(LCA(R))``, metered as ``stats.mcasts``); every
@@ -30,12 +28,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region
 from repro.core.distributed import DistributedQueryRuntime
 from repro.core.results import RangeQueryResult
-from repro.dht.api import BatchFailure
-from repro.dht.hashing import key_digest, xor_distance
+from repro.dht.api import _capture
 
 #: Agent-address suffix — distinct from the fan-out runtime's
 #: ``#mlight`` so both planes can coexist on one network.
@@ -47,37 +43,6 @@ class MulticastRuntime(DistributedQueryRuntime):
     owner resolution and O(1) initiator-originated messages."""
 
     suffix = MCAST_SUFFIX
-
-    def _native_owner(self, src_peer: str, key: str) -> str:
-        """Resolve *key*'s owner by routing from *src_peer*'s own
-        overlay position (duck-typed per substrate)."""
-        substrate = self._substrate
-        node = substrate._nodes.get(src_peer)
-        if node is None:
-            raise NodeUnreachableError(
-                f"multicast source peer {src_peer!r} left the ring"
-            )
-        digest = key_digest(key)
-        if hasattr(substrate, "_iterative_find"):  # Kademlia
-            shortlist = substrate._iterative_find(node, digest)
-            live = [
-                pair for pair in shortlist if pair[1] in substrate._nodes
-            ]
-            if not live:
-                raise NodeUnreachableError(
-                    "iterative lookup returned no live contacts"
-                )
-            return min(
-                live, key=lambda pair: xor_distance(pair[0], digest)
-            )[1]
-        if hasattr(substrate, "_route_from"):  # Pastry
-            return substrate._route_from(node, digest)
-        if hasattr(substrate, "_route"):  # Chord
-            return substrate._route(node.ref, digest).name
-        raise ReproError(
-            f"substrate {type(substrate).__name__} exposes no "
-            "overlay-native routing entry point"
-        )
 
     # Each native resolution embeds one DHT-lookup (the route really
     # crosses the overlay; the substrate meters its hops) and one
@@ -91,9 +56,9 @@ class MulticastRuntime(DistributedQueryRuntime):
         stats.mcast_forwards += 1
         tracer = self.dht.tracer
         if tracer is None:
-            return self._native_owner(src_peer, key)
+            return self._substrate.route_owner(key, src_peer)
         with tracer.span("mcast", "route", key=key, src=src_peer):
-            return self._native_owner(src_peer, key)
+            return self._substrate.route_owner(key, src_peer)
 
     def _resolve_targets(
         self, src_peer: str, keys: list[Any]
@@ -101,13 +66,8 @@ class MulticastRuntime(DistributedQueryRuntime):
         stats = self.dht.stats
         stats.meter_batch(len(keys))
         stats.mcast_forwards += len(keys)
-        outcomes: list[Any] = []
-        for key in keys:
-            try:
-                outcomes.append(self._native_owner(src_peer, key))
-            except NodeUnreachableError as error:
-                outcomes.append(BatchFailure(error))
-        return outcomes
+        route = self._substrate.route_owner
+        return [_capture(route, key, src_peer) for key in keys]
 
     def query(
         self, query: Region, initiator: str | None = None

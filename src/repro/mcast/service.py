@@ -9,10 +9,11 @@ opcodes:
   to the owner of ``fmd(LCA(R))``; that peer's handler splits the
   region against its local bucket and forwards sub-region ``MCAST``
   frames peer-to-peer (spawned actor tasks, so a peer can forward to
-  itself), aggregation flowing back up through the replies.  Cost
-  accounting mirrors :class:`~repro.core.distributed` exactly, so
-  answers and every :class:`~repro.dht.api.DhtStats` meter except the
-  ``mcast*`` counters agree with the client-orchestrated engine.
+  itself), aggregation flowing back up through the replies.  The
+  handler is the asyncio driver of
+  :func:`repro.core.rangequery.peer_subquery` — the same state machine
+  the simulated agents drive — so it carries frames and meters them,
+  nothing else.
 * :class:`ServiceContinuousPlane` — deliveries travel as ``PUSH``
   frames: the writing client asks the subscription table's owner
   (a request frame), and the owner emits the *unsolicited*
@@ -34,25 +35,26 @@ from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region
-from repro.core.distributed import AgentResult, split_region
-from repro.core.keys import bucket_key
-from repro.core.lookup import PointLookupCursor
-from repro.core.naming import naming_function
-from repro.core.rangequery import compute_lca
-from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.dht.api import Dht
+from repro.core.rangequery import (
+    Hop,
+    HopOutcome,
+    Probe,
+    peer_subquery,
+    query_via_peers,
+)
+from repro.core.results import RangeQueryResult
+from repro.dht.api import BatchFailure, Dht
 from repro.mcast.continuous import ContinuousQueryPlane
+from repro.service.node import ServiceDht
 from repro.service.wire import Op, encode_frame, encode_reply
 
 
-def _find_service(dht: Dht) -> Any:
+def service_under(dht: Dht) -> ServiceDht:
     """The :class:`~repro.service.node.ServiceDht` under *dht*'s
-    wrapper chain (``RetryingDht``/``FaultyDht`` expose ``.inner``)."""
-    candidate: Any = dht
-    while candidate is not None:
-        if hasattr(candidate, "install_handler"):
-            return candidate
-        candidate = getattr(candidate, "inner", None)
+    wrapper stack."""
+    for layer in dht.unwrap():
+        if isinstance(layer, ServiceDht):
+            return layer
     raise ReproError(
         "the service dissemination plane needs the asyncio service "
         "runtime (ServiceDht); simulated substrates use "
@@ -72,140 +74,68 @@ class ServiceMulticast:
         self.dht = dht
         self.dims = dims
         self.max_depth = max_depth
-        self._service = _find_service(dht)
+        self._service = service_under(dht)
         self._service.install_handler(Op.MCAST, self._handle_mcast)
-
-    # ------------------------------------------------------------------
-    # Client side: one initiator-originated frame per query
-    # ------------------------------------------------------------------
 
     def query(self, query: Region) -> RangeQueryResult:
         """Run *query* with one initiator-originated ``MCAST`` frame."""
         stats = self.dht.stats
         stats.mcasts += 1
-        lookups_before = stats.lookups
-        batch_before = stats.batch_rounds
-        lca = compute_lca(query, self.dims, self.max_depth)
-        # Routing the one initiator message: one DHT-lookup, one
-        # forward — the same accounting MulticastRuntime._resolve_target
-        # applies, so meters agree across runtimes.
-        stats.lookups += 1
-        stats.mcast_forwards += 1
-        key = bucket_key(naming_function(lca, self.dims))
-        try:
-            records, visited, rounds, unresolved = self._service._call(
-                Op.MCAST, key, body=(lca, query, query)
-            )
-            rounds += 1
-        except NodeUnreachableError:
-            records, visited, rounds, unresolved = [], [], 1, [query]
-        builder = RangeQueryBuilder()
-        builder.records.extend(records)
-        builder.visited_leaves.update(visited)
-        builder.rounds = rounds
-        builder.lookups = stats.lookups - lookups_before
-        builder.batch_rounds = stats.batch_rounds - batch_before
-        for region in unresolved:
-            builder.mark_unresolved(region)
-        return builder.build()
 
-    # ------------------------------------------------------------------
-    # Peer side: the MCAST handler (runs on the owning actor)
-    # ------------------------------------------------------------------
+        def send(hop: Hop) -> HopOutcome:
+            # Routing the one initiator frame: one DHT-lookup, one
+            # forward — the accounting MulticastRuntime applies.
+            stats.lookups += 1
+            stats.mcast_forwards += 1
+            try:
+                reply = self._service._call(
+                    Op.MCAST, hop.key, body=(hop.target, hop.subquery, query)
+                )
+            except NodeUnreachableError as error:
+                reply = BatchFailure(error)
+            return reply, 1
+
+        return query_via_peers(
+            query, self.dims, self.max_depth, stats, send
+        )
 
     async def _handle_mcast(self, peer: Any, frame: Any) -> bytes:
+        """The ``MCAST`` handler, run on the owning actor: drive this
+        peer's step of the query, answering its requests with frames."""
         target, subquery, query = frame.body
-        result = await self._execute(peer, target, subquery, query)
-        return encode_reply(frame.request_id, result)
-
-    async def _execute(
-        self, peer: Any, target: str, subquery: Region, query: Region
-    ) -> AgentResult:
         stats = self.dht.stats
-        name = naming_function(target, self.dims)
-        bucket = peer.store.get(bucket_key(name))
-        if bucket is None:
-            return await self._fallback(target, subquery, query)
-        records, label, branches = split_region(
-            bucket, target, subquery, query, self.dims
+        request_captured = self._service._request_captured
+        step = peer_subquery(
+            peer.store.get, target, subquery, query,
+            self.dims, self.max_depth, stats,
         )
-        if not branches:
-            return records, [label], 0, []
-        keys = [
-            bucket_key(naming_function(branch, self.dims))
-            for branch, _ in branches
-        ]
-        # One batched resolution per node, like forward_all: the branch
-        # frames go out together as one parallel round.
-        stats.meter_batch(len(keys))
-        stats.mcast_forwards += len(keys)
-        outcomes = await asyncio.gather(
-            *(
-                self._forward(key, branch, sub, query)
-                for key, (branch, sub) in zip(keys, branches)
-            )
-        )
-        visited = [label]
-        deepest = 0
-        unresolved: list[Region] = []
-        for (
-            child_records,
-            child_visited,
-            child_rounds,
-            child_unresolved,
-        ) in outcomes:
-            records.extend(child_records)
-            visited.extend(child_visited)
-            unresolved.extend(child_unresolved)
-            deepest = max(deepest, child_rounds)
-        return records, visited, deepest, unresolved
-
-    async def _forward(
-        self, key: str, target: str, subquery: Region, query: Region
-    ) -> AgentResult:
         try:
-            records, visited, rounds, unresolved = (
-                await self._service._request(
-                    Op.MCAST, key, body=(target, subquery, query)
-                )
-            )
-        except NodeUnreachableError:
-            return [], [], 1, [subquery]
-        return records, visited, rounds + 1, unresolved
-
-    async def _fallback(
-        self, target: str, subquery: Region, query: Region
-    ) -> AgentResult:
-        """Missing target bucket: find the covering ancestor leaf by a
-        bounded point lookup, issued as GET frames from this actor."""
-        stats = self.dht.stats
-        cursor = PointLookupCursor(
-            stats,
-            subquery.lows,
-            self.dims,
-            self.max_depth,
-            max_label_length=len(target) - 1,
-        )
-        while not cursor.done:
-            key = cursor.current_key()
-            # Metered like Dht.get — one DHT-lookup, one get per probe.
-            stats.lookups += 1
-            stats.gets += 1
-            try:
-                bucket = await self._service._request(Op.GET, key)
-            except NodeUnreachableError:
-                if not cursor.probe_failed():
-                    return [], [], cursor.probes, [subquery]
-                continue
-            cursor.advance(bucket)
-        found = cursor.result
-        bucket = found.bucket
-        return (
-            list(bucket.matching(query)),
-            [bucket.label],
-            found.rounds,
-            [],
-        )
+            request = next(step)
+            while True:
+                if isinstance(request, Probe):
+                    # Metered like Dht.get: one DHT-lookup, one get.
+                    stats.lookups += 1
+                    stats.gets += 1
+                    outcome = await request_captured(Op.GET, request.key)
+                else:
+                    # One batched resolution per node, like the
+                    # simulated forward_all: the sub-region frames go
+                    # out together as one parallel round, one wire
+                    # round each.
+                    stats.meter_batch(len(request.hops))
+                    stats.mcast_forwards += len(request.hops)
+                    replies = await asyncio.gather(*(
+                        request_captured(
+                            Op.MCAST,
+                            hop.key,
+                            body=(hop.target, hop.subquery, query),
+                        )
+                        for hop in request.hops
+                    ))
+                    outcome = [(reply, 1) for reply in replies]
+                request = step.send(outcome)
+        except StopIteration as done:
+            return encode_reply(frame.request_id, done.value)
 
 
 class ServiceContinuousPlane(ContinuousQueryPlane):
@@ -219,7 +149,7 @@ class ServiceContinuousPlane(ContinuousQueryPlane):
     """
 
     def __init__(self, index: Any) -> None:
-        self._service = _find_service(index.dht)
+        self._service = service_under(index.dht)
         super().__init__(index)
         self._service.install_handler(Op.PUSH, self._handle_push)
         self._service.set_push_sink(self._on_push_frame)

@@ -200,22 +200,17 @@ class MetricsRegistry:
         routes over one) as ``net``, and the client leaf cache (when
         configured) as the ``cache`` gauge group.
         """
+        from repro.adaptive.plane import AdaptiveDht  # imports this module
+
         registry = cls()
-        registry.register("dht", index.dht.stats)
-        layer = index.dht
-        while layer is not None:
-            network = getattr(layer, "network", None)
-            if network is not None:
-                registry.register("net", network.stats)
+        dht = index.dht
+        registry.register("dht", dht.stats)
+        if dht.network is not None:
+            registry.register("net", dht.network.stats)
+        for layer in dht.unwrap():
+            if isinstance(layer, AdaptiveDht):
+                registry.register("adaptive", layer.adaptive_stats)
                 break
-            layer = getattr(layer, "inner", None)
-        layer = index.dht
-        while layer is not None:
-            stats = getattr(layer, "adaptive_stats", None)
-            if stats is not None:
-                registry.register("adaptive", stats)
-                break
-            layer = getattr(layer, "inner", None)
         cache = getattr(index, "cache", None)
         if cache is not None:
             registry.register_gauges(

@@ -272,33 +272,29 @@ class Tracer:
     def attach(self, dht: Any) -> "Tracer":
         """Point every layer of a substrate stack at this tracer.
 
-        Walks the wrapper chain (``RetryingDht``/``FaultyDht`` expose
-        ``inner``) setting each layer's ``tracer`` and, when a layer
-        routes over a simulated network, the network's ``tracer`` too.
-        The first simulated clock found becomes this tracer's clock
-        unless one was set explicitly.  Returns self for chaining.
+        Sets ``tracer`` on each layer of the wrapper stack
+        (:meth:`~repro.dht.api.Dht.unwrap`) and on the network the
+        stack routes over, when there is one.  That network's clock
+        becomes this tracer's clock unless one was set explicitly.
+        Returns self for chaining.
         """
-        layer = dht
-        while layer is not None:
+        for layer in dht.unwrap():
             layer.tracer = self
-            network = getattr(layer, "network", None)
-            if network is not None:
-                network.tracer = self
-                if self.clock is None:
-                    self.clock = network.clock
-            layer = getattr(layer, "inner", None)
+        network = dht.network
+        if network is not None:
+            network.tracer = self
+            if self.clock is None:
+                self.clock = network.clock
         return self
 
     def detach(self, dht: Any) -> None:
         """Undo :meth:`attach` on every layer of the stack."""
-        layer = dht
-        while layer is not None:
-            if getattr(layer, "tracer", None) is self:
+        for layer in dht.unwrap():
+            if layer.tracer is self:
                 layer.tracer = None
-            network = getattr(layer, "network", None)
-            if network is not None and getattr(network, "tracer", None) is self:
-                network.tracer = None
-            layer = getattr(layer, "inner", None)
+        network = dht.network
+        if network is not None and network.tracer is self:
+            network.tracer = None
 
     # ------------------------------------------------------------------
     # Inspection and export

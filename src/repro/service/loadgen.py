@@ -311,9 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             n_peers=args.peers,
         )
     finally:
-        close = getattr(index.dht, "close", None)
-        if close is not None:
-            close()
+        index.dht.close()
     path = publish(report, args.out)
     print(report.render())
     print(f"wrote {path}")

@@ -587,9 +587,6 @@ class ServiceDht(Dht):
     def __enter__(self) -> "ServiceDht":
         return self.start()
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def _bridge(self) -> _LoopThread:
         self.start()
         return self._loop_thread
@@ -674,10 +671,10 @@ class ServiceDht(Dht):
         return reply.body
 
     async def _request_captured(
-        self, op: Op, key: str, value: Any = None
+        self, op: Op, key: str, value: Any = None, *, body: Any = None
     ) -> Any:
         try:
-            return await self._request(op, key, value)
+            return await self._request(op, key, value, body=body)
         except NodeUnreachableError as error:
             return BatchFailure(error)
 

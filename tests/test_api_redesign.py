@@ -167,14 +167,6 @@ class TestConfigStrategy:
         index = MLightIndex(LocalDht(8), IndexConfig(dims=2), strategy)
         assert index.strategy is strategy
 
-    def test_deprecated_alias_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            index = MLightIndex.with_data_aware_splitting(
-                LocalDht(8), IndexConfig(dims=2)
-            )
-        assert isinstance(index.strategy, DataAwareSplit)
-        assert index.config.strategy == "data-aware"
-
     def test_cache_disabled_by_default(self):
         index = make_index()
         assert index.cache is None

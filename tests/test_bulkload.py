@@ -137,7 +137,9 @@ class TestStaticBeatsIncremental:
             if key.startswith("ml:")
         ]
 
-        incr = MLightIndex.with_data_aware_splitting(LocalDht(16), config)
+        incr = MLightIndex(
+            LocalDht(16), small_config(strategy="data-aware")
+        )
         for point in points:
             incr.insert(point)
         incremental_loads = [bucket.load for bucket in incr.buckets()]

@@ -36,17 +36,22 @@ class TestUsageGuideNames:
     def test_referenced_symbols_exist(self):
         import repro
         from repro.core import aggregate
-        from repro.dht import churn, retry
+        from repro.dht import (
+            chord, churn, kademlia, localhash, pastry, retry,
+        )
         from repro.metrics import CostMeter
 
         assert CostMeter is not None
         text = (ROOT / "docs" / "usage.md").read_text()
-        for name in (
-            "MLightIndex", "LocalDht", "ChordDht", "KademliaDht",
-            "PastryDht", "Region", "bulk_load",
-        ):
+        for name in ("MLightIndex", "Region", "bulk_load"):
             assert name in text
             assert hasattr(repro, name), name
+        for module, name in (
+            (localhash, "LocalDht"), (chord, "ChordDht"),
+            (kademlia, "KademliaDht"), (pastry, "PastryDht"),
+        ):
+            assert name in text
+            assert hasattr(module, name), name
         assert hasattr(aggregate, "count_in")
         assert hasattr(aggregate, "sum_in")
         assert hasattr(retry, "RetryingDht")

@@ -1,6 +1,5 @@
 """The durability plane: backends, recovery, restart, churn fixes."""
 
-import pickle
 
 import pytest
 
@@ -31,7 +30,7 @@ from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
 from repro.dht.retry import RetryingDht
-from repro.dht.storage import EncodedValue, PeerStore
+from repro.dht.storage import PeerStore
 from repro.obs.trace import Tracer
 from repro.runtime import RuntimeConfig, create_dht
 from repro.service.wire import FrameDecoder
@@ -242,17 +241,6 @@ class TestPeerStoreDurability:
         recovered = PeerStore.recover(AppendLogBackend(tmp_path / "peer"))
         assert recovered.backend._records == 1  # replay journaled nothing
 
-    def test_encoded_store_recovers_blobs_without_decoding(self, tmp_path):
-        backend = AppendLogBackend(tmp_path / "peer")
-        store = PeerStore(encoded=True, backend=backend)
-        store.put("a", {"v": 1})
-        store.close_backend()
-        recovered = PeerStore.recover(
-            AppendLogBackend(tmp_path / "peer"), encoded=True
-        )
-        assert recovered._values["a"].data  # still a blob at rest
-        assert recovered.get("a") == {"v": 1}
-
     def test_journal_debt_triggers_compaction(self, tmp_path):
         backend = AppendLogBackend(tmp_path / "peer")
         store = PeerStore(backend=backend)
@@ -271,22 +259,14 @@ class TestPeerStoreDurability:
         recovered = PeerStore.recover(AppendLogBackend(tmp_path / "peer"))
         assert len(recovered) == 0
 
-    def test_keys_never_decodes(self):
-        store = PeerStore(encoded=True)
-        store.put("a", {"v": 1})
-        blob = store._values["a"]
-        assert list(store.keys()) == ["a"]
-        assert store._values["a"] is blob  # untouched EncodedValue
+    def test_torn_blob_on_recover_raises_typed_error(self):
+        class TornBackend:
+            def replay(self):
+                return {"a": b"not a pickle"}
 
-    def test_corrupt_blob_raises_typed_error(self):
-        store = PeerStore()
-        with pytest.raises(CorruptValueError):
-            store.put("a", EncodedValue(b"not a pickle"))
-        assert "a" not in store  # nothing stored, nothing journaled
-
-    def test_corrupt_blob_error_is_repro_error(self):
-        with pytest.raises(ReproError):
-            EncodedValue(b"\x80garbage").decode()
+        with pytest.raises(CorruptValueError) as caught:
+            PeerStore.recover(TornBackend())
+        assert isinstance(caught.value, ReproError)
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +275,9 @@ class TestPeerStoreDurability:
 
 
 OVERLAY_BUILDERS = [
-    lambda d: ChordDht.build(8, durability=d, encoded_storage=True),
-    lambda d: KademliaDht.build(8, durability=d, encoded_storage=True),
-    lambda d: PastryDht.build(8, durability=d, encoded_storage=True),
+    lambda d: ChordDht.build(8, durability=d),
+    lambda d: KademliaDht.build(8, durability=d),
+    lambda d: PastryDht.build(8, durability=d),
 ]
 
 
@@ -306,7 +286,7 @@ OVERLAY_BUILDERS = [
 )
 @pytest.mark.parametrize("durability", ["log", "file"])
 class TestRestartAllOverlays:
-    def test_encoded_crash_restart_replay_round_trip(
+    def test_crash_restart_replay_round_trip(
         self, build, durability
     ):
         dht = build(durability)
@@ -583,25 +563,6 @@ class TestRestartThroughIndexConfig:
 
 
 class TestChurnAccounting:
-    def test_counting_never_decodes_encoded_values(self, monkeypatch):
-        calls = {"decode": 0}
-        original = EncodedValue.decode
-
-        def counting_decode(self):
-            calls["decode"] += 1
-            return original(self)
-
-        dht = ChordDht.build(8, encoded_storage=True)
-        for index in range(40):
-            dht.put(f"k{index}", {"v": index})
-        monkeypatch.setattr(EncodedValue, "decode", counting_decode)
-        report = run_churn(
-            dht, 6, join_weight=1.0, leave_weight=1.0, fail_weight=1.0,
-            seed=3,
-        )
-        assert report.keys_before == 40
-        assert calls["decode"] == 0
-
     def test_key_count_default_matches_items(self):
         dht = LocalDht(8)
         for index in range(25):

@@ -15,7 +15,7 @@ from repro.dht.hashing import (
     ring_distance,
     xor_distance,
 )
-from repro.dht.storage import EncodedValue, PeerStore
+from repro.dht.storage import PeerStore
 
 
 class TestDigests:
@@ -161,43 +161,3 @@ class TestPeerStore:
     def test_digest_of_missing_raises_dht_error(self):
         with pytest.raises(DhtKeyError):
             PeerStore().digest_of("never-stored")
-
-
-class TestEncodedPeerStore:
-    def test_values_held_as_bytes_decoded_on_access(self):
-        store = PeerStore(encoded=True)
-        assert store.encoded
-        store.put("k", {"payload": [1, 2, 3]})
-        assert isinstance(store._values["k"], EncodedValue)
-        assert store.get("k") == {"payload": [1, 2, 3]}
-        assert dict(store.items()) == {"k": {"payload": [1, 2, 3]}}
-        assert store.remove("k") == {"payload": [1, 2, 3]}
-
-    def test_pop_range_hands_off_raw_blobs(self):
-        """Churn moves bytes: an encoded store's handoff list carries
-        the EncodedValue blobs themselves, not decoded objects."""
-        source = PeerStore(encoded=True)
-        for index in range(8):
-            source.put(f"k-{index}", index * 10)
-        moved = source.pop_range(lambda digest: True)
-        assert moved and all(
-            isinstance(value, EncodedValue) for _, value in moved
-        )
-
-    def test_plain_store_decodes_handoff_blobs(self):
-        source = PeerStore(encoded=True)
-        source.put("k", ("tuple", 42))
-        [(key, blob)] = source.pop_range(lambda digest: True)
-        plain = PeerStore()
-        plain.put(key, blob)
-        assert plain._values["k"] == ("tuple", 42)
-        assert plain.get("k") == ("tuple", 42)
-
-    def test_encoded_store_keeps_handoff_blobs(self):
-        source = PeerStore(encoded=True)
-        source.put("k", ("tuple", 42))
-        [(key, blob)] = source.pop_range(lambda digest: True)
-        target = PeerStore(encoded=True)
-        target.put(key, blob)
-        assert target._values["k"] is blob
-        assert target.get("k") == ("tuple", 42)

@@ -194,15 +194,15 @@ class TestRangeQueries:
 
 class TestDataAwareIndex:
     def test_constructor(self):
-        index = MLightIndex.with_data_aware_splitting(
-            LocalDht(16), small_config()
+        index = MLightIndex(
+            LocalDht(16), small_config(strategy="data-aware")
         )
         assert isinstance(index.strategy, DataAwareSplit)
 
     def test_behaves_correctly_end_to_end(self):
         rng = random.Random(6)
-        index = MLightIndex.with_data_aware_splitting(
-            LocalDht(16), small_config()
+        index = MLightIndex(
+            LocalDht(16), small_config(strategy="data-aware")
         )
         points = [(rng.random() ** 2, rng.random()) for _ in range(400)]
         for point in points:

@@ -98,3 +98,72 @@ class TestOverlay:
         dht = KademliaDht.build(4)
         with pytest.raises(ReproError):
             dht.join("kad-0000")
+
+
+class TestNoLiveContactIsTyped:
+    """An iterative lookup whose shortlist is all-dead is *unreachable*
+    (``NodeUnreachableError``): retried, captured per slot, and it
+    degrades one subregion of a range query instead of aborting it."""
+
+    def dead_shortlist_for(self, dht, key, monkeypatch):
+        digest = key_digest(key)
+        find = dht._iterative_find
+
+        def all_dead(start, target):
+            if target == digest:
+                return [(digest ^ 1, "kad-ghost")]
+            return find(start, target)
+
+        monkeypatch.setattr(dht, "_iterative_find", all_dead)
+
+    def test_route_owner_raises_node_unreachable(self, monkeypatch):
+        from repro.common.errors import NodeUnreachableError
+
+        dht = KademliaDht.build(8)
+        self.dead_shortlist_for(dht, "k", monkeypatch)
+        with pytest.raises(NodeUnreachableError):
+            dht.route_owner("k")
+        with pytest.raises(NodeUnreachableError):
+            dht.get("k")
+
+    def test_range_query_degrades_one_subregion(self, monkeypatch):
+        import random
+
+        from repro.common.config import IndexConfig
+        from repro.common.geometry import Region
+        from repro.core.index import MLightIndex
+        from repro.core.keys import bucket_key
+        from repro.core.naming import naming_function
+        from repro.dht.retry import RetryingDht
+
+        kademlia = KademliaDht.build(8)
+        index = MLightIndex(
+            RetryingDht(kademlia, attempts=2),
+            IndexConfig(dims=2, split_threshold=10, merge_threshold=5),
+        )
+        rng = random.Random(3)
+        points = [(rng.random(), rng.random()) for _ in range(200)]
+        for point in points:
+            index.insert(point)
+        query = Region((0.1, 0.1), (0.9, 0.9))
+        clean = index.range_query(query)
+        assert clean.complete
+        victim = sorted(clean.visited_leaves)[-1]
+        self.dead_shortlist_for(
+            kademlia, bucket_key(naming_function(victim, 2)), monkeypatch
+        )
+        result = index.range_query(query)
+        assert not result.complete
+        assert victim not in result.visited_leaves
+        assert kademlia.stats.retries > 0  # unreachable is retried
+        # The lost subregion is exactly what the victim would have
+        # answered: every missing record lies in an unresolved region.
+        missing = {r.key for r in clean.records} - {
+            r.key for r in result.records
+        }
+        assert missing
+        assert all(
+            any(region.contains_point_closed(key)
+                for region in result.unresolved)
+            for key in missing
+        )

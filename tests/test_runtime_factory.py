@@ -115,28 +115,14 @@ class TestRuntimeConfigValidation:
             RuntimeConfig(overlay="pastry", replication=2)
 
 
-class TestDeprecatedAliases:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("LocalDht", LocalDht),
-            ("ChordDht", ChordDht),
-            ("KademliaDht", KademliaDht),
-            ("PastryDht", PastryDht),
-        ],
-    )
-    def test_alias_warns_and_is_the_same_class(self, name, expected):
-        with pytest.warns(DeprecationWarning, match="create_dht"):
-            alias = getattr(repro, name)
-        assert alias is expected
-
-    def test_aliases_stay_in_the_public_surface(self):
+class TestPublicSurface:
+    def test_star_import_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec("from repro import *", {})
         for name in ("LocalDht", "ChordDht", "KademliaDht", "PastryDht"):
-            assert name in repro.__all__
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing  # noqa: B018
+            assert name not in repro.__all__
+            assert not hasattr(repro, name)
 
     def test_supported_surface_warns_nothing(self):
         with warnings.catch_warnings():

@@ -318,19 +318,6 @@ class TestByteAccountingAgreement:
         assert dht.network.stats.payload_bytes == expected
 
 
-class TestEncodedPeerStore:
-    def test_chord_encoded_storage_roundtrip(self, rng):
-        from repro.dht.chord import ChordDht
-
-        dht = ChordDht.build(4, encoded_storage=True)
-        bucket = LeafBucket(root_label(2), 2, _records(rng, 2, 20))
-        dht.put("k", bucket)
-        got = dht.get("k")
-        assert got == bucket
-        query = Region((0.0, 0.0), (1.0, 1.0))
-        assert got.matching(query) == bucket.matching(query)
-
-
 class TestBucketStoreSelection:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_bucket_adopts_configured_backend(self, kind, rng):
