@@ -2,13 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test experiments experiments-full clean
+.PHONY: install lint loc test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test experiments experiments-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 lint:
-	$(PYTHON) -m ruff check src tests benchmarks examples
+	$(PYTHON) -m ruff check src tests benchmarks examples tools
+
+# Code lines (no comments, docstrings, blanks) per package and in total:
+# the measure the simplicity PRs quote.
+loc:
+	$(PYTHON) tools/loc.py src
 
 test:
 	$(PYTHON) -m pytest tests/

@@ -18,27 +18,18 @@ Two construction modes:
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
 from typing import Any
 
-from repro.common.errors import DhtKeyError, ReproError
-from repro.dht.api import Dht, data_wire_size, request_wire_size
-from repro.dht.overlay import RoutedOverlay
-from repro.dht.durable import (
-    backend_path,
-    create_store_backend,
-    resolve_data_dir,
-)
+from repro.common.errors import ReproError
 from repro.dht.hashing import (
     ID_BITS,
     ID_SPACE,
     key_digest,
-    node_id_from_name,
     ring_between,
     ring_between_right_inclusive,
 )
+from repro.dht.overlay import OverlayNode, RoutedOverlay
 from repro.dht.storage import PeerStore
-from repro.net.message import Message
 from repro.net.simnet import RpcError, SimNetwork
 
 #: Entries kept in each node's successor list (Bamboo uses a leaf set
@@ -65,8 +56,8 @@ class _NodeRef:
         return f"_NodeRef({self.name})"
 
 
-class ChordNode:
-    """One Chord peer: routing state, storage, and RPC handlers."""
+class ChordNode(OverlayNode):
+    """One Chord peer: ring pointers, fingers and their RPCs."""
 
     def __init__(
         self,
@@ -74,27 +65,12 @@ class ChordNode:
         network: SimNetwork,
         store: PeerStore | None = None,
     ) -> None:
-        self.name = name
-        self.ident = node_id_from_name(name)
+        super().__init__(name, network, store)
         self.ref = _NodeRef(self.ident, name)
-        self.network = network
-        self.store = store if store is not None else PeerStore()
         self.successors: list[_NodeRef] = [self.ref]
         self.predecessor: _NodeRef | None = None
         self.fingers: list[_NodeRef | None] = [None] * ID_BITS
         self._next_finger = 0
-        network.register(name, self)
-
-    # ------------------------------------------------------------------
-    # RPC plumbing
-    # ------------------------------------------------------------------
-
-    def handle_rpc(self, message: Message) -> Any:
-        args, kwargs = message.payload
-        method = getattr(self, "rpc_" + message.msg_type, None)
-        if method is None:
-            raise RpcError(f"unknown RPC {message.msg_type!r}")
-        return method(*args, **kwargs)
 
     def _call(self, target: _NodeRef, method: str, *args: Any, **kwargs: Any) -> Any:
         return self.network.rpc(self.name, target.name, method, *args, **kwargs)
@@ -143,20 +119,8 @@ class ChordNode:
         return best
 
     # ------------------------------------------------------------------
-    # Storage RPCs
+    # Key handoff and ring maintenance RPCs
     # ------------------------------------------------------------------
-
-    def rpc_store_get(self, key: str) -> Any | None:
-        return self.store.get(key)
-
-    def rpc_store_put(self, key: str, value: Any) -> None:
-        self.store.put(key, value)
-
-    def rpc_store_remove(self, key: str) -> Any:
-        return self.store.remove(key)
-
-    def rpc_store_contains(self, key: str) -> bool:
-        return key in self.store
 
     def rpc_handoff(self, new_pred_ident: int, requester: _NodeRef) -> list:
         """Give the joining predecessor the keys it now owns.
@@ -241,7 +205,7 @@ class ChordNode:
             self.predecessor = None
 
 
-class ChordDht(RoutedOverlay, Dht):
+class ChordDht(RoutedOverlay):
     """The :class:`~repro.dht.api.Dht` facade over a Chord ring.
 
     *replication* > 1 stores each key on the owner plus that many minus
@@ -250,6 +214,9 @@ class ChordDht(RoutedOverlay, Dht):
     :meth:`repair_replicas` after churn to restore the invariant.
     """
 
+    prefix = "chord"
+    node_class = ChordNode
+
     def __init__(
         self,
         network: SimNetwork | None = None,
@@ -257,30 +224,12 @@ class ChordDht(RoutedOverlay, Dht):
         durability: str | None = None,
         data_dir: str | None = None,
     ) -> None:
-        super().__init__()
         if replication < 1:
             raise ReproError(
                 f"replication must be >= 1, got {replication}"
             )
-        self.network = network if network is not None else SimNetwork()
+        super().__init__(network, durability, data_dir)
         self.replication = replication
-        #: Durable backend kind every peer store journals into
-        #: (``None``: in-memory only, no restart support).
-        self.durability = durability
-        self.data_dir = (
-            resolve_data_dir(data_dir, "chord")
-            if durability is not None
-            else None
-        )
-        self._nodes: dict[str, ChordNode] = {}
-
-    def _new_store(self, name: str) -> PeerStore:
-        backend = None
-        if self.durability is not None:
-            backend = create_store_backend(
-                self.durability, backend_path(self.data_dir, name)
-            )
-        return PeerStore(backend=backend)
 
     # ------------------------------------------------------------------
     # Construction and membership
@@ -296,16 +245,9 @@ class ChordDht(RoutedOverlay, Dht):
         data_dir: str | None = None,
     ) -> "ChordDht":
         """Create a converged ring of *n_peers* directly."""
-        if n_peers < 1:
-            raise ReproError(f"n_peers must be >= 1, got {n_peers}")
-        dht = cls(network, replication, durability, data_dir)
-        for index in range(n_peers):
-            name = f"chord-{index:04d}"
-            dht._nodes[name] = ChordNode(
-                name, dht.network, store=dht._new_store(name)
-            )
-        dht.rewire()
-        return dht
+        return cls(network, replication, durability, data_dir)._populate(
+            n_peers
+        )
 
     def rewire(self) -> None:
         """Recompute every node's ring state from global knowledge.
@@ -331,130 +273,43 @@ class ChordDht(RoutedOverlay, Dht):
                 slot = bisect.bisect_left(by_ident, start) % count
                 node.fingers[index] = refs[slot]
 
-    def join(self, name: str, gateway: str | None = None) -> None:
-        """Run the Chord join protocol for a new peer called *name*."""
-        if name in self._nodes:
-            raise ReproError(f"peer {name!r} already in the ring")
-        node = ChordNode(name, self.network, store=self._new_store(name))
-        self._nodes[name] = node
-        others = [n for n in self._nodes.values() if n.name != name]
-        if not others:
-            return
-        gateway_node = self._nodes[gateway] if gateway else others[0]
-        successor = self._route(gateway_node.ref, node.ident)
+    def _enter(
+        self, node: ChordNode, gateway: ChordNode, rejoining: bool
+    ) -> list:
+        """The Chord join: find the successor, take over the key range
+        this node now owns (``handoff``), and ``notify``."""
+        if rejoining:
+            # From live membership, not a routed lookup: peers that
+            # never stabilized during the outage still hold refs to the
+            # old incarnation, so a route for this ident can terminate
+            # on the half-initialised node itself.  (The oracle stands
+            # in for routing here, as in repair_replicas.)
+            successor = self._owner_of_digest(
+                (node.ident + 1) % ID_SPACE
+            ).ref
+        else:
+            successor = self._route(gateway.ref, node.ident)
         node.successors = [successor]
-        node.predecessor = None
-        # Take over the key range this node now owns.
         entries = self.network.rpc(
-            name, successor.name, "handoff", node.ident, node.ref
+            node.name, successor.name, "handoff", node.ident, node.ref
         )
         for key, value in entries:
             node.store.put(key, value)
-        self.network.rpc(name, successor.name, "notify", node.ref)
+        self.network.rpc(node.name, successor.name, "notify", node.ref)
+        if rejoining:
+            # Re-converge the ring: until the predecessor adopts the
+            # restarted node as its successor, routing bypasses it
+            # (join leaves this to the caller; restart must restore
+            # service).
+            self.stabilize_all(1)
+        return entries
 
-    def leave(self, name: str) -> None:
-        """Graceful departure: push keys to the successor, then go.
-
-        The peer's durable state is wiped: a handed-off key must never
-        resurrect through a later :meth:`restart`.
-        """
-        node = self._nodes.get(name)
-        if node is None:
-            raise ReproError(f"unknown peer {name!r}")
+    def _hand_off(self, node: ChordNode) -> None:
+        """Push every key to the successor in one ``absorb``."""
         successor = node._first_live_successor()
         if successor != node.ref:
             entries = node.store.pop_range(lambda digest: True)
-            self.network.rpc(name, successor.name, "absorb", entries)
-        node.store.wipe_backend()
-        self.network.unregister(name)
-        del self._nodes[name]
-
-    def fail(self, name: str) -> None:
-        """Abrupt crash: the peer and its in-memory data vanish.
-
-        The durable backend's file handle is closed but its state
-        stays on disk — that is what :meth:`restart` replays.
-        """
-        node = self._nodes.get(name)
-        if node is None:
-            raise ReproError(f"unknown peer {name!r}")
-        node.store.close_backend()
-        self.network.unregister(name)
-        del self._nodes[name]
-
-    def _do_restart(self, name: str) -> None:
-        """Recover a crashed peer from its durable log and rejoin.
-
-        Three phases, with repair traffic proportional to ownership
-        churn, not store size:
-
-        1. *Replay* — rebuild the store from the peer's own durable
-           backend (local disk, zero network bytes).
-        2. *Reconcile* — the standard join handoff pulls back keys
-           written into this peer's range while it was down.
-        3. *Re-home* — keys the peer still holds but no longer owns
-           (the ring changed underneath it) are pushed to their
-           current owners and dropped locally.
-        """
-        if name in self._nodes:
-            raise ReproError(f"peer {name!r} is already live")
-        if self.durability is None:
-            raise ReproError(
-                "restart requires a durable backend; build the ring "
-                "with durability=..."
-            )
-        backend = create_store_backend(
-            self.durability, backend_path(self.data_dir, name)
-        )
-        store = PeerStore.recover(backend)
-        node = ChordNode(name, self.network, store=store)
-        self._nodes[name] = node
-        stats = self.stats
-        stats.restarts += 1
-        stats.restart_replayed += len(store)
-        others = [n for n in self._nodes.values() if n.name != name]
-        if not others:
-            return
-        # The rejoin successor comes from live membership, not a routed
-        # lookup: peers that never stabilized during the outage still
-        # hold refs to the old incarnation, so a route for this ident
-        # can terminate on the half-initialised node itself.  (The
-        # oracle stands in for routing here, as in repair_replicas.)
-        by_ident = sorted(others, key=lambda n: n.ident)
-        successor = next(
-            (n for n in by_ident if n.ident > node.ident), by_ident[0]
-        ).ref
-        node.successors = [successor]
-        entries = self.network.rpc(
-            name, successor.name, "handoff", node.ident, node.ref
-        )
-        for key, value in entries:
-            node.store.put(key, value)
-            stats.restart_reconciled += 1
-            stats.restart_repair_bytes += request_wire_size(key, value)
-        self.network.rpc(name, successor.name, "notify", node.ref)
-        # Re-converge the ring: until the predecessor adopts the
-        # restarted node as its successor, routing bypasses it (join
-        # leaves this to the caller; restart must restore service).
-        self.stabilize_all(1)
-        self._rehome_after_restart(node)
-
-    def _rehome_after_restart(self, node: ChordNode) -> None:
-        """Push keys whose ownership moved while *node* was down."""
-        def misplaced(digest: int) -> bool:
-            owner = self._nodes[self._successor_name(digest)]
-            return node.name not in self._replica_targets(owner)
-
-        stats = self.stats
-        for key, value in node.store.pop_range(misplaced):
-            owner_name = self._successor_name(key_digest(key))
-            self.network.rpc(
-                node.name, owner_name, "store_put", key, value,
-                size_bytes=request_wire_size(key, value),
-                payload_bytes=data_wire_size(value),
-            )
-            stats.restart_rehomed += 1
-            stats.restart_repair_bytes += request_wire_size(key, value)
+            self.network.rpc(node.name, successor.name, "absorb", entries)
 
     def stabilize_all(self, rounds: int = 1) -> None:
         """Drive the periodic protocol on every node *rounds* times."""
@@ -541,69 +396,16 @@ class ChordDht(RoutedOverlay, Dht):
         return self._route(self._route_start(src).ref, key_digest(key)).name
 
     # ------------------------------------------------------------------
-    # Oracle access
+    # Ownership and replication
     # ------------------------------------------------------------------
 
-    def _successor_name(self, digest: int) -> str:
+    def _owner_of_digest(self, digest: int) -> ChordNode:
         """Ring successor of *digest* among live nodes (oracle)."""
         refs = sorted(
             (node.ident, node.name) for node in self._nodes.values()
         )
-        idents = [ident for ident, _ in refs]
-        index = bisect.bisect_left(idents, digest)
-        if index == len(idents):
-            index = 0
-        return refs[index][1]
-
-    def peer_of(self, key: str) -> str:
-        return self._successor_name(key_digest(key))
-
-    def peers(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        seen: set[str] = set()
-        for node in self._nodes.values():
-            for key, value in node.store.items():
-                if key in seen:
-                    continue  # replica copies count once
-                seen.add(key)
-                yield key, value
-
-    def key_count(self) -> int:
-        """Distinct stored keys via the non-decoding ``keys()`` walk
-        (replica copies count once, same rule as :meth:`items`)."""
-        seen: set[str] = set()
-        for node in self._nodes.values():
-            seen.update(node.store.keys())
-        return len(seen)
-
-    def node(self, name: str) -> ChordNode:
-        """Direct access to a peer (tests and invariant checks)."""
-        return self._nodes[name]
-
-    # ------------------------------------------------------------------
-    # Substrate primitives
-    # ------------------------------------------------------------------
-
-    def _do_get(self, key: str) -> Any | None:
-        owner = self._owner(key)
-        for target in self._replica_targets(owner):
-            value = self.network.rpc(
-                self._gateway().name, target, "store_get", key,
-                size_bytes=request_wire_size(key),
-            )
-            if value is not None:
-                return value
-        return None
-
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        # One point-to-point store read, no routing, no hop metering:
-        # this is exactly what a learned shortcut buys.
-        return self.network.rpc(
-            self._gateway().name, peer, "store_get", key,
-            size_bytes=request_wire_size(key),
-        )
+        index = bisect.bisect_left(refs, (digest, ""))
+        return self._nodes[refs[index % len(refs)][1]]
 
     def _replica_targets(self, owner: ChordNode) -> list[str]:
         """The owner plus its next ``replication - 1`` live successors."""
@@ -617,64 +419,6 @@ class ChordDht(RoutedOverlay, Dht):
                 targets.append(ref.name)
         return targets
 
-    def _do_put(self, key: str, value: Any) -> None:
-        owner = self._owner(key)
-        for target in self._replica_targets(owner):
-            self.network.rpc(
-                self._gateway().name, target, "store_put", key, value,
-                size_bytes=request_wire_size(key, value),
-                payload_bytes=data_wire_size(value),
-            )
-
-    def _do_remove(self, key: str) -> Any:
-        owner = self._owner(key)
-        removed: Any = None
-        found = False
-        for target in self._replica_targets(owner):
-            if self.network.rpc(
-                self._gateway().name, target, "store_contains", key,
-                size_bytes=request_wire_size(key),
-            ):
-                value = self.network.rpc(
-                    self._gateway().name, target, "store_remove", key,
-                    size_bytes=request_wire_size(key),
-                )
-                if not found:
-                    removed = value
-                    found = True
-        if not found:
-            raise DhtKeyError(f"key {key!r} does not exist")
-        return removed
-
-    def rewrite_local(self, key: str, value: Any) -> None:
-        """Zero-cost in-place rewrite by whichever peer holds the key.
-
-        On a routed substrate this models the storing peer updating its
-        own store — no routing, no wire messages (the base-class
-        implementation would route a contains + put).  All replica
-        copies are refreshed.
-        """
-        holders = [
-            node for node in self._nodes.values() if key in node.store
-        ]
-        if not holders:
-            raise DhtKeyError(
-                f"rewrite_local of absent key {key!r}; a routed put is "
-                "required to create it"
-            )
-        for node in holders:
-            node.store.put(key, value)
-
-    def _do_contains(self, key: str) -> bool:
-        owner = self._owner(key)
-        return any(
-            self.network.rpc(
-                self._gateway().name, target, "store_contains", key,
-                size_bytes=request_wire_size(key),
-            )
-            for target in self._replica_targets(owner)
-        )
-
     def repair_replicas(self) -> int:
         """Restore the replication invariant after churn.
 
@@ -684,16 +428,10 @@ class ChordDht(RoutedOverlay, Dht):
         of copies written.  (Each node can determine ownership by
         routing; the oracle stands in for that routing here.)
         """
-        if self.replication < 1:
-            return 0
         written = 0
-        # Gather one authoritative value per key from any holder.
-        values: dict[str, Any] = {}
-        for node in self._nodes.values():
-            for key, value in node.store.items():
-                values.setdefault(key, value)
-        for key, value in values.items():
-            owner = self._nodes[self.peer_of(key)]
+        # One authoritative value per key, from any holder.
+        for key, value in dict(self.items()).items():
+            owner = self._owner_of_digest(key_digest(key))
             targets = set(self._replica_targets(owner))
             for name, node in self._nodes.items():
                 if name in targets:

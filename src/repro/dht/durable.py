@@ -36,10 +36,11 @@ import pickle
 import tempfile
 import zlib
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from repro.common.errors import ReproError, UnknownDurabilityError
+from repro.dht.storage import PeerStore
 
 __all__ = [
     "DurableBackend",
@@ -48,6 +49,7 @@ __all__ = [
     "register_store_backend",
     "store_backend_kinds",
     "create_store_backend",
+    "open_peer_store",
     "resolve_data_dir",
 ]
 
@@ -378,6 +380,31 @@ def create_store_backend(
             f"{tuple(_BACKENDS)}"
         )
     return factory(path, **options)
+
+
+def open_peer_store(
+    durability: str | None,
+    data_dir: str | os.PathLike | None,
+    name: str,
+    *,
+    recover: bool = False,
+) -> PeerStore:
+    """The store peer *name* serves from, on every substrate.
+
+    Without *durability* that is a plain in-memory store; with it the
+    store journals into the peer's backend under *data_dir*.  *recover*
+    replays what that backend already holds (a restart) instead of
+    starting empty, and therefore needs durability.
+    """
+    if durability is None:
+        if recover:
+            raise ReproError(
+                "restart requires a durable backend; build the substrate "
+                "with durability=..."
+            )
+        return PeerStore()
+    backend = create_store_backend(durability, backend_path(data_dir, name))
+    return PeerStore.recover(backend) if recover else PeerStore(backend)
 
 
 def resolve_data_dir(data_dir: str | os.PathLike | None, prefix: str) -> Path:

@@ -17,20 +17,11 @@ index-level cost counters do not change.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
-from typing import Any
 
-from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
-from repro.dht.api import Dht, data_wire_size, request_wire_size
-from repro.dht.overlay import RoutedOverlay
-from repro.dht.durable import (
-    backend_path,
-    create_store_backend,
-    resolve_data_dir,
-)
-from repro.dht.hashing import key_digest, node_id_from_name, xor_distance
+from repro.common.errors import NodeUnreachableError, ReproError
+from repro.dht.hashing import ID_BITS, key_digest, xor_distance
+from repro.dht.overlay import OverlayNode, RoutedOverlay
 from repro.dht.storage import PeerStore
-from repro.net.message import Message
 from repro.net.simnet import RpcError, SimNetwork
 
 #: k-bucket capacity.
@@ -39,12 +30,9 @@ BUCKET_SIZE = 8
 #: Lookup concurrency (classic alpha).
 ALPHA = 3
 
-#: Identifier width.
-ID_BITS = 160
 
-
-class KademliaNode:
-    """One Kademlia peer: k-buckets, storage, RPC handlers."""
+class KademliaNode(OverlayNode):
+    """One Kademlia peer: k-buckets and the FIND_NODE RPC."""
 
     def __init__(
         self,
@@ -52,15 +40,11 @@ class KademliaNode:
         network: SimNetwork,
         store: PeerStore | None = None,
     ) -> None:
-        self.name = name
-        self.ident = node_id_from_name(name)
-        self.network = network
-        self.store = store if store is not None else PeerStore()
+        super().__init__(name, network, store)
         # buckets[i] holds contacts whose XOR distance has bit length i+1.
         self.buckets: list[list[tuple[int, str]]] = [
             [] for _ in range(ID_BITS)
         ]
-        network.register(name, self)
 
     # ------------------------------------------------------------------
     # Routing table
@@ -100,84 +84,20 @@ class KademliaNode:
         contacts.sort(key=lambda pair: xor_distance(pair[0], ident))
         return contacts[:count]
 
-    # ------------------------------------------------------------------
-    # RPC plumbing
-    # ------------------------------------------------------------------
-
-    def handle_rpc(self, message: Message) -> Any:
-        args, kwargs = message.payload
-        method = getattr(self, "rpc_" + message.msg_type, None)
-        if method is None:
-            raise RpcError(f"unknown RPC {message.msg_type!r}")
-        return method(*args, **kwargs)
-
     def rpc_find_node(
         self, ident: int, caller_ident: int, caller_name: str
     ) -> list[tuple[int, str]]:
         self.observe(caller_ident, caller_name)
         return self.closest_contacts(ident, BUCKET_SIZE)
 
-    def rpc_store_put(self, key: str, value: Any) -> None:
-        self.store.put(key, value)
 
-    def rpc_store_get(self, key: str) -> Any | None:
-        return self.store.get(key)
-
-    def rpc_store_remove(self, key: str) -> Any:
-        return self.store.remove(key)
-
-    def rpc_store_contains(self, key: str) -> bool:
-        return key in self.store
-
-
-class KademliaDht(RoutedOverlay, Dht):
+class KademliaDht(RoutedOverlay):
     """The :class:`~repro.dht.api.Dht` facade over a Kademlia overlay."""
 
-    def __init__(
-        self,
-        network: SimNetwork | None = None,
-        durability: str | None = None,
-        data_dir: str | None = None,
-    ) -> None:
-        super().__init__()
-        self.network = network if network is not None else SimNetwork()
-        self.durability = durability
-        self.data_dir = (
-            resolve_data_dir(data_dir, "kad")
-            if durability is not None
-            else None
-        )
-        self._nodes: dict[str, KademliaNode] = {}
+    prefix = "kad"
+    node_class = KademliaNode
 
-    def _new_store(self, name: str) -> PeerStore:
-        backend = None
-        if self.durability is not None:
-            backend = create_store_backend(
-                self.durability, backend_path(self.data_dir, name)
-            )
-        return PeerStore(backend=backend)
-
-    @classmethod
-    def build(
-        cls,
-        n_peers: int,
-        network: SimNetwork | None = None,
-        durability: str | None = None,
-        data_dir: str | None = None,
-    ) -> "KademliaDht":
-        """Create *n_peers* and bootstrap their routing tables."""
-        if n_peers < 1:
-            raise ReproError(f"n_peers must be >= 1, got {n_peers}")
-        dht = cls(network, durability, data_dir)
-        for index in range(n_peers):
-            name = f"kad-{index:04d}"
-            dht._nodes[name] = KademliaNode(
-                name, dht.network, store=dht._new_store(name)
-            )
-        dht.bootstrap()
-        return dht
-
-    def bootstrap(self) -> None:
+    def rewire(self) -> None:
         """Populate every node's buckets from global knowledge.
 
         Equivalent to the steady state after every node has performed a
@@ -193,20 +113,16 @@ class KademliaDht(RoutedOverlay, Dht):
             ):
                 node.observe(ident, name)
 
-    def join(self, name: str, gateway: str | None = None) -> None:
-        """Protocol join: learn contacts via an iterative self-lookup."""
-        if name in self._nodes:
-            raise ReproError(f"peer {name!r} already joined")
-        node = KademliaNode(name, self.network, store=self._new_store(name))
-        self._nodes[name] = node
-        others = [n for n in self._nodes if n != name]
-        if not others:
-            return
-        gateway_name = gateway if gateway else min(others)
-        gateway_node = self._nodes[gateway_name]
-        node.observe(gateway_node.ident, gateway_node.name)
+    def _enter(
+        self, node: KademliaNode, gateway: KademliaNode, rejoining: bool
+    ) -> list:
+        """The Kademlia join: learn contacts via an iterative
+        self-lookup, then republish — pull the keys this node is now
+        XOR-closest to.  A join's republish is modelled free; a
+        restart's is repair traffic, so it rides sized ``store_put``s."""
+        node.observe(gateway.ident, gateway.name)
         self._iterative_find(node, node.ident)
-        # Republish: pull keys this node is now closest to.
+        pulled = []
         for other in list(self._nodes.values()):
             if other is node:
                 continue
@@ -215,99 +131,12 @@ class KademliaDht(RoutedOverlay, Dht):
                 < xor_distance(digest, other.ident)
             )
             for key, value in moved:
-                node.store.put(key, value)
-
-    def leave(self, name: str) -> None:
-        """Graceful departure: push each stored key to the remaining
-        node closest to its digest, then go.
-
-        The peer's durable state is wiped so handed-off keys cannot
-        resurrect through a later :meth:`restart`."""
-        node = self._nodes.get(name)
-        if node is None:
-            raise ReproError(f"unknown peer {name!r}")
-        others = [n for n in self._nodes.values() if n.name != name]
-        if others:
-            for key, value in node.store.pop_range(lambda digest: True):
-                digest = key_digest(key)
-                target = min(
-                    others, key=lambda n: xor_distance(n.ident, digest)
-                )
-                self.network.rpc(name, target.name, "store_put", key, value)
-        node.store.wipe_backend()
-        self.network.unregister(name)
-        del self._nodes[name]
-
-    def fail(self, name: str) -> None:
-        """Abrupt crash; durable state stays on disk for restart."""
-        node = self._nodes.get(name)
-        if node is None:
-            raise ReproError(f"unknown peer {name!r}")
-        node.store.close_backend()
-        self.network.unregister(name)
-        del self._nodes[name]
-
-    def _do_restart(self, name: str) -> None:
-        """Recover a crashed peer: replay its durable log, rejoin the
-        overlay, then reconcile — pull keys now XOR-closest to it,
-        push keys that stopped being its responsibility while down."""
-        if name in self._nodes:
-            raise ReproError(f"peer {name!r} is already live")
-        if self.durability is None:
-            raise ReproError(
-                "restart requires a durable backend; build the overlay "
-                "with durability=..."
-            )
-        backend = create_store_backend(
-            self.durability, backend_path(self.data_dir, name)
-        )
-        store = PeerStore.recover(backend)
-        node = KademliaNode(name, self.network, store=store)
-        self._nodes[name] = node
-        stats = self.stats
-        stats.restarts += 1
-        stats.restart_replayed += len(store)
-        others = [n for n in self._nodes.values() if n.name != name]
-        if not others:
-            return
-        gateway = min(others, key=lambda n: n.name)
-        node.observe(gateway.ident, gateway.name)
-        self._iterative_find(node, node.ident)
-        # Reconcile: pull keys written while down that now belong here.
-        for other in others:
-            moved = other.store.pop_range(
-                lambda digest: xor_distance(digest, node.ident)
-                < xor_distance(digest, other.ident)
-            )
-            for key, value in moved:
-                self.network.rpc(
-                    other.name, name, "store_put", key, value,
-                    size_bytes=request_wire_size(key, value),
-                    payload_bytes=data_wire_size(value),
-                )
-                stats.restart_reconciled += 1
-                stats.restart_repair_bytes += request_wire_size(key, value)
-        # Re-home: keys whose ownership moved while this peer was down.
-        moved = node.store.pop_range(
-            lambda digest: min(
-                self._nodes.values(),
-                key=lambda n: xor_distance(n.ident, digest),
-            )
-            is not node
-        )
-        for key, value in moved:
-            digest = key_digest(key)
-            owner = min(
-                self._nodes.values(),
-                key=lambda n: xor_distance(n.ident, digest),
-            )
-            self.network.rpc(
-                name, owner.name, "store_put", key, value,
-                size_bytes=request_wire_size(key, value),
-                payload_bytes=data_wire_size(value),
-            )
-            stats.restart_rehomed += 1
-            stats.restart_repair_bytes += request_wire_size(key, value)
+                if rejoining:
+                    self._sized_put(other.name, node.name, key, value)
+                else:
+                    node.store.put(key, value)
+            pulled += moved
+        return pulled
 
     def stabilize_all(self, rounds: int = 1) -> None:
         """Periodic maintenance, run to convergence.
@@ -317,7 +146,7 @@ class KademliaDht(RoutedOverlay, Dht):
         republishing migrates each key to the node now closest to it
         (what STORE refreshes achieve between churn events).  Done
         from global knowledge so churn tests converge quickly, the
-        same shortcut :meth:`bootstrap` takes.
+        same shortcut :meth:`rewire` takes.
         """
         for _ in range(rounds):
             for node in self._nodes.values():
@@ -325,24 +154,9 @@ class KademliaDht(RoutedOverlay, Dht):
                     bucket[:] = [
                         pair for pair in bucket if pair[1] in self._nodes
                     ]
-            self.bootstrap()
+            self.rewire()
             for node in list(self._nodes.values()):
-                moved = node.store.pop_range(
-                    lambda digest, me=node: min(
-                        self._nodes.values(),
-                        key=lambda n: xor_distance(n.ident, digest),
-                    )
-                    is not me
-                )
-                for key, value in moved:
-                    digest = key_digest(key)
-                    owner = min(
-                        self._nodes.values(),
-                        key=lambda n: xor_distance(n.ident, digest),
-                    )
-                    self.network.rpc(
-                        node.name, owner.name, "store_put", key, value
-                    )
+                self._rehome(node)
 
     # ------------------------------------------------------------------
     # Iterative lookup
@@ -392,36 +206,6 @@ class KademliaDht(RoutedOverlay, Dht):
                 shortlist = new_shortlist
         return shortlist
 
-    # ------------------------------------------------------------------
-    # Oracle access
-    # ------------------------------------------------------------------
-
-    def peer_of(self, key: str) -> str:
-        digest = key_digest(key)
-        return min(
-            self._nodes.values(),
-            key=lambda node: xor_distance(node.ident, digest),
-        ).name
-
-    def peers(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        for node in self._nodes.values():
-            yield from node.store.items()
-
-    def key_count(self) -> int:
-        """Stored keys via the non-decoding ``keys()`` walk."""
-        return sum(len(node.store) for node in self._nodes.values())
-
-    def node(self, name: str) -> KademliaNode:
-        """Direct peer access (tests only)."""
-        return self._nodes[name]
-
-    # ------------------------------------------------------------------
-    # Substrate primitives
-    # ------------------------------------------------------------------
-
     def route_owner(self, key: str, src: str | None = None) -> str:
         """Iterative FIND_NODE whose shortlist starts from *src*'s own
         buckets (default: the gateway's); see
@@ -439,55 +223,9 @@ class KademliaDht(RoutedOverlay, Dht):
             )
         return min(live, key=lambda pair: xor_distance(pair[0], digest))[1]
 
-    def _do_get(self, key: str) -> Any | None:
-        owner = self._owner(key)
-        return self.network.rpc(
-            self._gateway().name, owner.name, "store_get", key,
-            size_bytes=request_wire_size(key),
-        )
-
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        # One point-to-point store read, no iterative lookup.
-        return self.network.rpc(
-            self._gateway().name, peer, "store_get", key,
-            size_bytes=request_wire_size(key),
-        )
-
-    def _do_put(self, key: str, value: Any) -> None:
-        owner = self._owner(key)
-        self.network.rpc(
-            self._gateway().name, owner.name, "store_put", key, value,
-            size_bytes=request_wire_size(key, value),
-            payload_bytes=data_wire_size(value),
-        )
-
-    def _do_remove(self, key: str) -> Any:
-        owner = self._owner(key)
-        if not self.network.rpc(
-            self._gateway().name, owner.name, "store_contains", key,
-            size_bytes=request_wire_size(key),
-        ):
-            raise DhtKeyError(f"key {key!r} does not exist")
-        return self.network.rpc(
-            self._gateway().name, owner.name, "store_remove", key,
-            size_bytes=request_wire_size(key),
-        )
-
-    def rewrite_local(self, key: str, value: Any) -> None:
-        """Zero-cost in-place rewrite by the peer holding the key (no
-        routing; see the over-DHT cost model in repro.dht.api)."""
-        for node in self._nodes.values():
-            if key in node.store:
-                node.store.put(key, value)
-                return
-        raise DhtKeyError(
-            f"rewrite_local of absent key {key!r}; a routed put is "
-            "required to create it"
-        )
-
-    def _do_contains(self, key: str) -> bool:
-        owner = self._owner(key)
-        return self.network.rpc(
-            self._gateway().name, owner.name, "store_contains", key,
-            size_bytes=request_wire_size(key),
+    def _owner_of_digest(self, digest: int) -> KademliaNode:
+        """The XOR-closest live node (oracle)."""
+        return min(
+            self._nodes.values(),
+            key=lambda node: xor_distance(node.ident, digest),
         )

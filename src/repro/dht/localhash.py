@@ -21,11 +21,7 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.dht.api import Dht, _capture, shared_executor
-from repro.dht.durable import (
-    backend_path,
-    create_store_backend,
-    resolve_data_dir,
-)
+from repro.dht.durable import open_peer_store, resolve_data_dir
 from repro.dht.peer import HashRing
 from repro.dht.storage import PeerStore
 
@@ -68,15 +64,7 @@ class LocalDht(Dht):
             virtual_nodes,
         )
         self._stores: dict[str, PeerStore] = {
-            name: PeerStore(
-                backend=(
-                    create_store_backend(
-                        durability, backend_path(self.data_dir, name)
-                    )
-                    if durability is not None
-                    else None
-                )
-            )
+            name: open_peer_store(durability, self.data_dir, name)
             for name in self._ring.peers()
         }
 

@@ -17,19 +17,11 @@ ring, XOR and prefix-routing DHTs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Any
 
-from repro.common.errors import DhtKeyError, ReproError
-from repro.dht.api import Dht, data_wire_size, request_wire_size
-from repro.dht.overlay import RoutedOverlay
-from repro.dht.durable import (
-    backend_path,
-    create_store_backend,
-    resolve_data_dir,
-)
-from repro.dht.hashing import ID_BITS, key_digest, node_id_from_name
+from repro.common.errors import ReproError
+from repro.dht.hashing import ID_BITS, key_digest
+from repro.dht.overlay import OverlayNode, RoutedOverlay
 from repro.dht.storage import PeerStore
-from repro.net.message import Message
 from repro.net.simnet import RpcError, SimNetwork
 
 #: Digit width in bits (b = 4: hexadecimal digits, as in the paper).
@@ -64,8 +56,8 @@ def numeric_distance(a: int, b: int) -> int:
     return abs(a - b)
 
 
-class PastryNode:
-    """One Pastry peer: routing table, leaf set, storage."""
+class PastryNode(OverlayNode):
+    """One Pastry peer: routing table, leaf set and their RPCs."""
 
     def __init__(
         self,
@@ -73,17 +65,13 @@ class PastryNode:
         network: SimNetwork,
         store: PeerStore | None = None,
     ) -> None:
-        self.name = name
-        self.ident = node_id_from_name(name)
+        super().__init__(name, network, store)
         self.digits = digits_of(self.ident)
-        self.network = network
-        self.store = store if store is not None else PeerStore()
         # routing_table[row][column] -> (ident, name) | None
         self.routing_table: list[list[tuple[int, str] | None]] = [
             [None] * (2**DIGIT_BITS) for _ in range(N_DIGITS)
         ]
         self.leaf_set: list[tuple[int, str]] = []
-        network.register(name, self)
 
     # ------------------------------------------------------------------
     # State maintenance
@@ -116,15 +104,8 @@ class PastryNode:
                     row[column] = None
 
     # ------------------------------------------------------------------
-    # RPC plumbing
+    # Routing RPCs
     # ------------------------------------------------------------------
-
-    def handle_rpc(self, message: Message) -> Any:
-        args, kwargs = message.payload
-        method = getattr(self, "rpc_" + message.msg_type, None)
-        if method is None:
-            raise RpcError(f"unknown RPC {message.msg_type!r}")
-        return method(*args, **kwargs)
 
     def rpc_next_hop(self, ident: int) -> tuple[int, str]:
         """Pastry's routing step, all three rules of the paper:
@@ -192,18 +173,6 @@ class PastryNode:
         for ident, name in contacts:
             self.learn(ident, name)
 
-    def rpc_store_get(self, key: str) -> Any | None:
-        return self.store.get(key)
-
-    def rpc_store_put(self, key: str, value: Any) -> None:
-        self.store.put(key, value)
-
-    def rpc_store_remove(self, key: str) -> Any:
-        return self.store.remove(key)
-
-    def rpc_store_contains(self, key: str) -> bool:
-        return key in self.store
-
     def rpc_handoff(self, joiner_ident: int, joiner_name: str) -> list:
         """Give a newly joined neighbour the keys now closer to it."""
         return self.store.pop_range(
@@ -212,110 +181,56 @@ class PastryNode:
         )
 
 
-class PastryDht(RoutedOverlay, Dht):
+class PastryDht(RoutedOverlay):
     """The :class:`~repro.dht.api.Dht` facade over a Pastry overlay."""
 
-    def __init__(
-        self,
-        network: SimNetwork | None = None,
-        durability: str | None = None,
-        data_dir: str | None = None,
-    ) -> None:
-        super().__init__()
-        self.network = network if network is not None else SimNetwork()
-        self.durability = durability
-        self.data_dir = (
-            resolve_data_dir(data_dir, "pastry")
-            if durability is not None
-            else None
-        )
-        self._nodes: dict[str, PastryNode] = {}
+    prefix = "pastry"
+    node_class = PastryNode
 
-    def _new_store(self, name: str) -> PeerStore:
-        backend = None
-        if self.durability is not None:
-            backend = create_store_backend(
-                self.durability, backend_path(self.data_dir, name)
-            )
-        return PeerStore(backend=backend)
-
-    @classmethod
-    def build(
-        cls,
-        n_peers: int,
-        network: SimNetwork | None = None,
-        durability: str | None = None,
-        data_dir: str | None = None,
-    ) -> "PastryDht":
-        """Create *n_peers* with fully populated state."""
-        if n_peers < 1:
-            raise ReproError(f"n_peers must be >= 1, got {n_peers}")
-        dht = cls(network, durability, data_dir)
-        for index in range(n_peers):
-            name = f"pastry-{index:04d}"
-            dht._nodes[name] = PastryNode(
-                name, dht.network, store=dht._new_store(name)
-            )
-        everyone = [(node.ident, node.name) for node in dht._nodes.values()]
-        for node in dht._nodes.values():
+    def rewire(self) -> None:
+        """Teach every node every live contact (fully populated state)."""
+        everyone = [(node.ident, node.name) for node in self._nodes.values()]
+        for node in self._nodes.values():
             for ident, name in everyone:
                 node.learn(ident, name)
-        return dht
 
-    def join(self, name: str, gateway: str | None = None) -> None:
-        """Join protocol: route to the closest node, copy state, take
+    def _enter(
+        self, node: PastryNode, gateway: PastryNode, rejoining: bool
+    ) -> list:
+        """The Pastry join: route to the closest node, copy state, take
         over the key range, and announce the newcomer."""
-        if name in self._nodes:
-            raise ReproError(f"peer {name!r} already joined")
-        node = PastryNode(name, self.network, store=self._new_store(name))
-        self._nodes[name] = node
-        others = [n for n in self._nodes if n != name]
-        if not others:
-            return
-        gateway_name = gateway if gateway else min(others)
-        gateway_node = self._nodes[gateway_name]
-        node.learn(gateway_node.ident, gateway_node.name)
-        closest_name = self._route_from(gateway_node, node.ident)
+        name = node.name
+        node.learn(gateway.ident, gateway.name)
+        closest = self._route_from(gateway, node.ident)
         # Copy state from the nodes along the way (simplified: gateway
         # plus the closest node, which covers rows 0 and the leaf set).
-        for source in {gateway_name, closest_name}:
-            contacts = self.network.rpc(name, source, "get_state")
-            for ident, contact in contacts:
+        for source in sorted({gateway.name, closest}):
+            for ident, contact in self.network.rpc(name, source, "get_state"):
                 node.learn(ident, contact)
-        entries = self.network.rpc(
-            name, closest_name, "handoff", node.ident, node.name
-        )
-        for key, value in entries:
+        sources = [closest]
+        if rejoining:
+            # While the peer was down, writes in its range landed on
+            # whichever neighbour was then numerically closest — on
+            # either side of its identifier — so pull the handoff from
+            # every leaf-set neighbour, not just the single closest.
+            sources = sorted({contact for _, contact in node.leaf_set} - {name})
+        pulled = []
+        for source in sources:
+            pulled += self.network.rpc(
+                name, source, "handoff", node.ident, name
+            )
+        for key, value in pulled:
             node.store.put(key, value)
         # Announce to everyone in the new node's state.
-        announcement = [(node.ident, node.name)]
-        for ident, contact in list(node._all_contacts()):
+        announcement = [(node.ident, name)]
+        for _, contact in list(node._all_contacts()):
             try:
                 self.network.rpc(name, contact, "learn_from", announcement)
             except RpcError:
                 continue
+        return pulled
 
-    def leave(self, name: str) -> None:
-        """Graceful departure: hand each stored key to the remaining
-        numerically closest node, then go.
-
-        The peer's durable state is wiped so handed-off keys cannot
-        resurrect through a later :meth:`restart`."""
-        node = self._nodes.get(name)
-        if node is None:
-            raise ReproError(f"unknown peer {name!r}")
-        others = [n for n in self._nodes.values() if n.name != name]
-        if others:
-            for key, value in node.store.pop_range(lambda digest: True):
-                digest = key_digest(key)
-                target = min(
-                    others,
-                    key=lambda n: numeric_distance(n.ident, digest),
-                )
-                self.network.rpc(name, target.name, "store_put", key, value)
-        node.store.wipe_backend()
-        self.network.unregister(name)
-        del self._nodes[name]
+    def _forget(self, name: str) -> None:
         for survivor in self._nodes.values():
             survivor.forget(name)
 
@@ -331,121 +246,17 @@ class PastryDht(RoutedOverlay, Dht):
         :meth:`build` takes.
         """
         for _ in range(rounds):
-            live = set(self._nodes)
-            everyone = [
-                (node.ident, node.name) for node in self._nodes.values()
-            ]
             for node in self._nodes.values():
                 dead = {
                     contact
                     for _, contact in node._all_contacts()
-                    if contact not in live
+                    if contact not in self._nodes
                 }
                 for contact in dead:
                     node.forget(contact)
-                for ident, contact in everyone:
-                    node.learn(ident, contact)
+            self.rewire()
             for node in list(self._nodes.values()):
-                moved = node.store.pop_range(
-                    lambda digest, me=node: min(
-                        self._nodes.values(),
-                        key=lambda n: numeric_distance(n.ident, digest),
-                    )
-                    is not me
-                )
-                for key, value in moved:
-                    digest = key_digest(key)
-                    owner = min(
-                        self._nodes.values(),
-                        key=lambda n: numeric_distance(n.ident, digest),
-                    )
-                    self.network.rpc(
-                        node.name, owner.name, "store_put", key, value
-                    )
-
-    def fail(self, name: str) -> None:
-        """Abrupt crash; survivors lazily forget the dead contact.
-        Durable state stays on disk for :meth:`restart`."""
-        node = self._nodes.get(name)
-        if node is None:
-            raise ReproError(f"unknown peer {name!r}")
-        node.store.close_backend()
-        self.network.unregister(name)
-        del self._nodes[name]
-        for survivor in self._nodes.values():
-            survivor.forget(name)
-
-    def _do_restart(self, name: str) -> None:
-        """Recover a crashed peer: replay its durable log, rejoin via
-        the join protocol's state copy and handoff, then re-home keys
-        whose ownership moved while the peer was down."""
-        if name in self._nodes:
-            raise ReproError(f"peer {name!r} is already live")
-        if self.durability is None:
-            raise ReproError(
-                "restart requires a durable backend; build the overlay "
-                "with durability=..."
-            )
-        backend = create_store_backend(
-            self.durability, backend_path(self.data_dir, name)
-        )
-        store = PeerStore.recover(backend)
-        node = PastryNode(name, self.network, store=store)
-        self._nodes[name] = node
-        stats = self.stats
-        stats.restarts += 1
-        stats.restart_replayed += len(store)
-        others = [n for n in self._nodes if n != name]
-        if not others:
-            return
-        gateway_node = self._nodes[min(others)]
-        node.learn(gateway_node.ident, gateway_node.name)
-        closest_name = self._route_from(gateway_node, node.ident)
-        for source in {gateway_node.name, closest_name}:
-            contacts = self.network.rpc(name, source, "get_state")
-            for ident, contact in contacts:
-                node.learn(ident, contact)
-        # Reconcile: while the peer was down, writes in its range landed
-        # on whichever neighbour was then numerically closest — on
-        # either side of its identifier — so pull the handoff from
-        # every leaf-set neighbour, not just the single closest node.
-        sources = {contact for _, contact in node.leaf_set}
-        sources.discard(name)
-        for source in sorted(sources):
-            entries = self.network.rpc(
-                name, source, "handoff", node.ident, node.name
-            )
-            for key, value in entries:
-                node.store.put(key, value)
-                stats.restart_reconciled += 1
-                stats.restart_repair_bytes += request_wire_size(key, value)
-        announcement = [(node.ident, node.name)]
-        for ident, contact in list(node._all_contacts()):
-            try:
-                self.network.rpc(name, contact, "learn_from", announcement)
-            except RpcError:
-                continue
-        # Re-home: keys whose ownership moved while this peer was down.
-        moved = node.store.pop_range(
-            lambda digest: min(
-                self._nodes.values(),
-                key=lambda n: numeric_distance(n.ident, digest),
-            )
-            is not node
-        )
-        for key, value in moved:
-            digest = key_digest(key)
-            owner = min(
-                self._nodes.values(),
-                key=lambda n: numeric_distance(n.ident, digest),
-            )
-            self.network.rpc(
-                name, owner.name, "store_put", key, value,
-                size_bytes=request_wire_size(key, value),
-                payload_bytes=data_wire_size(value),
-            )
-            stats.restart_rehomed += 1
-            stats.restart_repair_bytes += request_wire_size(key, value)
+                self._rehome(node)
 
     # ------------------------------------------------------------------
     # Routing
@@ -469,90 +280,14 @@ class PastryDht(RoutedOverlay, Dht):
             current = nxt
         raise ReproError(f"Pastry routing for {ident:x} did not converge")
 
-    # ------------------------------------------------------------------
-    # Oracle access
-    # ------------------------------------------------------------------
-
-    def peer_of(self, key: str) -> str:
-        digest = key_digest(key)
-        return min(
-            self._nodes.values(),
-            key=lambda node: numeric_distance(node.ident, digest),
-        ).name
-
-    def peers(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        for node in self._nodes.values():
-            yield from node.store.items()
-
-    def key_count(self) -> int:
-        """Stored keys via the non-decoding ``keys()`` walk."""
-        return sum(len(node.store) for node in self._nodes.values())
-
-    def node(self, name: str) -> PastryNode:
-        """Direct peer access (tests only)."""
-        return self._nodes[name]
-
-    # ------------------------------------------------------------------
-    # Substrate primitives
-    # ------------------------------------------------------------------
-
     def route_owner(self, key: str, src: str | None = None) -> str:
         """Prefix routing from *src*'s own node (default: the
         gateway's); see :meth:`RoutedOverlay.route_owner`."""
         return self._route_from(self._route_start(src), key_digest(key))
 
-    def _do_get(self, key: str) -> Any | None:
-        owner = self._owner(key)
-        return self.network.rpc(
-            self._gateway().name, owner.name, "store_get", key,
-            size_bytes=request_wire_size(key),
-        )
-
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        # One point-to-point store read, no prefix routing.
-        return self.network.rpc(
-            self._gateway().name, peer, "store_get", key,
-            size_bytes=request_wire_size(key),
-        )
-
-    def _do_put(self, key: str, value: Any) -> None:
-        owner = self._owner(key)
-        self.network.rpc(
-            self._gateway().name, owner.name, "store_put", key, value,
-            size_bytes=request_wire_size(key, value),
-            payload_bytes=data_wire_size(value),
-        )
-
-    def _do_remove(self, key: str) -> Any:
-        owner = self._owner(key)
-        if not self.network.rpc(
-            self._gateway().name, owner.name, "store_contains", key,
-            size_bytes=request_wire_size(key),
-        ):
-            raise DhtKeyError(f"key {key!r} does not exist")
-        return self.network.rpc(
-            self._gateway().name, owner.name, "store_remove", key,
-            size_bytes=request_wire_size(key),
-        )
-
-    def rewrite_local(self, key: str, value: Any) -> None:
-        """Zero-cost in-place rewrite by the peer holding the key (no
-        routing; see the over-DHT cost model in repro.dht.api)."""
-        for node in self._nodes.values():
-            if key in node.store:
-                node.store.put(key, value)
-                return
-        raise DhtKeyError(
-            f"rewrite_local of absent key {key!r}; a routed put is "
-            "required to create it"
-        )
-
-    def _do_contains(self, key: str) -> bool:
-        owner = self._owner(key)
-        return self.network.rpc(
-            self._gateway().name, owner.name, "store_contains", key,
-            size_bytes=request_wire_size(key),
+    def _owner_of_digest(self, digest: int) -> PastryNode:
+        """The numerically closest live node (oracle)."""
+        return min(
+            self._nodes.values(),
+            key=lambda node: numeric_distance(node.ident, digest),
         )

@@ -69,10 +69,13 @@ class KeyValuePeer:
 
     ``serve`` is the runtime-neutral entry point: the five primitive
     operations of the :class:`~repro.dht.api.Dht` contract, dispatched
-    by name.  The simulated substrates call it in-process; the service
+    by name.  The routed overlays' node
+    (:class:`~repro.dht.overlay.OverlayNode`) extends this class and
+    answers its ``store_*`` RPCs through it in-process; the service
     runtime calls it from an actor task after decoding a wire frame.
     Storage semantics (absent-key errors included) therefore cannot
-    drift between runtimes.
+    drift between runtimes.  (``LocalDht`` keeps bare
+    :class:`PeerStore` objects — it has no request server to share.)
     """
 
     __slots__ = ("name", "store")

@@ -88,7 +88,7 @@ class ServiceMulticast:
             stats.lookups += 1
             stats.mcast_forwards += 1
             try:
-                reply = self._service._call(
+                reply = self._service.call(
                     Op.MCAST, hop.key, body=(hop.target, hop.subquery, query)
                 )
             except NodeUnreachableError as error:
@@ -104,7 +104,7 @@ class ServiceMulticast:
         peer's step of the query, answering its requests with frames."""
         target, subquery, query = frame.body
         stats = self.dht.stats
-        request_captured = self._service._request_captured
+        call_captured = self._service.call_captured
         step = peer_subquery(
             peer.store.get, target, subquery, query,
             self.dims, self.max_depth, stats,
@@ -116,7 +116,7 @@ class ServiceMulticast:
                     # Metered like Dht.get: one DHT-lookup, one get.
                     stats.lookups += 1
                     stats.gets += 1
-                    outcome = await request_captured(Op.GET, request.key)
+                    outcome = await call_captured(Op.GET, request.key)
                 else:
                     # One batched resolution per node, like the
                     # simulated forward_all: the sub-region frames go
@@ -125,7 +125,7 @@ class ServiceMulticast:
                     stats.meter_batch(len(request.hops))
                     stats.mcast_forwards += len(request.hops)
                     replies = await asyncio.gather(*(
-                        request_captured(
+                        call_captured(
                             Op.MCAST,
                             hop.key,
                             body=(hop.target, hop.subquery, query),
@@ -181,7 +181,7 @@ class ServiceContinuousPlane(ContinuousQueryPlane):
         # frame, so route by the client id instead.
         route_key = key if key is not None else entry.client
         try:
-            self._service._call(
+            self._service.call(
                 Op.PUSH, route_key, body=(entry.client, method, list(args))
             )
         except NodeUnreachableError:

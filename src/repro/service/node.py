@@ -32,11 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.dht.api import BatchFailure, Dht
-from repro.dht.durable import (
-    backend_path,
-    create_store_backend,
-    resolve_data_dir,
-)
+from repro.dht.durable import open_peer_store, resolve_data_dir
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.storage import PeerStore
 from repro.net.stats import NetworkStats
@@ -448,28 +444,22 @@ class ServiceDht(Dht):
             self._loop_thread.run(self._start_nodes())
         return self
 
-    def _new_store(self, name: str) -> PeerStore:
-        if self.durability is None:
-            return PeerStore()
-        return PeerStore(
-            backend=create_store_backend(
-                self.durability, backend_path(self.data_dir, name)
-            )
-        )
-
     async def _start_nodes(self) -> None:
         for name in self._ring.peers():
-            actor = _ActorNode(
-                KeyValuePeer(name, self._new_store(name)), self._handlers
+            await self._start_actor(
+                name, open_peer_store(self.durability, self.data_dir, name)
             )
-            actor.push_sink = self._push_sink
-            self._actors[name] = actor
-            if self._transport_kind == "tcp":
-                await actor.start_listener()
-                channel = _TcpChannel()
-                channel.push_sink = self._push_sink
-                await channel.connect(actor.port)
-                self._channels[name] = channel
+
+    async def _start_actor(self, name: str, store: PeerStore) -> None:
+        actor = _ActorNode(KeyValuePeer(name, store), self._handlers)
+        actor.push_sink = self._push_sink
+        self._actors[name] = actor
+        if self._transport_kind == "tcp":
+            await actor.start_listener()
+            channel = _TcpChannel()
+            channel.push_sink = self._push_sink
+            await channel.connect(actor.port)
+            self._channels[name] = channel
 
     def close(self) -> None:
         """Stop actors, close sockets, and join the loop thread."""
@@ -519,34 +509,17 @@ class ServiceDht(Dht):
         actor.peer.store.close_backend()
 
     def _do_restart(self, name: str) -> None:
-        if self.durability is None:
-            raise ReproError(
-                "restart requires a durable backend; build the runtime "
-                "with durability=..."
-            )
         actor = self._actors.get(name)
         if actor is None:
             raise ReproError(f"unknown service peer {name!r}")
         if not actor.task.done():
             raise ReproError(f"service peer {name!r} is already live")
-        backend = create_store_backend(
-            self.durability, backend_path(self.data_dir, name)
+        store = open_peer_store(
+            self.durability, self.data_dir, name, recover=True
         )
-        store = PeerStore.recover(backend)
         self.stats.restarts += 1
         self.stats.restart_replayed += len(store)
-        self._bridge().run(self._restart_node(name, store))
-
-    async def _restart_node(self, name: str, store: PeerStore) -> None:
-        actor = _ActorNode(KeyValuePeer(name, store), self._handlers)
-        actor.push_sink = self._push_sink
-        self._actors[name] = actor
-        if self._transport_kind == "tcp":
-            await actor.start_listener()
-            channel = _TcpChannel()
-            channel.push_sink = self._push_sink
-            await channel.connect(actor.port)
-            self._channels[name] = channel
+        self._bridge().run(self._start_actor(name, store))
 
     # ------------------------------------------------------------------
     # Extension opcodes (the dissemination plane)
@@ -557,7 +530,7 @@ class ServiceDht(Dht):
         -> reply bytes`` on every actor, surviving crash/restart.
 
         Extension frames run as spawned tasks on the owning actor, so a
-        handler may itself issue :meth:`_request` calls to other actors
+        handler may itself await :meth:`call_captured` to other actors
         (or back to its own) without deadlocking the serve loop.
         """
         self._handlers[int(op)] = handler
@@ -670,17 +643,25 @@ class ServiceDht(Dht):
             raise rebuild_error(reply.body)
         return reply.body
 
-    async def _request_captured(
+    async def call_captured(
         self, op: Op, key: str, value: Any = None, *, body: Any = None
     ) -> Any:
+        """Handler half of the extension seam: await one *op* frame to
+        the owner of *key* from code already on the loop (an installed
+        handler, a batch round).  An unreachable owner comes back as a
+        :class:`BatchFailure` in place of the reply body."""
         try:
             return await self._request(op, key, value, body=body)
         except NodeUnreachableError as error:
             return BatchFailure(error)
 
-    def _call(
+    def call(
         self, op: Op, key: str, value: Any = None, *, body: Any = None
     ) -> Any:
+        """Client half of the extension seam: send one *op* frame to
+        the owner of *key* from the calling thread and return the reply
+        body.  *body* replaces the ``(key, value)`` payload for
+        extension opcodes served by :meth:`install_handler`."""
         bridge = self._bridge()
         clock = self.network.clock
         started = clock.now
@@ -695,13 +676,13 @@ class ServiceDht(Dht):
         tracer = self.network.tracer
         if tracer is None:
             outcomes = await asyncio.gather(
-                *(self._request_captured(*call) for call in calls)
+                *(self.call_captured(*call) for call in calls)
             )
             elapsed = clock.now - started
         else:
             with tracer.span("net", "message_round") as span:
                 outcomes = await asyncio.gather(
-                    *(self._request_captured(*call) for call in calls)
+                    *(self.call_captured(*call) for call in calls)
                 )
                 elapsed = clock.now - started
                 span.attrs["fanout"] = len(calls)
@@ -722,19 +703,19 @@ class ServiceDht(Dht):
     # ------------------------------------------------------------------
 
     def _do_lookup(self, key: str) -> str:
-        return self._call(Op.LOOKUP, key)
+        return self.call(Op.LOOKUP, key)
 
     def _do_get(self, key: str) -> Any | None:
-        return self._call(Op.GET, key)
+        return self.call(Op.GET, key)
 
     def _do_put(self, key: str, value: Any) -> None:
-        self._call(Op.PUT, key, value)
+        self.call(Op.PUT, key, value)
 
     def _do_remove(self, key: str) -> Any:
-        return self._call(Op.REMOVE, key)
+        return self.call(Op.REMOVE, key)
 
     def _do_contains(self, key: str) -> bool:
-        return self._call(Op.CONTAINS, key)
+        return self.call(Op.CONTAINS, key)
 
     def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
         return self._call_many([(Op.GET, key) for key in keys])

@@ -1,8 +1,5 @@
 """Tests for the Chord overlay."""
 
-import pytest
-
-from repro.common.errors import DhtKeyError, ReproError
 from repro.dht.chord import ChordDht, SUCCESSOR_LIST_LEN
 
 
@@ -12,27 +9,6 @@ def ring_oracle(dht: ChordDht, key: str) -> str:
 
 
 class TestStaticRing:
-    def test_build_and_route_agrees_with_oracle(self):
-        dht = ChordDht.build(24)
-        for index in range(60):
-            key = f"key-{index}"
-            assert dht.lookup(key) == ring_oracle(dht, key)
-
-    def test_put_get_remove(self):
-        dht = ChordDht.build(12)
-        dht.put("k", "v", records_moved=2)
-        assert dht.get("k") == "v"
-        assert dht.stats.records_moved == 2
-        assert dht.remove("k") == "v"
-        with pytest.raises(DhtKeyError):
-            dht.remove("k")
-
-    def test_value_lands_on_oracle_owner(self):
-        dht = ChordDht.build(16)
-        dht.put("payload", 123)
-        owner = dht.node(ring_oracle(dht, "payload"))
-        assert owner.store.get("payload") == 123
-
     def test_routing_hops_logarithmic(self):
         dht = ChordDht.build(64)
         dht.stats.reset()
@@ -41,15 +17,6 @@ class TestStaticRing:
             dht.lookup(f"key-{index}")
         # log2(64) = 6; allow generous slack but exclude O(N) walks.
         assert dht.stats.hops / lookups < 10
-
-    def test_single_node_ring(self):
-        dht = ChordDht.build(1)
-        dht.put("k", 1)
-        assert dht.get("k") == 1
-
-    def test_build_rejects_zero(self):
-        with pytest.raises(ReproError):
-            ChordDht.build(0)
 
     def test_ring_pointers_consistent(self):
         dht = ChordDht.build(10)
@@ -63,27 +30,6 @@ class TestStaticRing:
 
 
 class TestJoin:
-    def test_join_takes_over_key_range(self):
-        dht = ChordDht.build(8)
-        for index in range(100):
-            dht.put(f"key-{index}", index)
-        dht.join("chord-newcomer")
-        dht.stabilize_all(3)
-        newcomer = dht.node("chord-newcomer")
-        # Every key the newcomer holds is rightfully theirs.
-        for key, _ in newcomer.store.items():
-            assert ring_oracle(dht, key) == "chord-newcomer"
-        # No data lost.
-        assert sum(1 for _ in dht.items()) == 100
-        # Lookups route correctly to the newcomer afterwards.
-        for key, _ in list(newcomer.store.items())[:5]:
-            assert dht.lookup(key) == "chord-newcomer"
-
-    def test_duplicate_join_rejected(self):
-        dht = ChordDht.build(4)
-        with pytest.raises(ReproError):
-            dht.join("chord-0000")
-
     def test_many_joins_converge(self):
         dht = ChordDht.build(4)
         for index in range(6):
@@ -95,17 +41,6 @@ class TestJoin:
 
 
 class TestLeaveAndFail:
-    def test_graceful_leave_hands_off_data(self):
-        dht = ChordDht.build(10)
-        for index in range(80):
-            dht.put(f"key-{index}", index)
-        victim = dht.peers()[3]
-        dht.leave(victim)
-        dht.stabilize_all(3)
-        assert sum(1 for _ in dht.items()) == 80
-        for index in range(0, 80, 7):
-            assert dht.get(f"key-{index}") == index
-
     def test_crash_loses_only_victim_data(self):
         dht = ChordDht.build(10)
         for index in range(80):
@@ -118,13 +53,6 @@ class TestLeaveAndFail:
         # Ring still routes for every surviving key.
         for key, value in list(dht.items())[:10]:
             assert dht.get(key) == value
-
-    def test_unknown_peer_rejected(self):
-        dht = ChordDht.build(4)
-        with pytest.raises(ReproError):
-            dht.leave("ghost")
-        with pytest.raises(ReproError):
-            dht.fail("ghost")
 
     def test_successor_lists_recover_after_crash(self):
         dht = ChordDht.build(12)

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.common.errors import DhtKeyError, ReproError
 from repro.dht.hashing import key_digest, xor_distance
 from repro.dht.kademlia import BUCKET_SIZE, KademliaDht, KademliaNode
 from repro.net.simnet import SimNetwork
-
-
-def xor_oracle(dht: KademliaDht, key: str) -> str:
-    return dht.peer_of(key)
 
 
 class TestRoutingTable:
@@ -50,54 +45,12 @@ class TestRoutingTable:
 
 
 class TestOverlay:
-    def test_lookup_agrees_with_xor_oracle(self):
-        dht = KademliaDht.build(24)
-        for index in range(50):
-            key = f"key-{index}"
-            assert dht.lookup(key) == xor_oracle(dht, key)
-
-    def test_put_get_remove(self):
-        dht = KademliaDht.build(12)
-        dht.put("k", "v", records_moved=1)
-        assert dht.get("k") == "v"
-        assert dht.remove("k") == "v"
-        with pytest.raises(DhtKeyError):
-            dht.remove("k")
-
-    def test_value_lands_on_closest_node(self):
-        dht = KademliaDht.build(16)
-        dht.put("payload", 42)
-        owner = dht.node(xor_oracle(dht, "payload"))
-        assert owner.store.get("payload") == 42
-
     def test_hops_bounded(self):
         dht = KademliaDht.build(32)
         dht.stats.reset()
         for index in range(30):
             dht.lookup(f"key-{index}")
         assert dht.stats.hops / 30 < 3 * BUCKET_SIZE
-
-    def test_build_rejects_zero(self):
-        with pytest.raises(ReproError):
-            KademliaDht.build(0)
-
-    def test_join_pulls_owned_keys(self):
-        dht = KademliaDht.build(8)
-        for index in range(60):
-            dht.put(f"key-{index}", index)
-        dht.join("kad-late")
-        late = dht.node("kad-late")
-        for key, _ in late.store.items():
-            assert xor_oracle(dht, key) == "kad-late"
-        assert sum(1 for _ in dht.items()) == 60
-        # Storage still routable.
-        for index in range(0, 60, 7):
-            assert dht.get(f"key-{index}") == index
-
-    def test_duplicate_join_rejected(self):
-        dht = KademliaDht.build(4)
-        with pytest.raises(ReproError):
-            dht.join("kad-0000")
 
 
 class TestNoLiveContactIsTyped:
