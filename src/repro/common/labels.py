@@ -75,7 +75,7 @@ def is_valid_label(label: str, dims: int) -> bool:
     """
     if dims < 1:
         return False
-    if not label or any(ch not in "01" for ch in label):
+    if not label or label.strip("01"):
         return False
     if label == virtual_root(dims):
         return True

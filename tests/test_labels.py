@@ -52,6 +52,24 @@ class TestValidity:
     def test_virtual_root_is_valid(self):
         assert is_valid_label("000", 3)
 
+    @given(
+        st.one_of(st.text(), st.text(alphabet="01x\u0661", max_size=12)),
+        st.integers(min_value=-1, max_value=4),
+    )
+    def test_agrees_with_the_per_character_reference(self, label, dims):
+        """``str.strip`` replaced a per-character scan on the hot path;
+        the scan stays here as the reference predicate."""
+        reference = (
+            dims >= 1
+            and bool(label)
+            and not any(ch not in "01" for ch in label)
+            and (
+                label == "0" * dims
+                or label.startswith("0" * dims + "1")
+            )
+        )
+        assert is_valid_label(label, dims) == reference
+
 
 class TestNavigation:
     def test_depth_of_root_is_zero(self):
