@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint loc test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test experiments experiments-full clean
+.PHONY: install lint loc test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test perf-pairs experiments experiments-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -64,6 +64,11 @@ perf:
 
 perf-test:
 	PYTHONPATH=src $(PYTHON) -m pytest perf/ -q
+
+# Alternating parent/change pairs of every workload, judged against the
+# bounds in BENCHMARK.json (tools/perf_pairs.py): make perf-pairs PARENT=<rev>
+perf-pairs:
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT)
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all --charts

@@ -30,17 +30,20 @@ probe is metered like any other DHT-get.
 
 The search itself lives in :class:`PointLookupCursor`, a resumable
 state machine that exposes the *next key to probe* and consumes probe
-outcomes one at a time.  :func:`lookup_point` drives one cursor to
-completion sequentially; the range-query engine instead folds one step
-of every in-flight cursor into each of its parallel rounds, so
-concurrent fallback searches advance together with the frontier.
+outcomes one at a time.  :func:`lookup_point` hands one cursor to the
+substrate's :meth:`~repro.dht.api.Dht.drive`, which runs it to
+completion one metered get per probe — on the service runtime without
+leaving the event loop between probes; the range-query engine instead
+folds one step of every in-flight cursor into each of its parallel
+rounds, so concurrent fallback searches advance together with the
+frontier.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.errors import IndexCorruptionError, NodeUnreachableError
+from repro.common.errors import IndexCorruptionError
 from repro.common.geometry import Point, check_point
 from repro.common.labels import packed_candidate, unpack_label
 from repro.core.cache import LeafCache
@@ -74,6 +77,10 @@ class PointLookupCursor:
     tallies land on *stats*), so concurrently-driven cursors all
     propose against the same cache state regardless of execution order.
     """
+
+    #: :meth:`~repro.dht.api.Dht.drive` feeds it one metered get at a
+    #: time, not rounds.
+    batched = False
 
     __slots__ = (
         "_stats",
@@ -320,13 +327,6 @@ def _drive_lookup(
         cache=cache,
         tracer=tracer,
     )
-    while not cursor.done:
-        try:
-            bucket = dht.get(cursor.current_key())
-        except NodeUnreachableError:
-            if not cursor.probe_failed():
-                raise
-            continue
-        cursor.advance(bucket)
+    dht.drive(cursor)
     assert cursor.result is not None
     return cursor.result

@@ -3,16 +3,20 @@
 The m-LIGHT algorithms are described round-wise: each step produces a
 set of *independent* probes (Section 6's parallel subqueries, Fig. 7's
 lookahead frontier, one step of each in-flight fallback chain).  A
-plane decides how one round's probes hit the substrate:
+plane runs a round cursor (:class:`~repro.core.rangequery.RangeCursor`)
+and decides how each round's probes hit the substrate:
 
 * :class:`SequentialPlane` issues them one ``get`` at a time — the
   reference semantics every equivalence test compares against, and the
   right plane for substrates or experiments that must observe each
   probe individually.
-* :class:`BatchedPlane` issues each round as one
-  :meth:`~repro.dht.api.Dht.get_many`, so batch-capable substrates
-  execute the round concurrently and time-modelling substrates charge
-  the round its critical path instead of the sum of its probes.
+* :class:`BatchedPlane` hands the cursor to the substrate's own driver
+  (:meth:`~repro.dht.api.Dht.drive`), which issues each round as one
+  :meth:`~repro.dht.api.Dht.get_many_outcomes`: batch-capable
+  substrates execute the round concurrently, time-modelling substrates
+  charge the round its critical path instead of the sum of its probes,
+  and the service runtime runs all of a query's rounds without leaving
+  its event loop.
 
 Both planes return one outcome per key in issuance order, so engines
 process identical outcomes in identical order: answers and per-element
@@ -63,9 +67,14 @@ class SequentialPlane:
         with tracer.span("round", "sequential_round", probes=len(keys)):
             return [_capture(self._dht.get, key) for key in keys]
 
+    def run(self, cursor) -> None:
+        """Drive *cursor* to completion, one ``get`` per round key."""
+        while not cursor.done:
+            cursor.advance_round(self.get_round(cursor.round_keys()))
+
 
 class BatchedPlane:
-    """One ``get_many`` per round of probes."""
+    """One ``get_many`` per round of probes, issued by the substrate."""
 
     batched = True
 
@@ -74,11 +83,17 @@ class BatchedPlane:
         self.tracer = tracer
 
     def get_round(self, keys: Sequence[str]) -> list[Any]:
+        """One round on its own, for a caller that has no cursor (the
+        perf harness spans this name)."""
         tracer = self.tracer
         if tracer is None:
             return self._dht.get_many_outcomes(keys)
         with tracer.span("round", "batched_round", probes=len(keys)):
             return self._dht.get_many_outcomes(keys)
+
+    def run(self, cursor) -> None:
+        """Drive *cursor* to completion where the substrate's IO is."""
+        self._dht.drive(cursor)
 
 
 def make_plane(

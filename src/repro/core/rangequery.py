@@ -45,16 +45,18 @@ over a faulty substrate never raises
 :class:`~repro.common.errors.NodeUnreachableError` — it returns what
 it could prove, and says what it couldn't.
 
-One kernel, three drivers: every *decision* of Algorithms 2/3 lives in
+One kernel, thin drivers: every *decision* of Algorithms 2/3 lives in
 this module as sans-IO code — :func:`compute_lca` (where to jump),
 :func:`branch_subqueries` (the probe-outcome case analysis),
 :func:`fallback_cursor` (the bounded search for a missing target),
-:func:`peer_subquery` (one peer's step as a resumable state machine)
-and :func:`query_via_peers` (folding a peer-side answer into a
-result).  The drivers own only transport and metering:
-:class:`RangeQueryEngine` below (one client, BFS-batched rounds), the
-``SimNetwork`` RPC agents of :mod:`repro.core.distributed`, and the
-asyncio ``MCAST`` handler of :mod:`repro.mcast.service`.
+:class:`RangeCursor` (one client's BFS-batched rounds as a resumable
+state machine), :func:`peer_subquery` (one peer's step as another) and
+:func:`query_via_peers` (folding a peer-side answer into a result).
+The drivers own only transport and metering:
+:meth:`~repro.dht.api.Dht.drive` (the client's rounds — in process, or
+on the service runtime's loop), the ``SimNetwork`` RPC agents of
+:mod:`repro.core.distributed`, and the asyncio ``MCAST`` handler of
+:mod:`repro.mcast.service`.
 
 CPU hot path: with rounds batched (PR 2), local computation dominates
 wall-clock.  Every ``region_of_label`` this engine issues (LCA
@@ -103,6 +105,7 @@ __all__ = [
     "Hop",
     "HopOutcome",
     "Probe",
+    "RangeCursor",
     "RangeQueryEngine",
     "RangeQueryResult",
     "branch_subqueries",
@@ -353,14 +356,208 @@ def query_via_peers(
     ).build()
 
 
+class RangeCursor:
+    """One range query's breadth-first rounds, resumable and sans-IO.
+
+    The round-wise counterpart of :class:`PointLookupCursor`: the
+    cursor holds the frontier, the in-flight fallback searches and the
+    result under construction; the caller owns the DHT traffic.  Ask
+    :meth:`round_keys` for the keys of the next parallel round, fetch
+    them however the substrate does (one outcome per key, in order, a
+    :class:`~repro.dht.api.BatchFailure` in an unreachable slot), feed
+    them back through :meth:`advance_round`, repeat until :attr:`done`.
+    :meth:`~repro.dht.api.Dht.drive` is that loop.
+
+    A round carries every independent probe in flight: the new
+    frontier (this wave's targets — branch regions are disjoint, so
+    their probes never depend on each other) plus the next step of
+    every fallback chain still running from earlier waves.  A chain
+    only depends on its own earlier probes, never on later frontiers,
+    so it advances *concurrently* with them — exactly the paper's
+    latency model, where ``rounds`` equals the number of issued
+    rounds: the longest chain pushes the loop exactly ``len(chain)``
+    iterations past the wave that spawned it.
+
+    Targets that turn out missing open a point-lookup cursor
+    (Algorithm 2's fallback) whose first probe — dependent on this
+    round's miss — joins the *next* round.  Outcomes are processed in
+    issuance order, so collection order, and therefore the result, is
+    the same however the round was fetched.
+
+    Unreachable probes degrade per-slot: a failed frontier probe marks
+    its disjoint subquery unresolved, a failed cursor step either
+    re-routes (dead cache hint, see
+    :meth:`~repro.core.lookup.PointLookupCursor.probe_failed`) or marks
+    the cursor's subquery unresolved.  Every other slot in the round is
+    dispatched normally.
+    """
+
+    #: :meth:`~repro.dht.api.Dht.drive` feeds it whole rounds.
+    batched = True
+
+    __slots__ = (
+        "_stats",
+        "_query",
+        "_levels",
+        "_dims",
+        "_max_depth",
+        "_cache",
+        "_tasks",
+        "_pending",
+        "_frontier",
+        "builder",
+        "tracer",
+    )
+
+    def __init__(
+        self,
+        stats: DhtStats,
+        query: Region,
+        levels: int,
+        dims: int,
+        max_depth: int,
+        *,
+        cache: LeafCache | None = None,
+        tracer: "Tracer | None" = None,
+    ) -> None:
+        self._stats = stats
+        self._query = query
+        self._levels = levels
+        self._dims = dims
+        self._max_depth = max_depth
+        self._cache = cache
+        self.tracer = tracer
+        self.builder = RangeQueryBuilder()
+        lca = compute_lca(query, dims, max_depth)
+        self._tasks = [_Task(lca, query, root_label(dims))]
+        self._pending: list[tuple[PointLookupCursor, Region]] = []
+        #: The expanded tasks of the round in flight.
+        self._frontier: list[_Task] = []
+
+    @property
+    def done(self) -> bool:
+        """True once no subquery and no fallback search is left."""
+        return not (self._tasks or self._pending)
+
+    def round_keys(self) -> list[str]:
+        """Open the next round: its frontier keys, then one key per
+        in-flight fallback search."""
+        builder = self.builder
+        builder.open_round()
+        frontier: list[_Task] = []
+        for task in self._tasks:
+            frontier.extend(self._expand(task))
+        self._frontier = frontier
+        keys = [
+            bucket_key(naming_function(task.target, self._dims))
+            for task in frontier
+        ]
+        keys.extend(cursor.current_key() for cursor, _ in self._pending)
+        builder.lookups += len(keys)
+        return keys
+
+    def advance_round(self, outcomes: list[Any]) -> None:
+        """Consume the outcomes of the keys :meth:`round_keys` gave."""
+        builder = self.builder
+        frontier = self._frontier
+        still_pending: list[tuple[PointLookupCursor, Region]] = []
+        for (cursor, subquery), bucket in zip(
+            self._pending, outcomes[len(frontier):]
+        ):
+            if isinstance(bucket, BatchFailure):
+                if cursor.probe_failed():
+                    still_pending.append((cursor, subquery))
+                else:
+                    self._mark_unresolved(subquery)
+                continue
+            cursor.advance(bucket)
+            if cursor.done:
+                self._collect(cursor.result.bucket)
+            else:
+                still_pending.append((cursor, subquery))
+
+        next_tasks: list[_Task] = []
+        for task, bucket in zip(frontier, outcomes):
+            if isinstance(bucket, BatchFailure):
+                self._mark_unresolved(task.subquery)
+            elif bucket is None:
+                still_pending.append(
+                    (self._fallback_cursor(task), task.subquery)
+                )
+            else:
+                branches = branch_subqueries(
+                    bucket.label, task.target, task.subquery, self._dims
+                )
+                self._collect(bucket)
+                for branch, clipped in branches:
+                    next_tasks.append(_Task(branch, clipped, branch))
+        self._tasks = next_tasks
+        self._pending = still_pending
+
+    def _expand(self, task: _Task) -> list[_Task]:
+        """Speculative frontier of *task* ``levels`` deeper (parallel
+        variant); the frontier cells tile the target cell, so coverage
+        is preserved.  ``levels == 0`` returns the task unchanged."""
+        frontier = [task]
+        for _ in range(self._levels):
+            deeper: list[_Task] = []
+            for item in frontier:
+                if label_depth(item.target, self._dims) >= self._max_depth:
+                    deeper.append(item)
+                    continue
+                for child in (item.target + "0", item.target + "1"):
+                    clipped = clip(
+                        item.subquery, region_of_label(child, self._dims)
+                    )
+                    if clipped is not None:
+                        deeper.append(_Task(child, clipped, item.anchor))
+            frontier = deeper
+        return frontier
+
+    def _fallback_cursor(self, task: _Task) -> PointLookupCursor:
+        return fallback_cursor(
+            self._stats,
+            task.target,
+            task.subquery,
+            self._dims,
+            self._max_depth,
+            anchor=task.anchor,
+            cache=self._cache,
+            tracer=self.tracer,
+        )
+
+    def _mark_unresolved(self, region: Region) -> None:
+        """Record a degraded subregion, annotating the active trace."""
+        self.builder.mark_unresolved(region)
+        if self.tracer is not None:
+            self.tracer.event(
+                "unresolved",
+                lows=list(region.lows),
+                highs=list(region.highs),
+            )
+
+    def _collect(self, bucket: LeafBucket) -> None:
+        """Add *bucket*'s matching records once (leaves are disjoint, so
+        per-leaf dedup makes the result set exact), warming the cache
+        with the visited leaf."""
+        if self._cache is not None:
+            self._cache.observe(bucket.label)
+        if bucket.label in self.builder.visited_leaves:
+            return
+        self.builder.collect(bucket.label, bucket.matching(self._query))
+
+
 class RangeQueryEngine:
     """Executes range queries; one instance per (dht, geometry).
 
-    *batched* selects the execution plane: batched (the default) issues
-    each recursion level's independent probes as one
-    :meth:`~repro.dht.api.Dht.get_many` round, sequential issues one
-    ``get`` per probe.  Answers and per-element lookup meters are
-    identical either way — the plane only changes round structure.
+    *batched* selects the execution plane: batched (the default) hands
+    each query's :class:`RangeCursor` to the substrate's
+    :meth:`~repro.dht.api.Dht.drive`, which issues each recursion
+    level's independent probes as one
+    :meth:`~repro.dht.api.Dht.get_many_outcomes` round; sequential
+    issues one ``get`` per probe.  Answers and per-element lookup
+    meters are identical either way — the plane only changes round
+    structure.
     """
 
     def __init__(
@@ -419,18 +616,20 @@ class RangeQueryEngine:
             return result
 
     def _execute(self, query: Region, levels: int) -> RangeQueryResult:
-        builder = RangeQueryBuilder()
-        batch_rounds_before = self._dht.stats.batch_rounds
-        lca = compute_lca(query, self._dims, self._max_depth)
-        tasks = [_Task(lca, query, root_label(self._dims))]
-        pending: list[tuple[PointLookupCursor, Region]] = []
-        while tasks or pending:
-            tasks, pending = self._run_round(
-                tasks, pending, levels, query, builder
-            )
-        builder.batch_rounds = (
-            self._dht.stats.batch_rounds - batch_rounds_before
+        stats = self._dht.stats
+        batch_rounds_before = stats.batch_rounds
+        cursor = RangeCursor(
+            stats,
+            query,
+            levels,
+            self._dims,
+            self._max_depth,
+            cache=self._cache,
+            tracer=self.tracer,
         )
+        self._plane.run(cursor)
+        builder = cursor.builder
+        builder.batch_rounds = stats.batch_rounds - batch_rounds_before
         if self._plane.batched:
             # Reconcile the latency meters: under the batched plane
             # every issued wave is normally exactly one batch round, so
@@ -442,154 +641,3 @@ class RangeQueryEngine:
             # the retry rounds; fault-free queries are unaffected.
             builder.rounds = max(builder.rounds, builder.batch_rounds)
         return builder.build()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _run_round(
-        self,
-        tasks: list[_Task],
-        pending: list[tuple[PointLookupCursor, Region]],
-        levels: int,
-        query: Region,
-        builder: RangeQueryBuilder,
-    ) -> tuple[list[_Task], list[tuple[PointLookupCursor, Region]]]:
-        """Issue one parallel round and dispatch its outcomes.
-
-        A round carries every independent probe in flight: the new
-        frontier (this wave's targets — branch regions are disjoint,
-        so their probes never depend on each other) plus the next step
-        of every fallback chain still running from earlier waves.  A
-        chain only depends on its own earlier probes, never on later
-        frontiers, so it advances *concurrently* with them — exactly
-        the paper's latency model, where ``rounds`` equals the number
-        of issued rounds: the longest chain pushes the loop exactly
-        ``len(chain)`` iterations past the wave that spawned it.
-
-        Targets that turn out missing open a point-lookup cursor
-        (Algorithm 2's fallback) whose first probe — dependent on this
-        round's miss — joins the *next* round.  Outcomes are processed
-        in issuance order, so collection order, and therefore the
-        result, is identical on both planes.
-
-        Unreachable probes (a :class:`~repro.dht.api.BatchFailure`
-        slot — the plane captures them so one dead probe never aborts
-        the round) degrade per-slot: a failed frontier probe marks its
-        disjoint subquery unresolved, a failed cursor step either
-        re-routes (dead cache hint, see
-        :meth:`~repro.core.lookup.PointLookupCursor.probe_failed`) or
-        marks the cursor's subquery unresolved.  Every other slot in
-        the round is dispatched normally.
-        """
-        builder.open_round()
-        frontier: list[_Task] = []
-        for task in tasks:
-            frontier.extend(self._expand(task, levels))
-        keys = [
-            bucket_key(naming_function(task.target, self._dims))
-            for task in frontier
-        ]
-        step_keys = [cursor.current_key() for cursor, _ in pending]
-        builder.lookups += len(keys) + len(step_keys)
-        outcomes = self._plane.get_round(keys + step_keys)
-
-        still_pending: list[tuple[PointLookupCursor, Region]] = []
-        for (cursor, subquery), bucket in zip(
-            pending, outcomes[len(keys):]
-        ):
-            if isinstance(bucket, BatchFailure):
-                if cursor.probe_failed():
-                    still_pending.append((cursor, subquery))
-                else:
-                    self._mark_unresolved(builder, subquery)
-                continue
-            cursor.advance(bucket)
-            if cursor.done:
-                self._collect(cursor.result.bucket, query, builder)
-            else:
-                still_pending.append((cursor, subquery))
-
-        next_tasks: list[_Task] = []
-        for task, bucket in zip(frontier, outcomes[: len(keys)]):
-            if isinstance(bucket, BatchFailure):
-                self._mark_unresolved(builder, task.subquery)
-            elif bucket is None:
-                still_pending.append(
-                    (self._fallback_cursor(task), task.subquery)
-                )
-            else:
-                self._dispatch(task, bucket, query, builder, next_tasks)
-        return next_tasks, still_pending
-
-    def _expand(self, task: _Task, levels: int) -> list[_Task]:
-        """Speculative frontier of *task* ``levels`` deeper (parallel
-        variant); the frontier cells tile the target cell, so coverage
-        is preserved.  ``levels == 0`` returns the task unchanged."""
-        frontier = [task]
-        for _ in range(levels):
-            deeper: list[_Task] = []
-            for item in frontier:
-                if label_depth(item.target, self._dims) >= self._max_depth:
-                    deeper.append(item)
-                    continue
-                for child in (item.target + "0", item.target + "1"):
-                    clipped = clip(
-                        item.subquery, region_of_label(child, self._dims)
-                    )
-                    if clipped is not None:
-                        deeper.append(_Task(child, clipped, item.anchor))
-            frontier = deeper
-        return frontier
-
-    def _dispatch(
-        self,
-        task: _Task,
-        bucket: LeafBucket,
-        query: Region,
-        builder: RangeQueryBuilder,
-        next_tasks: list[_Task],
-    ) -> None:
-        """Collect one resolved probe's leaf and queue its branches."""
-        branches = branch_subqueries(
-            bucket.label, task.target, task.subquery, self._dims
-        )
-        self._collect(bucket, query, builder)
-        for branch, clipped in branches:
-            next_tasks.append(_Task(branch, clipped, branch))
-
-    def _fallback_cursor(self, task: _Task) -> PointLookupCursor:
-        return fallback_cursor(
-            self._dht.stats,
-            task.target,
-            task.subquery,
-            self._dims,
-            self._max_depth,
-            anchor=task.anchor,
-            cache=self._cache,
-            tracer=self.tracer,
-        )
-
-    def _mark_unresolved(
-        self, builder: RangeQueryBuilder, region: Region
-    ) -> None:
-        """Record a degraded subregion, annotating the active trace."""
-        builder.mark_unresolved(region)
-        if self.tracer is not None:
-            self.tracer.event(
-                "unresolved",
-                lows=list(region.lows),
-                highs=list(region.highs),
-            )
-
-    def _collect(
-        self, bucket: LeafBucket, query: Region, builder: RangeQueryBuilder
-    ) -> None:
-        """Add *bucket*'s matching records once (leaves are disjoint, so
-        per-leaf dedup makes the result set exact), warming the cache
-        with the visited leaf."""
-        if self._cache is not None:
-            self._cache.observe(bucket.label)
-        if bucket.label in builder.visited_leaves:
-            return
-        builder.collect(bucket.label, bucket.matching(query))

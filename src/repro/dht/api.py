@@ -560,12 +560,60 @@ class Dht(ABC):
         must exist; raising otherwise catches index-layer bugs where a
         "free" write would actually have required routing.
         """
-        if not self._do_contains(key):
+        if not self._do_rewrite(key, value):
             raise DhtKeyError(
                 f"rewrite_local of absent key {key!r}; a routed put is "
                 "required to create it"
             )
-        self._do_put(key, value)
+
+    # ------------------------------------------------------------------
+    # Driving sans-IO read cursors
+    # ------------------------------------------------------------------
+
+    def drive(self, cursor: Any) -> None:
+        """Run a sans-IO read cursor to completion against this facade.
+
+        A cursor holds every decision of one read operation and none of
+        its IO; it never calls the facade.  Two shapes, told apart by
+        ``cursor.batched``:
+
+        * a *probe* cursor (``PointLookupCursor``) wants one key at a
+          time: ``current_key()`` is fetched with a metered :meth:`get`
+          and fed to ``advance(value)``; an unreachable probe goes to
+          ``probe_failed()``, which says whether the search can go on;
+        * a *round* cursor (``RangeCursor``) wants one parallel round
+          at a time: ``round_keys()`` go out as one
+          :meth:`get_many_outcomes` (inside a ``round`` span of
+          ``cursor.tracer``) and the per-slot outcomes go back through
+          ``advance_round(outcomes)``.
+
+        Either way the loop ends when ``cursor.done``.  This body is
+        the driver for every in-process substrate and — because
+        :class:`DhtDecorator` does not forward it — for every wrapped
+        stack, whose ``get``/``get_many_outcomes`` overrides therefore
+        see each probe.  A substrate with a runtime of its own
+        overrides it to run the same loop where its IO lives
+        (``ServiceDht``: one coroutine on the service loop).
+        """
+        if not cursor.batched:
+            while not cursor.done:
+                try:
+                    value = self.get(cursor.current_key())
+                except NodeUnreachableError:
+                    if not cursor.probe_failed():
+                        raise
+                    continue
+                cursor.advance(value)
+            return
+        tracer = cursor.tracer
+        while not cursor.done:
+            keys = cursor.round_keys()
+            if tracer is None:
+                outcomes = self.get_many_outcomes(keys)
+            else:
+                with tracer.span("round", "batched_round", probes=len(keys)):
+                    outcomes = self.get_many_outcomes(keys)
+            cursor.advance_round(outcomes)
 
     # ------------------------------------------------------------------
     # Zero-cost oracle access (metrics, tests, debugging only)
@@ -622,6 +670,15 @@ class Dht(ABC):
         substrates override this with a single point-to-point RPC."""
         return self._do_get(key)
 
+    def _do_rewrite(self, key: str, value: Any) -> bool:
+        """Replace the value at *key* where it is stored; False (and no
+        write) when it is stored nowhere.  The default asks, then puts;
+        substrates that can reach the holders do it in one step."""
+        if not self._do_contains(key):
+            return False
+        self._do_put(key, value)
+        return True
+
     # ------------------------------------------------------------------
     # Batch primitives (unmetered; overridable per substrate)
     # ------------------------------------------------------------------
@@ -654,6 +711,11 @@ class DhtDecorator(Dht):
     subclass overrides only what it changes — public operations to
     intercept whole calls (retry, adaptive reads), ``_do_*`` primitives
     to intercept below the metering (fault injection).
+
+    The one thing deliberately *not* forwarded is :meth:`Dht.drive`: a
+    wrapped stack keeps the base driver loop, so every probe of a
+    lookup or range query passes through the wrappers' ``get`` /
+    ``get_many_outcomes`` and can be retried, faulted or redirected.
 
     *clock* defaults to the stack's own: the clock of a decorator
     underneath, else the clock of the ``network`` the substrate routes
@@ -789,6 +851,9 @@ class DhtDecorator(Dht):
 
     def _do_contains(self, key: str) -> bool:
         return self._inner._do_contains(key)
+
+    def _do_rewrite(self, key: str, value: Any) -> bool:
+        return self._inner._do_rewrite(key, value)
 
     def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
         return self._inner._do_get_many(keys)

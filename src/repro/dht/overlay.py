@@ -395,8 +395,8 @@ class RoutedOverlay(Dht):
             for target in self._targets(key)
         )
 
-    def rewrite_local(self, key: str, value: Any) -> None:
-        """Zero-cost in-place rewrite by whichever peers hold the key.
+    def _do_rewrite(self, key: str, value: Any) -> bool:
+        """In-place rewrite by whichever peers hold the key.
 
         On a routed substrate this models the storing peer updating its
         own store — no routing, no wire messages (the base-class
@@ -406,13 +406,9 @@ class RoutedOverlay(Dht):
         holders = [
             node for node in self._nodes.values() if key in node.store
         ]
-        if not holders:
-            raise DhtKeyError(
-                f"rewrite_local of absent key {key!r}; a routed put is "
-                "required to create it"
-            )
         for node in holders:
             node.store.put(key, value)
+        return bool(holders)
 
     # ------------------------------------------------------------------
     # Batch primitives: one message round, one chain per element

@@ -47,6 +47,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 from typing import Any, TextIO
@@ -179,6 +180,12 @@ class Tracer:
     when given, receives every finished span's timing via
     :meth:`~repro.obs.registry.MetricsRegistry.observe_span` so span
     durations accumulate into labeled histograms.
+
+    The stack of open spans is context-local (:mod:`contextvars`): each
+    client thread and each asyncio task nests its own spans, and code
+    started with a copy of a caller's context — the service runtime's
+    bridge, ``asyncio.gather`` children — parents under the span that
+    caller had open.  One tracer therefore serves concurrent clients.
     """
 
     def __init__(
@@ -194,7 +201,11 @@ class Tracer:
         self.registry = registry
         self._keep = keep
         self._ids = itertools.count(1)
-        self._stack: list[Span] = []
+        #: Open spans of the current context, outermost first.  An
+        #: immutable tuple: a copied context must not see later pushes.
+        self._stack: ContextVar[tuple[Span, ...]] = ContextVar(
+            "repro-span-stack", default=()
+        )
         self.spans: list[Span] = []
 
     # ------------------------------------------------------------------
@@ -204,7 +215,8 @@ class Tracer:
     @property
     def current(self) -> Span | None:
         """The innermost open span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
+        stack = self._stack.get()
+        return stack[-1] if stack else None
 
     def _now_sim(self) -> float | None:
         clock = self.clock
@@ -213,7 +225,8 @@ class Tracer:
     @contextmanager
     def span(self, kind: str, name: str, **attrs: Any) -> Iterator[Span]:
         """Open a child span of the current span (or a new root)."""
-        parent = self._stack[-1].span_id if self._stack else None
+        stack = self._stack.get()
+        parent = stack[-1].span_id if stack else None
         span = Span(
             span_id=next(self._ids),
             parent_id=parent,
@@ -223,7 +236,7 @@ class Tracer:
             sim_start=self._now_sim(),
             attrs=dict(attrs),
         )
-        self._stack.append(span)
+        token = self._stack.set(stack + (span,))
         try:
             yield span
         except BaseException as error:
@@ -231,8 +244,7 @@ class Tracer:
             span.attrs.setdefault("error", repr(error))
             raise
         finally:
-            popped = self._stack.pop()
-            assert popped is span, "span stack corrupted"
+            self._stack.reset(token)
             span.wall_end = time.perf_counter()
             span.sim_end = self._now_sim()
             if self._keep:
@@ -249,9 +261,9 @@ class Tracer:
         events unconditionally and a bare (un-spanned) DHT call has no
         tree to hang them on.
         """
-        if not self._stack:
+        span = self.current
+        if span is None:
             return
-        span = self._stack[-1]
         span.events.append(
             {
                 "name": name,
@@ -262,8 +274,9 @@ class Tracer:
 
     def annotate(self, **attrs: Any) -> None:
         """Merge *attrs* into the current span (no-op outside spans)."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
+        span = self.current
+        if span is not None:
+            span.attrs.update(attrs)
 
     # ------------------------------------------------------------------
     # Component wiring
@@ -314,9 +327,10 @@ class Tracer:
 
     def export_jsonl(self, path: str) -> int:
         """Write every retained span to *path*; returns the count."""
-        if self._stack:
+        open_spans = len(self._stack.get())
+        if open_spans:
             raise ReproError(
-                f"cannot export while {len(self._stack)} spans are open"
+                f"cannot export while {open_spans} spans are open"
             )
         sink = JsonlTraceSink(path)
         try:

@@ -24,6 +24,7 @@ and wall-clock latency.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import itertools
 import threading
 import time
@@ -370,8 +371,35 @@ class _LoopThread:
             self.loop.close()
 
     def run(self, coro) -> Any:
-        """Run *coro* on the loop from any caller thread, blocking."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
+        """Run *coro* on the loop from any other thread, blocking.
+
+        One crossing: the coroutine starts as a task in a copy of the
+        caller's context (so tracer spans it opens parent under the
+        caller's open span), and its done-callback releases the
+        one-shot lock the caller waits on.  The task's result or
+        exception surfaces here.
+        """
+        if threading.get_ident() == self._thread.ident:
+            coro.close()
+            raise ReproError(
+                "blocking ServiceDht call made on the service loop thread "
+                "(from an installed handler?); it would wait for the loop "
+                "it is blocking — await ServiceDht.call_captured instead"
+            )
+        done = threading.Lock()
+        done.acquire()
+        tasks: list[asyncio.Task] = []
+
+        def start() -> None:
+            task = self.loop.create_task(coro)
+            tasks.append(task)
+            task.add_done_callback(lambda _: done.release())
+
+        self.loop.call_soon_threadsafe(
+            start, context=contextvars.copy_context()
+        )
+        done.acquire()
+        return tasks[0].result()
 
     def stop(self) -> None:
         self.loop.call_soon_threadsafe(self.loop.stop)
@@ -574,17 +602,23 @@ class ServiceDht(Dht):
     def peers(self) -> list[str]:
         return self._ring.peers()
 
-    def items(self) -> Iterator[tuple[str, Any]]:
+    def _peer_items(self) -> dict[str, list[tuple[str, Any]]]:
+        """Each actor's (key, value) pairs, copied on the loop thread:
+        it mutates the stores, so only it may iterate them."""
         if self._loop_thread is None:
-            return iter(())
-        return iter(self._bridge().run(self._snapshot_items()))
+            return {}
+        return self._bridge().run(self._snapshot_items())
 
-    async def _snapshot_items(self) -> list[tuple[str, Any]]:
-        return [
-            pair
-            for actor in self._actors.values()
-            for pair in actor.peer.store.items()
-        ]
+    async def _snapshot_items(self) -> dict[str, list[tuple[str, Any]]]:
+        return {
+            name: list(actor.peer.store.items())
+            for name, actor in self._actors.items()
+        }
+
+    def items(self) -> Iterator[tuple[str, Any]]:
+        return (
+            pair for pairs in self._peer_items().values() for pair in pairs
+        )
 
     def key_count(self) -> int:
         """Stored keys via the non-decoding ``keys()`` walk."""
@@ -598,13 +632,12 @@ class ServiceDht(Dht):
     def load_by_peer(self, weigh=None) -> dict[str, int]:
         """Per-peer storage load (same contract as ``LocalDht``)."""
         loads = dict.fromkeys(self._ring.peers(), 0)
-        if self._loop_thread is None:
-            return loads
-        for name, actor in self._actors.items():
-            total = 0
-            for _, value in actor.peer.store.items():
-                total += 1 if weigh is None else weigh(value)
-            loads[name] = total
+        for name, pairs in self._peer_items().items():
+            loads[name] = (
+                len(pairs)
+                if weigh is None
+                else sum(weigh(value) for _, value in pairs)
+            )
         return loads
 
     # ------------------------------------------------------------------
@@ -655,6 +688,18 @@ class ServiceDht(Dht):
         except NodeUnreachableError as error:
             return BatchFailure(error)
 
+    async def _timed_request(
+        self, op: Op, key: str, value: Any = None, *, body: Any = None
+    ) -> Any:
+        """One request whose wall span — frame issued to reply decoded
+        — lands on ``NetworkStats``, answered or not."""
+        clock = self.network.clock
+        started = clock.now
+        try:
+            return await self._request(op, key, value, body=body)
+        finally:
+            self.network.stats.record_wall_span(clock.now - started)
+
     def call(
         self, op: Op, key: str, value: Any = None, *, body: Any = None
     ) -> Any:
@@ -662,13 +707,9 @@ class ServiceDht(Dht):
         the owner of *key* from the calling thread and return the reply
         body.  *body* replaces the ``(key, value)`` payload for
         extension opcodes served by :meth:`install_handler`."""
-        bridge = self._bridge()
-        clock = self.network.clock
-        started = clock.now
-        try:
-            return bridge.run(self._request(op, key, value, body=body))
-        finally:
-            self.network.stats.record_wall_span(clock.now - started)
+        return self._bridge().run(
+            self._timed_request(op, key, value, body=body)
+        )
 
     async def _gather_round(self, calls: list[tuple]) -> list[Any]:
         clock = self.network.clock
@@ -697,6 +738,72 @@ class ServiceDht(Dht):
 
     def _call_many(self, calls: list[tuple]) -> list[Any]:
         return self._bridge().run(self._gather_round(calls))
+
+    # ------------------------------------------------------------------
+    # Whole operations on the loop: one bridge crossing each
+    # ------------------------------------------------------------------
+    #
+    # The sync facade crosses the bridge once per request or round.  A
+    # read cursor is a chain of dependent probes, so driving it from
+    # the client thread pays that hand-off per probe; driving it here
+    # pays it once.  ``_drive`` is ``Dht.drive`` with every facade call
+    # replaced by its on-loop twin below — same meters, same spans,
+    # same frames, no thread hop between steps.
+
+    def drive(self, cursor) -> None:
+        self._bridge().run(self._drive(cursor))
+
+    async def _drive(self, cursor) -> None:
+        if not cursor.batched:
+            while not cursor.done:
+                try:
+                    value = await self._get(cursor.current_key())
+                except NodeUnreachableError:
+                    if not cursor.probe_failed():
+                        raise
+                    continue
+                cursor.advance(value)
+            return
+        tracer = cursor.tracer
+        while not cursor.done:
+            keys = cursor.round_keys()
+            if tracer is None:
+                outcomes = await self._get_many_outcomes(keys)
+            else:
+                with tracer.span("round", "batched_round", probes=len(keys)):
+                    outcomes = await self._get_many_outcomes(keys)
+            cursor.advance_round(outcomes)
+
+    async def _get(self, key: str) -> Any | None:
+        """:meth:`Dht.get` for code already on the loop."""
+        self.stats.lookups += 1
+        self.stats.gets += 1
+        tracer = self.tracer
+        if tracer is None:
+            return await self._timed_request(Op.GET, key)
+        with tracer.span("dht", "get", key=key):
+            return await self._timed_request(Op.GET, key)
+
+    async def _get_many_outcomes(self, keys: list[str]) -> list[Any]:
+        """:meth:`Dht.get_many_outcomes` for code already on the loop."""
+        if not keys:
+            return []
+        self.stats.meter_batch(len(keys), gets=len(keys))
+        calls = [(Op.GET, key) for key in keys]
+        tracer = self.tracer
+        if tracer is None:
+            return await self._gather_round(calls)
+        with tracer.span("dht", "get_many", count=len(keys)):
+            return await self._gather_round(calls)
+
+    def _do_rewrite(self, key: str, value: Any) -> bool:
+        return self._bridge().run(self._rewrite(key, value))
+
+    async def _rewrite(self, key: str, value: Any) -> bool:
+        if not await self._timed_request(Op.CONTAINS, key):
+            return False
+        await self._timed_request(Op.PUT, key, value)
+        return True
 
     # ------------------------------------------------------------------
     # Substrate primitives

@@ -74,6 +74,7 @@ SHARED_BY_OVERLAYS = {
     "_do_put",
     "_do_remove",
     "_do_contains",
+    "_do_rewrite",
     "rewrite_local",
     "_new_store",
 }

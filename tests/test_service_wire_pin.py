@@ -37,7 +37,9 @@ NETWORK_COUNTERS = (
 )
 
 
-def box(point, span: float) -> Region:
+def box(point, span: float = 0.05) -> Region:
+    """The closed square of half-width *span* around *point*, clipped
+    to the unit square."""
     return Region(
         tuple(max(0.0, c - span) for c in point),
         tuple(min(1.0, c + span) for c in point),
