@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint loc test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test perf-pairs experiments experiments-full clean
+.PHONY: install lint loc reach test test-faults trace-smoke bench bench-smoke bench-hotpath bench-dataplane bench-adaptive bench-durable bench-mcast bench-full bench-service perf perf-test perf-pairs experiments experiments-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,11 @@ lint:
 # the measure the simplicity PRs quote.
 loc:
 	$(PYTHON) tools/loc.py src
+
+# Public names under src/ that nothing outside tests/ refers to
+# (tools/reach.py); tests/test_layering.py holds the allowlist.
+reach:
+	$(PYTHON) tools/reach.py
 
 test:
 	$(PYTHON) -m pytest tests/

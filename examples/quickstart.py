@@ -4,7 +4,7 @@ Run with::
 
     python examples/quickstart.py
 
-Set ``REPRO_STORE=list|columnar|numpy`` to pick the bucket record-store
+Set ``REPRO_STORE=columnar|numpy`` to pick the bucket record-store
 backend; every backend returns identical answers.
 """
 

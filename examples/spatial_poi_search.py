@@ -9,7 +9,7 @@ Run with::
 
     python examples/spatial_poi_search.py [n_points]
 
-Set ``REPRO_STORE=list|columnar|numpy`` to pick the bucket record-store
+Set ``REPRO_STORE=columnar|numpy`` to pick the bucket record-store
 backend; answers are identical, only query throughput changes.
 """
 

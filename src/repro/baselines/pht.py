@@ -13,7 +13,7 @@ a missing node bounds the leaf from above, an internal node bounds it
 from below, so ``O(log D)`` DHT-gets suffice.
 
 Multi-dimensional keys are linearised by the z-order curve
-(:mod:`repro.baselines.sfc`); the trie's cells coincide with the
+(:func:`repro.common.labels.interleave`); the trie's cells coincide with the
 kd-tree's space partition, which makes the comparison with m-LIGHT
 apples-to-apples.
 """

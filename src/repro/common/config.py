@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.common.errors import ReproError, UnknownRuntimeError
+from repro.common.errors import ReproError
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,29 +43,25 @@ class IndexConfig:
             the caller does not pass one — 1 is the basic Algorithm 2/3
             walk, powers of two >= 2 select the parallel variant with
             that many speculative subqueries per branch node (Fig. 7).
-        execution: which execution plane the index's engines run on —
-            ``"batched"`` (each recursion level's probes issued as one
-            parallel DHT round) or ``"sequential"`` (one ``get`` per
-            probe, the reference semantics).  Answers and lookup meters
-            are identical either way.
         runtime: which runtime plane the experiment's DHT should be
             created on by :func:`repro.runtime.create_dht` —
             ``"sim"`` (the single-threaded simulated substrates, the
             reference semantics), ``"asyncio"`` (each peer an
             independent asyncio actor behind the framed wire protocol)
             or ``"tcp"`` (asyncio actors behind real loopback
-            sockets).  Query answers and index-level cost meters are
-            identical across runtimes; only clocks differ (simulated
-            rounds vs wall-clock spans).
+            sockets), or any kind added with
+            :func:`repro.runtime.register_runtime`.  Query answers and
+            index-level cost meters are identical across runtimes; only
+            clocks differ (simulated rounds vs wall-clock spans).
         store: which record-store backend leaf buckets keep their
             records in — a kind registered with
-            :func:`repro.core.store.register_store`: ``"list"`` (the
-            naive scan oracle), ``"columnar"`` (sorted struct-of-arrays
-            snapshots, the default) or ``"numpy"`` (per-dimension
-            ``float64`` ndarrays with vectorized mask-reduction
-            matching; falls back to columnar with a warning when numpy
-            is not installed).  Query answers are bit-identical across
-            backends; only the constant factors differ.
+            :func:`repro.core.store.register_store`: ``"columnar"``
+            (sorted struct-of-arrays snapshots, the default) or
+            ``"numpy"`` (per-dimension ``float64`` ndarrays with
+            vectorized mask-reduction matching; falls back to columnar
+            with a warning when numpy is not installed).  Query answers
+            are bit-identical across backends; only the constant
+            factors differ.
         durability: durable per-peer storage for the DHT substrate — a
             backend kind registered with
             :func:`repro.dht.durable.register_store_backend`:
@@ -77,8 +73,8 @@ class IndexConfig:
             crash-restart recovery (:meth:`repro.dht.api.Dht.restart`).
         tracing: when True the index builds a
             :class:`~repro.obs.trace.Tracer` and threads it through the
-            engines, planes, DHT stack and simulated network, so every
-            query emits a hierarchical span tree (query → round → DHT
+            engines, DHT stack and simulated network, so every query
+            emits a hierarchical span tree (query → round → DHT
             primitive → network round).  Off by default: the disabled
             path is a single ``is None`` check per operation, keeping
             metered and timed behaviour bit-identical to an untraced
@@ -100,7 +96,6 @@ class IndexConfig:
     strategy: str = "threshold"
     cache_capacity: int = 0
     default_lookahead: int = 1
-    execution: str = "batched"
     runtime: str = "sim"
     store: str = "columnar"
     durability: str | None = None
@@ -108,8 +103,6 @@ class IndexConfig:
     adaptive: object | None = None
 
     STRATEGIES = ("threshold", "data-aware")
-    EXECUTION_PLANES = ("batched", "sequential")
-    RUNTIMES = ("sim", "asyncio", "tcp")
 
     def __post_init__(self) -> None:
         if self.dims < 1:
@@ -143,23 +136,16 @@ class IndexConfig:
                 "(1 disables speculative expansion), got "
                 f"{self.default_lookahead}"
             )
-        if self.execution not in self.EXECUTION_PLANES:
-            raise ReproError(
-                f"unknown execution plane {self.execution!r}; expected "
-                f"one of {self.EXECUTION_PLANES}"
-            )
-        if self.runtime not in self.RUNTIMES:
-            raise UnknownRuntimeError(
-                f"unknown runtime {self.runtime!r}; expected one of "
-                f"{self.RUNTIMES}"
-            )
-        # Validated against the live registry, not a frozen tuple, so a
-        # backend added via register_store is immediately configurable.
-        # Imported lazily: repro.common must stay importable below
-        # repro.core in the layering.
+        # Kinds are validated against the live registries, not frozen
+        # tuples, so one added with ``register_*`` is configurable at
+        # once.  Imported lazily (here and for ``adaptive``):
+        # repro.common stays importable below every other package.
+        from repro.core.store import STORES
+        from repro.dht.durable import BACKENDS
+        from repro.runtime import RUNTIMES
+
+        RUNTIMES.lookup(self.runtime)
         if self.adaptive is not None:
-            # Same lazy-import pattern: repro.common stays at the
-            # bottom of the layering.
             from repro.adaptive.config import AdaptiveConfig
 
             if not isinstance(self.adaptive, AdaptiveConfig):
@@ -167,25 +153,9 @@ class IndexConfig:
                     "adaptive must be an AdaptiveConfig or None, got "
                     f"{self.adaptive!r}"
                 )
-        from repro.core.store import store_backends
-
-        if self.store not in store_backends():
-            from repro.common.errors import UnknownStoreError
-
-            raise UnknownStoreError(
-                f"unknown store backend {self.store!r}; expected one "
-                f"of {store_backends()}"
-            )
+        STORES.lookup(self.store, "store backend")
         if self.durability is not None:
-            from repro.dht.durable import store_backend_kinds
-
-            if self.durability not in store_backend_kinds():
-                from repro.common.errors import UnknownDurabilityError
-
-                raise UnknownDurabilityError(
-                    f"unknown durability {self.durability!r}; expected "
-                    f"one of {store_backend_kinds()}"
-                )
+            BACKENDS.lookup(self.durability, "durability")
 
     def __repr__(self) -> str:
         """Every field, in declaration order, derived from the

@@ -22,15 +22,18 @@ Packed fast path
 ----------------
 The ``str`` form is the canonical external representation, but the
 per-character loops it forces are the CPU bottleneck of the hot loops
-(one ``candidate_string`` per lookup, one naming scan per probe).  The
-``packed_*`` family below mirrors every label operation on a
-**bit-packed** form — ``(bits, length)`` where ``bits`` is the label
-read as a big-endian binary integer — so the inner loops become O(1)
-integer arithmetic (shifts, xors, table-driven Morton spreads) and the
-string is materialised once at the edge with a single ``format`` call.
-``pack_label``/``unpack_label`` convert between the two forms;
-``tests/test_hotpath_equivalence.py`` asserts bit-identical behaviour
-against the string implementations on randomized workloads.
+(one ``candidate_string`` per lookup, one naming scan per probe).  Those
+two run on a **bit-packed** form — ``(bits, length)`` where ``bits`` is
+the label read as a big-endian binary integer: ``packed_interleave`` /
+``packed_candidate`` here and ``packed_naming_function`` in
+:mod:`repro.core.naming` are O(1) integer arithmetic (shifts, xors,
+table-driven Morton spreads), and the string is materialised once at
+the edge with a single ``format`` call.  ``pack_label``/``unpack_label``
+convert between the two forms; ``tests/test_hotpath_equivalence.py``
+asserts bit-identical behaviour against the string implementations on
+randomized workloads.  The structural operations (parent, children,
+sibling, prefixes) exist on strings only: no hot loop needs them
+packed.
 
 Coordinate convention
 ---------------------
@@ -229,15 +232,6 @@ def candidate_string(point: Sequence[float], max_depth: int) -> str:
     return format(bits, f"0{length}b")
 
 
-def common_prefix(first: str, second: str) -> str:
-    """Return the longest common prefix of two bit strings."""
-    limit = min(len(first), len(second))
-    for position in range(limit):
-        if first[position] != second[position]:
-            return first[:position]
-    return first[:limit]
-
-
 # ----------------------------------------------------------------------
 # Packed fast path: labels as (bits, length) integers
 # ----------------------------------------------------------------------
@@ -293,104 +287,6 @@ def unpack_label(packed: PackedLabel) -> str:
     if length == 0:
         return ""
     return format(bits, f"0{length}b")
-
-
-def packed_virtual_root(dims: int) -> PackedLabel:
-    """Packed form of :func:`virtual_root`."""
-    _check_dims(dims)
-    return 0, dims
-
-
-def packed_root(dims: int) -> PackedLabel:
-    """Packed form of :func:`root_label`."""
-    _check_dims(dims)
-    return 1, dims + 1
-
-
-def packed_is_valid(packed: PackedLabel, dims: int) -> bool:
-    """Packed form of :func:`is_valid_label`."""
-    bits, length = packed
-    if dims < 1 or bits < 0 or bits.bit_length() > length:
-        return False
-    if length == dims:
-        return bits == 0
-    if length <= dims:
-        return False
-    # Must extend the ordinary root: the top dims+1 bits are 0…01.
-    return bits >> (length - dims - 1) == 1
-
-
-def packed_depth(packed: PackedLabel, dims: int) -> int:
-    """Packed form of :func:`label_depth` (no validation)."""
-    return packed[1] - dims - 1
-
-
-def packed_parent(packed: PackedLabel, dims: int) -> PackedLabel:
-    """Packed form of :func:`parent` (structural checks only)."""
-    bits, length = packed
-    if length <= dims:
-        raise InvalidLabelError("the virtual root has no parent")
-    return bits >> 1, length - 1
-
-
-def packed_children(
-    packed: PackedLabel, dims: int
-) -> tuple[PackedLabel, PackedLabel]:
-    """Packed form of :func:`children` (structural checks only)."""
-    bits, length = packed
-    if length <= dims:
-        raise InvalidLabelError(
-            "the virtual root has a single child; use packed_root()"
-        )
-    doubled = bits << 1
-    return (doubled, length + 1), (doubled | 1, length + 1)
-
-
-def packed_sibling(packed: PackedLabel, dims: int) -> PackedLabel:
-    """Packed form of :func:`sibling` (structural checks only)."""
-    bits, length = packed
-    if length <= dims + 1:
-        raise InvalidLabelError(
-            f"label {unpack_label(packed)!r} has no sibling"
-        )
-    return bits ^ 1, length
-
-
-def packed_prefix(packed: PackedLabel, length: int) -> PackedLabel:
-    """The leading *length* bits of *packed* (an ancestor label)."""
-    bits, full = packed
-    if not 0 <= length <= full:
-        raise InvalidLabelError(
-            f"prefix length {length} out of range for a {full}-bit label"
-        )
-    return bits >> (full - length), length
-
-
-def packed_is_prefix(prefix: PackedLabel, packed: PackedLabel) -> bool:
-    """True when *prefix* is a (non-strict) prefix of *packed*."""
-    p_bits, p_len = prefix
-    bits, length = packed
-    return p_len <= length and bits >> (length - p_len) == p_bits
-
-
-def packed_common_prefix(a: PackedLabel, b: PackedLabel) -> PackedLabel:
-    """Packed form of :func:`common_prefix`."""
-    a_bits, a_len = a
-    b_bits, b_len = b
-    if a_len > b_len:
-        a_bits, b_bits = b_bits, a_bits
-        a_len, b_len = b_len, a_len
-    b_bits >>= b_len - a_len
-    keep = a_len - (a_bits ^ b_bits).bit_length()
-    return a_bits >> (a_len - keep), keep
-
-
-def packed_split_dimension(packed: PackedLabel, dims: int) -> int:
-    """Packed form of :func:`split_dimension`."""
-    depth = packed[1] - dims - 1
-    if depth < 0:
-        raise InvalidLabelError("the virtual root does not split the space")
-    return depth % dims
 
 
 def packed_interleave(point: Sequence[float], depth: int) -> PackedLabel:

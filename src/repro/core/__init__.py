@@ -20,6 +20,7 @@ from repro.core.split import (
     SplitStrategy,
     ThresholdSplit,
     DataAwareSplit,
+    build_strategy,
 )
 from repro.core.bulkload import bulk_load
 from repro.core.knn import KnnEngine
@@ -30,7 +31,7 @@ from repro.core.results import (
     RangeQueryBuilder,
     RangeQueryResult,
 )
-from repro.core.index import MLightIndex, build_strategy
+from repro.core.index import MLightIndex
 
 # Importing the codec installs the real wire model into repro.dht.api
 # (and the simnet reply-cost hook), so byte accounting is codec-exact

@@ -8,10 +8,10 @@ A leaf bucket stores two components (Section 3.3):
   inverted.  No adjacency lists are materialised or maintained;
 * the **record store** — the data records whose keys fall in the
   leaf's cell, held by a pluggable
-  :class:`~repro.core.store.RecordStore` backend (``"list"``,
-  ``"columnar"`` or ``"numpy"``, selected per index via
-  ``IndexConfig(store=...)``).  The bucket delegates mutation and
-  querying; backends answer bit-identically, in insertion order.
+  :class:`~repro.core.store.RecordStore` backend (``"columnar"`` or
+  ``"numpy"``, selected per index via ``IndexConfig(store=...)``).  The
+  bucket delegates mutation and querying; backends answer
+  bit-identically, in insertion order.
 
 Buckets are the unit of DHT storage: the bucket of leaf λ lives at DHT
 key ``fmd(λ)``.  On the wire a bucket travels as its struct-packed
@@ -208,7 +208,8 @@ class LeafBucket:
         return self.store.matching(query.lows, query.highs)
 
     def matching_naive(self, query: Region) -> list[Record]:
-        """Reference linear scan (the pre-columnar implementation)."""
+        """Reference linear scan: the oracle every store backend's
+        :meth:`matching` is tested against."""
         return [
             record
             for record in self.store.records()

@@ -27,7 +27,7 @@ from repro.core.bucket import LeafBucket
 from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
 from repro.core.records import Record
-from repro.core.split import SplitStrategy, ThresholdSplit
+from repro.core.split import SplitStrategy, build_strategy
 from repro.core.store import Rows
 from repro.dht.api import Dht
 
@@ -101,9 +101,7 @@ def bulk_load(
     """
     config = config if config is not None else IndexConfig()
     if strategy is None:
-        strategy = ThresholdSplit(
-            config.split_threshold, config.merge_threshold
-        )
+        strategy = build_strategy(config)
     root_key = bucket_key("0" * config.dims)
     if dht.peek(root_key) is not None:
         raise ReproError(
@@ -126,13 +124,8 @@ def bulk_load(
         )
         moved.append(bucket.load)
         placed.append((label, bucket.load))
-    # Placements are independent (one routed put per leaf), so under
-    # the batched plane they go out as one parallel round; the metered
-    # cost — one put and one lookup per bucket, one transfer per
-    # record — is identical on both planes.
-    if config.execution == "batched":
-        dht.put_many(pairs, records_moved=moved)
-    else:
-        for (key, bucket), load in zip(pairs, moved):
-            dht.put(key, bucket, records_moved=load)
+    # Placements are independent (one routed put per leaf), so they go
+    # out as one parallel round; the metered cost is one put and one
+    # lookup per bucket, one transfer per record.
+    dht.put_many(pairs, records_moved=moved)
     return placed

@@ -31,7 +31,7 @@ is why the reproduction can use the fast engine everywhere else.
 Fault accounting (the ``forward_all`` audit)
 --------------------------------------------
 
-The engine reconciles batched-plane latency as
+The engine reconciles round latency as
 ``rounds = max(rounds, batch_rounds)``: *one* client issues *one*
 batched resolution per wave, so the two counters measure the same
 sequence of wire rounds.  That reconciliation must **not** be applied

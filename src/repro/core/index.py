@@ -53,21 +53,9 @@ from repro.core.naming import naming_function
 from repro.core.rangequery import RangeQueryEngine
 from repro.core.records import Record
 from repro.core.results import KnnResult, LookupResult, RangeQueryResult
-from repro.core.split import (
-    DataAwareSplit,
-    SplitPlan,
-    SplitStrategy,
-    ThresholdSplit,
-)
+from repro.core.split import SplitPlan, SplitStrategy, build_strategy
 from repro.dht.api import Dht
 from repro.obs.trace import Tracer
-
-
-def build_strategy(config: IndexConfig) -> SplitStrategy:
-    """The :class:`SplitStrategy` selected by ``config.strategy``."""
-    if config.strategy == "data-aware":
-        return DataAwareSplit(config.expected_load)
-    return ThresholdSplit(config.split_threshold, config.merge_threshold)
 
 
 class MLightIndex:
@@ -110,13 +98,11 @@ class MLightIndex:
             # so DHT-primitive and message-round spans nest under the
             # query spans this index opens.
             tracer.attach(dht)
-        self._batched = self._config.execution == "batched"
         self._range_engine = RangeQueryEngine(
             dht,
             self._config.dims,
             self._config.max_depth,
             cache=cache,
-            batched=self._batched,
             tracer=tracer,
         )
         self._knn_engine = KnnEngine(
@@ -124,7 +110,6 @@ class MLightIndex:
             self._config.dims,
             self._config.max_depth,
             cache=cache,
-            batched=self._batched,
             tracer=tracer,
         )
         self._dissemination: Any | None = None
@@ -174,11 +159,6 @@ class MLightIndex:
     def tracer(self) -> Tracer | None:
         """The attached tracer; None when tracing is disabled."""
         return self._tracer
-
-    @property
-    def dissemination(self) -> Any | None:
-        """The attached continuous-query plane, if any."""
-        return self._dissemination
 
     def attach_dissemination(self, plane: Any) -> None:
         """Attach a dissemination plane observing structural events.
@@ -431,13 +411,9 @@ class MLightIndex:
                 )
             )
             moved.append(len(records))
-        # The transferred leaves go to independent peers, so under the
-        # batched plane one split is one parallel round of routed puts.
-        if self._batched:
-            self._dht.put_many(pairs, records_moved=moved)
-        else:
-            for (key, bucket), load in zip(pairs, moved):
-                self._dht.put(key, bucket, records_moved=load)
+        # The transferred leaves go to independent peers, so one split
+        # is one parallel round of routed puts.
+        self._dht.put_many(pairs, records_moved=moved)
         if survivor is None:
             raise IndexCorruptionError(
                 f"no plan leaf keeps name {origin_name!r}; the "

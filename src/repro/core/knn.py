@@ -64,7 +64,6 @@ class KnnEngine:
         max_depth: int,
         cache: LeafCache | None = None,
         *,
-        batched: bool = True,
         tracer: "Tracer | None" = None,
     ) -> None:
         self._dht = dht
@@ -72,11 +71,10 @@ class KnnEngine:
         self._max_depth = max_depth
         self._cache = cache
         self.tracer = tracer
-        # Ring expansions ride the same execution plane as plain range
-        # queries: each ring's frontier probes go out as one round.
+        # Ring expansions are plain range queries: each ring's frontier
+        # probes go out as one round.
         self._ranges = RangeQueryEngine(
-            dht, dims, max_depth, cache=cache, batched=batched,
-            tracer=tracer,
+            dht, dims, max_depth, cache=cache, tracer=tracer
         )
 
     def query(self, point: Point, k: int) -> KnnResult:

@@ -70,8 +70,8 @@ class PointLookupCursor:
     owns the DHT traffic: fetch :meth:`current_key`, feed the returned
     bucket (or ``None``) back through :meth:`advance`, repeat until
     :attr:`done`.  Splitting the state from the transport is what lets
-    the batched plane run many searches in lockstep — one ``get_many``
-    per search level instead of one ``get`` per probe.
+    a range query run many searches in lockstep — one ``get_many`` per
+    search level instead of one ``get`` per probe.
 
     Cache hint proposal happens at construction (and its miss/hit/stale
     tallies land on *stats*), so concurrently-driven cursors all

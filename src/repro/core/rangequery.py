@@ -91,7 +91,6 @@ from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key
 from repro.core.lookup import PointLookupCursor
 from repro.core.naming import naming_function
-from repro.core.plane import make_plane
 from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
 from repro.dht.api import BatchFailure, Dht, DhtStats
@@ -550,14 +549,10 @@ class RangeCursor:
 class RangeQueryEngine:
     """Executes range queries; one instance per (dht, geometry).
 
-    *batched* selects the execution plane: batched (the default) hands
-    each query's :class:`RangeCursor` to the substrate's
+    Each query is a :class:`RangeCursor` handed to the substrate's
     :meth:`~repro.dht.api.Dht.drive`, which issues each recursion
     level's independent probes as one
-    :meth:`~repro.dht.api.Dht.get_many_outcomes` round; sequential
-    issues one ``get`` per probe.  Answers and per-element lookup
-    meters are identical either way — the plane only changes round
-    structure.
+    :meth:`~repro.dht.api.Dht.get_many_outcomes` round.
     """
 
     def __init__(
@@ -567,7 +562,6 @@ class RangeQueryEngine:
         max_depth: int,
         cache: LeafCache | None = None,
         *,
-        batched: bool = True,
         tracer: "Tracer | None" = None,
     ) -> None:
         self._dht = dht
@@ -575,7 +569,6 @@ class RangeQueryEngine:
         self._max_depth = max_depth
         self._cache = cache
         self.tracer = tracer
-        self._plane = make_plane(dht, batched, tracer)
 
     def query(
         self, query: RegionLike, lookahead: int = 1
@@ -627,17 +620,15 @@ class RangeQueryEngine:
             cache=self._cache,
             tracer=self.tracer,
         )
-        self._plane.run(cursor)
+        self._dht.drive(cursor)
         builder = cursor.builder
         builder.batch_rounds = stats.batch_rounds - batch_rounds_before
-        if self._plane.batched:
-            # Reconcile the latency meters: under the batched plane
-            # every issued wave is normally exactly one batch round, so
-            # ``rounds == batch_rounds``.  A retry wrapper, however,
-            # re-issues a failed sub-batch as its *own* wire round
-            # within the same wave — extra sequential latency the
-            # wave count alone would under-report.  ``rounds`` is the
-            # longest chain of sequential DHT-lookups, so it absorbs
-            # the retry rounds; fault-free queries are unaffected.
-            builder.rounds = max(builder.rounds, builder.batch_rounds)
+        # Reconcile the latency meters: every issued wave is normally
+        # exactly one batch round, so ``rounds == batch_rounds``.  A
+        # retry wrapper, however, re-issues a failed sub-batch as its
+        # *own* wire round within the same wave — extra sequential
+        # latency the wave count alone would under-report.  ``rounds``
+        # is the longest chain of sequential DHT-lookups, so it absorbs
+        # the retry rounds; fault-free queries are unaffected.
+        builder.rounds = max(builder.rounds, builder.batch_rounds)
         return builder.build()

@@ -39,8 +39,8 @@ class RangeQueryResult:
     """Records matching a range query, plus the paper's two costs.
 
     ``batch_rounds`` additionally reports how many batched DHT rounds
-    the query issued on the execution plane (0 under the sequential
-    plane) — a diagnostic for the round structure, not a paper metric.
+    the query issued (retry re-issues included) — a diagnostic for the
+    round structure, not a paper metric.
 
     ``complete`` is the partial-result contract of degraded mode: True
     means every subquery probe resolved and ``records`` is the exact

@@ -23,6 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
 from repro.common.geometry import Region, region_of_label
 from repro.common.labels import label_depth, split_dimension
@@ -228,3 +229,10 @@ class DataAwareSplit(SplitStrategy):
     def _deviation(self, load: int) -> float:
         delta = load - self.expected_load
         return float(delta * delta)
+
+
+def build_strategy(config: IndexConfig) -> SplitStrategy:
+    """The :class:`SplitStrategy` selected by ``config.strategy``."""
+    if config.strategy == "data-aware":
+        return DataAwareSplit(config.expected_load)
+    return ThresholdSplit(config.split_threshold, config.merge_threshold)

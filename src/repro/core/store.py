@@ -16,42 +16,41 @@ index-semantics choice.  This module makes that choice explicit:
   columns plus an optional values tuple.  Splitting moves *columns*
   between stores without materialising one :class:`Record` object per
   key;
-* :func:`register_store` is an open registry mirroring
-  :func:`repro.runtime.register_runtime`, so external backends (a
-  durable store, a compressed store) plug in without touching this
-  module.  Three backends ship built in:
+* ``STORES`` is the open :class:`~repro.common.registry.Registry` of
+  backends (:func:`register_store` / :func:`store_backends` /
+  :func:`create_store`), so external ones (a compressed store, say)
+  plug in without touching this module.  Two ship built in:
 
-  ``"list"``
-      the original naive scan over a ``list[Record]`` — kept as the
-      equivalence oracle;
   ``"columnar"``
-      the bisect-narrowed :class:`~repro.core.columnar.ColumnStore`
-      fast path, re-homed behind the seam;
+      :class:`ColumnarStore`, the default: a record list plus a lazily
+      rebuilt sorted-column snapshot that two bisects narrow;
   ``"numpy"``
       vectorized per-dimension ``float64`` ndarrays
       (:mod:`repro.core.npstore`); falls back to ``"columnar"`` with a
       warning when numpy is not installed.
 
 Every backend returns **bit-identical, insertion-ordered** answers;
-``tests/test_hotpath_equivalence.py`` sweeps all three against the
-naive scan on random workloads in 1–4 dimensions.
+``tests/test_hotpath_equivalence.py`` sweeps them against the naive
+scan (``LeafBucket.matching_naive``) on random workloads in 1–4
+dimensions.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from array import array
-from collections.abc import Callable, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 
 from repro.common.errors import UnknownStoreError
-from repro.core.columnar import ColumnStore
+from repro.common.registry import Registry
 from repro.core.records import Record
 
 __all__ = [
     "Rows",
     "RecordStore",
-    "ListStore",
     "ColumnarStore",
+    "STORES",
     "register_store",
     "store_backends",
     "create_store",
@@ -94,11 +93,6 @@ class Rows:
 
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
-
-    def record_at(self, position: int) -> Record:
-        key = tuple(column[position] for column in self.columns)
-        value = None if self.values is None else self.values[position]
-        return Record(key, value)
 
     def to_records(self) -> list[Record]:
         columns = self.columns
@@ -206,82 +200,36 @@ class RecordStore(ABC):
         per-record ``add`` calls."""
 
 
-class ListStore(RecordStore):
-    """The original representation: a plain list, linearly scanned.
-
-    Kept as the oracle backend — every other store must agree with it
-    bit for bit.
-    """
-
-    kind = "list"
-
-    __slots__ = ("_records",)
-
-    def __init__(
-        self, dims: int, sort_dim: int, records: Sequence[Record] = ()
-    ) -> None:
-        super().__init__(dims, sort_dim)
-        self._records = list(records)
-
-    @property
-    def count(self) -> int:
-        return len(self._records)
-
-    def add(self, record: Record) -> None:
-        self._records.append(record)
-        self.generation += 1
-
-    def remove(self, record: Record) -> bool:
-        try:
-            self._records.remove(record)
-        except ValueError:
-            return False
-        self.generation += 1
-        return True
-
-    def matching(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[Record]:
-        return [
-            record
-            for record in self._records
-            if all(
-                low <= coordinate <= high
-                for coordinate, low, high in zip(record.key, lows, highs)
-            )
-        ]
-
-    def records(self) -> list[Record]:
-        return self._records
-
-    def to_rows(self) -> Rows:
-        return Rows.from_records(self._records, self.dims)
-
-    @classmethod
-    def from_rows(cls, rows: Rows, sort_dim: int) -> "ListStore":
-        return cls(rows.dims, sort_dim, rows.to_records())
-
-
 class ColumnarStore(RecordStore):
-    """The bisect-narrowed columnar fast path behind the seam.
+    """A record list plus a sorted columnar snapshot for matching.
 
-    Wraps :class:`~repro.core.columnar.ColumnStore` (an immutable
-    snapshot) with generation-tagged lazy rebuilds: mutations are O(1)
-    list edits, the first ``matching`` after a mutation rebuilds the
-    snapshot.  Rebuild condition is *generation equality only* — never
-    a record-count compare.
+    ``bucket.matching(query)`` is the innermost loop of every range
+    query, k-NN ring and baseline descent; a naive scan pays, per
+    record, a generator, a ``zip`` and a tuple walk.  Here record keys
+    are transposed into per-dimension ``array('d')`` columns ordered by
+    the bucket's **split dimension**, a query narrows on that column
+    with two binary searches, and the surviving run is filtered one
+    dimension at a time with plain float compares.
+
+    Mutations are O(1) list edits; the first ``matching`` after one
+    rebuilds the snapshot, so write-heavy buckets never pay for it.
+    The rebuild condition is *generation equality only* — never a
+    record-count compare.
     """
 
     kind = "columnar"
 
-    __slots__ = ("_records", "_snapshot", "_built_generation")
+    __slots__ = ("_records", "_order", "_columns", "_built_generation")
 
     def __init__(
         self, dims: int, sort_dim: int, records: Sequence[Record] = ()
     ) -> None:
         super().__init__(dims, sort_dim)
         self._records = list(records)
-        self._snapshot: ColumnStore | None = None
+        #: The snapshot: insertion positions sorted on ``sort_dim`` and
+        #: the key columns in that order, as of ``_built_generation``.
+        self._order: list[int] = []
+        self._columns: list[array] = []
         self._built_generation = -1
 
     @property
@@ -300,15 +248,44 @@ class ColumnarStore(RecordStore):
         self.generation += 1
         return True
 
+    def _rebuild(self) -> None:
+        records = self._records
+        sort_dim = self.sort_dim
+        order = sorted(
+            range(len(records)), key=lambda i: records[i].key[sort_dim]
+        )
+        self._order = order
+        self._columns = [
+            array("d", [records[i].key[dim] for i in order])
+            for dim in range(self.dims)
+        ]
+        self._built_generation = self.generation
+
     def matching(
         self, lows: Sequence[float], highs: Sequence[float]
     ) -> list[Record]:
-        snapshot = self._snapshot
-        if snapshot is None or self._built_generation != self.generation:
-            snapshot = ColumnStore(self._records, self.dims, self.sort_dim)
-            self._snapshot = snapshot
-            self._built_generation = self.generation
-        return snapshot.matching(self._records, lows, highs)
+        if self._built_generation != self.generation:
+            self._rebuild()
+        sort_dim = self.sort_dim
+        column = self._columns[sort_dim]
+        start = bisect_left(column, lows[sort_dim])
+        stop = bisect_right(column, highs[sort_dim], lo=start)
+        if start >= stop:
+            return []
+        candidates: Sequence[int] = range(start, stop)
+        for dim, col in enumerate(self._columns):
+            if dim == sort_dim:
+                continue
+            low = lows[dim]
+            high = highs[dim]
+            candidates = [i for i in candidates if low <= col[i] <= high]
+            if not candidates:
+                return []
+        # Ascending insertion positions reproduce the naive scan's
+        # output order exactly.
+        order = self._order
+        records = self._records
+        return [records[i] for i in sorted(order[i] for i in candidates)]
 
     def records(self) -> list[Record]:
         return self._records
@@ -322,43 +299,8 @@ class ColumnarStore(RecordStore):
 
 
 # ----------------------------------------------------------------------
-# The open backend registry (mirrors repro.runtime.register_runtime)
+# The open backend registry
 # ----------------------------------------------------------------------
-
-#: kind -> factory(dims, sort_dim, source) where source is None, a
-#: Record sequence, or a Rows batch.
-_STORES: dict[str, Callable] = {}
-
-
-def register_store(kind: str, factory: Callable) -> None:
-    """Register (or override) a record-store backend.
-
-    *factory* is called as ``factory(dims, sort_dim, source)`` with
-    ``source`` one of ``None`` (empty store), a sequence of
-    :class:`Record`, or a :class:`Rows` batch, and must return a
-    :class:`RecordStore`.
-    """
-    if not kind:
-        raise UnknownStoreError("store kind must be a non-empty string")
-    _STORES[kind] = factory
-
-
-def store_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (``("columnar", "list", ...)``)."""
-    return tuple(sorted(_STORES))
-
-
-def create_store(
-    kind: str, dims: int, sort_dim: int, source=None
-) -> RecordStore:
-    """Instantiate backend *kind* over *source* records or rows."""
-    factory = _STORES.get(kind)
-    if factory is None:
-        raise UnknownStoreError(
-            f"unknown record store {kind!r}; expected one of "
-            f"{store_backends()}"
-        )
-    return factory(dims, sort_dim, source)
 
 
 def _sequence_factory(cls):
@@ -372,10 +314,6 @@ def _sequence_factory(cls):
     return factory
 
 
-register_store("list", _sequence_factory(ListStore))
-register_store("columnar", _sequence_factory(ColumnarStore))
-
-
 def _numpy_factory(dims: int, sort_dim: int, source=None) -> RecordStore:
     """The ``"numpy"`` backend, degrading to columnar without numpy."""
     from repro.core import npstore
@@ -386,4 +324,23 @@ def _numpy_factory(dims: int, sort_dim: int, source=None) -> RecordStore:
     return _sequence_factory(ColumnarStore)(dims, sort_dim, source)
 
 
-register_store("numpy", _numpy_factory)
+#: kind -> factory(dims, sort_dim, source) -> RecordStore, where
+#: *source* is ``None`` (empty store), a sequence of :class:`Record`,
+#: or a :class:`Rows` batch.
+STORES = Registry(
+    "store",
+    UnknownStoreError,
+    {"columnar": _sequence_factory(ColumnarStore), "numpy": _numpy_factory},
+)
+register_store = STORES.register
+store_backends = STORES.kinds
+
+
+def create_store(
+    kind: str, dims: int, sort_dim: int, source=None
+) -> RecordStore:
+    """Instantiate backend *kind* over *source* records or rows."""
+    factory = STORES.table.get(kind)
+    if factory is None:
+        factory = STORES.lookup(kind, "record store")  # raises, typed
+    return factory(dims, sort_dim, source)

@@ -174,8 +174,8 @@ class DhtStats:
     cached.  They are outcome tallies, not costs: every hint probe is
     already counted in ``lookups``/``gets``.
 
-    The batch counters meter the batched execution plane:
-    ``batch_rounds`` — how many ``*_many`` batches were issued (each is
+    The batch counters meter the round structure: ``batch_rounds`` —
+    how many ``*_many`` batches were issued (each is
     one parallel message round; the per-element costs still land in
     ``lookups``/``gets``/``puts``), ``batch_ops`` — how many elements
     those batches carried.  ``retries`` counts retried attempts made by
@@ -409,7 +409,7 @@ class Dht(ABC):
             return self._do_remove(key)
 
     # ------------------------------------------------------------------
-    # Batched operations (the round-parallel execution plane)
+    # Batched operations (one parallel round each)
     # ------------------------------------------------------------------
     #
     # A batch carries one recursion level's *independent* operations.
@@ -632,6 +632,18 @@ class Dht(ABC):
         ``PeerStore.keys()`` walk that never touches values.
         """
         return sum(1 for _ in self.items())
+
+    def load_by_peer(self, weigh=None) -> dict[str, int]:
+        """Per-peer storage load (oracle, unmetered).
+
+        *weigh* maps a stored value to its weight (default: 1 per
+        object).  Pass e.g. ``lambda bucket: bucket.load`` to weigh
+        buckets by record count, the measure behind Fig. 6a.
+        """
+        loads = dict.fromkeys(self.peers(), 0)
+        for key, value in self.items():
+            loads[self.peer_of(key)] += 1 if weigh is None else weigh(value)
+        return loads
 
     @abstractmethod
     def peer_of(self, key: str) -> str:

@@ -17,10 +17,10 @@ instead of empty.  Two backends ship:
   directory, written atomically (temp file + ``os.replace``), the
   dict-on-disk alternative: no compaction debt, higher per-write cost.
 
-Backends register through :func:`register_store_backend`, mirroring
-:func:`repro.runtime.register_runtime` and
-:func:`repro.core.store.register_store`; selection happens via
-``RuntimeConfig(durability=...)`` / ``IndexConfig(durability=...)``.
+Backends register through :func:`register_store_backend` (the
+``BACKENDS`` :class:`~repro.common.registry.Registry`); selection
+happens via ``RuntimeConfig(durability=...)`` /
+``IndexConfig(durability=...)``.
 
 The crash model is process-level: a simulated ``fail`` drops all
 in-memory state but the backend's files survive, exactly what a real
@@ -36,10 +36,11 @@ import pickle
 import tempfile
 import zlib
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.common.errors import ReproError, UnknownDurabilityError
+from repro.common.registry import Registry
 from repro.dht.storage import PeerStore
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "store_backend_kinds",
     "create_store_backend",
     "open_peer_store",
+    "peer_data_dir",
     "resolve_data_dir",
 ]
 
@@ -342,44 +344,25 @@ class FileDictBackend(DurableBackend):
 
 
 # ---------------------------------------------------------------------------
-# Registry (mirrors register_runtime / register_store)
+# The open backend registry
 # ---------------------------------------------------------------------------
 
-_BACKENDS: dict[str, Callable[..., DurableBackend]] = {
-    "log": AppendLogBackend,
-    "file": FileDictBackend,
-}
-
-
-def store_backend_kinds() -> tuple[str, ...]:
-    """The registered durable-backend kinds, registration order."""
-    return tuple(_BACKENDS)
-
-
-def register_store_backend(
-    kind: str, factory: Callable[..., DurableBackend]
-) -> None:
-    """Add (or replace) a durable backend *kind* in the registry.
-
-    *factory* is called as ``factory(path)`` with a per-peer base path
-    (no extension) and must return a :class:`DurableBackend`.
-    """
-    if not kind:
-        raise ReproError("durable backend kind must be a non-empty string")
-    _BACKENDS[kind] = factory
+#: kind -> factory(path, **options) -> DurableBackend, where *path* is
+#: a per-peer base path without extension.
+BACKENDS = Registry(
+    "durable backend",
+    UnknownDurabilityError,
+    {"log": AppendLogBackend, "file": FileDictBackend},
+)
+store_backend_kinds = BACKENDS.kinds
+register_store_backend = BACKENDS.register
 
 
 def create_store_backend(
     kind: str, path: str | os.PathLike, **options
 ) -> DurableBackend:
     """Build the durable backend *kind* rooted at *path*."""
-    factory = _BACKENDS.get(kind)
-    if factory is None:
-        raise UnknownDurabilityError(
-            f"unknown durable backend {kind!r}; expected one of "
-            f"{tuple(_BACKENDS)}"
-        )
-    return factory(path, **options)
+    return BACKENDS.lookup(kind)(path, **options)
 
 
 def open_peer_store(
@@ -405,6 +388,17 @@ def open_peer_store(
         return PeerStore()
     backend = create_store_backend(durability, backend_path(data_dir, name))
     return PeerStore.recover(backend) if recover else PeerStore(backend)
+
+
+def peer_data_dir(
+    durability: str | None, data_dir: str | os.PathLike | None, prefix: str
+) -> Path | None:
+    """Where a substrate built with these options keeps its peers'
+    backends: nowhere without *durability*, else
+    :func:`resolve_data_dir`."""
+    if durability is None:
+        return None
+    return resolve_data_dir(data_dir, prefix)
 
 
 def resolve_data_dir(data_dir: str | os.PathLike | None, prefix: str) -> Path:

@@ -21,7 +21,7 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.dht.api import Dht, _capture, shared_executor
-from repro.dht.durable import open_peer_store, resolve_data_dir
+from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.peer import HashRing
 from repro.dht.storage import PeerStore
 
@@ -54,11 +54,7 @@ class LocalDht(Dht):
         if n_peers < 1:
             raise ReproError(f"n_peers must be >= 1, got {n_peers}")
         self.durability = durability
-        self.data_dir = (
-            resolve_data_dir(data_dir, "local")
-            if durability is not None
-            else None
-        )
+        self.data_dir = peer_data_dir(durability, data_dir, "local")
         self._ring = HashRing(
             [f"peer-{index:04d}" for index in range(n_peers)],
             virtual_nodes,
@@ -86,21 +82,6 @@ class LocalDht(Dht):
     def key_count(self) -> int:
         """Stored keys via the non-decoding ``keys()`` walk."""
         return sum(len(store) for store in self._stores.values())
-
-    def load_by_peer(self, weigh=None) -> dict[str, int]:
-        """Per-peer storage load.
-
-        *weigh* maps a stored value to its weight (default: 1 per
-        object).  Pass e.g. ``lambda bucket: len(bucket.records)`` to
-        weigh buckets by record count, the measure behind Fig. 6a.
-        """
-        loads = {}
-        for name, store in self._stores.items():
-            total = 0
-            for _, value in store.items():
-                total += 1 if weigh is None else weigh(value)
-            loads[name] = total
-        return loads
 
     # ------------------------------------------------------------------
     # Substrate primitives

@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
 from repro.dht.api import Dht, _capture, data_wire_size, request_wire_size
-from repro.dht.durable import open_peer_store, resolve_data_dir
+from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.hashing import key_digest, node_id_from_name
 from repro.dht.peer import KeyValuePeer
 from repro.dht.storage import PeerStore
@@ -102,11 +102,7 @@ class RoutedOverlay(Dht):
         #: Durable backend kind every peer store journals into
         #: (``None``: in-memory only, no restart support).
         self.durability = durability
-        self.data_dir = (
-            resolve_data_dir(data_dir, self.prefix)
-            if durability is not None
-            else None
-        )
+        self.data_dir = peer_data_dir(durability, data_dir, self.prefix)
         self._nodes: dict[str, Any] = {}
 
     # ------------------------------------------------------------------

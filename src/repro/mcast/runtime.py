@@ -21,7 +21,7 @@ measure is unchanged, so ``lookups``/``batch_rounds``/``rounds`` and
 the answers are identical to the client-fan-out path; only ``hops``
 (route length, start-position dependent) and the message *origins*
 differ.  ``tests/test_mcast.py`` asserts the equality across all
-three overlays and both engine planes.
+three overlays.
 """
 
 from __future__ import annotations

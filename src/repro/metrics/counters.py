@@ -9,8 +9,8 @@ The delta covers the *entire* :meth:`~repro.dht.api.DhtStats.snapshot`
 keyset, not a hand-picked subset: batch primitives (``batch_rounds``,
 ``batched_ops``), the retry wrapper (``retries``, ``backoff_waits``,
 ``backoff_time``) and fault injection (``faults_*``) are all metered.
-An earlier revision hardcoded six classic fields, so phases running on
-the batched plane or over faulty substrates silently under-reported —
+An earlier revision hardcoded six classic fields, so phases issuing
+batches or running over faulty substrates silently under-reported —
 a counter added to ``DhtStats`` now shows up in every delta by
 construction.
 """

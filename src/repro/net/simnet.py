@@ -15,7 +15,7 @@ is deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
@@ -258,48 +258,3 @@ class SimNetwork:
                 self.stats.record_round(round_.fanout, round_.critical_path)
                 span.attrs["fanout"] = round_.fanout
                 span.attrs["critical_path"] = round_.critical_path
-
-    def broadcast_round(
-        self,
-        src: str,
-        requests: Sequence[tuple],
-        *,
-        best_effort: bool = False,
-    ) -> list[Any]:
-        """Deliver several RPCs as one parallel message round.
-
-        *requests* is a sequence of ``(dst, method, *args)`` tuples.
-        Results come back in request order; the clock advances once, by
-        the slowest delivery.  With *best_effort* a failed delivery
-        yields ``None`` in its slot instead of raising.
-        """
-        results: list[Any] = []
-        with self.message_round() as round_:
-            for dst, method, *args in requests:
-                with round_.chain():
-                    try:
-                        results.append(self.rpc(src, dst, method, *args))
-                    except RpcError:
-                        if not best_effort:
-                            raise
-                        results.append(None)
-        return results
-
-    def broadcast(self, src: str, method: str, *args: Any, **kwargs: Any) -> int:
-        """Best-effort RPC to every live peer; returns delivery count.
-
-        Deliveries ride one message round: the clock advances by the
-        slowest delivery, not the sum — a broadcast is one round.
-        """
-        delivered = 0
-        with self.message_round() as round_:
-            for address in self.addresses():
-                if address == src:
-                    continue
-                with round_.chain():
-                    try:
-                        self.rpc(src, address, method, *args, **kwargs)
-                    except RpcError:
-                        continue
-                delivered += 1
-        return delivered

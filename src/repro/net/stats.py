@@ -98,12 +98,6 @@ class NetworkStats:
             return ("wall", self.wall_seconds)
         return ("simulated", self.critical_path_latency)
 
-    def mean_round_fanout(self) -> float:
-        """Average chains per message round (0.0 before any round)."""
-        if not self.rounds:
-            return 0.0
-        return self.round_messages / self.rounds
-
     def snapshot(self) -> dict[str, float]:
         """Return an immutable copy of the headline counters.
 

@@ -9,7 +9,7 @@ records their *structure*: a :class:`Tracer` produces a tree of
 ::
 
     query (range_query / knn / lookup / insert)
-    └── plane round          (one per engine wave, both planes)
+    └── round                (one per engine wave)
         └── DHT primitive    (get / get_many / put_many / ...)
             └── network message round   (routed overlays only)
 
@@ -61,9 +61,6 @@ __all__ = [
     "Tracer",
 ]
 
-#: Span kinds, outermost to innermost level of the hierarchy.
-SPAN_KINDS = ("query", "update", "round", "dht", "net")
-
 
 @dataclass(slots=True)
 class Span:
@@ -71,8 +68,8 @@ class Span:
 
     ``wall_*`` times come from :func:`time.perf_counter` (seconds);
     ``sim_*`` from the simulated clock when the tracer has one, else
-    ``None``.  ``attrs`` are set at open or via
-    :meth:`Tracer.annotate`; ``events`` are ``(name, wall_offset,
+    ``None``.  ``attrs`` are set at open or on the span the ``with``
+    statement yields; ``events`` are ``(name, wall_offset,
     attrs)`` point annotations.  ``status`` is ``"ok"`` or ``"error"``
     (the span body raised; the error's repr lands in
     ``attrs["error"]``).
@@ -271,12 +268,6 @@ class Tracer:
                 "attrs": attrs,
             }
         )
-
-    def annotate(self, **attrs: Any) -> None:
-        """Merge *attrs* into the current span (no-op outside spans)."""
-        span = self.current
-        if span is not None:
-            span.attrs.update(attrs)
 
     # ------------------------------------------------------------------
     # Component wiring

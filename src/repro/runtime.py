@@ -39,16 +39,13 @@ UnknownRuntimeError` (a ``ValueError``) naming the registry contents.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.common.errors import (
-    ReproError,
-    UnknownDurabilityError,
-    UnknownRuntimeError,
-)
+from repro.common.errors import ReproError, UnknownRuntimeError
+from repro.common.registry import Registry
 from repro.dht.api import Dht
 from repro.dht.chord import ChordDht
-from repro.dht.durable import store_backend_kinds
+from repro.dht.durable import BACKENDS
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
@@ -115,12 +112,7 @@ class RuntimeConfig:
                 f"not {self.overlay!r}"
             )
         if self.durability is not None:
-            kinds = store_backend_kinds()
-            if self.durability not in kinds:
-                raise UnknownDurabilityError(
-                    f"unknown durability {self.durability!r}; expected "
-                    f"one of {kinds}"
-                )
+            BACKENDS.lookup(self.durability, "durability")
         if self.data_dir is not None and self.durability is None:
             raise ReproError(
                 "data_dir has no effect without durability; pass "
@@ -159,25 +151,18 @@ def _build_service(transport: str) -> Callable[[RuntimeConfig], Dht]:
     return build
 
 
-_RUNTIMES: dict[str, Callable[[RuntimeConfig], Dht]] = {
-    "sim": _build_sim,
-    "asyncio": _build_service("asyncio"),
-    "tcp": _build_service("tcp"),
-}
-
-
-def runtime_kinds() -> tuple[str, ...]:
-    """The registered runtime kinds, registration order."""
-    return tuple(_RUNTIMES)
-
-
-def register_runtime(
-    kind: str, builder: Callable[[RuntimeConfig], Dht]
-) -> None:
-    """Add (or replace) a runtime *kind* in the factory registry."""
-    if not kind:
-        raise ReproError("runtime kind must be a non-empty string")
-    _RUNTIMES[kind] = builder
+#: kind -> builder(RuntimeConfig) -> Dht.
+RUNTIMES = Registry(
+    "runtime",
+    UnknownRuntimeError,
+    {
+        "sim": _build_sim,
+        "asyncio": _build_service("asyncio"),
+        "tcp": _build_service("tcp"),
+    },
+)
+runtime_kinds = RUNTIMES.kinds
+register_runtime = RUNTIMES.register
 
 
 def create_dht(config: RuntimeConfig | None = None, **overrides) -> Dht:
@@ -192,13 +177,5 @@ def create_dht(config: RuntimeConfig | None = None, **overrides) -> Dht:
     if config is None:
         config = RuntimeConfig(**overrides)
     elif overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
-    builder = _RUNTIMES.get(config.kind)
-    if builder is None:
-        raise UnknownRuntimeError(
-            f"unknown runtime kind {config.kind!r}; expected one of "
-            f"{tuple(_RUNTIMES)}"
-        )
-    return builder(config)
+    return RUNTIMES.lookup(config.kind, "runtime kind")(config)

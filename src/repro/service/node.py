@@ -7,8 +7,8 @@ concurrency under a real clock — and optionally a real TCP listener
 (``transport="tcp"``) so the frames cross actual loopback sockets.
 
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
-facade: the index layers, both execution planes, the retry/fault
-wrappers and the tracer attach unchanged.  The facade's synchronous
+facade: the index layers, the retry/fault wrappers and the tracer
+attach unchanged.  The facade's synchronous
 ``_do_*`` primitives bridge into a dedicated event-loop thread, so any
 number of caller threads (the load generator's workers, say) issue
 requests concurrently and the actors interleave them per-frame.
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.dht.api import BatchFailure, Dht
-from repro.dht.durable import open_peer_store, resolve_data_dir
+from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.storage import PeerStore
 from repro.net.stats import NetworkStats
@@ -439,11 +439,7 @@ class ServiceDht(Dht):
         #: Durable backend kind each actor's store journals into
         #: (``None``: in-memory only; :meth:`restart` unavailable).
         self.durability = durability
-        self.data_dir = (
-            resolve_data_dir(data_dir, "service")
-            if durability is not None
-            else None
-        )
+        self.data_dir = peer_data_dir(durability, data_dir, "service")
         self._ring = HashRing(
             [f"{peer_prefix}-{index:04d}" for index in range(n_peers)],
             virtual_nodes,
@@ -602,23 +598,19 @@ class ServiceDht(Dht):
     def peers(self) -> list[str]:
         return self._ring.peers()
 
-    def _peer_items(self) -> dict[str, list[tuple[str, Any]]]:
-        """Each actor's (key, value) pairs, copied on the loop thread:
+    def items(self) -> Iterator[tuple[str, Any]]:
+        """Every actor's (key, value) pairs, copied on the loop thread:
         it mutates the stores, so only it may iterate them."""
         if self._loop_thread is None:
-            return {}
-        return self._bridge().run(self._snapshot_items())
+            return iter(())
+        return iter(self._bridge().run(self._snapshot_items()))
 
-    async def _snapshot_items(self) -> dict[str, list[tuple[str, Any]]]:
-        return {
-            name: list(actor.peer.store.items())
-            for name, actor in self._actors.items()
-        }
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        return (
-            pair for pairs in self._peer_items().values() for pair in pairs
-        )
+    async def _snapshot_items(self) -> list[tuple[str, Any]]:
+        return [
+            pair
+            for actor in self._actors.values()
+            for pair in actor.peer.store.items()
+        ]
 
     def key_count(self) -> int:
         """Stored keys via the non-decoding ``keys()`` walk."""
@@ -628,17 +620,6 @@ class ServiceDht(Dht):
 
     async def _count_keys(self) -> int:
         return sum(len(actor.peer.store) for actor in self._actors.values())
-
-    def load_by_peer(self, weigh=None) -> dict[str, int]:
-        """Per-peer storage load (same contract as ``LocalDht``)."""
-        loads = dict.fromkeys(self._ring.peers(), 0)
-        for name, pairs in self._peer_items().items():
-            loads[name] = (
-                len(pairs)
-                if weigh is None
-                else sum(weigh(value) for _, value in pairs)
-            )
-        return loads
 
     # ------------------------------------------------------------------
     # Requests

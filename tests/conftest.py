@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.common.labels import root_label
+from repro.dht.api import DhtDecorator, _capture
 from repro.runtime import RuntimeConfig, create_dht
 
 
@@ -54,6 +55,19 @@ def internal_nodes_of(leaves: list[str], dims: int) -> set[str]:
 def brute_force_range(points, query):
     """Reference answer for a closed range query over raw keys."""
     return sorted(p for p in points if query.contains_point_closed(p))
+
+
+class PerKeyDht(DhtDecorator):
+    """The per-key reference batches are compared against: one metered
+    ``get``/``put`` per element, so no batch round is ever issued."""
+
+    def get_many_outcomes(self, keys):
+        return [_capture(self.inner.get, key) for key in keys]
+
+    def put_many(self, items, *, records_moved=None):
+        moved = records_moved or [0] * len(items)
+        for (key, value), load in zip(items, moved):
+            self.inner.put(key, value, records_moved=load)
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +137,7 @@ def store_builds(monkeypatch) -> list[str]:
 
         return build
 
-    for kind, factory in list(store_module._STORES.items()):
-        monkeypatch.setitem(
-            store_module._STORES, kind, counting(kind, factory)
-        )
+    table = store_module.STORES.table
+    for kind, factory in list(table.items()):
+        monkeypatch.setitem(table, kind, counting(kind, factory))
     return built

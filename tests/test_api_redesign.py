@@ -193,3 +193,19 @@ class TestStatsSurface:
         assert dht.stats.snapshot()["cache_hits"] == 0
         assert dht.stats.snapshot()["cache_stale"] == 0
         assert dht.stats.snapshot()["cache_misses"] == 0
+
+
+class TestPackageVersion:
+    def test_one_source(self):
+        """``pyproject.toml`` declares no version of its own: the build
+        reads ``repro.__version__``."""
+        import re
+        from pathlib import Path
+
+        import repro
+
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert not re.search(r'^version\s*=\s*"', text, re.MULTILINE)
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)

@@ -1,12 +1,13 @@
-"""Batched vs sequential execution-plane equivalence.
+"""Round batches vs the per-key reference.
 
-The round-batched plane is a *latency* optimisation: answers and the
-paper's bandwidth meters (lookups, gets, puts, records moved) must be
-bit-identical to the sequential reference on every substrate; only the
-round structure — ``batch_rounds``, simulated network rounds, the
-virtual clock — may differ.  These tests pin that contract, plus the
-derived-rounds property (every issued batch is exactly one simulated
-message round) and the partial-failure retry semantics of batches.
+Issuing a round as one batch is a *latency* optimisation: answers and
+the paper's bandwidth meters (lookups, gets, puts, records moved) must
+be bit-identical to issuing its elements one ``get``/``put`` at a time
+(``conftest.PerKeyDht``) on every substrate; only the round structure —
+``batch_rounds``, simulated network rounds, the virtual clock — may
+differ.  These tests pin that contract, plus the derived-rounds
+property (every issued batch is exactly one simulated message round)
+and the partial-failure retry semantics of batches.
 """
 
 import random
@@ -28,11 +29,11 @@ from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
 from repro.dht.retry import RetryingDht
 from repro.net.simnet import RpcError, SimNetwork
-from tests.conftest import brute_force_range, random_tree_leaves
+from tests.conftest import PerKeyDht, brute_force_range, random_tree_leaves
 from tests.test_rangequery import random_query
 
-#: Counters allowed to differ between the planes: the batched plane
-#: issues rounds, the sequential one never does.
+#: Counters allowed to differ from the reference: the program issues
+#: rounds, the per-key reference never does.
 ROUND_ONLY_KEYS = {"batch_rounds", "batch_ops"}
 
 SUBSTRATES = [
@@ -76,18 +77,19 @@ class TestPlaneEquivalence:
     @pytest.mark.parametrize(
         "name,factory", SUBSTRATES, ids=[name for name, _ in SUBSTRATES]
     )
-    @pytest.mark.parametrize("lookahead", [1, 4])
+    @pytest.mark.parametrize("lookahead", [1, 2, 4])
     def test_same_answers_and_meters_on_every_substrate(
         self, name, factory, lookahead
     ):
-        """Identical substrates, one engine per plane: every query must
-        agree on records, visited leaves, lookups, rounds, and on the
+        """Identical substrates, one engine on each and the second
+        behind the per-key reference: every query must agree on
+        records, visited leaves, lookups, rounds, and on the
         substrate-level meter deltas (batch counters excepted)."""
         batched_dht, sequential_dht = factory(), factory()
         points = populate_tree(batched_dht, seed=17)
         populate_tree(sequential_dht, seed=17)
-        batched = RangeQueryEngine(batched_dht, 2, 10, batched=True)
-        sequential = RangeQueryEngine(sequential_dht, 2, 10, batched=False)
+        batched = RangeQueryEngine(batched_dht, 2, 10)
+        sequential = RangeQueryEngine(PerKeyDht(sequential_dht), 2, 10)
 
         rng = random.Random(3)
         for _ in range(6):
@@ -113,55 +115,71 @@ class TestPlaneEquivalence:
             assert result_b.batch_rounds == delta_b["batch_rounds"] > 0
             assert result_s.batch_rounds == delta_s["batch_rounds"] == 0
 
-    def test_index_maintenance_equivalent_across_planes(self):
-        """Inserting through the index (splits included) produces the
-        same tree and the same bandwidth meters on either plane."""
+    @staticmethod
+    def maintenance_run(dht):
+        """Splits, range queries at lookahead 1/2/4, merges: the final
+        leaf set, every query's answer and meters, the substrate's
+        meters (batch counters apart) and its batch-round count."""
         rng = random.Random(23)
         points = [(rng.random(), rng.random()) for _ in range(300)]
-        config = dict(
+        config = IndexConfig(
             dims=2, max_depth=12, split_threshold=10, merge_threshold=5
         )
-        indexes = {
-            plane: MLightIndex(
-                LocalDht(16), IndexConfig(execution=plane, **config)
+        index = MLightIndex(dht, config)
+        index.insert_many(points)
+        index.check_invariants()
+        queries = []
+        for lookahead in (1, 2, 4):
+            query = random_query(rng, 2)
+            result = index.range_query(query, lookahead)
+            assert sorted(r.key for r in result.records) == (
+                brute_force_range(points, query)
             )
-            for plane in ("batched", "sequential")
-        }
-        for index in indexes.values():
-            index.insert_many(points)
-            index.check_invariants()
-
-        batched, sequential = (
-            indexes["batched"], indexes["sequential"]
+            queries.append(
+                (result.records, result.lookups, result.rounds,
+                 result.visited_leaves)
+            )
+        for point in points[:250]:
+            assert index.delete(point)
+        index.check_invariants()
+        stats = dht.stats.snapshot()
+        assert stats["removes"] > 0  # merges really happened
+        return (
+            sorted(bucket.label for bucket in index.buckets()),
+            queries,
+            {k: v for k, v in stats.items() if k not in ROUND_ONLY_KEYS},
+            stats["batch_rounds"],
         )
-        assert sorted(b.label for b in batched.buckets()) == sorted(
-            b.label for b in sequential.buckets()
-        )
-        for key in batched.dht.stats.snapshot():
-            if key in ROUND_ONLY_KEYS:
-                continue
-            assert (
-                batched.dht.stats.snapshot()[key]
-                == sequential.dht.stats.snapshot()[key]
-            ), key
 
-        query = Region((0.1, 0.1), (0.8, 0.8))
-        expected = brute_force_range(points, query)
-        for index in indexes.values():
-            got = sorted(r.key for r in index.range_query(query).records)
-            assert got == expected
+    def test_index_maintenance_equivalent_across_planes(self):
+        """Maintenance and queries through the index produce the same
+        tree, answers and bandwidth meters as the reference."""
+        *run, rounds = self.maintenance_run(LocalDht(16))
+        *reference, no_rounds = self.maintenance_run(PerKeyDht(LocalDht(16)))
+        assert run == reference
+        assert rounds > 0 and no_rounds == 0
+
+    @pytest.mark.parametrize(
+        "name,factory", SUBSTRATES[1:4], ids=[n for n, _ in SUBSTRATES[1:4]]
+    )
+    def test_index_maintenance_equivalent_on_routed_overlays(
+        self, name, factory
+    ):
+        *run, rounds = self.maintenance_run(factory())
+        *reference, no_rounds = self.maintenance_run(PerKeyDht(factory()))
+        assert run == reference
+        assert rounds > 0 and no_rounds == 0
 
     def test_bulk_load_equivalent_across_planes(self):
         rng = random.Random(9)
         points = [(rng.random(), rng.random()) for _ in range(400)]
+        config = IndexConfig(
+            dims=2, max_depth=12, split_threshold=20, merge_threshold=10
+        )
         placements = {}
         stats = {}
-        for plane in ("batched", "sequential"):
-            dht = LocalDht(16)
-            config = IndexConfig(
-                dims=2, max_depth=12, split_threshold=20,
-                merge_threshold=10, execution=plane,
-            )
+        for plane, wrap in (("batched", lambda d: d), ("sequential", PerKeyDht)):
+            dht = wrap(LocalDht(16))
             placements[plane] = bulk_load(dht, points, config)
             stats[plane] = dht.stats.snapshot()
         assert placements["batched"] == placements["sequential"]
@@ -181,7 +199,7 @@ class TestDerivedRounds:
         from issuance, not hand-counted."""
         dht = ChordDht.build(10)
         populate_tree(dht, seed=29, max_depth=10, n_points=150)
-        engine = RangeQueryEngine(dht, 2, 10, batched=True)
+        engine = RangeQueryEngine(dht, 2, 10)
         network = dht.network
 
         rng = random.Random(31)
@@ -221,7 +239,7 @@ class TestDerivedRounds:
                     break
         for leaf, bucket in buckets.items():
             dht.put(bucket_key(naming_function(leaf, 2)), bucket)
-        engine = RangeQueryEngine(dht, 2, 12, batched=True)
+        engine = RangeQueryEngine(dht, 2, 12)
         query = Region((0.05, 0.05), (0.85, 0.85))
 
         elapsed = {}
@@ -355,6 +373,8 @@ class TestBatchMetering:
         assert dht.stats.lookups == 0
 
     def test_broadcast_round_advances_clock_once(self):
+        """A broadcast — one sender, several independent deliveries —
+        is one message round: each delivery its own chain."""
         network = SimNetwork()
 
         class Echo:
@@ -364,9 +384,11 @@ class TestBatchMetering:
         network.register("a", Echo())
         network.register("b", Echo())
         network.register("c", Echo())
-        results = network.broadcast_round(
-            "a", [("b", "ping"), ("c", "ping")]
-        )
+        results = []
+        with network.message_round() as round_:
+            for peer in ("b", "c"):
+                with round_.chain():
+                    results.append(network.rpc("a", peer, "ping"))
         assert results == ["ping", "ping"]
         # Two parallel deliveries, one round: the clock advanced by the
         # slowest single round trip, not the sum of both.

@@ -94,6 +94,22 @@ class TestBulkLoad:
         with pytest.raises(ReproError):
             bulk_load(dht, [(0.1, 0.1)], config)
 
+    def test_config_strategy_reaches_the_bulk_tree(self):
+        """``config.strategy`` selects the planner here as it does in
+        ``MLightIndex``: the tree equals the one an explicitly passed
+        strategy builds, and differs from the threshold tree."""
+        rng = random.Random(3)
+        points = [(rng.random(), rng.random()) for _ in range(400)]
+        config = small_config(strategy="data-aware")
+        by_config = bulk_load(LocalDht(8), points, config)
+        explicit = bulk_load(
+            LocalDht(8), points, config,
+            DataAwareSplit(config.expected_load),
+        )
+        threshold = bulk_load(LocalDht(8), points, small_config())
+        assert by_config == explicit
+        assert by_config != threshold
+
 
 class TestStaticBeatsIncremental:
     """Ablation A4's claim, as a test: bulk loading costs less and the

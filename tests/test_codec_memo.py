@@ -25,7 +25,7 @@ from repro.core import codec
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
 
-BACKENDS = ["list", "columnar", "numpy"]
+BACKENDS = ["columnar", "numpy"]
 
 
 def _records(rng, dims, count):

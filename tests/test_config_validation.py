@@ -71,18 +71,6 @@ class TestDefaultLookahead:
         assert lookups[4] > lookups[1]
 
 
-class TestExecutionPlane:
-    def test_unknown_plane_rejected_with_message(self):
-        with pytest.raises(
-            ReproError, match=r"unknown execution plane 'threaded'"
-        ):
-            IndexConfig(execution="threaded")
-
-    @pytest.mark.parametrize("plane", ["batched", "sequential"])
-    def test_known_planes_accepted(self, plane):
-        assert IndexConfig(execution=plane).execution == plane
-
-
 class TestRuntime:
     def test_unknown_kind_raises_value_error(self):
         """The contract is plain ``ValueError`` compatibility: callers
@@ -100,6 +88,19 @@ class TestRuntime:
 
     def test_default_is_the_simulated_plane(self):
         assert IndexConfig().runtime == "sim"
+
+    def test_registered_kind_is_configurable(self):
+        """One live registry validates both surfaces: a kind
+        ``create_dht`` builds is a kind ``IndexConfig`` accepts."""
+        from repro.dht.localhash import LocalDht
+        from repro.runtime import RUNTIMES, create_dht, register_runtime
+
+        register_runtime("in-memory", lambda config: LocalDht(config.n_peers))
+        try:
+            assert len(create_dht(kind="in-memory", n_peers=3).peers()) == 3
+            assert IndexConfig(runtime="in-memory").runtime == "in-memory"
+        finally:
+            del RUNTIMES.table["in-memory"]
 
 
 class TestRepr:

@@ -58,6 +58,40 @@ class TestUsageGuideNames:
         assert hasattr(churn, "run_churn")
 
 
+class TestArchitectureNames:
+    """docs/architecture.md describes the design that exists: every
+    dotted ``repro.*`` name resolves, every repo path is a file."""
+
+    TEXT = (ROOT / "docs" / "architecture.md").read_text()
+
+    def test_dotted_names_resolve(self):
+        import importlib
+
+        for dotted in set(re.findall(r"`(repro(?:\.\w+)+)", self.TEXT)):
+            parts = dotted.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    target = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                break
+            for attribute in parts[cut:]:
+                assert hasattr(target, attribute), dotted
+                target = getattr(target, attribute)
+
+    def test_paths_exist(self):
+        paths = re.findall(
+            r"`((?:tests|perf|benchmarks|results|tools|docs)/[\w./]+)",
+            self.TEXT,
+        )
+        assert paths
+        for path in paths:
+            assert (ROOT / path.split(":")[0]).exists(), path
+
+    def test_stays_a_design_not_a_history(self):
+        assert len(self.TEXT.splitlines()) <= 400
+
+
 class TestCrossReferences:
     def test_design_lists_every_experiment_bench(self):
         text = (ROOT / "DESIGN.md").read_text()

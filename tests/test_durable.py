@@ -16,6 +16,7 @@ from repro.core.index import MLightIndex
 from repro.dht.chord import ChordDht
 from repro.dht.churn import generate_schedule, run_churn
 from repro.dht.durable import (
+    BACKENDS,
     AppendLogBackend,
     FileDictBackend,
     backend_path,
@@ -23,7 +24,6 @@ from repro.dht.durable import (
     register_store_backend,
     resolve_data_dir,
     store_backend_kinds,
-    _BACKENDS,
 )
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.kademlia import KademliaDht
@@ -183,7 +183,7 @@ class TestRegistry:
             RuntimeConfig(durability="custom-log")
             IndexConfig(durability="custom-log")
         finally:
-            del _BACKENDS["custom-log"]
+            del BACKENDS.table["custom-log"]
 
     def test_empty_kind_rejected(self):
         with pytest.raises(ReproError):

@@ -26,14 +26,6 @@ class TestRegionCorners:
         assert cell.contains_point(cell.corner_low())
 
 
-class TestSfcDebugHelper:
-    def test_z_cell_low_corner_bits(self):
-        from repro.baselines.sfc import z_cell_low_corner_bits
-
-        text = z_cell_low_corner_bits((0.5, 0.25), 3)
-        assert text == "100|010"
-
-
 class TestChordEdges:
     def test_leave_last_node_empties_ring(self):
         dht = ChordDht.build(1)

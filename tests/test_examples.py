@@ -14,7 +14,7 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-STORE_BACKENDS = ("list", "columnar", "numpy")
+STORE_BACKENDS = ("columnar", "numpy")
 
 
 def run_example(name: str, *args: str, store: str | None = None) -> str:

@@ -28,6 +28,7 @@ from repro.dht.faults import (
 )
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
+from tests.conftest import PerKeyDht
 
 CONFIG = IndexConfig(
     dims=2, max_depth=12, split_threshold=10, merge_threshold=5
@@ -307,6 +308,8 @@ class TestDegradedQueries:
     """Probes dead beyond the retry budget degrade, never raise."""
 
     def build(self, *, batched, cache=None):
+        """*batched* False puts the engine behind the per-key
+        reference: each probe its own (retried) ``get``."""
         faulty = FaultyDht(LocalDht(8), FaultPlan(0))
         dht = RetryingDht(faulty, attempts=2)
         index = MLightIndex(dht, CONFIG)
@@ -314,8 +317,8 @@ class TestDegradedQueries:
         for point in points:
             index.insert(point)
         engine = RangeQueryEngine(
-            dht, CONFIG.dims, CONFIG.max_depth, cache=cache,
-            batched=batched,
+            dht if batched else PerKeyDht(dht),
+            CONFIG.dims, CONFIG.max_depth, cache=cache,
         )
         return faulty, index, engine, points
 
@@ -385,9 +388,7 @@ class TestDegradedQueries:
         with faulty.suspended():
             for point in uniform_points(250):
                 index.insert(point)
-        engine = RangeQueryEngine(
-            dht, CONFIG.dims, CONFIG.max_depth, batched=True
-        )
+        engine = RangeQueryEngine(dht, CONFIG.dims, CONFIG.max_depth)
         with faulty.suspended():
             full = {
                 r.key
@@ -465,7 +466,7 @@ class TestDeadHintEviction:
             {bucket_key(naming_function(label, CONFIG.dims))}
         )
         engine = RangeQueryEngine(
-            dht, CONFIG.dims, CONFIG.max_depth, cache=cache, batched=True
+            dht, CONFIG.dims, CONFIG.max_depth, cache=cache
         )
         result = engine.query(((0.0, 0.0), (1.0, 1.0)))
         assert not result.complete

@@ -24,47 +24,34 @@ from repro.common.geometry import (
 )
 from repro.common.labels import (
     candidate_string,
-    children,
-    common_prefix,
     coordinate_bits,
     interleave,
-    is_valid_label,
-    label_depth,
     pack_label,
     packed_candidate,
-    packed_children,
-    packed_common_prefix,
-    packed_depth,
     packed_interleave,
-    packed_is_prefix,
-    packed_is_valid,
-    packed_parent,
-    packed_prefix,
-    packed_root,
-    packed_sibling,
-    packed_split_dimension,
-    packed_virtual_root,
-    parent,
     root_label,
-    sibling,
     split_dimension,
     unpack_label,
-    virtual_root,
 )
 from repro.core.bucket import LeafBucket
-from repro.core.columnar import ColumnStore
 from repro.core.naming import (
     naming_function,
     naming_function_recursive,
     packed_naming_function,
 )
 from repro.core.records import Record
+from repro.core.store import ColumnarStore
 from repro.core.split import (
     DataAwareSplit,
     ThresholdSplit,
     partition_records,
 )
-from tests.conftest import labels_strategy, points_strategy, random_tree_leaves
+from tests.conftest import (
+    brute_force_range,
+    labels_strategy,
+    points_strategy,
+    random_tree_leaves,
+)
 
 DIMS = [1, 2, 3, 4]
 
@@ -84,7 +71,7 @@ def dims_and_point():
 
 
 # ----------------------------------------------------------------------
-# Packed label ops vs the string implementations
+# The packed label kernels vs the string implementations
 # ----------------------------------------------------------------------
 
 
@@ -93,72 +80,6 @@ class TestPackedLabelOps:
     def test_pack_roundtrip(self, dims_label):
         dims, label = dims_label
         assert unpack_label(pack_label(label)) == label
-
-    @pytest.mark.parametrize("dims", DIMS)
-    def test_roots(self, dims):
-        assert unpack_label(packed_virtual_root(dims)) == virtual_root(dims)
-        assert unpack_label(packed_root(dims)) == root_label(dims)
-
-    @given(dims_and_label())
-    def test_validity_depth_split_dimension(self, dims_label):
-        dims, label = dims_label
-        packed = pack_label(label)
-        assert packed_is_valid(packed, dims) == is_valid_label(label, dims)
-        assert packed_depth(packed, dims) == label_depth(label, dims)
-        assert packed_split_dimension(packed, dims) == split_dimension(
-            label, dims
-        )
-
-    @pytest.mark.parametrize("dims", DIMS)
-    def test_validity_rejects_what_strings_reject(self, dims):
-        # Wrong virtual-root prefix, too-short labels, junk lengths.
-        assert not packed_is_valid((1, dims), dims)  # "0…01" too short
-        assert not packed_is_valid((0, dims - 1), dims)
-        assert not packed_is_valid((1 << dims, dims), dims)  # overlong bits
-        assert packed_is_valid((0, dims), dims)  # virtual root
-
-    @given(dims_and_label())
-    def test_parent_children_sibling(self, dims_label):
-        dims, label = dims_label
-        packed = pack_label(label)
-        assert unpack_label(packed_parent(packed, dims)) == parent(label, dims)
-        lower, upper = children(label, dims)
-        p_lower, p_upper = packed_children(packed, dims)
-        assert unpack_label(p_lower) == lower
-        assert unpack_label(p_upper) == upper
-        if len(label) > dims + 1:
-            assert unpack_label(packed_sibling(packed, dims)) == sibling(
-                label, dims
-            )
-        else:
-            with pytest.raises(InvalidLabelError):
-                packed_sibling(packed, dims)
-
-    @pytest.mark.parametrize("dims", DIMS)
-    def test_virtual_root_structural_errors(self, dims):
-        packed = packed_virtual_root(dims)
-        with pytest.raises(InvalidLabelError):
-            packed_parent(packed, dims)
-        with pytest.raises(InvalidLabelError):
-            packed_children(packed, dims)
-
-    @given(dims_and_label(), st.data())
-    def test_prefix_and_is_prefix(self, dims_label, data):
-        dims, label = dims_label
-        packed = pack_label(label)
-        cut = data.draw(st.integers(min_value=0, max_value=len(label)))
-        prefix = packed_prefix(packed, cut)
-        assert unpack_label(prefix) == label[:cut]
-        assert packed_is_prefix(prefix, packed)
-        assert packed_is_prefix(packed, prefix) == (cut == len(label))
-
-    @given(dims_and_label(), st.data())
-    def test_common_prefix(self, dims_label, data):
-        dims, first = dims_label
-        second = data.draw(labels_strategy(dims, 16))
-        expected = common_prefix(first, second)
-        got = packed_common_prefix(pack_label(first), pack_label(second))
-        assert unpack_label(got) == expected
 
     @given(dims_and_point(), st.integers(min_value=0, max_value=24))
     def test_interleave_matches_coordinate_bits(self, dims_point, depth):
@@ -198,9 +119,8 @@ class TestPackedLabelOps:
         # A label whose every bit equals the bit m back has no
         # disagreement — structurally impossible for valid labels, and
         # both implementations refuse it the same way.
-        packed = packed_virtual_root(dims)
         with pytest.raises(InvalidLabelError):
-            packed_naming_function(packed, dims)
+            packed_naming_function((0, dims), dims)  # the virtual root
 
 
 # ----------------------------------------------------------------------
@@ -318,28 +238,27 @@ class TestColumnarMatching:
 
     @pytest.mark.parametrize("dims", DIMS)
     def test_positions_are_insertion_ordered(self, dims, rng):
+        # Sorted on the last dimension, answered in insertion order.
         records = _random_records(rng, unit_region(dims), dims, 80)
-        store = ColumnStore(records, dims, sort_dim=dims - 1)
+        store = ColumnarStore(dims, dims - 1, records)
         query = _random_query(rng, dims)
-        positions = store.matching_positions(query.lows, query.highs)
-        assert positions == sorted(positions)
-        assert store.matching(records, query.lows, query.highs) == [
+        assert store.matching(query.lows, query.highs) == [
             record
             for record in records
             if query.contains_point_closed(record.key)
         ]
 
     def test_empty_store(self):
-        store = ColumnStore([], 2, 0)
-        assert store.matching_positions((0.0, 0.0), (1.0, 1.0)) == []
+        store = ColumnarStore(2, 0)
+        assert store.matching((0.0, 0.0), (1.0, 1.0)) == []
 
 
 # ----------------------------------------------------------------------
-# Record-store backends vs the list oracle, across dims and overlays
+# Record-store backends vs the naive scan, across dims and overlays
 # ----------------------------------------------------------------------
 
 
-STORE_BACKENDS = ["list", "columnar", "numpy"]
+STORE_BACKENDS = ["columnar", "numpy"]
 
 
 class TestStoreBackendEquivalence:
@@ -353,21 +272,22 @@ class TestStoreBackendEquivalence:
         for _ in range(6):
             leaves = random_tree_leaves(rng, dims, max_depth=6)
             label = rng.choice(leaves)
-            oracle = LeafBucket(label, dims, store="list")
+            inserted = _random_records(
+                rng, region_of_label(label, dims), dims, rng.randrange(0, 120)
+            )
             bucket = LeafBucket(label, dims, store=kind)
-            for record in _random_records(
-                rng, bucket.region, dims, rng.randrange(0, 120)
-            ):
-                oracle.add(record)
+            for record in inserted:
                 bucket.add(record)
             for _ in range(6):
                 query = _random_query(rng, dims)
                 got = bucket.matching(query)
-                assert got == oracle.matching(query)
                 assert got == bucket.matching_naive(query)
                 # Insertion order, not just set equality.
-                positions = [oracle.records.index(r) for r in got]
-                assert positions == sorted(positions)
+                assert got == [
+                    record
+                    for record in inserted
+                    if query.contains_point_closed(record.key)
+                ]
 
     @pytest.mark.parametrize("kind", STORE_BACKENDS)
     @pytest.mark.parametrize("overlay", ["chord", "kademlia", "pastry"])
@@ -400,7 +320,11 @@ class TestStoreBackendEquivalence:
                 for q in queries
             ]
 
-        assert answers(kind) == answers("list")
+        got = answers(kind)
+        for query, records in zip(queries, got):
+            assert sorted(records) == brute_force_range(points, query)
+        # Same order too, whichever backend filtered the buckets.
+        assert got == answers(STORE_BACKENDS[0])
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from repro.common.labels import (
     branch_nodes_between,
     candidate_string,
     children,
-    common_prefix,
     coordinate_bits,
     interleave,
     is_valid_label,
@@ -191,20 +190,3 @@ class TestBits:
             if bit == "1"
         )
         assert abs(approx - value) < 2.0**-40
-
-
-class TestCommonPrefix:
-    def test_basic(self):
-        assert common_prefix("0010", "0011") == "001"
-        assert common_prefix("001", "001") == "001"
-        assert common_prefix("1", "0") == ""
-
-    @given(st.text(alphabet="01", max_size=16),
-           st.text(alphabet="01", max_size=16))
-    def test_is_prefix_of_both(self, a, b):
-        prefix = common_prefix(a, b)
-        assert a.startswith(prefix)
-        assert b.startswith(prefix)
-        longer = len(prefix)
-        if longer < min(len(a), len(b)):
-            assert a[longer] != b[longer]

@@ -8,12 +8,21 @@ probing it (``hasattr(substrate, "_route")``) or calling it
 ``RoutedOverlay.route_owner`` or ``ServiceDht.call`` — and an overlay
 module re-growing its own copy of the storage node or the facade body
 that ``dht/overlay.py`` holds once.
+
+The second half keeps *options without traffic* from growing back: no
+function takes a ``batched`` switch, ``core/plane.py`` holds nothing but
+the one name the perf harness pins, the kind tables are instances of
+one ``Registry``, and every public name under ``src/`` that nothing
+outside ``tests/`` refers to (``tools/reach.py``) is listed below with
+the reason it stays.
 """
 
 import ast
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 #: The one module allowed to know the wrapper chain's link by name.
 CHAIN_OWNER = "dht/api.py"
@@ -201,3 +210,246 @@ class TestTheCheckItself:
     def test_allows_public_and_protocol_names(self):
         assert not self.check('getattr(dht, "close", None)\n')
         assert not self.check('hasattr(items, "__array_interface__")\n')
+
+
+# ----------------------------------------------------------------------
+# No option without traffic
+# ----------------------------------------------------------------------
+
+
+def trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_no_function_takes_a_batched_switch():
+    """A round is always one batch; the per-key form is a test
+    reference (``conftest.PerKeyDht``), not a second path."""
+    found = [
+        f"{relative}:{node.lineno}: {node.name}"
+        for relative, tree in trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (
+            *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs
+        )
+        if arg.arg == "batched"
+    ]
+    assert not found, found
+
+
+def test_the_plane_module_holds_only_the_perf_pin():
+    tree = ast.parse((SRC / "core" / "plane.py").read_text())
+    classes = [
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    assert classes == ["BatchedPlane"]
+
+
+def test_kind_tables_are_instances_of_the_one_registry():
+    """Only ``common/registry.py`` defines register/kinds/lookup; the
+    runtime, store and durable-backend tables are ``Registry(...)``."""
+    protocol = {"register", "kinds", "lookup"}
+    definers = [
+        relative
+        for relative, tree in trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and protocol <= {
+            member.name
+            for member in node.body
+            if isinstance(member, ast.FunctionDef)
+        }
+    ]
+    assert definers == ["common/registry.py"]
+
+    from repro.common.registry import Registry
+    from repro.core.store import STORES
+    from repro.dht.durable import BACKENDS
+    from repro.runtime import RUNTIMES
+
+    for table in (RUNTIMES, STORES, BACKENDS):
+        assert type(table) is Registry
+    module_level_functions = [
+        f"{relative}: {node.name}"
+        for relative, tree in trees()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("register_")
+    ]
+    assert not module_level_functions, module_level_functions
+
+
+#: ``<module under src/repro>:<name>`` -> why a public name that only
+#: tests (or nothing) refer to stays.  ``tools/reach.py`` prints the
+#: candidates; the list is the agenda for the next re-anchor.
+REACH_ALLOWLIST = {
+    # -- perf pin ------------------------------------------------------
+    "core/plane.py:get_round":
+        "perf/spans.py:TARGETS names it as a string; goes with the "
+        "TARGETS re-point (ROADMAP item 3)",
+    # -- test oracles: references the program is compared against ------
+    "core/naming.py:naming_function_recursive":
+        "oracle: the paper's literal recursion, vs the O(1) scans",
+    "core/naming.py:survivor_child":
+        "oracle: Theorem 5 stated directly, vs what _apply_split does",
+    "core/naming.py:moved_child":
+        "oracle: Theorem 5's other half",
+    "core/split.py:optimal_cost":
+        "oracle: Algorithm 1's objective, vs brute-force enumeration",
+    "core/index.py:check_invariants":
+        "oracle: the structural invariant every index test ends on "
+        "(docs/usage.md)",
+    "core/npstore.py:batch_interleave":
+        "oracle seam: string form of batch_morton_codes, vs "
+        "labels.interleave",
+    "common/labels.py:pack_label":
+        "inverse of unpack_label (used by naming and lookup); the "
+        "round trip is how the packed kernels are tested",
+    "baselines/dst.py:replica_count":
+        "oracle: DST's replication bill, asserted by tests/test_dst.py",
+    "dht/api.py:get_many":
+        "documented facade API (raising form of get_many_outcomes); "
+        "kept by ISSUE 19 for the next re-anchor",
+    "dht/api.py:lookup_many":
+        "documented facade API (raising form of lookup_many_outcomes); "
+        "kept by ISSUE 19 for the next re-anchor",
+    # -- documented user API (docs/usage.md, README) -------------------
+    "core/index.py:exact_match": "documented user API (docs/usage.md)",
+    "core/aggregate.py:sum_in": "documented user API (docs/usage.md)",
+    "core/aggregate.py:combine":
+        "Aggregate's merge law — what a peer-side reducer (ROADMAP "
+        "5b) would call",
+    "dht/api.py:load_by_peer":
+        "documented oracle API (Fig. 6a's measure); one copy since "
+        "this PR",
+    "baselines/pht.py:range_query_scan":
+        "baseline API: PHT's linked-leaf scan (docs/algorithms.md); "
+        "kept by ISSUE 19 for the next re-anchor",
+    "mcast/continuous.py:unsubscribe": "documented user API",
+    "mcast/service.py:ServiceMulticast":
+        "documented user API: multicast on the service runtime "
+        "(docs/usage.md), covered by tests/test_mcast.py",
+    "mcast/service.py:ServiceContinuousPlane":
+        "documented user API: subscriptions on the service runtime",
+    "obs/registry.py:for_index": "documented user API (docs/usage.md)",
+    "obs/registry.py:quantile": "Histogram's read side (user API)",
+    "obs/trace.py:export_jsonl": "documented user API (docs/usage.md)",
+    "obs/trace.py:detach": "inverse of Tracer.attach (user API)",
+    "obs/trace.py:children_of": "span-tree navigation (user API)",
+    "adaptive/plane.py:detector":
+        "documented inspection surface of AdaptiveDht (docs/usage.md)",
+    "adaptive/plane.py:replicas":
+        "documented inspection surface of AdaptiveDht (docs/usage.md)",
+    "adaptive/plane.py:shortcuts":
+        "documented inspection surface of AdaptiveDht (docs/usage.md)",
+    "adaptive/plane.py:bump_generation":
+        "documented churn escape hatch (docs/usage.md)",
+    "adaptive/detector.py:window_reads":
+        "HotspotDetector's inspection surface, read by its unit tests",
+    "adaptive/detector.py:share":
+        "HotspotDetector's inspection surface, read by its unit tests",
+    "adaptive/replication.py:is_replica_key":
+        "replica key naming: the predicate beside replica_key",
+    "adaptive/replication.py:primary_of":
+        "replica key naming: the inverse of replica_key",
+    # -- extension seams: the open registries' public halves -----------
+    "runtime.py:register_runtime": "extension seam (docs/usage.md)",
+    "runtime.py:runtime_kinds": "extension seam: lists the kinds",
+    "core/store.py:register_store": "extension seam (docs/usage.md)",
+    "core/store.py:store_backends": "extension seam: lists the kinds",
+    "dht/durable.py:register_store_backend": "extension seam (docs)",
+    "dht/durable.py:store_backend_kinds":
+        "extension seam: lists the kinds",
+    # -- small complete surfaces of library types ----------------------
+    "common/geometry.py:volume": "Region's public geometry (DESIGN.md)",
+    "common/geometry.py:corner_low": "Region's public geometry",
+    "common/geometry.py:contains_region": "Region's public geometry",
+    "core/bucket.py:encoded_wire_size":
+        "the lazy bucket's header-only size (docs/architecture.md); "
+        "tests pin that it builds no store",
+    "core/bucket.py:local_tree_ancestors":
+        "the label store's reading of Section 3.3 (the local tree)",
+    "core/bucket.py:branch_nodes_below":
+        "the label store's reading of Section 3.3 (forwarding targets)",
+    "core/bucket.py:is_descendant_or_self_of":
+        "the label store's reading of Section 3.3",
+    "dht/hashing.py:ring_distance": "ring arithmetic beside in_interval",
+    "dht/storage.py:digest_of":
+        "PeerStore's typed key lookup (DhtKeyError, not KeyError)",
+    "net/events.py:cancel": "EventHandle's only operation",
+    "net/events.py:schedule_every":
+        "EventScheduler API for the deterministic-simulation harness "
+        "(ROADMAP item 1); kept by ISSUE 19 for the next re-anchor",
+    "net/latency.py:UniformLatency":
+        "latency model beside Constant/Queueing (tests/test_simnet.py)",
+    "net/simnet.py:addresses":
+        "SimNetwork membership oracle (README); lost its one caller "
+        "with broadcast()",
+    "net/simnet.py:heal_partitions": "inverse of SimNetwork.partition",
+    "net/stats.py:latency_clock":
+        "which clock a NetworkStats measured (docs/architecture.md)",
+    "service/wire.py:is_reply": "Frame predicate of the wire protocol",
+    "service/wire.py:frame_wire_cost":
+        "first half of frame_wire_sizes, the sim/service byte-parity "
+        "contract tests/test_service.py pins",
+    # -- dataset and workload generators (library surface) -------------
+    "datasets/loader.py:load_points": "documented loader (DESIGN.md)",
+    "datasets/northeast.py:northeast_sample":
+        "dataset generator beside northeast_surrogate",
+    "datasets/synthetic.py:skewed_points":
+        "dataset generator beside uniform/clustered points",
+    "workloads/traces.py:insert_trace":
+        "workload generator beside request_trace",
+}
+
+
+def load_reach():
+    """``tools/reach.py`` as a module (``tools/`` is not a package)."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import reach
+    finally:
+        sys.path.pop(0)
+    return reach
+
+
+def unreached_names(root=ROOT):
+    return {
+        f"{d.path.relative_to(root / 'src' / 'repro').as_posix()}:{d.name}"
+        for d, _ in load_reach().unreached(root)
+    }
+
+
+def test_every_caller_less_public_name_is_accounted_for():
+    found = unreached_names()
+    unexplained = sorted(found - set(REACH_ALLOWLIST))
+    assert not unexplained, (
+        "public names nothing outside tests/ refers to — call them, "
+        f"delete them, or give the reason they stay: {unexplained}"
+    )
+    stale = sorted(set(REACH_ALLOWLIST) - found)
+    assert not stale, f"allowlisted names that are reached now: {stale}"
+    assert all(reason.strip() for reason in REACH_ALLOWLIST.values())
+
+
+def test_reach_flags_a_new_caller_less_function(tmp_path):
+    """The check itself: a public function nothing calls is reported,
+    one that something in ``src/`` calls is not."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (package / "lib.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def unused():\n    return unused()\n\n"
+        "def only_tested():\n    return 2\n"
+    )
+    (package / "app.py").write_text(
+        "from repro.lib import used\n\nRESULT = used()\n"
+    )
+    (tmp_path / "tests" / "test_lib.py").write_text(
+        "from repro.lib import only_tested\n"
+    )
+    assert unreached_names(tmp_path) == {
+        "lib.py:unused", "lib.py:only_tested", "app.py:RESULT",
+    }

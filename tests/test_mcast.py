@@ -4,8 +4,9 @@ range queries.
 The headline properties:
 
 * multicast returns the same answers at the same metered costs as
-  client fan-out — across all three overlays, both execution planes,
-  and both the simulated and the asyncio service runtimes — while the
+  client fan-out — across all three overlays, against the client
+  engine with rounds batched and per key, and on both the simulated
+  and the asyncio service runtimes — while the
   initiator originates exactly **one** message per query;
 * a continuous query keeps delivering through splits, merges, and (on
   a durable ring) a crash-restart cycle, each matching insert exactly
@@ -36,7 +37,7 @@ from repro.mcast import (
     sub_key,
 )
 from repro.runtime import create_dht
-from tests.conftest import brute_force_range
+from tests.conftest import PerKeyDht, brute_force_range
 
 CONFIG = IndexConfig(
     dims=2, max_depth=14, split_threshold=10, merge_threshold=5
@@ -121,13 +122,12 @@ class TestMulticastEquivalence:
 
     @pytest.mark.parametrize("execution", ["batched", "sequential"])
     def test_matches_engine_on_both_execution_planes(self, execution):
-        config = IndexConfig(
-            dims=2, max_depth=14, split_threshold=10, merge_threshold=5,
-            execution=execution,
-        )
+        """The client engine as the program runs it (rounds as batches)
+        and behind the per-key reference (``sequential``)."""
         dht = ChordDht.build(10)
-        index, points = build_over(dht, config=config)
-        mcast = MulticastRuntime(dht, 2, config.max_depth)
+        client = dht if execution == "batched" else PerKeyDht(dht)
+        index, points = build_over(client)
+        mcast = MulticastRuntime(dht, 2, CONFIG.max_depth)
         for query in random_queries(7):
             engine_result = index.range_query(query)
             mc_result = mcast.query(query)

@@ -196,7 +196,7 @@ class TestEfficiency:
         fallback chain steps riding the same rounds as the frontier."""
         rng = random.Random(seed)
         dht, leaves, points = build_populated_tree(rng, 2, 10, 300)
-        engine = RangeQueryEngine(dht, 2, 10, batched=True)
+        engine = RangeQueryEngine(dht, 2, 10)
         for _ in range(5):
             result = engine.query(random_query(rng, 2), lookahead)
             assert result.rounds == result.batch_rounds > 0

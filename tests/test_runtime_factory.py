@@ -82,7 +82,7 @@ class TestFactoryDispatch:
         finally:
             import repro.runtime as runtime_module
 
-            runtime_module._RUNTIMES.pop("inmem-test")
+            runtime_module.RUNTIMES.table.pop("inmem-test")
 
 
 class TestRuntimeConfigValidation:

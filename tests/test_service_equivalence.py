@@ -19,6 +19,7 @@ from repro.core.index import MLightIndex
 from repro.datasets.synthetic import uniform_points
 from repro.runtime import RuntimeConfig, create_dht
 from repro.workloads.traces import request_trace, run_operation
+from tests.conftest import PerKeyDht
 
 CONFIG = IndexConfig(dims=2, split_threshold=20, merge_threshold=10)
 POINTS = uniform_points(600, seed=3)
@@ -112,12 +113,12 @@ class TestTcpTransport:
 class TestExecutionPlanes:
     @pytest.mark.parametrize("execution", ["batched", "sequential"])
     def test_both_planes_run_on_the_service_runtime(self, execution):
-        config = IndexConfig(
-            dims=2, split_threshold=20, merge_threshold=10,
-            execution=execution,
-        )
+        """The program's path (rounds as batches, driven on the service
+        loop) and the per-key reference behind ``PerKeyDht``
+        (``sequential``) over the same runtime."""
         with create_dht(kind="asyncio", n_peers=4) as dht:
-            index = MLightIndex(dht, config)
+            client = dht if execution == "batched" else PerKeyDht(dht)
+            index = MLightIndex(client, CONFIG)
             index.insert_many(POINTS[:200])
             result = index.range_query(((0.1, 0.1), (0.6, 0.6)))
         expected = sorted(
@@ -125,3 +126,41 @@ class TestExecutionPlanes:
             if 0.1 <= p[0] <= 0.6 and 0.1 <= p[1] <= 0.6
         )
         assert sorted(r.key for r in result.records) == expected
+        assert (result.batch_rounds == 0) == (execution == "sequential")
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 4])
+    def test_service_runtime_matches_the_per_key_reference(self, lookahead):
+        """Same trace on two asyncio runtimes, one behind the per-key
+        reference: answers and every meter but the batch counters agree
+        through splits, range queries and merges."""
+        runs = []
+        for wrap in (lambda dht: dht, PerKeyDht):
+            with create_dht(kind="asyncio", n_peers=4) as dht:
+                index = MLightIndex(wrap(dht), CONFIG)
+                index.insert_many(POINTS[:300])
+                results = [
+                    index.range_query(
+                        ((low, low), (low + 0.3, low + 0.3)), lookahead
+                    )
+                    for low in (0.0, 0.2, 0.4, 0.6)
+                ]
+                for point in POINTS[:200]:
+                    index.delete(point)
+                runs.append((
+                    [
+                        (sorted(r.key for r in result.records),
+                         result.lookups, result.rounds,
+                         result.visited_leaves)
+                        for result in results
+                    ],
+                    {
+                        key: value
+                        for key, value in dht.stats.snapshot().items()
+                        if key not in ("batch_rounds", "batch_ops")
+                    },
+                    dht.stats.batch_rounds,
+                ))
+        (answers, stats, rounds), (ref_answers, ref_stats, ref_rounds) = runs
+        assert answers == ref_answers
+        assert stats == ref_stats
+        assert rounds > 0 and ref_rounds == 0

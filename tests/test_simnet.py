@@ -121,18 +121,6 @@ class TestFaultInjection:
             SimNetwork(drop_probability=1.0)
 
 
-class TestBroadcast:
-    def test_reaches_all_but_sender(self):
-        net = SimNetwork()
-        handlers = {name: Echo() for name in ("a", "b", "c")}
-        for name, handler in handlers.items():
-            net.register(name, handler)
-        delivered = net.broadcast("a", "gossip")
-        assert delivered == 2
-        assert not handlers["a"].seen
-        assert handlers["b"].seen and handlers["c"].seen
-
-
 class TestLatencyModels:
     def test_constant(self):
         assert ConstantLatency(3.0).delay("a", "b") == 3.0

@@ -27,7 +27,7 @@ from repro.core.store import (
     store_backends,
 )
 
-BACKENDS = ["list", "columnar", "numpy"]
+BACKENDS = ["columnar", "numpy"]
 
 
 def _records(rng, dims, count):
@@ -57,7 +57,7 @@ class TestRegistry:
         from repro.core import store as store_mod
 
         def factory(dims, sort_dim, source=None):
-            return store_mod.ListStore(dims, sort_dim, source or ())
+            return store_mod.ColumnarStore(dims, sort_dim, source or ())
 
         register_store("test-custom", factory)
         try:
@@ -68,7 +68,7 @@ class TestRegistry:
             bucket.add(Record((0.5, 0.5)))
             assert bucket.load == 1
         finally:
-            store_mod._STORES.pop("test-custom", None)
+            store_mod.STORES.table.pop("test-custom", None)
 
     def test_empty_kind_rejected(self):
         with pytest.raises(UnknownStoreError):
@@ -110,19 +110,23 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("kind", BACKENDS)
     @pytest.mark.parametrize("dims", [1, 2, 3, 4])
     def test_matching_identical_to_list_oracle(self, kind, dims, rng):
+        """The oracle is the naive scan over the inserted list."""
         for _ in range(5):
             records = _records(rng, dims, rng.randrange(0, 100))
-            oracle = create_store("list", dims, dims - 1, list(records))
             store = create_store(kind, dims, dims - 1, list(records))
             for _ in range(6):
                 bounds = [
                     sorted((rng.random(), rng.random())) for _ in range(dims)
                 ]
-                lows = tuple(low for low, _ in bounds)
-                highs = tuple(high for _, high in bounds)
-                assert store.matching(lows, highs) == oracle.matching(
-                    lows, highs
+                query = Region(
+                    tuple(low for low, _ in bounds),
+                    tuple(high for _, high in bounds),
                 )
+                assert store.matching(query.lows, query.highs) == [
+                    record
+                    for record in records
+                    if query.contains_point_closed(record.key)
+                ]
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_mutations_bump_generation(self, kind):
