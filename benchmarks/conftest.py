@@ -1,20 +1,25 @@
 """Shared fixtures for the benchmark suite.
 
+``benchmarks/`` asserts: every module states paper claims or plane
+gates over deterministic counts (DHT-lookups, records moved, rounds,
+simulated-clock time) and publishes the count tables as ``.txt`` under
+``results/``.  It measures nothing — wall-clock numbers come from
+``perf/`` (``BENCHMARK.json``) alone — except for three *ratio* gates
+that no ``perf/`` workload covers yet; they share :func:`best_rate`,
+assert, and write nothing.
+
 Scale control:
 
 * default — a 12,000-point slice of the NE surrogate, so the whole
   suite finishes in a couple of minutes;
 * ``REPRO_BENCH_SIZE=<n>`` — explicit cardinality;
 * ``REPRO_BENCH_FULL=1`` — the paper's full 123,593 points.
-
-Each figure bench writes its rendered tables into ``results/`` at the
-repository root and prints them, so a plain benchmark run regenerates
-the evaluation artefacts.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -47,7 +52,35 @@ def paper_config():
 
 
 def publish(name: str, text: str) -> None:
-    """Print a rendered table and persist it under results/."""
+    """Print a rendered count table and persist it under results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / name).write_text(text + "\n")
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}")
+
+
+def assert_claims(checks: list[tuple[str, bool]]) -> None:
+    """Fail naming every ``(description, holds?)`` claim that does not
+    hold — the shape ``repro.experiments.report.check_fig*`` return."""
+    failed = [description for description, holds in checks if not holds]
+    assert not failed, f"claims not reproduced: {failed}"
+
+
+def best_rate(fn, ops: int) -> float:
+    """Best observed operations/second of *fn*, which performs *ops*
+    operations per call: three half-second windows, the fastest kept.
+
+    The only timing loop under ``benchmarks/``.  Callers compare two
+    rates measured back to back on one machine and assert the ratio;
+    an absolute rate is ``perf/``'s to report.
+    """
+    best = 0.0
+    for _ in range(3):
+        rounds = 0
+        start = time.perf_counter()
+        elapsed = 0.0
+        while elapsed < 0.5:
+            fn()
+            rounds += 1
+            elapsed = time.perf_counter() - start
+        best = max(best, ops * rounds / elapsed)
+    return best

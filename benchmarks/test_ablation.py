@@ -5,8 +5,6 @@ A2: binary-search lookup — versus linear probing.
 A3: DHT substrate swap — index costs must be substrate-invariant.
 """
 
-import itertools
-
 import pytest
 
 from repro.experiments import ablation
@@ -76,50 +74,43 @@ def bulkload_rows(ablation_dataset, paper_config):
     return rows
 
 
-def test_a4_bulk_load_time(benchmark, ablation_dataset, paper_config,
-                           bulkload_rows):
-    """Time a full bulk load of 4000 records (single-shot)."""
+def test_a4_bulk_load(ablation_dataset, paper_config, bulkload_rows):
+    """A data-aware bulk load of 4000 records places every record."""
     from repro.core.bulkload import bulk_load
     from repro.core.split import DataAwareSplit
     from repro.dht.localhash import LocalDht
 
     subset = ablation_dataset[:4000]
     strategy = DataAwareSplit(paper_config.expected_load)
-
-    def build():
-        bulk_load(LocalDht(32), subset, paper_config, strategy)
-
-    benchmark.pedantic(build, rounds=3, iterations=1)
+    placed = bulk_load(LocalDht(32), subset, paper_config, strategy)
+    assert sum(load for _, load in placed) == len(subset)
 
 
-def test_a1_naming_split_cost(benchmark, ablation_dataset, paper_config,
-                              naming_rows):
-    """Time naive-mapping inserts (full-transfer splits, linear lookups)."""
+def test_a1_naming_split_cost(ablation_dataset, paper_config, naming_rows):
+    """Naive-mapping inserts (full-transfer splits, linear lookups)."""
     index = build_index("naive", paper_config)
-    for point in ablation_dataset[:2000]:
+    warmup = ablation_dataset[:2000]
+    for point in warmup:
         index.insert(point)
-    fresh = itertools.cycle(ablation_dataset[2000:3000])
-    benchmark(lambda: index.insert(next(fresh)))
+    assert index.total_records() == len(warmup)
 
 
-def test_a2_lookup_binary_vs_linear(benchmark, ablation_dataset,
-                                    paper_config, lookup_rows):
-    """Time the production binary-search lookup."""
+def test_a2_lookup_binary_vs_linear(ablation_dataset, paper_config,
+                                    lookup_rows):
+    """The production binary-search lookup finds a covering leaf."""
     index = build_index("mlight", paper_config)
     for point in ablation_dataset[:4000]:
         index.insert(point)
-    keys = itertools.cycle(ablation_dataset[:4000])
-    benchmark(lambda: index.lookup(next(keys)))
+    key = ablation_dataset[0]
+    assert index.lookup(key).bucket.covers(key)
 
 
-def test_a3_substrate_chord_routing(benchmark, paper_config,
-                                    substrate_rows, dataset):
-    """Time an insert routed through the full Chord overlay."""
+def test_a3_substrate_chord_routing(paper_config, substrate_rows, dataset):
+    """Inserts routed through the full Chord overlay."""
     from repro.dht.chord import ChordDht
     from repro.core.index import MLightIndex
 
     index = MLightIndex(ChordDht.build(16), paper_config)
     for point in dataset[:500]:
         index.insert(point)
-    fresh = itertools.cycle(dataset[500:700])
-    benchmark(lambda: index.insert(next(fresh)))
+    index.check_invariants()

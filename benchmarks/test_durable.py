@@ -18,21 +18,17 @@ size:
   whole store (``REPAIR_BYTES_FRACTION``) and the repaired key count a
   small fraction of the stored keys (``REPAIR_KEYS_FRACTION``).
 
-Artefacts: ``results/BENCH_durable.json`` (machine-readable samples
-and ratios) and ``results/e14_restart_recovery.txt`` (the rendered
-E14 table).
+Artefact: ``results/e14_restart_recovery.txt`` (the rendered E14
+table).
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import asdict
 
 import pytest
 
 from repro.experiments import restart_experiment
 
-from .conftest import bench_size, publish
+from .conftest import publish
 
 #: Repair traffic must stay below this fraction of the whole store's
 #: wire size — sublinear in data size, linear in downtime churn.
@@ -61,15 +57,6 @@ def test_e14_restart_recovery(dataset, paper_config):
     durable = [s for s in samples if s.durability != "none"]
     baseline = [s for s in samples if s.durability == "none"]
     assert durable and baseline
-
-    document = {
-        "bench_size": bench_size(),
-        "points": len(points),
-        "repair_bytes_fraction_gate": REPAIR_BYTES_FRACTION,
-        "repair_keys_fraction_gate": REPAIR_KEYS_FRACTION,
-        "samples": [asdict(sample) for sample in samples],
-    }
-    publish("BENCH_durable.json", json.dumps(document, indent=2))
 
     for sample in durable:
         # The crash must actually cost recall (else the recovery gate

@@ -1,5 +1,5 @@
-"""E12 table and fault-plane timings: recall and retry cost vs
-injected fault rate, plus the overhead of the injection wrapper."""
+"""E12 table and the fault plane's contracts: recall and retry cost vs
+injected fault rate, plus the zero-rate injection wrapper."""
 
 import pytest
 
@@ -48,9 +48,9 @@ def fault_samples(dataset, paper_config):
 
 
 @pytest.mark.smoke
-def test_e12_fault_recall_table(benchmark, fault_samples):
-    """Time one degraded range query through the full resilience stack
-    (fault plane + retries) — the E12 hot path."""
+def test_e12_fault_recall_table(fault_samples):
+    """Range queries through the full resilience stack (fault plane +
+    retries) — the E12 hot path — degrade instead of raising."""
     config = IndexConfig(
         dims=2, max_depth=14, split_threshold=20, merge_threshold=10
     )
@@ -62,20 +62,14 @@ def test_e12_fault_recall_table(benchmark, fault_samples):
     with faulty.suspended():
         for point in uniform_points(2000, dims=2, seed=4):
             index.insert(point)
-    queries = uniform_range_queries(32, 0.2, dims=2, seed=5)
-    state = {"i": 0}
-
-    def one_query():
-        query = queries[state["i"] % len(queries)]
-        state["i"] += 1
-        return index.range_query(query)
-
-    benchmark(one_query)
+    for query in uniform_range_queries(32, 0.2, dims=2, seed=5):
+        index.range_query(query)
+    assert faulty.stats.faults_injected > 0
 
 
 @pytest.mark.smoke
-def test_fault_wrapper_overhead(benchmark, dataset):
-    """A zero-rate plan should cost near-nothing on the query path."""
+def test_zero_rate_plan_injects_nothing(dataset):
+    """A zero-rate plan answers every query completely."""
     config = IndexConfig(
         dims=2, max_depth=14, split_threshold=20, merge_threshold=10
     )
@@ -83,14 +77,6 @@ def test_fault_wrapper_overhead(benchmark, dataset):
     index = MLightIndex(RetryingDht(faulty), config)
     for point in dataset[:2000]:
         index.insert(point)
-    queries = uniform_range_queries(32, 0.2, dims=2, seed=6)
-    state = {"i": 0}
-
-    def one_query():
-        query = queries[state["i"] % len(queries)]
-        state["i"] += 1
-        result = index.range_query(query)
-        assert result.complete
-        return result
-
-    benchmark(one_query)
+    for query in uniform_range_queries(32, 0.2, dims=2, seed=6):
+        assert index.range_query(query).complete
+    assert faulty.stats.faults_injected == 0

@@ -1,229 +1,40 @@
-"""Hot-path microbenchmarks — the CPU fast paths vs their references.
+"""Hot-path gate — the columnar bucket scan must pay end to end.
 
-Times the four optimised inner loops against the straightforward
-implementations they replaced (kept in this file, or as shipped
-oracles like ``LeafBucket.matching_naive``):
-
-* **label_ops** — ``candidate_string`` (one per point lookup) vs
-  per-character Morton assembly from ``coordinate_bits``;
-* **region_derivation** — memoized ``region_of_label`` vs a
-  bit-by-bit split walk from the unit region;
-* **bucket_filtering** — columnar ``LeafBucket.matching`` vs the
-  naive full scan;
-* **fig7_query_throughput** — end-to-end range queries on a bulk-loaded
-  index with the columnar store on vs forced back to the naive scan.
-
-Every benchmark first asserts the two paths return *identical* answers,
-then times them.  Results are printed and merged into
-``results/BENCH_hotpath.json`` (ops/sec for both paths plus the
-speedup), which doubles as the committed regression baseline: the
-end-to-end benchmark fails when its measured speedup falls below 70% of
-the committed one.  Speedups, not absolute rates, are compared, so the
-gate is machine-independent.
+Fig. 7-style range queries on a bulk-loaded index, once with
+``LeafBucket.matching`` (the columnar store) and once forced back to
+the naive full scan (``LeafBucket.matching_naive``, the shipped
+oracle): identical answers first, then the throughput ratio.  A ratio,
+not a rate, so machine speed cancels; the per-kernel timings
+(``core.store.matching_us``, ``common.labels.interleave_us``, …) and
+every absolute rate are ``perf/``'s, and the kernels' equivalence with
+their references is ``tests/test_hotpath_equivalence.py``'s.
 """
 
 from __future__ import annotations
 
-import json
-import time
-
 import pytest
 
-from repro.common.geometry import Region, region_of_label, unit_region
-from repro.common.labels import (
-    candidate_string,
-    coordinate_bits,
-    root_label,
-)
 from repro.core.bucket import LeafBucket
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
-from repro.core.records import Record
 from repro.dht.localhash import LocalDht
 from repro.workloads.queries import uniform_range_queries
 
-from .conftest import RESULTS_DIR, bench_size, publish
+from .conftest import best_rate
 
-REPORT_PATH = RESULTS_DIR / "BENCH_hotpath.json"
+#: Columnar over naive-scan query throughput must stay above this:
+#: 70 % of the 1.67x measured when the columnar store landed.
+SPEEDUP_GATE = 0.7 * 1.67
 
-#: The smoke gate: measured end-to-end speedup must stay above this
-#: fraction of the committed baseline's.
-REGRESSION_TOLERANCE = 0.7
-
-_CANDIDATE_DEPTH = 24
 _QUERY_SPAN = 0.2
 _N_QUERIES = 16
 
 
-# ----------------------------------------------------------------------
-# Reference ("before") implementations
-# ----------------------------------------------------------------------
-
-
-def candidate_reference(point, max_depth: int) -> str:
-    """Pre-packed ``candidate_string``: per-character Morton assembly."""
-    dims = len(point)
-    per_dim = -(-max_depth // dims)
-    expansions = [coordinate_bits(value, per_dim) for value in point]
-    interleaved = "".join(
-        expansions[position][index]
-        for index in range(per_dim)
-        for position in range(dims)
-    )[:max_depth]
-    return root_label(dims) + interleaved
-
-
-def region_walk(label: str, dims: int) -> Region:
-    """Pre-memoization ``region_of_label``: one split per edge bit."""
-    region = unit_region(dims)
-    for index, bit in enumerate(label[dims + 1 :]):
-        lower, upper = region.split(index % dims)
-        region = upper if bit == "1" else lower
-    return region
-
-
-# ----------------------------------------------------------------------
-# Harness
-# ----------------------------------------------------------------------
-
-
-def ops_per_sec(fn, ops: int, min_time: float = 0.15, repeats: int = 3):
-    """Best observed rate of *fn* (which performs *ops* operations)."""
-    best = 0.0
-    for _ in range(repeats):
-        rounds = 0
-        start = time.perf_counter()
-        elapsed = 0.0
-        while elapsed < min_time:
-            fn()
-            rounds += 1
-            elapsed = time.perf_counter() - start
-        best = max(best, ops * rounds / elapsed)
-    return best
-
-
-@pytest.fixture(scope="module")
-def report():
-    """Collects per-benchmark entries; merged into the committed JSON
-    (and printed) once the module finishes."""
-    baseline = {}
-    if REPORT_PATH.exists():
-        baseline = json.loads(REPORT_PATH.read_text())
-    entries: dict[str, dict[str, float]] = {}
-    yield {"baseline": baseline, "entries": entries}
-    if not entries:
-        return
-    merged = dict(baseline.get("entries", {}))
-    merged.update(entries)
-    document = {"bench_size": bench_size(), "entries": merged}
-    publish("BENCH_hotpath.json", json.dumps(document, indent=2))
-
-
-def record_entry(report, name: str, before: float, after: float) -> None:
-    report["entries"][name] = {
-        "before_ops_per_sec": round(before, 1),
-        "after_ops_per_sec": round(after, 1),
-        "speedup": round(after / before, 2),
-    }
-
-
-@pytest.fixture(scope="module")
-def points(dataset):
-    return [tuple(point) for point in dataset]
-
-
-@pytest.fixture(scope="module")
-def loaded_index(dataset, paper_config):
+@pytest.mark.smoke
+def test_fig7_query_throughput(dataset, paper_config):
     dht = LocalDht(64)
     bulk_load(dht, dataset, paper_config)
-    return MLightIndex(dht, paper_config)
-
-
-# ----------------------------------------------------------------------
-# Benchmarks
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.smoke
-def test_label_ops(report, points):
-    sample = points[: min(len(points), 2000)]
-    for point in sample[:200]:
-        assert candidate_string(point, _CANDIDATE_DEPTH) == (
-            candidate_reference(point, _CANDIDATE_DEPTH)
-        )
-
-    def run_before():
-        for point in sample:
-            candidate_reference(point, _CANDIDATE_DEPTH)
-
-    def run_after():
-        for point in sample:
-            candidate_string(point, _CANDIDATE_DEPTH)
-
-    before = ops_per_sec(run_before, len(sample))
-    after = ops_per_sec(run_after, len(sample))
-    record_entry(report, "label_ops", before, after)
-    assert after > before
-
-
-@pytest.mark.smoke
-def test_region_derivation(report, points):
-    labels = sorted(
-        {
-            candidate_string(point, depth)
-            for point in points[:600]
-            for depth in (6, 10, 14)
-        }
-    )
-    for label in labels[:300]:
-        assert region_of_label(label, 2) == region_walk(label, 2)
-
-    def run_before():
-        for label in labels:
-            region_walk(label, 2)
-
-    def run_after():
-        for label in labels:
-            region_of_label(label, 2)
-
-    before = ops_per_sec(run_before, len(labels))
-    after = ops_per_sec(run_after, len(labels))
-    record_entry(report, "region_derivation", before, after)
-    assert after > before
-
-
-@pytest.mark.smoke
-def test_bucket_filtering(report, points):
-    bucket = LeafBucket(root_label(2), 2)
-    for index, point in enumerate(points):
-        bucket.add(Record(point, index))
-    queries = uniform_range_queries(8, 0.05, seed=20090622)
-    for query in queries:
-        assert bucket.matching(query) == bucket.matching_naive(query)
-
-    def run_before():
-        for query in queries:
-            bucket.matching_naive(query)
-
-    def run_after():
-        for query in queries:
-            bucket.matching(query)
-
-    before = ops_per_sec(run_before, len(queries) * len(points))
-    after = ops_per_sec(run_after, len(queries) * len(points))
-    record_entry(report, "bucket_filtering", before, after)
-    assert after > before
-
-
-@pytest.mark.smoke
-def test_fig7_query_throughput(report, loaded_index):
-    """End-to-end range-query throughput, columnar store on vs off.
-
-    Also the CI regression gate: the measured speedup must stay within
-    ``REGRESSION_TOLERANCE`` of the committed baseline's (ratio-based,
-    so machine speed cancels out).
-    """
-    index = loaded_index
+    index = MLightIndex(dht, paper_config)
     queries = uniform_range_queries(_N_QUERIES, _QUERY_SPAN, seed=20090622)
 
     def run_queries():
@@ -235,20 +46,13 @@ def test_fig7_query_throughput(report, loaded_index):
     LeafBucket.matching = LeafBucket.matching_naive
     try:
         assert run_queries() == fast_answers
-        before = ops_per_sec(run_queries, len(queries), min_time=0.5)
+        before = best_rate(run_queries, len(queries))
     finally:
         LeafBucket.matching = original
-    after = ops_per_sec(run_queries, len(queries), min_time=0.5)
-    record_entry(report, "fig7_query_throughput", before, after)
+    after = best_rate(run_queries, len(queries))
 
-    baseline = report["baseline"].get("entries", {}).get(
-        "fig7_query_throughput"
+    assert after / before >= SPEEDUP_GATE, (
+        f"end-to-end query speedup regressed: columnar {after:.0f} q/s "
+        f"is {after / before:.2f}x the naive scan's {before:.0f} q/s "
+        f"(gate {SPEEDUP_GATE:.2f}x)"
     )
-    if baseline:
-        measured = after / before
-        floor = REGRESSION_TOLERANCE * baseline["speedup"]
-        assert measured >= floor, (
-            f"end-to-end query speedup regressed: measured "
-            f"{measured:.2f}x < {floor:.2f}x "
-            f"(70% of committed {baseline['speedup']:.2f}x)"
-        )

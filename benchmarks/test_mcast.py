@@ -13,20 +13,16 @@ encodes the ISSUE's two acceptance gates:
   durable ring, with every matching insert (including those issued
   during the downtime) delivered exactly once.
 
-Artefacts: ``results/BENCH_mcast.json`` (machine-readable samples)
-and ``results/e15_mcast.txt`` (the rendered E15 tables).
+Artefact: ``results/e15_mcast.txt`` (the rendered E15 tables).
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import asdict
 
 import pytest
 
 from repro.experiments import mcast_experiment
 
-from .conftest import bench_size, publish
+from .conftest import publish
 
 
 def _slice(dataset):
@@ -47,14 +43,6 @@ def test_e15_multicast_and_continuous(dataset, paper_config):
         + "\n\n"
         + mcast_experiment.render_continuous(continuous),
     )
-
-    document = {
-        "bench_size": bench_size(),
-        "points": len(points),
-        "multicast": [asdict(sample) for sample in mcast],
-        "continuous": asdict(continuous),
-    }
-    publish("BENCH_mcast.json", json.dumps(document, indent=2))
 
     assert len(mcast) == 3  # chord, kademlia, pastry
     for sample in mcast:

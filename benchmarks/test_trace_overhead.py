@@ -15,16 +15,11 @@ two ways:
   configuration, measured interleaved on the same machine.  Disabled
   ought to be strictly faster; a change that moves work onto the
   disabled path (say, replacing the None-guard with an always-on no-op
-  tracer) collapses the gap and trips the gate.
-
-Both rates plus the enabled path's measured overhead are published to
-``results/BENCH_trace_overhead.json``.
+  tracer) collapses the gap and trips the gate.  What the *enabled*
+  path costs is ``perf/``'s ``harness.trace_overhead``.
 """
 
 from __future__ import annotations
-
-import json
-import time
 
 import pytest
 
@@ -34,7 +29,7 @@ from repro.core.index import MLightIndex
 from repro.dht.localhash import LocalDht
 from repro.workloads.queries import uniform_range_queries
 
-from .conftest import publish
+from .conftest import best_rate
 
 #: Disabled-path throughput may trail enabled-path throughput by at
 #: most this fraction (pure run-to-run noise allowance — disabled
@@ -59,20 +54,6 @@ def _build_index(tracing: bool) -> MLightIndex:
     dht = LocalDht(64)
     bulk_load(dht, points, config)
     return MLightIndex(dht, config)
-
-
-def _throughput(fn, min_time: float = 0.3, repeats: int = 3) -> float:
-    best = 0.0
-    for _ in range(repeats):
-        rounds = 0
-        start = time.perf_counter()
-        elapsed = 0.0
-        while elapsed < min_time:
-            fn()
-            rounds += 1
-            elapsed = time.perf_counter() - start
-        best = max(best, _N_QUERIES * rounds / elapsed)
-    return best
 
 
 @pytest.mark.smoke
@@ -114,25 +95,13 @@ def test_trace_overhead_gate():
     # Interleave the measurements so thermal/allocator drift hits both.
     off = on = 0.0
     for _ in range(2):
-        off = max(off, _throughput(run_off))
-        on = max(on, _throughput(run_on))
+        off = max(off, best_rate(run_off, _N_QUERIES))
+        on = max(on, best_rate(run_on, _N_QUERIES))
 
     index_on.tracer.clear()
     run_on()
     assert len(index_on.tracer.spans) > 0  # enabled path really traces
 
-    overhead_enabled = off / on - 1.0
-    publish(
-        "BENCH_trace_overhead.json",
-        json.dumps(
-            {
-                "queries_per_sec_tracing_off": round(off, 1),
-                "queries_per_sec_tracing_on": round(on, 1),
-                "enabled_overhead_fraction": round(overhead_enabled, 4),
-            },
-            indent=2,
-        ),
-    )
     assert off >= on * (1.0 - OVERHEAD_TOLERANCE), (
         f"tracing-disabled throughput {off:.0f} q/s fell more than "
         f"{OVERHEAD_TOLERANCE:.0%} below tracing-enabled {on:.0f} q/s — "

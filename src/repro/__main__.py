@@ -17,8 +17,10 @@ Entry points:
       self-checking markdown report (every claim machine-verified)
   pytest tests/
       the test suite
-  pytest benchmarks/ --benchmark-only
-      timed benchmarks with shape assertions
+  pytest benchmarks/
+      the paper's claims asserted over count tables (results/*.txt)
+  python3 perf/run.py --all
+      the wall-clock benchmark (BENCHMARK.json, perf/README.md)
 
 Examples live in examples/; start with examples/quickstart.py.
 Documentation: README.md, DESIGN.md, EXPERIMENTS.md, docs/.

@@ -65,11 +65,11 @@ class IndexConfig:
         durability: durable per-peer storage for the DHT substrate — a
             backend kind registered with
             :func:`repro.dht.durable.register_store_backend`:
-            ``"log"`` (checksummed append-only log framed with the
-            service wire codec, compacted in place) or ``"file"``
-            (one checksummed file per key).  ``None`` (the default)
-            keeps peer stores purely in-memory, bit-identical to a
-            build without the durability plane.  Required for
+            ``"log"`` is the one that ships (checksummed append-only
+            log framed with the service wire codec, compacted in
+            place).  ``None`` (the default) keeps peer stores purely
+            in-memory, bit-identical to a build without the durability
+            plane.  Required for
             crash-restart recovery (:meth:`repro.dht.api.Dht.restart`).
         tracing: when True the index builds a
             :class:`~repro.obs.trace.Tracer` and threads it through the

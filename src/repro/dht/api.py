@@ -17,11 +17,8 @@ split (Theorem 5): the surviving child keeps the dead bucket's key.
 
 from __future__ import annotations
 
-import atexit
-import os
 from abc import ABC, abstractmethod
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any
 
@@ -123,42 +120,13 @@ class BatchFailure:
     error: Exception
 
 
-_shared_executor: ThreadPoolExecutor | None = None
+def shutdown_shared_executor() -> None:
+    """No-op: batch rounds run on the calling thread, there is no pool.
 
-
-def shared_executor() -> ThreadPoolExecutor:
-    """The process-wide executor batch-capable substrates dispatch on.
-
-    One pool for every substrate instance: batches from concurrent
-    indexes share it instead of spawning a thread storm.  Created
-    lazily so purely sequential runs never pay for threads.
+    Kept only because ``perf/run.py`` imports it and a PR that changes
+    the program may not edit the benchmark; it goes when that import
+    does (ROADMAP item 3).
     """
-    global _shared_executor
-    if _shared_executor is None:
-        _shared_executor = ThreadPoolExecutor(
-            max_workers=min(32, 4 * (os.cpu_count() or 4)),
-            thread_name_prefix="repro-batch",
-        )
-    return _shared_executor
-
-
-def shutdown_shared_executor(wait: bool = True) -> None:
-    """Tear down the process-wide batch executor (idempotent).
-
-    Registered with :mod:`atexit` so interpreter shutdown — pytest runs
-    in particular, which may also own service-runtime event loops —
-    never races the pool's worker threads against module teardown.  A
-    later :func:`shared_executor` call after an explicit shutdown
-    simply builds a fresh pool.
-    """
-    global _shared_executor
-    executor = _shared_executor
-    _shared_executor = None
-    if executor is not None:
-        executor.shutdown(wait=wait, cancel_futures=True)
-
-
-atexit.register(shutdown_shared_executor)
 
 
 @dataclass(slots=True)
@@ -418,7 +386,9 @@ class Dht(ABC):
     # as one round: latency-wise the elements proceed in parallel, and
     # substrates that model time advance their clock by the slowest
     # element instead of the sum.  The default implementations fall
-    # back to sequential primitives so every substrate works unmodified.
+    # back to sequential primitives so every substrate works unmodified
+    # (``LocalDht`` runs them as they are: in-process there is no
+    # latency to overlap, and a peer's journal is not locked).
 
     def get_many(self, keys: Sequence[str]) -> list[Any | None]:
         """Fetch several keys as one parallel round.

@@ -5,17 +5,13 @@ Every DHT substrate keeps each peer's objects in a
 *durability plane* behind that seam: a backend journals every mutation
 to disk so a crashed peer can be restarted
 (:meth:`repro.dht.api.Dht.restart`) with its pre-crash store replayed
-instead of empty.  Two backends ship:
-
-* ``"log"`` (:class:`AppendLogBackend`) — an append-only log of
-  ``put``/``remove`` records, each framed with the service wire codec
-  (:mod:`repro.service.wire`) and CRC-checksummed, compacted in place
-  once dead records dominate.  Torn tails (a crash mid-append) are
-  detected by the framing/checksum and replay stops cleanly at the
-  last intact record.
-* ``"file"`` (:class:`FileDictBackend`) — one file per key under a
-  directory, written atomically (temp file + ``os.replace``), the
-  dict-on-disk alternative: no compaction debt, higher per-write cost.
+instead of empty.  One backend ships, ``"log"``
+(:class:`AppendLogBackend`): an append-only log of ``put``/``remove``
+records, each framed with the service wire codec
+(:mod:`repro.service.wire`) and CRC-checksummed, compacted in place
+once dead records dominate.  Torn tails (a crash mid-append) are
+detected by the framing/checksum and replay stops cleanly at the last
+intact record.
 
 Backends register through :func:`register_store_backend` (the
 ``BACKENDS`` :class:`~repro.common.registry.Registry`); selection
@@ -30,9 +26,7 @@ that need fsync-grade durability pass ``sync=True``).
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import tempfile
 import zlib
 from abc import ABC, abstractmethod
@@ -46,7 +40,6 @@ from repro.dht.storage import PeerStore
 __all__ = [
     "DurableBackend",
     "AppendLogBackend",
-    "FileDictBackend",
     "register_store_backend",
     "store_backend_kinds",
     "create_store_backend",
@@ -258,91 +251,6 @@ class AppendLogBackend(DurableBackend):
         self.path.unlink(missing_ok=True)
 
 
-class FileDictBackend(DurableBackend):
-    """A dict-on-disk backend: one atomically written file per key.
-
-    Filenames are the SHA-1 of the key (keys are arbitrary strings);
-    each file carries a CRC-prefixed pickled ``(key, blob)`` pair.
-    ``put`` is write-temp-then-rename, so a crash never leaves a
-    half-written live file — the torn temp file is simply ignored on
-    replay.
-    """
-
-    kind = "file"
-
-    def __init__(self, path: str | os.PathLike, *, sync: bool = False) -> None:
-        self.path = Path(str(path) + ".d")
-        self.path.mkdir(parents=True, exist_ok=True)
-        self._sync = sync
-        self._closed = False
-
-    def _file_for(self, key: str) -> Path:
-        return self.path / hashlib.sha1(key.encode()).hexdigest()
-
-    def record_put(self, key: str, blob: bytes) -> None:
-        if self._closed:
-            raise ReproError(
-                f"durable dict {self.path} is closed; the peer is down"
-            )
-        payload = pickle.dumps((key, blob), protocol=pickle.HIGHEST_PROTOCOL)
-        data = zlib.crc32(payload).to_bytes(4, "big") + payload
-        target = self._file_for(key)
-        descriptor, tmp_name = tempfile.mkstemp(
-            dir=self.path, suffix=".tmp"
-        )
-        with os.fdopen(descriptor, "wb") as tmp:
-            tmp.write(data)
-            tmp.flush()
-            if self._sync:
-                os.fsync(tmp.fileno())
-        os.replace(tmp_name, target)
-
-    def record_remove(self, key: str) -> None:
-        if self._closed:
-            raise ReproError(
-                f"durable dict {self.path} is closed; the peer is down"
-            )
-        self._file_for(key).unlink(missing_ok=True)
-
-    def replay(self) -> dict[str, bytes]:
-        state: dict[str, bytes] = {}
-        for entry in sorted(self.path.iterdir()):
-            if entry.suffix == ".tmp":
-                entry.unlink(missing_ok=True)  # torn write, never live
-                continue
-            data = entry.read_bytes()
-            if len(data) < 4:
-                continue
-            crc, payload = data[:4], data[4:]
-            if zlib.crc32(payload) != int.from_bytes(crc, "big"):
-                continue  # corrupt entry: skip, keep the rest
-            key, blob = pickle.loads(payload)
-            state[key] = blob
-        self._closed = False
-        return state
-
-    def compact(self, items: Iterable[tuple[str, bytes]]) -> None:
-        keep = dict(items)
-        live_names = {self._file_for(key).name for key in keep}
-        for entry in list(self.path.iterdir()):
-            if entry.name not in live_names:
-                entry.unlink(missing_ok=True)
-        for key, blob in keep.items():
-            self.record_put(key, blob)
-
-    def close(self) -> None:
-        self._closed = True
-
-    def wipe(self) -> None:
-        self._closed = True
-        for entry in list(self.path.iterdir()):
-            entry.unlink(missing_ok=True)
-        try:
-            self.path.rmdir()
-        except OSError:
-            pass
-
-
 # ---------------------------------------------------------------------------
 # The open backend registry
 # ---------------------------------------------------------------------------
@@ -352,7 +260,7 @@ class FileDictBackend(DurableBackend):
 BACKENDS = Registry(
     "durable backend",
     UnknownDurabilityError,
-    {"log": AppendLogBackend, "file": FileDictBackend},
+    {"log": AppendLogBackend},
 )
 store_backend_kinds = BACKENDS.kinds
 register_store_backend = BACKENDS.register

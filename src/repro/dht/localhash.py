@@ -12,7 +12,7 @@ the index-level counters are identical across substrates.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from typing import Any
 
 from repro.common.errors import (
@@ -20,14 +20,10 @@ from repro.common.errors import (
     NodeUnreachableError,
     ReproError,
 )
-from repro.dht.api import Dht, _capture, shared_executor
+from repro.dht.api import Dht
 from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.peer import HashRing
 from repro.dht.storage import PeerStore
-
-#: Below this batch size the executor's dispatch overhead outweighs any
-#: overlap; run the elements inline instead.
-_MIN_PARALLEL_BATCH = 4
 
 
 class LocalDht(Dht):
@@ -113,30 +109,3 @@ class LocalDht(Dht):
         if store is None:
             raise NodeUnreachableError(f"peer {peer!r} is not on the ring")
         return store.get(key)
-
-    # ------------------------------------------------------------------
-    # Batch primitives: fan the elements out on the shared executor
-    # ------------------------------------------------------------------
-    #
-    # Each element touches only its owner peer's store (plain dict
-    # operations, atomic under the GIL), so elements of one batch are
-    # safe to run concurrently; outcomes keep submission order, so the
-    # results — and the facade's metering — stay deterministic.
-
-    def _fan_out(self, operation, calls: list[tuple]) -> list[Any]:
-        if len(calls) < _MIN_PARALLEL_BATCH:
-            return [_capture(operation, *args) for args in calls]
-        futures = [
-            shared_executor().submit(_capture, operation, *args)
-            for args in calls
-        ]
-        return [future.result() for future in futures]
-
-    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._fan_out(self._do_get, [(key,) for key in keys])
-
-    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        return self._fan_out(self._do_put, [tuple(item) for item in items])
-
-    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._fan_out(self._do_lookup, [(key,) for key in keys])

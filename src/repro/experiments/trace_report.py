@@ -20,7 +20,7 @@ Usage::
 
 ``--smoke`` runs a self-contained traced end-to-end query (a seeded
 m-LIGHT index over Chord) and writes ``results/trace_query.jsonl``
-plus ``results/trace_timeline.txt`` — the ``make trace-smoke`` target.
+plus ``results/trace_timeline.txt`` (CI's ``bench`` job uploads both).
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def run_traced_query(
 ) -> tuple[list[Span], dict[str, float]]:
     """One traced end-to-end range query on a seeded Chord index.
 
-    Returns the spans plus the query's headline meters — the smoke
-    payload behind ``make trace-smoke``.
+    Returns the spans plus the query's headline meters — the payload
+    behind ``--smoke``.
     """
     from repro.common.config import IndexConfig
     from repro.common.rng import make_rng

@@ -68,7 +68,7 @@ class RuntimeConfig:
             placements only, i.e. ``local`` and the service runtime).
         replication: stored copies per key (``sim``/``chord`` only).
         durability: durable-backend kind journaling every peer store
-            (``"log"``, ``"file"``, or any kind added via
+            (``"log"``, or any kind added via
             :func:`~repro.dht.durable.register_store_backend`); ``None``
             keeps stores purely in-memory.  Required for
             :meth:`~repro.dht.api.Dht.restart`.
@@ -116,7 +116,7 @@ class RuntimeConfig:
         if self.data_dir is not None and self.durability is None:
             raise ReproError(
                 "data_dir has no effect without durability; pass "
-                "durability='log' or 'file' alongside it"
+                "durability='log' alongside it"
             )
 
 

@@ -11,13 +11,14 @@ generators flatter the server by waiting for it).
 
 Per-operation latency is measured from the operation's *scheduled* time
 to its completion; achieved throughput is completed operations over the
-span from first schedule to last completion.  Results go to
-``results/BENCH_service_load.json`` plus a rendered percentile table.
+span from first schedule to last completion.  A run prints a rendered
+percentile table; ``--out`` also writes the report as JSON.
 
 Run it from the command line against either runtime::
 
     python -m repro.service.loadgen --runtime asyncio \\
-        --records 100000 --peers 8 --qps 500 --duration 10
+        --records 100000 --peers 8 --qps 500 --duration 10 \\
+        --out load.json
 
 Mutating steps (inserts) are serialised through one lock — index
 maintenance (splits) is not concurrency-safe, and the service plane's
@@ -43,9 +44,6 @@ from repro.datasets.synthetic import uniform_points
 from repro.experiments.tables import format_table
 from repro.runtime import RuntimeConfig, create_dht
 from repro.workloads.traces import Operation, request_trace, run_operation
-
-RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
-REPORT_NAME = "BENCH_service_load.json"
 
 #: Latency percentiles the report carries, in report order.
 PERCENTILES = (50, 95, 99)
@@ -247,9 +245,8 @@ def build_loaded_index(
     return MLightIndex(dht, config), points
 
 
-def publish(report: LoadReport, out_path: Path | None = None) -> Path:
-    """Write the JSON report next to the other BENCH artefacts."""
-    path = out_path if out_path is not None else RESULTS_DIR / REPORT_NAME
+def publish(report: LoadReport, path: Path) -> Path:
+    """Write the report as JSON to *path*."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(report.to_json() + "\n")
     return path
@@ -275,7 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         "(0 = uniform, the default; E13 uses 1.1)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument(
+        "--out", type=Path, default=None,
+        help="also write the report as JSON to this path",
+    )
     args = parser.parse_args(argv)
 
     print(
@@ -312,9 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     finally:
         index.dht.close()
-    path = publish(report, args.out)
     print(report.render())
-    print(f"wrote {path}")
+    if args.out is not None:
+        print(f"wrote {publish(report, args.out)}")
     return 0
 
 

@@ -513,14 +513,20 @@ class ServiceDht(Dht):
     # is down (requests to it fail instead), so restart needs no
     # reconcile/re-home traffic here: recovery is replay-only.
 
+    def _member(self, name: str) -> _ActorNode:
+        """The actor of ring member *name*.  Membership is the ring's
+        to decide: the actors exist only once the runtime has started,
+        which this does."""
+        if name not in self._ring.peers():
+            raise ReproError(f"unknown service peer {name!r}")
+        self.start()
+        return self._actors[name]
+
     def fail(self, name: str) -> None:
         """Crash one service peer: its actor stops serving, requests to
         it raise :class:`NodeUnreachableError`, its in-memory store is
         gone.  Durable state stays on disk for :meth:`restart`."""
-        actor = self._actors.get(name)
-        if actor is None:
-            raise ReproError(f"unknown service peer {name!r}")
-        if actor.task.done():
+        if self._member(name).task.done():
             raise ReproError(f"service peer {name!r} is already down")
         self._bridge().run(self._fail_node(name))
 
@@ -533,10 +539,7 @@ class ServiceDht(Dht):
         actor.peer.store.close_backend()
 
     def _do_restart(self, name: str) -> None:
-        actor = self._actors.get(name)
-        if actor is None:
-            raise ReproError(f"unknown service peer {name!r}")
-        if not actor.task.done():
+        if not self._member(name).task.done():
             raise ReproError(f"service peer {name!r} is already live")
         store = open_peer_store(
             self.durability, self.data_dir, name, recover=True

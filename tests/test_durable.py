@@ -1,5 +1,6 @@
 """The durability plane: backends, recovery, restart, churn fixes."""
 
+import threading
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.dht.churn import generate_schedule, run_churn
 from repro.dht.durable import (
     BACKENDS,
     AppendLogBackend,
-    FileDictBackend,
     backend_path,
     create_store_backend,
     register_store_backend,
@@ -41,7 +41,9 @@ from repro.service.wire import FrameDecoder
 # ----------------------------------------------------------------------
 
 
-BACKEND_CLASSES = [AppendLogBackend, FileDictBackend]
+#: The contract of :class:`DurableBackend`, over every backend that
+#: ships; a new one joins this list.
+BACKEND_CLASSES = [AppendLogBackend]
 
 
 @pytest.mark.parametrize("backend_cls", BACKEND_CLASSES)
@@ -148,27 +150,9 @@ class TestAppendLog:
         assert not backend.should_compact(live_keys=1)
 
 
-class TestFileDict:
-    def test_torn_tmp_file_ignored_on_replay(self, tmp_path):
-        backend = FileDictBackend(tmp_path / "peer")
-        backend.record_put("a", b"alpha")
-        (backend.path / "garbage.tmp").write_bytes(b"half-writ")
-        assert backend.replay() == {"a": b"alpha"}
-        assert not list(backend.path.glob("*.tmp"))
-
-    def test_corrupt_entry_skipped(self, tmp_path):
-        backend = FileDictBackend(tmp_path / "peer")
-        backend.record_put("a", b"alpha")
-        backend.record_put("b", b"beta")
-        victim = backend._file_for("b")
-        victim.write_bytes(b"\x00\x00\x00\x00corrupt")
-        assert backend.replay() == {"a": b"alpha"}
-
-
 class TestRegistry:
     def test_shipped_kinds(self):
-        assert "log" in store_backend_kinds()
-        assert "file" in store_backend_kinds()
+        assert store_backend_kinds() == ("log",)
 
     def test_unknown_kind_raises_typed_error(self, tmp_path):
         with pytest.raises(UnknownDurabilityError, match="carbonite"):
@@ -269,6 +253,41 @@ class TestPeerStoreDurability:
         assert isinstance(caught.value, ReproError)
 
 
+class TestLocalDhtBatchesJournalInline:
+    """Elements of one batch that share an owner share its journal,
+    which nothing locks: a batch must run on the calling thread."""
+
+    def test_put_many_journals_on_the_callers_thread(self):
+        journalled_on = []
+
+        class RecordingBackend(AppendLogBackend):
+            def record_put(self, key, blob):
+                journalled_on.append(threading.get_ident())
+                super().record_put(key, blob)
+
+        register_store_backend("recording", RecordingBackend)
+        try:
+            dht = LocalDht(2, durability="recording")
+            dht.put_many([(f"k{index}", index) for index in range(8)])
+        finally:
+            del BACKENDS.table["recording"]
+        assert journalled_on == [threading.get_ident()] * 8
+
+    def test_put_many_rounds_replay_to_the_live_state(self):
+        """200 rounds of 16 overwrites on one peer cross the compaction
+        threshold many times mid-batch."""
+        dht = LocalDht(1, durability="log")
+        for round_no in range(200):
+            dht.put_many(
+                [(f"k{index}", (round_no, index)) for index in range(16)]
+            )
+        recovered = PeerStore.recover(
+            AppendLogBackend(backend_path(dht.data_dir, "peer-0000"))
+        )
+        assert dict(recovered.items()) == dict(dht.items())
+        assert len(recovered) == 16
+
+
 # ----------------------------------------------------------------------
 # Crash -> restart -> replay on every overlay
 # ----------------------------------------------------------------------
@@ -284,7 +303,7 @@ OVERLAY_BUILDERS = [
 @pytest.mark.parametrize(
     "build", OVERLAY_BUILDERS, ids=["chord", "kademlia", "pastry"]
 )
-@pytest.mark.parametrize("durability", ["log", "file"])
+@pytest.mark.parametrize("durability", ["log"])
 class TestRestartAllOverlays:
     def test_crash_restart_replay_round_trip(
         self, build, durability
@@ -430,6 +449,22 @@ class TestRestartProtocol:
             assert dht.key_count() == 12
         finally:
             dht.close()
+
+    def test_service_membership_before_the_first_operation(self, make_dht):
+        """The runtime starts lazily; every peer ``peers()`` lists is a
+        member before it has."""
+        dht = make_dht(kind="asyncio", n_peers=4, durability="log")
+        with pytest.raises(ReproError, match="already live"):
+            dht.restart("peer-0000")
+        dht = make_dht(kind="asyncio", n_peers=4, durability="log")
+        with pytest.raises(ReproError, match="unknown service peer"):
+            dht.fail("ghost")
+        dht.fail("peer-0000")
+        with pytest.raises(ReproError, match="already down"):
+            dht.fail("peer-0000")
+        dht.restart("peer-0000")
+        dht.put("k", 1)
+        assert dht.get("k") == 1
 
     def test_service_replay_keeps_bytes_until_the_first_read(
         self, make_dht, store_builds
@@ -661,9 +696,9 @@ class TestDurabilityConfig:
     )
     def test_create_dht_threads_durability_to_sim_overlays(self, overlay):
         dht = create_dht(RuntimeConfig(
-            kind="sim", overlay=overlay, n_peers=4, durability="file"
+            kind="sim", overlay=overlay, n_peers=4, durability="log"
         ))
-        assert dht.durability == "file"
+        assert dht.durability == "log"
         assert dht.data_dir is not None
 
     def test_durability_defaults_to_none(self):

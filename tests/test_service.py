@@ -513,7 +513,7 @@ class TestLoadGenerator:
             latency_ms={"p50": 1.0, "p95": 2.0, "p99": 3.0,
                         "mean": 1.2, "max": 3.5},
         )
-        path = publish(report, tmp_path / "BENCH_service_load.json")
+        path = publish(report, tmp_path / "nested" / "load.json")
         data = json.loads(path.read_text())
         assert data["latency_ms"]["p99"] == 3.0
         assert data["achieved_qps"] == 99.0
