@@ -207,7 +207,9 @@ class AdaptiveDht(DhtDecorator):
 
     def _resample(self) -> None:
         hot = self._detector.sample()
-        for key in hot:
+        # Sorted: promotion order places replicas, and a set of strings
+        # iterates in PYTHONHASHSEED order.
+        for key in sorted(hot):
             self._cold_streak.pop(key, None)
             if self._config.max_replicas > 0 and key not in self._replicas:
                 self._promote(key)

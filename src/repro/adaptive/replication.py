@@ -14,7 +14,7 @@ namespace), a replica key can never collide with any present or future
 bucket key, and each replica key hashes independently on the ring —
 the copies land on distinct, deterministic peers without any
 directory lookup.  Any client holding the bucket's label can therefore
-recompute the full replica set from the packed label algebra alone
+recompute the full replica set from the label algebra alone
 (``bucket_key(fmd(label))`` plus the suffix), exactly like primary
 names.
 

@@ -27,8 +27,6 @@ from repro.common.labels import (
     interleave,
     candidate_string,
     PackedLabel,
-    pack_label,
-    unpack_label,
     packed_candidate,
     packed_interleave,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "interleave",
     "candidate_string",
     "PackedLabel",
-    "pack_label",
-    "unpack_label",
     "packed_candidate",
     "packed_interleave",
     "Point",

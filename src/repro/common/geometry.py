@@ -27,6 +27,7 @@ from repro.common.errors import (
     InvalidPointError,
     InvalidRegionError,
 )
+from repro.common.labels import check_label
 
 #: A data key: one float in [0, 1) per dimension.
 Point = tuple[float, ...]
@@ -263,6 +264,7 @@ def clip(query: Region, cell: Region) -> Region | None:
     return Region(lows, highs)
 
 
+@lru_cache(maxsize=1 << 16)
 def region_of_label(label: str, dims: int) -> Region:
     """Return the half-open cell of kd-tree *label*.
 
@@ -270,19 +272,14 @@ def region_of_label(label: str, dims: int) -> Region:
     ``depth % m`` at each step (the alternating splits of Fig. 1a).  The
     virtual root and the ordinary root both cover the whole space.
 
-    Derivations are memoized (regions are frozen, so sharing is safe):
-    repeated geometry of the same label — every ``LeafBucket.region``
-    access, every range-query frontier expansion — costs one cache hit,
-    and a *new* label costs one :meth:`Region.split` off its cached
-    parent instead of a from-scratch root walk.
+    Memoized per label (regions are frozen, so sharing is safe): the
+    label is validated on first sight — an :class:`InvalidLabelError`
+    is never cached — and repeated geometry of the same label, every
+    ``LeafBucket.region`` access and range-query frontier expansion,
+    costs one cache hit.  A *new* label costs one :meth:`Region.split`
+    off its cached parent instead of a from-scratch root walk.
     """
-    # Import here to avoid a cycle: labels.py is independent of geometry.
-    from repro.common import labels as _labels
-
-    if not _labels.is_valid_label(label, dims):
-        raise InvalidLabelError(
-            f"{label!r} is not a valid label for {dims}-dimensional data"
-        )
+    check_label(label, dims)
     return _cell_of_bits(label[dims + 1:], dims)
 
 
@@ -295,9 +292,9 @@ def region_of_bits(bits: str, dims: int) -> Region:
     PHT/DST baselines — the two trees share one space partition.
     Memoized like :func:`region_of_label`.
     """
-    for bit in bits:
-        if bit not in "01":
-            raise InvalidLabelError(f"invalid bit {bit!r} in {bits!r}")
+    bad = bits.strip("01")
+    if bad:
+        raise InvalidLabelError(f"invalid bit {bad[0]!r} in {bits!r}")
     return _cell_of_bits(bits, dims)
 
 

@@ -18,22 +18,36 @@ the paper rely on.
 Labels are plain Python ``str`` values.  They are hashable, cheap, and
 directly usable as DHT keys, which keeps the whole stack explicit.
 
-Packed fast path
-----------------
-The ``str`` form is the canonical external representation, but the
-per-character loops it forces are the CPU bottleneck of the hot loops
-(one ``candidate_string`` per lookup, one naming scan per probe).  Those
-two run on a **bit-packed** form — ``(bits, length)`` where ``bits`` is
-the label read as a big-endian binary integer: ``packed_interleave`` /
-``packed_candidate`` here and ``packed_naming_function`` in
-:mod:`repro.core.naming` are O(1) integer arithmetic (shifts, xors,
-table-driven Morton spreads), and the string is materialised once at
-the edge with a single ``format`` call.  ``pack_label``/``unpack_label``
-convert between the two forms; ``tests/test_hotpath_equivalence.py``
-asserts bit-identical behaviour against the string implementations on
-randomized workloads.  The structural operations (parent, children,
-sibling, prefixes) exist on strings only: no hot loop needs them
-packed.
+One algebra, validated at the edge
+----------------------------------
+``str`` is the only label form: every helper below, the naming function
+in :mod:`repro.core.naming`, the lookup cursor and the range kernel
+take and return strings, and a probe's DHT key is the string itself.
+Integers appear in exactly one place, the Morton interleave:
+:func:`packed_interleave` / :func:`packed_candidate` spread each
+coordinate's expansion bits table-driven and OR-merge them, and
+:func:`interleave` / :func:`candidate_string` render that integer with
+one ``format`` call.  It is the only implementation, not a twin;
+:func:`coordinate_bits` is the per-character oracle the tests compare
+it with.
+
+Every label the index handles is a prefix, child or sibling of one it
+already holds, so validity is proved once, where a label *enters* the
+program, by :func:`check_label`:
+
+* ``LeafBucket(...)`` and ``LeafBucket.from_encoded``
+  (:mod:`repro.core.bucket`);
+* a bucket header parsed off the wire or out of a journal
+  (:mod:`repro.core.codec`);
+* the target label of an ``MCAST`` frame (:mod:`repro.mcast.service`);
+* :func:`repro.common.geometry.region_of_label`, memoised per label so
+  a label is checked on first sight only.
+
+The helpers trust their caller and keep only their O(1) structural
+preconditions — the virtual root has no parent, children or split, the
+root has no sibling, ``top`` is a proper prefix of ``leaf`` — as length
+and prefix compares.  ``tests/test_layering.py`` keeps the call sites
+of :func:`check_label` / :func:`is_valid_label` to that list.
 
 Coordinate convention
 ---------------------
@@ -76,13 +90,26 @@ def is_valid_label(label: str, dims: int) -> bool:
     Valid labels are the virtual root itself, or any extension of the
     ordinary root by zero or more ``0``/``1`` edge bits.
     """
-    if dims < 1:
+    if dims < 1 or not label or label.strip("01"):
         return False
-    if not label or label.strip("01"):
-        return False
-    if label == virtual_root(dims):
-        return True
-    return label.startswith(root_label(dims))
+    # The first '1' sits right after the m zeros of the virtual root;
+    # only the virtual root itself has none.
+    first_one = label.find("1")
+    return first_one == dims or (first_one < 0 and len(label) == dims)
+
+
+def check_label(label: str, dims: int) -> None:
+    """Raise :class:`InvalidLabelError` unless *label* is a valid
+    ``m``-d label.
+
+    Called where a label enters the program (the list in the module
+    docstring), not by the helpers below: they run on labels derived
+    from checked ones.
+    """
+    if not isinstance(label, str) or not is_valid_label(label, dims):
+        raise InvalidLabelError(
+            f"{label!r} is not a valid label for {dims}-dimensional data"
+        )
 
 
 def label_depth(label: str, dims: int) -> int:
@@ -91,7 +118,6 @@ def label_depth(label: str, dims: int) -> int:
     The virtual root has depth -1 by convention (it sits above the
     ordinary root).
     """
-    _check_label(label, dims)
     return len(label) - dims - 1
 
 
@@ -102,8 +128,7 @@ def parent(label: str, dims: int) -> str:
     root has no parent and asking for one raises
     :class:`InvalidLabelError`.
     """
-    _check_label(label, dims)
-    if label == virtual_root(dims):
+    if len(label) <= dims:
         raise InvalidLabelError("the virtual root has no parent")
     return label[:-1]
 
@@ -114,8 +139,7 @@ def children(label: str, dims: int) -> tuple[str, str]:
     The virtual root is special: its only child is the ordinary root,
     and this function rejects it — use :func:`root_label` directly.
     """
-    _check_label(label, dims)
-    if label == virtual_root(dims):
+    if len(label) <= dims:
         raise InvalidLabelError(
             "the virtual root has a single child; use root_label()"
         )
@@ -127,7 +151,6 @@ def sibling(label: str, dims: int) -> str:
 
     The ordinary root and the virtual root have no sibling.
     """
-    _check_label(label, dims)
     if len(label) <= dims + 1:
         raise InvalidLabelError(f"label {label!r} has no sibling")
     last = "1" if label[-1] == "0" else "0"
@@ -140,7 +163,6 @@ def ancestors(label: str, dims: int) -> Iterator[str]:
 
     For leaf ``#01`` in 2-D this yields ``#0``, ``#`` and ``00``.
     """
-    _check_label(label, dims)
     for end in range(len(label) - 1, dims - 1, -1):
         yield label[:end]
 
@@ -154,8 +176,6 @@ def branch_nodes_between(leaf: str, top: str, dims: int) -> list[str]:
     the range-query decomposition exploits.  Returned nearest-to-*top*
     first (shallowest first).
     """
-    _check_label(leaf, dims)
-    _check_label(top, dims)
     if not leaf.startswith(top) or leaf == top:
         raise InvalidLabelError(
             f"{top!r} is not a proper ancestor of {leaf!r}"
@@ -210,10 +230,10 @@ def interleave(point: Sequence[float], depth: int) -> str:
     appended to the root label, enumerate the cells containing *point*
     from the whole space downward.
 
-    The bits are computed on the packed integer fast path
-    (:func:`packed_interleave`) and rendered with one ``format`` call;
-    :func:`coordinate_bits` remains the per-character reference the
-    equivalence tests check against.
+    The bits are computed as one integer (:func:`packed_interleave`)
+    and rendered with one ``format`` call; :func:`coordinate_bits`
+    remains the per-character reference the equivalence tests check
+    against.
     """
     bits, length = packed_interleave(point, depth)
     if length == 0:
@@ -233,7 +253,7 @@ def candidate_string(point: Sequence[float], max_depth: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Packed fast path: labels as (bits, length) integers
+# The Morton interleave, on integers
 # ----------------------------------------------------------------------
 
 #: A bit-packed label: the label's bits read as a big-endian integer,
@@ -274,23 +294,8 @@ def _spread(value: int, dims: int, table: list[int]) -> int:
     return out
 
 
-def pack_label(label: str) -> PackedLabel:
-    """Pack a bit-string label into ``(bits, length)`` form."""
-    if not label:
-        return 0, 0
-    return int(label, 2), len(label)
-
-
-def unpack_label(packed: PackedLabel) -> str:
-    """Render a packed label back to its canonical ``str`` form."""
-    bits, length = packed
-    if length == 0:
-        return ""
-    return format(bits, f"0{length}b")
-
-
 def packed_interleave(point: Sequence[float], depth: int) -> PackedLabel:
-    """Packed form of :func:`interleave`: *depth* Morton bits of *point*.
+    """*depth* Morton bits of *point* as ``(bits, length)``.
 
     Each coordinate contributes its top ``ceil(depth / m)`` expansion
     bits, spread table-driven to stride ``m`` and OR-merged — no
@@ -320,8 +325,8 @@ def packed_interleave(point: Sequence[float], depth: int) -> PackedLabel:
 
 
 def packed_candidate(point: Sequence[float], max_depth: int) -> PackedLabel:
-    """Packed form of :func:`candidate_string`: root label followed by
-    ``max_depth`` interleaved bits."""
+    """The root label followed by ``max_depth`` interleaved bits, as
+    ``(bits, length)``."""
     dims = len(point)
     bits, depth = packed_interleave(point, max_depth)
     return (1 << depth) | bits, dims + 1 + depth
@@ -330,10 +335,3 @@ def packed_candidate(point: Sequence[float], max_depth: int) -> PackedLabel:
 def _check_dims(dims: int) -> None:
     if dims < 1:
         raise InvalidLabelError(f"dimensionality must be >= 1, got {dims}")
-
-
-def _check_label(label: str, dims: int) -> None:
-    if not is_valid_label(label, dims):
-        raise InvalidLabelError(
-            f"{label!r} is not a valid label for {dims}-dimensional data"
-        )

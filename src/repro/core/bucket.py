@@ -45,7 +45,7 @@ import threading
 
 from repro.common.errors import InvalidLabelError
 from repro.common.geometry import Region, region_of_label
-from repro.common.labels import ancestors, branch_nodes_between, is_valid_label
+from repro.common.labels import ancestors, branch_nodes_between, check_label
 from repro.core.records import Record
 from repro.core.store import DEFAULT_STORE, RecordStore, Rows, create_store
 
@@ -63,13 +63,6 @@ def split_dim_of(label: str, dims: int) -> int:
     dimension 0)."""
     depth = len(label) - dims - 1
     return depth % dims if depth > 0 else 0
-
-
-def _check_label(label: str, dims: int) -> None:
-    if not is_valid_label(label, dims):
-        raise InvalidLabelError(
-            f"{label!r} is not a valid {dims}-d leaf label"
-        )
 
 
 class LeafBucket:
@@ -92,7 +85,7 @@ class LeafBucket:
         records=None,
         store: str | RecordStore | None = None,
     ) -> None:
-        _check_label(label, dims)
+        check_label(label, dims)
         self.label = label
         self.dims = dims
         self._region: Region | None = None
@@ -122,9 +115,9 @@ class LeafBucket:
     ) -> "LeafBucket":
         """A lazy bucket over its codec bytes *data*, whose header
         (*label*, *dims*, *count*) :func:`repro.core.codec.decode_bucket`
-        has already validated.  The record store is built on first use;
+        has already parsed.  The record store is built on first use;
         until then *data* is both the memo and the contents."""
-        _check_label(label, dims)
+        check_label(label, dims)
         bucket = cls.__new__(cls)
         bucket.label = label
         bucket.dims = dims

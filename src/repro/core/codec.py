@@ -36,6 +36,7 @@ from array import array
 from typing import Any
 
 from repro.common.errors import ReproError
+from repro.common.labels import check_label
 from repro.dht import api as dht_api
 from repro.core.store import Rows, create_store
 
@@ -133,9 +134,10 @@ def encode_bucket(bucket) -> bytes:
 
 def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
     """``(dims, kind, label, count, flags, offset of the columns)`` of
-    an encoded bucket, with every declared length checked against the
-    buffer: whatever passes can be cut into columns and a values blob
-    without running off the end."""
+    an encoded bucket, with the label checked
+    (:class:`~repro.common.errors.InvalidLabelError`) and every declared
+    length checked against the buffer: whatever passes can be cut into
+    columns and a values blob without running off the end."""
     if len(data) < _FIXED_BYTES or data[:4] != CODEC_MAGIC:
         raise CodecError("not an encoded bucket (bad magic or truncated)")
     _, version, dims, kind_len = _HEAD.unpack_from(data)
@@ -153,6 +155,7 @@ def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
         offset += 5
     except (struct.error, UnicodeDecodeError) as exc:
         raise CodecError(f"encoded bucket header is malformed: {exc}") from exc
+    check_label(label, dims)
     surplus = len(data) - (offset + dims * count * 8)
     if surplus < 0:
         raise CodecError("encoded bucket truncated in its column section")

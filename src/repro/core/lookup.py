@@ -45,14 +45,10 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import IndexCorruptionError
 from repro.common.geometry import Point, check_point
-from repro.common.labels import packed_candidate, unpack_label
+from repro.common.labels import candidate_string
 from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key
-from repro.core.naming import (
-    name_run_end,
-    naming_function,
-    packed_naming_function,
-)
+from repro.core.naming import name_run_end, naming_function
 from repro.core.results import LookupResult
 from repro.dht.api import Dht, DhtStats
 
@@ -88,7 +84,6 @@ class PointLookupCursor:
         "_dims",
         "_point",
         "_candidate",
-        "_cand_bits",
         "_low",
         "_high",
         "_hint",
@@ -115,12 +110,7 @@ class PointLookupCursor:
         self.tracer = tracer
         self._dims = dims
         self._point = check_point(point, dims)
-        # The candidate is computed and probed on the packed fast path:
-        # the string form is kept for run-end scans and diagnostics,
-        # the integer form derives each probe's name with O(1) bit ops.
-        packed = packed_candidate(self._point, max_depth)
-        self._cand_bits = packed[0]
-        self._candidate = unpack_label(packed)
+        self._candidate = candidate_string(self._point, max_depth)
         self._low = dims + 1
         self._high = len(self._candidate)
         if min_label_length is not None:
@@ -161,12 +151,7 @@ class PointLookupCursor:
                 "real tree depth"
             )
         mid = (self._low + self._high) // 2
-        self._name = unpack_label(
-            packed_naming_function(
-                (self._cand_bits >> (len(self._candidate) - mid), mid),
-                self._dims,
-            )
-        )
+        self._name = naming_function(self._candidate[:mid], self._dims)
 
     def probe_failed(self) -> bool:
         """Consume an *unreachable* outcome for :meth:`current_key`.

@@ -26,7 +26,7 @@ Worked examples from the paper (2-D, ``# == "001"``)::
 from __future__ import annotations
 
 from repro.common.errors import InvalidLabelError
-from repro.common.labels import PackedLabel, is_valid_label, virtual_root
+from repro.common.labels import PackedLabel
 
 
 def naming_function(label: str, dims: int) -> str:
@@ -35,16 +35,13 @@ def naming_function(label: str, dims: int) -> str:
     Finds the largest index ``j`` with ``b_{j-m} != b_j`` and returns
     the prefix of length ``j - 1``.  Such a ``j`` always exists for a
     valid non-virtual-root label because the ordinary root ends in
-    ``'1'`` while the virtual-root prefix is all ``'0'``.
+    ``'1'`` while the virtual-root prefix is all ``'0'``; the virtual
+    root itself, an internal node, has none and is rejected.
 
     The backward scan terminates after ~2 characters in expectation
-    (each step survives only when the bit ``m`` back agrees), so the
-    string form keeps it; callers already holding a *packed* label —
-    the lookup cursor derives one name per probe — use
-    :func:`packed_naming_function`, which replaces even that scan with
-    O(1) bit arithmetic and skips revalidation.
+    (each step survives only when the bit ``m`` back agrees).  *label*
+    is trusted to be valid (see :mod:`repro.common.labels`).
     """
-    _check(label, dims)
     # 1-indexed positions j in [dims+1, len]; scan from the end for the
     # last disagreement between b_j and b_{j-m}.
     for j in range(len(label), dims, -1):
@@ -56,7 +53,11 @@ def naming_function(label: str, dims: int) -> str:
 
 
 def packed_naming_function(packed: PackedLabel, dims: int) -> PackedLabel:
-    """``fmd`` on a bit-packed label (no validation — hot path).
+    """``fmd`` on a ``(bits, length)`` label.
+
+    No caller under ``src/``: ``perf/spans.py`` times it for the
+    ``common.labels.naming_us`` kernel row, and ROADMAP item 1(a)
+    re-points that row at :func:`naming_function` and deletes this.
 
     Bit ``p`` (LSB-numbered) of ``bits ^ (bits >> m)`` is set exactly
     when character ``len - 1 - p`` disagrees with the one ``m`` places
@@ -77,7 +78,7 @@ def packed_naming_function(packed: PackedLabel, dims: int) -> PackedLabel:
 
 def naming_function_recursive(label: str, dims: int) -> str:
     """Literal transcription of Definition 2 (test oracle)."""
-    _check(label, dims)
+    _require_leaf(label, dims)
     if label[-1] == label[-1 - dims]:
         return naming_function_recursive(label[:-1], dims)
     return label[:-1]
@@ -115,7 +116,7 @@ def survivor_child(label: str, dims: int) -> str:
     and it therefore stays on the same peer (indeed under the same DHT
     key).  The other child is named ``label`` itself and moves.
     """
-    _check(label, dims)
+    _require_leaf(label, dims)
     surviving_bit = label[len(label) - dims]
     return label + surviving_bit
 
@@ -123,17 +124,13 @@ def survivor_child(label: str, dims: int) -> str:
 def moved_child(label: str, dims: int) -> str:
     """The child of splitting leaf *label* that is named ``label`` and
     must be transferred across the DHT (Theorem 5's other half)."""
-    _check(label, dims)
+    _require_leaf(label, dims)
     moved_bit = "1" if label[len(label) - dims] == "0" else "0"
     return label + moved_bit
 
 
-def _check(label: str, dims: int) -> None:
-    if not is_valid_label(label, dims):
+def _require_leaf(label: str, dims: int) -> None:
+    if len(label) <= dims:
         raise InvalidLabelError(
-            f"{label!r} is not a valid label for {dims}-dimensional data"
-        )
-    if label == virtual_root(dims):
-        raise InvalidLabelError(
-            "the virtual root is an internal node; fmd applies to leaves"
+            "the virtual root is an internal node, never a leaf"
         )

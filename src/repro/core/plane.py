@@ -14,7 +14,7 @@ __all__ = ["BatchedPlane"]
 class BatchedPlane:
     """Caller-less since ``Dht.drive``: ``perf/spans.py:TARGETS`` spans
     ``get_round``, and the ``benchmark`` PR that re-points ``TARGETS``
-    at the drivers deletes this class (ROADMAP item 3)."""
+    at the drivers deletes this class (ROADMAP item 1(a))."""
 
     def __init__(self, dht: Dht) -> None:
         self._dht = dht

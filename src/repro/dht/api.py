@@ -125,7 +125,7 @@ def shutdown_shared_executor() -> None:
 
     Kept only because ``perf/run.py`` imports it and a PR that changes
     the program may not edit the benchmark; it goes when that import
-    does (ROADMAP item 3).
+    does (ROADMAP item 1(a)).
     """
 
 

@@ -35,6 +35,7 @@ from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region
+from repro.common.labels import check_label
 from repro.core.rangequery import (
     Hop,
     HopOutcome,
@@ -103,6 +104,7 @@ class ServiceMulticast:
         """The ``MCAST`` handler, run on the owning actor: drive this
         peer's step of the query, answering its requests with frames."""
         target, subquery, query = frame.body
+        check_label(target, self.dims)
         stats = self.dht.stats
         call_captured = self._service.call_captured
         step = peer_subquery(

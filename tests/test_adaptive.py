@@ -4,6 +4,9 @@ the ``get_direct`` seam, and the interplay with the client leaf cache.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -528,3 +531,37 @@ def test_skew_experiment_smoke():
     assert baseline.measured == adaptive.measured > 0
     rendered = skew_experiment.render(samples)
     assert "E13" in rendered and "adaptive" in rendered
+
+
+_E13_SCRIPT = """
+from repro.common.config import IndexConfig
+from repro.datasets import northeast_surrogate
+from repro.experiments import skew_experiment
+
+config = IndexConfig(
+    dims=2, max_depth=28, split_threshold=100,
+    merge_threshold=50, expected_load=70,
+)
+samples = skew_experiment.run_skew_experiment(
+    northeast_surrogate(12000), config, n_ops=4000
+)
+print(skew_experiment.render(samples))
+"""
+
+
+def _render_e13(hash_seed: int) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", _E13_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_e13_table_does_not_depend_on_the_hash_seed():
+    """Promotion order decides replica placement and with it the
+    queueing tail: it must not follow string-hash order."""
+    assert _render_e13(0) == _render_e13(2)

@@ -1,16 +1,14 @@
 """Equivalence of the CPU fast paths with their reference implementations.
 
-The hot-loop optimisations (packed labels, memoized geometry, columnar
-bucket filtering, region-threaded splitting) are pure re-expressions:
-every one must be *bit-identical* to the straightforward string/naive
-code it replaces.  These property tests drive randomized workloads in
-1–4 dimensions through both paths and compare exactly — no tolerance,
-no sorting-away of order differences.
+The hot-loop optimisations (the integer Morton interleave, memoized
+geometry, columnar bucket filtering, region-threaded splitting) are
+pure re-expressions: every one must be *bit-identical* to the
+straightforward string/naive code it replaces.  These property tests
+drive randomized workloads in 1–4 dimensions through both paths and
+compare exactly — no tolerance, no sorting-away of order differences.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given
@@ -26,16 +24,12 @@ from repro.common.labels import (
     candidate_string,
     coordinate_bits,
     interleave,
-    pack_label,
-    packed_candidate,
     packed_interleave,
     root_label,
     split_dimension,
-    unpack_label,
 )
 from repro.core.bucket import LeafBucket
 from repro.core.naming import (
-    naming_function,
     naming_function_recursive,
     packed_naming_function,
 )
@@ -71,21 +65,16 @@ def dims_and_point():
 
 
 # ----------------------------------------------------------------------
-# The packed label kernels vs the string implementations
+# The integer Morton kernel vs its per-character oracle
 # ----------------------------------------------------------------------
 
 
 class TestPackedLabelOps:
-    @given(dims_and_label())
-    def test_pack_roundtrip(self, dims_label):
-        dims, label = dims_label
-        assert unpack_label(pack_label(label)) == label
-
     @given(dims_and_point(), st.integers(min_value=0, max_value=24))
     def test_interleave_matches_coordinate_bits(self, dims_point, depth):
         dims, point = dims_point
         # Reference: assemble the Morton string one coordinate-bit at a
-        # time, exactly as the pre-packed implementation did.
+        # time.
         per_dim = -(-depth // dims)
         expansions = [coordinate_bits(value, per_dim) for value in point]
         expected = "".join(
@@ -93,32 +82,34 @@ class TestPackedLabelOps:
             for index in range(per_dim)
             for position in range(dims)
         )[:depth]
+        assert packed_interleave(point, depth) == (
+            int(expected, 2) if expected else 0,
+            depth,
+        )
         assert interleave(point, depth) == expected
-        assert unpack_label(packed_interleave(point, depth)) == expected
 
     @given(dims_and_point(), st.integers(min_value=0, max_value=24))
     def test_candidate_matches_root_plus_interleave(self, dims_point, depth):
         dims, point = dims_point
-        expected = root_label(dims) + interleave(point, depth)
-        assert candidate_string(point, depth) == expected
-        assert unpack_label(packed_candidate(point, depth)) == expected
+        assert candidate_string(point, depth) == (
+            root_label(dims) + interleave(point, depth)
+        )
 
+    # packed_naming_function has no caller under src/; it is pinned by
+    # perf/spans.py until ROADMAP item 1(a) re-points that kernel row.
     @given(dims_and_label())
     def test_packed_naming_matches_recursive_definition(self, dims_label):
         dims, label = dims_label
-        packed = pack_label(label)
-        assert unpack_label(packed_naming_function(packed, dims)) == (
-            naming_function_recursive(label, dims)
-        )
-        assert unpack_label(packed_naming_function(packed, dims)) == (
-            naming_function(label, dims)
+        name = naming_function_recursive(label, dims)
+        assert packed_naming_function((int(label, 2), len(label)), dims) == (
+            int(name, 2),
+            len(name),
         )
 
     @pytest.mark.parametrize("dims", DIMS)
     def test_packed_naming_rejects_all_agreeing_labels(self, dims):
         # A label whose every bit equals the bit m back has no
-        # disagreement — structurally impossible for valid labels, and
-        # both implementations refuse it the same way.
+        # disagreement — structurally impossible for valid labels.
         with pytest.raises(InvalidLabelError):
             packed_naming_function((0, dims), dims)  # the virtual root
 

@@ -16,6 +16,10 @@ one ``Registry``, and every public name under ``src/`` that nothing
 outside ``tests/`` refers to (``tools/reach.py``) is listed below with
 the reason it stays.
 
+The third keeps one label algebra, validated at the edge: labels are
+checked where they enter the program and nowhere else, and ``core/``
+runs on strings.
+
 The last part keeps one source per number: ``benchmarks/`` asserts
 claims over counts and publishes ``.txt`` tables, ``perf/`` alone
 measures — no bespoke JSON report, no pytest-benchmark fixture, one
@@ -297,7 +301,7 @@ REACH_ALLOWLIST = {
     # test_batch_rounds_run_on_no_thread_pool keeps it a no-op.)
     "core/plane.py:get_round":
         "perf/spans.py:TARGETS names it as a string; goes with the "
-        "TARGETS re-point (ROADMAP item 3)",
+        "TARGETS re-point (ROADMAP item 1(a))",
     # -- test oracles: references the program is compared against ------
     "core/naming.py:naming_function_recursive":
         "oracle: the paper's literal recursion, vs the O(1) scans",
@@ -313,9 +317,6 @@ REACH_ALLOWLIST = {
     "common/labels.py:coordinate_bits":
         "oracle: Section 5's per-character binary expansion, vs the "
         "packed interleave (tests/test_hotpath_equivalence.py)",
-    "common/labels.py:pack_label":
-        "inverse of unpack_label (used by naming and lookup); the "
-        "round trip is how the packed kernels are tested",
     "baselines/dst.py:replica_count":
         "oracle: DST's replication bill, asserted by tests/test_dst.py",
     "dht/api.py:get_many":
@@ -329,7 +330,7 @@ REACH_ALLOWLIST = {
     "core/aggregate.py:sum_in": "documented user API (docs/usage.md)",
     "core/aggregate.py:combine":
         "Aggregate's merge law — what a peer-side reducer (ROADMAP "
-        "5b) would call",
+        "item 9) would call",
     "dht/api.py:load_by_peer":
         "documented oracle API (Fig. 6a's measure); one copy since "
         "this PR",
@@ -390,7 +391,7 @@ REACH_ALLOWLIST = {
     "net/events.py:cancel": "EventHandle's only operation",
     "net/events.py:schedule_every":
         "EventScheduler API for the deterministic-simulation harness "
-        "(ROADMAP item 1); kept by ISSUE 19 for the next re-anchor",
+        "(ROADMAP item 3); kept by ISSUE 19 for the next re-anchor",
     "net/latency.py:UniformLatency":
         "latency model beside Constant/Queueing (tests/test_simnet.py)",
     "net/simnet.py:addresses":
@@ -463,6 +464,56 @@ def test_reach_flags_a_new_caller_less_function(tmp_path):
     assert unreached_names(tmp_path) == {
         "lib.py:unused", "lib.py:only_tested", "app.py:RESULT",
     }
+
+
+# ----------------------------------------------------------------------
+# One label algebra, validated at the edge
+# ----------------------------------------------------------------------
+
+#: Where a label enters the program (``common/labels.py`` lists why);
+#: ``labels.py`` itself is where ``check_label`` calls ``is_valid_label``.
+LABEL_EDGES = {
+    "common/labels.py",
+    "common/geometry.py",
+    "core/bucket.py",
+    "core/codec.py",
+    "mcast/service.py",
+}
+
+
+def references(predicate):
+    """``<module>: <name>`` for every name under ``src/repro`` (re-exports
+    in ``__init__.py`` apart) that *predicate(module, name)* accepts —
+    read, called or imported, as ``tools/reach.py`` counts them."""
+    reference_lines = load_reach().reference_lines
+    return [
+        f"{relative}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for relative in [path.relative_to(SRC).as_posix()]
+        for name in reference_lines(path)
+        if predicate(relative, name)
+    ]
+
+
+def test_labels_are_validated_only_where_they_enter():
+    """The helpers trust their callers: a validity check anywhere else
+    runs on labels the program derived from checked ones."""
+    found = references(
+        lambda module, name: name in ("check_label", "is_valid_label")
+        and module not in LABEL_EDGES
+    )
+    assert not found, found
+
+
+def test_core_runs_on_string_labels():
+    """Integers live inside the Morton interleave (``common/labels.py``)
+    only; ``core/naming.py`` defines the one perf pin and uses none."""
+    found = references(
+        lambda module, name: name.startswith("packed_")
+        and module.startswith("core/")
+    )
+    assert not found, found
 
 
 # ----------------------------------------------------------------------
