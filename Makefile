@@ -47,11 +47,13 @@ perf-test:
 perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT)
 
+# Every catalogue table at the benchmarks' default scale, stamped, into
+# results/ (the files `make bench` publishes); -full is the paper scale.
 experiments:
-	$(PYTHON) -m repro.experiments.run_all --charts
+	$(PYTHON) -m repro.experiments.run_all --size 12000 --charts --out results
 
 experiments-full:
-	$(PYTHON) -m repro.experiments.run_all --full --csv-dir results/csv
+	$(PYTHON) -m repro.experiments.run_all --full
 
 clean:
 	rm -rf .pytest_cache .hypothesis build dist *.egg-info

@@ -3,10 +3,12 @@
 ``benchmarks/`` asserts: every module states paper claims or plane
 gates over deterministic counts (DHT-lookups, records moved, rounds,
 simulated-clock time) and publishes the count tables as ``.txt`` under
-``results/``.  It measures nothing — wall-clock numbers come from
-``perf/`` (``BENCHMARK.json``) alone — except for three *ratio* gates
-that no ``perf/`` workload covers yet; they share :func:`best_rate`,
-assert, and write nothing.
+``results/``.  What a table runs on — slice, config, sweep, title, file
+— is the catalogue's (``repro.experiments.catalogue``); a fixture here
+names an entry and asserts over its result.  ``benchmarks/`` measures
+nothing — wall-clock numbers come from ``perf/`` (``BENCHMARK.json``)
+alone — except for three *ratio* gates that no ``perf/`` workload
+covers yet; they share :func:`best_rate`, assert, and write nothing.
 
 Scale control:
 
@@ -24,8 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.config import IndexConfig
 from repro.datasets.northeast import NE_CARDINALITY, northeast_surrogate
+from repro.experiments.catalogue import (
+    BY_KEY,
+    PAPER_CONFIG,
+    run,
+    table,
+    write_table,
+)
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -45,16 +53,22 @@ def dataset():
 @pytest.fixture(scope="session")
 def paper_config():
     """The paper's Section 7 parameters (D=28, theta=100, eps=70)."""
-    return IndexConfig(
-        dims=2, max_depth=28, split_threshold=100,
-        merge_threshold=50, expected_load=70,
-    )
+    return PAPER_CONFIG
 
 
-def publish(name: str, text: str) -> None:
-    """Print a rendered count table and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(text + "\n")
+def publish(key: str, dataset):
+    """Run catalogue entry *key* on *dataset* (seed 0), persist and
+    print its table; returns the run's result for the assertions."""
+    entry = BY_KEY[key]
+    result = run(entry, dataset)
+    publish_text(entry.file, table(entry, result), dataset)
+    return result
+
+
+def publish_text(name: str, text: str, dataset) -> None:
+    """Persist *text* under results/ with the session's stamp and print
+    it.  Called directly only for the two tables formatted by hand."""
+    write_table(RESULTS_DIR, name, text, scale=len(dataset), seed=0)
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}")
 
 

@@ -1,6 +1,6 @@
 """Adaptive-plane benchmark — E13, the skewed-read relief gate.
 
-Runs :mod:`repro.experiments.skew_experiment` at benchmark scale: a
+Runs the catalogue's E13 entry (:mod:`repro.experiments.skew_experiment`): a
 Zipf(1.1) open-loop request stream against an 8-peer Chord ring under
 queueing latency, once with the index as-is and once with
 ``IndexConfig(adaptive=...)`` enabling hotspot replication and learned
@@ -12,17 +12,15 @@ the non-adaptive baseline, while returning bit-identical answers
 (equal digests) at recall 1.0 — adaptivity must be a pure performance
 layer, never a correctness trade.
 
-Artefact: ``results/e13_adaptive_skew.txt`` (the rendered E13 table;
-latencies are simulated-clock values).
+Artefact: the rendered E13 table under ``results/`` (latencies are
+simulated-clock values).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import skew_experiment
-
-from .conftest import bench_size, publish
+from .conftest import publish
 
 #: Both relief ratios (p99 latency, max-peer load) must clear this.
 RELIEF_GATE = 2.0
@@ -32,24 +30,10 @@ RELIEF_GATE = 2.0
 GATE_MIN_SIZE = 2000
 
 
-def _n_ops() -> int:
-    """Stream length scaled so the measured window dominates warm-up."""
-    size = bench_size()
-    if size >= 100_000:
-        return 8000
-    if size >= 8000:
-        return 4000
-    return 2000
-
-
 @pytest.mark.smoke
-def test_e13_adaptive_skew_relief(dataset, paper_config):
+def test_e13_adaptive_skew_relief(dataset):
     """E13 with the ISSUE's acceptance gate."""
-    samples = skew_experiment.run_skew_experiment(
-        dataset, paper_config, n_ops=_n_ops()
-    )
-    baseline, adaptive = samples
-    publish("e13_adaptive_skew.txt", skew_experiment.render(samples))
+    baseline, adaptive = publish("e13", dataset)
 
     p99_ratio = baseline.latency["p99"] / max(adaptive.latency["p99"], 1e-9)
     load_ratio = baseline.max_peer_load / max(adaptive.max_peer_load, 1)
@@ -63,7 +47,7 @@ def test_e13_adaptive_skew_relief(dataset, paper_config):
     assert baseline.recall == 1.0 and adaptive.recall == 1.0
     assert adaptive.shortcut_hits > 0 and adaptive.promotions > 0
 
-    if bench_size() < GATE_MIN_SIZE:
+    if len(dataset) < GATE_MIN_SIZE:
         return
     assert p99_ratio >= RELIEF_GATE, (
         f"adaptive p99 {adaptive.latency['p99']:.1f} is only "

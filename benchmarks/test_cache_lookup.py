@@ -15,7 +15,7 @@ import pytest
 from repro.core.index import MLightIndex
 from repro.dht.localhash import LocalDht
 
-from .conftest import publish
+from .conftest import publish_text
 
 HOT_KEYS = 32
 LOOKUPS = 2000
@@ -48,7 +48,7 @@ def replay(client, dht, keys):
 
 
 @pytest.mark.smoke
-def test_cache_halves_lookups(loaded_dht, paper_config, skewed_keys):
+def test_cache_halves_lookups(loaded_dht, paper_config, skewed_keys, dataset):
     uncached = MLightIndex(loaded_dht, paper_config)
     cached = MLightIndex(
         loaded_dht, replace(paper_config, cache_capacity=256)
@@ -65,7 +65,7 @@ def test_cache_halves_lookups(loaded_dht, paper_config, skewed_keys):
         f"cache hits/stale/misses: {stats.cache_hits}"
         f"/{stats.cache_stale}/{stats.cache_misses}",
     ]
-    publish("cache_lookup.txt", "\n".join(lines))
+    publish_text("cache_lookup.txt", "\n".join(lines), dataset)
 
     assert 2 * cached_lookups <= uncached_lookups
 

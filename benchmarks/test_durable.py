@@ -1,6 +1,6 @@
 """Durability-plane benchmark — E14, the crash-restart recovery gate.
 
-Runs :mod:`repro.experiments.restart_experiment` at benchmark scale: an
+Runs the catalogue's E14 entry (:mod:`repro.experiments.restart_experiment`): an
 m-LIGHT tree over a 16-peer durable Chord ring, a three-crash burst,
 optional inserts while the victims are down, then ``Dht.restart`` on
 every victim.
@@ -18,15 +18,12 @@ size:
   whole store (``REPAIR_BYTES_FRACTION``) and the repaired key count a
   small fraction of the stored keys (``REPAIR_KEYS_FRACTION``).
 
-Artefact: ``results/e14_restart_recovery.txt`` (the rendered E14
-table).
+Artefact: the rendered E14 table under ``results/``.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.experiments import restart_experiment
 
 from .conftest import publish
 
@@ -39,20 +36,11 @@ REPAIR_BYTES_FRACTION = 0.25
 REPAIR_KEYS_FRACTION = 0.25
 
 
-def _slice(dataset):
-    """E14 runs at the E10/E12 "tiny" scale: restart latency is per-ring
-    work, not per-point, so a few thousand points exercise every path."""
-    return dataset[: min(len(dataset), 2000)]
-
-
 @pytest.mark.smoke
-def test_e14_restart_recovery(dataset, paper_config):
-    """E14 with the ISSUE's acceptance gates."""
-    points = _slice(dataset)
-    samples = restart_experiment.run_restart_recovery(points, paper_config)
-    publish(
-        "e14_restart_recovery.txt", restart_experiment.render(samples)
-    )
+def test_e14_restart_recovery(dataset):
+    """E14 with the ISSUE's acceptance gates.  It runs on a few thousand
+    points: restart latency is per-ring work, not per-point."""
+    samples = publish("e14", dataset)
 
     durable = [s for s in samples if s.durability != "none"]
     baseline = [s for s in samples if s.durability == "none"]

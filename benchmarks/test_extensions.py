@@ -3,22 +3,18 @@ aggregation answers."""
 
 import pytest
 
-from repro.common.config import IndexConfig
 from repro.common.geometry import Region
 from repro.core.aggregate import count_in
-from repro.experiments import churn_experiment, scaling
-from repro.experiments.harness import build_index
+from repro.experiments.catalogue import REDUCED_CONFIG
+from repro.experiments.harness import load_index
 from repro.workloads.queries import point_queries
 
 from .conftest import publish
 
 
 @pytest.fixture(scope="module")
-def scaling_samples(paper_config):
-    samples = scaling.run_dimensionality_sweep(
-        3000, paper_config, dims_list=(1, 2, 3, 4)
-    )
-    publish("e9_dimensionality.txt", scaling.render(samples))
+def scaling_samples(dataset):
+    samples = publish("e9", dataset)
     probes = [s.mean_lookup_probes for s in samples]
     assert max(probes) - min(probes) < 2.0  # lookup is O(log D), not O(m)
     lookups = [s.mean_query_lookups for s in samples]
@@ -27,15 +23,8 @@ def scaling_samples(paper_config):
 
 
 @pytest.fixture(scope="module")
-def churn_samples(dataset, paper_config):
-    config = IndexConfig(
-        dims=2, max_depth=18, split_threshold=50, merge_threshold=25
-    )
-    samples = churn_experiment.run_churn_availability(
-        dataset[:1500], config, replication_factors=(1, 2, 3),
-        n_peers=16, n_crashes=3,
-    )
-    publish("e10_churn_availability.txt", churn_experiment.render(samples))
+def churn_samples(dataset):
+    samples = publish("e10", dataset)
     by_factor = {s.replication: s for s in samples}
     assert by_factor[3].recall >= by_factor[1].recall
     assert by_factor[3].recall == 1.0
@@ -46,43 +35,28 @@ def test_e9_dimensionality_table(scaling_samples, paper_config):
     """A 3-D lookup on a built index (the E9 workload's probe)."""
     from dataclasses import replace
 
-    config = replace(paper_config, dims=3)
-    index = build_index("mlight", config)
     from repro.datasets.synthetic import uniform_points
 
     points = uniform_points(3000, dims=3, seed=1)
-    for point in points:
-        index.insert(point)
+    index = load_index("mlight", replace(paper_config, dims=3), points)
     for key in point_queries(points, 64, seed=2):
         assert index.lookup(key).bucket.covers(key)
 
 
-def test_e10_churn_table(churn_samples, dataset, paper_config):
+def test_e10_churn_table(churn_samples, dataset):
     """Replica repair on an intact replicated ring has nothing to do
     and loses nothing (the E10 hot path)."""
-    from repro.dht.chord import ChordDht
-    from repro.core.index import MLightIndex
-
-    config = IndexConfig(
-        dims=2, max_depth=18, split_threshold=50, merge_threshold=25
+    index = load_index(
+        "mlight", REDUCED_CONFIG, dataset[:800],
+        overlay="chord", n_peers=16, replication=3,
     )
-    dht = ChordDht.build(16, replication=3)
-    index = MLightIndex(dht, config)
-    for point in dataset[:800]:
-        index.insert(point)
-
-    dht.repair_replicas()
+    index.dht.repair_replicas()
     assert index.total_records() == 800
 
 
 @pytest.fixture(scope="module")
-def mixed_samples(dataset, paper_config):
-    from repro.experiments import mixed_workload
-
-    samples = mixed_workload.run_mixed_workload(
-        dataset[:6000], paper_config, delete_fraction=0.4
-    )
-    publish("e11_mixed_workload.txt", mixed_workload.render(samples))
+def mixed_samples(dataset):
+    samples = publish("e11", dataset)
     by_name = {s.scheme: s for s in samples}
     assert by_name["mlight"].lookups < by_name["pht"].lookups
     assert (
@@ -94,10 +68,8 @@ def mixed_samples(dataset, paper_config):
 def test_e11_mixed_workload_delete(mixed_samples, dataset, paper_config):
     """A delete (lookup + possible merge cascade) and re-insert on
     m-LIGHT leave the tree sound."""
-    index = build_index("mlight", paper_config)
     live = dataset[:5000]
-    for point in live:
-        index.insert(point)
+    index = load_index("mlight", paper_config, live)
     index.delete(live[0])
     index.insert(live[0])
     assert index.total_records() == len(live)
@@ -106,18 +78,14 @@ def test_e11_mixed_workload_delete(mixed_samples, dataset, paper_config):
 
 def test_knn_query(dataset, paper_config):
     """An exact 10-NN on the NE surrogate."""
-    index = build_index("mlight", paper_config)
-    for point in dataset[:8000]:
-        index.insert(point)
+    index = load_index("mlight", paper_config, dataset[:8000])
     (pin,) = point_queries(dataset[:8000], 1, seed=3)
     assert len(index.knn(pin, 10).neighbors) == 10
 
 
 def test_aggregate_query(dataset, paper_config):
     """A COUNT over a mid-size region counts what a scan does."""
-    index = build_index("mlight", paper_config)
-    for point in dataset[:8000]:
-        index.insert(point)
+    index = load_index("mlight", paper_config, dataset[:8000])
     query = Region((0.36, 0.30), (0.66, 0.60))
     assert count_in(index, query).aggregate.count == sum(
         query.contains_point(point) for point in dataset[:8000]

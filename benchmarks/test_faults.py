@@ -8,24 +8,14 @@ from repro.core.index import MLightIndex
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
-from repro.experiments import fault_experiment
 from repro.workloads.queries import uniform_range_queries
 
 from .conftest import publish
 
 
 @pytest.fixture(scope="module")
-def fault_samples(dataset, paper_config):
-    config = IndexConfig(
-        dims=2, max_depth=18, split_threshold=50, merge_threshold=25
-    )
-    samples = fault_experiment.run_fault_recall(
-        dataset[:1200], config,
-        fault_rates=(0.0, 0.1, 0.2, 0.3),
-        replication_factors=(1, 2, 3),
-        n_peers=16,
-    )
-    publish("e12_fault_recall.txt", fault_experiment.render(samples))
+def fault_samples(dataset):
+    samples = publish("e12", dataset)
 
     by_cell = {(s.replication, s.fault_rate): s for s in samples}
     # Zero faults, replication >= 2: the crash is repaired, nothing is

@@ -9,30 +9,22 @@ this benchmark states.
 
 import pytest
 
-from repro.experiments import fig5
-from repro.experiments.harness import build_index
+from repro.experiments.harness import load_index
 from repro.experiments.report import check_fig5
 
 from .conftest import assert_claims, publish
 
 
 @pytest.fixture(scope="module")
-def datasize_series(dataset, paper_config):
-    series = fig5.run_datasize_sweep(dataset, paper_config, samples=6)
-    publish("fig5ab_maintenance_vs_datasize.txt",
-            fig5.render(series, "data size"))
+def datasize_series(dataset):
+    series = publish("fig5ab", dataset)
     assert_claims(check_fig5(series))
     return series
 
 
 @pytest.fixture(scope="module")
-def threshold_series(dataset, paper_config):
-    subset = dataset[: min(len(dataset), 8000)]
-    series = fig5.run_threshold_sweep(
-        subset, paper_config, thresholds=(50, 100, 300, 600, 900)
-    )
-    publish("fig5cd_maintenance_vs_threshold.txt",
-            fig5.render(series, "theta_split"))
+def threshold_series(dataset):
+    series = publish("fig5cd", dataset)
     by_name = {entry.scheme: entry for entry in series}
     # Fig. 5c/5d shapes: m-LIGHT/PHT movement roughly flat in theta;
     # DST's movement falls for small thresholds (early saturation).
@@ -48,9 +40,7 @@ def threshold_series(dataset, paper_config):
 def test_fig5_insert_cost(dataset, paper_config, scheme,
                           datasize_series, threshold_series):
     """One more insert (lookup + possible split) on a warm index."""
-    index = build_index(scheme, paper_config)
     warmup = dataset[:-1][:4000]
-    for point in warmup:
-        index.insert(point)
+    index = load_index(scheme, paper_config, warmup)
     index.insert(dataset[-1])
     assert index.total_records() == len(warmup) + 1

@@ -15,14 +15,13 @@ import pytest
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.dht.chord import ChordDht
-from repro.experiments import fig7
-from repro.experiments.harness import build_index
+from repro.experiments.harness import load_index
 from repro.experiments.report import check_fig7
 from repro.workloads.queries import uniform_range_queries
 
-from .conftest import assert_claims, publish
+from .conftest import assert_claims, publish, publish_text
 
-#: Span of the per-variant query (the table uses DEFAULT_SPANS).
+#: Span of the per-variant query.
 _BENCH_SPAN = 0.2
 
 #: Span for the simulated-clock sweep: wide enough that the basic
@@ -31,34 +30,22 @@ _CLOCK_SPAN = 0.5
 
 
 @pytest.fixture(scope="module")
-def query_dataset(dataset):
-    # Range queries over DST at full depth are the costliest part of
-    # the suite; cap the build size so the bench stays snappy while
-    # REPRO_BENCH_FULL still exercises the paper's cardinality.
-    return dataset
-
-
-@pytest.fixture(scope="module")
-def rangequery_series(query_dataset, paper_config):
-    series = fig7.run_rangequery_experiment(
-        query_dataset, paper_config, queries_per_span=10
-    )
-    publish("fig7ab_range_query.txt", fig7.render(series))
+def rangequery_series(dataset):
+    series = publish("fig7ab", dataset)
     assert_claims(check_fig7(series))
     return series
 
 
 @pytest.fixture(scope="module")
-def chord_index(query_dataset, paper_config):
+def chord_index(dataset, paper_config):
     """An m-LIGHT index bulk-loaded onto a Chord ring over SimNetwork."""
     dht = ChordDht.build(32)
-    points = query_dataset[: min(len(query_dataset), 4000)]
-    bulk_load(dht, points, paper_config)
+    bulk_load(dht, dataset[:4000], paper_config)
     return MLightIndex(dht, paper_config), dht.network
 
 
 @pytest.mark.smoke
-def test_fig7c_critical_path_latency(chord_index):
+def test_fig7c_critical_path_latency(chord_index, dataset):
     """Fig. 7b's premise on a real clock: with each batched round
     charged its critical path, lookahead=4 answers the same queries in
     less simulated time than the basic variant while spending more
@@ -86,7 +73,7 @@ def test_fig7c_critical_path_latency(chord_index):
             f"{lookahead:>9}  {rounds[lookahead]:>6}  "
             f"{lookups[lookahead]:>7}  {elapsed[lookahead]:>11.1f}"
         )
-    publish("fig7c_critical_latency.txt", "\n".join(lines))
+    publish_text("fig7c_critical_latency.txt", "\n".join(lines), dataset)
 
     assert elapsed[4] < elapsed[1]
     assert rounds[4] < rounds[1]
@@ -94,14 +81,11 @@ def test_fig7c_critical_path_latency(chord_index):
 
 
 @pytest.fixture(scope="module")
-def built_indexes(query_dataset, paper_config):
-    indexes = {}
-    for scheme in ("mlight", "pht", "dst"):
-        index = build_index(scheme, paper_config)
-        for point in query_dataset:
-            index.insert(point)
-        indexes[scheme] = index
-    return indexes
+def built_indexes(dataset, paper_config):
+    return {
+        scheme: load_index(scheme, paper_config, dataset)
+        for scheme in ("mlight", "pht", "dst")
+    }
 
 
 @pytest.mark.parametrize(
@@ -114,7 +98,7 @@ def built_indexes(query_dataset, paper_config):
         ("dst", "dst", None),
     ],
 )
-def test_fig7_query_answer(built_indexes, rangequery_series, query_dataset,
+def test_fig7_query_answer(built_indexes, rangequery_series, dataset,
                            variant, scheme, lookahead):
     """One mid-size range query per variant returns what a scan of the
     dataset does."""
@@ -125,5 +109,5 @@ def test_fig7_query_answer(built_indexes, rangequery_series, query_dataset,
     else:
         result = index.range_query(query, lookahead=lookahead)
     assert sorted(record.key for record in result.records) == sorted(
-        point for point in query_dataset if query.contains_point(point)
+        point for point in dataset if query.contains_point(point)
     )

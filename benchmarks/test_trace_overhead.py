@@ -21,12 +21,14 @@ two ways:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.common.config import IndexConfig
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.dht.localhash import LocalDht
+from repro.experiments.catalogue import PAPER_CONFIG
 from repro.workloads.queries import uniform_range_queries
 
 from .conftest import best_rate
@@ -42,11 +44,7 @@ _QUERY_SPAN = 0.2
 
 
 def _build_index(tracing: bool) -> MLightIndex:
-    config = IndexConfig(
-        dims=2, max_depth=28, split_threshold=100,
-        merge_threshold=50, expected_load=70,
-        cache_capacity=0, tracing=tracing,
-    )
+    config = replace(PAPER_CONFIG, cache_capacity=0, tracing=tracing)
     points = [
         (((i * 2654435761) % 9973) / 9973.0, ((i * 40503) % 9967) / 9967.0)
         for i in range(_N_POINTS)

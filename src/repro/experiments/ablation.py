@@ -31,13 +31,9 @@ from repro.common.labels import candidate_string
 from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
 from repro.core.naming import name_run_end, naming_function
-from repro.dht.api import Dht
-from repro.dht.chord import ChordDht
-from repro.dht.kademlia import KademliaDht
-from repro.dht.localhash import LocalDht
-from repro.dht.pastry import PastryDht
-from repro.experiments.harness import build_index
-from repro.experiments.tables import format_table
+from repro.dht.api import Dht, DhtStats
+from repro.experiments.harness import load_index
+from repro.runtime import OVERLAYS, create_dht
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,24 +42,28 @@ class AblationRow:
 
     name: str
     lookups: int
-    records_moved: int
-    hops: int
+    records_moved: int = 0
+    hops: int = 0
+
+    COLUMNS = (
+        ("configuration", "name"), ("DHT-lookups", "lookups"),
+        "records_moved", "hops",
+    )
+
+    @classmethod
+    def of(cls, name: str, stats: DhtStats) -> "AblationRow":
+        """The construction costs a substrate's meters hold."""
+        return cls(name, stats.lookups, stats.records_moved, stats.hops)
 
 
 def run_naming_ablation(
     points: Sequence[Point], config: IndexConfig
 ) -> list[AblationRow]:
     """A1: insert the dataset under m-LIGHT and the naive mapping."""
-    rows = []
-    for name, scheme in (("mlight", "mlight"), ("naive-mapping", "naive")):
-        index = build_index(scheme, config)
-        for point in points:
-            index.insert(point)
-        stats = index.dht.stats
-        rows.append(
-            AblationRow(name, stats.lookups, stats.records_moved, stats.hops)
-        )
-    return rows
+    return [
+        AblationRow.of(name, load_index(scheme, config, points).dht.stats)
+        for name, scheme in (("mlight", "mlight"), ("naive-mapping", "naive"))
+    ]
 
 
 def lookup_point_linear(
@@ -93,9 +93,7 @@ def run_lookup_ablation(
     config: IndexConfig,
 ) -> list[AblationRow]:
     """A2: binary-search vs linear lookup probe counts."""
-    index = build_index("mlight", config)
-    for point in points:
-        index.insert(point)
+    index = load_index("mlight", config, points)
 
     binary_probes = 0
     for key in lookup_keys:
@@ -106,8 +104,8 @@ def run_lookup_ablation(
             index.dht, key, config.dims, config.max_depth
         )
     return [
-        AblationRow("binary-search", binary_probes, 0, 0),
-        AblationRow("linear-probing", linear_probes, 0, 0),
+        AblationRow("binary-search", binary_probes),
+        AblationRow("linear-probing", linear_probes),
     ]
 
 
@@ -122,21 +120,15 @@ def run_substrate_ablation(
     diverge across substrates — that would mean the index leaked
     substrate details through the facade.
     """
-    substrates = (
-        ("local", LocalDht(n_peers)),
-        ("chord", ChordDht.build(n_peers)),
-        ("kademlia", KademliaDht.build(n_peers)),
-        ("pastry", PastryDht.build(n_peers)),
-    )
-    rows = []
-    for name, dht in substrates:
-        index = MLightIndex(dht, config)
-        for point in points:
-            index.insert(point)
-        stats = index.dht.stats
-        rows.append(
-            AblationRow(name, stats.lookups, stats.records_moved, stats.hops)
+    rows = [
+        AblationRow.of(
+            overlay,
+            load_index(
+                "mlight", config, points, overlay=overlay, n_peers=n_peers
+            ).dht.stats,
         )
+        for overlay in OVERLAYS
+    ]
     reference = rows[0]
     for row in rows[1:]:
         if (
@@ -161,29 +153,13 @@ def run_bulkload_ablation(
     from repro.core.bulkload import bulk_load
     from repro.core.split import DataAwareSplit
 
-    strategy = DataAwareSplit(config.expected_load)
-    bulk_dht = LocalDht()
-    bulk_load(bulk_dht, points, config, strategy)
-    rows = [
-        AblationRow(
-            "bulk-load",
-            bulk_dht.stats.lookups,
-            bulk_dht.stats.records_moved,
-            bulk_dht.stats.hops,
-        )
+    bulk_dht = create_dht()
+    bulk_load(bulk_dht, points, config, DataAwareSplit(config.expected_load))
+    incremental = load_index("mlight-da", config, points)
+    return [
+        AblationRow.of("bulk-load", bulk_dht.stats),
+        AblationRow.of("incremental", incremental.dht.stats),
     ]
-    incremental = MLightIndex(
-        LocalDht(), replace(config, strategy="data-aware")
-    )
-    for point in points:
-        incremental.insert(point)
-    stats = incremental.dht.stats
-    rows.append(
-        AblationRow(
-            "incremental", stats.lookups, stats.records_moved, stats.hops
-        )
-    )
-    return rows
 
 
 def run_cache_ablation(
@@ -198,9 +174,7 @@ def run_cache_ablation(
     same loaded index.  ``warm-cache`` replays them twice and reports
     only the second pass, so every hot leaf is already cached.
     """
-    index = build_index("mlight", config)
-    for point in points:
-        index.insert(point)
+    index = load_index("mlight", config, points)
     dht = index.dht
 
     def replay(client: MLightIndex) -> int:
@@ -209,20 +183,11 @@ def run_cache_ablation(
             client.lookup(key)
         return dht.stats.lookups - before
 
-    rows = [AblationRow("no-cache", replay(index), 0, 0)]
+    rows = [AblationRow("no-cache", replay(index))]
 
     cached = MLightIndex(
         dht, replace(config, cache_capacity=cache_capacity)
     )
-    rows.append(AblationRow("cold-cache", replay(cached), 0, 0))
-    rows.append(AblationRow("warm-cache", replay(cached), 0, 0))
+    rows.append(AblationRow("cold-cache", replay(cached)))
+    rows.append(AblationRow("warm-cache", replay(cached)))
     return rows
-
-
-def render(rows: list[AblationRow], title: str) -> str:
-    headers = ["configuration", "DHT-lookups", "records moved", "hops"]
-    return format_table(
-        headers,
-        [[row.name, row.lookups, row.records_moved, row.hops] for row in rows],
-        title=title,
-    )

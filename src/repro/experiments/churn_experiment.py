@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.common.config import IndexConfig
-from repro.common.errors import ReproError
 from repro.common.geometry import Point
-from repro.common.rng import make_rng
-from repro.core.index import MLightIndex
-from repro.dht.chord import ChordDht
-from repro.experiments.tables import format_table
+from repro.experiments.harness import (
+    crash_and_repair,
+    load_index,
+    recall,
+    truth_sets,
+)
 from repro.workloads.queries import uniform_range_queries
 
 
@@ -54,57 +55,20 @@ def run_churn_availability(
     )
     samples = []
     for replication in replication_factors:
-        dht = ChordDht.build(n_peers, replication=replication)
-        index = MLightIndex(dht, config)
-        for point in points:
-            index.insert(point)
-        truth = [
-            {record.key for record in index.range_query(query).records}
-            for query in queries
-        ]
-        rng = make_rng(seed + 1)  # same crash victims for every factor
-        for _ in range(n_crashes):
-            victims = dht.peers()
-            dht.fail(victims[rng.randrange(len(victims))])
-            dht.stabilize_all(3)
-            dht.repair_replicas()
-
-        matched = 0
-        total = 0
-        failed = 0
-        for query, expected in zip(queries, truth):
-            try:
-                got = {
-                    record.key
-                    for record in index.range_query(query).records
-                }
-            except ReproError:
-                # Lost buckets can leave the tree unresolvable along
-                # some paths; the query fails outright and contributes
-                # zero recall for its expected answers.
-                failed += 1
-                total += len(expected)
-                continue
-            matched += len(got & expected)
-            total += len(expected)
-        recall = matched / total if total else 1.0
+        index = load_index(
+            "mlight", config, points,
+            overlay="chord", n_peers=n_peers, replication=replication,
+        )
+        truth = truth_sets(index, queries)
+        # Same crash victims for every factor.
+        crash_and_repair(index.dht, n_crashes, seed + 1)
+        after = recall(index, queries, truth)
         samples.append(
             ChurnAvailabilitySample(
                 replication=replication,
                 crashes=n_crashes,
-                recall=recall,
-                queries_failed=failed,
+                recall=after.recall,
+                queries_failed=after.failed,
             )
         )
     return samples
-
-
-def render(samples: list[ChurnAvailabilitySample]) -> str:
-    headers = ["replication", "crashes", "recall", "queries failed"]
-    rows = [
-        [s.replication, s.crashes, s.recall, s.queries_failed]
-        for s in samples
-    ]
-    return format_table(
-        headers, rows, title="E10: availability under churn"
-    )

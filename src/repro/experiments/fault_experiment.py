@@ -33,17 +33,21 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.common.config import IndexConfig
-from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Point
-from repro.common.rng import derive_seed, make_rng
-from repro.core.index import MLightIndex
-from repro.dht.chord import ChordDht
+from repro.common.rng import derive_seed
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.retry import RetryingDht
-from repro.experiments.tables import format_table
+from repro.experiments.harness import (
+    build_index,
+    crash_and_repair,
+    recall,
+    truth_sets,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.runtime import create_dht
 from repro.workloads.queries import uniform_range_queries
 
-__all__ = ["FaultRecallSample", "run_fault_recall", "render"]
+__all__ = ["FaultRecallSample", "run_fault_recall"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +90,9 @@ def run_fault_recall(
     samples = []
     for replication in replication_factors:
         for rate in fault_rates:
-            chord = ChordDht.build(n_peers, replication=replication)
+            chord = create_dht(
+                overlay="chord", n_peers=n_peers, replication=replication
+            )
             plan = FaultPlan(
                 derive_seed(seed, "e12", replication, rate),
                 drop_rate=rate / 2.0,
@@ -100,103 +106,37 @@ def run_fault_recall(
                 jitter=0.01,
                 seed=derive_seed(seed, "e12-backoff", replication, rate),
             )
-            index = MLightIndex(dht, config)
+            # Bootstrapping the root goes through the fault plan (it
+            # draws from the cell's seed); loading the data does not.
+            index = build_index("mlight", config, dht=dht)
             with faulty.suspended():
                 for point in points:
                     index.insert(point)
-                truth = [
-                    {
-                        record.key
-                        for record in index.range_query(query).records
-                    }
-                    for query in queries
-                ]
-            # One mid-run crash, repaired when replication allows, so
-            # the replication axis carries E10's meaning here too.
-            rng = make_rng(seed + 1)  # same victim for every cell
-            victims = chord.peers()
-            chord.fail(victims[rng.randrange(len(victims))])
-            chord.stabilize_all(3)
-            chord.repair_replicas()
+                truth = truth_sets(index, queries)
+            # One mid-run crash (the same victim for every cell),
+            # repaired when replication allows, so the replication axis
+            # carries E10's meaning here too.
+            crash_and_repair(chord, 1, seed + 1)
 
-            before = dht.stats.snapshot()
-            backoff_before = dht.backoff_time
-            matched = 0
-            total = 0
-            degraded = 0
-            failed = 0
-            for query, expected in zip(queries, truth):
-                try:
-                    result = index.range_query(query)
-                except NodeUnreachableError:  # pragma: no cover
-                    raise AssertionError(
-                        "degraded mode must never surface unreachability"
-                    ) from None
-                except ReproError:
-                    # Tree damage from the crash (replication 1): some
-                    # descent path is unresolvable outright.
-                    failed += 1
-                    total += len(expected)
-                    continue
-                got = {record.key for record in result.records}
-                matched += len(got & expected)
-                total += len(expected)
-                if not result.complete:
-                    degraded += 1
-            after = dht.stats.snapshot()
+            meters = MetricsRegistry.for_index(index)
+            before = meters.snapshot()
+            after = recall(index, queries, truth)
+            spent = meters.delta(before)
             samples.append(
                 FaultRecallSample(
                     replication=replication,
                     fault_rate=rate,
-                    recall=matched / total if total else 1.0,
-                    degraded=degraded,
-                    failed=failed,
-                    retries=after["retries"] - before["retries"],
-                    backoff_waits=(
-                        after["backoff_waits"] - before["backoff_waits"]
+                    recall=after.recall,
+                    degraded=after.degraded,
+                    failed=after.failed,
+                    retries=spent["dht.retries"],
+                    backoff_waits=spent["dht.backoff_waits"],
+                    faults_injected=sum(
+                        count
+                        for meter, count in spent.items()
+                        if meter.startswith("dht.faults_")
                     ),
-                    faults_injected=(
-                        after["faults_dropped"]
-                        + after["faults_timed_out"]
-                        + after["faults_slowed"]
-                        + after["faults_stale"]
-                        - before["faults_dropped"]
-                        - before["faults_timed_out"]
-                        - before["faults_slowed"]
-                        - before["faults_stale"]
-                    ),
-                    backoff_time=dht.backoff_time - backoff_before,
+                    backoff_time=spent["dht.backoff_time"],
                 )
             )
     return samples
-
-
-def render(samples: list[FaultRecallSample]) -> str:
-    headers = [
-        "replication",
-        "fault rate",
-        "recall",
-        "degraded",
-        "failed",
-        "retries",
-        "backoff waits",
-        "faults injected",
-        "backoff time",
-    ]
-    rows = [
-        [
-            s.replication,
-            s.fault_rate,
-            s.recall,
-            s.degraded,
-            s.failed,
-            s.retries,
-            s.backoff_waits,
-            s.faults_injected,
-            s.backoff_time,
-        ]
-        for s in samples
-    ]
-    return format_table(
-        headers, rows, title="E12: recall and retry cost vs fault rate"
-    )

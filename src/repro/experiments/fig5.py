@@ -22,9 +22,9 @@ from repro.common.geometry import Point
 from repro.experiments.harness import (
     build_index,
     default_sample_points,
+    load_index,
     progressive_insert,
 )
-from repro.experiments.tables import format_table
 
 #: The schemes Fig. 5 compares.
 FIG5_SCHEMES = ("mlight", "pht", "dst")
@@ -38,6 +38,15 @@ class MaintenanceSeries:
     xs: tuple[int, ...]
     lookups: tuple[int, ...]
     records_moved: tuple[int, ...]
+
+    PIVOT = (
+        "scheme",
+        "xs",
+        (
+            ("lookups", "DHT-lookup cost"),
+            ("records_moved", "Data-movement cost"),
+        ),
+    )
 
 
 def run_datasize_sweep(
@@ -85,10 +94,7 @@ def run_threshold_sweep(
                 split_threshold=threshold,
                 merge_threshold=threshold // 2,
             )
-            index = build_index(scheme, swept)
-            for point in points:
-                index.insert(point)
-            stats = index.dht.stats
+            stats = load_index(scheme, swept, points).dht.stats
             xs.append(threshold)
             lookups.append(stats.lookups)
             moved.append(stats.records_moved)
@@ -96,22 +102,3 @@ def run_threshold_sweep(
             MaintenanceSeries(scheme, tuple(xs), tuple(lookups), tuple(moved))
         )
     return series
-
-
-def render(series: list[MaintenanceSeries], x_name: str) -> str:
-    """Two tables (5a/5b or 5c/5d): lookups and movement per scheme."""
-    xs = series[0].xs
-    headers = [x_name] + [entry.scheme for entry in series]
-    lookup_rows = [
-        [x] + [entry.lookups[position] for entry in series]
-        for position, x in enumerate(xs)
-    ]
-    moved_rows = [
-        [x] + [entry.records_moved[position] for entry in series]
-        for position, x in enumerate(xs)
-    ]
-    return (
-        format_table(headers, lookup_rows, title="DHT-lookup cost")
-        + "\n\n"
-        + format_table(headers, moved_rows, title="Data-movement cost")
-    )

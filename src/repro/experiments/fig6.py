@@ -28,9 +28,11 @@ from repro.common.config import IndexConfig
 from repro.common.geometry import Point
 from repro.common.rng import derive_seed, make_rng
 from repro.core.index import MLightIndex
-from repro.dht.localhash import LocalDht
-from repro.experiments.harness import build_index
-from repro.experiments.tables import format_table
+from repro.experiments.harness import (
+    build_index,
+    default_sample_points,
+    progressive_insert,
+)
 from repro.metrics.loadbalance import (
     empty_bucket_fraction,
     gini_coefficient,
@@ -59,11 +61,18 @@ class LoadBalanceSample:
     (fewer, larger buckets spread less evenly over peers).
     """
 
+    strategy: str
     inserted: int
     tree_size: int
     bucket_variance: float
     peer_variance: float
     empty_fraction: float
+
+    COLUMNS = (
+        "strategy", "inserted", "tree_size", "bucket_variance",
+        "peer_variance",
+        ("% empty buckets", lambda sample: 100.0 * sample.empty_fraction),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,11 +92,20 @@ class QueryBalanceSample:
 
 @dataclass(frozen=True, slots=True)
 class LoadBalanceSeries:
-    """One curve of Fig. 6a/6b."""
+    """One curve of Fig. 6a/6b and its tree's query balance (a row of
+    the query-load table)."""
 
     strategy: str
     samples: tuple[LoadBalanceSample, ...]
-    query: QueryBalanceSample | None = None
+    query: QueryBalanceSample
+
+    COLUMNS = (
+        "strategy",
+        ("zipf skew", lambda entry: entry.query.skew),
+        ("queries", lambda entry: entry.query.queries),
+        ("max/mean", lambda entry: entry.query.max_mean),
+        ("gini", lambda entry: entry.query.gini),
+    )
 
 
 def measure_query_balance(
@@ -134,6 +152,7 @@ def run_loadbalance_experiment(
     virtual_nodes: int = 64,
     query_skew: float = 1.1,
     n_queries: int = 2000,
+    seed: int = 0,
 ) -> list[LoadBalanceSeries]:
     """Progressive insertion with periodic balance measurements.
 
@@ -143,82 +162,47 @@ def run_loadbalance_experiment(
     phase measures its per-peer *query* balance (see
     :func:`measure_query_balance`).
     """
-    checkpoints = [
-        round(len(points) * (index + 1) / n_samples)
-        for index in range(n_samples)
-    ]
     series = []
-    for strategy_name, scheme in FIG6_STRATEGIES:
+    for strategy, scheme in FIG6_STRATEGIES:
         index = build_index(
-            scheme,
-            config,
-            dht=LocalDht(n_peers, virtual_nodes=virtual_nodes),
+            scheme, config, n_peers=n_peers, virtual_nodes=virtual_nodes
         )
         samples: list[LoadBalanceSample] = []
-        target = 0
-        for count, point in enumerate(points, start=1):
-            index.insert(point)
-            if target < len(checkpoints) and count == checkpoints[target]:
-                buckets = list(index.buckets())
-                peer_loads = peer_record_loads(index.dht)
-                bucket_loads = [bucket.load for bucket in buckets]
-                samples.append(
-                    LoadBalanceSample(
-                        inserted=count,
-                        tree_size=len(buckets),
-                        bucket_variance=normalized_load_variance(
-                            bucket_loads
-                        ),
-                        peer_variance=normalized_load_variance(peer_loads),
-                        empty_fraction=empty_bucket_fraction(buckets),
-                    )
+
+        def measure(count: int) -> None:
+            buckets = list(index.buckets())
+            samples.append(
+                LoadBalanceSample(
+                    strategy=strategy,
+                    inserted=count,
+                    tree_size=len(buckets),
+                    bucket_variance=normalized_load_variance(
+                        [bucket.load for bucket in buckets]
+                    ),
+                    peer_variance=normalized_load_variance(
+                        peer_record_loads(index.dht)
+                    ),
+                    empty_fraction=empty_bucket_fraction(buckets),
                 )
-                target += 1
+            )
+
+        progressive_insert(
+            index,
+            points,
+            default_sample_points(len(points), n_samples),
+            callback=measure,
+        )
         series.append(
             LoadBalanceSeries(
-                strategy_name,
+                strategy,
                 tuple(samples),
-                query=measure_query_balance(
-                    index, points, skew=query_skew, n_queries=n_queries
+                measure_query_balance(
+                    index,
+                    points,
+                    skew=query_skew,
+                    n_queries=n_queries,
+                    seed=seed,
                 ),
             )
         )
     return series
-
-
-def render(series: list[LoadBalanceSeries]) -> str:
-    """Fig. 6a and 6b as tables keyed by tree size."""
-    headers = ["strategy", "inserted", "tree size", "bucket variance",
-               "peer variance", "% empty buckets"]
-    rows = [
-        [
-            entry.strategy,
-            sample.inserted,
-            sample.tree_size,
-            sample.bucket_variance,
-            sample.peer_variance,
-            100.0 * sample.empty_fraction,
-        ]
-        for entry in series
-        for sample in entry.samples
-    ]
-    storage = format_table(headers, rows, title="Storage load balance")
-    query_rows = [
-        [
-            entry.strategy,
-            entry.query.skew,
-            entry.query.queries,
-            entry.query.max_mean,
-            entry.query.gini,
-        ]
-        for entry in series
-        if entry.query is not None
-    ]
-    if not query_rows:
-        return storage
-    query = format_table(
-        ["strategy", "zipf skew", "queries", "max/mean", "gini"],
-        query_rows,
-        title="Query load balance (skewed lookups)",
-    )
-    return storage + "\n" + query

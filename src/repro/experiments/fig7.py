@@ -21,17 +21,16 @@ from collections.abc import Sequence
 from repro.common.config import IndexConfig
 from repro.common.geometry import Point
 from repro.common.rng import derive_seed
-from repro.experiments.harness import build_index
-from repro.experiments.tables import format_table
+from repro.experiments.harness import load_index, mean_query_costs
 from repro.workloads.queries import uniform_range_queries
 
-#: (display name, scheme, lookahead) rows of Fig. 7.
+#: (display name, scheme, range_query options) rows of Fig. 7.
 FIG7_VARIANTS = (
-    ("mlight-basic", "mlight", 1),
-    ("mlight-parallel-2", "mlight", 2),
-    ("mlight-parallel-4", "mlight", 4),
-    ("pht", "pht", None),
-    ("dst", "dst", None),
+    ("mlight-basic", "mlight", {"lookahead": 1}),
+    ("mlight-parallel-2", "mlight", {"lookahead": 2}),
+    ("mlight-parallel-4", "mlight", {"lookahead": 4}),
+    ("pht", "pht", {}),
+    ("dst", "dst", {}),
 )
 
 DEFAULT_SPANS = (0.05, 0.1, 0.2, 0.4, 0.6)
@@ -45,6 +44,15 @@ class RangeQuerySeries:
     spans: tuple[float, ...]
     bandwidth: tuple[float, ...]
     latency: tuple[float, ...]
+
+    PIVOT = (
+        "variant",
+        "spans",
+        (
+            ("bandwidth", "Bandwidth (# of DHT-lookups per query)"),
+            ("latency", "Latency (rounds of DHT-lookups per query)"),
+        ),
+    )
 
 
 def run_rangequery_experiment(
@@ -60,10 +68,7 @@ def run_rangequery_experiment(
     indexes: dict[str, object] = {}
     for _, scheme, _ in FIG7_VARIANTS:
         if scheme not in indexes:
-            index = build_index(scheme, config)
-            for point in points:
-                index.insert(point)
-            indexes[scheme] = index
+            indexes[scheme] = load_index(scheme, config, points)
 
     workloads = {
         span: uniform_range_queries(
@@ -76,51 +81,17 @@ def run_rangequery_experiment(
     }
 
     series = []
-    for variant, scheme, lookahead in FIG7_VARIANTS:
-        index = indexes[scheme]
-        bandwidth: list[float] = []
-        latency: list[float] = []
-        for span in spans:
-            total_lookups = 0
-            total_rounds = 0
-            for query in workloads[span]:
-                if lookahead is None:
-                    result = index.range_query(query)
-                else:
-                    result = index.range_query(query, lookahead=lookahead)
-                total_lookups += result.lookups
-                total_rounds += result.rounds
-            count = len(workloads[span])
-            bandwidth.append(total_lookups / count)
-            latency.append(total_rounds / count)
+    for variant, scheme, options in FIG7_VARIANTS:
+        costs = [
+            mean_query_costs(indexes[scheme], workloads[span], **options)
+            for span in spans
+        ]
         series.append(
             RangeQuerySeries(
-                variant, tuple(spans), tuple(bandwidth), tuple(latency)
+                variant,
+                tuple(spans),
+                tuple(lookups for lookups, _ in costs),
+                tuple(rounds for _, rounds in costs),
             )
         )
     return series
-
-
-def render(series: list[RangeQuerySeries]) -> str:
-    """Figs. 7a/7b as tables: rows = spans, columns = variants."""
-    spans = series[0].spans
-    headers = ["range span"] + [entry.variant for entry in series]
-    bandwidth_rows = [
-        [span] + [entry.bandwidth[position] for entry in series]
-        for position, span in enumerate(spans)
-    ]
-    latency_rows = [
-        [span] + [entry.latency[position] for entry in series]
-        for position, span in enumerate(spans)
-    ]
-    return (
-        format_table(
-            headers, bandwidth_rows,
-            title="Bandwidth (# of DHT-lookups per query)",
-        )
-        + "\n\n"
-        + format_table(
-            headers, latency_rows,
-            title="Latency (rounds of DHT-lookups per query)",
-        )
-    )

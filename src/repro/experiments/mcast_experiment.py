@@ -31,20 +31,11 @@ from repro.common.geometry import (
     region_of_label,
 )
 from repro.core.distributed import DistributedQueryRuntime
-from repro.core.index import MLightIndex
 from repro.core.naming import naming_function
-from repro.dht.chord import ChordDht
-from repro.dht.kademlia import KademliaDht
-from repro.dht.pastry import PastryDht
-from repro.experiments.tables import format_table
+from repro.experiments.harness import load_index
 from repro.mcast import ContinuousQueryPlane, MulticastRuntime, sub_key
+from repro.obs.registry import MetricsRegistry
 from repro.workloads.queries import uniform_range_queries
-
-OVERLAY_FACTORIES = {
-    "chord": ChordDht.build,
-    "kademlia": KademliaDht.build,
-    "pastry": PastryDht.build,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +52,21 @@ class MulticastSample:
     rounds_mcast: int
     answers_equal: bool
 
+    COLUMNS = (
+        "overlay", "queries",
+        ("fan-out init msgs", "fanout_initiator_msgs"),
+        ("mcast init msgs", "mcast_initiator_msgs"),
+        (
+            "lookups (fan/mc)",
+            lambda sample: f"{sample.lookups_fanout}/{sample.lookups_mcast}",
+        ),
+        (
+            "rounds (fan/mc)",
+            lambda sample: f"{sample.rounds_fanout}/{sample.rounds_mcast}",
+        ),
+        "answers_equal",
+    )
+
 
 @dataclass(frozen=True, slots=True)
 class ContinuousSample:
@@ -75,6 +81,12 @@ class ContinuousSample:
     flushed: int  # queued inserts delivered after restart
     pushes: int  # stats.pushes (includes invalidation traffic)
     exactly_once: bool
+
+    COLUMNS = (
+        ("matching inserts", "inserts"), "delivered",
+        ("dupes", "duplicates"), "missing", "invalidations", "queued_down",
+        "flushed", "pushes", "exactly_once",
+    )
 
 
 def run_multicast_efficiency(
@@ -92,46 +104,38 @@ def run_multicast_efficiency(
     )
     samples = []
     for overlay in overlays:
-        dht = OVERLAY_FACTORIES[overlay](n_peers)
-        index = MLightIndex(dht, config)
-        for point in points:
-            index.insert(point)
+        index = load_index(
+            "mlight", config, points, overlay=overlay, n_peers=n_peers
+        )
+        dht = index.dht
         fanout = DistributedQueryRuntime(
             dht, config.dims, config.max_depth
         )
         mcast = MulticastRuntime(dht, config.dims, config.max_depth)
-        stats = dht.stats
-        fan_msgs = fan_lookups = fan_rounds = 0
-        mc_msgs = mc_lookups = mc_rounds = 0
-        answers_equal = True
-        for query in queries:
-            before = stats.snapshot()
-            fan_result = fanout.query(query)
-            mid = stats.snapshot()
-            mc_result = mcast.query(query)
-            after = stats.snapshot()
-            # Fan-out: every owner resolution is a client-originated
-            # message.  Multicast: only the ``mcasts`` frame is.
-            fan_msgs += mid["lookups"] - before["lookups"]
-            mc_msgs += after["mcasts"] - mid["mcasts"]
-            fan_lookups += mid["lookups"] - before["lookups"]
-            mc_lookups += after["lookups"] - mid["lookups"]
-            fan_rounds += fan_result.rounds
-            mc_rounds += mc_result.rounds
-            answers_equal = answers_equal and sorted(
-                r.key for r in fan_result.records
-            ) == sorted(r.key for r in mc_result.records)
+        meters = MetricsRegistry.for_index(index)
+        before = meters.snapshot()
+        fan_results = [fanout.query(query) for query in queries]
+        fan_spent = meters.delta(before)
+        before = meters.snapshot()
+        mc_results = [mcast.query(query) for query in queries]
+        mc_spent = meters.delta(before)
         samples.append(
             MulticastSample(
                 overlay=overlay,
                 queries=len(queries),
-                fanout_initiator_msgs=fan_msgs,
-                mcast_initiator_msgs=mc_msgs,
-                lookups_fanout=fan_lookups,
-                lookups_mcast=mc_lookups,
-                rounds_fanout=fan_rounds,
-                rounds_mcast=mc_rounds,
-                answers_equal=answers_equal,
+                # Fan-out: every owner resolution is a client-originated
+                # message.  Multicast: only the ``mcasts`` frame is.
+                fanout_initiator_msgs=fan_spent["dht.lookups"],
+                mcast_initiator_msgs=mc_spent["dht.mcasts"],
+                lookups_fanout=fan_spent["dht.lookups"],
+                lookups_mcast=mc_spent["dht.lookups"],
+                rounds_fanout=sum(result.rounds for result in fan_results),
+                rounds_mcast=sum(result.rounds for result in mc_results),
+                answers_equal=all(
+                    sorted(record.key for record in fan.records)
+                    == sorted(record.key for record in mc.records)
+                    for fan, mc in zip(fan_results, mc_results)
+                ),
             )
         )
     return samples
@@ -141,21 +145,17 @@ def run_continuous_query(
     points: Sequence[Point],
     config: IndexConfig,
     n_peers: int = 10,
-    seed: int = 0,
-    region: Region | None = None,
 ) -> ContinuousSample:
     """Subscribe, churn the tree, crash-restart a rendezvous owner."""
-    if region is None:
-        region = Region(
-            (0.2,) * config.dims, (0.7,) * config.dims
-        )
+    region = Region((0.2,) * config.dims, (0.7,) * config.dims)
     base = list(points[: max(len(points) // 3, 40)])
     live_batch = list(points[len(base): 2 * len(base)])
     with tempfile.TemporaryDirectory() as tmp:
-        dht = ChordDht.build(n_peers, durability="log", data_dir=tmp)
-        index = MLightIndex(dht, config)
-        for point in base:
-            index.insert(point)
+        index = load_index(
+            "mlight", config, base,
+            overlay="chord", n_peers=n_peers, durability="log", data_dir=tmp,
+        )
+        dht = index.dht
         plane = ContinuousQueryPlane(index)
         subscriber = plane.subscribe(region)
         expected: list[Point] = []
@@ -219,41 +219,3 @@ def run_continuous_query(
             pushes=dht.stats.pushes,
             exactly_once=(duplicates == 0 and missing == 0),
         )
-
-
-def render_multicast(samples: list[MulticastSample]) -> str:
-    headers = [
-        "overlay", "queries", "fan-out init msgs", "mcast init msgs",
-        "lookups (fan/mc)", "rounds (fan/mc)", "answers equal",
-    ]
-    rows = [
-        [
-            s.overlay, s.queries, s.fanout_initiator_msgs,
-            s.mcast_initiator_msgs,
-            f"{s.lookups_fanout}/{s.lookups_mcast}",
-            f"{s.rounds_fanout}/{s.rounds_mcast}",
-            s.answers_equal,
-        ]
-        for s in samples
-    ]
-    return format_table(
-        headers, rows,
-        title="E15a: prefix multicast vs client fan-out",
-    )
-
-
-def render_continuous(sample: ContinuousSample) -> str:
-    headers = [
-        "matching inserts", "delivered", "dupes", "missing",
-        "invalidations", "queued down", "flushed", "pushes",
-        "exactly once",
-    ]
-    rows = [[
-        sample.inserts, sample.delivered, sample.duplicates,
-        sample.missing, sample.invalidations, sample.queued_down,
-        sample.flushed, sample.pushes, sample.exactly_once,
-    ]]
-    return format_table(
-        headers, rows,
-        title="E15b: continuous query through churn and crash-restart",
-    )

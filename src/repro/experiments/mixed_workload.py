@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from repro.common.config import IndexConfig
 from repro.common.geometry import Point
 from repro.experiments.harness import build_index
-from repro.experiments.tables import format_table
 from repro.workloads.traces import apply_trace, mixed_trace
 
 #: Schemes compared (the naive mapping is omitted: Fig. 5 already
@@ -36,6 +35,11 @@ class MixedWorkloadSample:
     lookups: int
     records_moved: int
     final_records: int
+
+    COLUMNS = (
+        "scheme", "inserts", "deletes", ("DHT-lookups", "lookups"),
+        "records_moved", ("records left", "final_records"),
+    )
 
 
 def run_mixed_workload(
@@ -63,25 +67,3 @@ def run_mixed_workload(
             )
         )
     return samples
-
-
-def render(samples: list[MixedWorkloadSample]) -> str:
-    headers = [
-        "scheme", "inserts", "deletes", "DHT-lookups",
-        "records moved", "records left",
-    ]
-    rows = [
-        [
-            sample.scheme,
-            sample.inserts,
-            sample.deletes,
-            sample.lookups,
-            sample.records_moved,
-            sample.final_records,
-        ]
-        for sample in samples
-    ]
-    return format_table(
-        headers, rows,
-        title="E11: mixed insert/delete maintenance",
-    )

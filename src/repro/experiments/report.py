@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
 from repro.common.config import IndexConfig
 from repro.common.geometry import Point
 from repro.datasets.northeast import northeast_surrogate
 from repro.experiments import fig5, fig6, fig7
+from repro.experiments.catalogue import BY_KEY, PAPER_CONFIG, run, table
 
 
 def _verdict(ok: bool) -> str:
@@ -141,33 +143,22 @@ def generate_report(
         f"theta={config.split_threshold}, eps={config.expected_load}",
         "",
     ]
+    all_checks: list[tuple[str, bool]] = []
+    for key, heading, check in (
+        ("fig5ab", "Fig. 5a/5b — maintenance vs data size", check_fig5),
+        ("fig6ab", "Fig. 6a/6b — load balance", check_fig6),
+        ("fig7ab", "Fig. 7a/7b — range queries", check_fig7),
+    ):
+        entry = replace(BY_KEY[key], config=config)
+        result = run(entry, points, seed, queries_per_span=queries_per_span)
+        sections.append(f"## {heading}\n")
+        sections.append("```\n" + table(entry, result) + "\n```\n")
+        checks = check(result)
+        for description, ok in checks:
+            sections.append(f"- {description}: {_verdict(ok)}")
+        sections.append("")
+        all_checks += checks
 
-    datasize = fig5.run_datasize_sweep(points, config, samples=4)
-    sections.append("## Fig. 5a/5b — maintenance vs data size\n")
-    sections.append("```\n" + fig5.render(datasize, "data size") + "\n```\n")
-    for description, ok in check_fig5(datasize):
-        sections.append(f"- {description}: {_verdict(ok)}")
-    sections.append("")
-
-    balance = fig6.run_loadbalance_experiment(points, config, n_samples=4)
-    sections.append("## Fig. 6a/6b — load balance\n")
-    sections.append("```\n" + fig6.render(balance) + "\n```\n")
-    for description, ok in check_fig6(balance):
-        sections.append(f"- {description}: {_verdict(ok)}")
-    sections.append("")
-
-    ranges = fig7.run_rangequery_experiment(
-        points, config, queries_per_span=queries_per_span, seed=seed
-    )
-    sections.append("## Fig. 7a/7b — range queries\n")
-    sections.append("```\n" + fig7.render(ranges) + "\n```\n")
-    for description, ok in check_fig7(ranges):
-        sections.append(f"- {description}: {_verdict(ok)}")
-    sections.append("")
-
-    all_checks = (
-        check_fig5(datasize) + check_fig6(balance) + check_fig7(ranges)
-    )
     passed = sum(1 for _, ok in all_checks if ok)
     sections.append(
         f"## Summary: {passed}/{len(all_checks)} claims reproduced"
@@ -183,12 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args(argv)
 
-    config = IndexConfig(
-        dims=2, max_depth=28, split_threshold=100,
-        merge_threshold=50, expected_load=70,
-    )
     report = generate_report(
-        northeast_surrogate(args.size), config,
+        northeast_surrogate(args.size), PAPER_CONFIG,
         queries_per_span=args.queries, seed=args.seed,
     )
     if args.output:

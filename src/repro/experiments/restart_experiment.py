@@ -27,10 +27,8 @@ from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
 from repro.common.geometry import Point
 from repro.dht.api import request_wire_size
-from repro.dht.chord import ChordDht
 from repro.dht.churn import run_churn
-from repro.core.index import MLightIndex
-from repro.experiments.tables import format_table
+from repro.experiments.harness import load_index, recall, truth_sets
 from repro.workloads.queries import uniform_range_queries
 
 
@@ -49,24 +47,11 @@ class RestartSample:
     store_keys: int  # distinct keys stored ring-wide after recovery
     store_bytes: int  # wire size of the whole store (repair bound)
 
-
-def _recall(index: MLightIndex, queries, truth) -> float:
-    matched = 0
-    total = 0
-    for query, expected in zip(queries, truth):
-        try:
-            got = {
-                record.key
-                for record in index.range_query(query).records
-            }
-        except ReproError:
-            # Unreachable buckets can make a query fail outright; it
-            # contributes zero recall for its expected answers.
-            total += len(expected)
-            continue
-        matched += len(got & expected)
-        total += len(expected)
-    return matched / total if total else 1.0
+    # The table shows every field but the bound the gate compares with.
+    COLUMNS = (
+        "durability", "crashes", "inserts_down", "recall_down",
+        "recall_after", "replayed", "repaired", "repair_bytes", "store_keys",
+    )
 
 
 def run_restart_recovery(
@@ -103,14 +88,12 @@ def run_restart_recovery(
     samples = []
     for durability in durabilities:
         for n_down_writes in inserts_down:
-            dht = ChordDht.build(n_peers, durability=durability)
-            index = MLightIndex(dht, config)
-            for point in base_points:
-                index.insert(point)
-            truth = [
-                {record.key for record in index.range_query(query).records}
-                for query in queries
-            ]
+            index = load_index(
+                "mlight", config, base_points,
+                overlay="chord", n_peers=n_peers, durability=durability,
+            )
+            dht = index.dht
+            truth = truth_sets(index, queries)
             report = run_churn(
                 dht, n_crashes,
                 join_weight=0.0, leave_weight=0.0, fail_weight=1.0,
@@ -125,7 +108,7 @@ def run_restart_recovery(
                     # unresolvable; skipped writes simply don't add to
                     # the reconciliation bill.
                     continue
-            recall_down = _recall(index, queries, truth)
+            recall_down = recall(index, queries, truth).recall
             dht.stats.reset()
             for victim in victims:
                 if durability is None:
@@ -133,7 +116,7 @@ def run_restart_recovery(
                 else:
                     dht.restart(victim)
                 dht.stabilize_all(2)
-            recall_after = _recall(index, queries, truth)
+            recall_after = recall(index, queries, truth).recall
             stats = dht.stats
             store_bytes = sum(
                 request_wire_size(key, value)
@@ -156,22 +139,3 @@ def run_restart_recovery(
                 )
             )
     return samples
-
-
-def render(samples: list[RestartSample]) -> str:
-    headers = [
-        "durability", "crashes", "inserts down", "recall down",
-        "recall after", "replayed", "repaired", "repair bytes",
-        "store keys",
-    ]
-    rows = [
-        [
-            s.durability, s.crashes, s.inserts_down, s.recall_down,
-            s.recall_after, s.replayed, s.repaired, s.repair_bytes,
-            s.store_keys,
-        ]
-        for s in samples
-    ]
-    return format_table(
-        headers, rows, title="E14: crash-restart recovery"
-    )

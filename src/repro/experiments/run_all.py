@@ -4,10 +4,13 @@ Usage::
 
     python -m repro.experiments.run_all            # reduced scale, ~1-2 min
     python -m repro.experiments.run_all --full     # paper scale (123,593 pts)
-    python -m repro.experiments.run_all --size 50000
+    python -m repro.experiments.run_all --size 50000 --out results
 
-Prints the Fig. 5/6/7 tables and the ablations to stdout; pass
-``--csv-dir results/`` to also dump CSV files.
+Prints the stamp line (scale, seed, commit) and every table of the
+catalogue (Figs. 5/6/7, ablations A1-A5, extensions E9-E15) to stdout;
+``--out DIR`` also writes each table to ``DIR/<file>`` under the same
+stamp, the files ``pytest benchmarks/`` publishes at the same
+``REPRO_BENCH_SIZE``.
 """
 
 from __future__ import annotations
@@ -16,24 +19,15 @@ import argparse
 import sys
 import time
 
-from repro.common.config import IndexConfig
 from repro.datasets.northeast import NE_CARDINALITY, northeast_surrogate
-from repro.experiments import (
-    ablation,
-    charts,
-    churn_experiment,
-    fault_experiment,
-    mcast_experiment,
-    restart_experiment,
-    fig5,
-    fig6,
-    fig7,
-    mixed_workload,
-    scaling,
-    skew_experiment,
+from repro.experiments.catalogue import (
+    CATALOGUE,
+    PAPER_CONFIG,
+    run,
+    stamp,
+    table,
+    write_table,
 )
-from repro.experiments.tables import save_csv
-from repro.workloads.queries import point_queries
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,7 +44,10 @@ def main(argv: list[str] | None = None) -> int:
         "--queries", type=int, default=10,
         help="range queries per span (default 10)",
     )
-    parser.add_argument("--csv-dir", default=None)
+    parser.add_argument(
+        "--out", default=None,
+        help="also write every table, stamped, under this directory",
+    )
     parser.add_argument(
         "--charts", action="store_true",
         help="also render ASCII charts of each figure",
@@ -59,132 +56,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     size = NE_CARDINALITY if args.full else args.size
-    config = IndexConfig(
-        dims=2, max_depth=28, split_threshold=100,
-        merge_threshold=50, expected_load=70,
-    )
-    print(f"dataset: NE surrogate, {size} points; D={config.max_depth}")
+    print(stamp(size, args.seed))
+    print(f"dataset: NE surrogate, {size} points; D={PAPER_CONFIG.max_depth}")
     points = northeast_surrogate(size)
 
     started = time.time()
-    print("\n=== Figs. 5a/5b: maintenance cost vs data size ===")
-    datasize = fig5.run_datasize_sweep(points, config)
-    print(fig5.render(datasize, "data size"))
-    if args.charts:
-        print()
-        print(charts.chart_maintenance(datasize, "lookups"))
-        print()
-        print(charts.chart_maintenance(datasize, "moved"))
-
-    print("\n=== Figs. 5c/5d: maintenance cost vs theta_split ===")
-    thresholds = fig5.run_threshold_sweep(points, config)
-    print(fig5.render(thresholds, "theta_split"))
-
-    print("\n=== Figs. 6a/6b: storage load balance ===")
-    balance = fig6.run_loadbalance_experiment(points, config)
-    print(fig6.render(balance))
-    if args.charts:
-        print()
-        print(charts.chart_loadbalance(balance, "empty"))
-
-    print("\n=== Figs. 7a/7b: range-query performance ===")
-    ranges = fig7.run_rangequery_experiment(
-        points, config, queries_per_span=args.queries, seed=args.seed
-    )
-    print(fig7.render(ranges))
-    if args.charts:
-        print()
-        print(charts.chart_rangequery(ranges, "bandwidth"))
-        print()
-        print(charts.chart_rangequery(ranges, "latency"))
-
-    print("\n=== Ablation A1: naming function ===")
-    small = points[: min(len(points), 10_000)]
-    print(ablation.render(
-        ablation.run_naming_ablation(small, config), "naming function"
-    ))
-
-    print("\n=== Ablation A2: lookup search strategy ===")
-    keys = point_queries(small, 200, seed=args.seed)
-    print(ablation.render(
-        ablation.run_lookup_ablation(small, keys, config), "lookup search"
-    ))
-
-    print("\n=== Ablation A3: DHT substrate swap ===")
-    tiny = points[: min(len(points), 1_500)]
-    print(ablation.render(
-        ablation.run_substrate_ablation(tiny, config), "substrate swap"
-    ))
-
-    print("\n=== Ablation A4: bulk load vs incremental ===")
-    print(ablation.render(
-        ablation.run_bulkload_ablation(small, config),
-        "bulk load vs incremental",
-    ))
-
-    print("\n=== Ablation A5: client leaf cache ===")
-    print(ablation.render(
-        ablation.run_cache_ablation(small, keys, config),
-        "client leaf cache",
-    ))
-
-    print("\n=== Extension E9: scaling with dimensionality ===")
-    print(scaling.render(
-        scaling.run_dimensionality_sweep(min(3000, len(points)), config)
-    ))
-
-    print("\n=== Extension E10: availability under churn ===")
-    print(churn_experiment.render(
-        churn_experiment.run_churn_availability(tiny, config)
-    ))
-
-    print("\n=== Extension E11: mixed insert/delete maintenance ===")
-    print(mixed_workload.render(
-        mixed_workload.run_mixed_workload(small, config, seed=args.seed)
-    ))
-
-    print("\n=== Extension E12: recall and retry cost vs fault rate ===")
-    print(fault_experiment.render(
-        fault_experiment.run_fault_recall(tiny, config, seed=args.seed)
-    ))
-
-    print("\n=== Extension E13: skewed reads and the adaptive plane ===")
-    print(skew_experiment.render(
-        skew_experiment.run_skew_experiment(small, config, seed=args.seed)
-    ))
-
-    print("\n=== Extension E14: crash-restart recovery ===")
-    print(restart_experiment.render(
-        restart_experiment.run_restart_recovery(
-            tiny, config, seed=args.seed
+    for entry in CATALOGUE:
+        print(f"\n=== {entry.heading or entry.title} ===")
+        result = run(
+            entry, points, args.seed, queries_per_span=args.queries
         )
-    ))
-
-    print("\n=== Extension E15: prefix multicast + continuous queries ===")
-    print(mcast_experiment.render_multicast(
-        mcast_experiment.run_multicast_efficiency(
-            tiny, config, seed=args.seed
-        )
-    ))
-    print(mcast_experiment.render_continuous(
-        mcast_experiment.run_continuous_query(
-            tiny, config, seed=args.seed
-        )
-    ))
-
-    if args.csv_dir:
-        for entry in datasize:
-            save_csv(
-                f"{args.csv_dir}/fig5_datasize_{entry.scheme}.csv",
-                ["data_size", "lookups", "records_moved"],
-                list(zip(entry.xs, entry.lookups, entry.records_moved)),
-            )
-        for entry in ranges:
-            save_csv(
-                f"{args.csv_dir}/fig7_{entry.variant}.csv",
-                ["span", "bandwidth", "latency"],
-                list(zip(entry.spans, entry.bandwidth, entry.latency)),
-            )
+        text = table(entry, result)
+        print(text)
+        if args.out:
+            write_table(args.out, entry.file, text, size, args.seed)
+        if args.charts:
+            for chart in entry.charts:
+                print()
+                print(chart(result))
     print(f"\ndone in {time.time() - started:.1f}s")
     return 0
 

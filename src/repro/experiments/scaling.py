@@ -16,8 +16,7 @@ from collections.abc import Sequence
 from repro.common.config import IndexConfig
 from repro.common.rng import derive_seed
 from repro.datasets.synthetic import uniform_points
-from repro.experiments.harness import build_index
-from repro.experiments.tables import format_table
+from repro.experiments.harness import load_index, mean_query_costs
 from repro.workloads.queries import point_queries, uniform_range_queries
 
 
@@ -31,6 +30,13 @@ class DimensionalitySample:
     mean_query_lookups: float
     mean_query_rounds: float
 
+    COLUMNS = (
+        "dims", "tree_size",
+        ("lookup probes", "mean_lookup_probes"),
+        ("query lookups", "mean_query_lookups"),
+        ("query rounds", "mean_query_rounds"),
+    )
+
 
 def run_dimensionality_sweep(
     n_points: int,
@@ -43,13 +49,10 @@ def run_dimensionality_sweep(
     """Uniform data, fixed-volume queries, at each dimensionality."""
     samples = []
     for dims in dims_list:
-        swept = replace(config, dims=dims)
-        index = build_index("mlight", swept)
         points = uniform_points(
             n_points, dims=dims, seed=derive_seed(seed, "points", dims)
         )
-        for point in points:
-            index.insert(point)
+        index = load_index("mlight", replace(config, dims=dims), points)
 
         keys = point_queries(
             points, 50, seed=derive_seed(seed, "lookups", dims)
@@ -60,39 +63,14 @@ def run_dimensionality_sweep(
             n_queries, span, dims=dims,
             seed=derive_seed(seed, "queries", dims),
         )
-        lookups = 0
-        rounds = 0
-        for query in queries:
-            result = index.range_query(query)
-            lookups += result.lookups
-            rounds += result.rounds
+        lookups, rounds = mean_query_costs(index, queries)
         samples.append(
             DimensionalitySample(
                 dims=dims,
                 tree_size=index.tree_size(),
                 mean_lookup_probes=probes,
-                mean_query_lookups=lookups / n_queries,
-                mean_query_rounds=rounds / n_queries,
+                mean_query_lookups=lookups,
+                mean_query_rounds=rounds,
             )
         )
     return samples
-
-
-def render(samples: list[DimensionalitySample]) -> str:
-    headers = [
-        "dims", "tree size", "lookup probes",
-        "query lookups", "query rounds",
-    ]
-    rows = [
-        [
-            sample.dims,
-            sample.tree_size,
-            sample.mean_lookup_probes,
-            sample.mean_query_lookups,
-            sample.mean_query_rounds,
-        ]
-        for sample in samples
-    ]
-    return format_table(
-        headers, rows, title="E9: scaling with dimensionality"
-    )

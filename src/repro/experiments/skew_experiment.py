@@ -39,13 +39,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.adaptive.config import AdaptiveConfig
+from repro.adaptive.plane import AdaptiveStats
 from repro.common.config import IndexConfig
 from repro.common.geometry import Point
 from repro.common.rng import derive_seed
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.dht.chord import ChordDht
-from repro.experiments.tables import format_table
 from repro.metrics.loadbalance import gini_coefficient, max_mean_ratio
 from repro.net.latency import QueueingLatency
 from repro.net.simnet import SimNetwork
@@ -94,107 +94,16 @@ class SkewSample:
     promotions: int
     demotions: int
 
-
-def _run_mode(
-    mode: str,
-    adaptive: AdaptiveConfig | None,
-    points: Sequence[Point],
-    config: IndexConfig,
-    *,
-    n_peers: int,
-    n_ops: int,
-    skew: float,
-    qps: float,
-    base: float,
-    service: float,
-    cache_capacity: int,
-    seed: int,
-) -> SkewSample:
-    latency = QueueingLatency(base=base, service=service)
-    dht = ChordDht.build(n_peers, network=SimNetwork(latency))
-    cfg = replace(config, adaptive=adaptive, cache_capacity=cache_capacity)
-    bulk_load(dht, points, cfg)
-    index = MLightIndex(dht, cfg)
-
-    trace = request_trace(
-        list(points),
-        n_ops,
-        lookup_fraction=0.9,
-        range_fraction=0.0,
-        insert_fraction=0.1,
-        skew=skew,
-        dims=cfg.dims,
-        seed=derive_seed(seed, "e13-trace"),
-    )
-
-    # Measurement starts from idle servers: the bulk load is not part
-    # of the serving story, and the first fifth of the stream is the
-    # adaptive plane's warm-up (detection windows fill, shortcuts get
-    # learned) — excluded from latencies and from served counts alike.
-    latency.reset()
-    warmup = n_ops // 5
-    digest = hashlib.sha256()
-    lookup_latencies: list[float] = []
-    covered = 0
-    lookups = 0
-    served_at_warmup: dict[str, int] = {}
-    for position, operation in enumerate(trace):
-        if position == warmup:
-            served_at_warmup = dict(latency.served)
-        latency.begin_op(position / qps)
-        answer = run_operation(index, operation)
-        if operation.kind != "lookup":
-            continue
-        bucket = answer.bucket
-        if position < warmup:
-            continue
-        lookups += 1
-        lookup_latencies.append(latency.op_latency())
-        if bucket.covers(operation.key):
-            covered += 1
-        digest.update(
-            f"{operation.kind}:{bucket.label}:{bucket.load}\n".encode()
-        )
-
-    ordered = sorted(lookup_latencies)
-    summary = {
-        f"p{q}": percentile(ordered, q) for q in (50, 95, 99)
-    }
-    summary["mean"] = (
-        sum(ordered) / len(ordered) if ordered else 0.0
-    )
-    summary["max"] = ordered[-1] if ordered else 0.0
-
-    loads = [
-        latency.served.get(peer, 0) - served_at_warmup.get(peer, 0)
-        for peer in dht.peers()
-    ]
-    plane = index.adaptive
-    tallies = (
-        plane.adaptive_stats.snapshot()
-        if plane is not None
-        else {
-            "shortcut_hits": 0,
-            "replica_reads": 0,
-            "promotions": 0,
-            "demotions": 0,
-        }
-    )
-    return SkewSample(
-        mode=mode,
-        skew=skew,
-        operations=n_ops,
-        measured=lookups,
-        latency=summary,
-        max_peer_load=max(loads),
-        max_mean=max_mean_ratio(loads),
-        gini=gini_coefficient(loads),
-        recall=covered / lookups if lookups else 0.0,
-        answers_digest=digest.hexdigest(),
-        shortcut_hits=tallies["shortcut_hits"],
-        replica_reads=tallies["replica_reads"],
-        promotions=tallies["promotions"],
-        demotions=tallies["demotions"],
+    COLUMNS = (
+        "mode",
+        ("ops", "operations"),
+        ("p50", lambda sample: sample.latency["p50"]),
+        ("p95", lambda sample: sample.latency["p95"]),
+        ("p99", lambda sample: sample.latency["p99"]),
+        ("max peer", "max_peer_load"),
+        ("max/mean", "max_mean"),
+        "gini", "recall",
+        ("answers", lambda sample: sample.answers_digest[:12]),
     )
 
 
@@ -227,77 +136,109 @@ def run_skew_experiment(
     (no bucket at the candidate name, so nothing to learn an owner
     for) would keep routing through the gateway in both modes.
     """
-    cells = [
-        ("baseline", None),
-        (
-            "adaptive",
-            adaptive
-            if adaptive is not None
-            else default_adaptive_config(seed),
-        ),
-    ]
-    return [
-        _run_mode(
-            mode,
-            plane_config,
-            points,
-            config,
-            n_peers=n_peers,
-            n_ops=n_ops,
-            skew=skew,
-            qps=qps,
-            base=base,
-            service=service,
-            cache_capacity=cache_capacity,
-            seed=seed,
+
+    def run_mode(
+        mode: str, plane_config: AdaptiveConfig | None
+    ) -> SkewSample:
+        latency = QueueingLatency(base=base, service=service)
+        dht = ChordDht.build(n_peers, network=SimNetwork(latency))
+        cfg = replace(
+            config, adaptive=plane_config, cache_capacity=cache_capacity
         )
-        for mode, plane_config in cells
-    ]
+        bulk_load(dht, points, cfg)
+        index = MLightIndex(dht, cfg)
 
+        trace = request_trace(
+            list(points),
+            n_ops,
+            lookup_fraction=0.9,
+            range_fraction=0.0,
+            insert_fraction=0.1,
+            skew=skew,
+            dims=cfg.dims,
+            seed=derive_seed(seed, "e13-trace"),
+        )
 
-def render(samples: list[SkewSample]) -> str:
-    """The E13 table (one row per mode)."""
-    headers = [
-        "mode", "ops", "p50", "p95", "p99", "max peer",
-        "max/mean", "gini", "recall", "answers",
-    ]
-    rows = [
-        [
-            sample.mode,
-            sample.operations,
-            sample.latency["p50"],
-            sample.latency["p95"],
-            sample.latency["p99"],
-            sample.max_peer_load,
-            sample.max_mean,
-            sample.gini,
-            sample.recall,
-            sample.answers_digest[:12],
+        # Measurement starts from idle servers: the bulk load is not
+        # part of the serving story, and the first fifth of the stream
+        # is the adaptive plane's warm-up (detection windows fill,
+        # shortcuts get learned) — excluded from latencies and from
+        # served counts alike.
+        latency.reset()
+        warmup = n_ops // 5
+        digest = hashlib.sha256()
+        lookup_latencies: list[float] = []
+        covered = 0
+        lookups = 0
+        served_at_warmup: dict[str, int] = {}
+        for position, operation in enumerate(trace):
+            if position == warmup:
+                served_at_warmup = dict(latency.served)
+            latency.begin_op(position / qps)
+            answer = run_operation(index, operation)
+            if operation.kind != "lookup":
+                continue
+            bucket = answer.bucket
+            if position < warmup:
+                continue
+            lookups += 1
+            lookup_latencies.append(latency.op_latency())
+            if bucket.covers(operation.key):
+                covered += 1
+            digest.update(
+                f"{operation.kind}:{bucket.label}:{bucket.load}\n".encode()
+            )
+
+        ordered = sorted(lookup_latencies)
+        summary = {
+            f"p{q}": percentile(ordered, q) for q in (50, 95, 99)
+        }
+
+        loads = [
+            latency.served.get(peer, 0) - served_at_warmup.get(peer, 0)
+            for peer in dht.peers()
         ]
-        for sample in samples
-    ]
-    table = format_table(
-        headers,
-        rows,
-        title=f"E13: skewed reads (zipf s={samples[0].skew})"
-        if samples
-        else "E13: skewed reads",
-    )
-    tallies = [
+        plane = index.adaptive
+        tallies = (
+            plane.adaptive_stats if plane is not None else AdaptiveStats()
+        )
+        return SkewSample(
+            mode=mode,
+            skew=skew,
+            operations=n_ops,
+            measured=lookups,
+            latency=summary,
+            max_peer_load=max(loads),
+            max_mean=max_mean_ratio(loads),
+            gini=gini_coefficient(loads),
+            recall=covered / lookups if lookups else 0.0,
+            answers_digest=digest.hexdigest(),
+            shortcut_hits=tallies.shortcut_hits,
+            replica_reads=tallies.replica_reads,
+            promotions=tallies.promotions,
+            demotions=tallies.demotions,
+        )
+
+    if adaptive is None:
+        adaptive = default_adaptive_config(seed)
+    return [run_mode("baseline", None), run_mode("adaptive", adaptive)]
+
+
+def adaptive_tallies(samples: list[SkewSample]) -> str:
+    """What the plane did in the adaptive cells, one line per cell
+    (printed under the E13 table)."""
+    return "\n".join(
         f"{sample.mode}: {sample.shortcut_hits} shortcut hits, "
         f"{sample.replica_reads} replica reads, "
         f"{sample.promotions} promotions, {sample.demotions} demotions"
         for sample in samples
         if sample.mode == "adaptive"
-    ]
-    if tallies:
-        table += "\n" + "\n".join(tallies)
-    return table
+    )
 
 
 __all__ = [
     "SkewSample",
+    "adaptive_tallies",
     "default_adaptive_config",
-    "render",
     "run_skew_experiment",
 ]

@@ -1,10 +1,15 @@
-"""Plain-text table rendering for experiment outputs."""
+"""Plain-text table rendering for experiment outputs.
+
+:func:`format_table` aligns cells; :func:`render` reads one table off
+a list of sample dataclasses (headers and cells come from the fields,
+or from the ``COLUMNS`` the class declares beside them); :func:`pivot` is the
+"rows = x, columns = series" shape of Figs. 5 and 7.
+"""
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
-from pathlib import Path
+from dataclasses import fields
 
 
 def format_table(
@@ -25,7 +30,7 @@ def format_table(
         "  ".join(
             header.ljust(widths[column])
             for column, header in enumerate(headers)
-        )
+        ).rstrip()
     )
     lines.append("  ".join("-" * width for width in widths))
     for row in cells:
@@ -37,21 +42,60 @@ def format_table(
     return "\n".join(lines)
 
 
-def save_csv(
-    path: str | Path,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> None:
-    """Write the same table as CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        writer.writerows(rows)
+def render(samples: Sequence[object], title: str | None = None) -> str:
+    """One table, one row per sample dataclass.
+
+    A column per field, headed by the field's name with spaces, unless
+    the class declares ``COLUMNS``: field names, or ``(header, cell)``
+    pairs where *cell* names a field or is a function of the sample.
+    """
+    kind = type(samples[0])
+    declared = getattr(kind, "COLUMNS", None) or [
+        field.name for field in fields(kind)
+    ]
+    columns = [
+        (column.replace("_", " "), column) if isinstance(column, str)
+        else column
+        for column in declared
+    ]
+    return format_table(
+        [header for header, _ in columns],
+        [
+            [
+                cell(sample) if callable(cell) else getattr(sample, cell)
+                for _, cell in columns
+            ]
+            for sample in samples
+        ],
+        title=title,
+    )
+
+
+def pivot(series: Sequence[object], x_name: str) -> str:
+    """Rows = x values, one column per series, one table per measure.
+
+    The series' class declares ``PIVOT``: the field naming a series,
+    the field holding its x values, and ``(field, table title)`` per
+    measure.
+    """
+    name, xs, measures = type(series[0]).PIVOT
+    headers = [x_name] + [getattr(entry, name) for entry in series]
+    return "\n\n".join(
+        format_table(
+            headers,
+            [
+                [x] + [getattr(entry, measure)[row] for entry in series]
+                for row, x in enumerate(getattr(series[0], xs))
+            ],
+            title=title,
+        )
+        for measure, title in measures
+    )
 
 
 def _fmt(value: object) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
     if isinstance(value, float):
         if value == 0:
             return "0"

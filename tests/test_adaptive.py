@@ -518,6 +518,7 @@ def test_merge_tears_down_and_rehomes_replicas():
 
 def test_skew_experiment_smoke():
     from repro.experiments import skew_experiment
+    from repro.experiments.tables import render
 
     points = uniform_points(400, dims=2, seed=0)
     config = IndexConfig(dims=2, split_threshold=20, merge_threshold=10)
@@ -529,23 +530,17 @@ def test_skew_experiment_smoke():
     assert baseline.answers_digest == adaptive.answers_digest
     assert baseline.recall == 1.0 and adaptive.recall == 1.0
     assert baseline.measured == adaptive.measured > 0
-    rendered = skew_experiment.render(samples)
-    assert "E13" in rendered and "adaptive" in rendered
+    rendered = render(samples, "E13")
+    assert "p99" in rendered and "adaptive" in rendered
+    assert "shortcut hits" in skew_experiment.adaptive_tallies(samples)
 
 
 _E13_SCRIPT = """
-from repro.common.config import IndexConfig
 from repro.datasets import northeast_surrogate
-from repro.experiments import skew_experiment
+from repro.experiments.catalogue import BY_KEY, run, table
 
-config = IndexConfig(
-    dims=2, max_depth=28, split_threshold=100,
-    merge_threshold=50, expected_load=70,
-)
-samples = skew_experiment.run_skew_experiment(
-    northeast_surrogate(12000), config, n_ops=4000
-)
-print(skew_experiment.render(samples))
+entry = BY_KEY["e13"]
+print(table(entry, run(entry, northeast_surrogate(12000))))
 """
 
 

@@ -95,9 +95,20 @@ class TestArchitectureNames:
 
 class TestCrossReferences:
     def test_design_lists_every_experiment_bench(self):
+        """DESIGN.md section 4 has a row per catalogue entry: ``| A1 |``,
+        ``| E13 |``, and one per panel of a figure (``fig5ab`` is the
+        rows ``Fig 5a`` and ``Fig 5b``)."""
+        from repro.experiments.catalogue import CATALOGUE
+
         text = (ROOT / "DESIGN.md").read_text()
-        for exp in ("E1", "E7", "A1", "A4", "E9", "E10", "E11"):
-            assert f"| {exp} " in text, exp
+        for entry in CATALOGUE:
+            if entry.key.startswith("fig"):
+                number, panels = entry.key[3], entry.key[4:]
+                rows = [f"| Fig {number}{panel} |" for panel in panels]
+            else:
+                rows = [f"| {entry.key.upper()} |"]
+            for row in rows:
+                assert row in text, row
 
     def test_experiments_has_verdict_per_figure(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()
@@ -105,3 +116,51 @@ class TestCrossReferences:
                        "Fig. 7a", "Fig. 7b"):
             assert figure in text, figure
         assert text.count("reproduced") >= 6
+
+
+class TestResultStamps:
+    """Every table under results/ says what produced it."""
+
+    #: Tables that predate the stamp line (none of the catalogue's).
+    PREDATING = {
+        "trace_timeline.txt":
+            "written by experiments/trace_report.py, not a count table",
+    }
+
+    STAMP = re.compile(r"# scale=(\d+) seed=(\d+) commit=(\w+)")
+
+    def stamps(self):
+        found = {}
+        for path in sorted((ROOT / "results").glob("*.txt")):
+            first = path.read_text().split("\n", 1)[0]
+            match = self.STAMP.fullmatch(first)
+            if match:
+                found[path.name] = (int(match[1]), int(match[2]))
+            else:
+                assert path.name in self.PREDATING, (
+                    f"{path.name} carries no stamp line and is not "
+                    "listed as predating it"
+                )
+        return found
+
+    #: Stamped, but at its own scale by design: the ``run_all --full``
+    #: transcript.
+    PAPER_SCALE = "full_run_paper_scale.txt"
+
+    def test_stamped_tables_agree_on_scale_and_seed(self):
+        found = self.stamps()
+        assert not set(self.PREDATING) & set(found)
+        paper_scale = found.pop(self.PAPER_SCALE, None)
+        assert len(set(found.values())) == 1, found
+        if paper_scale is not None:
+            from repro.datasets.northeast import NE_CARDINALITY
+
+            (reduced,) = set(found.values())
+            assert paper_scale == (NE_CARDINALITY, reduced[1])
+
+    def test_every_catalogue_table_is_committed(self):
+        from repro.experiments.catalogue import CATALOGUE
+
+        found = self.stamps()
+        for entry in CATALOGUE:
+            assert entry.file in found, entry.file

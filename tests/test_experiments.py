@@ -15,7 +15,7 @@ from repro.experiments.harness import (
     default_sample_points,
     progressive_insert,
 )
-from repro.experiments.tables import format_table, save_csv
+from repro.experiments.tables import format_table, pivot, render
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,11 @@ class TestFig5:
             < by_name["pht"].records_moved[-1]
             < by_name["dst"].records_moved[-1]
         )
-        rendered = fig5.render(series, "data size")
+        rendered = pivot(series, "data size")
         assert "mlight" in rendered and "DHT-lookup cost" in rendered
+        assert rendered.splitlines()[1].split() == [
+            "data", "size", "mlight", "pht", "dst",
+        ]
 
     def test_threshold_sweep_shapes(self, points, config):
         series = fig5.run_threshold_sweep(
@@ -97,8 +100,9 @@ class TestFig6:
         data_aware = by_name["data-aware"].samples[-1]
         # The headline Fig. 6b effect: fewer empty buckets.
         assert data_aware.empty_fraction <= threshold.empty_fraction
-        rendered = fig6.render(series)
+        rendered = render(by_name["threshold"].samples, "storage")
         assert "empty buckets" in rendered
+        assert "max/mean" in render(series, "query load")
 
 
 class TestFig7:
@@ -128,7 +132,7 @@ class TestFig7:
                 by_name["mlight-basic"].latency[position]
                 <= by_name["pht"].latency[position]
             )
-        rendered = fig7.render(series)
+        rendered = pivot(series, "range span")
         assert "Bandwidth" in rendered and "Latency" in rendered
 
 
@@ -163,8 +167,8 @@ class TestAblations:
         assert by_name["local"].lookups == by_name["pastry"].lookups
         assert by_name["local"].hops == 0
         assert by_name["chord"].hops > 0
-        rendered = ablation.render(rows, "substrates")
-        assert "chord" in rendered
+        rendered = render(rows, "substrates")
+        assert "chord" in rendered and "DHT-lookups" in rendered
 
 
 class TestTables:
@@ -175,9 +179,21 @@ class TestTables:
         assert "T" in text
         assert "1,234" in text
 
-    def test_save_csv(self, tmp_path):
-        path = tmp_path / "out" / "table.csv"
-        save_csv(path, ["x", "y"], [[1, 2], [3, 4]])
-        content = path.read_text().strip().splitlines()
-        assert content[0] == "x,y"
-        assert content[1] == "1,2"
+    def test_booleans_read_yes_and_no(self):
+        text = format_table(["ok", "count"], [[True, 1], [False, 0]])
+        assert text.splitlines()[2:] == ["yes      1", " no      0"]
+
+    def test_no_line_ends_in_blanks(self):
+        text = format_table(["a", "wide header"], [[1, 2]], title="T")
+        assert all(line == line.rstrip() for line in text.splitlines())
+
+    def test_render_defaults_to_one_column_per_field(self):
+        from dataclasses import dataclass
+
+        @dataclass
+        class Sample:
+            fault_rate: float
+            recall: float
+
+        text = render([Sample(0.1, 1.0)], "T")
+        assert text.splitlines()[1] == "fault rate  recall"

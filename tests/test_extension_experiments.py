@@ -6,6 +6,7 @@ import pytest
 from repro.common.config import IndexConfig
 from repro.datasets.northeast import northeast_surrogate
 from repro.experiments import churn_experiment, scaling
+from repro.experiments.tables import render
 
 
 class TestDimensionalityScaling:
@@ -32,7 +33,7 @@ class TestDimensionalityScaling:
         assert lookups[0] < lookups[-1]
 
     def test_render(self, samples):
-        text = scaling.render(samples)
+        text = render(samples)
         assert "dims" in text and "query lookups" in text
 
 
@@ -55,5 +56,5 @@ class TestChurnAvailability:
         assert by_factor[1].recall < by_factor[3].recall
 
     def test_render(self, samples):
-        text = churn_experiment.render(samples)
+        text = render(samples)
         assert "recall" in text and "replication" in text

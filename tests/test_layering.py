@@ -20,11 +20,15 @@ The third keeps one label algebra, validated at the edge: labels are
 checked where they enter the program and nowhere else, and ``core/``
 runs on strings.
 
-The last part keeps one source per number: ``benchmarks/`` asserts
+The fourth keeps one source per number: ``benchmarks/`` asserts
 claims over counts and publishes ``.txt`` tables, ``perf/`` alone
 measures — no bespoke JSON report, no pytest-benchmark fixture, one
 timing loop, and each Fig. 5/6/7 claim stated once, in
 ``repro.experiments.report``.
+
+The last keeps one parameterisation per published table: file names,
+titles and the paper's config live in ``repro.experiments.catalogue``
+and nowhere else under ``benchmarks/`` or ``src/repro/experiments/``.
 """
 
 import ast
@@ -343,7 +347,6 @@ REACH_ALLOWLIST = {
         "(docs/usage.md), covered by tests/test_mcast.py",
     "mcast/service.py:ServiceContinuousPlane":
         "documented user API: subscriptions on the service runtime",
-    "obs/registry.py:for_index": "documented user API (docs/usage.md)",
     "obs/registry.py:quantile": "Histogram's read side (user API)",
     "obs/trace.py:export_jsonl": "documented user API (docs/usage.md)",
     "obs/trace.py:detach": "inverse of Tracer.attach (user API)",
@@ -616,3 +619,91 @@ def test_figure_benchmarks_assert_the_report_checks():
             and isinstance(node.func, ast.Name) and node.func.id == check
         ]
         assert imported and called, path.name
+
+
+# ----------------------------------------------------------------------
+# One experiment catalogue
+# ----------------------------------------------------------------------
+
+EXPERIMENTS = SRC / "experiments"
+
+#: The two tables ``benchmarks/`` formats by hand: module -> file name.
+HAND_FORMATTED = {
+    "test_cache_lookup.py": "cache_lookup.txt",
+    "test_fig7_rangequery.py": "fig7c_critical_latency.txt",
+}
+
+
+def catalogue_clients():
+    """Every module that must take its table parameters from the
+    catalogue: ``benchmarks/`` and ``experiments/`` bar the catalogue
+    itself (``trace_report.py`` writes a trace timeline, not a table)."""
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        yield path
+    for path in sorted(EXPERIMENTS.glob("*.py")):
+        if path.name not in ("catalogue.py", "trace_report.py"):
+            yield path
+
+
+def test_table_parameters_live_in_the_catalogue_only():
+    from repro.experiments.catalogue import CATALOGUE
+    from repro.experiments.tables import pivot
+
+    owned = {entry.file for entry in CATALOGUE}
+    for entry in CATALOGUE:
+        if entry.layout is not pivot:  # a pivot's title names its x column
+            titles = entry.title
+            owned.update([titles] if isinstance(titles, str) else titles)
+    found = []
+    for path in catalogue_clients():
+        text = path.read_text()
+        found += [
+            f"{path.name}: {literal!r}" for literal in owned if literal in text
+        ]
+        if re.search(r"max_depth=28,\s*split_threshold=100\b", text):
+            found.append(f"{path.name}: spells out the paper config")
+        found += [
+            f"{path.name}: {name!r}"
+            for name in re.findall(r"[\w/]+\.txt\b", text)
+            if name != HAND_FORMATTED.get(path.name)
+        ]
+    assert not found, found
+
+
+def test_benchmarks_publish_catalogue_entries():
+    """``publish`` is passed a catalogue key; ``publish_text`` serves
+    the two hand-formatted tables only; ``write_table`` stays behind
+    both, in ``conftest.py``."""
+    from repro.experiments.catalogue import BY_KEY
+
+    found = []
+    for name, tree in benchmark_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "write_table":
+                if name != "conftest.py":
+                    found.append(f"{name}:{node.lineno}: write_table")
+            if not (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            ) or name == "conftest.py":
+                continue
+            first = node.args[0] if node.args else None
+            literal = first.value if isinstance(first, ast.Constant) else None
+            if node.func.id == "publish" and literal not in BY_KEY:
+                found.append(f"{name}:{node.lineno}: publish({literal!r})")
+            if (
+                node.func.id == "publish_text"
+                and literal != HAND_FORMATTED.get(name)
+            ):
+                found.append(f"{name}:{node.lineno}: publish_text({literal!r})")
+    assert not found, found
+
+
+def test_the_paper_config_is_constructed_once():
+    import benchmarks.conftest as conftest
+    from repro.experiments import report, run_all
+    from repro.experiments.catalogue import PAPER_CONFIG
+
+    assert (PAPER_CONFIG.max_depth, PAPER_CONFIG.split_threshold) == (28, 100)
+    assert PAPER_CONFIG.expected_load == 70
+    assert conftest.PAPER_CONFIG is PAPER_CONFIG
+    assert run_all.PAPER_CONFIG is report.PAPER_CONFIG is PAPER_CONFIG

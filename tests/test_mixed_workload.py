@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.config import IndexConfig
 from repro.datasets.northeast import northeast_surrogate
-from repro.experiments.mixed_workload import render, run_mixed_workload
+from repro.experiments.mixed_workload import run_mixed_workload
+from repro.experiments.tables import render
 
 
 @pytest.fixture(scope="module")
