@@ -42,9 +42,8 @@ from repro.common.geometry import (
 )
 from repro.common.labels import interleave
 from repro.core.records import Record
-from repro.core.store import DEFAULT_STORE, RecordStore, create_store
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.baselines.interface import OverDhtIndex
+from repro.baselines.interface import OverDhtIndex, TrieNode
 from repro.dht.api import Dht
 
 _PREFIX = "dst:"
@@ -55,7 +54,7 @@ def _key(prefix: str) -> str:
 
 
 @dataclass(slots=True)
-class DstNode:
+class DstNode(TrieNode):
     """One virtual-tree node as stored in the DHT.
 
     An unsaturated node holds *every* record of its subtree; once
@@ -66,45 +65,6 @@ class DstNode:
     prefix: str
     records: list[Record] = field(default_factory=list)
     saturated: bool = False
-    #: Lazily built record store behind the filter; rebuilt whenever
-    #: the generation counter says the records changed.
-    _store: RecordStore | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _generation: int = field(default=0, init=False, repr=False, compare=False)
-    _built_generation: int = field(
-        default=-1, init=False, repr=False, compare=False
-    )
-
-    @property
-    def load(self) -> int:
-        return len(self.records)
-
-    def touch(self) -> None:
-        """Invalidate derived state after mutating ``records``.
-
-        A generation counter, not a count compare: an equal-count
-        remove+add between queries must still invalidate the store.
-        """
-        self._generation += 1
-
-    def matching(
-        self, query: Region, dims: int, kind: str = DEFAULT_STORE
-    ) -> list[Record]:
-        """Records inside the closed *query*, via the configured record
-        store (sorted on the cell's next split dimension)."""
-        store = self._store
-        if (
-            store is None
-            or store.kind != kind
-            or self._built_generation != self._generation
-        ):
-            store = create_store(
-                kind, dims, len(self.prefix) % dims, self.records
-            )
-            self._store = store
-            self._built_generation = self._generation
-        return store.matching(query.lows, query.highs)
 
 
 class DstIndex(OverDhtIndex):

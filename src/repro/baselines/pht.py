@@ -35,9 +35,8 @@ from repro.common.geometry import (
 )
 from repro.common.labels import interleave
 from repro.core.records import Record
-from repro.core.store import DEFAULT_STORE, RecordStore, create_store
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.baselines.interface import OverDhtIndex
+from repro.baselines.interface import OverDhtIndex, TrieNode
 from repro.dht.api import Dht
 
 _PREFIX = "pht:"
@@ -48,7 +47,7 @@ def _key(prefix: str) -> str:
 
 
 @dataclass(slots=True)
-class PhtNode:
+class PhtNode(TrieNode):
     """One trie node as stored in the DHT."""
 
     prefix: str
@@ -56,46 +55,6 @@ class PhtNode:
     records: list[Record] = field(default_factory=list)
     prev_leaf: str | None = None
     next_leaf: str | None = None
-    #: Lazily built record store behind the filter; rebuilt whenever
-    #: the generation counter says the records changed.
-    _store: RecordStore | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _generation: int = field(default=0, init=False, repr=False, compare=False)
-    _built_generation: int = field(
-        default=-1, init=False, repr=False, compare=False
-    )
-
-    @property
-    def load(self) -> int:
-        return len(self.records)
-
-    def touch(self) -> None:
-        """Invalidate derived state after mutating ``records``.
-
-        A generation counter, not a count compare: an equal-count
-        remove+add between queries must still invalidate the store.
-        """
-        self._generation += 1
-
-    def matching(
-        self, query: Region, dims: int, kind: str = DEFAULT_STORE
-    ) -> list[Record]:
-        """Records inside the closed *query*, via the configured record
-        store (the trie shares the kd split cycle, so the cell's next
-        split dimension orders the store)."""
-        store = self._store
-        if (
-            store is None
-            or store.kind != kind
-            or self._built_generation != self._generation
-        ):
-            store = create_store(
-                kind, dims, len(self.prefix) % dims, self.records
-            )
-            self._store = store
-            self._built_generation = self._generation
-        return store.matching(query.lows, query.highs)
 
 
 class PhtIndex(OverDhtIndex):
@@ -332,46 +291,6 @@ class PhtIndex(OverDhtIndex):
                     ):
                         next_frontier.append(child)
             frontier = next_frontier
-        return builder.build()
-
-    def range_query_scan(self, query: Region) -> RangeQueryResult:
-        """PHT's alternative range algorithm: linked-leaf scan.
-
-        The PHT paper's one-dimensional mode: locate the leaf holding
-        the query's low corner, then walk the doubly-linked leaf list
-        in curve order until past the query's z-range.  In multiple
-        dimensions the z-interval between the query's corners covers
-        cells outside the rectangle, so the scan visits (and filters)
-        more leaves than the trie descent — included for completeness
-        and to quantify that gap.
-        """
-        builder = RangeQueryBuilder()
-        leaf, probes = self.lookup(query.lows)
-        builder.lookups += probes
-        builder.rounds += probes
-        # Scan forward until the current leaf's prefix is past the
-        # z-position of the query's high corner.
-        high_bits = interleave(
-            tuple(min(value, 1.0 - 2.0**-50) for value in query.highs),
-            self._depth,
-        )
-        current: PhtNode | None = leaf
-        while current is not None:
-            self._collect(current, query, builder)
-            if current.prefix and current.prefix > high_bits[: len(
-                current.prefix
-            )]:
-                break
-            next_prefix = current.next_leaf
-            if next_prefix is None:
-                break
-            builder.lookups += 1
-            builder.rounds += 1
-            current = self.dht.get(_key(next_prefix))
-            if current is None:
-                raise IndexCorruptionError(
-                    f"dangling PHT leaf pointer to {next_prefix!r}"
-                )
         return builder.build()
 
     def _collect(

@@ -21,7 +21,6 @@ from repro.common.labels import (
     parent,
     children,
     sibling,
-    ancestors,
     branch_nodes_between,
     split_dimension,
     interleave,
@@ -52,7 +51,6 @@ __all__ = [
     "parent",
     "children",
     "sibling",
-    "ancestors",
     "branch_nodes_between",
     "split_dimension",
     "interleave",

@@ -39,10 +39,6 @@ class IndexConfig:
             every lookup on the paper's cold binary-search path (the
             default, so metered costs match the paper's model unless a
             cache is asked for).
-        default_lookahead: the lookahead ``h`` range queries use when
-            the caller does not pass one — 1 is the basic Algorithm 2/3
-            walk, powers of two >= 2 select the parallel variant with
-            that many speculative subqueries per branch node (Fig. 7).
         runtime: which runtime plane the experiment's DHT should be
             created on by :func:`repro.runtime.create_dht` —
             ``"sim"`` (the single-threaded simulated substrates, the
@@ -95,7 +91,6 @@ class IndexConfig:
     expected_load: int = 70
     strategy: str = "threshold"
     cache_capacity: int = 0
-    default_lookahead: int = 1
     runtime: str = "sim"
     store: str = "columnar"
     durability: str | None = None
@@ -127,14 +122,6 @@ class IndexConfig:
             raise ReproError(
                 "cache_capacity must be >= 0 (0 disables the cache), "
                 f"got {self.cache_capacity}"
-            )
-        if self.default_lookahead < 1 or (
-            self.default_lookahead & (self.default_lookahead - 1)
-        ):
-            raise ReproError(
-                "default_lookahead must be a power of two >= 1 "
-                "(1 disables speculative expansion), got "
-                f"{self.default_lookahead}"
             )
         # Kinds are validated against the live registries, not frozen
         # tuples, so one added with ``register_*`` is configurable at

@@ -59,7 +59,7 @@ under either.  See ``DESIGN.md``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from repro.common.errors import InvalidLabelError, InvalidPointError
 
@@ -155,16 +155,6 @@ def sibling(label: str, dims: int) -> str:
         raise InvalidLabelError(f"label {label!r} has no sibling")
     last = "1" if label[-1] == "0" else "0"
     return label[:-1] + last
-
-
-def ancestors(label: str, dims: int) -> Iterator[str]:
-    """Yield proper ancestors of *label*, nearest first, ending at the
-    virtual root.
-
-    For leaf ``#01`` in 2-D this yields ``#0``, ``#`` and ``00``.
-    """
-    for end in range(len(label) - 1, dims - 1, -1):
-        yield label[:end]
 
 
 def branch_nodes_between(leaf: str, top: str, dims: int) -> list[str]:

@@ -45,7 +45,7 @@ import threading
 
 from repro.common.errors import InvalidLabelError
 from repro.common.geometry import Region, region_of_label
-from repro.common.labels import ancestors, branch_nodes_between, check_label
+from repro.common.labels import check_label
 from repro.core.records import Record
 from repro.core.store import DEFAULT_STORE, RecordStore, Rows, create_store
 
@@ -286,16 +286,3 @@ class LeafBucket:
     def covers(self, point) -> bool:
         """True when *point* falls in this leaf's cell."""
         return self.region.contains_point(point)
-
-    def local_tree_ancestors(self) -> list[str]:
-        """All ancestors of this leaf, nearest first (the local tree)."""
-        return list(ancestors(self.label, self.dims))
-
-    def branch_nodes_below(self, top: str) -> list[str]:
-        """Branch nodes between this leaf and ancestor *top*,
-        shallowest first — the forwarding targets of Algorithm 3."""
-        return branch_nodes_between(self.label, top, self.dims)
-
-    def is_descendant_or_self_of(self, other: str) -> bool:
-        """True when this leaf lies in the subtree rooted at *other*."""
-        return self.label.startswith(other)

@@ -35,10 +35,10 @@ The engine reconciles round latency as
 ``rounds = max(rounds, batch_rounds)``: *one* client issues *one*
 batched resolution per wave, so the two counters measure the same
 sequence of wire rounds.  That reconciliation must **not** be applied
-here — sibling agents each issue their own ``lookup_many`` at the same
-tree depth, so ``batch_rounds`` *sums across the tree* while ``rounds``
-is the critical path, and a global ``max`` would inflate fault-free
-rounds above the engine's.  Instead each forwarding site accounts for
+here — sibling agents each issue their own ``lookup_many_outcomes``
+at the same tree depth, so ``batch_rounds`` *sums across the tree*
+while ``rounds`` is the critical path, and a global ``max`` would
+inflate fault-free rounds above the engine's.  Instead each forwarding site accounts for
 its own extra wire rounds locally:
 
 * ``forward`` measures the ``stats.retries`` delta around its owner

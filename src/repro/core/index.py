@@ -38,18 +38,19 @@ from typing import Any
 from repro.common.config import IndexConfig
 from repro.common.errors import IndexCorruptionError
 from repro.common.geometry import Point, RegionLike, as_region, check_point
-from repro.common.labels import (
-    parent,
-    root_label,
-    sibling,
-    virtual_root,
-)
+from repro.common.labels import parent, root_label, sibling, virtual_root
 from repro.core.bucket import LeafBucket
 from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key, name_from_key
 from repro.core.knn import KnnEngine
 from repro.core.lookup import lookup_point
-from repro.core.naming import naming_function
+from repro.core.naming import (
+    MergeHomes,
+    SplitHomes,
+    merge_homes,
+    naming_function,
+    split_homes,
+)
 from repro.core.rangequery import RangeQueryEngine
 from repro.core.records import Record
 from repro.core.results import KnnResult, LookupResult, RangeQueryResult
@@ -165,10 +166,12 @@ class MLightIndex:
 
         The plane (see :class:`repro.mcast.ContinuousQueryPlane`) gets
         ``on_insert(leaf_label, record)`` after a record lands,
-        ``on_split(plan)`` after a split's buckets are re-homed, and
-        ``on_merge(parent_label, child_a, child_b)`` after each merge
-        step — the hooks that let subscription tables ride Theorem 5's
-        exactly-one-bucket maintenance.
+        ``on_split(homes)`` after a split's buckets are re-homed, and
+        ``on_merge(homes)`` after each merge step — the same
+        :class:`~repro.core.naming.SplitHomes` /
+        :class:`~repro.core.naming.MergeHomes` the buckets were placed
+        by, so subscription tables ride Theorem 5's exactly-one-bucket
+        maintenance without re-deriving it.
         """
         self._dissemination = plane
 
@@ -273,18 +276,16 @@ class MLightIndex:
         return True
 
     def range_query(
-        self, query: RegionLike, lookahead: int | None = None
+        self, query: RegionLike, lookahead: int = 1
     ) -> RangeQueryResult:
         """All records in the closed region *query* (Section 6).
 
         *query* is a :class:`~repro.common.geometry.Region` or a plain
-        ``(lows, highs)`` pair.  ``lookahead=1`` runs the basic
-        algorithm; 2 or 4 run the parallel variants evaluated in
-        Fig. 7; omitted, it defaults to ``config.default_lookahead``.
-        Every leaf the query visits warms this client's cache.
+        ``(lows, highs)`` pair.  ``lookahead=1`` (the default) runs
+        the basic algorithm; 2 or 4 run the parallel variants evaluated
+        in Fig. 7.  Every leaf the query visits warms this client's
+        cache.
         """
-        if lookahead is None:
-            lookahead = self._config.default_lookahead
         return self._range_engine.query(as_region(query), lookahead)
 
     def knn(self, point: Point, k: int) -> KnnResult:
@@ -374,111 +375,85 @@ class MLightIndex:
         root_key = bucket_key(virtual_root(self.dims))
         if self._dht.peek(root_key) is not None:
             return
-        root = LeafBucket(
-            root_label(self.dims), self.dims, store=self._config.store
-        )
-        self._dht.put(root_key, root)
+        self._dht.put(root_key, self._bucket(root_label(self.dims)))
 
     def _apply_split(self, plan: SplitPlan) -> None:
         """Apply a split plan with incremental maintenance (Theorem 5).
 
-        Exactly one plan leaf is named ``fmd(origin)`` — it replaces the
-        old bucket under the *same key* at zero cost; every other leaf
-        (including empty ones, which the bijection requires) is routed
-        to its own name with its records as movement.
+        :func:`~repro.core.naming.split_homes` places the plan's
+        leaves; this does the IO.  The moved leaves (including empty
+        ones, which the bijection requires) go to independent peers, so
+        one split is one parallel round of routed puts with their
+        records as movement; the survivor replaces the old bucket under
+        the *same key* at zero cost.
         """
-        origin_name = naming_function(plan.origin, self.dims)
-        survivor: tuple[str, tuple[Record, ...]] | None = None
-        pairs: list[tuple[str, LeafBucket]] = []
-        moved: list[int] = []
-        for label, records in plan.leaves:
-            name = naming_function(label, self.dims)
-            if name == origin_name:
-                if survivor is not None:
-                    raise IndexCorruptionError(
-                        f"two plan leaves named {origin_name!r}; the "
-                        "bijection is broken"
-                    )
-                survivor = (label, records)
-                continue
-            pairs.append(
-                (
-                    bucket_key(name),
-                    LeafBucket(
-                        label, self.dims, records,
-                        store=self._config.store,
-                    ),
-                )
-            )
-            moved.append(len(records))
-        # The transferred leaves go to independent peers, so one split
-        # is one parallel round of routed puts.
-        self._dht.put_many(pairs, records_moved=moved)
-        if survivor is None:
-            raise IndexCorruptionError(
-                f"no plan leaf keeps name {origin_name!r}; the "
-                "bijection is broken"
-            )
-        label, records = survivor
-        self._dht.rewrite_local(
-            bucket_key(origin_name),
-            LeafBucket(
-                label, self.dims, records, store=self._config.store
-            ),
+        homes = split_homes(
+            plan.origin, [label for label, _ in plan.leaves], self.dims
         )
-        if self._cache is not None:
-            # This client made the split, so its cache can stay exact:
-            # the origin stopped being a leaf, the plan leaves began.
-            self._cache.forget(plan.origin)
-            for leaf_label, _ in plan.leaves:
-                self._cache.observe(leaf_label)
+        records = dict(plan.leaves)
+        self._dht.put_many(
+            [
+                (bucket_key(name), self._bucket(label, records[label]))
+                for label, name in homes.moved
+            ],
+            records_moved=[len(records[label]) for label, _ in homes.moved],
+        )
+        self._dht.rewrite_local(
+            bucket_key(homes.name),
+            self._bucket(homes.survivor, records[homes.survivor]),
+        )
+        self._recache(homes)
         if self._dissemination is not None:
-            self._dissemination.on_split(plan)
+            self._dissemination.on_split(homes)
 
     def _maybe_merge(self, bucket: LeafBucket) -> None:
         """Cascade sibling merges upward while the strategy approves.
 
-        The sibling pair under parent p occupies DHT keys ``fmd(p)``
-        and ``p`` (Theorem 5), so one get inspects the sibling; a merge
-        removes the bucket at key ``p`` (one bucket transferred) and
-        rewrites the one at ``fmd(p)`` in place.
+        :func:`~repro.core.naming.merge_homes` says where the sibling
+        pair under parent p lives — keys ``fmd(p)`` and ``p`` (Theorem
+        5) — so one get inspects the sibling; a merge removes the
+        bucket at key ``p`` (one bucket transferred) and rewrites the
+        one at ``fmd(p)`` in place.
         """
         while bucket.label != root_label(self.dims):
-            parent_label = parent(bucket.label, self.dims)
-            sibling_label = sibling(bucket.label, self.dims)
-            parent_name = naming_function(parent_label, self.dims)
-            own_name = naming_function(bucket.label, self.dims)
-            other_name = parent_label if own_name == parent_name else parent_name
-            other = self._dht.get(bucket_key(other_name))
+            homes = merge_homes(bucket.label, self.dims)
+            _, sibling_label = homes.dead
+            sibling_name = homes.name_of(sibling_label)
+            other = self._dht.get(bucket_key(sibling_name))
             if other is None:
                 raise IndexCorruptionError(
-                    f"missing bucket at {other_name!r} while probing the "
+                    f"missing bucket at {sibling_name!r} while probing the "
                     f"sibling of {bucket.label!r}"
                 )
             if other.label != sibling_label:
                 return  # the sibling is an internal node; nothing to merge
             if not self._strategy.should_merge(bucket.load, other.load):
                 return
-            moved = other if other_name == parent_label else bucket
-            merged = LeafBucket(
-                parent_label,
-                self.dims,
-                list(bucket.records) + list(other.records),
-                store=self._config.store,
+            moved = other if sibling_label == homes.moved else bucket
+            merged = self._bucket(
+                homes.parent, list(bucket.records) + list(other.records)
             )
             if self._tracer is not None:
-                self._tracer.event("merge", parent=parent_label)
+                self._tracer.event("merge", parent=homes.parent)
             self._dht.remove(
-                bucket_key(parent_label), records_moved=moved.load
+                bucket_key(homes.parent), records_moved=moved.load
             )
-            self._dht.rewrite_local(bucket_key(parent_name), merged)
-            if self._cache is not None:
-                # Both children died as leaves; the parent was born.
-                self._cache.forget(bucket.label)
-                self._cache.forget(other.label)
-                self._cache.observe(merged.label)
+            self._dht.rewrite_local(bucket_key(homes.name), merged)
+            self._recache(homes)
             if self._dissemination is not None:
-                self._dissemination.on_merge(
-                    parent_label, bucket.label, other.label
-                )
+                self._dissemination.on_merge(homes)
             bucket = merged
+
+    def _bucket(self, label: str, records=None) -> LeafBucket:
+        return LeafBucket(
+            label, self.dims, records, store=self._config.store
+        )
+
+    def _recache(self, homes: SplitHomes | MergeHomes) -> None:
+        """This client made the change, so its cache can stay exact:
+        the dead labels stopped being leaves, the born ones began."""
+        if self._cache is not None:
+            for label in homes.dead:
+                self._cache.forget(label)
+            for label in homes.born:
+                self._cache.observe(label)

@@ -66,8 +66,9 @@ class PointLookupCursor:
     owns the DHT traffic: fetch :meth:`current_key`, feed the returned
     bucket (or ``None``) back through :meth:`advance`, repeat until
     :attr:`done`.  Splitting the state from the transport is what lets
-    a range query run many searches in lockstep — one ``get_many`` per
-    search level instead of one ``get`` per probe.
+    a range query run many searches in lockstep — one
+    ``get_many_outcomes`` per search level instead of one ``get`` per
+    probe.
 
     Cache hint proposal happens at construction (and its miss/hit/stale
     tallies land on *stats*), so concurrently-driven cursors all
@@ -246,17 +247,10 @@ def lookup_point(
     dims: int,
     max_depth: int,
     *,
-    min_label_length: int | None = None,
-    max_label_length: int | None = None,
     cache: LeafCache | None = None,
     tracer: "Tracer | None" = None,
 ) -> LookupResult:
     """Locate the leaf bucket covering *point*; hinted when cached.
-
-    *min_label_length* / *max_label_length* optionally tighten the
-    initial bounds — range-query fallbacks use them when they already
-    know the target leaf lies strictly between a node that exists and a
-    speculative label that does not.
 
     *cache* enables the hinted fast path and is warmed with every leaf
     this lookup observes (the covering leaf, and any current leaf a
@@ -266,52 +260,17 @@ def lookup_point(
     annotates cache hint proposals/evictions as span events.
     """
     if tracer is None:
-        return _drive_lookup(
-            dht,
-            point,
-            dims,
-            max_depth,
-            min_label_length=min_label_length,
-            max_label_length=max_label_length,
-            cache=cache,
+        cursor = PointLookupCursor(
+            dht.stats, point, dims, max_depth, cache=cache
         )
+        dht.drive(cursor)
+        return cursor.result
     with tracer.span("query", "lookup", point=list(point)) as span:
-        result = _drive_lookup(
-            dht,
-            point,
-            dims,
-            max_depth,
-            min_label_length=min_label_length,
-            max_label_length=max_label_length,
-            cache=cache,
-            tracer=tracer,
+        cursor = PointLookupCursor(
+            dht.stats, point, dims, max_depth, cache=cache, tracer=tracer
         )
+        dht.drive(cursor)
+        result = cursor.result
         span.attrs["probes"] = result.lookups
         span.attrs["leaf"] = result.bucket.label
         return result
-
-
-def _drive_lookup(
-    dht: Dht,
-    point: Point,
-    dims: int,
-    max_depth: int,
-    *,
-    min_label_length: int | None = None,
-    max_label_length: int | None = None,
-    cache: LeafCache | None = None,
-    tracer: "Tracer | None" = None,
-) -> LookupResult:
-    cursor = PointLookupCursor(
-        dht.stats,
-        point,
-        dims,
-        max_depth,
-        min_label_length=min_label_length,
-        max_label_length=max_label_length,
-        cache=cache,
-        tracer=tracer,
-    )
-    dht.drive(cursor)
-    assert cursor.result is not None
-    return cursor.result

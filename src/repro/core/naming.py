@@ -25,8 +25,11 @@ Worked examples from the paper (2-D, ``# == "001"``)::
 
 from __future__ import annotations
 
-from repro.common.errors import InvalidLabelError
-from repro.common.labels import PackedLabel
+from collections.abc import Iterable
+from typing import NamedTuple
+
+from repro.common.errors import IndexCorruptionError, InvalidLabelError
+from repro.common.labels import PackedLabel, parent
 
 
 def naming_function(label: str, dims: int) -> str:
@@ -127,6 +130,81 @@ def moved_child(label: str, dims: int) -> str:
     _require_leaf(label, dims)
     moved_bit = "1" if label[len(label) - dims] == "0" else "0"
     return label + moved_bit
+
+
+class SplitHomes(NamedTuple):
+    """Theorem 5 applied to one split: who stays, who moves where.
+
+    ``survivor`` is the one new leaf named ``name == fmd(origin)``: it
+    replaces the origin under the same key.  ``moved`` pairs every
+    other new leaf with the name it is routed to.  ``dead`` is the
+    origin, ``born`` every new leaf; all three keep the plan's order.
+    """
+
+    name: str
+    survivor: str
+    moved: tuple[tuple[str, str], ...]
+    dead: tuple[str, ...]
+    born: tuple[str, ...]
+
+
+def split_homes(
+    origin: str, leaf_labels: Iterable[str], dims: int
+) -> SplitHomes:
+    """Place the leaves that replace leaf *origin* (Theorem 5).
+
+    *leaf_labels* is the leaf set of a subtree rooted at *origin* — one
+    level under threshold splitting, possibly deeper under Algorithm 1.
+    Exactly one of them lies on the chain of surviving children below
+    *origin* and so keeps its name; any other count means the labels do
+    not tile *origin* and raises :class:`IndexCorruptionError`.
+    """
+    name = naming_function(origin, dims)
+    born = tuple(leaf_labels)
+    homes = [(label, naming_function(label, dims)) for label in born]
+    survivors = [label for label, home in homes if home == name]
+    if len(survivors) != 1:
+        raise IndexCorruptionError(
+            f"{len(survivors)} plan leaves keep the name {name!r} of "
+            f"{origin!r}; the bijection is broken"
+        )
+    moved = tuple(pair for pair in homes if pair[1] != name)
+    return SplitHomes(name, survivors[0], moved, (origin,), born)
+
+
+class MergeHomes(NamedTuple):
+    """Theorem 5 read backwards: where a sibling pair and the leaf they
+    merge into live.
+
+    ``survivor`` sits under ``name == fmd(parent)``, the key the merged
+    leaf keeps; ``moved`` sits under the key named ``parent`` itself,
+    which the merge removes — exactly one bucket transferred.  ``dead``
+    is ``(child, sibling)`` as asked, ``born`` the parent.
+    """
+
+    parent: str
+    name: str
+    survivor: str
+    moved: str
+    dead: tuple[str, str]
+    born: tuple[str]
+
+    def name_of(self, child: str) -> str:
+        """The name the bucket of *child* (one of ``dead``) is under."""
+        return self.parent if child == self.moved else self.name
+
+
+def merge_homes(child: str, dims: int) -> MergeHomes:
+    """Place leaf *child*, its sibling and the parent they would merge
+    into; the ordinary root has no sibling and is rejected."""
+    above = parent(child, dims)
+    survivor = survivor_child(above, dims)
+    moved = moved_child(above, dims)
+    sibling = moved if child == survivor else survivor
+    return MergeHomes(
+        above, naming_function(above, dims), survivor, moved,
+        (child, sibling), (above,),
+    )
 
 
 def _require_leaf(label: str, dims: int) -> None:

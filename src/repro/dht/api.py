@@ -255,8 +255,8 @@ class DhtStats:
 
         Derived from the dataclass fields, never a hand-written list:
         a counter added to this class is in the snapshot by
-        construction, so :meth:`reset`, :class:`~repro.metrics.
-        counters.CostMeter` deltas and the property tests that assert
+        construction, so :meth:`reset`, :meth:`~repro.obs.registry.
+        MetricsRegistry.delta` and the property tests that assert
         reset ⇒ all-zero can never drift out of sync with it again.
         """
         return {
@@ -390,20 +390,11 @@ class Dht(ABC):
     # (``LocalDht`` runs them as they are: in-process there is no
     # latency to overlap, and a peer's journal is not locked).
 
-    def get_many(self, keys: Sequence[str]) -> list[Any | None]:
+    def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
         """Fetch several keys as one parallel round.
 
         Costs one DHT-lookup per key (exactly like ``len(keys)``
-        individual gets) but a single batch round.  Raises the first
-        per-element error after the whole batch ran; callers that
-        degrade gracefully use :meth:`get_many_outcomes` instead.
-        """
-        return _raise_batch_failures(self.get_many_outcomes(keys))
-
-    def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        """Fetch several keys as one round, reporting per-slot failures.
-
-        Identical metering to :meth:`get_many`, but an element whose
+        individual gets) but a single batch round.  An element whose
         peer was unreachable yields a :class:`BatchFailure` in its slot
         instead of aborting the round — one failed slot never poisons
         the round's other results.  Query engines that return partial
@@ -446,18 +437,13 @@ class Dht(ABC):
         ):
             _raise_batch_failures(self._do_put_many(items))
 
-    def lookup_many(self, keys: Sequence[str]) -> list[str]:
-        """Locate the responsible peers for several keys in one round."""
-        return _raise_batch_failures(self.lookup_many_outcomes(keys))
-
     def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        """Like :meth:`lookup_many`, reporting per-slot failures.
+        """Locate the responsible peers for several keys in one round.
 
-        Identical metering, but an unreachable element yields a
-        :class:`BatchFailure` in its slot instead of aborting the
-        round — the peer-forwarding runtime degrades per branch on
-        this, exactly as the engine does on
-        :meth:`get_many_outcomes`.
+        An unreachable element yields a :class:`BatchFailure` in its
+        slot instead of aborting the round — the peer-forwarding
+        runtime degrades per branch on this, exactly as the engine
+        does on :meth:`get_many_outcomes`.
         """
         keys = list(keys)
         if not keys:

@@ -185,7 +185,7 @@ def run_traced_query(
     from repro.core.bulkload import bulk_load
     from repro.core.index import MLightIndex
     from repro.dht.chord import ChordDht
-    from repro.metrics.counters import CostMeter
+    from repro.obs.registry import MetricsRegistry
 
     rng = make_rng(seed)
     points = [(rng.random(), rng.random()) for _ in range(n_points)]
@@ -195,16 +195,18 @@ def run_traced_query(
     index = MLightIndex(dht, config)
     index.tracer.clear()  # keep only the query's spans in the artifact
 
-    with CostMeter(index.dht) as meter:
-        result = index.range_query(((0.2, 0.2), (0.6, 0.6)))
+    registry = MetricsRegistry.for_index(index)
+    before = registry.snapshot()
+    result = index.range_query(((0.2, 0.2), (0.6, 0.6)))
+    delta = registry.delta(before)
     index.knn((0.5, 0.5), k=3)
     meters = {
         "records": len(result.records),
         "lookups": result.lookups,
         "rounds": result.rounds,
         "batch_rounds": result.batch_rounds,
-        "meter_lookups": meter.delta.lookups,
-        "meter_batch_rounds": meter.delta.batch_rounds,
+        "meter_lookups": delta["dht.lookups"],
+        "meter_batch_rounds": delta["dht.batch_rounds"],
     }
     return list(index.tracer.spans), meters
 

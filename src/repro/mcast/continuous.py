@@ -22,11 +22,18 @@ subscribed client's :class:`~repro.core.cache.LeafCache` drops stale
 hints *before* wasting a probe on them (the satellite-3 fix — without
 subscriptions, merges are only discovered on probe failure).
 
-Crash tolerance: when the rendezvous owner is down (or lost the
-table), matching inserts are queued client-side in ``pending`` and
-:meth:`ContinuousQueryPlane.flush_pending` delivers each exactly once
-after the owner restarts — PR 9's durable backends replay the table,
-so the match set survives the crash.  E15 gates this end to end.
+Where a table lives is not decided here: the index hands ``on_split``
+/ ``on_merge`` the :class:`~repro.core.naming.SplitHomes` /
+:class:`~repro.core.naming.MergeHomes` it placed the buckets by.
+
+Crash tolerance: when the rendezvous owner of a covered leaf is down
+(or lost the table), the event — a matching insert, or the leaf's
+re-homing — is queued client-side in ``pending``, later events on the
+leaves a queued re-homing bears queue behind it, and
+:meth:`ContinuousQueryPlane.flush_pending` replays the queue in order
+after the owner restarts, delivering each insert exactly once — PR 9's
+durable backends replay the table, so the match set survives the
+crash.  E15 gates this end to end.
 
 The plane lives with the writing client (the same process that drives
 splits and merges), so its ``covered`` label set — the client-side
@@ -37,6 +44,7 @@ coordinating them is out of scope for the reproduction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -47,7 +55,7 @@ from repro.common.geometry import (
     query_overlaps_cell,
     region_of_label,
 )
-from repro.core.naming import naming_function
+from repro.core.naming import MergeHomes, SplitHomes, naming_function
 from repro.core.records import Record
 from repro.mcast.subscriptions import (
     Subscription,
@@ -84,15 +92,17 @@ class Subscriber:
         self.invalidations: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
 
     def handle_rpc(self, message: Message) -> None:
-        args, _kwargs = message.payload
-        if message.msg_type == "push":
-            self.receive(args[0])
-        elif message.msg_type == "invalidate":
-            self.invalidate(args[0], args[1])
+        self.dispatch(message.msg_type, message.payload[0])
+
+    def dispatch(self, method: str, args: Sequence[Any]) -> None:
+        """Run one delivery — a simulated RPC, a ``PUSH`` frame's body
+        or a direct call alike."""
+        if method == "push":
+            self.receive(*args)
+        elif method == "invalidate":
+            self.invalidate(*args)
         else:
-            raise ReproError(
-                f"unknown subscriber RPC {message.msg_type!r}"
-            )
+            raise ReproError(f"unknown subscriber RPC {method!r}")
 
     def receive(self, record: Record) -> None:
         self.delivered.append(record)
@@ -129,9 +139,12 @@ class ContinuousQueryPlane:
         #: Leaf labels whose subscription table is (believed) non-empty
         #: — the zero-cost client-side filter on the insert path.
         self.covered: set[str] = set()
-        #: (leaf label, record) pairs whose rendezvous owner was down
-        #: at insert time, awaiting :meth:`flush_pending`.
-        self.pending: list[tuple[str, Record]] = []
+        #: Events whose rendezvous owner was down when they happened,
+        #: in order, awaiting :meth:`flush_pending`: ``(leaf label,
+        #: record)`` inserts and the homes of splits and merges.
+        self.pending: list[tuple] = []
+        #: Leaves a queued re-homing bears; their events queue behind it.
+        self._unsettled: set[str] = set()
         self._counter = 0
         index.attach_dissemination(self)
 
@@ -194,25 +207,16 @@ class ContinuousQueryPlane:
         self._subscribers.pop(subscriber.address, None)
 
     def flush_pending(self) -> int:
-        """Deliver inserts queued while a rendezvous owner was down.
+        """Replay the events queued while a rendezvous owner was down.
 
-        Each queued record is matched against the (restored) table and
-        delivered exactly once; records whose table is *still*
-        unreachable stay queued.  Returns the number of pushes made.
+        In order: each queued re-homing is applied to the (restored)
+        table and each queued record matched against it and delivered
+        exactly once; events whose table is *still* unreachable stay
+        queued.  Returns the number of pushes made.
         """
         queued, self.pending = self.pending, []
-        delivered = 0
-        for label, record in queued:
-            key = sub_key(naming_function(label, self._dims))
-            try:
-                table = self._dht.get(key)
-            except NodeUnreachableError:
-                table = None
-            if table is None:
-                self.pending.append((label, record))
-                continue
-            delivered += self._push_matches(key, table, record)
-        return delivered
+        self._unsettled.clear()
+        return sum(self._settle(event) for event in queued)
 
     def _covering_leaves(self, region: Region) -> list[str]:
         """The leaf labels whose cells overlap *region*, discovered by
@@ -229,101 +233,108 @@ class ContinuousQueryPlane:
     # ------------------------------------------------------------------
 
     def on_insert(self, label: str, record: Record) -> None:
-        if label not in self.covered:
-            return
-        key = sub_key(naming_function(label, self._dims))
-        try:
-            table = self._dht.get(key)
-        except NodeUnreachableError:
-            table = None
-        if table is None:
-            # Rendezvous owner down (or table lost until durable
-            # replay): queue for exactly-once delivery after restart.
-            self.pending.append((label, record))
-            return
-        self._push_matches(key, table, record)
+        self._settle((label, record))
 
-    def on_split(self, plan: Any) -> None:
-        if plan.origin not in self.covered:
-            return
-        origin_name = naming_function(plan.origin, self._dims)
-        origin_key = sub_key(origin_name)
+    def on_split(self, homes: SplitHomes) -> None:
+        self._settle(homes)
+
+    def on_merge(self, homes: MergeHomes) -> None:
+        self._settle(homes)
+
+    def _settle(self, event: tuple) -> int:
+        """Apply *event* now, or queue it when a table it needs is out
+        of reach or an earlier queued re-homing bears its leaves."""
+        rehoming = isinstance(event, (SplitHomes, MergeHomes))
+        labels = event.dead if rehoming else event[:1]
+        if self.covered.isdisjoint(labels):
+            return 0
+        if self._unsettled.isdisjoint(labels):
+            if not rehoming:
+                pushed = self._push_insert(*event)
+            elif isinstance(event, SplitHomes):
+                pushed = self._rehome_split(event)
+            else:
+                pushed = self._rehome_merge(event)
+            if pushed is not None:
+                return pushed
+        self.pending.append(event)
+        if rehoming:
+            # The born leaves count as covered until the replay says
+            # otherwise, so their inserts queue instead of vanishing.
+            self._unsettled.update(event.born)
+            self.covered.update(event.born)
+        return 0
+
+    def _fetch(self, key: str) -> SubscriptionTable | None:
+        """The table at *key*; None when there is none or its owner is
+        down (a ring that re-homes a dead peer's keys reads the same
+        either way).  Under a covered leaf, None means an outage."""
         try:
-            table = self._dht.get(origin_key)
+            return self._dht.get(key)
         except NodeUnreachableError:
-            table = None
+            return None
+
+    def _push_insert(self, label: str, record: Record) -> int | None:
+        key = sub_key(naming_function(label, self._dims))
+        table = self._fetch(key)
         if table is None:
-            self.covered.discard(plan.origin)
-            return
-        self.covered.discard(plan.origin)
-        born: list[str] = []
-        survivor_table: SubscriptionTable | None = None
-        for leaf_label, _records in plan.leaves:
-            child = table.overlapping(
-                region_of_label(leaf_label, self._dims)
-            )
-            child.label = leaf_label
-            name = naming_function(leaf_label, self._dims)
-            if name == origin_name:
-                # The survivor shares the origin's name, hence the
-                # same ``sub:`` key — rewritten in place for free.
-                survivor_table = child
-                self._dht.rewrite_local(origin_key, child)
+            return None
+        return self._push_matches(key, table, record)
+
+    def _rehome_split(self, homes: SplitHomes) -> int | None:
+        table = self._fetch(sub_key(homes.name))
+        if table is None:
+            return None
+        names = dict(homes.moved)
+        self.covered.difference_update(homes.dead)
+        for label in homes.born:
+            child = table.overlapping(region_of_label(label, self._dims))
+            child.label = label
+            if label == homes.survivor:
+                # Same name, hence the same ``sub:`` key — rewritten
+                # in place for free.
+                self._dht.rewrite_local(sub_key(homes.name), child)
             elif len(child):
                 # Exactly the moved bucket's subscriptions are routed.
-                self._dht.put(sub_key(name), child)
-            if len(child):
-                self.covered.add(leaf_label)
-            born.append(leaf_label)
-        if survivor_table is None:
-            raise ReproError(
-                f"split plan for {plan.origin!r} kept no survivor"
-            )
-        self._notify(table, dead=(plan.origin,), born=tuple(born))
+                self._dht.put(sub_key(names[label]), child)
+            self._cover(label, child)
+        self._notify(table, homes)
+        return 0
 
-    def on_merge(
-        self, parent_label: str, child_a: str, child_b: str
-    ) -> None:
-        if child_a not in self.covered and child_b not in self.covered:
-            return
-        parent_name = naming_function(parent_label, self._dims)
+    def _rehome_merge(self, homes: MergeHomes) -> int | None:
         # Mirror the bucket layout: the sibling pair's tables sit under
         # ``sub:fmd(p)`` (survivor) and ``sub:p`` (moved).
-        merged = SubscriptionTable(label=parent_label)
-        survivor_existed = False
-        for key, is_moved in (
-            (sub_key(parent_name), False),
-            (sub_key(parent_label), True),
-        ):
-            try:
-                table = self._dht.get(key)
-                if table is not None and is_moved:
-                    # The moved child's table transfers: exactly one
-                    # entry, like the bucket it shadows (Theorem 5).
-                    self._dht.remove(key)
-            except NodeUnreachableError:
-                table = None
+        stays = self._fetch(sub_key(homes.name))
+        moves = self._fetch(sub_key(homes.parent))
+        for label, table in ((homes.survivor, stays), (homes.moved, moves)):
+            if table is None and label in self.covered:
+                return None
+        merged = SubscriptionTable(label=homes.parent)
+        for table in (stays, moves):
             if table is not None:
-                if not is_moved:
-                    survivor_existed = True
                 merged = merged.merged_with(table)
-        merged.label = parent_label
-        if survivor_existed:
-            # Same name, same key: the survivor's table is rewritten
-            # in place for free (Theorem 5).
-            self._dht.rewrite_local(sub_key(parent_name), merged)
+        if moves is not None:
+            # The moved child's table transfers: exactly one entry,
+            # like the bucket it shadows (Theorem 5).
+            self._dht.remove(sub_key(homes.parent))
+        if stays is not None:
+            # Same name, same key: rewritten in place for free.
+            self._dht.rewrite_local(sub_key(homes.name), merged)
         elif len(merged):
             # Only the moved child was covered: the merged table is
             # newly homed at the survivor's key — one routed put, the
             # same single movement the bucket itself paid.
-            self._dht.put(sub_key(parent_name), merged)
-        self.covered.discard(child_a)
-        self.covered.discard(child_b)
-        if len(merged):
-            self.covered.add(parent_label)
-        self._notify(
-            merged, dead=(child_a, child_b), born=(parent_label,)
-        )
+            self._dht.put(sub_key(homes.name), merged)
+        self.covered.difference_update(homes.dead)
+        self._cover(homes.parent, merged)
+        self._notify(merged, homes)
+        return 0
+
+    def _cover(self, label: str, table: SubscriptionTable) -> None:
+        if len(table):
+            self.covered.add(label)
+        else:
+            self.covered.discard(label)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -339,16 +350,12 @@ class ContinuousQueryPlane:
         return pushed
 
     def _notify(
-        self,
-        table: SubscriptionTable,
-        *,
-        dead: tuple[str, ...],
-        born: tuple[str, ...],
+        self, table: SubscriptionTable, homes: SplitHomes | MergeHomes
     ) -> None:
         """Proactive invalidation push to every client in *table*."""
         for address in sorted({entry.client for entry in table}):
             entry = next(e for e in table if e.client == address)
-            self._deliver(None, entry, "invalidate", dead, born)
+            self._deliver(None, entry, "invalidate", homes.dead, homes.born)
 
     def _deliver(
         self, key: str | None, entry: Subscription, method: str, *args: Any
@@ -369,7 +376,4 @@ class ContinuousQueryPlane:
                 return  # client gone mid-push; drop silently
         subscriber = self._subscribers.get(entry.client)
         if subscriber is not None:
-            if method == "push":
-                subscriber.receive(args[0])
-            else:
-                subscriber.invalidate(args[0], args[1])
+            subscriber.dispatch(method, args)

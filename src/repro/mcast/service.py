@@ -168,12 +168,8 @@ class ServiceContinuousPlane(ContinuousQueryPlane):
             return
         client, method, args = frame.body
         subscriber = self._subscribers.get(client)
-        if subscriber is None:
-            return
-        if method == "push":
-            subscriber.receive(args[0])
-        else:
-            subscriber.invalidate(args[0], args[1])
+        if subscriber is not None:
+            subscriber.dispatch(method, args)
 
     def _deliver(
         self, key: str | None, entry: Any, method: str, *args: Any

@@ -1,6 +1,9 @@
-"""Measurement utilities: cost meters and load-balance statistics."""
+"""Measurement utilities: load-balance statistics.
 
-from repro.metrics.counters import CostMeter, CostDelta
+Counters are metered per phase by
+:meth:`repro.obs.registry.MetricsRegistry.snapshot` / ``delta``.
+"""
+
 from repro.metrics.loadbalance import (
     load_variance,
     normalized_load_variance,
@@ -10,8 +13,6 @@ from repro.metrics.loadbalance import (
 )
 
 __all__ = [
-    "CostMeter",
-    "CostDelta",
     "load_variance",
     "normalized_load_variance",
     "empty_bucket_fraction",

@@ -1,8 +1,8 @@
 """Network-level accounting.
 
 These counters meter what crosses the simulated wire.  They are
-deliberately separate from the index-level counters in
-:mod:`repro.metrics.counters`: the paper reports index-level costs
+deliberately separate from the index-level counters on
+:class:`~repro.dht.api.DhtStats`: the paper reports index-level costs
 (number of DHT-lookups, records moved, rounds), which are substrate
 independent, while these network counters let the DHT layer itself be
 validated (e.g. Chord's O(log N) hops).

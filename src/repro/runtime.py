@@ -101,10 +101,15 @@ class RuntimeConfig:
             raise ReproError(
                 f"replication must be >= 1, got {self.replication}"
             )
-        if self.virtual_nodes > 1 and self.overlay != "local":
+        if (
+            self.virtual_nodes > 1
+            and self.kind == "sim"
+            and self.overlay != "local"
+        ):
             raise ReproError(
                 "virtual_nodes applies only to consistent-hashing "
-                f"placement (overlay='local'), not {self.overlay!r}"
+                "placement (overlay='local' or the service runtime), "
+                f"not the simulated {self.overlay!r} overlay"
             )
         if self.replication > 1 and self.overlay != "chord":
             raise ReproError(

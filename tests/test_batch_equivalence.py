@@ -23,6 +23,7 @@ from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
 from repro.core.rangequery import RangeQueryEngine
 from repro.core.records import Record
+from repro.dht.api import BatchFailure
 from repro.dht.chord import ChordDht
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
@@ -285,8 +286,10 @@ class TestBatchRetries:
         for index in range(4):
             dht.put(f"k{index}", index)
         dht.arm(["k1"])
-        with pytest.raises(RpcError):
-            dht.get_many([f"k{index}" for index in range(4)])
+        outcomes = dht.get_many_outcomes([f"k{index}" for index in range(4)])
+        assert [outcomes[slot] for slot in (0, 2, 3)] == [0, 2, 3]
+        assert isinstance(outcomes[1], BatchFailure)
+        assert isinstance(outcomes[1].error, RpcError)
 
     def test_retries_only_the_failed_subset(self):
         dht = FlakyBatchDht()
@@ -295,9 +298,9 @@ class TestBatchRetries:
         dht.stats.reset()
         dht.arm(["k1", "k3"])
         wrapped = RetryingDht(dht, attempts=3)
-        assert wrapped.get_many([f"k{index}" for index in range(4)]) == [
-            0, 1, 2, 3,
-        ]
+        assert wrapped.get_many_outcomes(
+            [f"k{index}" for index in range(4)]
+        ) == [0, 1, 2, 3]
         # First round carried 4 elements, the retry round only the two
         # failed ones — each metered as a real lookup.
         assert dht.stats.lookups == 6
@@ -329,8 +332,10 @@ class TestBatchRetries:
         dht.stats.reset()
         dht.arm(["k2"], failures=10)
         wrapped = RetryingDht(dht, attempts=2)
-        with pytest.raises(RpcError):
-            wrapped.get_many([f"k{index}" for index in range(4)])
+        outcomes = wrapped.get_many_outcomes(
+            [f"k{index}" for index in range(4)]
+        )
+        assert isinstance(outcomes[2].error, RpcError)
         # One full round plus one single-element retry round.
         assert dht.stats.lookups == 5
         assert dht.stats.batch_retries == 1
@@ -339,7 +344,7 @@ class TestBatchRetries:
         dht = FlakyBatchDht()
         wrapped = RetryingDht(dht, attempts=3)
         dht.arm(["x"])
-        owners = wrapped.lookup_many(["w", "x", "y", "z"])
+        owners = wrapped.lookup_many_outcomes(["w", "x", "y", "z"])
         assert owners == [dht.peer_of(key) for key in ["w", "x", "y", "z"]]
         assert dht.stats.batch_retries == 1
 
@@ -353,7 +358,7 @@ class TestBatchMetering:
             batched.put(f"k{index}", index)
             sequential.put(f"k{index}", index)
         keys = [f"k{index}" for index in range(6)]
-        assert batched.get_many(keys) == [
+        assert batched.get_many_outcomes(keys) == [
             sequential.get(key) for key in keys
         ]
         for key in ("lookups", "gets", "puts", "records_moved"):
@@ -366,8 +371,8 @@ class TestBatchMetering:
 
     def test_empty_batches_are_free(self):
         dht = LocalDht(8)
-        assert dht.get_many([]) == []
-        assert dht.lookup_many([]) == []
+        assert dht.get_many_outcomes([]) == []
+        assert dht.lookup_many_outcomes([]) == []
         dht.put_many([])
         assert dht.stats.batch_rounds == 0
         assert dht.stats.lookups == 0

@@ -33,42 +33,59 @@ class TestCacheCapacity:
 
 
 class TestDefaultLookahead:
+    """The lookahead is not configuration: a query that passes none
+    runs the basic algorithm (``h = 1``), and one that passes its own
+    is validated where it is passed."""
+
+    QUERY = ((0.05, 0.05), (0.9, 0.9))
+
+    @staticmethod
+    def loaded_index():
+        rng = random.Random(2)
+        config = IndexConfig(
+            dims=2, max_depth=12, split_threshold=10, merge_threshold=5
+        )
+        index = MLightIndex(LocalDht(8), config)
+        index.insert_many(
+            (rng.random(), rng.random()) for _ in range(300)
+        )
+        return index
+
     @pytest.mark.parametrize("bad", [0, -1, -4, 3, 6, 12, 100])
     def test_non_powers_of_two_rejected(self, bad):
+        index = MLightIndex(LocalDht(8), IndexConfig())
         with pytest.raises(
-            ReproError, match=r"default_lookahead must be a power of two"
+            ReproError, match=r"lookahead must be a power of two"
         ):
-            IndexConfig(default_lookahead=bad)
+            index.range_query(self.QUERY, lookahead=bad)
 
     def test_message_names_the_offending_value(self):
+        index = MLightIndex(LocalDht(8), IndexConfig())
         with pytest.raises(ReproError, match=r"got 3"):
-            IndexConfig(default_lookahead=3)
+            index.range_query(self.QUERY, lookahead=3)
 
     @pytest.mark.parametrize("good", [1, 2, 4, 8, 16])
     def test_powers_of_two_accepted(self, good):
-        assert IndexConfig(default_lookahead=good).default_lookahead == good
+        index = self.loaded_index()
+        basic = index.range_query(self.QUERY, lookahead=1)
+        widened = index.range_query(self.QUERY, lookahead=good)
+        assert sorted(r.key for r in widened.records) == sorted(
+            r.key for r in basic.records
+        )
 
     def test_range_query_uses_the_configured_default(self):
-        """``range_query`` with no explicit lookahead must follow the
-        config: the wider speculative frontier spends more lookups on
-        the same query, which is observable without touching internals."""
-        rng = random.Random(2)
-        points = [(rng.random(), rng.random()) for _ in range(300)]
-        query = ((0.05, 0.05), (0.9, 0.9))
-        lookups = {}
-        for lookahead in (1, 4):
-            config = IndexConfig(
-                dims=2, max_depth=12, split_threshold=10,
-                merge_threshold=5, default_lookahead=lookahead,
-            )
-            index = MLightIndex(LocalDht(8), config)
-            index.insert_many(points)
-            defaulted = index.range_query(query)
-            explicit = index.range_query(query, lookahead=lookahead)
-            assert defaulted.lookups == explicit.lookups
-            assert defaulted.rounds == explicit.rounds
-            lookups[lookahead] = defaulted.lookups
-        assert lookups[4] > lookups[1]
+        """``range_query`` with no explicit lookahead is the basic
+        walk; the wider speculative frontier spends more lookups on the
+        same query.  There is no config field to set it by."""
+        index = self.loaded_index()
+        defaulted = index.range_query(self.QUERY)
+        explicit = index.range_query(self.QUERY, lookahead=1)
+        assert defaulted.lookups == explicit.lookups
+        assert defaulted.rounds == explicit.rounds
+        widened = index.range_query(self.QUERY, lookahead=4)
+        assert widened.lookups > defaulted.lookups
+        with pytest.raises(TypeError):
+            IndexConfig(default_lookahead=4)
 
 
 class TestRuntime:

@@ -115,7 +115,7 @@ def test_bare_decorator_is_transparent():
     dht.put("k", "v")
     before = chord.stats.snapshot()
     assert dht.get("k") == "v"
-    assert dht.get_many(["k", "missing"]) == ["v", None]
+    assert dht.get_many_outcomes(["k", "missing"]) == ["v", None]
     assert dht.lookup("k") == chord.peer_of("k")
     delta = {
         key: value - before[key]

@@ -8,6 +8,8 @@ exist.
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,10 +42,12 @@ class TestUsageGuideNames:
         from repro.dht import (
             chord, churn, kademlia, localhash, pastry, retry,
         )
-        from repro.metrics import CostMeter
+        from repro.obs.registry import MetricsRegistry
 
-        assert CostMeter is not None
         text = (ROOT / "docs" / "usage.md").read_text()
+        assert "MetricsRegistry.for_index" in text
+        assert hasattr(MetricsRegistry, "for_index")
+        assert hasattr(MetricsRegistry, "delta")
         for name in ("MLightIndex", "Region", "bulk_load"):
             assert name in text
             assert hasattr(repro, name), name
@@ -90,7 +94,43 @@ class TestArchitectureNames:
             assert (ROOT / path.split(":")[0]).exists(), path
 
     def test_stays_a_design_not_a_history(self):
-        assert len(self.TEXT.splitlines()) <= 400
+        # 400 until PR 23, whose fourth kernel earned a paragraph.
+        assert len(self.TEXT.splitlines()) <= 410
+
+    def test_names_the_maintenance_kernel(self):
+        from repro.core import naming
+
+        for name in ("split_homes", "merge_homes", "SplitHomes", "MergeHomes"):
+            assert f"`{name}" in self.TEXT, name
+            assert hasattr(naming, name), name
+
+
+class TestRemovedNames:
+    """Names PR 23 deleted stay out of the guides and the README."""
+
+    REMOVED = (
+        "CostMeter", "CostDelta", "default_lookahead", "range_query_scan",
+        "`get_many`", "`lookup_many`", "get_many(", "lookup_many(",
+        "local_tree_ancestors", "min_label_length",
+    )
+
+    @pytest.mark.parametrize(
+        "path", ["README.md", "docs/usage.md", "docs/architecture.md",
+                 "docs/algorithms.md", "DESIGN.md"],
+    )
+    def test_guides_do_not_mention_them(self, path):
+        text = (ROOT / path).read_text()
+        found = [name for name in self.REMOVED if name in text]
+        assert not found, found
+
+    def test_the_config_has_no_default_lookahead(self):
+        from dataclasses import fields
+
+        from repro.common.config import IndexConfig
+
+        names = [spec.name for spec in fields(IndexConfig)]
+        assert "default_lookahead" not in names
+        assert len(names) == 12  # ``runtime`` stays: perf/floor.py sets it
 
 
 class TestCrossReferences:

@@ -11,7 +11,7 @@ from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
 from repro.core.split import DataAwareSplit
 from repro.dht.localhash import LocalDht
-from repro.metrics.counters import CostMeter
+from repro.obs.registry import MetricsRegistry
 from tests.conftest import brute_force_range
 
 
@@ -100,11 +100,13 @@ class TestIncrementalSplitCosts:
         ]
         for point in points[:8]:
             index.insert(point)
-        with CostMeter(index.dht) as meter:
-            index.insert(points[8])
+        registry = MetricsRegistry.for_index(index)
+        before = registry.snapshot()
+        index.insert(points[8])
+        delta = registry.delta(before)
         # Insert itself moves one record; the split then puts one child.
-        assert meter.delta.puts >= 1
-        split_movement = meter.delta.records_moved - 1
+        assert delta["dht.puts"] >= 1
+        split_movement = delta["dht.records_moved"] - 1
         assert 0 < split_movement < 9
 
     def test_bucket_keys_follow_naming_function(self):
@@ -150,12 +152,13 @@ class TestDelete:
         for point in points:
             index.insert(point)
         assert index.tree_size() > 1
-        with CostMeter(index.dht) as meter:
-            for point in points:
-                index.delete(point)
+        registry = MetricsRegistry.for_index(index)
+        before = registry.snapshot()
+        for point in points:
+            index.delete(point)
         index.check_invariants()
         assert index.tree_size() == 1
-        assert meter.delta.removes >= 1
+        assert registry.delta(before)["dht.removes"] >= 1
 
 
 class TestRangeQueries:

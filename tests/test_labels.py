@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import InvalidLabelError, InvalidPointError
 from repro.common.labels import (
-    ancestors,
     branch_nodes_between,
     candidate_string,
     children,
@@ -100,7 +99,13 @@ class TestNavigation:
             sibling(root_label(2), 2)
 
     def test_ancestors_order(self):
-        assert list(ancestors("00101", 2)) == ["0010", "001", "00"]
+        """Walking ``parent`` visits the proper prefixes, nearest
+        first, and ends at the virtual root."""
+        label, chain = "00101", []
+        while label != virtual_root(2):
+            label = parent(label, 2)
+            chain.append(label)
+        assert chain == ["0010", "001", "00"]
 
     def test_split_dimension_cycles(self):
         assert split_dimension("001", 2) == 0

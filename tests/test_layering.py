@@ -18,7 +18,9 @@ the reason it stays.
 
 The third keeps one label algebra, validated at the edge: labels are
 checked where they enter the program and nowhere else, and ``core/``
-runs on strings.
+runs on strings — and one statement of Theorem 5: which leaf of a
+split or merge keeps its key is decided in ``core/naming.py``, read
+everywhere else.
 
 The fourth keeps one source per number: ``benchmarks/`` asserts
 claims over counts and publishes ``.txt`` tables, ``perf/`` alone
@@ -309,10 +311,6 @@ REACH_ALLOWLIST = {
     # -- test oracles: references the program is compared against ------
     "core/naming.py:naming_function_recursive":
         "oracle: the paper's literal recursion, vs the O(1) scans",
-    "core/naming.py:survivor_child":
-        "oracle: Theorem 5 stated directly, vs what _apply_split does",
-    "core/naming.py:moved_child":
-        "oracle: Theorem 5's other half",
     "core/split.py:optimal_cost":
         "oracle: Algorithm 1's objective, vs brute-force enumeration",
     "core/npstore.py:batch_interleave":
@@ -323,12 +321,6 @@ REACH_ALLOWLIST = {
         "packed interleave (tests/test_hotpath_equivalence.py)",
     "baselines/dst.py:replica_count":
         "oracle: DST's replication bill, asserted by tests/test_dst.py",
-    "dht/api.py:get_many":
-        "documented facade API (raising form of get_many_outcomes); "
-        "kept by ISSUE 19 for the next re-anchor",
-    "dht/api.py:lookup_many":
-        "documented facade API (raising form of lookup_many_outcomes); "
-        "kept by ISSUE 19 for the next re-anchor",
     # -- documented user API (docs/usage.md, README) -------------------
     "core/index.py:exact_match": "documented user API (docs/usage.md)",
     "core/aggregate.py:sum_in": "documented user API (docs/usage.md)",
@@ -338,9 +330,6 @@ REACH_ALLOWLIST = {
     "dht/api.py:load_by_peer":
         "documented oracle API (Fig. 6a's measure); one copy since "
         "this PR",
-    "baselines/pht.py:range_query_scan":
-        "baseline API: PHT's linked-leaf scan (docs/algorithms.md); "
-        "kept by ISSUE 19 for the next re-anchor",
     "mcast/continuous.py:unsubscribe": "documented user API",
     "mcast/service.py:ServiceMulticast":
         "documented user API: multicast on the service runtime "
@@ -382,19 +371,13 @@ REACH_ALLOWLIST = {
     "core/bucket.py:encoded_wire_size":
         "the lazy bucket's header-only size (docs/architecture.md); "
         "tests pin that it builds no store",
-    "core/bucket.py:local_tree_ancestors":
-        "the label store's reading of Section 3.3 (the local tree)",
-    "core/bucket.py:branch_nodes_below":
-        "the label store's reading of Section 3.3 (forwarding targets)",
-    "core/bucket.py:is_descendant_or_self_of":
-        "the label store's reading of Section 3.3",
     "dht/hashing.py:ring_distance": "ring arithmetic beside in_interval",
     "dht/storage.py:digest_of":
         "PeerStore's typed key lookup (DhtKeyError, not KeyError)",
     "net/events.py:cancel": "EventHandle's only operation",
     "net/events.py:schedule_every":
         "EventScheduler API for the deterministic-simulation harness "
-        "(ROADMAP item 3); kept by ISSUE 19 for the next re-anchor",
+        "(ROADMAP item 3), which needs it",
     "net/latency.py:UniformLatency":
         "latency model beside Constant/Queueing (tests/test_simnet.py)",
     "net/simnet.py:addresses":
@@ -517,6 +500,86 @@ def test_core_runs_on_string_labels():
         and module.startswith("core/")
     )
     assert not found, found
+
+
+# ----------------------------------------------------------------------
+# Theorem 5 exists once
+# ----------------------------------------------------------------------
+
+
+def placement_decisions(source: str) -> list[str]:
+    """``<function>:<line>`` for every comparison in *source* that has
+    an ``fmd`` value on one side — a ``naming_function(...)`` call or a
+    variable bound to one in the same function: the way to pick the
+    survivor or the moved child without asking the kernel.
+    ``check_invariants`` is the oracle that verifies where buckets ended
+    up, not code that decides it."""
+    def is_fmd(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "naming_function"
+        )
+
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if (
+            not isinstance(function, ast.FunctionDef)
+            or function.name == "check_invariants"
+        ):
+            continue
+        names = {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and is_fmd(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        found += [
+            f"{function.name}:{node.lineno}"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Compare)
+            for side in (node.left, *node.comparators)
+            if is_fmd(side)
+            or (isinstance(side, ast.Name) and side.id in names)
+        ]
+    return found
+
+
+def test_theorem_5_placement_is_decided_in_the_kernel_only():
+    clients = [SRC / "core" / "index.py", *sorted((SRC / "mcast").glob("*.py"))]
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{where}"
+        for path in clients
+        for where in placement_decisions(path.read_text())
+    ]
+    assert not found, found
+    # The check itself: the inline form this replaced is flagged.
+    assert placement_decisions(
+        "def apply(plan, dims):\n"
+        "    origin_name = naming_function(plan.origin, dims)\n"
+        "    for label in plan.leaves:\n"
+        "        if naming_function(label, dims) == origin_name:\n"
+        "            return label\n"
+    ) == ["apply:4", "apply:4"]
+    # The kernel is pure: its tests build no substrate.
+    kernel_tests = (ROOT / "tests" / "test_maintenance_kernel.py").read_text()
+    assert not re.search(r"repro\.(dht|runtime|service|net)\b", kernel_tests)
+
+
+def test_src_stays_under_its_code_line_ceiling():
+    """Growth is a conscious edit of this number (``make loc`` prints
+    the current total), not drift."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import loc
+    finally:
+        sys.path.pop(0)
+    assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
+
+
+#: ``make loc``'s ``src total`` after PR 23.
+SRC_CODE_LINES = 10966
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.common.errors import IndexCorruptionError
 from repro.core.bucket import LeafBucket
 from repro.core.keys import bucket_key
-from repro.core.lookup import lookup_point
+from repro.core.lookup import PointLookupCursor, lookup_point
 from repro.core.naming import naming_function
 from repro.dht.localhash import LocalDht
 from tests.conftest import points_strategy, random_tree_leaves
@@ -108,13 +108,14 @@ class TestBoundedLookup:
         materialize_tree(leaves, 2, dht)
         point = (0.3, 0.7)
         target = covering_leaf(leaves, 2, point)
-        result = lookup_point(
-            dht, point, 2, 10,
+        cursor = PointLookupCursor(
+            dht.stats, point, 2, 10,
             min_label_length=len(target),
             max_label_length=len(target),
         )
-        assert result.bucket.label == target
-        assert result.lookups == 1
+        dht.drive(cursor)
+        assert cursor.result.bucket.label == target
+        assert cursor.result.lookups == 1
 
 
 class TestFailures:

@@ -13,6 +13,7 @@ The headline properties:
   once.
 """
 
+import contextlib
 import random
 import tempfile
 
@@ -337,6 +338,84 @@ class TestContinuousQueries:
             assert delivered.count(queued) == 1
             assert delivered[: len(delivered_before)] == delivered_before
             assert len(delivered) == len(set(delivered))
+
+    @pytest.mark.parametrize("label", ["001000", "001010", "0011100"])
+    def test_split_during_a_rendezvous_outage_keeps_the_subscription(
+        self, label
+    ):
+        """The covered leaf splits while its table's owner is down: the
+        re-homing is queued, the children's inserts queue behind it,
+        and after the restart every matching insert — before, during
+        and after the outage — has arrived exactly once."""
+        with rendezvous_outage(seed=2, label=label) as (
+            dht, index, plane, subscriber, victim,
+        ):
+            batch = points_in(label, 12)
+            for point in batch[:6]:
+                index.insert(point)
+            assert label not in {b.label for b in index.buckets()}
+            dht.restart(victim)
+            assert plane.flush_pending() == 6
+            assert not plane.pending
+            for point in batch[6:]:
+                index.insert(point)
+            assert sorted(subscriber.delivered_keys) == sorted(batch)
+
+    def test_merge_during_a_rendezvous_outage_keeps_the_subscription(self):
+        label, sibling, parent = "0010000", "0010001", "001000"
+        with rendezvous_outage(seed=1, label=label) as (
+            dht, index, plane, subscriber, victim,
+        ):
+            doomed = [
+                record.key
+                for bucket in index.buckets()
+                if bucket.label in (label, sibling)
+                for record in bucket.records
+            ]
+            for key in doomed:
+                index.delete(key)
+            assert parent in {b.label for b in index.buckets()}
+            dht.restart(victim)
+            plane.flush_pending()
+            assert not plane.pending
+            batch = points_in(parent, 3)
+            for point in batch:
+                index.insert(point)
+            assert sorted(subscriber.delivered_keys) == sorted(batch)
+
+
+@contextlib.contextmanager
+def rendezvous_outage(seed, label):
+    """A durable chord ring, θ_split = 4, one subscriber to ``REGION``,
+    and the owner of covered leaf *label*'s table failed.  The labels
+    the tests pass are leaves of that seed's tree whose ``sub:`` owner
+    holds no bucket on the lookup paths used, so the outage hits the
+    rendezvous alone."""
+    config = IndexConfig(
+        dims=2, max_depth=14, split_threshold=4, merge_threshold=2
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        dht = ChordDht.build(8, durability="log", data_dir=tmp)
+        index, _ = build_over(dht, 40, seed=seed, config=config)
+        plane = ContinuousQueryPlane(index)
+        subscriber = plane.subscribe(REGION)
+        assert label in plane.covered
+        victim = dht.peer_of(sub_key(naming_function(label, 2)))
+        dht.fail(victim)
+        yield dht, index, plane, subscriber, victim
+
+
+def points_in(label, count):
+    """*count* seeded points of leaf *label*'s cell inside ``REGION``."""
+    cell = region_of_label(label, 2)
+    rng = random.Random(label)
+    return [
+        tuple(
+            max(lo, 0.2) + rng.random() * (min(hi, 0.7) - max(lo, 0.2))
+            for lo, hi in zip(cell.lows, cell.highs)
+        )
+        for _ in range(count)
+    ]
 
 
 class TestServiceContinuous:

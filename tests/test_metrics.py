@@ -6,7 +6,6 @@ from repro.common.errors import ReproError
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
 from repro.dht.localhash import LocalDht
-from repro.metrics.counters import CostDelta, CostMeter
 from repro.metrics.loadbalance import (
     empty_bucket_fraction,
     gini_coefficient,
@@ -14,6 +13,7 @@ from repro.metrics.loadbalance import (
     normalized_load_variance,
     peer_record_loads,
 )
+from repro.obs.registry import MetricsRegistry
 
 
 class TestVariance:
@@ -83,20 +83,36 @@ class TestPeerLoads:
 
 
 class TestCostMeter:
-    def test_measures_increments(self):
+    """Phase metering is ``MetricsRegistry.snapshot()`` / ``delta()``."""
+
+    def metered(self):
         dht = LocalDht(4)
+        registry = MetricsRegistry()
+        registry.register("dht", dht.stats)
+        return dht, registry
+
+    def test_measures_increments(self):
+        dht, registry = self.metered()
         dht.put("warmup", 1)
-        with CostMeter(dht) as meter:
-            dht.put("a", 1, records_moved=3)
-            dht.get("a")
-        assert meter.delta.lookups == 2
-        assert meter.delta.puts == 1
-        assert meter.delta.gets == 1
-        assert meter.delta.records_moved == 3
+        before = registry.snapshot()
+        dht.put("a", 1, records_moved=3)
+        dht.get("a")
+        delta = registry.delta(before)
+        assert delta["dht.lookups"] == 2
+        assert delta["dht.puts"] == 1
+        assert delta["dht.gets"] == 1
+        assert delta["dht.records_moved"] == 3
 
     def test_deltas_add(self):
-        a = CostDelta(1, 2, 3, 4, 5, 6)
-        b = CostDelta(10, 20, 30, 40, 50, 60)
-        total = a + b
-        assert total.lookups == 11
-        assert total.hops == 66
+        """Consecutive phases' deltas sum to the whole span's delta."""
+        dht, registry = self.metered()
+        start = registry.snapshot()
+        dht.put("a", 1, records_moved=2)
+        middle = registry.snapshot()
+        first = registry.delta(start)
+        dht.get("a")
+        dht.remove("a", records_moved=2)
+        second = registry.delta(middle)
+        whole = registry.delta(start)
+        assert whole == {key: first[key] + second[key] for key in whole}
+        assert whole["dht.lookups"] == 3

@@ -7,7 +7,7 @@ Four contracts pinned here:
   per-round DHT-primitive counts summing to the metered lookups), and
   a disabled tracer leaves results bit-identical to the seed path.
 * **Meter agreement** — per-round primitive counts in the trace equal
-  the (bug-fixed) :class:`~repro.metrics.counters.CostMeter` deltas
+  the ``MetricsRegistry.delta`` increments
   and, fault-free on a routed substrate, ``NetworkStats.rounds``.
 * **Reset completeness** — ``reset()`` on every substrate and wrapper
   yields an all-zero snapshot (the ``backoff_time`` phase-leak class).
@@ -39,7 +39,6 @@ from repro.experiments.trace_report import (
     render_report,
     render_timeline,
 )
-from repro.metrics.counters import CostDelta, CostMeter
 from repro.net.stats import NetworkStats
 from repro.obs.profile import span_timings, top_spans
 from repro.obs.registry import MetricsRegistry
@@ -240,7 +239,7 @@ class TestResetCompleteness:
             try:
                 dht.put(f"k{i}", i)
                 dht.get(f"k{i}")
-                dht.get_many([f"k{i}", f"k{i - 1}"])
+                dht.get_many_outcomes([f"k{i}", f"k{i - 1}"])
             except Exception:
                 pass  # injected faults may exhaust the retry budget
         assert any(dht.stats.snapshot().values())
@@ -289,20 +288,32 @@ class TestResetCompleteness:
 
 
 # ----------------------------------------------------------------------
-# CostMeter full-keyset delta (the under-reporting bugfix)
+# Full-keyset phase delta (the under-reporting bugfix)
 # ----------------------------------------------------------------------
+
+
+def dht_registry(dht):
+    registry = MetricsRegistry()
+    registry.register("dht", dht.stats)
+    return registry
 
 
 class TestCostMeterKeyset:
     def test_delta_covers_full_snapshot_keyset(self):
         dht = LocalDht(8)
-        with CostMeter(dht) as meter:
-            dht.put_many([("a", 1), ("b", 2)])
-            dht.get_many(["a", "b"])
-        assert set(meter.delta) == set(dht.stats.snapshot())
-        assert meter.delta.batch_rounds == 2
-        assert meter.delta.batch_ops == 4
-        assert meter.delta.lookups == 4
+        registry = dht_registry(dht)
+        before = registry.snapshot()
+        dht.put_many([("a", 1), ("b", 2)])
+        dht.get_many_outcomes(["a", "b"])
+        delta = registry.delta(before)
+        assert set(delta) == {f"dht.{key}" for key in dht.stats.snapshot()}
+        assert delta["dht.batch_rounds"] == 2
+        assert delta["dht.batch_ops"] == 4
+        assert delta["dht.lookups"] == 4
+        # Untouched counters read zero; unknown names are errors.
+        assert delta["dht.retries"] == 0
+        with pytest.raises(KeyError):
+            delta["dht.not_a_counter"]
 
     def test_retry_and_fault_counters_metered(self):
         dht = RetryingDht(
@@ -310,30 +321,18 @@ class TestCostMeterKeyset:
             attempts=5,
             backoff_base=0.25,
         )
-        with CostMeter(dht) as meter:
-            for i in range(10):
-                try:
-                    dht.get(f"k{i}")
-                except Exception:
-                    pass
-        assert meter.delta.retries > 0
-        assert meter.delta.faults_dropped > 0
-        assert meter.delta.backoff_waits > 0
-        assert meter.delta.backoff_time > 0
-
-    def test_classic_positional_compatibility(self):
-        a = CostDelta(1, 2, 3, 4, 5, 6)
-        b = CostDelta(10, 20, 30, 40, 50, 60)
-        total = a + b
-        assert total.lookups == 11
-        assert total.records_moved == 22
-        assert total.gets == 33
-        assert total.puts == 44
-        assert total.removes == 55
-        assert total.hops == 66
-        assert total.retries == 0  # untouched counters read zero
-        with pytest.raises(AttributeError):
-            total.not_a_counter
+        registry = dht_registry(dht)
+        before = registry.snapshot()
+        for i in range(10):
+            try:
+                dht.get(f"k{i}")
+            except Exception:
+                pass
+        delta = registry.delta(before)
+        assert delta["dht.retries"] > 0
+        assert delta["dht.faults_dropped"] > 0
+        assert delta["dht.backoff_waits"] > 0
+        assert delta["dht.backoff_time"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +441,7 @@ class TestTraceShape:
 
 
 # ----------------------------------------------------------------------
-# Acceptance: trace counts == CostMeter deltas == NetworkStats.rounds
+# Acceptance: trace counts == registry deltas == NetworkStats.rounds
 # ----------------------------------------------------------------------
 
 
@@ -452,13 +451,10 @@ class TestMeterAgreement:
         index = seeded_index(chord, tracing=True)
         tracer = index.tracer
         tracer.clear()
-        net_before = chord.network.stats.snapshot()
-        with CostMeter(index.dht) as meter:
-            result = index.range_query(QUERY)
-        net_delta = {
-            key: value - net_before[key]
-            for key, value in chord.network.stats.snapshot().items()
-        }
+        registry = MetricsRegistry.for_index(index)
+        before = registry.snapshot()
+        result = index.range_query(QUERY)
+        delta = registry.delta(before)
         (query_span,) = [s for s in tracer.roots() if s.kind == "query"]
         rounds = [
             s for s in tracer.children_of(query_span) if s.kind == "round"
@@ -471,14 +467,14 @@ class TestMeterAgreement:
             )
             for r in rounds
         ]
-        assert sum(per_round) == meter.delta.lookups == result.lookups
+        assert sum(per_round) == delta["dht.lookups"] == result.lookups
         assert len(rounds) == result.rounds
         # Fault-free on the batched plane: every wave is exactly one
         # batch round and one simulated message round.
-        assert meter.delta.batch_rounds == result.batch_rounds
-        assert net_delta["rounds"] == result.batch_rounds
+        assert delta["dht.batch_rounds"] == result.batch_rounds
+        assert delta["net.rounds"] == result.batch_rounds
         net_spans = [s for s in tracer.spans if s.kind == "net"]
-        assert len(net_spans) == net_delta["rounds"]
+        assert len(net_spans) == delta["net.rounds"]
 
 
 # ----------------------------------------------------------------------

@@ -45,9 +45,9 @@ def run_scenario(kind: str, data_dir) -> dict:
         dht.put(key, value_of(index))
     for key in keys[:40]:
         dht.get(key)
-    dht.get_many(keys[40:50])
+    dht.get_many_outcomes(keys[40:50])
     dht.get("absent-key")
-    dht.lookup_many(keys[50:60])
+    dht.lookup_many_outcomes(keys[50:60])
     dht.get_direct(dht.peer_of(keys[60]), keys[60])
     dht.rewrite_local(keys[61], "rewritten")
     for key in keys[100:120]:

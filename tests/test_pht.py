@@ -135,36 +135,6 @@ class TestRangeQuery:
                 brute_force_range(points, query)
             )
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_scan_mode_matches_brute_force(self, seed):
-        rng = random.Random(seed)
-        index = make_index()
-        points = [(rng.random(), rng.random()) for _ in range(250)]
-        for point in points:
-            index.insert(point)
-        for _ in range(8):
-            lows = (rng.random() * 0.7, rng.random() * 0.7)
-            highs = (
-                lows[0] + rng.random() * 0.3, lows[1] + rng.random() * 0.3
-            )
-            query = Region(lows, highs)
-            result = index.range_query_scan(query)
-            assert sorted(r.key for r in result.records) == (
-                brute_force_range(points, query)
-            )
-
-    def test_scan_mode_visits_more_leaves_than_descent(self):
-        """The z-interval between the query corners covers cells
-        outside the rectangle — the scan's documented inefficiency."""
-        rng = random.Random(5)
-        index = make_index()
-        for _ in range(400):
-            index.insert((rng.random(), rng.random()))
-        query = Region((0.1, 0.4), (0.3, 0.6))
-        scan = index.range_query_scan(query)
-        descent = index.range_query(query)
-        assert len(scan.visited_leaves) >= len(descent.visited_leaves)
-
     def test_costs_include_internal_nodes(self):
         """PHT probes routing nodes, so lookups exceed leaves visited."""
         rng = random.Random(6)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import InvalidLabelError, InvalidPointError
 from repro.common.geometry import Region
+from repro.common.labels import branch_nodes_between, parent, virtual_root
 from repro.core.bucket import LeafBucket
 from repro.core.keys import bucket_key, name_from_key
 from repro.core.records import Record
@@ -59,25 +60,28 @@ class TestBucketRecords:
 
 
 class TestLocalTree:
-    """The label store encodes the whole local tree (Section 3.3)."""
+    """The label store encodes the whole local tree (Section 3.3):
+    the label algebra reads it off ``bucket.label`` alone."""
 
     def test_ancestors(self):
         bucket = LeafBucket("001101", 2)
-        assert bucket.local_tree_ancestors() == [
-            "00110", "0011", "001", "00",
-        ]
+        label, chain = bucket.label, []
+        while label != virtual_root(2):
+            label = parent(label, 2)
+            chain.append(label)
+        assert chain == ["00110", "0011", "001", "00"]
 
     def test_branch_nodes(self):
         bucket = LeafBucket("001101", 2)
-        assert bucket.branch_nodes_below("001") == [
+        assert branch_nodes_between(bucket.label, "001", 2) == [
             "0010", "00111", "001100",
         ]
 
     def test_descendant_check(self):
         bucket = LeafBucket("001101", 2)
-        assert bucket.is_descendant_or_self_of("0011")
-        assert bucket.is_descendant_or_self_of("001101")
-        assert not bucket.is_descendant_or_self_of("0010")
+        assert bucket.label.startswith("0011")
+        assert bucket.label.startswith("001101")
+        assert not bucket.label.startswith("0010")
 
     def test_region_and_covers(self):
         bucket = LeafBucket("0010", 2)

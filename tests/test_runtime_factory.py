@@ -114,6 +114,21 @@ class TestRuntimeConfigValidation:
         with pytest.raises(ReproError, match="replication"):
             RuntimeConfig(overlay="pastry", replication=2)
 
+    @pytest.mark.parametrize("kind", ["asyncio", "tcp"])
+    def test_service_runtime_takes_virtual_nodes_under_any_overlay(
+        self, kind
+    ):
+        """The service runtime places by ``HashRing`` whatever the
+        overlay names its peers, so ring positions per peer apply."""
+        config = RuntimeConfig(
+            kind=kind, overlay="chord", n_peers=4, virtual_nodes=4
+        )
+        with create_dht(config) as dht:
+            assert len(dht.peers()) == 4
+            assert all(peer.startswith("chord") for peer in dht.peers())
+            dht.put("k", 1)
+            assert dht.get("k") == 1
+
 
 class TestPublicSurface:
     def test_star_import_warns_nothing(self):

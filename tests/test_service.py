@@ -179,7 +179,7 @@ class TestServiceDht:
     def test_batches_are_one_round(self, transport):
         with ServiceDht(4, transport=transport) as dht:
             dht.put_many([(f"k{i}", i) for i in range(10)])
-            assert dht.get_many([f"k{i}" for i in range(10)]) == list(
+            assert dht.get_many_outcomes([f"k{i}" for i in range(10)]) == list(
                 range(10)
             )
             assert dht.stats.batch_rounds == 2
@@ -208,7 +208,7 @@ class TestServiceDht:
     def test_wall_clock_spans_recorded(self, transport):
         with ServiceDht(2, transport=transport) as dht:
             dht.put("k", 1)
-            dht.get_many(["k"])
+            dht.get_many_outcomes(["k"])
             clock_kind, spent = dht.network.stats.latency_clock()
         assert clock_kind == "wall"
         assert spent > 0.0
