@@ -417,19 +417,17 @@ class MLightIndex:
         """
         while bucket.label != root_label(self.dims):
             homes = merge_homes(bucket.label, self.dims)
-            _, sibling_label = homes.dead
-            sibling_name = homes.name_of(sibling_label)
-            other = self._dht.get(bucket_key(sibling_name))
+            other = self._dht.get(bucket_key(homes.sibling_name))
             if other is None:
                 raise IndexCorruptionError(
-                    f"missing bucket at {sibling_name!r} while probing the "
-                    f"sibling of {bucket.label!r}"
+                    f"missing bucket at {homes.sibling_name!r} while probing "
+                    f"the sibling of {bucket.label!r}"
                 )
-            if other.label != sibling_label:
+            if other.label != homes.sibling:
                 return  # the sibling is an internal node; nothing to merge
             if not self._strategy.should_merge(bucket.load, other.load):
                 return
-            moved = other if sibling_label == homes.moved else bucket
+            moved = bucket if homes.child_is_moved else other
             merged = self._bucket(
                 homes.parent, list(bucket.records) + list(other.records)
             )

@@ -178,32 +178,37 @@ class MergeHomes(NamedTuple):
 
     ``survivor`` sits under ``name == fmd(parent)``, the key the merged
     leaf keeps; ``moved`` sits under the key named ``parent`` itself,
-    which the merge removes — exactly one bucket transferred.  ``dead``
-    is ``(child, sibling)`` as asked, ``born`` the parent.
+    which the merge removes — exactly one bucket transferred.  For the
+    caller holding *child*: its ``sibling`` is under ``sibling_name``,
+    and ``child_is_moved`` says which of the two transfers.  ``dead``
+    is ``(child, sibling)``, ``born`` the parent.
     """
 
     parent: str
     name: str
     survivor: str
     moved: str
+    sibling: str
+    sibling_name: str
+    child_is_moved: bool
     dead: tuple[str, str]
     born: tuple[str]
-
-    def name_of(self, child: str) -> str:
-        """The name the bucket of *child* (one of ``dead``) is under."""
-        return self.parent if child == self.moved else self.name
 
 
 def merge_homes(child: str, dims: int) -> MergeHomes:
     """Place leaf *child*, its sibling and the parent they would merge
     into; the ordinary root has no sibling and is rejected."""
     above = parent(child, dims)
+    name = naming_function(above, dims)
     survivor = survivor_child(above, dims)
     moved = moved_child(above, dims)
-    sibling = moved if child == survivor else survivor
+    if child == moved:
+        sibling, sibling_name = survivor, name
+    else:
+        sibling, sibling_name = moved, above
     return MergeHomes(
-        above, naming_function(above, dims), survivor, moved,
-        (child, sibling), (above,),
+        above, name, survivor, moved, sibling, sibling_name,
+        child == moved, (child, sibling), (above,),
     )
 
 

@@ -28,8 +28,8 @@ Where a table lives is not decided here: the index hands ``on_split``
 
 Crash tolerance: when the rendezvous owner of a covered leaf is down
 (or lost the table), the event — a matching insert, or the leaf's
-re-homing — is queued client-side in ``pending``, later events on the
-leaves a queued re-homing bears queue behind it, and
+re-homing — is queued client-side in ``pending``, later events on a
+queued event's leaves (the ones a re-homing bears too) queue behind it, and
 :meth:`ContinuousQueryPlane.flush_pending` replays the queue in order
 after the owner restarts, delivering each insert exactly once — PR 9's
 durable backends replay the table, so the match set survives the
@@ -44,7 +44,7 @@ coordinating them is out of scope for the reproduction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -140,10 +140,10 @@ class ContinuousQueryPlane:
         #: — the zero-cost client-side filter on the insert path.
         self.covered: set[str] = set()
         #: Events whose rendezvous owner was down when they happened,
-        #: in order, awaiting :meth:`flush_pending`: ``(leaf label,
-        #: record)`` inserts and the homes of splits and merges.
-        self.pending: list[tuple] = []
-        #: Leaves a queued re-homing bears; their events queue behind it.
+        #: in order, awaiting :meth:`flush_pending`: ``(leaves the
+        #: event is on, leaves it bears, the handler, *its arguments)``.
+        self.pending: list[tuple[Any, ...]] = []
+        #: Leaves of queued events; later events on them queue behind.
         self._unsettled: set[str] = set()
         self._counter = 0
         index.attach_dissemination(self)
@@ -216,7 +216,7 @@ class ContinuousQueryPlane:
         """
         queued, self.pending = self.pending, []
         self._unsettled.clear()
-        return sum(self._settle(event) for event in queued)
+        return sum(self._settle(*event) for event in queued)
 
     def _covering_leaves(self, region: Region) -> list[str]:
         """The leaf labels whose cells overlap *region*, discovered by
@@ -233,36 +233,37 @@ class ContinuousQueryPlane:
     # ------------------------------------------------------------------
 
     def on_insert(self, label: str, record: Record) -> None:
-        self._settle((label, record))
+        self._settle((label,), (), self._push_insert, label, record)
 
     def on_split(self, homes: SplitHomes) -> None:
-        self._settle(homes)
+        self._settle(homes.dead, homes.born, self._rehome_split, homes)
 
     def on_merge(self, homes: MergeHomes) -> None:
-        self._settle(homes)
+        self._settle(homes.dead, homes.born, self._rehome_merge, homes)
 
-    def _settle(self, event: tuple) -> int:
-        """Apply *event* now, or queue it when a table it needs is out
-        of reach or an earlier queued re-homing bears its leaves."""
-        rehoming = isinstance(event, (SplitHomes, MergeHomes))
-        labels = event.dead if rehoming else event[:1]
+    def _settle(
+        self, labels: Sequence[str], born: Sequence[str],
+        apply: Callable[..., int | None], *args: Any,
+    ) -> int:
+        """Run ``apply(*args)`` — an event on leaves *labels* that bears
+        leaves *born* — now, or queue it when a table it needs is out
+        of reach or an earlier queued event involves one of its leaves.
+        Returns the pushes made."""
         if self.covered.isdisjoint(labels):
             return 0
         if self._unsettled.isdisjoint(labels):
-            if not rehoming:
-                pushed = self._push_insert(*event)
-            elif isinstance(event, SplitHomes):
-                pushed = self._rehome_split(event)
-            else:
-                pushed = self._rehome_merge(event)
+            try:
+                pushed = apply(*args)
+            except NodeUnreachableError:
+                pushed = None  # raised before the origin was rewritten
             if pushed is not None:
                 return pushed
-        self.pending.append(event)
-        if rehoming:
-            # The born leaves count as covered until the replay says
-            # otherwise, so their inserts queue instead of vanishing.
-            self._unsettled.update(event.born)
-            self.covered.update(event.born)
+        self.pending.append((labels, born, apply, *args))
+        # Later events on these leaves wait their turn; the born ones
+        # count as covered until the replay says otherwise, so their
+        # inserts queue instead of vanishing.
+        self._unsettled.update(labels, born)
+        self.covered.update(born)
         return 0
 
     def _fetch(self, key: str) -> SubscriptionTable | None:
@@ -281,22 +282,27 @@ class ContinuousQueryPlane:
             return None
         return self._push_matches(key, table, record)
 
+    # A re-homing's routed put may meet a second owner that is down.
+    # It goes first, so a NodeUnreachableError leaves the origin's
+    # tables and ``covered`` as they were and the replay starts over.
+
     def _rehome_split(self, homes: SplitHomes) -> int | None:
         table = self._fetch(sub_key(homes.name))
         if table is None:
             return None
-        names = dict(homes.moved)
-        self.covered.difference_update(homes.dead)
-        for label in homes.born:
-            child = table.overlapping(region_of_label(label, self._dims))
-            child.label = label
-            if label == homes.survivor:
-                # Same name, hence the same ``sub:`` key — rewritten
-                # in place for free.
-                self._dht.rewrite_local(sub_key(homes.name), child)
-            elif len(child):
+        children = {
+            label: table.overlapping(label, self._dims)
+            for label in homes.born
+        }
+        for label, name in homes.moved:
+            if len(children[label]):
                 # Exactly the moved bucket's subscriptions are routed.
-                self._dht.put(sub_key(names[label]), child)
+                self._dht.put(sub_key(name), children[label])
+        # Same name, hence the same ``sub:`` key — rewritten in place
+        # for free.
+        self._dht.rewrite_local(sub_key(homes.name), children[homes.survivor])
+        self.covered.difference_update(homes.dead)
+        for label, child in children.items():
             self._cover(label, child)
         self._notify(table, homes)
         return 0
@@ -313,10 +319,6 @@ class ContinuousQueryPlane:
         for table in (stays, moves):
             if table is not None:
                 merged = merged.merged_with(table)
-        if moves is not None:
-            # The moved child's table transfers: exactly one entry,
-            # like the bucket it shadows (Theorem 5).
-            self._dht.remove(sub_key(homes.parent))
         if stays is not None:
             # Same name, same key: rewritten in place for free.
             self._dht.rewrite_local(sub_key(homes.name), merged)
@@ -325,6 +327,10 @@ class ContinuousQueryPlane:
             # newly homed at the survivor's key — one routed put, the
             # same single movement the bucket itself paid.
             self._dht.put(sub_key(homes.name), merged)
+        if moves is not None:
+            # The moved child's table transfers: exactly one entry,
+            # like the bucket it shadows (Theorem 5).
+            self._dht.remove(sub_key(homes.parent))
         self.covered.difference_update(homes.dead)
         self._cover(homes.parent, merged)
         self._notify(merged, homes)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.common.geometry import Region, query_overlaps_cell
+from repro.common.geometry import Region, query_overlaps_cell, region_of_label
 
 #: Key prefix for subscription tables, parallel to the ``ml:`` bucket
 #: namespace.
@@ -89,15 +89,16 @@ class SubscriptionTable:
         """Subscriptions whose region contains *point* (closed)."""
         return [sub for sub in self if sub.matches(point)]
 
-    def overlapping(self, cell: Region) -> "SubscriptionTable":
-        """A new table for child cell *cell*, keeping the entries whose
-        region can still reach a key of that half-open cell.
+    def overlapping(self, label: str, dims: int) -> "SubscriptionTable":
+        """A new table for descendant leaf *label*, keeping the entries
+        whose region can still reach a key of its half-open cell.
 
         Used on split: an entry overlapping both children appears in
         both tables (correctness over conservation — the entry *is*
         interested in both cells)."""
+        cell = region_of_label(label, dims)
         return SubscriptionTable(
-            label=self.label,
+            label=label,
             entries={
                 sid: sub
                 for sid, sub in self.entries.items()

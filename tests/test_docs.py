@@ -94,8 +94,7 @@ class TestArchitectureNames:
             assert (ROOT / path.split(":")[0]).exists(), path
 
     def test_stays_a_design_not_a_history(self):
-        # 400 until PR 23, whose fourth kernel earned a paragraph.
-        assert len(self.TEXT.splitlines()) <= 410
+        assert len(self.TEXT.splitlines()) <= 400
 
     def test_names_the_maintenance_kernel(self):
         from repro.core import naming

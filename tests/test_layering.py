@@ -579,7 +579,7 @@ def test_src_stays_under_its_code_line_ceiling():
 
 
 #: ``make loc``'s ``src total`` after PR 23.
-SRC_CODE_LINES = 10966
+SRC_CODE_LINES = 10969
 
 
 # ----------------------------------------------------------------------

@@ -121,10 +121,11 @@ class TestMergeHomes:
                 assert ((homes.moved, homes.parent),) == split.moved
                 assert homes.dead == (child, sibling(child, dims))
                 assert homes.born == (parent,)
-                for label in homes.dead:
-                    assert homes.name_of(label) == naming_function(
-                        label, dims
-                    )
+                assert homes.sibling == sibling(child, dims)
+                assert homes.sibling_name == naming_function(
+                    homes.sibling, dims
+                )
+                assert homes.child_is_moved == (child == split.moved[0][0])
 
     def test_the_root_has_nothing_to_merge_with(self, dims):
         with pytest.raises(InvalidLabelError):

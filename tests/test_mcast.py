@@ -25,6 +25,7 @@ from repro.common.geometry import Region, region_of_label
 from repro.core.distributed import DistributedQueryRuntime
 from repro.core.index import MLightIndex
 from repro.core.naming import naming_function
+from repro.dht.api import DhtDecorator
 from repro.dht.chord import ChordDht
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
@@ -361,6 +362,65 @@ class TestContinuousQueries:
                 index.insert(point)
             assert sorted(subscriber.delivered_keys) == sorted(batch)
 
+    def test_split_after_the_restart_queues_behind_an_unflushed_insert(
+        self,
+    ):
+        """A queued insert still needs its leaf's table as it was: a
+        split of that leaf between the restart and the flush queues
+        behind it instead of re-homing the table from under it."""
+        label = "001010"
+        with rendezvous_outage(seed=2, label=label) as (
+            dht, index, plane, subscriber, victim,
+        ):
+            batch = points_in(label, 12)
+            index.insert(batch[0])
+            assert label in {b.label for b in index.buckets()}
+            assert len(plane.pending) == 1
+            dht.restart(victim)
+            for point in batch[1:8]:
+                index.insert(point)
+            assert label not in {b.label for b in index.buckets()}
+            assert plane.flush_pending() == 8
+            assert not plane.pending
+            for point in batch[8:]:
+                index.insert(point)
+            assert sorted(subscriber.delivered_keys) == sorted(batch)
+
+    def test_replayed_split_meets_a_second_outage_and_stays_queued(self):
+        """The origin's table is back but the moved child's owner is
+        down: the replayed split raises before it rewrites anything, so
+        it and everything behind it stay queued, in order."""
+        config = IndexConfig(
+            dims=2, max_depth=14, split_threshold=4, merge_threshold=2
+        )
+        dht = KeyOutageDht(LocalDht(8))
+        index, _ = build_over(dht, 40, seed=2, config=config)
+        plane = ContinuousQueryPlane(index)
+        subscriber = plane.subscribe(REGION)
+        label = next(
+            label
+            for label in sorted(plane.covered)
+            if REGION.contains_region(region_of_label(label, 2))
+        )
+        batch = points_in(label, 12)
+        dht.down = {sub_key(naming_function(label, 2))}
+        for point in batch[:6]:
+            index.insert(point)
+        assert label not in {b.label for b in index.buckets()}
+        assert not subscriber.delivered
+        queued = len(plane.pending)
+        # Theorem 5: the moved child's table is routed to ``sub:label``.
+        dht.down = {sub_key(label)}
+        assert plane.flush_pending() < 6
+        assert 0 < len(plane.pending) <= queued
+        assert label in plane.covered
+        dht.down = set()
+        plane.flush_pending()
+        assert not plane.pending
+        for point in batch[6:]:
+            index.insert(point)
+        assert sorted(subscriber.delivered_keys) == sorted(batch)
+
     def test_merge_during_a_rendezvous_outage_keeps_the_subscription(self):
         label, sibling, parent = "0010000", "0010001", "001000"
         with rendezvous_outage(seed=1, label=label) as (
@@ -382,6 +442,25 @@ class TestContinuousQueries:
             for point in batch:
                 index.insert(point)
             assert sorted(subscriber.delivered_keys) == sorted(batch)
+
+
+class KeyOutageDht(DhtDecorator):
+    """The keys in ``down`` answer :class:`NodeUnreachableError`, as a
+    service-runtime peer that is down does, without losing state."""
+
+    down = frozenset()
+
+    def _check(self, key):
+        if key in self.down:
+            raise NodeUnreachableError(f"owner of {key!r} is down")
+
+    def get(self, key):
+        self._check(key)
+        return self.inner.get(key)
+
+    def put(self, key, value, *, records_moved=0):
+        self._check(key)
+        self.inner.put(key, value, records_moved=records_moved)
 
 
 @contextlib.contextmanager
