@@ -72,9 +72,9 @@ from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region
 from repro.core.rangequery import (
     AgentResult,
+    Forward,
     Hop,
     HopOutcome,
-    Probe,
     peer_subquery,
     query_via_peers,
 )
@@ -108,13 +108,17 @@ class PeerQueryAgent:
         try:
             request = next(step)
             while True:
-                if isinstance(request, Probe):
-                    outcome = _capture(runtime.dht.get, request.key)
+                try:
+                    if isinstance(request, Forward):
+                        outcome = runtime.forward_all(
+                            self._node.name, request.hops, query
+                        )
+                    else:  # a GET step of the fallback search
+                        outcome = runtime.dht.perform(request)
+                except NodeUnreachableError as error:
+                    request = step.throw(error)
                 else:
-                    outcome = runtime.forward_all(
-                        self._node.name, request.hops, query
-                    )
-                request = step.send(outcome)
+                    request = step.send(outcome)
         except StopIteration as done:
             return done.value
 

@@ -19,6 +19,12 @@ client-side :class:`~repro.core.cache.LeafCache`: every operation's
 point lookup then tries one hinted probe before the Section-5 binary
 search, and range queries warm the cache with every leaf they visit.
 
+Insert, delete, split and merge are *operations* in the sense of
+:mod:`repro.dht.api`: generators that yield one step per DHT primitive
+(and per dissemination hook) and never call the facade.  ``insert`` and
+``delete`` hand one to :meth:`~repro.dht.api.Dht.drive`; a test or a
+simulated client can advance the same generator a step at a time.
+
 Typical use::
 
     from repro import MLightIndex, IndexConfig, Region
@@ -32,18 +38,18 @@ Typical use::
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from typing import Any
 
 from repro.common.config import IndexConfig
-from repro.common.errors import IndexCorruptionError
+from repro.common.errors import IndexCorruptionError, NodeUnreachableError
 from repro.common.geometry import Point, RegionLike, as_region, check_point
 from repro.common.labels import parent, root_label, sibling, virtual_root
 from repro.core.bucket import LeafBucket
 from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key, name_from_key
 from repro.core.knn import KnnEngine
-from repro.core.lookup import lookup_point
+from repro.core.lookup import lookup_point, point_lookup
 from repro.core.naming import (
     MergeHomes,
     SplitHomes,
@@ -55,7 +61,7 @@ from repro.core.rangequery import RangeQueryEngine
 from repro.core.records import Record
 from repro.core.results import KnnResult, LookupResult, RangeQueryResult
 from repro.core.split import SplitPlan, SplitStrategy, build_strategy
-from repro.dht.api import Dht
+from repro.dht.api import CALL, GET, PUT_MANY, REMOVE, REWRITE, Dht
 from repro.obs.trace import Tracer
 
 
@@ -205,31 +211,37 @@ class MLightIndex:
         record = Record.make(key, value, dims=self.dims)
         tracer = self._tracer
         if tracer is None:
-            return self._do_insert(record)
-        with tracer.span(
-            "update", "insert", key=list(record.key)
-        ) as span:
-            result = self._do_insert(record)
+            return self._dht.drive(self._insert(record))
+        with tracer.span("update", "insert", key=list(record.key)) as span:
+            result = self._dht.drive(self._insert(record))
             span.attrs["leaf"] = result.bucket.label
             return result
 
-    def _do_insert(self, record: Record) -> LookupResult:
-        result = self.lookup(record.key)
+    def _find(self, point: Point) -> Generator[tuple, Any, LookupResult]:
+        """The lookup an insert or delete embeds: the same operation,
+        under the same ``query`` span, as :meth:`lookup` drives."""
+        return point_lookup(
+            self._dht.stats, point, self.dims, self.max_depth,
+            cache=self._cache, tracer=self._tracer,
+        )
+
+    def _insert(self, record: Record) -> Generator[tuple, Any, LookupResult]:
+        result = yield from self._find(record.key)
         bucket = result.bucket
         bucket.add(record)
         self._dht.stats.records_moved += 1
-        self._dht.rewrite_local(self._key_of(bucket), bucket)
+        yield (REWRITE, self._key_of(bucket), bucket)
         if self._dissemination is not None:
             # Push before any split: the subscription table is still
             # homed at the pre-split leaf the record landed in.
-            self._dissemination.on_insert(bucket.label, record)
+            yield (CALL, self._dissemination.on_insert, (bucket.label, record))
         plan = self._strategy.plan_split(
             bucket.label, bucket.records, self.dims, self.max_depth
         )
         if plan is not None:
             if self._tracer is not None:
                 self._tracer.event("split", origin=plan.origin)
-            self._apply_split(plan)
+            yield from self._split(plan)
         return result
 
     def insert_many(self, items: Iterable) -> int:
@@ -255,14 +267,14 @@ class MLightIndex:
         point = check_point(tuple(key), self.dims)
         tracer = self._tracer
         if tracer is None:
-            return self._do_delete(point, value)
+            return self._dht.drive(self._delete(point, value))
         with tracer.span("update", "delete", key=list(point)) as span:
-            deleted = self._do_delete(point, value)
+            deleted = self._dht.drive(self._delete(point, value))
             span.attrs["deleted"] = deleted
             return deleted
 
-    def _do_delete(self, point: Point, value: Any) -> bool:
-        bucket = self.lookup(point).bucket
+    def _delete(self, point: Point, value: Any) -> Generator[tuple, Any, bool]:
+        bucket = (yield from self._find(point)).bucket
         victim = None
         for record in bucket.records:
             if record.key == point and (value is None or record.value == value):
@@ -271,8 +283,8 @@ class MLightIndex:
         if victim is None:
             return False
         bucket.remove(victim)
-        self._dht.rewrite_local(self._key_of(bucket), bucket)
-        self._maybe_merge(bucket)
+        yield (REWRITE, self._key_of(bucket), bucket)
+        yield from self._merge(bucket)
         return True
 
     def range_query(
@@ -377,11 +389,11 @@ class MLightIndex:
             return
         self._dht.put(root_key, self._bucket(root_label(self.dims)))
 
-    def _apply_split(self, plan: SplitPlan) -> None:
+    def _split(self, plan: SplitPlan) -> Generator[tuple, Any, None]:
         """Apply a split plan with incremental maintenance (Theorem 5).
 
         :func:`~repro.core.naming.split_homes` places the plan's
-        leaves; this does the IO.  The moved leaves (including empty
+        leaves; this yields the IO.  The moved leaves (including empty
         ones, which the bijection requires) go to independent peers, so
         one split is one parallel round of routed puts with their
         records as movement; the survivor replaces the old bucket under
@@ -391,55 +403,60 @@ class MLightIndex:
             plan.origin, [label for label, _ in plan.leaves], self.dims
         )
         records = dict(plan.leaves)
-        self._dht.put_many(
-            [
-                (bucket_key(name), self._bucket(label, records[label]))
-                for label, name in homes.moved
-            ],
-            records_moved=[len(records[label]) for label, _ in homes.moved],
-        )
-        self._dht.rewrite_local(
+        moved = [
+            (bucket_key(name), self._bucket(label, records[label]))
+            for label, name in homes.moved
+        ]
+        yield (PUT_MANY, moved, [bucket.load for _, bucket in moved])
+        yield (
+            REWRITE,
             bucket_key(homes.name),
             self._bucket(homes.survivor, records[homes.survivor]),
         )
         self._recache(homes)
         if self._dissemination is not None:
-            self._dissemination.on_split(homes)
+            yield (CALL, self._dissemination.on_split, (homes,))
 
-    def _maybe_merge(self, bucket: LeafBucket) -> None:
+    def _merge(self, bucket: LeafBucket) -> Generator[tuple, Any, None]:
         """Cascade sibling merges upward while the strategy approves.
 
         :func:`~repro.core.naming.merge_homes` says where the sibling
         pair under parent p lives — keys ``fmd(p)`` and ``p`` (Theorem
         5) — so one get inspects the sibling; a merge removes the
         bucket at key ``p`` (one bucket transferred) and rewrites the
-        one at ``fmd(p)`` in place.
+        one at ``fmd(p)`` in place.  A merge is optional maintenance:
+        a sibling (or moved child) whose owner is unreachable ends the
+        cascade with both buckets as they were, and a later delete in
+        the leaf tries again.
         """
         while bucket.label != root_label(self.dims):
             homes = merge_homes(bucket.label, self.dims)
-            other = self._dht.get(bucket_key(homes.sibling_name))
-            if other is None:
-                raise IndexCorruptionError(
-                    f"missing bucket at {homes.sibling_name!r} while probing "
-                    f"the sibling of {bucket.label!r}"
-                )
-            if other.label != homes.sibling:
-                return  # the sibling is an internal node; nothing to merge
-            if not self._strategy.should_merge(bucket.load, other.load):
+            try:
+                other = yield (GET, bucket_key(homes.sibling_name))
+                if other is None:
+                    raise IndexCorruptionError(
+                        f"missing bucket at {homes.sibling_name!r} while "
+                        f"probing the sibling of {bucket.label!r}"
+                    )
+                if other.label != homes.sibling:
+                    return  # the sibling is an internal node; no merge
+                if not self._strategy.should_merge(bucket.load, other.load):
+                    return
+                moved = bucket if homes.child_is_moved else other
+                yield (REMOVE, bucket_key(homes.parent), moved.load)
+            except NodeUnreachableError:
+                if self._tracer is not None:
+                    self._tracer.event("merge_skipped", parent=homes.parent)
                 return
-            moved = bucket if homes.child_is_moved else other
             merged = self._bucket(
                 homes.parent, list(bucket.records) + list(other.records)
             )
             if self._tracer is not None:
                 self._tracer.event("merge", parent=homes.parent)
-            self._dht.remove(
-                bucket_key(homes.parent), records_moved=moved.load
-            )
-            self._dht.rewrite_local(bucket_key(homes.name), merged)
+            yield (REWRITE, bucket_key(homes.name), merged)
             self._recache(homes)
             if self._dissemination is not None:
-                self._dissemination.on_merge(homes)
+                yield (CALL, self._dissemination.on_merge, (homes,))
             bucket = merged
 
     def _bucket(self, label: str, records=None) -> LeafBucket:

@@ -28,34 +28,38 @@ above and tightens the interval the fallback binary search starts
 from — correctness never depends on cache freshness, and every hint
 probe is metered like any other DHT-get.
 
-The search itself lives in :class:`PointLookupCursor`, a resumable
-state machine that exposes the *next key to probe* and consumes probe
-outcomes one at a time.  :func:`lookup_point` hands one cursor to the
-substrate's :meth:`~repro.dht.api.Dht.drive`, which runs it to
-completion one metered get per probe — on the service runtime without
-leaving the event loop between probes; the range-query engine instead
-folds one step of every in-flight cursor into each of its parallel
-rounds, so concurrent fallback searches advance together with the
-frontier.
+The search itself lives in :class:`PointLookupCursor`: state and
+decisions — the *next key to probe*, what each outcome means — and no
+loop.  :func:`lookup_steps` is the one probe loop, a generator of
+``GET`` steps; :func:`point_lookup` is the lookup *operation* (that
+loop under its ``query`` span), which :func:`lookup_point` hands to the
+substrate's :meth:`~repro.dht.api.Dht.drive` and an insert or delete
+``yield from``s — on the service runtime without leaving the event
+loop between probes.  The range-query engine instead folds one step of
+every in-flight cursor into each of its parallel rounds, so concurrent
+fallback searches advance together with the frontier.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections.abc import Generator
+from typing import TYPE_CHECKING, Any
 
-from repro.common.errors import IndexCorruptionError
+from repro.common.errors import IndexCorruptionError, NodeUnreachableError
 from repro.common.geometry import Point, check_point
 from repro.common.labels import candidate_string
 from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key
 from repro.core.naming import name_run_end, naming_function
 from repro.core.results import LookupResult
-from repro.dht.api import Dht, DhtStats
+from repro.dht.api import GET, Dht, DhtStats
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
-__all__ = ["LookupResult", "PointLookupCursor", "lookup_point"]
+__all__ = [
+    "LookupResult", "PointLookupCursor", "lookup_point", "lookup_steps", "point_lookup"
+]
 
 
 class PointLookupCursor:
@@ -65,8 +69,10 @@ class PointLookupCursor:
     each :meth:`advance`, the next candidate name to probe.  The caller
     owns the DHT traffic: fetch :meth:`current_key`, feed the returned
     bucket (or ``None``) back through :meth:`advance`, repeat until
-    :attr:`done`.  Splitting the state from the transport is what lets
-    a range query run many searches in lockstep — one
+    :attr:`done` — :func:`lookup_steps` is that loop for one cursor,
+    :class:`~repro.core.rangequery.RangeCursor` advances many, a slot
+    of each round apiece.  Splitting the state from the transport is
+    what lets a range query run many searches in lockstep — one
     ``get_many_outcomes`` per search level instead of one ``get`` per
     probe.
 
@@ -74,10 +80,6 @@ class PointLookupCursor:
     tallies land on *stats*), so concurrently-driven cursors all
     propose against the same cache state regardless of execution order.
     """
-
-    #: :meth:`~repro.dht.api.Dht.drive` feeds it one metered get at a
-    #: time, not rounds.
-    batched = False
 
     __slots__ = (
         "_stats",
@@ -241,16 +243,29 @@ class PointLookupCursor:
         self._select_mid()
 
 
-def lookup_point(
-    dht: Dht,
-    point: Point,
-    dims: int,
-    max_depth: int,
-    *,
-    cache: LeafCache | None = None,
-    tracer: "Tracer | None" = None,
-) -> LookupResult:
-    """Locate the leaf bucket covering *point*; hinted when cached.
+def lookup_steps(cursor: PointLookupCursor) -> Generator[tuple, Any, LookupResult]:
+    """The one probe loop: ``GET`` steps until *cursor* is done.
+
+    An unreachable probe (thrown in) goes to
+    :meth:`PointLookupCursor.probe_failed`; when the search cannot go
+    on without it, the error leaves the operation.
+    """
+    while not cursor.done:
+        try:
+            bucket = yield (GET, cursor.current_key())
+        except NodeUnreachableError:
+            if not cursor.probe_failed():
+                raise
+        else:
+            cursor.advance(bucket)
+    return cursor.result
+
+
+def point_lookup(
+    stats: DhtStats, point: Point, dims: int, max_depth: int, *,
+    cache: LeafCache | None = None, tracer: "Tracer | None" = None,
+) -> Generator[tuple, Any, LookupResult]:
+    """The lookup operation: locate the leaf bucket covering *point*.
 
     *cache* enables the hinted fast path and is warmed with every leaf
     this lookup observes (the covering leaf, and any current leaf a
@@ -259,18 +274,28 @@ def lookup_point(
     *tracer*, when given, wraps the search in a ``query``-kind span and
     annotates cache hint proposals/evictions as span events.
     """
-    if tracer is None:
-        cursor = PointLookupCursor(
-            dht.stats, point, dims, max_depth, cache=cache
+    if tracer is None:  # the bare probe loop, no frame around it
+        return lookup_steps(
+            PointLookupCursor(stats, point, dims, max_depth, cache=cache)
         )
-        dht.drive(cursor)
-        return cursor.result
+    return _traced_lookup(stats, point, dims, max_depth, cache, tracer)
+
+
+def _traced_lookup(stats, point, dims, max_depth, cache, tracer):
     with tracer.span("query", "lookup", point=list(point)) as span:
-        cursor = PointLookupCursor(
-            dht.stats, point, dims, max_depth, cache=cache, tracer=tracer
-        )
-        dht.drive(cursor)
-        result = cursor.result
+        result = yield from lookup_steps(PointLookupCursor(
+            stats, point, dims, max_depth, cache=cache, tracer=tracer
+        ))
         span.attrs["probes"] = result.lookups
         span.attrs["leaf"] = result.bucket.label
         return result
+
+
+def lookup_point(
+    dht: Dht, point: Point, dims: int, max_depth: int, *,
+    cache: LeafCache | None = None, tracer: "Tracer | None" = None,
+) -> LookupResult:
+    """:func:`point_lookup`, driven to its result on *dht*."""
+    return dht.drive(point_lookup(
+        dht.stats, point, dims, max_depth, cache=cache, tracer=tracer
+    ))

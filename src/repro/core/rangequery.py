@@ -49,14 +49,16 @@ One kernel, thin drivers: every *decision* of Algorithms 2/3 lives in
 this module as sans-IO code — :func:`compute_lca` (where to jump),
 :func:`branch_subqueries` (the probe-outcome case analysis),
 :func:`fallback_cursor` (the bounded search for a missing target),
-:class:`RangeCursor` (one client's BFS-batched rounds as a resumable
-state machine), :func:`peer_subquery` (one peer's step as another) and
-:func:`query_via_peers` (folding a peer-side answer into a result).
-The drivers own only transport and metering:
+:class:`RangeCursor` (one client's BFS-batched rounds: state and
+decisions), :func:`range_steps` (the loop over it, a generator of
+``GET_MANY`` steps), :func:`peer_subquery` (one peer's step as another
+generator) and :func:`query_via_peers` (folding a peer-side answer into
+a result).  The drivers own only transport and metering:
 :meth:`~repro.dht.api.Dht.drive` (the client's rounds — in process, or
 on the service runtime's loop), the ``SimNetwork`` RPC agents of
 :mod:`repro.core.distributed`, and the asyncio ``MCAST`` handler of
-:mod:`repro.mcast.service`.
+:mod:`repro.mcast.service` — the latter two answer a peer's ``GET``
+steps through ``perform`` and deliver its :class:`Forward` themselves.
 
 CPU hot path: with rounds batched (PR 2), local computation dominates
 wall-clock.  Every ``region_of_label`` this engine issues (LCA
@@ -72,7 +74,11 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from repro.common.errors import IndexCorruptionError, InvalidRegionError
+from repro.common.errors import (
+    IndexCorruptionError,
+    InvalidRegionError,
+    NodeUnreachableError,
+)
 from repro.common.geometry import (
     Region,
     RegionLike,
@@ -89,11 +95,11 @@ from repro.common.labels import (
 from repro.core.bucket import LeafBucket
 from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key
-from repro.core.lookup import PointLookupCursor
+from repro.core.lookup import PointLookupCursor, lookup_steps
 from repro.core.naming import naming_function
 from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.dht.api import BatchFailure, Dht, DhtStats
+from repro.dht.api import GET_MANY, BatchFailure, Dht, DhtStats
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -103,7 +109,6 @@ __all__ = [
     "Forward",
     "Hop",
     "HopOutcome",
-    "Probe",
     "RangeCursor",
     "RangeQueryEngine",
     "RangeQueryResult",
@@ -112,6 +117,7 @@ __all__ = [
     "fallback_cursor",
     "peer_subquery",
     "query_via_peers",
+    "range_steps",
 ]
 
 
@@ -243,13 +249,6 @@ class Hop(NamedTuple):
     subquery: Region
 
 
-class Probe(NamedTuple):
-    """Request: one metered DHT-get of *key*.  Answer with the bucket,
-    ``None``, or a :class:`~repro.dht.api.BatchFailure`."""
-
-    key: str
-
-
 #: What delivering one hop yields: the receiving peer's answer (a
 #: :class:`~repro.dht.api.BatchFailure` when its owner or agent stayed
 #: unreachable) and the wire rounds the hop itself spent.
@@ -282,31 +281,30 @@ def peer_subquery(
     dims: int,
     max_depth: int,
     stats: DhtStats,
-) -> Generator[Probe | Forward, Any, AgentResult]:
+) -> Generator[tuple | Forward, Any, AgentResult]:
     """One peer's step of a range query, as a resumable state machine.
 
     The peer owns ``fmd(target)`` — that is why *subquery* was routed
     to it — so it reads that bucket through *read_local* at no cost.
-    The generator yields what it needs from the network (:class:`Probe`
-    while the bounded fallback search runs for a missing target, then
-    at most one :class:`Forward` carrying the branch subqueries),
-    consumes the answers through ``send``, and returns the
-    :data:`AgentResult`.  A subtree costs its deepest child's rounds;
-    probes spent by the fallback count as rounds whether or not it
-    reached the covering leaf; an unreachable probe or hop degrades
-    exactly its own subregion.
+    The generator yields what it needs from the network (the ``GET``
+    steps of :func:`~repro.core.lookup.lookup_steps` while the bounded
+    fallback search runs for a missing target, then at most one
+    :class:`Forward` carrying the branch subqueries), consumes the
+    answers through ``send``, and returns the :data:`AgentResult`.  A
+    subtree costs its deepest child's rounds; probes spent by the
+    fallback count as rounds whether or not it reached the covering
+    leaf; an unreachable probe or hop degrades exactly its own
+    subregion.
     """
     bucket = read_local(bucket_key(naming_function(target, dims)))
     rounds = 0
     if bucket is None:
         cursor = fallback_cursor(stats, target, subquery, dims, max_depth)
-        while not cursor.done:
-            outcome = yield Probe(cursor.current_key())
-            if not isinstance(outcome, BatchFailure):
-                cursor.advance(outcome)
-            elif not cursor.probe_failed():
-                return [], [], cursor.probes, [subquery]
-        bucket, rounds = cursor.result.bucket, cursor.result.rounds
+        try:
+            found = yield from lookup_steps(cursor)
+        except NodeUnreachableError:
+            return [], [], cursor.probes, [subquery]
+        bucket, rounds = found.bucket, found.rounds
     branches = branch_subqueries(bucket.label, target, subquery, dims)
     records = list(bucket.matching(query))
     visited = [bucket.label]
@@ -365,7 +363,7 @@ class RangeCursor:
     them however the substrate does (one outcome per key, in order, a
     :class:`~repro.dht.api.BatchFailure` in an unreachable slot), feed
     them back through :meth:`advance_round`, repeat until :attr:`done`.
-    :meth:`~repro.dht.api.Dht.drive` is that loop.
+    :func:`range_steps` is that loop.
 
     A round carries every independent probe in flight: the new
     frontier (this wave's targets — branch regions are disjoint, so
@@ -390,9 +388,6 @@ class RangeCursor:
     the cursor's subquery unresolved.  Every other slot in the round is
     dispatched normally.
     """
-
-    #: :meth:`~repro.dht.api.Dht.drive` feeds it whole rounds.
-    batched = True
 
     __slots__ = (
         "_stats",
@@ -480,9 +475,12 @@ class RangeCursor:
             if isinstance(bucket, BatchFailure):
                 self._mark_unresolved(task.subquery)
             elif bucket is None:
-                still_pending.append(
-                    (self._fallback_cursor(task), task.subquery)
+                cursor = fallback_cursor(
+                    self._stats, task.target, task.subquery, self._dims,
+                    self._max_depth, anchor=task.anchor, cache=self._cache,
+                    tracer=self.tracer,
                 )
+                still_pending.append((cursor, task.subquery))
             else:
                 branches = branch_subqueries(
                     bucket.label, task.target, task.subquery, self._dims
@@ -513,18 +511,6 @@ class RangeCursor:
             frontier = deeper
         return frontier
 
-    def _fallback_cursor(self, task: _Task) -> PointLookupCursor:
-        return fallback_cursor(
-            self._stats,
-            task.target,
-            task.subquery,
-            self._dims,
-            self._max_depth,
-            anchor=task.anchor,
-            cache=self._cache,
-            tracer=self.tracer,
-        )
-
     def _mark_unresolved(self, region: Region) -> None:
         """Record a degraded subregion, annotating the active trace."""
         self.builder.mark_unresolved(region)
@@ -546,12 +532,28 @@ class RangeCursor:
         self.builder.collect(bucket.label, bucket.matching(self._query))
 
 
+def range_steps(cursor: RangeCursor) -> Generator[tuple, Any, RangeQueryBuilder]:
+    """The range-query operation: one ``GET_MANY`` step per round of
+    *cursor*, each inside a ``round`` span of its tracer; the builder
+    the rounds filled."""
+    tracer = cursor.tracer
+    while not cursor.done:
+        keys = cursor.round_keys()
+        if tracer is None:
+            outcomes = yield (GET_MANY, keys)
+        else:
+            with tracer.span("round", "batched_round", probes=len(keys)):
+                outcomes = yield (GET_MANY, keys)
+        cursor.advance_round(outcomes)
+    return cursor.builder
+
+
 class RangeQueryEngine:
     """Executes range queries; one instance per (dht, geometry).
 
-    Each query is a :class:`RangeCursor` handed to the substrate's
-    :meth:`~repro.dht.api.Dht.drive`, which issues each recursion
-    level's independent probes as one
+    Each query is :func:`range_steps` over a :class:`RangeCursor`,
+    handed to the substrate's :meth:`~repro.dht.api.Dht.drive`, which
+    issues each recursion level's independent probes as one
     :meth:`~repro.dht.api.Dht.get_many_outcomes` round.
     """
 
@@ -611,17 +613,10 @@ class RangeQueryEngine:
     def _execute(self, query: Region, levels: int) -> RangeQueryResult:
         stats = self._dht.stats
         batch_rounds_before = stats.batch_rounds
-        cursor = RangeCursor(
-            stats,
-            query,
-            levels,
-            self._dims,
-            self._max_depth,
-            cache=self._cache,
-            tracer=self.tracer,
-        )
-        self._dht.drive(cursor)
-        builder = cursor.builder
+        builder = self._dht.drive(range_steps(RangeCursor(
+            stats, query, levels, self._dims, self._max_depth,
+            cache=self._cache, tracer=self.tracer,
+        )))
         builder.batch_rounds = stats.batch_rounds - batch_rounds_before
         # Reconcile the latency meters: every issued wave is normally
         # exactly one batch round, so ``rounds == batch_rounds``.  A

@@ -13,12 +13,19 @@ The facade also exposes :meth:`Dht.rewrite_local`: replacing the value
 at a key *already resolved and owned* costs neither a DHT-lookup nor a
 transfer.  This is exactly the operation behind m-LIGHT's incremental
 split (Theorem 5): the surviving child keeps the dead bucket's key.
+
+Beside the facade sits the **step protocol**: an index *operation* is a
+generator that yields steps — plain tuples, opcode first — is sent each
+step's outcome and returns its result.  :meth:`Dht.perform` runs one
+step through the metered facade method of that name and
+:meth:`Dht.drive` is the trampoline; see the opcodes below.
 """
 
 from __future__ import annotations
 
+import contextlib
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any
 
@@ -118,6 +125,34 @@ class BatchFailure:
     """
 
     error: Exception
+
+
+#: The step vocabulary.  A step is a plain tuple, opcode first (a class
+#: per step cost the in-process runtime ~7 % of a lookup); each opcode
+#: is also the name of the ``dht`` span its primitive runs under.
+#:
+#: * ``(GET, key)`` — one metered get; the outcome is the value or
+#:   ``None``.
+#: * ``(GET_MANY, keys)`` — one parallel round; one outcome per key, a
+#:   :class:`BatchFailure` in the slot of an unreachable one.
+#: * ``(REWRITE, key, value)`` — the free in-place write of Theorem 5.
+#: * ``(PUT_MANY, items, records_moved)`` — one round of routed puts;
+#:   *records_moved* is aligned with *items*.
+#: * ``(REMOVE, key, records_moved)`` — one routed remove; the value.
+#: * ``(CALL, function, args)`` — a hook that makes facade calls of its
+#:   own (the dissemination plane): run on the client's thread, never
+#:   on a runtime's loop.
+#:
+#: One convention for failure: whatever a step raises — an unreachable
+#: ``GET`` included — is thrown into the operation at its ``yield``, so
+#: it can handle it there, and spans it holds open close before the
+#: error leaves.
+GET, GET_MANY, REWRITE = "get", "get_many", "rewrite"
+PUT_MANY, REMOVE, CALL = "put_many", "remove", "call"
+
+#: Stands in for a span while no tracer is attached.  Entering it costs
+#: two calls, which the hottest primitive (:meth:`Dht.get`) avoids.
+UNTRACED = contextlib.nullcontext()
 
 
 def shutdown_shared_executor() -> None:
@@ -304,20 +339,16 @@ class Dht(ABC):
     def lookup(self, key: str) -> str:
         """Locate the peer responsible for *key*; costs one DHT-lookup."""
         self.stats.lookups += 1
-        tracer = self.tracer
-        if tracer is None:
-            return self._do_lookup(key)
-        with tracer.span("dht", "lookup", key=key):
-            return self._do_lookup(key)
+        return self._traced("lookup", self._do_lookup, key, key=key)
 
     def get(self, key: str) -> Any | None:
         """Fetch the value at *key* (None when absent); one DHT-lookup."""
-        self.stats.lookups += 1
-        self.stats.gets += 1
-        tracer = self.tracer
-        if tracer is None:
+        if self.tracer is None:
+            # The hot primitive runs bare: _meter's ticks, in place.
+            self.stats.lookups += 1
+            self.stats.gets += 1
             return self._do_get(key)
-        with tracer.span("dht", "get", key=key):
+        with self._meter((GET, key)):
             return self._do_get(key)
 
     def get_direct(self, peer: str, key: str) -> Any | None:
@@ -339,11 +370,9 @@ class Dht(ABC):
         """
         self.stats.lookups += 1
         self.stats.gets += 1
-        tracer = self.tracer
-        if tracer is None:
-            return self._do_get_direct(peer, key)
-        with tracer.span("dht", "get_direct", key=key, peer=peer):
-            return self._do_get_direct(peer, key)
+        return self._traced(
+            "get_direct", self._do_get_direct, peer, key, key=key, peer=peer
+        )
 
     def put(self, key: str, value: Any, *, records_moved: int = 0) -> None:
         """Store *value* at *key*; one DHT-lookup plus *records_moved*
@@ -351,12 +380,9 @@ class Dht(ABC):
         self.stats.lookups += 1
         self.stats.puts += 1
         self.stats.records_moved += records_moved
-        tracer = self.tracer
-        if tracer is None:
-            self._do_put(key, value)
-            return
-        with tracer.span("dht", "put", key=key, records_moved=records_moved):
-            self._do_put(key, value)
+        self._traced(
+            "put", self._do_put, key, value, key=key, records_moved=records_moved
+        )
 
     def remove(self, key: str, *, records_moved: int = 0) -> Any:
         """Delete and return the value at *key*; one DHT-lookup.
@@ -365,15 +391,7 @@ class Dht(ABC):
         (e.g. a bucket absorbed during a merge).  Raises
         :class:`DhtKeyError` when the key is absent.
         """
-        self.stats.lookups += 1
-        self.stats.removes += 1
-        self.stats.records_moved += records_moved
-        tracer = self.tracer
-        if tracer is None:
-            return self._do_remove(key)
-        with tracer.span(
-            "dht", "remove", key=key, records_moved=records_moved
-        ):
+        with self._meter((REMOVE, key, records_moved)):
             return self._do_remove(key)
 
     # ------------------------------------------------------------------
@@ -403,11 +421,7 @@ class Dht(ABC):
         keys = list(keys)
         if not keys:
             return []
-        self.stats.meter_batch(len(keys), gets=len(keys))
-        tracer = self.tracer
-        if tracer is None:
-            return self._do_get_many(keys)
-        with tracer.span("dht", "get_many", count=len(keys)):
+        with self._meter((GET_MANY, keys)):
             return self._do_get_many(keys)
 
     def put_many(
@@ -425,16 +439,7 @@ class Dht(ABC):
         if not items:
             return
         moved = _check_records_moved(items, records_moved)
-        self.stats.meter_batch(
-            len(items), puts=len(items), records_moved=sum(moved)
-        )
-        tracer = self.tracer
-        if tracer is None:
-            _raise_batch_failures(self._do_put_many(items))
-            return
-        with tracer.span(
-            "dht", "put_many", count=len(items), records_moved=sum(moved)
-        ):
+        with self._meter((PUT_MANY, items, moved)):
             _raise_batch_failures(self._do_put_many(items))
 
     def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
@@ -449,11 +454,9 @@ class Dht(ABC):
         if not keys:
             return []
         self.stats.meter_batch(len(keys))
-        tracer = self.tracer
-        if tracer is None:
-            return self._do_lookup_many(keys)
-        with tracer.span("dht", "lookup_many", count=len(keys)):
-            return self._do_lookup_many(keys)
+        return self._traced(
+            "lookup_many", self._do_lookup_many, keys, count=len(keys)
+        )
 
     def restart(self, name: str) -> None:
         """Bring a crashed peer back from its durable state.
@@ -471,12 +474,7 @@ class Dht(ABC):
         substrates without membership at all — this raises
         :class:`ReproError`.
         """
-        tracer = self.tracer
-        if tracer is None:
-            self._do_restart(name)
-            return
-        with tracer.span("dht", "restart", peer=name):
-            self._do_restart(name)
+        self._traced("restart", self._do_restart, name, peer=name)
 
     def _do_restart(self, name: str) -> None:
         raise ReproError(
@@ -517,59 +515,99 @@ class Dht(ABC):
         "free" write would actually have required routing.
         """
         if not self._do_rewrite(key, value):
-            raise DhtKeyError(
-                f"rewrite_local of absent key {key!r}; a routed put is "
-                "required to create it"
-            )
+            raise _absent_key(key)
 
     # ------------------------------------------------------------------
-    # Driving sans-IO read cursors
+    # The step protocol: operations are generators, this runs them
     # ------------------------------------------------------------------
 
-    def drive(self, cursor: Any) -> None:
-        """Run a sans-IO read cursor to completion against this facade.
+    def _traced(self, name: str, primitive, *args: Any, **attrs: Any) -> Any:
+        """Run a primitive that is no step kind (it stays off the hot
+        operations) under its ``dht`` span, or bare when untraced."""
+        tracer = self.tracer
+        if tracer is None:
+            return primitive(*args)
+        with tracer.span("dht", name, **attrs):
+            return primitive(*args)
 
-        A cursor holds every decision of one read operation and none of
-        its IO; it never calls the facade.  Two shapes, told apart by
-        ``cursor.batched``:
+    def _meter(self, step: tuple) -> Any:
+        """Tick what a ``GET`` / ``GET_MANY`` / ``PUT_MANY`` / ``REMOVE``
+        *step* costs and return its ``dht`` span, not yet entered
+        (:data:`UNTRACED` when no tracer is attached).
 
-        * a *probe* cursor (``PointLookupCursor``) wants one key at a
-          time: ``current_key()`` is fetched with a metered :meth:`get`
-          and fed to ``advance(value)``; an unreachable probe goes to
-          ``probe_failed()``, which says whether the search can go on;
-        * a *round* cursor (``RangeCursor``) wants one parallel round
-          at a time: ``round_keys()`` go out as one
-          :meth:`get_many_outcomes` (inside a ``round`` span of
-          ``cursor.tracer``) and the per-slot outcomes go back through
-          ``advance_round(outcomes)``.
+        The half of a metered primitive that does not depend on where
+        its IO runs: the facade methods call it, and so does a runtime
+        that performs steps on a loop of its own, so the two meter and
+        trace alike by construction.
+        """
+        op, stats, tracer = step[0], self.stats, self.tracer
+        if op is GET:
+            stats.lookups += 1
+            stats.gets += 1
+            return UNTRACED if tracer is None else tracer.span("dht", op, key=step[1])
+        if op is REMOVE:
+            stats.lookups += 1
+            stats.removes += 1
+            stats.records_moved += step[2]
+            attrs = {"key": step[1], "records_moved": step[2]}
+        elif op is GET_MANY:
+            attrs = {"count": len(step[1])}
+            stats.meter_batch(len(step[1]), gets=len(step[1]))
+        else:
+            count, moved = len(step[1]), sum(step[2])
+            attrs = {"count": count, "records_moved": moved}
+            stats.meter_batch(count, puts=count, records_moved=moved)
+        return UNTRACED if tracer is None else tracer.span("dht", op, **attrs)
 
-        Either way the loop ends when ``cursor.done``.  This body is
-        the driver for every in-process substrate and — because
-        :class:`DhtDecorator` does not forward it — for every wrapped
-        stack, whose ``get``/``get_many_outcomes`` overrides therefore
-        see each probe.  A substrate with a runtime of its own
-        overrides it to run the same loop where its IO lives
+    def perform(self, step: tuple) -> Any:
+        """Run one step through the metered facade method of its name.
+
+        Public so a test or a simulated client can advance an operation
+        by hand, one step at a time, on any substrate or wrapper stack.
+        """
+        op = step[0]
+        if op is GET:
+            return self.get(step[1])
+        if op is GET_MANY:
+            return self.get_many_outcomes(step[1])
+        if op is REWRITE:
+            return self.rewrite_local(step[1], step[2])
+        if op is PUT_MANY:
+            return self.put_many(step[1], records_moved=step[2])
+        if op is REMOVE:
+            return self.remove(step[1], records_moved=step[2])
+        return step[1](*step[2])
+
+    def drive(self, operation: Generator[tuple, Any, Any]) -> Any:
+        """Run *operation* to completion against this facade; its result.
+
+        The one trampoline: :meth:`perform` each step the operation
+        yields, send the outcome back, throw a failure in so the
+        operation handles it or unwinds before it propagates.  The
+        operation holds every decision and none of the IO — lookups,
+        range queries, inserts, deletes, splits and merges alike.
+
+        This body is the driver for every in-process substrate and —
+        because :class:`DhtDecorator` forwards neither it nor
+        :meth:`perform` — for every wrapped stack, whose ``get`` /
+        ``get_many_outcomes`` / ``put_many`` / ``remove`` overrides
+        therefore see each primitive.  A substrate with a runtime of
+        its own overrides it to run the same loop where its IO lives
         (``ServiceDht``: one coroutine on the service loop).
         """
-        if not cursor.batched:
-            while not cursor.done:
+        get, perform = self.get, self.perform
+        try:
+            step = next(operation)
+            while True:
                 try:
-                    value = self.get(cursor.current_key())
-                except NodeUnreachableError:
-                    if not cursor.probe_failed():
-                        raise
-                    continue
-                cursor.advance(value)
-            return
-        tracer = cursor.tracer
-        while not cursor.done:
-            keys = cursor.round_keys()
-            if tracer is None:
-                outcomes = self.get_many_outcomes(keys)
-            else:
-                with tracer.span("round", "batched_round", probes=len(keys)):
-                    outcomes = self.get_many_outcomes(keys)
-            cursor.advance_round(outcomes)
+                    # A probe is the hot step: straight to the facade.
+                    outcome = get(step[1]) if step[0] is GET else perform(step)
+                except BaseException as error:
+                    step = operation.throw(error)
+                else:
+                    step = operation.send(outcome)
+        except StopIteration as done:
+            return done.value
 
     # ------------------------------------------------------------------
     # Zero-cost oracle access (metrics, tests, debugging only)
@@ -680,10 +718,11 @@ class DhtDecorator(Dht):
     intercept whole calls (retry, adaptive reads), ``_do_*`` primitives
     to intercept below the metering (fault injection).
 
-    The one thing deliberately *not* forwarded is :meth:`Dht.drive`: a
-    wrapped stack keeps the base driver loop, so every probe of a
-    lookup or range query passes through the wrappers' ``get`` /
-    ``get_many_outcomes`` and can be retried, faulted or redirected.
+    The two things deliberately *not* forwarded are :meth:`Dht.drive`
+    and :meth:`Dht.perform`: a wrapped stack keeps the base trampoline,
+    so every step of every operation passes through the wrappers'
+    ``get`` / ``get_many_outcomes`` / ``put_many`` / ``remove`` and can
+    be retried, faulted or redirected.
 
     *clock* defaults to the stack's own: the clock of a decorator
     underneath, else the clock of the ``network`` the substrate routes
@@ -847,6 +886,13 @@ def _raise_batch_failures(outcomes: list[Any]) -> list[Any]:
         if isinstance(outcome, BatchFailure):
             raise outcome.error
     return outcomes
+
+
+def _absent_key(key: str) -> DhtKeyError:
+    return DhtKeyError(
+        f"rewrite_local of absent key {key!r}; a routed put is "
+        "required to create it"
+    )
 
 
 def _check_records_moved(

@@ -229,7 +229,9 @@ class ContinuousQueryPlane:
         )
 
     # ------------------------------------------------------------------
-    # Index hooks (called by MLightIndex maintenance)
+    # Index hooks (MLightIndex maintenance yields them as CALL steps, so
+    # their blocking facade calls run on the client thread, never on a
+    # runtime's loop)
     # ------------------------------------------------------------------
 
     def on_insert(self, label: str, record: Record) -> None:

@@ -37,9 +37,9 @@ from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region
 from repro.common.labels import check_label
 from repro.core.rangequery import (
+    Forward,
     Hop,
     HopOutcome,
-    Probe,
     peer_subquery,
     query_via_peers,
 )
@@ -114,28 +114,29 @@ class ServiceMulticast:
         try:
             request = next(step)
             while True:
-                if isinstance(request, Probe):
-                    # Metered like Dht.get: one DHT-lookup, one get.
-                    stats.lookups += 1
-                    stats.gets += 1
-                    outcome = await call_captured(Op.GET, request.key)
+                try:
+                    if isinstance(request, Forward):
+                        # One batched resolution per node, like the
+                        # simulated forward_all: the sub-region frames
+                        # go out together as one parallel round, one
+                        # wire round each.
+                        stats.meter_batch(len(request.hops))
+                        stats.mcast_forwards += len(request.hops)
+                        replies = await asyncio.gather(*(
+                            call_captured(
+                                Op.MCAST,
+                                hop.key,
+                                body=(hop.target, hop.subquery, query),
+                            )
+                            for hop in request.hops
+                        ))
+                        outcome = [(reply, 1) for reply in replies]
+                    else:  # a GET step of the fallback search
+                        outcome = await self._service.perform_on_loop(request)
+                except NodeUnreachableError as error:
+                    request = step.throw(error)
                 else:
-                    # One batched resolution per node, like the
-                    # simulated forward_all: the sub-region frames go
-                    # out together as one parallel round, one wire
-                    # round each.
-                    stats.meter_batch(len(request.hops))
-                    stats.mcast_forwards += len(request.hops)
-                    replies = await asyncio.gather(*(
-                        call_captured(
-                            Op.MCAST,
-                            hop.key,
-                            body=(hop.target, hop.subquery, query),
-                        )
-                        for hop in request.hops
-                    ))
-                    outcome = [(reply, 1) for reply in replies]
-                request = step.send(outcome)
+                    request = step.send(outcome)
         except StopIteration as done:
             return encode_reply(frame.request_id, done.value)
 

@@ -32,7 +32,10 @@ from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
-from repro.dht.api import BatchFailure, Dht
+from repro.dht.api import (
+    CALL, GET, GET_MANY, PUT_MANY, REMOVE, REWRITE, UNTRACED,
+    BatchFailure, Dht, _absent_key, _raise_batch_failures,
+)
 from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.storage import PeerStore
@@ -126,6 +129,14 @@ def serve_request(peer: KeyValuePeer, frame: Frame) -> bytes:
         return encode_error(frame.request_id, exc)
 
 
+def _resolver(future: asyncio.Future):
+    """The reply sink of an inbox frame: resolve its caller's future."""
+    async def resolve(reply: bytes) -> None:
+        if not future.done():
+            future.set_result(reply)
+    return resolve
+
+
 class _ActorNode:
     """One service peer: storage, an inbox task, optionally a listener.
 
@@ -152,7 +163,8 @@ class _ActorNode:
         #: asyncio-transport stand-in for a server->client socket
         #: write); installed by the runtime's ``set_push_sink``.
         self.push_sink: Any | None = None
-        self._connections: set[tuple[Any, asyncio.Lock]] = set()
+        #: One locked ``write(data)`` coroutine function per connection.
+        self._connections: set[Any] = set()
         self._ext_tasks: set[asyncio.Task] = set()
         self.task = asyncio.create_task(
             self._serve(), name=f"repro-node-{peer.name}"
@@ -190,35 +202,45 @@ class _ActorNode:
                 continue
             handler = self.handlers.get(frame.op)
             if handler is not None:
-                self._spawn_ext(handler, frame, future)
+                self._spawn_ext(handler, frame, _resolver(future))
                 continue
             reply = serve_request(self.peer, frame)
             if not future.done():
                 future.set_result(reply)
 
-    def _spawn_ext(self, handler, frame: Frame, future) -> None:
+    def _spawn_ext(self, handler, frame: Frame, reply_to) -> None:
+        """Serve one extension frame as a task of its own; the reply
+        (the handler's, or its error's) is awaited into *reply_to*: an
+        inbox future's resolver or a connection's locked write."""
         task = asyncio.create_task(
-            self._serve_ext(handler, frame, future),
+            self._serve_ext(handler, frame, reply_to),
             name=f"repro-ext-{self.peer.name}-{frame.op}",
         )
         self._ext_tasks.add(task)
         task.add_done_callback(self._ext_tasks.discard)
 
-    async def _serve_ext(self, handler, frame: Frame, future) -> None:
+    async def _serve_ext(self, handler, frame: Frame, reply_to) -> None:
         try:
             reply = await handler(self.peer, frame)
         except Exception as exc:
             reply = encode_error(frame.request_id, exc)
-        if future is not None and not future.done():
-            future.set_result(reply)
+        try:
+            await reply_to(reply)
+        except (ConnectionError, OSError):
+            pass  # the connection is gone
 
     async def _handle_connection(self, reader, writer) -> None:
         decoder = FrameDecoder()
         # Extension handlers reply out of order from spawned tasks, so
         # socket writes interleave behind one lock per connection.
         lock = asyncio.Lock()
-        entry = (writer, lock)
-        self._connections.add(entry)
+
+        async def write(data: bytes) -> None:
+            async with lock:
+                writer.write(data)
+                await writer.drain()
+
+        self._connections.add(write)
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
@@ -227,36 +249,14 @@ class _ActorNode:
                 for frame in decoder.feed(data):
                     handler = self.handlers.get(frame.op)
                     if handler is not None:
-                        task = asyncio.create_task(
-                            self._serve_connection_ext(
-                                handler, frame, writer, lock
-                            )
-                        )
-                        self._ext_tasks.add(task)
-                        task.add_done_callback(self._ext_tasks.discard)
-                        continue
-                    async with lock:
-                        writer.write(serve_request(self.peer, frame))
-                        await writer.drain()
+                        self._spawn_ext(handler, frame, write)
+                    else:
+                        await write(serve_request(self.peer, frame))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._connections.discard(entry)
+            self._connections.discard(write)
             writer.close()
-
-    async def _serve_connection_ext(
-        self, handler, frame: Frame, writer, lock: asyncio.Lock
-    ) -> None:
-        try:
-            reply = await handler(self.peer, frame)
-        except Exception as exc:
-            reply = encode_error(frame.request_id, exc)
-        try:
-            async with lock:
-                writer.write(reply)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
 
     async def push(self, frame_bytes: bytes) -> int:
         """Deliver one unsolicited frame (``request_id == 0``) to the
@@ -264,11 +264,9 @@ class _ActorNode:
         inbox transport.  Returns the number of deliveries."""
         delivered = 0
         if self._connections:
-            for writer, lock in list(self._connections):
+            for write in list(self._connections):
                 try:
-                    async with lock:
-                        writer.write(frame_bytes)
-                        await writer.drain()
+                    await write(frame_bytes)
                     delivered += 1
                 except (ConnectionError, OSError):
                     continue
@@ -699,17 +697,12 @@ class ServiceDht(Dht):
         clock = self.network.clock
         started = clock.now
         tracer = self.network.tracer
-        if tracer is None:
+        with (tracer.span("net", "message_round") if tracer else UNTRACED) as span:
             outcomes = await asyncio.gather(
                 *(self.call_captured(*call) for call in calls)
             )
             elapsed = clock.now - started
-        else:
-            with tracer.span("net", "message_round") as span:
-                outcomes = await asyncio.gather(
-                    *(self.call_captured(*call) for call in calls)
-                )
-                elapsed = clock.now - started
+            if span is not None:
                 span.attrs["fanout"] = len(calls)
                 span.attrs["critical_path"] = elapsed
         # The round's wall span is its critical path: the elements ran
@@ -727,58 +720,61 @@ class ServiceDht(Dht):
     # Whole operations on the loop: one bridge crossing each
     # ------------------------------------------------------------------
     #
-    # The sync facade crosses the bridge once per request or round.  A
-    # read cursor is a chain of dependent probes, so driving it from
-    # the client thread pays that hand-off per probe; driving it here
-    # pays it once.  ``_drive`` is ``Dht.drive`` with every facade call
-    # replaced by its on-loop twin below — same meters, same spans,
-    # same frames, no thread hop between steps.
+    # The sync facade crosses the bridge once per request or round.  An
+    # operation is a chain of dependent steps, so driving it from the
+    # client thread pays that hand-off per step; driving it here pays
+    # it once.  ``_drive`` is ``Dht.drive`` awaited on the loop over
+    # ``perform_on_loop`` — same meters and spans (``Dht._meter``),
+    # same frames, no thread hop between steps.  Only a ``CALL`` step
+    # comes back: a hook makes blocking facade calls of its own, which
+    # the loop thread must not, so it runs on the caller's thread
+    # between two loop segments.
 
-    def drive(self, cursor) -> None:
-        self._bridge().run(self._drive(cursor))
+    def drive(self, operation) -> Any:
+        run = self._bridge().run
+        try:
+            step = run(self._drive(operation, None))
+            while step[0] is CALL:
+                step = run(self._drive(operation, step[1](*step[2])))
+            return step[1]
+        finally:
+            operation.close()  # a hook raised: unwind the operation
 
-    async def _drive(self, cursor) -> None:
-        if not cursor.batched:
-            while not cursor.done:
+    async def _drive(self, operation, outcome: Any) -> tuple:
+        """Send *outcome* and advance *operation* on the loop until it
+        yields a ``CALL`` step (returned as it is) or returns
+        (``(None, result)``)."""
+        try:
+            step = operation.send(outcome)
+            while step[0] is not CALL:
                 try:
-                    value = await self._get(cursor.current_key())
-                except NodeUnreachableError:
-                    if not cursor.probe_failed():
-                        raise
-                    continue
-                cursor.advance(value)
-            return
-        tracer = cursor.tracer
-        while not cursor.done:
-            keys = cursor.round_keys()
-            if tracer is None:
-                outcomes = await self._get_many_outcomes(keys)
-            else:
-                with tracer.span("round", "batched_round", probes=len(keys)):
-                    outcomes = await self._get_many_outcomes(keys)
-            cursor.advance_round(outcomes)
+                    outcome = await self.perform_on_loop(step)
+                except BaseException as error:
+                    step = operation.throw(error)
+                else:
+                    step = operation.send(outcome)
+            return step
+        except StopIteration as done:
+            return None, done.value
 
-    async def _get(self, key: str) -> Any | None:
-        """:meth:`Dht.get` for code already on the loop."""
-        self.stats.lookups += 1
-        self.stats.gets += 1
-        tracer = self.tracer
-        if tracer is None:
-            return await self._timed_request(Op.GET, key)
-        with tracer.span("dht", "get", key=key):
-            return await self._timed_request(Op.GET, key)
-
-    async def _get_many_outcomes(self, keys: list[str]) -> list[Any]:
-        """:meth:`Dht.get_many_outcomes` for code already on the loop."""
-        if not keys:
-            return []
-        self.stats.meter_batch(len(keys), gets=len(keys))
-        calls = [(Op.GET, key) for key in keys]
-        tracer = self.tracer
-        if tracer is None:
-            return await self._gather_round(calls)
-        with tracer.span("dht", "get_many", count=len(keys)):
-            return await self._gather_round(calls)
+    async def perform_on_loop(self, step: tuple) -> Any:
+        """:meth:`Dht.perform` for code already on the loop (``_drive``,
+        an installed handler): any step but ``CALL``."""
+        op, subject = step[0], step[1]
+        if op is REWRITE:
+            if not await self._rewrite(subject, step[2]):
+                raise _absent_key(subject)
+            return None
+        if not subject:
+            return []  # an empty batch is no round
+        with self._meter(step):
+            if op is GET or op is REMOVE:
+                wire = Op.GET if op is GET else Op.REMOVE
+                return await self._timed_request(wire, subject)
+            if op is GET_MANY:
+                return await self._gather_round([(Op.GET, key) for key in subject])
+            calls = [(Op.PUT, key, value) for key, value in subject]
+            return _raise_batch_failures(await self._gather_round(calls))
 
     def _do_rewrite(self, key: str, value: Any) -> bool:
         return self._bridge().run(self._rewrite(key, value))

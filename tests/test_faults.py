@@ -16,7 +16,7 @@ from repro.common.rng import make_rng
 from repro.core.cache import LeafCache
 from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
-from repro.core.naming import naming_function
+from repro.core.naming import merge_homes, naming_function
 from repro.core.rangequery import RangeQueryEngine
 from repro.dht.api import BatchFailure
 from repro.dht.chord import ChordDht
@@ -28,6 +28,8 @@ from repro.dht.faults import (
 )
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
+from repro.obs.trace import Tracer
+from repro.service.node import ServiceDht
 from tests.conftest import PerKeyDht
 
 CONFIG = IndexConfig(
@@ -470,3 +472,87 @@ class TestDeadHintEviction:
         )
         result = engine.query(((0.0, 0.0), (1.0, 1.0)))
         assert not result.complete
+
+
+class TestMergeIsOptionalMaintenance:
+    """A delete that removed its record says so: when the merge that
+    would follow cannot reach the sibling, the cascade ends
+    (``merge_skipped``) and the tree stays as it was, valid."""
+
+    CONFIG = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+
+    def before_a_merging_delete(self, dht, seed):
+        """An index over *dht* holding twelve points, deleted from until
+        the next delete would merge: ``(index, that victim, the key of
+        the sibling its merge probes)``."""
+        index = MLightIndex(dht, self.CONFIG, tracer=Tracer())
+        points = uniform_points(12, seed=seed)
+        for point in points:
+            index.insert(point)
+        for victim in points:
+            leaf = index.lookup(victim).bucket
+            homes = merge_homes(leaf.label, 2)
+            sibling_key = bucket_key(homes.sibling_name)
+            other = dht.peek(sibling_key)
+            if other.label == homes.sibling and index.strategy.should_merge(
+                leaf.load - 1, other.load
+            ):
+                return index, victim, sibling_key
+            assert index.delete(victim)
+        raise AssertionError("no delete of the points merges")
+
+    def deletes_without_merging(self, index, victim) -> bool:
+        """False when even the lookup needs the unreachable peer (the
+        caller tries another world); else the delete must succeed."""
+        try:
+            index.lookup(victim)
+        except NodeUnreachableError:
+            return False
+        leaves, records = index.tree_size(), index.total_records()
+        index.tracer.clear()
+        assert index.delete(victim) is True
+        assert index.delete(victim) is False  # gone, and said so once
+        assert index.total_records() == records - 1
+        assert index.tree_size() == leaves
+        index.check_invariants()
+        events = [
+            event["name"]
+            for span in index.tracer.spans for event in span.events
+        ]
+        assert "merge_skipped" in events and "merge" not in events
+        return True
+
+    def test_unreachable_sibling_ends_the_cascade(self):
+        for seed in range(20):
+            local = LocalDht(8)
+            plain, victim, sibling_key = self.before_a_merging_delete(
+                local, seed
+            )
+            index = MLightIndex(
+                FaultyDht(local, FaultPlan(dead_keys={sibling_key})),
+                self.CONFIG, tracer=Tracer(),
+            )
+            if not self.deletes_without_merging(index, victim):
+                continue
+            # The outage over, a later delete in that leaf merges as usual.
+            leaves = plain.tree_size()
+            rest = [
+                record.key for bucket in plain.buckets()
+                for record in bucket.records
+            ]
+            assert all(plain.delete(point) for point in rest)
+            assert plain.tree_size() < leaves
+            plain.check_invariants()
+            return
+        raise AssertionError("no seed keeps the lookup off the sibling")
+
+    def test_failed_service_peer_ends_the_cascade(self):
+        for seed in range(20):
+            with ServiceDht(8) as dht:
+                index, victim, sibling_key = self.before_a_merging_delete(
+                    dht, seed
+                )
+                dht.fail(dht.peer_of(sibling_key))
+                if self.deletes_without_merging(index, victim):
+                    return
+        raise AssertionError("no seed keeps the lookup off the sibling")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.common.errors import IndexCorruptionError
 from repro.core.bucket import LeafBucket
 from repro.core.keys import bucket_key
-from repro.core.lookup import PointLookupCursor, lookup_point
+from repro.core.lookup import PointLookupCursor, lookup_point, lookup_steps
 from repro.core.naming import naming_function
 from repro.dht.localhash import LocalDht
 from tests.conftest import points_strategy, random_tree_leaves
@@ -113,7 +113,7 @@ class TestBoundedLookup:
             min_label_length=len(target),
             max_label_length=len(target),
         )
-        dht.drive(cursor)
+        dht.drive(lookup_steps(cursor))
         assert cursor.result.bucket.label == target
         assert cursor.result.lookups == 1
 

@@ -23,10 +23,10 @@ import json
 import pytest
 
 from repro.common.config import IndexConfig
-from repro.common.errors import ReproError
+from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
-from repro.dht.api import DhtStats
+from repro.dht.api import DhtDecorator, DhtStats
 from repro.dht.chord import ChordDht
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.kademlia import KademliaDht
@@ -443,6 +443,67 @@ class TestTraceShape:
 # ----------------------------------------------------------------------
 # Acceptance: trace counts == registry deltas == NetworkStats.rounds
 # ----------------------------------------------------------------------
+
+
+class FailingStep(DhtDecorator):
+    """Raises *error* from the facade method *armed* names, once armed."""
+
+    armed = None
+    error = None
+
+    def _maybe_fail(self, name):
+        if self.armed == name:
+            raise self.error
+
+    def get_many_outcomes(self, keys):
+        self._maybe_fail("get_many")
+        return self.inner.get_many_outcomes(keys)
+
+    def put_many(self, items, *, records_moved=None):
+        self._maybe_fail("put_many")
+        self.inner.put_many(items, records_moved=records_moved)
+
+    def rewrite_local(self, key, value):
+        self._maybe_fail("rewrite")
+        self.inner.rewrite_local(key, value)
+
+
+class TestFailuresUnwindTheOperation:
+    """Whatever a step raises is thrown into the operation, so a span
+    suspended at its ``yield`` exits: nothing stays open and the next
+    operation's tree is well-formed."""
+
+    @pytest.mark.parametrize("armed, error", [
+        ("rewrite", DhtKeyError("absent")),
+        ("put_many", NodeUnreachableError("down")),
+        ("get_many", ReproError("boom")),
+    ])
+    def test_no_span_stays_open(self, armed, error):
+        dht = FailingStep(LocalDht(16))
+        index = seeded_index(
+            dht, split_threshold=4, merge_threshold=2, tracing=True
+        )
+        tracer = index.tracer
+        full = next(b for b in index.buckets() if b.load == 4)
+        low = full.region.lows
+        tracer.clear()
+        dht.armed, dht.error = armed, error
+        with pytest.raises(type(error)):
+            if armed == "get_many":
+                index.range_query(QUERY)
+            else:
+                index.insert((low[0] + 1e-9, low[1] + 1e-9), "splits")
+        assert tracer.current is None
+        failed = {span.name for span in tracer.spans if span.status == "error"}
+        assert failed == (
+            {"range", "batched_round"} if armed == "get_many" else {"insert"}
+        )
+        dht.armed = None
+        tracer.clear()
+        result = index.range_query(QUERY)
+        (root,) = tracer.roots()
+        assert (root.kind, root.name) == ("query", "range")
+        assert len(tracer.children_of(root)) == result.rounds
 
 
 class TestMeterAgreement:

@@ -21,7 +21,6 @@ from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
 from repro.core.rangequery import (
     Forward,
-    Probe,
     branch_subqueries,
     compute_lca,
     fallback_cursor,
@@ -29,7 +28,7 @@ from repro.core.rangequery import (
     query_via_peers,
 )
 from repro.core.records import Record
-from repro.dht.api import BatchFailure, DhtStats
+from repro.dht.api import GET, BatchFailure, DhtStats
 from repro.dht.chord import ChordDht
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.mcast import MulticastRuntime, ServiceMulticast
@@ -145,14 +144,19 @@ class TestFallbackCursor:
 
 def drive(step, answers):
     """Run a ``peer_subquery`` generator against scripted *answers*
-    (one per request, in order); returns (requests, AgentResult)."""
+    (one per request, in order; an exception is thrown in, as a failed
+    step's is); returns (requests, AgentResult)."""
     requests = []
     answers = iter(answers)
     try:
         request = next(step)
         while True:
             requests.append(request)
-            request = step.send(next(answers))
+            answer = next(answers)
+            if isinstance(answer, Exception):
+                request = step.throw(answer)
+            else:
+                request = step.send(answer)
     except StopIteration as done:
         return requests, done.value
 
@@ -224,9 +228,10 @@ class TestPeerSubquery:
         try:
             request = next(step)
             while True:
-                assert isinstance(request, Probe)
+                op, key = request
+                assert op is GET
                 requests.append(request)
-                request = step.send(answers.get(request.key))
+                request = step.send(answers.get(key))
         except StopIteration as done:
             records, visited, rounds, unresolved = done.value
         assert visited == ["0010"] and unresolved == []
@@ -237,9 +242,8 @@ class TestPeerSubquery:
         step = peer_subquery(
             self.store(), "00101", subquery, self.QUERY, 2, 10, DhtStats()
         )
-        failure = BatchFailure(NodeUnreachableError("down"))
-        requests, result = drive(step, [failure])
-        assert len(requests) == 1
+        requests, result = drive(step, [NodeUnreachableError("down")])
+        assert requests == [(GET, requests[0][1])]
         assert result == ([], [], 1, [subquery])
 
     def test_unrelated_local_leaf_is_index_corruption(self):

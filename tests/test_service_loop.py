@@ -1,8 +1,9 @@
 """The service loop runs whole index operations.
 
-A lookup or a range query on a bare :class:`ServiceDht` crosses the
-client→loop bridge once, an insert twice; a wrapped stack still sees,
-retries, faults and adapts every probe.  Degraded mode, tracing and the
+A lookup, a range query, an insert (splitting or not) and a delete
+(merging or not) on a bare :class:`ServiceDht` cross the client→loop
+bridge once each; a wrapped stack still sees, retries, faults and
+adapts every probe.  Degraded mode, tracing and the
 oracle views behave on the loop as they do in process, from any number
 of client threads.
 """
@@ -18,7 +19,7 @@ import pytest
 from repro.adaptive import AdaptiveConfig
 from repro.adaptive.plane import AdaptiveDht
 from repro.common.config import IndexConfig
-from repro.common.errors import NodeUnreachableError, ReproError
+from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
@@ -27,6 +28,7 @@ from repro.datasets.synthetic import uniform_points
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
+from repro.mcast import ServiceContinuousPlane
 from repro.obs.trace import Tracer
 from repro.service import node as service_node
 from repro.service.node import ServiceDht
@@ -91,7 +93,45 @@ class TestCrossingsPerOperation:
             puts_before = dht.stats.puts
             index.insert(point, "fresh")
             assert dht.stats.puts == puts_before  # it did not split
-            assert len(crossings) == 2  # the lookup, the rewrite
+            assert len(crossings) == 1  # lookup and rewrite, one operation
+
+    @TRANSPORTS
+    def test_bare_service_dht_crosses_once_per_split_and_merge(
+        self, transport, crossings
+    ):
+        config = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+        corner = [(0.01 * n, 0.01 * n) for n in range(1, 6)]
+        with ServiceDht(8, transport=transport) as dht:
+            index = MLightIndex(dht, config)
+            for point in corner[:4]:
+                index.insert(point)
+            del crossings[:]
+            before = dht.stats.snapshot()
+            index.insert(corner[4])
+            assert dht.stats.puts > before["puts"]  # it split
+            assert len(crossings) == 1
+
+            del crossings[:]
+            before = dht.stats.snapshot()
+            for point in corner[:4]:
+                assert index.delete(point)
+            assert dht.stats.removes > before["removes"]  # it merged
+            assert len(crossings) == 4
+            index.check_invariants()
+
+    def test_an_attached_plane_runs_its_hooks_off_the_loop(self, crossings):
+        """Hooks make blocking facade calls, so they come back to the
+        client thread: a plane costs crossings, never a deadlock."""
+        with ServiceDht(8) as dht:
+            index = loaded(dht)
+            plane = ServiceContinuousPlane(index)
+            subscriber = plane.subscribe(box(FRESH[0], 0.2))
+            del crossings[:]
+            for point in FRESH[:30]:
+                index.insert(point, "fresh")
+            assert FRESH[0] in subscriber.delivered_keys
+            assert len(crossings) > 30
+            index.check_invariants()
 
     WRAPPERS = {
         "retry": lambda inner: RetryingDht(inner, attempts=4),
@@ -294,8 +334,8 @@ class TestTracingOnTheLoop:
         expected = tree_of(self.run_traced(LocalDht(8)), above_the_wire)
         with ServiceDht(8) as dht:
             tracer = self.run_traced(dht, crossings)
-            # Tracing does not change the path: 1 + 1 + 1 + 2 crossings.
-            assert len(crossings) == 5
+            # Tracing does not change the path: one crossing each.
+            assert len(crossings) == 4
         assert tree_of(tracer, above_the_wire) == expected
         by_id = {span.span_id: span for span in tracer.spans}
         rounds = [span for span in tracer.spans if span.kind == "net"]
@@ -354,6 +394,61 @@ class TestTracingOnTheLoop:
                 ("query", "lookup", ("get",)),
                 ("query", "range", ("batched_round",)),
             }
+            tracer.export_jsonl("/dev/null")  # nothing left open
+
+
+class FailingService(ServiceDht):
+    """A service runtime whose on-loop rewrite finds no key, or whose
+    rounds find no peer, once *armed* says so."""
+
+    armed = None
+
+    async def _rewrite(self, key, value):
+        return self.armed != "rewrite" and await super()._rewrite(key, value)
+
+    async def _gather_round(self, calls):
+        if self.armed == "round":
+            raise NodeUnreachableError("down")
+        return await super()._gather_round(calls)
+
+
+class TestFailuresUnwindTheOperation:
+    """A step that fails on the loop is thrown into the operation
+    there: its spans close in the task that opened them, the error
+    reaches the caller, the next operation traces as usual."""
+
+    SMALL = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+
+    @pytest.mark.parametrize("armed, error, failed", [
+        ("rewrite", DhtKeyError, {"insert"}),
+        ("round", NodeUnreachableError, {"insert", "put_many"}),
+        ("round", NodeUnreachableError, {"range", "batched_round", "get_many"}),
+    ])
+    def test_no_span_stays_open(self, armed, error, failed):
+        with FailingService(8) as dht:
+            index = MLightIndex(dht, self.SMALL, tracer=Tracer())
+            for point in BASE[:40]:
+                index.insert(point)
+            tracer = index.tracer
+            full = next(b for b in index.buckets() if b.load == 4)
+            low = full.region.lows
+            tracer.clear()
+            dht.armed = armed
+            with pytest.raises(error):
+                if "range" in failed:
+                    index.range_query(box(BASE[1]))
+                else:
+                    index.insert((low[0] + 1e-9, low[1] + 1e-9))
+            dht.armed = None
+            assert tracer.current is None
+            assert failed == {
+                span.name for span in tracer.spans if span.status == "error"
+            }
+            tracer.clear()
+            result = index.range_query(box(BASE[1]))
+            assert tree_of(tracer, ("query", "round")) == [
+                ["query", "range", [["round", "batched_round", []]] * result.rounds]
+            ]
             tracer.export_jsonl("/dev/null")  # nothing left open
 
 

@@ -15,6 +15,8 @@ from repro.common.geometry import Region
 from repro.baselines.dst import DstIndex
 from repro.baselines.pht import PhtIndex
 from repro.core.index import MLightIndex
+from repro.core.records import Record
+from repro.dht.api import PUT_MANY
 from repro.dht.localhash import LocalDht
 from tests.conftest import brute_force_range
 
@@ -66,3 +68,26 @@ class TestSharedSubstrate:
         assert indexes["dst"].total_records() == 150
         assert indexes["mlight"].total_records() == 50
         indexes["mlight"].check_invariants()
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 3"
+)
+def test_two_writers_splitting_one_leaf_lose_no_record():
+    """The lost split, interleaved by hand at A's IO points — no
+    threads: an operation is a generator, ``Dht.perform`` runs a step."""
+    config = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+    dht = LocalDht(8)
+    a, b = MLightIndex(dht, config), MLightIndex(dht, config)
+    points = [(0.1 * n, 0.1 * n) for n in range(1, 7)]
+    for point in points[:4]:
+        a.insert(point)
+    insert = a._insert(Record.make(points[4], dims=2))
+    step = next(insert)
+    while step[0] is not PUT_MANY:  # A has read the leaf and planned ...
+        step = insert.send(dht.perform(step))
+    b.insert(points[5])  # ... B inserts into that leaf (and splits it) ...
+    with pytest.raises(StopIteration):  # ... A writes its plan.
+        while True:
+            step = insert.send(dht.perform(step))
+    assert a.total_records() == 6
