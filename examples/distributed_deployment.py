@@ -4,7 +4,8 @@ The other examples drive the index through a client-style engine (the
 OpenDHT deployment).  This one runs the paper's narrated deployment:
 every peer hosts a query agent; a range query enters at an arbitrary
 peer, hops to the corner cell of its LCA, and fans out peer-to-peer
-through branch-node forwards — and the metered costs come out identical
+through branch-node forwards, each routed from the forwarding peer's
+own place in the ring — and the metered costs come out identical
 to the client-orchestrated engine, which is why the two deployments are
 interchangeable under the paper's cost model.
 
@@ -14,8 +15,8 @@ Run with::
 """
 
 from repro import IndexConfig, MLightIndex, Region, RuntimeConfig, create_dht
-from repro.core.distributed import DistributedQueryRuntime
 from repro.datasets.northeast import northeast_surrogate
+from repro.mcast import MulticastRuntime
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
     for position, point in enumerate(northeast_surrogate(3000, seed=13)):
         index.insert(point, value=position)
 
-    runtime = DistributedQueryRuntime(dht, config.dims, config.max_depth)
+    runtime = MulticastRuntime(dht, config.dims, config.max_depth)
     query = Region((0.36, 0.30), (0.66, 0.60))  # the NY metro box
 
     print("\nclient-orchestrated engine:")

@@ -53,12 +53,14 @@ this module as sans-IO code — :func:`compute_lca` (where to jump),
 decisions), :func:`range_steps` (the loop over it, a generator of
 ``GET_MANY`` steps), :func:`peer_subquery` (one peer's step as another
 generator) and :func:`query_via_peers` (folding a peer-side answer into
-a result).  The drivers own only transport and metering:
-:meth:`~repro.dht.api.Dht.drive` (the client's rounds — in process, or
-on the service runtime's loop), the ``SimNetwork`` RPC agents of
-:mod:`repro.core.distributed`, and the asyncio ``MCAST`` handler of
-:mod:`repro.mcast.service` — the latter two answer a peer's ``GET``
-steps through ``perform`` and deliver its :class:`Forward` themselves.
+a result).  The drivers own only transport:
+:meth:`~repro.dht.api.Dht.drive` runs the client's rounds (in process,
+or on the service runtime's loop) and, as the ``SimNetwork`` agents of
+:class:`~repro.mcast.runtime.MulticastRuntime`, a peer's step; the
+asyncio ``MCAST`` handler of :mod:`repro.mcast.service` runs a peer's
+step through ``ServiceDht.drive_on_loop``.  A peer's forward is an
+ordinary ``CALL`` step carrying its driver's forward function, so it
+runs where that driver's IO lives.
 
 CPU hot path: with rounds batched (PR 2), local computation dominates
 wall-clock.  Every ``region_of_label`` this engine issues (LCA
@@ -99,14 +101,13 @@ from repro.core.lookup import PointLookupCursor, lookup_steps
 from repro.core.naming import naming_function
 from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.dht.api import GET_MANY, BatchFailure, Dht, DhtStats
+from repro.dht.api import CALL, GET_MANY, BatchFailure, Dht, DhtStats
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
 __all__ = [
     "AgentResult",
-    "Forward",
     "Hop",
     "HopOutcome",
     "RangeCursor",
@@ -255,13 +256,6 @@ class Hop(NamedTuple):
 HopOutcome = tuple[AgentResult | BatchFailure, int]
 
 
-class Forward(NamedTuple):
-    """Request: deliver *hops* as one parallel round.  Answer with one
-    :data:`HopOutcome` per hop."""
-
-    hops: list[Hop]
-
-
 def _hop_result(
     reply: AgentResult | BatchFailure, spent: int, subquery: Region
 ) -> AgentResult:
@@ -281,20 +275,24 @@ def peer_subquery(
     dims: int,
     max_depth: int,
     stats: DhtStats,
-) -> Generator[tuple | Forward, Any, AgentResult]:
-    """One peer's step of a range query, as a resumable state machine.
+    forward: Callable[[list[Hop]], Any],
+) -> Generator[tuple, Any, AgentResult]:
+    """One peer's step of a range query, as an operation of facade steps.
 
     The peer owns ``fmd(target)`` — that is why *subquery* was routed
     to it — so it reads that bucket through *read_local* at no cost.
-    The generator yields what it needs from the network (the ``GET``
-    steps of :func:`~repro.core.lookup.lookup_steps` while the bounded
-    fallback search runs for a missing target, then at most one
-    :class:`Forward` carrying the branch subqueries), consumes the
-    answers through ``send``, and returns the :data:`AgentResult`.  A
-    subtree costs its deepest child's rounds; probes spent by the
-    fallback count as rounds whether or not it reached the covering
-    leaf; an unreachable probe or hop degrades exactly its own
-    subregion.
+    The generator yields the ``GET`` steps of
+    :func:`~repro.core.lookup.lookup_steps` while the bounded fallback
+    search runs for a missing target, then at most one ``(CALL,
+    forward, (hops,))`` step carrying the branch subqueries: *forward*
+    is the driver's, delivers the hops as one parallel round and
+    answers one :data:`HopOutcome` per hop.  It returns the
+    :data:`AgentResult`.  A subtree costs its deepest child's rounds;
+    probes spent by the fallback count as rounds whether or not it
+    reached the covering leaf; an unreachable probe or hop degrades
+    exactly its own subregion.  What a forward costs is ticked here,
+    once for every driver: one DHT-lookup and one ``mcast_forward``
+    per hop, one batch round per forward.
     """
     bucket = read_local(bucket_key(naming_function(target, dims)))
     rounds = 0
@@ -310,10 +308,12 @@ def peer_subquery(
     visited = [bucket.label]
     unresolved: list[Region] = []
     if branches:
-        replies = yield Forward([
+        hops = [
             Hop(bucket_key(naming_function(branch, dims)), branch, clipped)
             for branch, clipped in branches
-        ])
+        ]
+        stats.meter_forward(len(hops))
+        replies = yield CALL, forward, (hops,)
         for (_, clipped), (reply, spent) in zip(branches, replies):
             below, leaves, depth, lost = _hop_result(reply, spent, clipped)
             records.extend(below)
@@ -332,13 +332,17 @@ def query_via_peers(
 ) -> RangeQueryResult:
     """Run *query* peer-side: one hop to the owner of ``fmd(LCA(R))``.
 
-    *send* delivers that hop and answers like one :class:`Forward`
-    slot; ``lookups`` and ``batch_rounds`` are the *stats* deltas
-    around it, so everything the peers metered on the way is in.
+    *send* delivers that hop and answers one :data:`HopOutcome`; the
+    hop is the initiator's one message (``mcasts``) and is metered as
+    a forward of one.  ``lookups`` and ``batch_rounds`` are the
+    *stats* deltas around it, so everything the peers metered on the
+    way is in.
     """
     lca = compute_lca(query, dims, max_depth)
     lookups_before = stats.lookups
     batch_before = stats.batch_rounds
+    stats.mcasts += 1
+    stats.meter_forward(1)
     reply, spent = send(
         Hop(bucket_key(naming_function(lca, dims)), lca, query)
     )

@@ -35,11 +35,8 @@ if TYPE_CHECKING:
 from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
 from repro.net.events import EventScheduler
 
-#: Rough wire size of one record and of an object envelope.  The
-#: record constant survives only as the *fallback* model (active before
-#: the codec registers itself); the envelope constant still prices
-#: control payloads (peer names, booleans) under the codec model.
-RECORD_WIRE_BYTES = 32
+#: Rough wire size of an object envelope: prices control payloads
+#: (peer names, booleans) under the codec model.
 ENVELOPE_WIRE_BYTES = 16
 
 #: Bytes of per-message framing — kept equal to the service plane's
@@ -49,19 +46,11 @@ ENVELOPE_WIRE_BYTES = 16
 MESSAGE_HEADER_BYTES = 14
 
 
-def _fallback_payload_size(value: Any) -> int:
-    """The pre-codec model: a flat per-record estimate."""
-    records = getattr(value, "records", None)
-    if isinstance(records, list):
-        return ENVELOPE_WIRE_BYTES + RECORD_WIRE_BYTES * len(records)
-    return ENVELOPE_WIRE_BYTES
-
-
 #: (payload_size, data_size) — installed by :mod:`repro.core.codec` at
 #: import time.  The indirection keeps the layering acyclic (``dht``
-#: cannot import ``core`` at module level); in practice any program
-#: importing :mod:`repro` has the codec model active.
-_wire_model: tuple[Any, Any] = (_fallback_payload_size, lambda value: 0)
+#: cannot import ``core`` at module level); importing :mod:`repro`
+#: imports the codec, so there is no model before it.
+_wire_model: tuple[Any, Any]
 
 
 def install_wire_model(payload_size, data_size) -> None:
@@ -139,9 +128,11 @@ class BatchFailure:
 #: * ``(PUT_MANY, items, records_moved)`` — one round of routed puts;
 #:   *records_moved* is aligned with *items*.
 #: * ``(REMOVE, key, records_moved)`` — one routed remove; the value.
-#: * ``(CALL, function, args)`` — a hook that makes facade calls of its
-#:   own (the dissemination plane): run on the client's thread, never
-#:   on a runtime's loop.
+#: * ``(CALL, function, args)`` — work the operation hands back to its
+#:   driver: a dissemination hook that makes facade calls of its own
+#:   (run on the client's thread, never on a runtime's loop) or a
+#:   peer's forward (run where its driver's IO lives: in process, or
+#:   awaited on the service loop by the ``MCAST`` handler).
 #:
 #: One convention for failure: whatever a step raises — an unreachable
 #: ``GET`` included — is thrown into the operation at its ``yield``, so
@@ -284,6 +275,13 @@ class DhtStats:
         self.records_moved += records_moved
         self.batch_rounds += 1
         self.batch_ops += count
+
+    def meter_forward(self, hops: int) -> None:
+        """Account one peer-side forward of *hops* subqueries: each hop
+        routes to its owner from the forwarding peer (one DHT-lookup,
+        one ``mcast_forward``) and the hops go out as one round."""
+        self.meter_batch(hops)
+        self.mcast_forwards += hops
 
     def snapshot(self) -> dict[str, int | float]:
         """Immutable copy of all counters.
@@ -441,22 +439,6 @@ class Dht(ABC):
         moved = _check_records_moved(items, records_moved)
         with self._meter((PUT_MANY, items, moved)):
             _raise_batch_failures(self._do_put_many(items))
-
-    def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        """Locate the responsible peers for several keys in one round.
-
-        An unreachable element yields a :class:`BatchFailure` in its
-        slot instead of aborting the round — the peer-forwarding
-        runtime degrades per branch on this, exactly as the engine
-        does on :meth:`get_many_outcomes`.
-        """
-        keys = list(keys)
-        if not keys:
-            return []
-        self.stats.meter_batch(len(keys))
-        return self._traced(
-            "lookup_many", self._do_lookup_many, keys, count=len(keys)
-        )
 
     def restart(self, name: str) -> None:
         """Bring a crashed peer back from its durable state.
@@ -702,9 +684,6 @@ class Dht(ABC):
     def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
         return [_capture(self._do_put, key, value) for key, value in items]
 
-    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
-        return [_capture(self._do_lookup, key) for key in keys]
-
 
 class DhtDecorator(Dht):
     """Base of every wrapper that decorates another :class:`Dht`.
@@ -793,9 +772,6 @@ class DhtDecorator(Dht):
     ) -> None:
         self._inner.put_many(items, records_moved=records_moved)
 
-    def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        return self._inner.lookup_many_outcomes(keys)
-
     def rewrite_local(self, key: str, value: Any) -> None:
         self._inner.rewrite_local(key, value)
 
@@ -867,9 +843,6 @@ class DhtDecorator(Dht):
 
     def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
         return self._inner._do_put_many(items)
-
-    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._inner._do_lookup_many(keys)
 
 
 def _capture(operation, *args: Any) -> Any:

@@ -265,7 +265,6 @@ class FaultyDht(DhtDecorator):
     remove = Dht.remove
     get_many_outcomes = Dht.get_many_outcomes
     put_many = Dht.put_many
-    lookup_many_outcomes = Dht.lookup_many_outcomes
 
     def _do_lookup(self, key: str) -> str:
         self._inject("lookup", key)
@@ -345,16 +344,6 @@ class FaultyDht(DhtDecorator):
                 outcomes[slot] = result
                 if not isinstance(result, BatchFailure):
                     self._record_write(*items[slot])
-        return outcomes
-
-    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
-        outcomes, survivors = self._batch_inject("lookup", keys)
-        if survivors:
-            results = self._inner._do_lookup_many(
-                [keys[slot] for slot in survivors]
-            )
-            for slot, result in zip(survivors, results):
-                outcomes[slot] = result
         return outcomes
 
     # ------------------------------------------------------------------

@@ -423,6 +423,3 @@ class RoutedOverlay(Dht):
 
     def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
         return self._run_round(self._do_put, [tuple(item) for item in items])
-
-    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._run_round(self._do_lookup, [(key,) for key in keys])

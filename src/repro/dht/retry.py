@@ -261,14 +261,3 @@ class RetryingDht(DhtDecorator):
                 records_moved=sum(moved[slot] for slot in pending),
             ),
         ))
-
-    def lookup_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        keys = list(keys)
-        if not keys:
-            return []
-        return self._batch_with_retries(
-            "lookup_many",
-            self._inner._do_lookup_many,
-            keys,
-            lambda pending: self.stats.meter_batch(len(pending)),
-        )

@@ -3,8 +3,9 @@
 Two measurements over the same m-LIGHT tree:
 
 * **Multicast efficiency** — the same range-query workload executed by
-  client fan-out (every branch resolution is an initiator-originated
-  message) and by prefix multicast (the initiator sends exactly one
+  client fan-out (the client engine, ``index.range_query``: every
+  probe is an initiator-originated message) and by prefix multicast
+  (the initiator sends exactly one
   message; every further resolution originates at a forwarding peer).
   The gate: identical answers, identical DHT-lookup and round meters,
   and the initiator's message count collapsing from O(#branches) to 1.
@@ -30,7 +31,6 @@ from repro.common.geometry import (
     Region,
     region_of_label,
 )
-from repro.core.distributed import DistributedQueryRuntime
 from repro.core.naming import naming_function
 from repro.experiments.harness import load_index
 from repro.mcast import ContinuousQueryPlane, MulticastRuntime, sub_key
@@ -107,14 +107,10 @@ def run_multicast_efficiency(
         index = load_index(
             "mlight", config, points, overlay=overlay, n_peers=n_peers
         )
-        dht = index.dht
-        fanout = DistributedQueryRuntime(
-            dht, config.dims, config.max_depth
-        )
-        mcast = MulticastRuntime(dht, config.dims, config.max_depth)
+        mcast = MulticastRuntime(index.dht, config.dims, config.max_depth)
         meters = MetricsRegistry.for_index(index)
         before = meters.snapshot()
-        fan_results = [fanout.query(query) for query in queries]
+        fan_results = [index.range_query(query) for query in queries]
         fan_spent = meters.delta(before)
         before = meters.snapshot()
         mc_results = [mcast.query(query) for query in queries]
@@ -123,8 +119,9 @@ def run_multicast_efficiency(
             MulticastSample(
                 overlay=overlay,
                 queries=len(queries),
-                # Fan-out: every owner resolution is a client-originated
-                # message.  Multicast: only the ``mcasts`` frame is.
+                # Fan-out: every probe of the client engine is a
+                # client-originated message.  Multicast: only the
+                # ``mcasts`` frame is.
                 fanout_initiator_msgs=fan_spent["dht.lookups"],
                 mcast_initiator_msgs=mc_spent["dht.mcasts"],
                 lookups_fanout=fan_spent["dht.lookups"],

@@ -1,81 +1,152 @@
-"""Overlay-native prefix multicast over the simulated substrates.
+"""Prefix multicast over the simulated substrates: the peer runtime.
 
-:class:`MulticastRuntime` subclasses the peer-forwarding
-:class:`~repro.core.distributed.DistributedQueryRuntime` and changes
-exactly one thing: *where owner resolutions originate*.  The base
-runtime resolves every branch owner through the client-facing
-``dht.lookup`` — faithful to a put/get service, but every resolution
-is an initiator-originated message.  Here each forwarding peer routes
-to the next owner **from its own position in the overlay**, through
-the overlays' public routing seam
-:meth:`~repro.dht.overlay.RoutedOverlay.route_owner` (Chord: greedy
-finger routing from the peer's own ref; Pastry: prefix routing from
-the peer's own node; Kademlia: an iterative FIND_NODE whose shortlist
-starts from the peer's own buckets).
+The paper narrates range queries peer to peer: "Upon receiving the
+range query, the corner cell constructs a local tree … Ri is forwarded
+to βi via a DHT-lookup" (Section 6) — and the peer that forwards the
+subquery is the one doing that lookup.  :class:`MulticastRuntime` runs
+it that way on a routed overlay (Chord, Pastry, Kademlia):
+
+* every peer answers subqueries at ``<peer>#mcast`` on the
+  ``SimNetwork``; which node serves one is decided when the message is
+  delivered, so agents follow ``fail``, ``restart`` and ``join``;
+* a serving peer is ``dht.drive`` over
+  :func:`~repro.core.rangequery.peer_subquery`: it reads the bucket
+  named ``fmd(target)`` from its own store at no cost, its fallback
+  ``GET`` steps go through the facade (and any wrapper around it), and
+  its one ``CALL`` step is this runtime's forward;
+* a forward routes each hop from the forwarding peer's own overlay
+  position — :meth:`~repro.dht.overlay.RoutedOverlay.route_owner`:
+  Chord's fingers, Pastry's routing table, Kademlia's buckets — and
+  carries it to the owner's agent, one chain per hop in one message
+  round.
 
 The initiator therefore sends exactly **one** message per range query
 (to the owner of ``fmd(LCA(R))``, metered as ``stats.mcasts``); every
-further hop is peer-to-peer (``stats.mcast_forwards``).  Each native
-resolution still embeds one DHT-lookup — the paper's bandwidth
-measure is unchanged, so ``lookups``/``batch_rounds``/``rounds`` and
-the answers are identical to the client-fan-out path; only ``hops``
-(route length, start-position dependent) and the message *origins*
-differ.  ``tests/test_mcast.py`` asserts the equality across all
-three overlays.
+further hop is peer to peer (``stats.mcast_forwards``).  Each hop
+embeds one DHT-lookup, so the answers, ``lookups`` and ``rounds`` are
+the client engine's (``index.range_query``); only ``hops`` (route
+length, start-position dependent) and the message *origins* differ.
+``tests/test_mcast.py`` asserts the equality across all three
+overlays.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from functools import partial
 
+from repro.common.errors import ReproError
 from repro.common.geometry import Region
-from repro.core.distributed import DistributedQueryRuntime
+from repro.core.rangequery import (
+    AgentResult,
+    Hop,
+    HopOutcome,
+    peer_subquery,
+    query_via_peers,
+)
 from repro.core.results import RangeQueryResult
-from repro.dht.api import _capture
+from repro.dht.api import UNTRACED, Dht, _capture
+from repro.dht.overlay import RoutedOverlay
+from repro.net.message import Message
+from repro.net.simnet import RpcError
 
-#: Agent-address suffix — distinct from the fan-out runtime's
-#: ``#mlight`` so both planes can coexist on one network.
+#: Suffix appended to a peer's network address for its query agent.
 MCAST_SUFFIX = "#mcast"
 
 
-class MulticastRuntime(DistributedQueryRuntime):
+class MulticastRuntime:
     """Prefix multicast: peer-to-peer forwarding with overlay-native
-    owner resolution and O(1) initiator-originated messages."""
+    owner resolution and O(1) initiator-originated messages.
 
-    suffix = MCAST_SUFFIX
+    *dht* may be the routed substrate itself or a wrapper chain
+    (``RetryingDht``, ``FaultyDht``) around it: a peer's fallback
+    probes are metered steps of the outermost layer, while agents live
+    on the substrate's peers and route natively.
+    """
 
-    # Each native resolution embeds one DHT-lookup (the route really
-    # crosses the overlay; the substrate meters its hops) and one
-    # peer-to-peer forward.  Metering mirrors the base runtime's
-    # ``lookup``/``lookup_many_outcomes`` exactly, so fan-out and
-    # multicast agree on every counter except ``hops``.
-
-    def _resolve_target(self, src_peer: str, key: str) -> str:
-        stats = self.dht.stats
-        stats.lookups += 1
-        stats.mcast_forwards += 1
-        tracer = self.dht.tracer
-        if tracer is None:
-            return self._substrate.route_owner(key, src_peer)
-        with tracer.span("mcast", "route", key=key, src=src_peer):
-            return self._substrate.route_owner(key, src_peer)
-
-    def _resolve_targets(
-        self, src_peer: str, keys: list[Any]
-    ) -> list[Any]:
-        stats = self.dht.stats
-        stats.meter_batch(len(keys))
-        stats.mcast_forwards += len(keys)
-        route = self._substrate.route_owner
-        return [_capture(route, key, src_peer) for key in keys]
+    def __init__(self, dht: Dht, dims: int, max_depth: int) -> None:
+        substrate = next(
+            (
+                layer for layer in dht.unwrap()
+                if isinstance(layer, RoutedOverlay)
+            ),
+            None,
+        )
+        if substrate is None:
+            raise ReproError(
+                "peer-side execution needs a routed substrate with peers "
+                "(Chord/Kademlia/Pastry); LocalDht has no peers to host "
+                "agents on"
+            )
+        self.dht = dht
+        self.dims = dims
+        self.max_depth = max_depth
+        self._substrate = substrate
+        self._network = substrate.network
 
     def query(
         self, query: Region, initiator: str | None = None
     ) -> RangeQueryResult:
-        """Run *query* with one initiator-originated message."""
-        self.dht.stats.mcasts += 1
+        """Run *query* from *initiator* (default: the first live peer)
+        with one initiator-originated message."""
+        peers = self._substrate.peers()
+        if initiator is None and peers:
+            initiator = peers[0]
+        if initiator not in peers:
+            raise ReproError(f"initiator {initiator!r} is not a live peer")
+
+        def send(hop: Hop) -> HopOutcome:
+            return self._forward(initiator, query, [hop])[0]
+
         tracer = self.dht.tracer
-        if tracer is None:
-            return super().query(query, initiator)
-        with tracer.span("mcast", "query", initiator=initiator or ""):
-            return super().query(query, initiator)
+        with (
+            UNTRACED if tracer is None
+            else tracer.span("mcast", "query", initiator=initiator)
+        ):
+            return query_via_peers(
+                query, self.dims, self.max_depth, self.dht.stats, send
+            )
+
+    def handle_rpc(self, message: Message) -> AgentResult:
+        """Serve one subquery at the peer *message* is addressed to.
+
+        The node is looked up now, not when the agent was first
+        reached: a crashed peer fails the hop, a restarted one serves
+        from its recovered store.
+        """
+        peer = message.dst.removesuffix(MCAST_SUFFIX)
+        try:
+            node = self._substrate.node(peer)
+        except KeyError:
+            raise RpcError(f"peer {peer!r} is down") from None
+        (target, subquery, query), _ = message.payload
+        return self.dht.drive(peer_subquery(
+            node.store.get, target, subquery, query, self.dims,
+            self.max_depth, self.dht.stats,
+            partial(self._forward, peer, query),
+        ))
+
+    def _forward(
+        self, src: str, query: Region, hops: list[Hop]
+    ) -> list[HopOutcome]:
+        """Deliver *hops* from peer *src* as one message round, each
+        hop its own chain: the native route to its owner, then the
+        agent message.  An unreachable owner or agent fails only its
+        own hop, after the one wire round it spent."""
+        outcomes: list[HopOutcome] = []
+        with self._network.message_round() as round_:
+            for hop in hops:
+                with round_.chain():
+                    reply = _capture(self._deliver, src, hop, query)
+                outcomes.append((reply, 1))
+        return outcomes
+
+    def _deliver(self, src: str, hop: Hop, query: Region) -> AgentResult:
+        owner = self._substrate.route_owner(hop.key, src)
+        address = owner + MCAST_SUFFIX
+        if not self._network.is_registered(address):
+            # First message to this peer, a peer that joined included.
+            self._network.register(address, self)
+        return self._network.rpc(
+            src + MCAST_SUFFIX, address, "execute",
+            hop.target, hop.subquery, query,
+        )

@@ -10,10 +10,11 @@ opcodes:
   region against its local bucket and forwards sub-region ``MCAST``
   frames peer-to-peer (spawned actor tasks, so a peer can forward to
   itself), aggregation flowing back up through the replies.  The
-  handler is the asyncio driver of
-  :func:`repro.core.rangequery.peer_subquery` — the same state machine
-  the simulated agents drive — so it carries frames and meters them,
-  nothing else.
+  handler runs :func:`repro.core.rangequery.peer_subquery` — the same
+  operation the simulated agents ``drive`` — on the service loop's
+  trampoline (``ServiceDht.drive_on_loop``) and awaits its one
+  ``CALL`` step, the forward, as frames: it carries frames, nothing
+  else.
 * :class:`ServiceContinuousPlane` — deliveries travel as ``PUSH``
   frames: the writing client asks the subscription table's owner
   (a request frame), and the owner emits the *unsolicited*
@@ -37,14 +38,13 @@ from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region
 from repro.common.labels import check_label
 from repro.core.rangequery import (
-    Forward,
     Hop,
     HopOutcome,
     peer_subquery,
     query_via_peers,
 )
 from repro.core.results import RangeQueryResult
-from repro.dht.api import BatchFailure, Dht
+from repro.dht.api import CALL, BatchFailure, Dht
 from repro.mcast.continuous import ContinuousQueryPlane
 from repro.service.node import ServiceDht
 from repro.service.wire import Op, encode_frame, encode_reply
@@ -80,14 +80,8 @@ class ServiceMulticast:
 
     def query(self, query: Region) -> RangeQueryResult:
         """Run *query* with one initiator-originated ``MCAST`` frame."""
-        stats = self.dht.stats
-        stats.mcasts += 1
 
         def send(hop: Hop) -> HopOutcome:
-            # Routing the one initiator frame: one DHT-lookup, one
-            # forward — the accounting MulticastRuntime applies.
-            stats.lookups += 1
-            stats.mcast_forwards += 1
             try:
                 reply = self._service.call(
                     Op.MCAST, hop.key, body=(hop.target, hop.subquery, query)
@@ -97,48 +91,38 @@ class ServiceMulticast:
             return reply, 1
 
         return query_via_peers(
-            query, self.dims, self.max_depth, stats, send
+            query, self.dims, self.max_depth, self.dht.stats, send
         )
 
     async def _handle_mcast(self, peer: Any, frame: Any) -> bytes:
-        """The ``MCAST`` handler, run on the owning actor: drive this
-        peer's step of the query, answering its requests with frames."""
+        """The ``MCAST`` handler, run on the owning actor: this peer's
+        step of the query on the loop trampoline, its forward awaited
+        here as sub-region frames."""
         target, subquery, query = frame.body
         check_label(target, self.dims)
-        stats = self.dht.stats
-        call_captured = self._service.call_captured
-        step = peer_subquery(
+        service = self._service
+
+        async def forward(hops: list[Hop]) -> list[HopOutcome]:
+            # The sub-region frames go out together as one parallel
+            # round, one wire round each.
+            replies = await asyncio.gather(*(
+                service.call_captured(
+                    Op.MCAST, hop.key, body=(hop.target, hop.subquery, query)
+                )
+                for hop in hops
+            ))
+            return [(reply, 1) for reply in replies]
+
+        operation = peer_subquery(
             peer.store.get, target, subquery, query,
-            self.dims, self.max_depth, stats,
+            self.dims, self.max_depth, self.dht.stats, forward,
         )
-        try:
-            request = next(step)
-            while True:
-                try:
-                    if isinstance(request, Forward):
-                        # One batched resolution per node, like the
-                        # simulated forward_all: the sub-region frames
-                        # go out together as one parallel round, one
-                        # wire round each.
-                        stats.meter_batch(len(request.hops))
-                        stats.mcast_forwards += len(request.hops)
-                        replies = await asyncio.gather(*(
-                            call_captured(
-                                Op.MCAST,
-                                hop.key,
-                                body=(hop.target, hop.subquery, query),
-                            )
-                            for hop in request.hops
-                        ))
-                        outcome = [(reply, 1) for reply in replies]
-                    else:  # a GET step of the fallback search
-                        outcome = await self._service.perform_on_loop(request)
-                except NodeUnreachableError as error:
-                    request = step.throw(error)
-                else:
-                    request = step.send(outcome)
-        except StopIteration as done:
-            return encode_reply(frame.request_id, done.value)
+        step = await service.drive_on_loop(operation)
+        while step[0] is CALL:
+            step = await service.drive_on_loop(
+                operation, await step[1](*step[2])
+            )
+        return encode_reply(frame.request_id, step[1])
 
 
 class ServiceContinuousPlane(ContinuousQueryPlane):

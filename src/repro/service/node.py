@@ -723,27 +723,29 @@ class ServiceDht(Dht):
     # The sync facade crosses the bridge once per request or round.  An
     # operation is a chain of dependent steps, so driving it from the
     # client thread pays that hand-off per step; driving it here pays
-    # it once.  ``_drive`` is ``Dht.drive`` awaited on the loop over
-    # ``perform_on_loop`` — same meters and spans (``Dht._meter``),
+    # it once.  ``drive_on_loop`` is ``Dht.drive`` awaited on the loop
+    # over ``perform_on_loop`` — same meters and spans (``Dht._meter``),
     # same frames, no thread hop between steps.  Only a ``CALL`` step
     # comes back: a hook makes blocking facade calls of its own, which
     # the loop thread must not, so it runs on the caller's thread
-    # between two loop segments.
+    # between two loop segments; an installed handler awaits its own
+    # (a peer's forward) on the loop.
 
     def drive(self, operation) -> Any:
         run = self._bridge().run
         try:
-            step = run(self._drive(operation, None))
+            step = run(self.drive_on_loop(operation))
             while step[0] is CALL:
-                step = run(self._drive(operation, step[1](*step[2])))
+                step = run(self.drive_on_loop(operation, step[1](*step[2])))
             return step[1]
         finally:
             operation.close()  # a hook raised: unwind the operation
 
-    async def _drive(self, operation, outcome: Any) -> tuple:
+    async def drive_on_loop(self, operation, outcome: Any = None) -> tuple:
         """Send *outcome* and advance *operation* on the loop until it
         yields a ``CALL`` step (returned as it is) or returns
-        (``(None, result)``)."""
+        (``(None, result)``).  The loop half of :meth:`drive`, public
+        for code already on the loop (an installed handler)."""
         try:
             step = operation.send(outcome)
             while step[0] is not CALL:
@@ -758,8 +760,8 @@ class ServiceDht(Dht):
             return None, done.value
 
     async def perform_on_loop(self, step: tuple) -> Any:
-        """:meth:`Dht.perform` for code already on the loop (``_drive``,
-        an installed handler): any step but ``CALL``."""
+        """:meth:`Dht.perform` for code already on the loop
+        (:meth:`drive_on_loop`): any step but ``CALL``."""
         op, subject = step[0], step[1]
         if op is REWRITE:
             if not await self._rewrite(subject, step[2]):
@@ -811,6 +813,3 @@ class ServiceDht(Dht):
         return self._call_many(
             [(Op.PUT, key, value) for key, value in items]
         )
-
-    def _do_lookup_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._call_many([(Op.LOOKUP, key) for key in keys])

@@ -20,8 +20,8 @@ Byte accounting deliberately has two faces:
   (pickle is an implementation detail of this runtime);
 * :func:`frame_wire_cost` — the *modelled* size used for
   ``NetworkStats.bytes_sent``, built from the same
-  ``RECORD_WIRE_BYTES`` / :func:`~repro.dht.api.estimate_wire_size`
-  accounting the simulated substrates charge, so byte counters stay
+  :func:`~repro.dht.api.estimate_wire_size` accounting (the codec's
+  sizes) the simulated substrates charge, so byte counters stay
   comparable across runtimes.
 """
 

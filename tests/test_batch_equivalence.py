@@ -275,10 +275,6 @@ class FlakyBatchDht(LocalDht):
         self._maybe_fail(key)
         super()._do_put(key, value)
 
-    def _do_lookup(self, key):
-        self._maybe_fail(key)
-        return super()._do_lookup(key)
-
 
 class TestBatchRetries:
     def test_facade_surfaces_first_batch_failure(self):
@@ -340,14 +336,6 @@ class TestBatchRetries:
         assert dht.stats.lookups == 5
         assert dht.stats.batch_retries == 1
 
-    def test_lookup_many_retries(self):
-        dht = FlakyBatchDht()
-        wrapped = RetryingDht(dht, attempts=3)
-        dht.arm(["x"])
-        owners = wrapped.lookup_many_outcomes(["w", "x", "y", "z"])
-        assert owners == [dht.peer_of(key) for key in ["w", "x", "y", "z"]]
-        assert dht.stats.batch_retries == 1
-
 
 class TestBatchMetering:
     def test_get_many_meters_like_individual_gets(self):
@@ -372,7 +360,6 @@ class TestBatchMetering:
     def test_empty_batches_are_free(self):
         dht = LocalDht(8)
         assert dht.get_many_outcomes([]) == []
-        assert dht.lookup_many_outcomes([]) == []
         dht.put_many([])
         assert dht.stats.batch_rounds == 0
         assert dht.stats.lookups == 0

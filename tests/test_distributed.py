@@ -1,9 +1,9 @@
 """Tests for peer-side distributed query execution.
 
-The headline property: the distributed runtime and the
-client-orchestrated engine return identical answers at identical
-metered costs — the paper's cost model cannot tell the deployments
-apart.
+The headline property: the peer runtime (``MulticastRuntime``, every
+forward routed from the forwarding peer) and the client-orchestrated
+engine return identical answers at identical metered costs — the
+paper's cost model cannot tell the deployments apart.
 """
 
 import random
@@ -13,12 +13,14 @@ import pytest
 from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
 from repro.common.geometry import Region
-from repro.core.distributed import AGENT_SUFFIX, DistributedQueryRuntime
 from repro.core.index import MLightIndex
+from repro.core.keys import bucket_key
+from repro.core.naming import naming_function
 from repro.dht.chord import ChordDht
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
+from repro.mcast import MCAST_SUFFIX, MulticastRuntime
 from tests.conftest import brute_force_range
 
 
@@ -55,7 +57,7 @@ class TestCorrectness:
     def test_matches_brute_force(self, factory):
         dht = factory()
         index, points, config = build_over(dht)
-        runtime = DistributedQueryRuntime(dht, 2, config.max_depth)
+        runtime = MulticastRuntime(dht, 2, config.max_depth)
         for query in random_queries(1):
             result = runtime.query(query)
             assert sorted(r.key for r in result.records) == (
@@ -65,7 +67,7 @@ class TestCorrectness:
     def test_any_peer_can_initiate(self):
         dht = ChordDht.build(8)
         index, points, config = build_over(dht, seed=2)
-        runtime = DistributedQueryRuntime(dht, 2, config.max_depth)
+        runtime = MulticastRuntime(dht, 2, config.max_depth)
         query = Region((0.2, 0.2), (0.7, 0.7))
         expected = brute_force_range(points, query)
         for peer in dht.peers():
@@ -75,14 +77,18 @@ class TestCorrectness:
     def test_unknown_initiator_rejected(self):
         dht = ChordDht.build(4)
         _, _, config = build_over(dht, n_points=20)
-        runtime = DistributedQueryRuntime(dht, 2, config.max_depth)
+        runtime = MulticastRuntime(dht, 2, config.max_depth)
+        query = Region((0.1, 0.1), (0.2, 0.2))
         with pytest.raises(ReproError):
-            runtime.query(Region((0.1, 0.1), (0.2, 0.2)),
-                          initiator="nobody")
+            runtime.query(query, initiator="nobody")
+        dead = dht.peers()[1]
+        dht.fail(dead)
+        with pytest.raises(ReproError):
+            runtime.query(query, initiator=dead)
 
     def test_localdht_rejected(self):
         with pytest.raises(ReproError):
-            DistributedQueryRuntime(LocalDht(8), 2, 14)
+            MulticastRuntime(LocalDht(8), 2, 14)
 
 
 class TestDeploymentEquivalence:
@@ -92,7 +98,7 @@ class TestDeploymentEquivalence:
     def test_same_answers_same_costs(self, seed):
         dht = ChordDht.build(12)
         index, points, config = build_over(dht, seed=seed)
-        runtime = DistributedQueryRuntime(dht, 2, config.max_depth)
+        runtime = MulticastRuntime(dht, 2, config.max_depth)
         for query in random_queries(seed + 10):
             engine_result = index.range_query(query)
             distributed_result = runtime.query(query)
@@ -107,20 +113,27 @@ class TestDeploymentEquivalence:
             assert distributed_result.rounds == engine_result.rounds
 
     def test_agents_registered_on_every_peer(self):
+        """An agent is registered on the first message to its peer:
+        after a whole-space query, on every peer that owns a leaf."""
         dht = ChordDht.build(6)
         build_over(dht, n_points=30)
-        DistributedQueryRuntime(dht, 2, 14)
-        for peer in dht.peers():
-            assert dht.network.is_registered(peer + AGENT_SUFFIX)
+        result = MulticastRuntime(dht, 2, 14).query(
+            Region((0.0, 0.0), (1.0, 1.0))
+        )
+        for label in result.visited_leaves:
+            owner = dht.peer_of(bucket_key(naming_function(label, 2)))
+            assert dht.network.is_registered(owner + MCAST_SUFFIX)
 
     def test_local_bucket_read_is_free(self):
         """The agent reads its own bucket from its store: the only
         metered cost per forward is the routing lookup."""
         dht = ChordDht.build(8)
         index, points, config = build_over(dht, seed=5)
-        runtime = DistributedQueryRuntime(dht, 2, config.max_depth)
+        runtime = MulticastRuntime(dht, 2, config.max_depth)
         query = Region((0.0, 0.0), (1.0, 1.0))
+        gets_before = dht.stats.gets
         result = runtime.query(query)
         # Whole-space query: exactly one lookup per leaf bucket, no
-        # extra gets (the engine pays the same via its gets).
+        # gets (the engine pays the same lookups via its gets).
         assert result.lookups == len(result.visited_leaves)
+        assert dht.stats.gets == gets_before

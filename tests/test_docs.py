@@ -105,12 +105,16 @@ class TestArchitectureNames:
 
 
 class TestRemovedNames:
-    """Names PR 23 deleted stay out of the guides and the README."""
+    """Deleted names stay out of the guides and the README."""
 
     REMOVED = (
         "CostMeter", "CostDelta", "default_lookahead", "range_query_scan",
         "`get_many`", "`lookup_many`", "get_many(", "lookup_many(",
         "local_tree_ancestors", "min_label_length",
+        # the client-resolved peer runtime and what only it used
+        "DistributedQueryRuntime", "core.distributed", "refresh_agents",
+        "lookup_many_outcomes", "_do_lookup_many", "`Forward`",
+        "Forward(", "AGENT_SUFFIX", "RECORD_WIRE_BYTES",
     )
 
     @pytest.mark.parametrize(

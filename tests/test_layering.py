@@ -582,9 +582,10 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` after PR 24 (what it was after PR 23:
-#: the step protocol came in for exactly what it deleted).
-SRC_CODE_LINES = 10969
+#: ``make loc``'s ``src total`` once the client-resolved peer runtime
+#: and the batch-lookup primitive only it called were deleted (10 969
+#: before).
+SRC_CODE_LINES = 10818
 
 
 # ----------------------------------------------------------------------
@@ -812,7 +813,7 @@ def test_the_trampolines_do_not_ask_what_they_run():
     for relative, name in (
         ("dht/api.py", "drive"),
         ("service/node.py", "drive"),
-        ("service/node.py", "_drive"),
+        ("service/node.py", "drive_on_loop"),
     ):
         body = function_named(relative, name)
         touched = {
@@ -830,22 +831,19 @@ def test_the_trampolines_do_not_ask_what_they_run():
         assert not probes, (relative, name, probes)
 
 
-#: Where a tick outside ``dht/api.py`` is the design, each with its
-#: comment in place: a retry wave re-meters what it re-issues, a native
-#: overlay route and the initiator's one ``MCAST`` frame embed a
-#: DHT-lookup no facade call makes, a peer's forward is one resolution
-#: round.
+#: Where a tick outside ``dht/api.py`` is the design: a retry wave
+#: re-meters what it re-issues.  (A peer's forward — the initiator's
+#: one message included — is ``DhtStats.meter_forward``, called by the
+#: range kernel for both peer drivers.)
 TICK_SITES = {
-    "dht/retry.py": {"get_many_outcomes", "put_many", "lookup_many_outcomes"},
-    "mcast/runtime.py": {"_resolve_target", "_resolve_targets"},
-    "mcast/service.py": {"query", "send", "_handle_mcast"},
+    "dht/retry.py": {"get_many_outcomes", "put_many"},
 }
 
 
 def test_step_meter_ticks_are_written_in_the_facade_only():
-    """``service/node.py`` performs steps on its loop and
-    ``mcast/service.py`` answers a peer's probes; both go through
-    ``Dht._meter`` / ``perform`` instead of re-typing the ticks."""
+    """``service/node.py`` performs steps on its loop and the peer
+    drivers run a peer's probes; all go through ``Dht._meter`` /
+    ``perform`` instead of re-typing the ticks."""
     counters = {"lookups", "gets", "puts", "removes"}
 
     def on_stats(node):
@@ -887,6 +885,64 @@ def test_step_meter_ticks_are_written_in_the_facade_only():
         node for node in ast.walk(handler)
         if isinstance(node, ast.Attribute) and node.attr == "gets"
     ]
+
+
+#: The only functions under ``src/`` that advance an operation: the
+#: in-process trampoline and its loop twin on the service runtime.
+TRAMPOLINES = {("dht/api.py", "drive"), ("service/node.py", "drive_on_loop")}
+
+
+def operation_advances(source: str) -> list[str]:
+    """``<function>:<line>`` for every ``next(name)``, ``x.send(...)``
+    and ``x.throw(...)`` in *source*, by innermost enclosing function:
+    a generator stepped by hand.  ``next`` of an attribute or of a
+    generator expression draws an id or a first match, not a step."""
+    def advances(call):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return func.attr in ("send", "throw")
+        return (
+            isinstance(func, ast.Name) and func.id == "next"
+            and bool(call.args) and isinstance(call.args[0], ast.Name)
+        )
+
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and advances(child):
+                found.append(f"{function}:{child.lineno}")
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_trampolines_advance_an_operation():
+    """A peer driver runs its step on a trampoline — ``dht.drive`` or
+    ``ServiceDht.drive_on_loop`` — with a forward as a ``CALL`` step,
+    instead of a private loop of its own."""
+    found = [
+        f"{relative}:{where}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relative in [path.relative_to(SRC).as_posix()]
+        for where in operation_advances(path.read_text())
+        if (relative, where.split(":")[0]) not in TRAMPOLINES
+    ]
+    assert not found, found
+    # The check itself: a hand-driven agent loop is flagged, drawing an
+    # id or a first match is not.
+    assert operation_advances(
+        "def handle_rpc(self, message):\n"
+        "    request = next(step)\n"
+        "    request = step.throw(error)\n"
+        "    request = step.send(outcome)\n"
+        "    ident = next(self._ids)\n"
+        "    first = next(x for x in items)\n"
+    ) == ["handle_rpc:2", "handle_rpc:3", "handle_rpc:4"]
 
 
 def test_index_maintenance_reaches_the_facade_through_drive_only():

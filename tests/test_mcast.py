@@ -4,9 +4,9 @@ range queries.
 The headline properties:
 
 * multicast returns the same answers at the same metered costs as
-  client fan-out — across all three overlays, against the client
-  engine with rounds batched and per key, and on both the simulated
-  and the asyncio service runtimes — while the
+  the client engine — across all three overlays, with the engine's
+  rounds batched and per key, on both the simulated and the asyncio
+  service runtimes, and after the membership changed — while the
   initiator originates exactly **one** message per query;
 * a continuous query keeps delivering through splits, merges, and (on
   a durable ring) a crash-restart cycle, each matching insert exactly
@@ -22,7 +22,6 @@ import pytest
 from repro.common.config import IndexConfig
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region, region_of_label
-from repro.core.distributed import DistributedQueryRuntime
 from repro.core.index import MLightIndex
 from repro.core.naming import naming_function
 from repro.dht.api import DhtDecorator
@@ -31,7 +30,6 @@ from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
 from repro.mcast import (
-    MCAST_SUFFIX,
     ContinuousQueryPlane,
     MulticastRuntime,
     ServiceContinuousPlane,
@@ -44,11 +42,6 @@ from tests.conftest import PerKeyDht, brute_force_range
 CONFIG = IndexConfig(
     dims=2, max_depth=14, split_threshold=10, merge_threshold=5
 )
-
-#: Stat counters allowed to differ between fan-out and multicast:
-#: ``hops`` (route length depends on the routing start position) and
-#: the multicast-only meters.
-EXCLUDED = ("hops", "mcasts", "mcast_forwards")
 
 OVERLAYS = [
     ("chord", lambda: ChordDht.build(10)),
@@ -78,13 +71,23 @@ def random_queries(seed, count=6):
     return queries
 
 
+#: Stat counters allowed to differ between the client engine's
+#: fan-out and multicast: ``hops`` (route length depends on the routing
+#: start position), the multicast-only meters, and how the probes are
+#: carried — the engine reads each leaf with a batched ``get``, a peer
+#: reads its own bucket for free and forwards a batch of routes.
+EXCLUDED = (
+    "hops", "mcasts", "mcast_forwards", "gets", "batch_rounds", "batch_ops",
+)
+
+
 def comparable(snapshot):
     return {k: v for k, v in snapshot.items() if k not in EXCLUDED}
 
 
 class TestMulticastEquivalence:
-    """Multicast == fan-out == engine, answer for answer, cost for
-    cost, on every simulated overlay."""
+    """Multicast == client fan-out (the engine), answer for answer,
+    cost for cost, on every simulated overlay."""
 
     @pytest.mark.parametrize(
         "factory", [f for _, f in OVERLAYS], ids=[n for n, _ in OVERLAYS]
@@ -92,11 +95,10 @@ class TestMulticastEquivalence:
     def test_matches_fanout_on_every_meter(self, factory):
         dht = factory()
         index, points = build_over(dht)
-        fanout = DistributedQueryRuntime(dht, 2, CONFIG.max_depth)
         mcast = MulticastRuntime(dht, 2, CONFIG.max_depth)
         for query in random_queries(3):
             before = dht.stats.snapshot()
-            fan_result = fanout.query(query)
+            fan_result = index.range_query(query)
             mid = dht.stats.snapshot()
             mc_result = mcast.query(query)
             after = dht.stats.snapshot()
@@ -142,14 +144,6 @@ class TestMulticastEquivalence:
             assert mc_result.lookups == engine_result.lookups
             assert mc_result.rounds == engine_result.rounds
 
-    def test_agents_coexist_with_fanout_agents(self):
-        dht = ChordDht.build(6)
-        build_over(dht, n_points=40)
-        DistributedQueryRuntime(dht, 2, CONFIG.max_depth)
-        MulticastRuntime(dht, 2, CONFIG.max_depth)
-        for peer in dht.peers():
-            assert dht.network.is_registered(peer + MCAST_SUFFIX)
-
     def test_localdht_rejected(self):
         with pytest.raises(ReproError):
             MulticastRuntime(LocalDht(8), 2, 14)
@@ -180,20 +174,70 @@ class TestInitiatorMessages:
         assert delta["lookups"] > 1  # the bound is non-vacuous
 
     def test_fanout_originates_one_message_per_branch(self):
-        """The baseline the tentpole improves on: client fan-out pays
-        one client-originated resolution per visited node."""
+        """The baseline the tentpole improves on: client fan-out (the
+        engine) pays one client-originated probe per visited node."""
         dht = ChordDht.build(10)
         index, points = build_over(dht)
-        fanout = DistributedQueryRuntime(dht, 2, CONFIG.max_depth)
         query = Region((0.0, 0.0), (1.0, 1.0))
         before = dht.stats.snapshot()
-        result = fanout.query(query)
+        result = index.range_query(query)
         delta = {
             k: v - before[k] for k, v in dht.stats.snapshot().items()
         }
         assert delta["mcasts"] == 0
         assert delta["mcast_forwards"] == 0
         assert delta["lookups"] == len(result.visited_leaves) > 1
+
+
+class TestMembershipChanges:
+    """Agents follow the overlay: the node serving a subquery is the
+    one live under that name when the message arrives, and a peer that
+    joined is reached like any other."""
+
+    WHOLE = Region((0.0, 0.0), (1.0, 1.0))
+
+    def ring(self, tmp_path):
+        """Chord, 8 durable peers, θ_split = 10, 300 points, and the
+        runtime built before the membership changes."""
+        dht = ChordDht.build(8, durability="log", data_dir=str(tmp_path))
+        index, _ = build_over(dht, 300, seed=0)
+        return dht, index, MulticastRuntime(dht, 2, CONFIG.max_depth)
+
+    def insert_more(self, index):
+        rng = random.Random(1)
+        for _ in range(200):
+            index.insert((rng.random(), rng.random()))
+
+    def assert_answers_like_the_engine(self, index, mcast):
+        engine = index.range_query(self.WHOLE)
+        result = mcast.query(self.WHOLE)
+        assert result.complete
+        assert len(result.records) == len(engine.records) == 500
+        assert sorted(r.key for r in result.records) == sorted(
+            r.key for r in engine.records
+        )
+        assert result.visited_leaves == engine.visited_leaves
+        assert (result.lookups, result.rounds) == (
+            engine.lookups, engine.rounds
+        )
+
+    def test_crash_restart_of_the_fullest_peer(self, tmp_path):
+        dht, index, mcast = self.ring(tmp_path)
+        victim = max(
+            dht.peers(), key=lambda name: len(dht.node(name).store)
+        )
+        dht.fail(victim)
+        dht.restart(victim)
+        self.insert_more(index)
+        self.assert_answers_like_the_engine(index, mcast)
+
+    def test_a_peer_that_joined(self, tmp_path):
+        dht, index, mcast = self.ring(tmp_path)
+        dht.join("chord-0008")
+        dht.stabilize_all(2)
+        self.insert_more(index)
+        assert len(dht.node("chord-0008").store)  # it serves buckets
+        self.assert_answers_like_the_engine(index, mcast)
 
 
 class TestServiceMulticast:

@@ -47,7 +47,8 @@ def run_scenario(kind: str, data_dir) -> dict:
         dht.get(key)
     dht.get_many_outcomes(keys[40:50])
     dht.get("absent-key")
-    dht.lookup_many_outcomes(keys[50:60])
+    for key in keys[50:60]:
+        dht.lookup(key)
     dht.get_direct(dht.peer_of(keys[60]), keys[60])
     dht.rewrite_local(keys[61], "rewritten")
     for key in keys[100:120]:

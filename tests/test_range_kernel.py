@@ -3,7 +3,7 @@
 ``branch_subqueries`` / ``fallback_cursor`` / ``peer_subquery`` /
 ``query_via_peers`` take no DHT; the drivers around them (client
 rounds, SimNetwork agents, asyncio MCAST frames) are covered by
-``test_rangequery``, ``test_distributed`` and ``test_mcast``.
+``test_rangequery`` and ``test_mcast``.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
 from repro.core.rangequery import (
-    Forward,
     branch_subqueries,
     compute_lca,
     fallback_cursor,
@@ -28,7 +27,7 @@ from repro.core.rangequery import (
     query_via_peers,
 )
 from repro.core.records import Record
-from repro.dht.api import GET, BatchFailure, DhtStats
+from repro.dht.api import CALL, GET, BatchFailure, DhtStats
 from repro.dht.chord import ChordDht
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.mcast import MulticastRuntime, ServiceMulticast
@@ -142,6 +141,11 @@ class TestFallbackCursor:
         assert self.probes(cursor, ["0010", "0011"]).bucket.label == "0010"
 
 
+def forward(hops):
+    """Stands in for a driver's forward; the scripted answers reply."""
+    raise AssertionError("the kernel never calls its forward itself")
+
+
 def drive(step, answers):
     """Run a ``peer_subquery`` generator against scripted *answers*
     (one per request, in order; an exception is thrown in, as a failed
@@ -183,7 +187,7 @@ class TestPeerSubquery:
         requests, result = drive(
             peer_subquery(
                 self.store(**{"001": leaf}), "001", self.QUERY, self.QUERY,
-                2, 10, DhtStats(),
+                2, 10, DhtStats(), forward,
             ),
             [],
         )
@@ -194,32 +198,37 @@ class TestPeerSubquery:
 
     def test_corner_cell_forwards_its_branches_once_and_merges(self):
         corner = self.bucket("00100", (0.1, 0.1))
+        stats = DhtStats()
         step = peer_subquery(
             self.store(**{"001": corner}), "001", self.QUERY, self.QUERY,
-            2, 10, DhtStats(),
+            2, 10, stats, forward,
         )
         child_a = ([Record((0.9, 0.1))], ["0011"], 2, [])
         failure = BatchFailure(NodeUnreachableError("down"))
         requests, result = drive(step, [[(child_a, 1), (failure, 3)]])
-        [forward] = requests
-        assert isinstance(forward, Forward)
-        assert [hop.target for hop in forward.hops] == ["0011", "00101"]
-        assert [hop.key for hop in forward.hops] == [
-            bucket_key(naming_function(hop.target, 2))
-            for hop in forward.hops
+        [(op, function, (hops,))] = requests
+        assert (op, function) == (CALL, forward)
+        assert [hop.target for hop in hops] == ["0011", "00101"]
+        assert [hop.key for hop in hops] == [
+            bucket_key(naming_function(hop.target, 2)) for hop in hops
         ]
+        # The kernel ticks the forward: a lookup and a peer-to-peer
+        # forward per hop, one round for the lot.
+        assert (stats.lookups, stats.mcast_forwards) == (2, 2)
+        assert (stats.batch_rounds, stats.gets) == (1, 0)
         records, visited, rounds, unresolved = result
         assert sorted(r.key for r in records) == [(0.1, 0.1), (0.9, 0.1)]
         assert visited == ["00100", "0011"]
         # Deepest child: max(2 + 1, 3); the dead hop's region degrades.
         assert rounds == 3
-        assert unresolved == [forward.hops[1].subquery]
+        assert unresolved == [hops[1].subquery]
 
     def test_missing_target_probes_then_collects_the_covering_leaf(self):
         cover = self.bucket("0010", (0.1, 0.1))
         subquery = region_of_label("00101", 2)
         step = peer_subquery(
-            self.store(), "00101", subquery, self.QUERY, 2, 10, DhtStats()
+            self.store(), "00101", subquery, self.QUERY, 2, 10, DhtStats(),
+            forward,
         )
         answers = {
             bucket_key(naming_function("0010", 2)): cover,
@@ -240,7 +249,8 @@ class TestPeerSubquery:
     def test_unreachable_fallback_reports_the_probes_it_spent(self):
         subquery = region_of_label("00101", 2)
         step = peer_subquery(
-            self.store(), "00101", subquery, self.QUERY, 2, 10, DhtStats()
+            self.store(), "00101", subquery, self.QUERY, 2, 10, DhtStats(),
+            forward,
         )
         requests, result = drive(step, [NodeUnreachableError("down")])
         assert requests == [(GET, requests[0][1])]
@@ -251,7 +261,8 @@ class TestPeerSubquery:
             bucket_key(naming_function("0010", 2)): self.bucket("0011")
         }
         step = peer_subquery(
-            held.get, "0010", self.QUERY, self.QUERY, 2, 10, DhtStats()
+            held.get, "0010", self.QUERY, self.QUERY, 2, 10, DhtStats(),
+            forward,
         )
         with pytest.raises(IndexCorruptionError):
             next(step)
@@ -275,7 +286,10 @@ class TestQueryViaPeers:
         assert region_of_label(hop.target, 2).contains_point((0.65, 0.65))
         assert hop.key == bucket_key(naming_function(hop.target, 2))
         assert hop.subquery == query
-        assert (result.lookups, result.batch_rounds) == (3, 2)
+        # The initiator's message is a forward of one hop, ticked by the
+        # kernel; the rest is what the peers metered.
+        assert (result.lookups, result.batch_rounds) == (1 + 3, 1 + 2)
+        assert (stats.mcasts, stats.mcast_forwards) == (1, 1)
         assert result.rounds == 3 and result.complete
         assert result.visited_leaves == {"leaf"}
 
