@@ -3,7 +3,8 @@
 Drives the open-loop load generator against the asyncio runtime at a
 small scale.  The gate is deliberately loose — achieved throughput
 must reach at least half the target — because its job is to catch the
-runtime falling over (a stuck event loop, a deadlocked inbox), not to
+runtime falling over (a stuck event loop, a request that never gets
+its reply), not to
 benchmark the host; how fast the service plane is, is ``perf/``'s
 ``svc_scan`` / ``svc_journal``.  The full-scale run (100k records, 8
 peers, 500 QPS for 10 s) is the command-line module itself; see

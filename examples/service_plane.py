@@ -1,8 +1,8 @@
 """The service plane: the same index over live asyncio peers.
 
 Every other example runs on the simulated substrates.  This one builds
-the index twice — once on the simulator, once on peers that are real
-asyncio actors speaking the framed wire protocol — replays the same
+the index twice — once on the simulator, once on live asyncio peers
+speaking the framed wire protocol — replays the same
 workload on both, and shows the answers and index-level cost meters
 come out identical, while the service side additionally reports real
 wall-clock latency from a short open-loop load run.

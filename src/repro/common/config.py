@@ -42,10 +42,10 @@ class IndexConfig:
         runtime: which runtime plane the experiment's DHT should be
             created on by :func:`repro.runtime.create_dht` —
             ``"sim"`` (the single-threaded simulated substrates, the
-            reference semantics), ``"asyncio"`` (each peer an
-            independent asyncio actor behind the framed wire protocol)
-            or ``"tcp"`` (asyncio actors behind real loopback
-            sockets), or any kind added with
+            reference semantics), ``"asyncio"`` (every peer served on
+            one asyncio loop behind the framed wire protocol) or
+            ``"tcp"`` (the same peers behind real loopback sockets),
+            or any kind added with
             :func:`repro.runtime.register_runtime`.  Query answers and
             index-level cost meters are identical across runtimes; only
             clocks differ (simulated rounds vs wall-clock spans).

@@ -11,8 +11,9 @@ Two construction modes:
 
 * :meth:`ChordDht.build` wires a perfect ring directly — the right
   choice for experiments where the overlay is only a substrate.
-* :meth:`ChordDht.join` runs the real join protocol; tests drive
-  :meth:`ChordDht.stabilize_all` to convergence afterwards.
+* :meth:`ChordDht.join` runs the real join protocol, ending in one
+  stabilisation round so the new peer's key range is routed to it;
+  :meth:`ChordDht.stabilize_all` converges the fingers further.
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ class ChordDht(RoutedOverlay):
         self, node: ChordNode, gateway: ChordNode, rejoining: bool
     ) -> list:
         """The Chord join: find the successor, take over the key range
-        this node now owns (``handoff``), and ``notify``."""
+        this node now owns (``handoff``), ``notify``, and stabilise the
+        ring once so routing reaches the new owner."""
         if rejoining:
             # From live membership, not a routed lookup: peers that
             # never stabilized during the outage still hold refs to the
@@ -296,12 +298,10 @@ class ChordDht(RoutedOverlay):
         for key, value in entries:
             node.store.put(key, value)
         self.network.rpc(node.name, successor.name, "notify", node.ref)
-        if rejoining:
-            # Re-converge the ring: until the predecessor adopts the
-            # restarted node as its successor, routing bypasses it
-            # (join leaves this to the caller; restart must restore
-            # service).
-            self.stabilize_all(1)
+        # Re-converge the ring: until the predecessor adopts the new
+        # node as its successor, routing bypasses it — and with it the
+        # key range the handoff just moved onto it.
+        self.stabilize_all(1)
         return entries
 
     def _hand_off(self, node: ChordNode) -> None:

@@ -7,8 +7,8 @@ same two ingredients: a *placement* rule mapping keys to peers, and a
 per-peer *request server* over a :class:`~repro.dht.storage.PeerStore`.
 Both used to live tangled inside substrate classes; this module hosts
 them runtime-free so a peer can be driven by a plain method call, a
-simulated RPC, an asyncio inbox, or a real socket without rewriting
-storage semantics.
+simulated RPC, a decoded wire frame, or a real socket without
+rewriting storage semantics.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class KeyValuePeer:
     by name.  The routed overlays' node
     (:class:`~repro.dht.overlay.OverlayNode`) extends this class and
     answers its ``store_*`` RPCs through it in-process; the service
-    runtime calls it from an actor task after decoding a wire frame.
+    runtime calls it on the loop after decoding a wire frame.
     Storage semantics (absent-key errors included) therefore cannot
     drift between runtimes.  (``LocalDht`` keeps bare
     :class:`PeerStore` objects — it has no request server to share.)

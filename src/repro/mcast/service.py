@@ -8,8 +8,9 @@ opcodes:
 * :class:`ServiceMulticast` — the client sends **one** ``MCAST`` frame
   to the owner of ``fmd(LCA(R))``; that peer's handler splits the
   region against its local bucket and forwards sub-region ``MCAST``
-  frames peer-to-peer (spawned actor tasks, so a peer can forward to
-  itself), aggregation flowing back up through the replies.  The
+  frames peer-to-peer (a handler awaits its forward, and a frame is
+  served on the task that sends it, so a peer can forward to itself),
+  aggregation flowing back up through the replies.  The
   handler runs :func:`repro.core.rangequery.peer_subquery` — the same
   operation the simulated agents ``drive`` — on the service loop's
   trampoline (``ServiceDht.drive_on_loop``) and awaits its one
@@ -24,9 +25,10 @@ opcodes:
   request/reply protocol otherwise lacks.
 
 Handlers and the push sink are installed through
-``ServiceDht.install_handler`` / ``set_push_sink``, which re-apply
-them on restart, so continuous queries survive a crash-restart cycle
-on a durable ring the same way they do on the simulated substrates.
+``ServiceDht.install_handler`` / ``set_push_sink``; the runtime holds
+them for every peer, a restarted one included, so continuous queries
+survive a crash-restart cycle on a durable ring the same way they do
+on the simulated substrates.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class ServiceMulticast:
         )
 
     async def _handle_mcast(self, peer: Any, frame: Any) -> bytes:
-        """The ``MCAST`` handler, run on the owning actor: this peer's
+        """The ``MCAST`` handler, run for the owning peer: this peer's
         step of the query on the loop trampoline, its forward awaited
         here as sub-region frames."""
         target, subquery, query = frame.body
@@ -130,7 +132,7 @@ class ServiceContinuousPlane(ContinuousQueryPlane):
 
     Same client API and re-homing logic as the base plane; only
     delivery differs.  Each push is a request frame to the table
-    owner's actor, which emits the unsolicited ``request_id == 0``
+    owner, which emits the unsolicited ``request_id == 0``
     ``PUSH`` frame a client-side sink dispatches to the local
     :class:`~repro.mcast.continuous.Subscriber`.
     """
@@ -160,7 +162,7 @@ class ServiceContinuousPlane(ContinuousQueryPlane):
         self, key: str | None, entry: Any, method: str, *args: Any
     ) -> None:
         self._dht.stats.pushes += 1
-        # Invalidations have no table key; any actor can emit the
+        # Invalidations have no table key; any peer can emit the
         # frame, so route by the client id instead.
         route_key = key if key is not None else entry.client
         try:

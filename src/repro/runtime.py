@@ -19,9 +19,10 @@ a single registry-backed factory instead::
   routed ``"chord"``/``"kademlia"``/``"pastry"`` protocols over
   :class:`~repro.net.simnet.SimNetwork`.
 * ``"asyncio"`` / ``"tcp"`` — the service runtime
-  (:class:`~repro.service.node.ServiceDht`): every peer an independent
-  asyncio actor speaking the framed wire protocol, through in-process
-  inboxes or real loopback sockets.  Placement is runtime-neutral
+  (:class:`~repro.service.node.ServiceDht`): every peer served on one
+  asyncio event loop in the framed wire protocol, each frame on the
+  task that sends it or across real loopback sockets.  Placement is
+  runtime-neutral
   consistent hashing; ``overlay`` only names the peers (routed overlay
   *protocols* remain a sim-plane concern).  Remember to ``close()``
   service substrates (or use them as context managers).

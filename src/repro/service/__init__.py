@@ -1,9 +1,9 @@
 """The service plane: asyncio peers, a wire protocol, a load generator.
 
 This package is the "system under real load" counterpart of the
-simulated substrates: :class:`~repro.service.node.ServiceDht` runs
-every peer as an independent asyncio actor (optionally behind a real
-TCP listener) speaking the length-prefixed framed protocol of
+simulated substrates: :class:`~repro.service.node.ServiceDht` serves
+every peer on one asyncio event loop (optionally behind a real TCP
+listener) speaking the length-prefixed framed protocol of
 :mod:`repro.service.wire`, and :mod:`repro.service.loadgen` replays
 mixed workloads against it at a target QPS with open-loop latency
 percentiles.  Construction goes through

@@ -1,23 +1,26 @@
-"""The asyncio service runtime: every peer an independent actor.
+"""The asyncio service runtime: live peers speaking wire frames.
 
 Where :class:`~repro.net.simnet.SimNetwork` runs all peers in one
-thread of control under a virtual clock, this runtime gives each peer
-its own asyncio task draining an inbox of wire frames — real
-concurrency under a real clock — and optionally a real TCP listener
-(``transport="tcp"``) so the frames cross actual loopback sockets.
+thread of control under a virtual clock, this runtime serves every
+peer on one asyncio event loop under a real clock.  A request frame is
+served where it lands: on the task that sends it
+(``transport="asyncio"``), or off a real loopback socket by the peer's
+TCP listener (``transport="tcp"``).  Either way one coroutine,
+``serve_frame``, dispatches it.  A peer is no task of its own; the
+loop interleaves requests at their awaits.
 
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
 facade: the index layers, the retry/fault wrappers and the tracer
 attach unchanged.  The facade's synchronous
 ``_do_*`` primitives bridge into a dedicated event-loop thread, so any
 number of caller threads (the load generator's workers, say) issue
-requests concurrently and the actors interleave them per-frame.
+requests concurrently.
 
 Placement is runtime-neutral consistent hashing
 (:class:`~repro.dht.peer.HashRing` — successor-on-ring, the ownership
 rule Chord applies to live node identifiers).  Routed overlay
 *protocols* remain a simulated-runtime concern; what this runtime
-reproduces is the service boundary: wire format, per-peer concurrency,
+reproduces is the service boundary: wire format, concurrent requests
 and wall-clock latency.
 """
 
@@ -117,7 +120,7 @@ def serve_request(peer: KeyValuePeer, frame: Frame) -> bytes:
 
     Every failure — protocol or storage — becomes a ``REPLY_ERR``
     frame: a service peer answers, it never lets an exception escape
-    into its serving task or connection handler.
+    into the task or connection handler serving it.
     """
     try:
         op_name = _OP_NAMES.get(frame.op)
@@ -129,116 +132,79 @@ def serve_request(peer: KeyValuePeer, frame: Frame) -> bytes:
         return encode_error(frame.request_id, exc)
 
 
-def _resolver(future: asyncio.Future):
-    """The reply sink of an inbox frame: resolve its caller's future."""
-    async def resolve(reply: bytes) -> None:
-        if not future.done():
-            future.set_result(reply)
-    return resolve
+class _ServicePeer:
+    """One service peer: its storage and, on the TCP transport, its
+    listener and the client connection to it.
 
-
-class _ActorNode:
-    """One service peer: storage, an inbox task, optionally a listener.
-
-    Constructed inside the runtime's event loop.  The inbox carries
-    ``(frame_bytes, reply_future)`` pairs — the in-process equivalent
-    of a datagram transport — while the TCP listener speaks the same
-    frames over real sockets, one connection handler per client.
+    Constructed inside the runtime's event loop.  A peer is no task of
+    its own: the in-process transport serves a request frame on the
+    task that sends it, and the TCP listener serves the same frames
+    off the socket, one connection handler per client.  The extension
+    handlers and the push sink are the runtime's, read per frame, so a
+    restarted peer serves whatever was installed before its crash.
     """
 
-    def __init__(
-        self,
-        peer: KeyValuePeer,
-        handlers: dict[int, Any] | None = None,
-    ) -> None:
+    def __init__(self, peer: KeyValuePeer, runtime: "ServiceDht") -> None:
         self.peer = peer
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        #: Extension dispatch: ``Op -> async handler(peer, frame) ->
-        #: reply bytes``.  Extension frames run as *spawned tasks* so a
-        #: handler that forwards to other actors (prefix multicast, and
-        #: in particular to *this* actor again) never deadlocks the
-        #: sequential inbox/connection loop behind its own reply.
-        self.handlers: dict[int, Any] = dict(handlers or {})
-        #: In-process delivery target for unsolicited frames (the
-        #: asyncio-transport stand-in for a server->client socket
-        #: write); installed by the runtime's ``set_push_sink``.
-        self.push_sink: Any | None = None
+        self.runtime = runtime
+        #: Cleared first thing in :meth:`stop`, before it awaits
+        #: anything: a request that reaches a stopping peer is refused.
+        self.live = True
+        self.channel: _TcpChannel | None = None
+        self.server: asyncio.AbstractServer | None = None
         #: One locked ``write(data)`` coroutine function per connection.
         self._connections: set[Any] = set()
         self._ext_tasks: set[asyncio.Task] = set()
-        self.task = asyncio.create_task(
-            self._serve(), name=f"repro-node-{peer.name}"
-        )
-        self.server: asyncio.AbstractServer | None = None
-        self.port: int | None = None
 
-    async def start_listener(self) -> None:
+    async def listen(self) -> None:
+        """The TCP transport: open a listener and connect to it."""
         self.server = await asyncio.start_server(
             self._handle_connection, host="127.0.0.1", port=0
         )
-        self.port = self.server.sockets[0].getsockname()[1]
+        self.channel = _TcpChannel(self.runtime)
+        await self.channel.connect(self.server.sockets[0].getsockname()[1])
 
-    async def call(self, frame_bytes: bytes) -> Frame:
-        """In-process transport: enqueue a frame, await its reply."""
-        if self.task.done():
+    async def call(self, frame_bytes: bytes, request_id: int) -> Frame:
+        """Send one request frame to this peer; returns its reply."""
+        if not self.live:
             raise NodeUnreachableError(
-                f"service peer {self.peer.name!r} has shut down"
+                f"service peer {self.peer.name!r} is down"
             )
-        future = asyncio.get_running_loop().create_future()
-        self.inbox.put_nowait((frame_bytes, future))
-        return decode_frame(await future)
+        if self.channel is not None:
+            return await self.channel.call(frame_bytes, request_id)
+        return decode_frame(await self.serve_frame(decode_frame(frame_bytes)))
 
-    async def _serve(self) -> None:
-        while True:
-            item = await self.inbox.get()
-            if item is None:
-                break
-            frame_bytes, future = item
-            try:
-                frame = decode_frame(frame_bytes)
-            except Exception as exc:  # undecodable request frame
-                if not future.done():
-                    future.set_result(encode_error(0, exc))
-                continue
-            handler = self.handlers.get(frame.op)
-            if handler is not None:
-                self._spawn_ext(handler, frame, _resolver(future))
-                continue
-            reply = serve_request(self.peer, frame)
-            if not future.done():
-                future.set_result(reply)
-
-    def _spawn_ext(self, handler, frame: Frame, reply_to) -> None:
-        """Serve one extension frame as a task of its own; the reply
-        (the handler's, or its error's) is awaited into *reply_to*: an
-        inbox future's resolver or a connection's locked write."""
-        task = asyncio.create_task(
-            self._serve_ext(handler, frame, reply_to),
-            name=f"repro-ext-{self.peer.name}-{frame.op}",
-        )
-        self._ext_tasks.add(task)
-        task.add_done_callback(self._ext_tasks.discard)
-
-    async def _serve_ext(self, handler, frame: Frame, reply_to) -> None:
+    async def serve_frame(self, frame: Frame) -> bytes:
+        """Serve one request frame: the installed handler of its opcode,
+        else :func:`serve_request`.  Returns the reply frame; a failure
+        is a ``REPLY_ERR`` frame, never an exception."""
+        handler = self.runtime._handlers.get(frame.op)
+        if handler is None:
+            return serve_request(self.peer, frame)
         try:
-            reply = await handler(self.peer, frame)
+            return await handler(self.peer, frame)
         except Exception as exc:
-            reply = encode_error(frame.request_id, exc)
-        try:
-            await reply_to(reply)
-        except (ConnectionError, OSError):
-            pass  # the connection is gone
+            return encode_error(frame.request_id, exc)
 
     async def _handle_connection(self, reader, writer) -> None:
         decoder = FrameDecoder()
-        # Extension handlers reply out of order from spawned tasks, so
-        # socket writes interleave behind one lock per connection.
+        # An extension handler may await other peers, so its reply can
+        # overtake the frames behind it: each extension frame is served
+        # as a task of its own, and socket writes interleave behind one
+        # lock per connection.
         lock = asyncio.Lock()
 
         async def write(data: bytes) -> None:
             async with lock:
                 writer.write(data)
                 await writer.drain()
+
+        async def answer(frame: Frame) -> None:
+            reply = await self.serve_frame(frame)
+            try:
+                await write(reply)
+            except (ConnectionError, OSError):
+                pass  # the connection is gone
 
         self._connections.add(write)
         try:
@@ -247,11 +213,12 @@ class _ActorNode:
                 if not data:
                     break
                 for frame in decoder.feed(data):
-                    handler = self.handlers.get(frame.op)
-                    if handler is not None:
-                        self._spawn_ext(handler, frame, write)
-                    else:
-                        await write(serve_request(self.peer, frame))
+                    if frame.op not in self.runtime._handlers:
+                        await answer(frame)
+                        continue
+                    task = asyncio.create_task(answer(frame))
+                    self._ext_tasks.add(task)
+                    task.add_done_callback(self._ext_tasks.discard)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -260,8 +227,8 @@ class _ActorNode:
 
     async def push(self, frame_bytes: bytes) -> int:
         """Deliver one unsolicited frame (``request_id == 0``) to the
-        connected client(s), or to the in-process push sink on the
-        inbox transport.  Returns the number of deliveries."""
+        connected client(s), or to the runtime's push sink on the
+        in-process transport.  Returns the number of deliveries."""
         delivered = 0
         if self._connections:
             for write in list(self._connections):
@@ -270,14 +237,18 @@ class _ActorNode:
                     delivered += 1
                 except (ConnectionError, OSError):
                     continue
-        elif self.push_sink is not None:
-            self.push_sink(decode_frame(frame_bytes))
+        elif self.runtime._push_sink is not None:
+            self.runtime._push_sink(decode_frame(frame_bytes))
             delivered += 1
         return delivered
 
     async def stop(self) -> None:
-        self.inbox.put_nowait(None)
-        await self.task
+        """Crash or shut down: refuse requests from here on, drop the
+        client connection, let spawned extension frames finish, close
+        the listener and the store's durable backend."""
+        self.live = False
+        if self.channel is not None:
+            await self.channel.close()
         if self._ext_tasks:
             await asyncio.gather(
                 *list(self._ext_tasks), return_exceptions=True
@@ -285,6 +256,7 @@ class _ActorNode:
         if self.server is not None:
             self.server.close()
             await self.server.wait_closed()
+        self.peer.store.close_backend()
 
 
 class _TcpChannel:
@@ -295,14 +267,14 @@ class _TcpChannel:
     socket instead of a connection storm.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, runtime: "ServiceDht") -> None:
+        #: Whose push sink receives frames with no pending request
+        #: (unsolicited server-to-client pushes, ``request_id == 0``).
+        self.runtime = runtime
         self._reader = None
         self._writer = None
         self._reader_task: asyncio.Task | None = None
         self._pending: dict[int, asyncio.Future] = {}
-        #: Receives frames with no pending request (unsolicited
-        #: server-to-client pushes, ``request_id == 0``).
-        self.push_sink: Any | None = None
 
     async def connect(self, port: int) -> None:
         self._reader, self._writer = await asyncio.open_connection(
@@ -329,8 +301,8 @@ class _TcpChannel:
                     if future is not None:
                         if not future.done():
                             future.set_result(frame)
-                    elif self.push_sink is not None:
-                        self.push_sink(frame)
+                    elif self.runtime._push_sink is not None:
+                        self.runtime._push_sink(frame)
         except (ConnectionError, OSError):
             pass
         finally:
@@ -407,12 +379,12 @@ class _LoopThread:
 class ServiceDht(Dht):
     """The :class:`Dht` facade over the asyncio/TCP service runtime.
 
-    ``transport="asyncio"`` passes frames through per-actor inboxes;
-    ``transport="tcp"`` sends the same frames through real loopback
+    ``transport="asyncio"`` serves each frame on the task that sends
+    it; ``transport="tcp"`` sends the same frames through real loopback
     sockets (one listener per peer, one multiplexed client connection
     each).  Either way the runtime starts lazily on first use; call
     :meth:`close` (or use the instance as a context manager) to tear
-    the actors, sockets and loop thread down deterministically.
+    the peers, sockets and loop thread down deterministically.
     """
 
     def __init__(
@@ -434,7 +406,7 @@ class ServiceDht(Dht):
                 f"of {TRANSPORTS}"
             )
         self._transport_kind = transport
-        #: Durable backend kind each actor's store journals into
+        #: Durable backend kind each peer's store journals into
         #: (``None``: in-memory only; :meth:`restart` unavailable).
         self.durability = durability
         self.data_dir = peer_data_dir(durability, data_dir, "service")
@@ -445,10 +417,9 @@ class ServiceDht(Dht):
         self.network = ServiceTransport()
         self._request_ids = itertools.count(1)
         self._loop_thread: _LoopThread | None = None
-        self._actors: dict[str, _ActorNode] = {}
-        self._channels: dict[str, _TcpChannel] = {}
-        #: Extension handlers / push sink, re-applied on (re)start so a
-        #: restarted actor keeps serving the dissemination opcodes.
+        self._peers: dict[str, _ServicePeer] = {}
+        #: Extension handlers and push sink, held here once and read by
+        #: every peer per frame, a restarted one included.
         self._handlers: dict[int, Any] = {}
         self._push_sink: Any | None = None
         self._closed = False
@@ -458,7 +429,7 @@ class ServiceDht(Dht):
     # ------------------------------------------------------------------
 
     def start(self) -> "ServiceDht":
-        """Spin up the loop thread and every actor (idempotent)."""
+        """Spin up the loop thread and every peer (idempotent)."""
         if self._closed:
             raise ReproError("this ServiceDht has been closed")
         if self._loop_thread is None:
@@ -468,23 +439,18 @@ class ServiceDht(Dht):
 
     async def _start_nodes(self) -> None:
         for name in self._ring.peers():
-            await self._start_actor(
+            await self._start_peer(
                 name, open_peer_store(self.durability, self.data_dir, name)
             )
 
-    async def _start_actor(self, name: str, store: PeerStore) -> None:
-        actor = _ActorNode(KeyValuePeer(name, store), self._handlers)
-        actor.push_sink = self._push_sink
-        self._actors[name] = actor
+    async def _start_peer(self, name: str, store: PeerStore) -> None:
+        peer = _ServicePeer(KeyValuePeer(name, store), self)
+        self._peers[name] = peer
         if self._transport_kind == "tcp":
-            await actor.start_listener()
-            channel = _TcpChannel()
-            channel.push_sink = self._push_sink
-            await channel.connect(actor.port)
-            self._channels[name] = channel
+            await peer.listen()
 
     def close(self) -> None:
-        """Stop actors, close sockets, and join the loop thread."""
+        """Stop peers, close sockets, and join the loop thread."""
         if self._closed:
             return
         self._closed = True
@@ -494,57 +460,47 @@ class ServiceDht(Dht):
             self._loop_thread = None
 
     async def _stop_nodes(self) -> None:
-        for channel in self._channels.values():
-            await channel.close()
-        for actor in self._actors.values():
-            if not actor.task.done():
-                await actor.stop()
-            actor.peer.store.close_backend()
+        for peer in self._peers.values():
+            if peer.live:
+                await peer.stop()
 
     # ------------------------------------------------------------------
     # Membership-ish lifecycle: crash and durable restart
     # ------------------------------------------------------------------
     #
     # Placement is a fixed hash ring, so peers never join or leave —
-    # but an actor can crash and, with durability enabled, come back
+    # but a peer can crash and, with durability enabled, come back
     # holding its pre-crash store.  Ownership never moves while a peer
     # is down (requests to it fail instead), so restart needs no
     # reconcile/re-home traffic here: recovery is replay-only.
 
-    def _member(self, name: str) -> _ActorNode:
-        """The actor of ring member *name*.  Membership is the ring's
-        to decide: the actors exist only once the runtime has started,
-        which this does."""
+    def _member(self, name: str) -> _ServicePeer:
+        """The peer of ring member *name*.  Membership is the ring's to
+        decide: the peers exist only once the runtime has started, which
+        this does."""
         if name not in self._ring.peers():
             raise ReproError(f"unknown service peer {name!r}")
         self.start()
-        return self._actors[name]
+        return self._peers[name]
 
     def fail(self, name: str) -> None:
-        """Crash one service peer: its actor stops serving, requests to
-        it raise :class:`NodeUnreachableError`, its in-memory store is
+        """Crash one service peer: it stops serving, requests to it
+        raise :class:`NodeUnreachableError`, its in-memory store is
         gone.  Durable state stays on disk for :meth:`restart`."""
-        if self._member(name).task.done():
+        peer = self._member(name)
+        if not peer.live:
             raise ReproError(f"service peer {name!r} is already down")
-        self._bridge().run(self._fail_node(name))
-
-    async def _fail_node(self, name: str) -> None:
-        actor = self._actors[name]
-        channel = self._channels.pop(name, None)
-        if channel is not None:
-            await channel.close()
-        await actor.stop()
-        actor.peer.store.close_backend()
+        self._bridge().run(peer.stop())
 
     def _do_restart(self, name: str) -> None:
-        if not self._member(name).task.done():
+        if self._member(name).live:
             raise ReproError(f"service peer {name!r} is already live")
         store = open_peer_store(
             self.durability, self.data_dir, name, recover=True
         )
         self.stats.restarts += 1
         self.stats.restart_replayed += len(store)
-        self._bridge().run(self._start_actor(name, store))
+        self._bridge().run(self._start_peer(name, store))
 
     # ------------------------------------------------------------------
     # Extension opcodes (the dissemination plane)
@@ -552,35 +508,30 @@ class ServiceDht(Dht):
 
     def install_handler(self, op: Op, handler: Any) -> None:
         """Serve extension opcode *op* with ``async handler(peer, frame)
-        -> reply bytes`` on every actor, surviving crash/restart.
+        -> reply bytes`` on every peer, restarted ones included.
 
-        Extension frames run as spawned tasks on the owning actor, so a
-        handler may itself await :meth:`call_captured` to other actors
-        (or back to its own) without deadlocking the serve loop.
+        A handler runs on the task that delivered its frame (a spawned
+        task per frame on the TCP transport), never in a serve loop, so
+        it may itself await :meth:`call_captured` to other peers or to
+        its own.
         """
         self._handlers[int(op)] = handler
-        for actor in self._actors.values():
-            actor.handlers[int(op)] = handler
 
     def set_push_sink(self, sink: Any) -> None:
         """Route unsolicited (``request_id == 0``) frames to *sink*.
 
-        On the TCP transport the sink hangs off each client channel's
-        read loop; on the inbox transport it stands in for the missing
-        server-to-client socket direction.
+        On the TCP transport each client channel's read loop hands the
+        sink its pushes; on the in-process transport a peer calls it
+        directly, in place of the missing server-to-client socket.
         """
         self._push_sink = sink
-        for actor in self._actors.values():
-            actor.push_sink = sink
-        for channel in self._channels.values():
-            channel.push_sink = sink
 
     def push_to_clients(self, name: str, frame_bytes: bytes) -> "Any":
         """Awaitable: emit one unsolicited frame from peer *name*."""
-        actor = self._actors.get(name)
-        if actor is None or actor.task.done():
+        peer = self._peers.get(name)
+        if peer is None or not peer.live:
             raise NodeUnreachableError(f"service peer {name!r} is down")
-        return actor.push(frame_bytes)
+        return peer.push(frame_bytes)
 
     def __enter__(self) -> "ServiceDht":
         return self.start()
@@ -600,7 +551,7 @@ class ServiceDht(Dht):
         return self._ring.peers()
 
     def items(self) -> Iterator[tuple[str, Any]]:
-        """Every actor's (key, value) pairs, copied on the loop thread:
+        """Every peer's (key, value) pairs, copied on the loop thread:
         it mutates the stores, so only it may iterate them."""
         if self._loop_thread is None:
             return iter(())
@@ -609,8 +560,8 @@ class ServiceDht(Dht):
     async def _snapshot_items(self) -> list[tuple[str, Any]]:
         return [
             pair
-            for actor in self._actors.values()
-            for pair in actor.peer.store.items()
+            for node in self._peers.values()
+            for pair in node.peer.store.items()
         ]
 
     def key_count(self) -> int:
@@ -620,7 +571,7 @@ class ServiceDht(Dht):
         return self._bridge().run(self._count_keys())
 
     async def _count_keys(self) -> int:
-        return sum(len(actor.peer.store) for actor in self._actors.values())
+        return sum(len(node.peer.store) for node in self._peers.values())
 
     # ------------------------------------------------------------------
     # Requests
@@ -630,7 +581,7 @@ class ServiceDht(Dht):
         self, op: Op, key: str, value: Any = None, *, body: Any = None
     ) -> Any:
         stats = self.network.stats
-        actor = self._actors[self._ring.peer_of(key)]
+        peer = self._peers[self._ring.peer_of(key)]
         request_id = next(self._request_ids)
         if body is not None:
             # Extension opcode: *key* routes the frame (peer_of above)
@@ -643,15 +594,7 @@ class ServiceDht(Dht):
         stats.record_rpc()
         cost, payload = frame_wire_sizes(op, key, cost_value)
         stats.record_message(op.name.lower(), cost, payload=payload)
-        if self._transport_kind == "tcp":
-            channel = self._channels.get(actor.peer.name)
-            if channel is None:  # crashed via fail(): listener is gone
-                raise NodeUnreachableError(
-                    f"service peer {actor.peer.name!r} is down"
-                )
-            reply = await channel.call(frame_bytes, request_id)
-        else:
-            reply = await actor.call(frame_bytes)
+        reply = await peer.call(frame_bytes, request_id)
         cost, payload = frame_wire_sizes(reply.op, "", reply.body)
         stats.record_message(op.name.lower() + ":reply", cost, payload=payload)
         if reply.op is Op.REPLY_ERR:

@@ -10,9 +10,8 @@ One message = one frame::
 The header is struct-packed big-endian; the payload is a pickled
 ``(key, value)`` request body or a reply body.  Frames are
 self-delimiting, so a byte stream (an asyncio TCP connection) is cut
-into messages by :class:`FrameDecoder` with no sentinel scanning, and a
-datagram-style transport (the in-process actor inbox) passes one frame
-per message.
+into messages by :class:`FrameDecoder` with no sentinel scanning, and
+the in-process transport hands one whole frame to the peer it serves.
 
 Byte accounting deliberately has two faces:
 

@@ -10,7 +10,10 @@ peer crash with no data loss.
 
 import pytest
 
+from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
+from repro.common.rng import make_rng
+from repro.core.index import MLightIndex
 from repro.dht.chord import ChordDht
 from repro.dht.churn import generate_schedule, run_churn
 from repro.dht.kademlia import KademliaDht
@@ -136,3 +139,24 @@ class TestReplicatedChurnSurvival:
         )
         assert report.repairs == 0
         assert report.survival_ratio < 1.0
+
+
+class TestJoinUnderAnIndex:
+    @pytest.mark.parametrize("joiner", ["chord-0008", "chord-late"])
+    def test_inserts_right_after_a_join_find_their_leaves(self, joiner):
+        """The joiner takes its key range from its successor; until the
+        predecessor routes that range to the joiner, a probe for a
+        handed-off leaf reads nothing.  ``join`` converges the ring
+        itself, so the client's next inserts need no ``stabilize_all``."""
+        dht = ChordDht.build(8)
+        config = IndexConfig(dims=2, split_threshold=10, merge_threshold=5)
+        index = MLightIndex(dht, config)
+        rng = make_rng(0)
+        for _ in range(300):
+            index.insert((rng.random(), rng.random()))
+        dht.join(joiner)
+        for _ in range(200):
+            index.insert((rng.random(), rng.random()))
+        assert index.total_records() == 500
+        assert len(dht.node(joiner).store)
+        index.check_invariants()

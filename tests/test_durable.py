@@ -429,9 +429,10 @@ class TestRestartProtocol:
             second.get(f"k{index}") == index for index in range(20)
         )
 
-    def test_service_runtime_restart(self):
+    @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+    def test_service_runtime_restart(self, transport):
         dht = create_dht(RuntimeConfig(
-            kind="asyncio", n_peers=3, durability="log"
+            kind=transport, n_peers=3, durability="log"
         ))
         try:
             for index in range(12):
@@ -450,13 +451,16 @@ class TestRestartProtocol:
         finally:
             dht.close()
 
-    def test_service_membership_before_the_first_operation(self, make_dht):
+    @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+    def test_service_membership_before_the_first_operation(
+        self, make_dht, transport
+    ):
         """The runtime starts lazily; every peer ``peers()`` lists is a
         member before it has."""
-        dht = make_dht(kind="asyncio", n_peers=4, durability="log")
+        dht = make_dht(kind=transport, n_peers=4, durability="log")
         with pytest.raises(ReproError, match="already live"):
             dht.restart("peer-0000")
-        dht = make_dht(kind="asyncio", n_peers=4, durability="log")
+        dht = make_dht(kind=transport, n_peers=4, durability="log")
         with pytest.raises(ReproError, match="unknown service peer"):
             dht.fail("ghost")
         dht.fail("peer-0000")
@@ -466,15 +470,16 @@ class TestRestartProtocol:
         dht.put("k", 1)
         assert dht.get("k") == 1
 
+    @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
     def test_service_replay_keeps_bytes_until_the_first_read(
-        self, make_dht, store_builds
+        self, make_dht, store_builds, transport
     ):
         """Replay hands each journalled blob back as a bucket that is
         still its bytes: no record store is built by the restart, nor
         by lookups routed through the recovered peer — only by the
         client that finally asks for records."""
-        dht = make_dht(kind="asyncio", n_peers=3, durability="log")
-        config = IndexConfig(runtime="asyncio", durability="log")
+        dht = make_dht(kind=transport, n_peers=3, durability="log")
+        config = IndexConfig(runtime=transport, durability="log")
         rng = make_rng(derive_seed(14, "replay-lazy"))
         points = [(rng.random(), rng.random()) for _ in range(500)]
         bulk_load(dht, points[:400], config)

@@ -582,10 +582,9 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once the client-resolved peer runtime
-#: and the batch-lookup primitive only it called were deleted (10 969
-#: before).
-SRC_CODE_LINES = 10818
+#: ``make loc``'s ``src total`` once the service peers lost their inbox
+#: tasks and both transports shared one serve path (10 818 before).
+SRC_CODE_LINES = 10758
 
 
 # ----------------------------------------------------------------------

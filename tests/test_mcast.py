@@ -234,7 +234,6 @@ class TestMembershipChanges:
     def test_a_peer_that_joined(self, tmp_path):
         dht, index, mcast = self.ring(tmp_path)
         dht.join("chord-0008")
-        dht.stabilize_all(2)
         self.insert_more(index)
         assert len(dht.node("chord-0008").store)  # it serves buckets
         self.assert_answers_like_the_engine(index, mcast)

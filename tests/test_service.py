@@ -1,10 +1,12 @@
-"""Unit tests for the service plane: wire protocol, actor runtime,
+"""Unit tests for the service plane: wire protocol, peer runtime,
 retry/fault/tracer integration, and the load generator."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,46 @@ class TestServiceOracles:
         assert list(dht.items()) == []
         assert sum(dht.load_by_peer().values()) == 0
         dht.close()
+
+
+class TestServedWhereTheFrameLands:
+    """The asyncio transport has no inbox: a request frame is served on
+    the task that sends it, so a peer is no task of its own."""
+
+    def test_a_request_racing_a_crash_is_refused(self):
+        """A request that reaches a peer after its stop has begun raises
+        :class:`NodeUnreachableError` instead of waiting forever for a
+        peer that will never answer (bounded here, so a hang fails)."""
+        with ServiceDht(4) as dht:
+            owner = dht._member(dht.peer_of("k"))
+
+            async def race():
+                stopping = asyncio.ensure_future(owner.stop())
+                request = asyncio.ensure_future(dht._request(Op.GET, "k"))
+                try:
+                    await asyncio.wait_for(request, 1.0)
+                except Exception as error:
+                    return error
+                finally:
+                    await stopping
+
+            assert isinstance(dht._bridge().run(race()), NodeUnreachableError)
+
+    def test_loop_tasks_do_not_grow_with_the_peers(self):
+        async def count_tasks():
+            return len(asyncio.all_tasks())
+
+        counts = []
+        for n_peers in (8, 64):
+            with ServiceDht(n_peers) as dht:
+                dht.put("k", 1)
+                counts.append(dht._bridge().run(count_tasks()))
+        assert counts[0] == counts[1]
+
+    def test_no_queue_in_the_service_package(self):
+        package = Path(__file__).resolve().parent.parent / "src/repro/service"
+        for path in package.glob("*.py"):
+            assert "Queue" not in path.read_text(), path
 
 
 class TestBucketBytePath:

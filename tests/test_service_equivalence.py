@@ -3,8 +3,8 @@
 The over-DHT contract says the substrate is invisible above the
 :class:`~repro.dht.api.Dht` facade: the same workload must produce the
 same query answers and the same index-level cost meters whether the
-peers are simulated in one thread or run as asyncio actors behind the
-framed wire protocol.  ``hops`` is the one excluded counter — it
+peers are simulated in one thread or served on an asyncio loop behind
+the framed wire protocol.  ``hops`` is the one excluded counter — it
 meters overlay routing, which only the routed simulated protocols
 perform (it is 0 on LocalDht too); wall-clock measures live on
 ``NetworkStats``, outside ``DhtStats`` entirely.
@@ -100,8 +100,9 @@ class TestSimVsAsyncio:
 
 class TestTcpTransport:
     def test_tcp_matches_asyncio_bit_for_bit(self, asyncio_run):
-        """The socket transport carries the same frames as the inbox
-        transport — answers and the full meter keyset agree."""
+        """The socket transport carries the same frames as the
+        in-process transport — answers and the full meter keyset
+        agree."""
         tcp_answers, tcp_stats = run_workload(
             RuntimeConfig(kind="tcp", n_peers=4)
         )
