@@ -15,8 +15,8 @@ under the ``"ml:"`` namespace:
 * **read replication** — a promoted bucket is copied to
   ``key#r1..#rK`` (:mod:`~repro.adaptive.replication`) and each read
   of it is spread across the copies by the directory's seeded picker.
-  Writes through the plane (``put``/``put_many``/``rewrite_local``)
-  refresh the copies synchronously and ``remove`` tears them down, so
+  Writes through the plane (``PUT``/``PUT_MANY``/``REWRITE`` steps)
+  refresh the copies synchronously and ``REMOVE`` tears them down, so
   a replica read always returns exactly the primary's current value —
   answers are bit-identical to an unreplicated run by construction,
   and split/merge re-homing rides Theorem 5's single in-place rewrite;
@@ -67,7 +67,17 @@ from repro.adaptive.replication import (
 )
 from repro.adaptive.shortcuts import ShortcutTable
 from repro.common.errors import DhtKeyError, NodeUnreachableError
-from repro.dht.api import BatchFailure, Dht, DhtDecorator
+from repro.dht.api import (
+    GET,
+    GET_MANY,
+    PUT,
+    PUT_MANY,
+    REMOVE,
+    REWRITE,
+    BatchFailure,
+    Dht,
+    DhtDecorator,
+)
 from repro.obs.registry import MetricsRegistry
 
 #: The index key namespace the plane adapts; other keys pass through.
@@ -324,10 +334,33 @@ class AdaptiveDht(DhtDecorator):
         return key.startswith(_INDEX_PREFIX) and REPLICA_SEP not in key
 
     # ------------------------------------------------------------------
+    # The seam: reads adapt, writes keep replicas coherent
+    # ------------------------------------------------------------------
+
+    def perform(self, step: tuple) -> Any:
+        op = step[0]
+        if op is GET:
+            return self._read(step[1])
+        if op is GET_MANY:
+            return self._read_many(step[1])
+        outcome = self._inner.perform(step)
+        if op is PUT or op is REWRITE:
+            # A REWRITE is Theorem 5's in-place rewrite: the one
+            # surviving bucket of a split/merge keeps its key, so this
+            # is exactly the "re-home replicas of one bucket" path.
+            self._refresh_replicas(step[1], step[2])
+        elif op is PUT_MANY:
+            for key, value in step[1]:
+                self._refresh_replicas(key, value)
+        elif op is REMOVE:
+            self._forget(step[1])
+        return outcome
+
+    # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
 
-    def get(self, key: str) -> Any | None:
+    def _read(self, key: str) -> Any | None:
         inner = self._inner
         if not self._adapted(key):
             return inner.get(key)
@@ -372,10 +405,7 @@ class AdaptiveDht(DhtDecorator):
             self._maybe_learn(target)
         return value
 
-    def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        keys = list(keys)
-        if not keys:
-            return []
+    def _read_many(self, keys: Sequence[str]) -> list[Any]:
         targets: list[str] = []
         redirected: list[int] = []
         for slot, key in enumerate(keys):
@@ -405,38 +435,12 @@ class AdaptiveDht(DhtDecorator):
                 stats.replica_reads += 1
         return outcomes
 
-    # ------------------------------------------------------------------
-    # Writes: keep replicas write-through coherent
-    # ------------------------------------------------------------------
-
-    def put(self, key: str, value: Any, *, records_moved: int = 0) -> None:
-        self._inner.put(key, value, records_moved=records_moved)
-        self._refresh_replicas(key, value)
-
-    def put_many(
-        self,
-        items: Sequence[tuple[str, Any]],
-        *,
-        records_moved: Sequence[int] | None = None,
-    ) -> None:
-        self._inner.put_many(items, records_moved=records_moved)
-        for key, value in items:
-            self._refresh_replicas(key, value)
-
-    def rewrite_local(self, key: str, value: Any) -> None:
-        # Theorem 5's in-place rewrite: the one surviving bucket of a
-        # split/merge keeps its key, so this intercept is exactly the
-        # "re-home replicas of one bucket" path.
-        self._inner.rewrite_local(key, value)
-        self._refresh_replicas(key, value)
-
-    def remove(self, key: str, *, records_moved: int = 0) -> Any:
-        value = self._inner.remove(key, records_moved=records_moved)
+    def _forget(self, key: str) -> None:
+        """Tear down every trace of a removed primary *key*."""
         self._demote(key, reason="removed")
         if self._shortcuts is not None:
             self._shortcuts.forget(key)
         self._pending_learn.pop(key, None)
-        return value
 
     # ------------------------------------------------------------------
     # Oracle access

@@ -19,7 +19,7 @@ This codec is also the **byte-accounting contract**: the same
 :func:`payload_wire_size` prices a stored object on every substrate —
 the simulated overlays charge it on ``store_put``/``store_get``
 messages, ``SimNetwork`` prices replies with it, and the service
-plane's :func:`repro.service.wire.frame_wire_cost` builds on it via
+plane's :func:`repro.service.wire.frame_wire_sizes` builds on it via
 :func:`repro.dht.api.estimate_wire_size` — so ``bytes_sent`` is
 comparable between a simulated and a TCP run of the same trace.  The
 module installs itself as the wire model at import time (the registry

@@ -17,8 +17,9 @@ split (Theorem 5): the surviving child keeps the dead bucket's key.
 Beside the facade sits the **step protocol**: an index *operation* is a
 generator that yields steps — plain tuples, opcode first — is sent each
 step's outcome and returns its result.  :meth:`Dht.perform` runs one
-step through the metered facade method of that name and
-:meth:`Dht.drive` is the trampoline; see the opcodes below.
+step — the one metered entry point, which the public methods are
+sugar over — and :meth:`Dht.drive` is the trampoline; see the opcodes
+below.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ class BatchFailure:
 #:
 #: * ``(GET, key)`` — one metered get; the outcome is the value or
 #:   ``None``.
+#: * ``(LOOKUP, key)`` — the peer responsible for *key*.
+#: * ``(GET_DIRECT, key, peer)`` — a get sent straight to *peer*.
+#: * ``(PUT, key, value, records_moved)`` — one routed put.
 #: * ``(GET_MANY, keys)`` — one parallel round; one outcome per key, a
 #:   :class:`BatchFailure` in the slot of an unreachable one.
 #: * ``(REWRITE, key, value)`` — the free in-place write of Theorem 5.
@@ -140,9 +144,10 @@ class BatchFailure:
 #: error leaves.
 GET, GET_MANY, REWRITE = "get", "get_many", "rewrite"
 PUT_MANY, REMOVE, CALL = "put_many", "remove", "call"
+LOOKUP, GET_DIRECT, PUT = "lookup", "get_direct", "put"
 
 #: Stands in for a span while no tracer is attached.  Entering it costs
-#: two calls, which the hottest primitive (:meth:`Dht.get`) avoids.
+#: two calls, which the hottest step (an untraced ``GET``) avoids.
 UNTRACED = contextlib.nullcontext()
 
 
@@ -308,9 +313,9 @@ class DhtStats:
 class Dht(ABC):
     """Abstract ``put/get/remove/lookup`` interface plus metering.
 
-    Concrete substrates implement the five ``_do_*`` primitives; the
-    public methods handle accounting so that every substrate meters
-    identically.
+    Concrete substrates implement the five ``_do_*`` primitives;
+    :meth:`perform` handles accounting, and the public methods are
+    sugar over it, so that every substrate meters identically.
 
     ``tracer`` is the observability hook: ``None`` (the default) keeps
     every operation on the exact untraced path — one attribute load and
@@ -331,23 +336,18 @@ class Dht(ABC):
         self.tracer: "Tracer | None" = None
 
     # ------------------------------------------------------------------
-    # Public, metered operations
+    # Public, metered operations: sugar over :meth:`perform`
     # ------------------------------------------------------------------
+    #
+    # Defined here only.  A wrapper intercepts the step, never these.
 
     def lookup(self, key: str) -> str:
         """Locate the peer responsible for *key*; costs one DHT-lookup."""
-        self.stats.lookups += 1
-        return self._traced("lookup", self._do_lookup, key, key=key)
+        return self.perform((LOOKUP, key))
 
     def get(self, key: str) -> Any | None:
         """Fetch the value at *key* (None when absent); one DHT-lookup."""
-        if self.tracer is None:
-            # The hot primitive runs bare: _meter's ticks, in place.
-            self.stats.lookups += 1
-            self.stats.gets += 1
-            return self._do_get(key)
-        with self._meter((GET, key)):
-            return self._do_get(key)
+        return self.perform((GET, key))
 
     def get_direct(self, peer: str, key: str) -> Any | None:
         """Fetch *key* straight from *peer*, skipping overlay routing.
@@ -366,21 +366,12 @@ class Dht(ABC):
         the per-operation bandwidth measure, so adaptive and plain
         runs stay comparable on the paper's cost model.
         """
-        self.stats.lookups += 1
-        self.stats.gets += 1
-        return self._traced(
-            "get_direct", self._do_get_direct, peer, key, key=key, peer=peer
-        )
+        return self.perform((GET_DIRECT, key, peer))
 
     def put(self, key: str, value: Any, *, records_moved: int = 0) -> None:
         """Store *value* at *key*; one DHT-lookup plus *records_moved*
         records of transfer."""
-        self.stats.lookups += 1
-        self.stats.puts += 1
-        self.stats.records_moved += records_moved
-        self._traced(
-            "put", self._do_put, key, value, key=key, records_moved=records_moved
-        )
+        self.perform((PUT, key, value, records_moved))
 
     def remove(self, key: str, *, records_moved: int = 0) -> Any:
         """Delete and return the value at *key*; one DHT-lookup.
@@ -389,22 +380,26 @@ class Dht(ABC):
         (e.g. a bucket absorbed during a merge).  Raises
         :class:`DhtKeyError` when the key is absent.
         """
-        with self._meter((REMOVE, key, records_moved)):
-            return self._do_remove(key)
+        return self.perform((REMOVE, key, records_moved))
 
-    # ------------------------------------------------------------------
-    # Batched operations (one parallel round each)
-    # ------------------------------------------------------------------
-    #
+    def rewrite_local(self, key: str, value: Any) -> None:
+        """Replace the value at an existing key at zero metered cost.
+
+        Models a peer rewriting an object it already stores.  The key
+        must exist; raising otherwise catches index-layer bugs where a
+        "free" write would actually have required routing.
+        """
+        self.perform((REWRITE, key, value))
+
     # A batch carries one recursion level's *independent* operations.
     # Metering is per element — every element embeds a DHT-lookup, so
     # the paper's bandwidth measure is unchanged — but the batch counts
     # as one round: latency-wise the elements proceed in parallel, and
     # substrates that model time advance their clock by the slowest
-    # element instead of the sum.  The default implementations fall
-    # back to sequential primitives so every substrate works unmodified
-    # (``LocalDht`` runs them as they are: in-process there is no
-    # latency to overlap, and a peer's journal is not locked).
+    # element instead of the sum.  The default primitives fall back to
+    # sequential ones so every substrate works unmodified (``LocalDht``
+    # runs them as they are: in-process there is no latency to overlap,
+    # and a peer's journal is not locked).
 
     def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
         """Fetch several keys as one parallel round.
@@ -416,11 +411,7 @@ class Dht(ABC):
         the round's other results.  Query engines that return partial
         answers (``complete=False``) build on this.
         """
-        keys = list(keys)
-        if not keys:
-            return []
-        with self._meter((GET_MANY, keys)):
-            return self._do_get_many(keys)
+        return self.perform((GET_MANY, list(keys)))
 
     def put_many(
         self,
@@ -434,11 +425,8 @@ class Dht(ABC):
         (default: zero per item), aligned with *items*.
         """
         items = list(items)
-        if not items:
-            return
         moved = _check_records_moved(items, records_moved)
-        with self._meter((PUT_MANY, items, moved)):
-            _raise_batch_failures(self._do_put_many(items))
+        self.perform((PUT_MANY, items, moved))
 
     def restart(self, name: str) -> None:
         """Bring a crashed peer back from its durable state.
@@ -456,7 +444,11 @@ class Dht(ABC):
         substrates without membership at all — this raises
         :class:`ReproError`.
         """
-        self._traced("restart", self._do_restart, name, peer=name)
+        if self.tracer is None:
+            self._do_restart(name)
+            return
+        with self.tracer.span("dht", "restart", peer=name):
+            self._do_restart(name)
 
     def _do_restart(self, name: str) -> None:
         raise ReproError(
@@ -489,76 +481,90 @@ class Dht(ABC):
         """
         yield self
 
-    def rewrite_local(self, key: str, value: Any) -> None:
-        """Replace the value at an existing key at zero metered cost.
-
-        Models a peer rewriting an object it already stores.  The key
-        must exist; raising otherwise catches index-layer bugs where a
-        "free" write would actually have required routing.
-        """
-        if not self._do_rewrite(key, value):
-            raise _absent_key(key)
-
     # ------------------------------------------------------------------
     # The step protocol: operations are generators, this runs them
     # ------------------------------------------------------------------
 
-    def _traced(self, name: str, primitive, *args: Any, **attrs: Any) -> Any:
-        """Run a primitive that is no step kind (it stays off the hot
-        operations) under its ``dht`` span, or bare when untraced."""
-        tracer = self.tracer
-        if tracer is None:
-            return primitive(*args)
-        with tracer.span("dht", name, **attrs):
-            return primitive(*args)
-
     def _meter(self, step: tuple) -> Any:
-        """Tick what a ``GET`` / ``GET_MANY`` / ``PUT_MANY`` / ``REMOVE``
-        *step* costs and return its ``dht`` span, not yet entered
-        (:data:`UNTRACED` when no tracer is attached).
+        """Tick what a metered *step* costs and return its ``dht`` span,
+        not yet entered (:data:`UNTRACED` when no tracer is attached).
 
         The half of a metered primitive that does not depend on where
-        its IO runs: the facade methods call it, and so does a runtime
-        that performs steps on a loop of its own, so the two meter and
-        trace alike by construction.
+        its IO runs: :meth:`perform` calls it, and so do a retry wave
+        and a runtime that performs steps on a loop of its own, so all
+        of them meter and trace alike by construction.  A ``REWRITE``
+        and a ``CALL`` cost nothing here and are never passed in.
         """
         op, stats, tracer = step[0], self.stats, self.tracer
         if op is GET:
+            # The service loop meters every probe here: no attrs dict.
             stats.lookups += 1
             stats.gets += 1
             return UNTRACED if tracer is None else tracer.span("dht", op, key=step[1])
-        if op is REMOVE:
-            stats.lookups += 1
-            stats.removes += 1
-            stats.records_moved += step[2]
-            attrs = {"key": step[1], "records_moved": step[2]}
-        elif op is GET_MANY:
-            attrs = {"count": len(step[1])}
-            stats.meter_batch(len(step[1]), gets=len(step[1]))
-        else:
+        if op is GET_MANY:
+            count = len(step[1])
+            stats.meter_batch(count, gets=count)
+            attrs = {"count": count}
+        elif op is PUT_MANY:
             count, moved = len(step[1]), sum(step[2])
-            attrs = {"count": count, "records_moved": moved}
             stats.meter_batch(count, puts=count, records_moved=moved)
+            attrs = {"count": count, "records_moved": moved}
+        else:
+            stats.lookups += 1
+            attrs = {"key": step[1]}
+            if op is GET_DIRECT:
+                stats.gets += 1
+                attrs["peer"] = step[2]
+            elif op is not LOOKUP:
+                if op is PUT:
+                    stats.puts += 1
+                else:
+                    stats.removes += 1
+                stats.records_moved += step[-1]
+                attrs["records_moved"] = step[-1]
         return UNTRACED if tracer is None else tracer.span("dht", op, **attrs)
 
     def perform(self, step: tuple) -> Any:
-        """Run one step through the metered facade method of its name.
+        """Run one step: tick its meter, open its span, run its
+        primitive; the outcome.
 
-        Public so a test or a simulated client can advance an operation
-        by hand, one step at a time, on any substrate or wrapper stack.
+        The one metered entry point of the facade and the one seam a
+        wrapper overrides to intercept whole steps (retry, adaptive
+        reads).  Public so a test or a simulated client can advance an
+        operation by hand, one step at a time, on any substrate or
+        wrapper stack.
         """
         op = step[0]
-        if op is GET:
-            return self.get(step[1])
-        if op is GET_MANY:
-            return self.get_many_outcomes(step[1])
+        if op is GET and self.tracer is None:
+            # The hot step runs bare: _meter's ticks, in place.
+            stats = self.stats
+            stats.lookups += 1
+            stats.gets += 1
+            return self._do_get(step[1])
         if op is REWRITE:
-            return self.rewrite_local(step[1], step[2])
-        if op is PUT_MANY:
-            return self.put_many(step[1], records_moved=step[2])
-        if op is REMOVE:
-            return self.remove(step[1], records_moved=step[2])
-        return step[1](*step[2])
+            if not self._do_rewrite(step[1], step[2]):
+                raise _absent_key(step[1])
+            return None
+        if op is CALL:
+            return step[1](*step[2])
+        if op is GET_MANY or op is PUT_MANY:
+            if not step[1]:
+                return [] if op is GET_MANY else None  # no round
+            with self._meter(step):
+                if op is GET_MANY:
+                    return self._do_get_many(step[1])
+                _raise_batch_failures(self._do_put_many(step[1]))
+                return None
+        with self._meter(step):
+            if op is GET:
+                return self._do_get(step[1])
+            if op is REMOVE:
+                return self._do_remove(step[1])
+            if op is LOOKUP:
+                return self._do_lookup(step[1])
+            if op is GET_DIRECT:
+                return self._do_get_direct(step[2], step[1])
+            return self._do_put(step[1], step[2])
 
     def drive(self, operation: Generator[tuple, Any, Any]) -> Any:
         """Run *operation* to completion against this facade; its result.
@@ -570,20 +576,18 @@ class Dht(ABC):
         range queries, inserts, deletes, splits and merges alike.
 
         This body is the driver for every in-process substrate and —
-        because :class:`DhtDecorator` forwards neither it nor
-        :meth:`perform` — for every wrapped stack, whose ``get`` /
-        ``get_many_outcomes`` / ``put_many`` / ``remove`` overrides
-        therefore see each primitive.  A substrate with a runtime of
-        its own overrides it to run the same loop where its IO lives
+        because :class:`DhtDecorator` forwards :meth:`perform` but not
+        this — for every wrapped stack, whose ``perform`` overrides
+        therefore see each step.  A substrate with a runtime of its own
+        overrides it to run the same loop where its IO lives
         (``ServiceDht``: one coroutine on the service loop).
         """
-        get, perform = self.get, self.perform
+        perform = self.perform
         try:
             step = next(operation)
             while True:
                 try:
-                    # A probe is the hot step: straight to the facade.
-                    outcome = get(step[1]) if step[0] is GET else perform(step)
+                    outcome = perform(step)
                 except BaseException as error:
                     step = operation.throw(error)
                 else:
@@ -691,17 +695,18 @@ class DhtDecorator(Dht):
     Owns the wrapped ``inner`` facade, shares its ``stats`` and
     ``tracer`` (one counter set, one span tree for the whole stack),
     resolves the simulated clock time-costing wrappers charge, and
-    forwards the complete facade once: metered operations, ``_do_*``
-    primitives, the unmetered oracle, membership and lifecycle.  A
-    subclass overrides only what it changes — public operations to
-    intercept whole calls (retry, adaptive reads), ``_do_*`` primitives
-    to intercept below the metering (fault injection).
+    forwards the complete facade once: :meth:`Dht.perform`, the
+    ``_do_*`` primitives, the unmetered oracle, membership and
+    lifecycle.  A subclass overrides only what it changes, at one of
+    two seams: ``perform`` above the meter to intercept whole steps
+    (retry, adaptive reads), ``_do_*`` primitives below it (fault
+    injection).  The public methods are :class:`Dht`'s sugar over
+    ``perform``, so a direct call and a driven step meet the same seam.
 
-    The two things deliberately *not* forwarded are :meth:`Dht.drive`
-    and :meth:`Dht.perform`: a wrapped stack keeps the base trampoline,
-    so every step of every operation passes through the wrappers'
-    ``get`` / ``get_many_outcomes`` / ``put_many`` / ``remove`` and can
-    be retried, faulted or redirected.
+    The one thing deliberately *not* forwarded is :meth:`Dht.drive`: a
+    wrapped stack keeps the base trampoline, so every step of every
+    operation passes through the wrappers' ``perform`` and can be
+    retried, faulted or redirected.
 
     *clock* defaults to the stack's own: the clock of a decorator
     underneath, else the clock of the ``network`` the substrate routes
@@ -744,36 +749,9 @@ class DhtDecorator(Dht):
         yield self
         yield from self._inner.unwrap()
 
-    # Metered operations: the inner facade meters each call.
-
-    def lookup(self, key: str) -> str:
-        return self._inner.lookup(key)
-
-    def get(self, key: str) -> Any | None:
-        return self._inner.get(key)
-
-    def get_direct(self, peer: str, key: str) -> Any | None:
-        return self._inner.get_direct(peer, key)
-
-    def put(self, key: str, value: Any, *, records_moved: int = 0) -> None:
-        self._inner.put(key, value, records_moved=records_moved)
-
-    def remove(self, key: str, *, records_moved: int = 0) -> Any:
-        return self._inner.remove(key, records_moved=records_moved)
-
-    def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        return self._inner.get_many_outcomes(keys)
-
-    def put_many(
-        self,
-        items: Sequence[tuple[str, Any]],
-        *,
-        records_moved: Sequence[int] | None = None,
-    ) -> None:
-        self._inner.put_many(items, records_moved=records_moved)
-
-    def rewrite_local(self, key: str, value: Any) -> None:
-        self._inner.rewrite_local(key, value)
+    def perform(self, step: tuple) -> Any:
+        # The inner facade meters each step.
+        return self._inner.perform(step)
 
     # Oracle access.
 

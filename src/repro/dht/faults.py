@@ -66,10 +66,6 @@ __all__ = [
 #: Injectable fault kinds, in the order the decision stream maps them.
 FAULT_KINDS = ("drop", "timeout", "slow", "stale")
 
-#: Private slot marker for reads the plan decided to serve stale.
-_STALE = object()
-
-
 class FaultInjectedError(NodeUnreachableError):
     """An operation failed because the fault plan said so."""
 
@@ -162,10 +158,10 @@ class FaultyDht(DhtDecorator):
     advance *clock* (default: the stack's own, see
     :class:`~repro.dht.api.DhtDecorator`).
 
-    Injection sits at the ``_do_*`` boundary: public operations meter
-    as usual, then the primitive consults the plan.  ``rewrite_local``
-    and the oracle methods (``peek``/``peer_of``/``peers``/``items``)
-    never fault — they model local work, not wire traffic.
+    Injection sits at the ``_do_*`` boundary: steps meter as usual,
+    then the primitive consults the plan.  ``rewrite_local`` and the
+    oracle methods (``peek``/``peer_of``/``peers``/``items``) never
+    fault — they model local work, not wire traffic.
     """
 
     def __init__(
@@ -241,42 +237,39 @@ class FaultyDht(DhtDecorator):
             self._superseded[key] = self._last_written[key]
         self._last_written[key] = value
 
+    def _serves_stale(self, key: str) -> bool:
+        """Decide one read of *key*: True when it answers with the
+        superseded value (:meth:`_stale_read`); False when it goes on
+        to the primitive's own live read — no fault drawn, a slow one,
+        or a stale draw on a key written once (no stale version)."""
+        return self._inject("get", key) == "stale" and key in self._superseded
+
     def _stale_read(self, key: str) -> Any:
-        """The superseded value for *key*, or the live one when none
-        exists yet (a key written once has no stale version)."""
-        if key in self._superseded:
-            self.stats.faults_stale += 1
-            return self._superseded[key]
-        return self._inner._do_get(key)
+        self.stats.faults_stale += 1
+        return self._superseded[key]
 
     # ------------------------------------------------------------------
     # Substrate primitives (inject, then delegate)
     # ------------------------------------------------------------------
     #
-    # Injection sits *below* the metering, so the public operations are
-    # the metering facade itself rather than the decorator's forwarders:
-    # each call meters once on the shared stats, then reaches the
+    # Injection sits *below* the metering, so ``perform`` is the
+    # metering facade itself rather than the decorator's forwarder:
+    # each step meters once on the shared stats, then reaches the
     # injecting primitives.
 
-    lookup = Dht.lookup
-    get = Dht.get
-    get_direct = Dht.get_direct
-    put = Dht.put
-    remove = Dht.remove
-    get_many_outcomes = Dht.get_many_outcomes
-    put_many = Dht.put_many
+    perform = Dht.perform
 
     def _do_lookup(self, key: str) -> str:
         self._inject("lookup", key)
         return self._inner._do_lookup(key)
 
     def _do_get(self, key: str) -> Any | None:
-        if self._inject("get", key) == "stale":
+        if self._serves_stale(key):
             return self._stale_read(key)
         return self._inner._do_get(key)
 
     def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        if self._inject("get", key) == "stale":
+        if self._serves_stale(key):
             return self._stale_read(key)
         return self._inner._do_get_direct(peer, key)
 
@@ -302,34 +295,32 @@ class FaultyDht(DhtDecorator):
     # ------------------------------------------------------------------
 
     def _batch_inject(
-        self, op: str, keys: Sequence[str | None]
+        self, op: str, keys: Sequence[str]
     ) -> tuple[list[Any | None], list[int]]:
         """Pre-draw each element's fault; failed slots get their
-        BatchFailure immediately, surviving slot indices are returned
-        for the delegated sub-batch."""
+        BatchFailure and stale reads their superseded value
+        immediately, the slot indices left are returned for the
+        delegated live sub-batch."""
         outcomes: list[Any | None] = [None] * len(keys)
-        survivors: list[int] = []
+        live: list[int] = []
         for slot, key in enumerate(keys):
             try:
                 kind = self._inject(op, key)
             except FaultInjectedError as error:
                 outcomes[slot] = BatchFailure(error)
                 continue
-            if kind == "stale" and op == "get":
-                outcomes[slot] = _STALE
-            survivors.append(slot)
-        return outcomes, survivors
+            if kind == "stale" and op == "get" and key in self._superseded:
+                outcomes[slot] = self._stale_read(key)
+            else:
+                live.append(slot)
+        return outcomes, live
 
     def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        outcomes, survivors = self._batch_inject("get", keys)
-        live = [slot for slot in survivors if outcomes[slot] is not _STALE]
+        outcomes, live = self._batch_inject("get", keys)
         if live:
             results = self._inner._do_get_many([keys[slot] for slot in live])
             for slot, result in zip(live, results):
                 outcomes[slot] = result
-        for slot in survivors:
-            if outcomes[slot] is _STALE:
-                outcomes[slot] = self._stale_read(keys[slot])
         return outcomes
 
     def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
@@ -350,10 +341,12 @@ class FaultyDht(DhtDecorator):
     # Local and oracle operations: never faulted
     # ------------------------------------------------------------------
 
-    def rewrite_local(self, key: str, value: Any) -> None:
+    def _do_rewrite(self, key: str, value: Any) -> bool:
         # No peek of the inner value: on routed substrates peeking
         # costs overlay hops, which would break the zero-fault
         # bit-equivalence of this wrapper.  Stale versions are tracked
         # from writes observed through the wrapper alone.
-        self._inner.rewrite_local(key, value)
+        if not self._inner._do_rewrite(key, value):
+            return False
         self._record_write(key, value)
+        return True

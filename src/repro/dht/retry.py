@@ -25,16 +25,18 @@ retries, no clock interaction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.rng import derive_seed, make_rng
 from repro.dht.api import (
+    CALL,
+    GET_MANY,
+    PUT_MANY,
+    REWRITE,
     BatchFailure,
     Dht,
     DhtDecorator,
-    _check_records_moved,
     _raise_batch_failures,
 )
 from repro.net.events import EventScheduler
@@ -128,12 +130,23 @@ class RetryingDht(DhtDecorator):
                 self.tracer.event("backoff", delay=delay, attempt=attempt)
         return True
 
-    def _with_retries(self, operation, *args, **kwargs):
+    def perform(self, step: tuple) -> Any:
+        op = step[0]
+        if op is GET_MANY:
+            return self._batch_with_retries(step)
+        if op is PUT_MANY:
+            _raise_batch_failures(self._batch_with_retries(step))
+            return None
+        if op is REWRITE or op is CALL:
+            return self._inner.perform(step)  # local work: no retry
+        # The inner facade meters each attempt.  A dead peer behind a
+        # ``GET_DIRECT`` still exhausts the budget and propagates, so
+        # shortcut eviction fires.
         started = self._clock.now
         last_error: Exception | None = None
         for attempt in range(self._attempts):
             try:
-                return operation(*args, **kwargs)
+                return self._inner.perform(step)
             except NodeUnreachableError as error:
                 last_error = error
                 if attempt + 1 >= self._attempts:
@@ -149,57 +162,34 @@ class RetryingDht(DhtDecorator):
         raise last_error
 
     # ------------------------------------------------------------------
-    # Metered operations delegate (the inner facade meters each attempt)
-    # ------------------------------------------------------------------
-
-    def lookup(self, key: str) -> str:
-        return self._with_retries(self._inner.lookup, key)
-
-    def get(self, key: str) -> Any | None:
-        return self._with_retries(self._inner.get, key)
-
-    def get_direct(self, peer: str, key: str) -> Any | None:
-        # Retry transient drops; a genuinely dead peer still exhausts
-        # the budget and propagates, so shortcut eviction fires.
-        return self._with_retries(self._inner.get_direct, peer, key)
-
-    def put(self, key: str, value: Any, *, records_moved: int = 0) -> None:
-        return self._with_retries(
-            self._inner.put, key, value, records_moved=records_moved
-        )
-
-    def remove(self, key: str, *, records_moved: int = 0) -> Any:
-        return self._with_retries(
-            self._inner.remove, key, records_moved=records_moved
-        )
-
-    # ------------------------------------------------------------------
-    # Batched operations: retry only the failed subset
+    # Batched steps: retry only the failed subset
     # ------------------------------------------------------------------
     #
     # The inner ``_do_*_many`` primitives report per-element outcomes
-    # (partial-failure semantics), so a retry round re-issues exactly
+    # (partial-failure semantics), so a retry wave re-issues exactly
     # the elements that failed — as its own batch round, because on the
-    # wire it is one.  Every attempt is metered per element, retried
-    # elements included: a retry really does cost another DHT-lookup.
+    # wire it is one.  Every wave is metered and spanned by ``_meter``
+    # as a step of its own, retried elements included: a retry really
+    # does cost another DHT-lookup.
 
-    def _batch_with_retries(self, op, primitive, elements, meter):
-        """Per-element outcomes after retrying only the failed subset.
+    def _batch_with_retries(self, step: tuple) -> list[Any]:
+        """Per-element outcomes of a ``GET_MANY`` / ``PUT_MANY`` *step*
+        after retrying only the failed subset.
 
         Slots still failing when the attempt or deadline budget runs
         out keep their :class:`BatchFailure`; the caller decides
-        whether to raise (``*_many``) or degrade
-        (``get_many_outcomes``).
-
-        *op* names the primitive for tracing: this wrapper bypasses the
-        inner facade's public batch methods (to reach the per-element
-        ``_do_*_many`` outcomes), so it opens its own ``dht`` span per
-        attempt — each retried sub-batch is its own wire round and shows
-        up as its own span, matching the per-attempt metering."""
+        whether to raise (``PUT_MANY``) or degrade (``GET_MANY``)."""
+        op, elements = step[0], step[1]
+        if op is GET_MANY:
+            primitive = self._inner._do_get_many
+        else:
+            primitive = self._inner._do_put_many
         started = self._clock.now
         outcomes: list[Any] = [None] * len(elements)
         pending = list(range(len(elements)))
         for attempt in range(self._attempts):
+            if not pending:
+                break
             if attempt:
                 if not self._backoff(attempt - 1, started):
                     break
@@ -209,55 +199,17 @@ class RetryingDht(DhtDecorator):
                     self.tracer.event(
                         "retry", attempt=attempt, pending=len(pending)
                     )
-            meter(pending)
-            batch = [elements[slot] for slot in pending]
-            if self.tracer is None:
-                results = primitive(batch)
-            else:
-                with self.tracer.span(
-                    "dht", op, count=len(batch), attempt=attempt
-                ):
-                    results = primitive(batch)
+            wave: tuple = (op, [elements[slot] for slot in pending])
+            if op is PUT_MANY:
+                wave += ([step[2][slot] for slot in pending],)
+            with self._meter(wave) as span:
+                if span is not None:
+                    span.attrs["attempt"] = attempt
+                results = primitive(wave[1])
             failed = []
             for slot, outcome in zip(pending, results):
                 outcomes[slot] = outcome
                 if isinstance(outcome, BatchFailure):
                     failed.append(slot)
             pending = failed
-            if not pending:
-                break
         return outcomes
-
-    def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
-        keys = list(keys)
-        if not keys:
-            return []
-        return self._batch_with_retries(
-            "get_many",
-            self._inner._do_get_many,
-            keys,
-            lambda pending: self.stats.meter_batch(
-                len(pending), gets=len(pending)
-            ),
-        )
-
-    def put_many(
-        self,
-        items: Sequence[tuple[str, Any]],
-        *,
-        records_moved: Sequence[int] | None = None,
-    ) -> None:
-        items = list(items)
-        if not items:
-            return
-        moved = _check_records_moved(items, records_moved)
-        _raise_batch_failures(self._batch_with_retries(
-            "put_many",
-            self._inner._do_put_many,
-            items,
-            lambda pending: self.stats.meter_batch(
-                len(pending),
-                puts=len(pending),
-                records_moved=sum(moved[slot] for slot in pending),
-            ),
-        ))

@@ -21,7 +21,6 @@ from repro.service.wire import (
     encode_error,
     encode_reply,
     encode_request,
-    frame_wire_cost,
 )
 #: Resolved lazily: the load generator leans on repro.experiments
 #: (table rendering) and repro.runtime (the factory), both of which may
@@ -49,7 +48,6 @@ __all__ = [
     "encode_error",
     "encode_reply",
     "encode_request",
-    "frame_wire_cost",
     "LoadReport",
     "run_load",
     "build_loaded_index",

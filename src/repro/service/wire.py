@@ -17,7 +17,7 @@ Byte accounting deliberately has two faces:
 
 * ``len(encode_frame(...))`` — the bytes actually crossing a socket
   (pickle is an implementation detail of this runtime);
-* :func:`frame_wire_cost` — the *modelled* size used for
+* :func:`frame_wire_sizes` — the *modelled* size used for
   ``NetworkStats.bytes_sent``, built from the same
   :func:`~repro.dht.api.estimate_wire_size` accounting (the codec's
   sizes) the simulated substrates charge, so byte counters stay
@@ -223,9 +223,3 @@ def frame_wire_sizes(
     data = data_wire_size(value)
     payload = data if data else estimate_wire_size(value)
     return HEADER.size + len(key.encode()) + payload, data
-
-
-def frame_wire_cost(op: Op, key: str = "", value: Any = None) -> int:
-    """Modelled on-the-wire size of one message, in bytes (the first
-    half of :func:`frame_wire_sizes`)."""
-    return frame_wire_sizes(op, key, value)[0]

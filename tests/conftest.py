@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.common.labels import root_label
-from repro.dht.api import DhtDecorator, _capture
+from repro.dht.api import GET_MANY, PUT_MANY, DhtDecorator, _capture
 from repro.runtime import RuntimeConfig, create_dht
 
 
@@ -61,13 +61,14 @@ class PerKeyDht(DhtDecorator):
     """The per-key reference batches are compared against: one metered
     ``get``/``put`` per element, so no batch round is ever issued."""
 
-    def get_many_outcomes(self, keys):
-        return [_capture(self.inner.get, key) for key in keys]
-
-    def put_many(self, items, *, records_moved=None):
-        moved = records_moved or [0] * len(items)
-        for (key, value), load in zip(items, moved):
-            self.inner.put(key, value, records_moved=load)
+    def perform(self, step):
+        if step[0] is GET_MANY:
+            return [_capture(self.inner.get, key) for key in step[1]]
+        if step[0] is PUT_MANY:
+            for (key, value), load in zip(step[1], step[2]):
+                self.inner.put(key, value, records_moved=load)
+            return None
+        return self.inner.perform(step)
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,21 @@ def test_plane_learns_shortcuts_and_heals_lost_copies():
         assert inner.peek(copy) == "v"
 
 
+def test_put_many_of_a_one_shot_iterable_refreshes_replicas():
+    """The batch write reaches the refresh loop as a list, so an
+    iterator is not exhausted before the copies are rewritten."""
+    plane = AdaptiveDht(LocalDht(8), AdaptiveConfig(
+        sample_every=1, window_samples=1, hot_share=0.01,
+        min_window_reads=1, max_replicas=2, shortcut_capacity=0,
+    ))
+    plane.put("ml:#01", "old")
+    for _ in range(200):
+        plane.get("ml:#01")
+    assert plane.replicas.count("ml:#01") == 2
+    plane.put_many(iter([("ml:#01", "new")]))
+    assert {plane.get("ml:#01") for _ in range(40)} == {"new"}
+
+
 def test_plane_remove_tears_replicas_down():
     inner = LocalDht(8)
     plane = AdaptiveDht(inner, FAST)

@@ -6,11 +6,18 @@ oracle surface and miss membership and lifecycle, so churn and
 runtime leaked its event loop.
 """
 
+import functools
+import itertools
+
 import pytest
 
 from repro.adaptive import AdaptiveConfig
 from repro.adaptive.plane import AdaptiveDht
+from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
+from repro.common.rng import make_rng
+from repro.core.bulkload import bulk_load
+from repro.core.index import MLightIndex
 from repro.dht.api import DhtDecorator
 from repro.dht.chord import ChordDht
 from repro.dht.churn import run_churn
@@ -123,3 +130,84 @@ def test_bare_decorator_is_transparent():
     }
     assert delta["lookups"] == 4 and delta["gets"] == 3
     assert delta["batch_rounds"] == 1
+
+
+# ----------------------------------------------------------------------
+# Every wrapper composition replays a trace exactly like the bare stack
+# ----------------------------------------------------------------------
+
+#: Wrappers that change nothing on a healthy substrate: a retry budget
+#: nothing exhausts, a zero-rate fault plan, an observe-only plane.
+NEUTRAL = {
+    "retry": RetryingDht,
+    "faults": lambda inner: FaultyDht(inner, FaultPlan(0)),
+    "adaptive": lambda inner: AdaptiveDht(
+        inner, AdaptiveConfig(max_replicas=0, shortcut_capacity=0)
+    ),
+}
+STACKS = [
+    order
+    for size in (1, 2, 3)
+    for order in itertools.permutations(NEUTRAL, size)
+]
+SUBSTRATES = {
+    "local": lambda: LocalDht(8),
+    "chord": lambda: ChordDht.build(8),
+    "asyncio": lambda: create_dht(kind="asyncio", n_peers=8),
+}
+TRACE_CONFIG = IndexConfig(
+    dims=2, max_depth=12, split_threshold=6, merge_threshold=3
+)
+
+
+def replay(dht):
+    """One seeded trace: bulk load, inserts that split, deletes that
+    merge, lookups, range queries and a k-NN.  Its answers and the
+    ``DhtStats`` delta it cost."""
+    rng = make_rng(11)
+    points = [(rng.random(), rng.random()) for _ in range(70)]
+    before = dht.stats.snapshot()
+    bulk_load(dht, points[:30], TRACE_CONFIG)
+    index = MLightIndex(dht, TRACE_CONFIG)
+    answers = [index.tree_size()]
+    for point in points[30:]:
+        index.insert(point)
+    answers.append(index.tree_size())
+    answers += [index.delete(point) for point in points[:45]]
+    answers.append(index.tree_size())
+    answers += [index.lookup(point).bucket.label for point in points[40:60]]
+    for low, high in ((0.1, 0.6), (0.3, 0.9), (0.0, 1.0)):
+        result = index.range_query(((low, low), (high, high)))
+        answers.append((sorted(r.key for r in result.records), result.rounds))
+    knn = index.knn((0.5, 0.5), 4)
+    answers.append([n.record.key for n in knn.neighbors])
+    after = dht.stats.snapshot()
+    return answers, {key: after[key] - before[key] for key in after}
+
+
+@functools.cache
+def bare_replay(substrate):
+    with SUBSTRATES[substrate]() as dht:
+        return replay(dht)
+
+
+def test_the_trace_splits_and_merges():
+    answers, _ = bare_replay("local")
+    bulk, grown, shrunk = answers[0], answers[1], answers[47]
+    assert grown > bulk and shrunk < grown
+
+
+@pytest.mark.parametrize("substrate, order", [
+    (substrate, order)
+    for substrate in SUBSTRATES
+    for order in STACKS
+    if substrate != "asyncio" or len(order) == 1
+], ids=lambda value: "+".join(value) if isinstance(value, tuple) else value)
+def test_composition_answers_and_costs_like_the_bare_substrate(
+    substrate, order
+):
+    dht = SUBSTRATES[substrate]()
+    for name in order:
+        dht = NEUTRAL[name](dht)
+    with dht:
+        assert replay(dht) == bare_replay(substrate)

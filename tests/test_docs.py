@@ -115,6 +115,7 @@ class TestRemovedNames:
         "DistributedQueryRuntime", "core.distributed", "refresh_agents",
         "lookup_many_outcomes", "_do_lookup_many", "`Forward`",
         "Forward(", "AGENT_SUFFIX", "RECORD_WIRE_BYTES",
+        "frame_wire_cost",
     )
 
     @pytest.mark.parametrize(

@@ -149,6 +149,37 @@ class TestFaultyDhtKinds:
         assert faulty.get("k") == "only"
         assert faulty.stats.faults_stale == 0
 
+    def test_stale_fall_through_of_a_direct_read_stays_direct(self):
+        """A non-owner holds nothing: the bare answer is ``None``, and a
+        stale draw with no superseded version must not re-route."""
+        bare = LocalDht(8)
+        faulty = FaultyDht(LocalDht(8), FaultPlan(0, stale_rate=0.99))
+        for dht in (bare, faulty):
+            dht.put("k", "v")
+        non_owner = next(p for p in bare.peers() if p != bare.peer_of("k"))
+        assert bare.get_direct(non_owner, "k") is None
+        assert faulty.get_direct(non_owner, "k") is None
+        assert faulty.stats.faults_stale == 0
+
+    def test_stale_fall_through_of_a_batch_stays_one_round(self):
+        """Stale draws on once-written keys ride the live sub-batch:
+        the same one round and round time as a fault-free batch."""
+        keys = [f"k{i}" for i in range(10)]
+        costs = []
+        for rate in (0.0, 0.99):
+            chord = ChordDht.build(8)
+            faulty = FaultyDht(chord, FaultPlan(0, stale_rate=rate))
+            with faulty.suspended():
+                faulty.put_many([(key, key) for key in keys])
+            rounds, now = chord.network.stats.rounds, chord.network.clock.now
+            assert faulty.get_many_outcomes(keys) == keys
+            costs.append((
+                chord.network.stats.rounds - rounds,
+                chord.network.clock.now - now,
+            ))
+        assert costs[1] == costs[0]
+        assert costs[0][0] == 1
+
     def test_stale_tracks_rewrite_local(self):
         faulty = FaultyDht(LocalDht(8), FaultPlan(0, stale_rate=0.99))
         with faulty.suspended():

@@ -24,7 +24,7 @@ from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region, region_of_label
 from repro.core.index import MLightIndex
 from repro.core.naming import naming_function
-from repro.dht.api import DhtDecorator
+from repro.dht.api import GET, PUT, DhtDecorator
 from repro.dht.chord import ChordDht
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
@@ -493,17 +493,10 @@ class KeyOutageDht(DhtDecorator):
 
     down = frozenset()
 
-    def _check(self, key):
-        if key in self.down:
-            raise NodeUnreachableError(f"owner of {key!r} is down")
-
-    def get(self, key):
-        self._check(key)
-        return self.inner.get(key)
-
-    def put(self, key, value, *, records_moved=0):
-        self._check(key)
-        self.inner.put(key, value, records_moved=records_moved)
+    def perform(self, step):
+        if step[0] in (GET, PUT) and step[1] in self.down:
+            raise NodeUnreachableError(f"owner of {step[1]!r} is down")
+        return self.inner.perform(step)
 
 
 @contextlib.contextmanager

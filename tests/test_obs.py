@@ -446,26 +446,15 @@ class TestTraceShape:
 
 
 class FailingStep(DhtDecorator):
-    """Raises *error* from the facade method *armed* names, once armed."""
+    """Raises *error* from the step kind *armed* names, once armed."""
 
     armed = None
     error = None
 
-    def _maybe_fail(self, name):
-        if self.armed == name:
+    def perform(self, step):
+        if self.armed == step[0]:
             raise self.error
-
-    def get_many_outcomes(self, keys):
-        self._maybe_fail("get_many")
-        return self.inner.get_many_outcomes(keys)
-
-    def put_many(self, items, *, records_moved=None):
-        self._maybe_fail("put_many")
-        self.inner.put_many(items, records_moved=records_moved)
-
-    def rewrite_local(self, key, value):
-        self._maybe_fail("rewrite")
-        self.inner.rewrite_local(key, value)
+        return self.inner.perform(step)
 
 
 class TestFailuresUnwindTheOperation:

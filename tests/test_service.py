@@ -42,7 +42,7 @@ from repro.service.wire import (
     encode_error,
     encode_reply,
     encode_request,
-    frame_wire_cost,
+    frame_wire_sizes,
     rebuild_error,
 )
 from repro.workloads.traces import Operation, request_trace
@@ -112,13 +112,13 @@ class TestWireProtocol:
         bucket = LeafBucket("001", 2)
         for i in range(5):
             bucket.add(Record((i / 10.0, 0.5)))
-        cost = frame_wire_cost(Op.PUT, "leaf", bucket)
+        cost = frame_wire_sizes(Op.PUT, "leaf", bucket)[0]
         # Record-bearing payloads are priced at their exact codec size;
         # a non-record payload costs one envelope.
         assert cost == (
             HEADER.size + len(b"leaf") + encoded_bucket_size(bucket)
         )
-        assert frame_wire_cost(Op.PUT, "leaf", "opaque") == (
+        assert frame_wire_sizes(Op.PUT, "leaf", "opaque")[0] == (
             HEADER.size + len(b"leaf") + ENVELOPE_WIRE_BYTES
         )
 
