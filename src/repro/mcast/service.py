@@ -33,7 +33,6 @@ on the simulated substrates.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -48,7 +47,7 @@ from repro.core.rangequery import (
 from repro.core.results import RangeQueryResult
 from repro.dht.api import CALL, BatchFailure, Dht
 from repro.mcast.continuous import ContinuousQueryPlane
-from repro.service.node import ServiceDht
+from repro.service.node import ServiceDht, gather_eagerly
 from repro.service.wire import Op, encode_frame, encode_reply
 
 
@@ -106,13 +105,14 @@ class ServiceMulticast:
 
         async def forward(hops: list[Hop]) -> list[HopOutcome]:
             # The sub-region frames go out together as one parallel
-            # round, one wire round each.
-            replies = await asyncio.gather(*(
+            # round, one wire round each, started eagerly: in process the
+            # whole forward tree is served on this stack.
+            replies = await gather_eagerly(
                 service.call_captured(
                     Op.MCAST, hop.key, body=(hop.target, hop.subquery, query)
                 )
                 for hop in hops
-            ))
+            )
             return [(reply, 1) for reply in replies]
 
         operation = peer_subquery(

@@ -181,8 +181,9 @@ class Tracer:
     The stack of open spans is context-local (:mod:`contextvars`): each
     client thread and each asyncio task nests its own spans, and code
     started with a copy of a caller's context — the service runtime's
-    bridge, ``asyncio.gather`` children — parents under the span that
-    caller had open.  One tracer therefore serves concurrent clients.
+    bridge, the eagerly started children of a batch round — parents
+    under the span that caller had open, and keeps its Context across
+    a suspension.  One tracer therefore serves concurrent clients.
     """
 
     def __init__(

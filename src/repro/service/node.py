@@ -31,7 +31,7 @@ import contextvars
 import itertools
 import threading
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Coroutine, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -47,6 +47,7 @@ from repro.service.wire import (
     Frame,
     FrameDecoder,
     Op,
+    WireError,
     decode_frame,
     encode_error,
     encode_frame,
@@ -132,6 +133,70 @@ def serve_request(peer: KeyValuePeer, frame: Frame) -> bytes:
         return encode_error(frame.request_id, exc)
 
 
+def start_eagerly(loop, coro, context: contextvars.Context) -> asyncio.Future:
+    """Run *coro* in *context* up to its first real suspension, now.
+
+    A coroutine that finishes there comes back as a completed future:
+    no Task, no loop turn.  One that suspends is continued by a Task
+    driving :class:`_Resumed`, which runs every later step in the same
+    *context* — a tracer span opened before the suspension resets its
+    ``ContextVar`` token after it, and only that Context accepts it.
+    Before its first suspension the coroutine runs in no Task, so
+    ``asyncio.timeout`` (and 3.12's ``wait_for``) must follow an await
+    that suspends.
+    """
+    future = loop.create_future()
+    try:
+        yielded = context.run(coro.send, None)
+    except StopIteration as done:
+        future.set_result(done.value)
+    except BaseException as error:
+        future.set_exception(error)
+    else:
+        return loop.create_task(_Resumed(coro, yielded, context))
+    return future
+
+
+class _Resumed(Coroutine):
+    """A suspended eager coroutine as its Task sees it: first the value
+    it already yielded, then each ``send`` / ``throw`` forwarded inside
+    its own Context."""
+
+    __slots__ = ("_coro", "_yielded", "_context")
+
+    def __init__(self, coro, yielded: Any, context: contextvars.Context):
+        self._coro, self._yielded, self._context = coro, [yielded], context
+
+    def send(self, value: Any) -> Any:
+        if self._yielded:
+            return self._yielded.pop()
+        return self._context.run(self._coro.send, value)
+
+    def throw(self, *error: Any) -> Any:
+        self._yielded.clear()
+        return self._context.run(self._coro.throw, *error)
+
+    def __await__(self):
+        raise TypeError("a resumed coroutine is driven by its Task only")
+
+
+async def gather_eagerly(coros: Iterable) -> list[Any]:
+    """``asyncio.gather`` over :func:`start_eagerly`: each child starts
+    at once in a copy of the current context, only the children that
+    suspended are awaited, and the outcomes come back in call order.
+    The first failure in call order is raised once every child is done;
+    every child's exception is retrieved."""
+    loop, copy = asyncio.get_running_loop(), contextvars.copy_context
+    futures = [start_eagerly(loop, coro, copy()) for coro in coros]
+    pending = [future for future in futures if not future.done()]
+    if pending:
+        await asyncio.wait(pending)
+    for error in [future.exception() for future in futures]:
+        if error is not None:
+            raise error
+    return [future.result() for future in futures]
+
+
 class _ServicePeer:
     """One service peer: its storage and, on the TCP transport, its
     listener and the client connection to it.
@@ -188,10 +253,12 @@ class _ServicePeer:
 
     async def _handle_connection(self, reader, writer) -> None:
         decoder = FrameDecoder()
-        # An extension handler may await other peers, so its reply can
-        # overtake the frames behind it: each extension frame is served
-        # as a task of its own, and socket writes interleave behind one
-        # lock per connection.
+        loop = asyncio.get_running_loop()
+        # Every frame starts eagerly, in arrival order, and most are
+        # answered right there.  One whose serving suspends (a handler
+        # awaiting other peers) is continued by a Task and its reply can
+        # overtake the frames behind it, so socket writes interleave
+        # behind one lock per connection.
         lock = asyncio.Lock()
 
         async def write(data: bytes) -> None:
@@ -213,14 +280,14 @@ class _ServicePeer:
                 if not data:
                     break
                 for frame in decoder.feed(data):
-                    if frame.op not in self.runtime._handlers:
-                        await answer(frame)
-                        continue
-                    task = asyncio.create_task(answer(frame))
-                    self._ext_tasks.add(task)
-                    task.add_done_callback(self._ext_tasks.discard)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+                    served = start_eagerly(
+                        loop, answer(frame), contextvars.copy_context()
+                    )
+                    if not served.done():
+                        self._ext_tasks.add(served)
+                        served.add_done_callback(self._ext_tasks.discard)
+        except (ConnectionError, asyncio.IncompleteReadError, WireError):
+            pass  # the client hung up or garbled the stream: drop it
         finally:
             self._connections.discard(write)
             writer.close()
@@ -244,7 +311,7 @@ class _ServicePeer:
 
     async def stop(self) -> None:
         """Crash or shut down: refuse requests from here on, drop the
-        client connection, let spawned extension frames finish, close
+        client connection, let suspended frames finish, close
         the listener and the store's durable backend."""
         self.live = False
         if self.channel is not None:
@@ -264,7 +331,8 @@ class _TcpChannel:
 
     Writes request frames down one connection and demultiplexes replies
     by request id, so concurrent requests to the same peer share the
-    socket instead of a connection storm.
+    socket instead of a connection storm.  Once the read loop has ended
+    nothing can answer, so every later call is refused at once.
     """
 
     def __init__(self, runtime: "ServiceDht") -> None:
@@ -283,6 +351,8 @@ class _TcpChannel:
         self._reader_task = asyncio.create_task(self._read_loop())
 
     async def call(self, frame_bytes: bytes, request_id: int) -> Frame:
+        if self._reader_task.done():
+            raise NodeUnreachableError("service connection closed")
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         self._writer.write(frame_bytes)
@@ -343,11 +413,13 @@ class _LoopThread:
     def run(self, coro) -> Any:
         """Run *coro* on the loop from any other thread, blocking.
 
-        One crossing: the coroutine starts as a task in a copy of the
-        caller's context (so tracer spans it opens parent under the
-        caller's open span), and its done-callback releases the
-        one-shot lock the caller waits on.  The task's result or
-        exception surfaces here.
+        One crossing: a loop callback starts the coroutine eagerly
+        (:func:`start_eagerly`) in a copy of the caller's context, so
+        tracer spans it opens parent under the caller's open span.  An
+        operation that never suspends — any in-process one — completes
+        in that callback, which releases the one-shot lock the caller
+        waits on; one that suspends releases it when its Task is done.
+        The result or exception surfaces here.
         """
         if threading.get_ident() == self._thread.ident:
             coro.close()
@@ -358,18 +430,20 @@ class _LoopThread:
             )
         done = threading.Lock()
         done.acquire()
-        tasks: list[asyncio.Task] = []
+        futures: list[asyncio.Future] = []
 
         def start() -> None:
-            task = self.loop.create_task(coro)
-            tasks.append(task)
-            task.add_done_callback(lambda _: done.release())
+            # This callback runs in a copy of the caller's context.
+            future = start_eagerly(self.loop, coro, contextvars.copy_context())
+            futures.append(future)
+            if future.done():
+                done.release()
+            else:
+                future.add_done_callback(lambda _: done.release())
 
-        self.loop.call_soon_threadsafe(
-            start, context=contextvars.copy_context()
-        )
+        self.loop.call_soon_threadsafe(start)
         done.acquire()
-        return tasks[0].result()
+        return futures[0].result()
 
     def stop(self) -> None:
         self.loop.call_soon_threadsafe(self.loop.stop)
@@ -510,10 +584,12 @@ class ServiceDht(Dht):
         """Serve extension opcode *op* with ``async handler(peer, frame)
         -> reply bytes`` on every peer, restarted ones included.
 
-        A handler runs on the task that delivered its frame (a spawned
-        task per frame on the TCP transport), never in a serve loop, so
-        it may itself await :meth:`call_captured` to other peers or to
-        its own.
+        A handler runs where its frame is delivered — started eagerly
+        by the sender or by the TCP listener, and continued by a Task of
+        its own only if it suspends — never in a serve loop, so it may
+        itself await :meth:`call_captured` to other peers or to its own.
+        Until its first suspension it runs in no Task
+        (:func:`start_eagerly`).
         """
         self._handlers[int(op)] = handler
 
@@ -641,8 +717,8 @@ class ServiceDht(Dht):
         started = clock.now
         tracer = self.network.tracer
         with (tracer.span("net", "message_round") if tracer else UNTRACED) as span:
-            outcomes = await asyncio.gather(
-                *(self.call_captured(*call) for call in calls)
+            outcomes = await gather_eagerly(
+                self.call_captured(*call) for call in calls
             )
             elapsed = clock.now - started
             if span is not None:

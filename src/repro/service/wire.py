@@ -143,48 +143,60 @@ def rebuild_error(body: Any) -> Exception:
     return WireError(f"peer error {name}: {message}")
 
 
+#: Opcode byte to :class:`Op`, without an enum call per frame.
+_OPS = {int(op): op for op in Op}
+
+
 def decode_frame(data: bytes) -> Frame:
     """Decode exactly one frame from *data* (surplus bytes rejected)."""
-    frames, leftover = _split_frames(data)
-    if len(frames) != 1 or leftover:
+    view = memoryview(data)
+    frame, end = _frame_at(view, 0) if len(view) >= HEADER.size else (None, 0)
+    if frame is None or end != len(view):
         raise WireError(
-            f"expected exactly one frame, got {len(frames)} plus "
-            f"{len(leftover)} leftover byte(s)"
+            f"expected exactly one frame, got {int(frame is not None)} "
+            f"plus {len(view) - end} leftover byte(s)"
         )
-    return frames[0]
+    return frame
+
+
+def _frame_at(view: memoryview, offset: int) -> tuple[Frame | None, int]:
+    """The frame whose header starts at *offset* and the offset past it,
+    or ``(None, offset)`` while its payload is incomplete."""
+    magic, version, op, request_id, length = HEADER.unpack_from(view, offset)
+    if magic != MAGIC:
+        raise WireError(f"bad frame magic {bytes(magic)!r}")
+    if version != VERSION:
+        raise WireError(
+            f"unsupported protocol version {version} (speaking "
+            f"{VERSION})"
+        )
+    if length > MAX_PAYLOAD:
+        raise WireError(
+            f"declared payload of {length} bytes exceeds the "
+            f"{MAX_PAYLOAD}-byte frame limit"
+        )
+    end = offset + HEADER.size + length
+    if len(view) < end:
+        return None, offset
+    try:
+        body = pickle.loads(view[end - length : end])
+    except Exception as exc:  # pickle raises many concrete types
+        raise WireError(f"undecodable frame payload: {exc}") from exc
+    opcode = _OPS.get(op)
+    if opcode is None:
+        raise WireError(f"unknown opcode {op}")
+    return Frame(opcode, request_id, body), end
 
 
 def _split_frames(data: bytes) -> tuple[list[Frame], bytes]:
     frames: list[Frame] = []
-    view = memoryview(data)
-    while len(view) >= HEADER.size:
-        magic, version, op, request_id, length = HEADER.unpack_from(view)
-        if magic != MAGIC:
-            raise WireError(f"bad frame magic {bytes(magic)!r}")
-        if version != VERSION:
-            raise WireError(
-                f"unsupported protocol version {version} (speaking "
-                f"{VERSION})"
-            )
-        if length > MAX_PAYLOAD:
-            raise WireError(
-                f"declared payload of {length} bytes exceeds the "
-                f"{MAX_PAYLOAD}-byte frame limit"
-            )
-        if len(view) < HEADER.size + length:
+    view, offset = memoryview(data), 0
+    while len(view) - offset >= HEADER.size:
+        frame, offset = _frame_at(view, offset)
+        if frame is None:
             break
-        payload = view[HEADER.size : HEADER.size + length]
-        try:
-            body = pickle.loads(payload)
-        except Exception as exc:  # pickle raises many concrete types
-            raise WireError(f"undecodable frame payload: {exc}") from exc
-        try:
-            opcode = Op(op)
-        except ValueError as exc:
-            raise WireError(f"unknown opcode {op}") from exc
-        frames.append(Frame(opcode, request_id, body))
-        view = view[HEADER.size + length :]
-    return frames, bytes(view)
+        frames.append(frame)
+    return frames, data[offset:]
 
 
 class FrameDecoder:

@@ -15,6 +15,7 @@ The headline properties:
 
 import contextlib
 import random
+import sys
 import tempfile
 
 import pytest
@@ -278,6 +279,33 @@ class TestServiceMulticast:
         dht = ChordDht.build(4)
         with pytest.raises(ReproError):
             ServiceMulticast(dht, 2, 14)
+
+    def test_the_eager_forward_tree_stays_shallow(self, monkeypatch):
+        """In process, an ``MCAST`` forward tree is served on one stack
+        (every forward starts eagerly).  The deepest handler must stay
+        under a quarter of the recursion limit — 68 frames on the
+        whole-space query below — so a deeper tree fails here, loudly,
+        before it could overflow the stack."""
+        depths = []
+        handle = ServiceMulticast._handle_mcast
+
+        def measured(self, peer, frame):
+            depth, caller = 0, sys._getframe()
+            while caller is not None:
+                depth, caller = depth + 1, caller.f_back
+            depths.append(depth)
+            return handle(self, peer, frame)
+
+        monkeypatch.setattr(ServiceMulticast, "_handle_mcast", measured)
+        with create_dht(kind="asyncio", n_peers=8) as dht:
+            build_over(dht, n_points=200)
+            mcast = ServiceMulticast(dht, 2, CONFIG.max_depth)
+            for query in [Region((0.0, 0.0), (1.0, 1.0))] + random_queries(
+                9, count=4
+            ):
+                mcast.query(query)
+        assert len(depths) > 1
+        assert max(depths) < sys.getrecursionlimit() // 4
 
 
 REGION = Region((0.2, 0.2), (0.7, 0.7))

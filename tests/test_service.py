@@ -4,8 +4,11 @@ retry/fault/tracer integration, and the load generator."""
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import gc
 import json
 import pickle
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,12 @@ from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.retry import RetryingDht
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.obs.trace import Tracer
-from repro.service.node import ServiceDht, WallClock, serve_request
+from repro.service.node import (
+    ServiceDht,
+    WallClock,
+    gather_eagerly,
+    serve_request,
+)
 from repro.service.loadgen import (
     LoadReport,
     percentile,
@@ -246,6 +254,9 @@ class TestServedWhereTheFrameLands:
             owner = dht._member(dht.peer_of("k"))
 
             async def race():
+                # The bridge starts race() eagerly, in no Task until it
+                # first suspends; from Python 3.12 wait_for needs one.
+                await asyncio.sleep(0)
                 stopping = asyncio.ensure_future(owner.stop())
                 request = asyncio.ensure_future(dht._request(Op.GET, "k"))
                 try:
@@ -272,6 +283,182 @@ class TestServedWhereTheFrameLands:
         package = Path(__file__).resolve().parent.parent / "src/repro/service"
         for path in package.glob("*.py"):
             assert "Queue" not in path.read_text(), path
+
+
+def count_tasks(dht: ServiceDht) -> list:
+    """Install a task factory on *dht*'s loop that lists every Task it
+    creates; returns that list."""
+    created: list = []
+
+    def factory(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def install():
+        asyncio.get_running_loop().set_task_factory(factory)
+
+    dht._bridge().run(install())
+    return created
+
+
+CALLER = contextvars.ContextVar("caller", default=None)
+
+
+class TestEagerStart:
+    """The bridge and batch rounds start coroutines eagerly: one that
+    never suspends costs no Task; one that suspends keeps its Context."""
+
+    def test_a_coroutine_that_never_suspends_creates_no_task(self):
+        async def plain():
+            return threading.get_ident(), asyncio.current_task()
+
+        with ServiceDht(2) as dht:
+            created = count_tasks(dht)
+            thread, task = dht._bridge().run(plain())
+        assert thread != threading.get_ident()  # it ran on the loop...
+        assert task is None  # ...inside the bridge callback, in no Task
+        assert created == []
+
+    def test_a_suspending_coroutine_keeps_its_context(self):
+        tracer = Tracer()
+
+        async def suspending():
+            with tracer.span("test", "inner"):
+                await asyncio.sleep(0)
+                return CALLER.get(), asyncio.current_task() is not None
+
+        with ServiceDht(2) as dht:
+            created = count_tasks(dht)
+            token = CALLER.set("client thread")
+            try:
+                with tracer.span("test", "outer"):
+                    seen, in_task = dht._bridge().run(suspending())
+            finally:
+                CALLER.reset(token)
+        assert seen == "client thread" and in_task
+        assert len(created) == 1
+        inner, outer = tracer.spans  # finished innermost first
+        assert inner.name == "inner" and inner.parent_id == outer.span_id
+        assert inner.status == "ok" and inner.wall_end is not None
+
+    @pytest.mark.parametrize("suspend", [False, True])
+    def test_an_exception_reaches_the_caller_as_itself(self, suspend):
+        async def failing():
+            if suspend:
+                await asyncio.sleep(0)
+            raise DhtKeyError("gone")
+
+        with ServiceDht(2) as dht:
+            with pytest.raises(DhtKeyError, match="gone"):
+                dht._bridge().run(failing())
+
+    def test_gather_eagerly_keeps_call_order_and_retrieves_failures(
+        self, caplog
+    ):
+        finished: list = []
+
+        async def child(value, suspend, fail=False):
+            for _ in range(suspend):
+                await asyncio.sleep(0)
+            finished.append(value)
+            if fail:
+                raise ValueError(value)
+            return value
+
+        async def mixed():
+            return await gather_eagerly(
+                [child(0, 2), child(1, 0), child(2, 1), child(3, 0)]
+            )
+
+        async def failing():
+            with pytest.raises(ValueError) as raised:
+                await gather_eagerly([
+                    child(0, 2), child(1, 0, fail=True),
+                    child(2, 1, fail=True), child(3, 3),
+                ])
+            return raised.value.args[0], sorted(finished)
+
+        assert asyncio.run(mixed()) == [0, 1, 2, 3]
+        assert finished == [1, 3, 2, 0]  # finished out of order
+        finished.clear()
+        with caplog.at_level("ERROR", logger="asyncio"):
+            assert asyncio.run(failing()) == (1, [0, 1, 2, 3])
+            gc.collect()
+        assert "never retrieved" not in caplog.text
+
+
+def test_in_process_operations_create_no_task():
+    """A lookup, a range query, a splitting insert and a merging delete
+    on the in-process transport start every coroutine eagerly and
+    never suspend, so none creates a Task; TCP answers the same."""
+    config = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+    corner = [(0.01 * n, 0.01 * n) for n in range(1, 6)]
+
+    def trace(transport):
+        with ServiceDht(8, transport=transport) as dht:
+            index = MLightIndex(dht, config)
+            for point in corner[:4]:
+                index.insert(point)
+            created = count_tasks(dht)
+            tasks, answers = {}, {}
+
+            def measure(kind, operation):
+                before = len(created)
+                answers[kind] = operation()
+                tasks[kind] = len(created) - before
+
+            def leaf(found):
+                return found.bucket.label, found.lookups
+
+            measure("lookup", lambda: leaf(index.lookup(corner[0])))
+            measure("range", lambda: sorted(
+                record.key for record in index.range_query(
+                    ((0.0, 0.0), (0.04, 0.04))
+                ).records
+            ))
+            puts = dht.stats.puts
+            measure("split", lambda: leaf(index.insert(corner[4])))
+            assert dht.stats.puts > puts  # it split
+            removes = dht.stats.removes
+            measure("merge", lambda: [index.delete(p) for p in corner])
+            assert dht.stats.removes > removes  # it merged
+            index.check_invariants()
+        return tasks, answers
+
+    tasks, answers = trace("asyncio")
+    assert tasks == {"lookup": 0, "range": 0, "split": 0, "merge": 0}
+    assert trace("tcp")[1] == answers
+
+
+def test_a_dropped_tcp_connection_refuses_later_requests():
+    """A garbled frame ends the listener's connection quietly, and a
+    channel whose read loop has ended refuses requests at once instead
+    of registering a reply nothing will ever deliver (bounded here by a
+    thread join, so a hang fails)."""
+    with ServiceDht(2, transport="tcp") as dht:
+        owner = dht._member(dht.peer_of("k"))
+        dht.put("k", 1)
+
+        async def garble():
+            owner.channel._writer.write(b"XXXX" + b"\x01" * 10)
+            await owner.channel._writer.drain()
+            await asyncio.wait({owner.channel._reader_task}, timeout=3.0)
+            return owner.channel._reader_task.done()
+
+        assert dht._bridge().run(garble())  # the server hung up
+        outcome: list = []
+
+        def get():
+            try:
+                outcome.append(dht.get("k"))
+            except Exception as error:
+                outcome.append(error)
+
+        client = threading.Thread(target=get, daemon=True)
+        client.start()
+        client.join(3.0)
+        assert not client.is_alive(), "a request to a dropped peer hung"
+        assert isinstance(outcome[0], NodeUnreachableError)
 
 
 class TestBucketBytePath:
