@@ -22,7 +22,12 @@ arrived as and builds its record store on the first use of
 :attr:`store` / :attr:`records` / :meth:`add` / :meth:`remove` /
 :meth:`matching`; the label store, :attr:`load`, :attr:`is_empty` and
 :meth:`encoded_wire_size` answer from the validated header, so a lookup
-probe or a peer that only stores and forwards never builds one.
+probe or a peer that only stores and forwards never builds one.  The
+store it builds is the bytes' columns: :meth:`matching` makes a
+:class:`~repro.core.records.Record` per hit, :meth:`add` appends to the
+columns, and re-encoding hands them back, so a fetched leaf's range
+match or non-splitting insert never builds its other rows;
+:attr:`records` builds them all, on demand.
 
 Hot-path caches (all derived, invisible to equality/repr):
 
@@ -46,6 +51,7 @@ import threading
 from repro.common.errors import InvalidLabelError
 from repro.common.geometry import Region, region_of_label
 from repro.common.labels import check_label
+from repro.core import codec
 from repro.core.records import Record
 from repro.core.store import DEFAULT_STORE, RecordStore, Rows, create_store
 
@@ -143,12 +149,10 @@ class LeafBucket:
         return store
 
     def _build_store(self) -> RecordStore:
-        from repro.core.codec import decode_store
-
         with _BUILD_LOCK:
             store = self._store
             if store is None:
-                store = decode_store(self._encoded, self.split_dim)
+                store = codec.decode_store(self._encoded, self.split_dim)
                 # The bytes describe exactly what was just built: tag
                 # them before publishing the store, which is assigned
                 # once and last.
@@ -236,18 +240,16 @@ class LeafBucket:
 
     def encoded_wire_size(self) -> int:
         """Exact codec byte size — the unified byte-accounting hook
-        (:func:`repro.core.codec.payload_wire_size`).  Never encodes:
-        the memo's length when it is valid, arithmetic otherwise."""
-        from repro.core.codec import encoded_bucket_size
-
-        return encoded_bucket_size(self)
+        (:func:`repro.core.codec.payload_wire_size`).  Packs no column:
+        the memo's length when it is valid, else arithmetic plus the
+        store's payload pickle, made once per generation and reused by
+        :func:`~repro.core.codec.encode_bucket`."""
+        return codec.encoded_bucket_size(self)
 
     def __reduce__(self):
         # Pickled buckets (service frames, churn handoff, copies)
         # travel as codec bytes, not as Python object graphs.
-        from repro.core.codec import decode_bucket, encode_bucket
-
-        return (decode_bucket, (encode_bucket(self),))
+        return (codec.decode_bucket, (codec.encode_bucket(self),))
 
     # ------------------------------------------------------------------
     # Identity

@@ -38,6 +38,7 @@ from typing import Any
 from repro.common.errors import ReproError
 from repro.common.labels import check_label
 from repro.dht import api as dht_api
+from repro.core import bucket as _bucket  # cyclic: used at call time only
 from repro.core.store import Rows, create_store
 
 __all__ = [
@@ -76,28 +77,12 @@ def _column_bytes(column) -> bytes:
     return swapped.tobytes()
 
 
-def _column_from_bytes(data: bytes, numpy_kind: bool):
-    if numpy_kind:
-        from repro.core import npstore
-
-        if npstore.HAVE_NUMPY:
-            import numpy as np
-
-            return np.frombuffer(data, dtype="<f8").astype(
-                np.float64, copy=True
-            )
+def _column_from_bytes(data: bytes) -> array:
     column = array("d")
     column.frombytes(data)
     if sys.byteorder != "little":
         column.byteswap()
     return column
-
-
-def _values_blob(store) -> bytes:
-    values = store.payload_values()
-    if values is None:
-        return b""
-    return pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def encode_bucket(bucket) -> bytes:
@@ -115,7 +100,7 @@ def encode_bucket(bucket) -> bytes:
     kind = store.kind.encode("ascii")
     label = bucket.label.encode("ascii")
     rows = store.to_rows()
-    values_blob = _values_blob(store)
+    values_blob = store.values_blob()
     flags = _FLAG_VALUES if values_blob else 0
     parts = [
         _HEAD.pack(CODEC_MAGIC, CODEC_VERSION, bucket.dims, len(kind)),
@@ -175,28 +160,27 @@ def decode_bucket(data: bytes):
     ``load`` on its own; the record store is built by
     :func:`decode_store` on the bucket's first use of it, and until a
     mutation *data* stays the bucket's encoding."""
-    from repro.core.bucket import LeafBucket
-
     data = bytes(data)
     dims, _, label, count, _, _ = _parse_header(data)
-    return LeafBucket.from_encoded(label, dims, count, data)
+    return _bucket.LeafBucket.from_encoded(label, dims, count, data)
 
 
 def decode_store(data: bytes, sort_dim: int):
     """The record store an encoded bucket holds — the deferred half of
     :func:`decode_bucket`.  Rebuilds the same store kind (degrading per
-    the registry, e.g. numpy -> columnar when numpy is unavailable);
-    columns are copied out of *data*, never views of it.  A values blob
-    that does not unpickle to one value per record raises
-    :class:`CodecError` here, at first touch."""
+    the registry, e.g. numpy -> columnar when numpy is unavailable) in
+    its column form: one ``frombytes`` per column, copied out of *data*
+    (never a view of it), and no :class:`~repro.core.records.Record`
+    per row — the store builds those for query hits, or all of them
+    when asked for its records.  A values blob that does not unpickle
+    to one value per record raises :class:`CodecError` here, at first
+    touch."""
     dims, kind, _, count, flags, offset = _parse_header(data)
     column_bytes = count * 8
     columns = []
     for _ in range(dims):
         columns.append(
-            _column_from_bytes(
-                data[offset : offset + column_bytes], kind == "numpy"
-            )
+            _column_from_bytes(data[offset : offset + column_bytes])
         )
         offset += column_bytes
     values = None
@@ -218,7 +202,8 @@ def decode_store(data: bytes, sort_dim: int):
 def encoded_bucket_size(bucket) -> int:
     """``len(encode_bucket(bucket))`` without packing the columns: the
     memo's length while it is valid, arithmetic over the store
-    otherwise."""
+    otherwise (plus the store's values blob, pickled once per
+    generation and shared with :func:`encode_bucket`)."""
     data = bucket.encoded_memo()
     if data is not None:
         return len(data)
@@ -228,7 +213,7 @@ def encoded_bucket_size(bucket) -> int:
         + len(store.kind)
         + len(bucket.label)
         + bucket.dims * store.count * 8
-        + len(_values_blob(store))
+        + len(store.values_blob())
     )
 
 

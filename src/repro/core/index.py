@@ -235,8 +235,11 @@ class MLightIndex:
             # Push before any split: the subscription table is still
             # homed at the pre-split leaf the record landed in.
             yield (CALL, self._dissemination.on_insert, (bucket.label, record))
+        # The columns of a leaf that arrived as codec bytes, else its
+        # record list: planning builds no Record for either.
         plan = self._strategy.plan_split(
-            bucket.label, bucket.records, self.dims, self.max_depth
+            bucket.label, bucket.store.rows_or_records(), self.dims,
+            self.max_depth,
         )
         if plan is not None:
             if self._tracer is not None:

@@ -1,19 +1,19 @@
 """Vectorized record store and batch label packing (numpy backend).
 
-The ``"numpy"`` backend keeps one ``float64`` ndarray per dimension and
-answers ``matching`` with the same plan as the columnar store —
-binary-search narrowing on the sort dimension, then per-dimension
-filtering — but every step runs as a whole-column vectorized operation:
-``searchsorted`` bounds the candidate run, boolean-mask reduction
-filters it, and one ``sort`` restores insertion order.  Answers are
-bit-identical to the naive scan (same IEEE-754 compares on the same
-doubles, order restored by position), which the equivalence sweep in
-``tests/test_hotpath_equivalence.py`` asserts.
+The ``"numpy"`` backend is the :class:`~repro.core.store.ColumnarStore`
+body over one ``float64`` ndarray per dimension, with whole-column
+kernels: a query is one boolean-mask reduction over insertion-order
+columns (a column-form store builds Records for the hits only; a
+record list keeps an ndarray snapshot of its keys per generation), so
+hits come out in insertion order.  Answers are bit-identical to the
+naive scan (same IEEE-754 compares on the same doubles), which the
+equivalence sweep in ``tests/test_hotpath_equivalence.py`` asserts.
 
 The bulk-load path never materialises :class:`~repro.core.records.
 Record` objects: a coordinate matrix enters as
 :class:`~repro.core.store.Rows` with ndarray columns,
-:func:`partition_ndarray_rows` splits whole columns per tree level, and
+:meth:`~repro.core.store.Rows.partition` splits whole columns per tree
+level with one mask, and
 :func:`validate_columns` (fixed-point scaling, the same
 ``int(c * 2**60)`` packing :func:`repro.common.labels.coordinate_bits`
 uses) replaces per-record construction-time validation.
@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from repro.common.errors import InvalidPointError
 from repro.common.labels import MAX_RESOLUTION_BITS
 from repro.core.records import Record
-from repro.core.store import RecordStore, Rows
+from repro.core.store import ColumnarStore, Rows, _make_records
 
 try:  # pragma: no cover - exercised via both branches in CI matrices
     import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "NumpyStore",
     "batch_interleave",
     "batch_morton_codes",
-    "partition_ndarray_rows",
     "validate_columns",
     "warn_numpy_missing",
 ]
@@ -154,7 +153,7 @@ def batch_interleave(points, depth: int) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Column-level partitioning for the bulk-load recursion
+# Bulk-load input
 # ----------------------------------------------------------------------
 
 
@@ -173,109 +172,65 @@ def rows_from_matrix(points, dims: int) -> Rows:
     return Rows(dims, columns, None)
 
 
-def _take_rows(rows: Rows, positions) -> Rows:
-    columns = [np.asarray(column)[positions] for column in rows.columns]
-    values = (
-        None
-        if rows.values is None
-        else tuple(rows.values[int(i)] for i in positions)
-    )
-    return Rows(rows.dims, columns, values)
-
-
-def partition_ndarray_rows(
-    rows: Rows, dim: int, midpoint: float
-) -> tuple[Rows, Rows]:
-    """Vectorized ``partition_records``: one boolean mask per level.
-
-    The compare runs on the same doubles the scalar path compares, so
-    membership (and insertion order, preserved by positional indexing)
-    is bit-identical to the record-list partition.
-    """
-    _require_numpy()
-    column = np.asarray(rows.columns[dim])
-    upper = column >= midpoint
-    return (
-        _take_rows(rows, np.flatnonzero(~upper)),
-        _take_rows(rows, np.flatnonzero(upper)),
-    )
-
-
 # ----------------------------------------------------------------------
 # The vectorized record store
 # ----------------------------------------------------------------------
 
 
-class NumpyStore(RecordStore):
-    """Per-dimension ndarray columns with mask-reduction matching.
+class NumpyStore(ColumnarStore):
+    """The :class:`~repro.core.store.ColumnarStore` body over ``float64``
+    ndarray columns, with vectorized matching kernels.
 
-    Two interchangeable sources of truth keep both the mutation path
-    and the bulk path cheap:
-
-    * ``_records`` — a plain record list, present after any
-      ``add``/``remove`` (mutations are O(1) list edits);
-    * insertion-order ndarray columns, present when the store was built
-      :meth:`from_rows` (bulk load) — records are only materialised if
-      someone asks for objects.
-
-    The query snapshot (stable argsort on the sort dimension plus
-    sorted columns) is rebuilt lazily, tagged by the generation counter
-    — never a count compare.
+    Every query is one mask reduction over insertion-order columns:
+    a column-form store's own (Records for the hits only), or for a
+    record list the snapshot of its keys, kept per generation.  An
+    append copies each column (``np.append``) — still one pass in C
+    where materialising the bucket would build a Record per row.
     """
 
     kind = "numpy"
 
-    __slots__ = (
-        "_records",
-        "_columns",
-        "_values",
-        "_order",
-        "_sorted",
-        "_built_generation",
-    )
+    __slots__ = ()
 
     def __init__(
         self, dims: int, sort_dim: int, records: Sequence[Record] = ()
     ) -> None:
         _require_numpy()
-        super().__init__(dims, sort_dim)
-        self._records: list[Record] | None = list(records)
-        self._columns: list | None = None
-        self._values: tuple | None = None
-        self._order = None
-        self._sorted: list | None = None
-        self._built_generation = -1
+        super().__init__(dims, sort_dim, records)
 
-    # -- sources of truth ------------------------------------------------
+    @staticmethod
+    def _adopt(column):
+        return np.array(column, dtype=np.float64)
 
-    @property
-    def count(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._columns[0]) if self._columns else 0
+    @staticmethod
+    def _append_key(rows: Rows, key) -> None:
+        rows.columns = [
+            np.append(column, coordinate)
+            for column, coordinate in zip(rows.columns, key)
+        ]
 
-    def _materialize_records(self) -> list[Record]:
-        records = self._records
-        if records is None:
-            lists = [column.tolist() for column in self._columns]
-            values = self._values
-            if values is None:
-                records = [Record(key) for key in zip(*lists)]
-            else:
-                records = [
-                    Record(key, value)
-                    for key, value in zip(zip(*lists), values)
-                ]
-            if not lists:
-                records = []
-            self._records = records
-        return records
+    @staticmethod
+    def _hits(columns, lows, highs):
+        """Ascending positions inside the box: one mask reduction."""
+        mask = None
+        for dim, column in enumerate(columns):
+            dim_mask = (column >= lows[dim]) & (column <= highs[dim])
+            mask = dim_mask if mask is None else (mask & dim_mask)
+        return np.flatnonzero(mask)
 
-    def _insertion_columns(self) -> list:
-        if self._columns is not None:
-            return self._columns
-        records = self._records
-        self._columns = [
+    def _scan(self, rows: Rows, lows, highs) -> list[Record]:
+        hits = self._hits(rows.columns, lows, highs)
+        values = rows.values
+        return _make_records(
+            [column[hits].tolist() for column in rows.columns],
+            None if values is None else [values[i] for i in hits.tolist()],
+        )
+
+    def _rebuild(self) -> None:
+        # The snapshot is the insertion-order key columns: a whole-
+        # column mask costs no more than a sorted run's would.
+        records = self.records()
+        self._snapshot = [
             np.fromiter(
                 (record.key[dim] for record in records),
                 dtype=np.float64,
@@ -283,104 +238,12 @@ class NumpyStore(RecordStore):
             )
             for dim in range(self.dims)
         ]
-        return self._columns
-
-    # -- mutations -------------------------------------------------------
-
-    def add(self, record: Record) -> None:
-        self._materialize_records().append(record)
-        self._columns = None
-        self._values = None
-        self.generation += 1
-
-    def remove(self, record: Record) -> bool:
-        records = self._materialize_records()
-        try:
-            records.remove(record)
-        except ValueError:
-            return False
-        self._columns = None
-        self._values = None
-        self.generation += 1
-        return True
-
-    # -- queries ---------------------------------------------------------
-
-    def _ensure_snapshot(self) -> None:
-        if (
-            self._sorted is not None
-            and self._built_generation == self.generation
-        ):
-            return
-        columns = self._insertion_columns()
-        order = np.argsort(columns[self.sort_dim], kind="stable")
-        self._order = order
-        self._sorted = [column[order] for column in columns]
         self._built_generation = self.generation
 
-    def matching(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[Record]:
-        if self.count == 0:
-            return []
-        self._ensure_snapshot()
-        sort_dim = self.sort_dim
-        column = self._sorted[sort_dim]
-        start = int(np.searchsorted(column, lows[sort_dim], side="left"))
-        stop = int(np.searchsorted(column, highs[sort_dim], side="right"))
-        if start >= stop:
-            return []
-        mask = None
-        for dim, sorted_column in enumerate(self._sorted):
-            if dim == sort_dim:
-                continue
-            segment = sorted_column[start:stop]
-            dim_mask = (segment >= lows[dim]) & (segment <= highs[dim])
-            mask = dim_mask if mask is None else (mask & dim_mask)
-        if mask is None:  # one-dimensional: the bisect bounds decide
-            positions = self._order[start:stop]
-        else:
-            positions = self._order[start + np.flatnonzero(mask)]
-        # Materialised once per store (cached), then answers are plain
-        # list indexing — building a fresh Record per match per query
-        # would dominate the vectorized filter it sits behind.
-        records = self._materialize_records()
-        return [records[i] for i in np.sort(positions).tolist()]
-
-    # -- interchange -----------------------------------------------------
-
-    def records(self) -> list[Record]:
-        return self._materialize_records()
-
-    def payload_values(self) -> tuple | None:
-        if self._records is None:
-            return self._values  # bulk path: no Record materialisation
-        return super().payload_values()
-
-    def to_rows(self) -> Rows:
-        columns = self._insertion_columns()
-        if self._records is not None:
-            values = (
-                tuple(record.value for record in self._records)
-                if any(
-                    record.value is not None for record in self._records
-                )
-                else None
-            )
-        else:
-            values = self._values
-        return Rows(self.dims, columns, values)
-
-    @classmethod
-    def from_rows(cls, rows: Rows, sort_dim: int) -> "NumpyStore":
-        store = cls(rows.dims, sort_dim)
-        store._records = None
-        store._columns = [
-            np.ascontiguousarray(np.asarray(column, dtype=np.float64))
-            for column in rows.columns
-        ]
-        values = rows.values
-        if values is not None and all(value is None for value in values):
-            values = None
-        store._values = values
-        return store
+    def _select(self, lows, highs) -> list[Record]:
+        # The record list is kept (a rebuild left the store as records),
+        # so answers are plain list indexing — a fresh Record per match
+        # per query would dominate the vectorized filter.
+        records = self._records
+        hits = self._hits(self._snapshot, lows, highs)
+        return [records[i] for i in hits.tolist()]

@@ -44,8 +44,8 @@ class SplitPlan:
 
     ``leaves`` maps each new leaf label to its records — a tuple of
     :class:`Record` or a columnar :class:`~repro.core.store.Rows` block
-    (the bulk-load path partitions columns without materializing record
-    objects); the labels are exactly the leaf set of a subtree rooted at
+    (bulk loads and leaves that arrived as codec bytes partition
+    columns without materializing record objects); the labels are exactly the leaf set of a subtree rooted at
     *origin* (possibly deeper than one level under the data-aware
     strategy, and including empty leaves — every leaf needs a bucket for
     the bijection to hold).

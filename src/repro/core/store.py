@@ -9,34 +9,36 @@ index-semantics choice.  This module makes that choice explicit:
   ``to_rows`` / ``from_rows`` — with a **generation counter** bumped on
   every successful mutation, so owners (and the stores' own lazily
   built query structures) invalidate derived state exactly when the
-  contents changed, never by comparing record counts (an equal-count
-  remove+add must not serve stale answers);
-* :class:`Rows` is the zero-copy-ish interchange format between
-  backends and the bulk-load partitioner: per-dimension coordinate
-  columns plus an optional values tuple.  Splitting moves *columns*
-  between stores without materialising one :class:`Record` object per
-  key;
+  contents changed, never by comparing record counts;
+* :class:`Rows` is the column form of a record batch: per-dimension
+  coordinate columns plus an optional values list — what the codec
+  packs, what splitting and the bulk loader partition;
 * ``STORES`` is the open :class:`~repro.common.registry.Registry` of
   backends (:func:`register_store` / :func:`store_backends` /
-  :func:`create_store`), so external ones (a compressed store, say)
-  plug in without touching this module.  Two ship built in:
+  :func:`create_store`).  Two ship built in, one body with two column
+  types and matching kernels: ``"columnar"`` (:class:`ColumnarStore`,
+  the default, ``array('d')`` columns) and ``"numpy"`` (``float64``
+  ndarrays, :mod:`repro.core.npstore`; falls back to ``"columnar"``
+  with a warning when numpy is not installed).
 
-  ``"columnar"``
-      :class:`ColumnarStore`, the default: a record list plus a lazily
-      rebuilt sorted-column snapshot that two bisects narrow;
-  ``"numpy"``
-      vectorized per-dimension ``float64`` ndarrays
-      (:mod:`repro.core.npstore`); falls back to ``"columnar"`` with a
-      warning when numpy is not installed.
+A store holds its contents in one of two forms.  Built from
+:class:`Rows` (a decoded bucket, a split or bulk-loaded leaf) it *is*
+its insertion-order columns and one values list: ``add`` appends to
+them, ``to_rows`` hands them back to the codec, and the first
+``matching`` after a mutation scans them and builds a :class:`Record`
+per hit only.  Built from records — or once ``records()`` is asked for
+(merge, delete, the oracles, ``__eq__``, a second query at one
+generation) — it is a record list with a lazily rebuilt snapshot.
 
 Every backend returns **bit-identical, insertion-ordered** answers;
 ``tests/test_hotpath_equivalence.py`` sweeps them against the naive
-scan (``LeafBucket.matching_naive``) on random workloads in 1–4
-dimensions.
+scan (``LeafBucket.matching_naive``) in 1–4 dimensions.
 """
 
 from __future__ import annotations
 
+import pickle
+import threading
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right
@@ -59,12 +61,39 @@ __all__ = [
 
 DEFAULT_STORE = "columnar"
 
+#: Serialises a column-form store's row appends and its switch to a
+#: record list: a store resident on a service peer is reachable from
+#: the event-loop thread and from client threads, and one row must
+#: land in every column (and the values list) or in none.
+_COLUMNS_LOCK = threading.Lock()
+
+
+def _payloads(records) -> tuple | None:
+    """Aligned payloads of *records*, or ``None`` when all are None."""
+    if any(record.value is not None for record in records):
+        return tuple(record.value for record in records)
+    return None
+
+
+def _key_columns(records, dims: int) -> list:
+    """Per-dimension coordinate tuples of *records*, insertion order."""
+    return list(zip(*(record.key for record in records))) or [()] * dims
+
+
+def _make_records(key_columns, values) -> list[Record]:
+    """Records from per-dimension lists of floats and the aligned
+    payloads (``None``: every payload is None)."""
+    keys = zip(*key_columns)
+    if values is None:
+        return [Record(key) for key in keys]
+    return [Record(key, value) for key, value in zip(keys, values)]
+
 
 class Rows:
-    """Column-major interchange form of a record batch.
+    """Column-major form of a record batch.
 
     ``columns[d][i]`` is coordinate ``d`` of record ``i`` (insertion
-    order); ``values`` is the aligned payload tuple, or ``None`` as a
+    order); ``values`` is the aligned payload sequence, or ``None`` as a
     compact sentinel for "every payload is None" — the common case for
     bulk-loaded point sets, where it lets partitioning skip payload
     bookkeeping entirely.  Columns are any indexable float sequence:
@@ -79,29 +108,8 @@ class Rows:
         self.columns = columns
         self.values = values
 
-    @classmethod
-    def from_records(cls, records: Sequence[Record], dims: int) -> "Rows":
-        columns = [
-            array("d", (record.key[dim] for record in records))
-            for dim in range(dims)
-        ]
-        if any(record.value is not None for record in records):
-            values = tuple(record.value for record in records)
-        else:
-            values = None
-        return cls(dims, columns, values)
-
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
-
-    def to_records(self) -> list[Record]:
-        columns = self.columns
-        if self.values is None:
-            return [Record(key) for key in zip(*columns)] if columns else []
-        return [
-            Record(key, value)
-            for key, value in zip(zip(*columns), self.values)
-        ]
 
     def partition(self, dim: int, midpoint: float) -> tuple["Rows", "Rows"]:
         """Split into (keys[dim] < midpoint, keys[dim] >= midpoint),
@@ -109,10 +117,11 @@ class Rows:
         compare :func:`repro.core.split.partition_records` applies to
         record lists, applied to whole columns at once."""
         column = self.columns[dim]
-        if hasattr(column, "__array_interface__"):
-            from repro.core.npstore import partition_ndarray_rows
-
-            return partition_ndarray_rows(self, dim, midpoint)
+        if hasattr(column, "__array_interface__"):  # one vectorized mask
+            upper = column >= midpoint
+            return self._take((~upper).nonzero()[0]), self._take(
+                upper.nonzero()[0]
+            )
         lower_idx = []
         upper_idx = []
         for position, coordinate in enumerate(column):
@@ -122,16 +131,16 @@ class Rows:
                 upper_idx.append(position)
         return self._take(lower_idx), self._take(upper_idx)
 
-    def _take(self, positions: list[int]) -> "Rows":
+    def _take(self, positions) -> "Rows":
         columns = [
-            array("d", (column[i] for i in positions))
+            column[positions]
+            if hasattr(column, "__array_interface__")
+            else array("d", [column[i] for i in positions])
             for column in self.columns
         ]
-        values = (
-            None
-            if self.values is None
-            else tuple(self.values[i] for i in positions)
-        )
+        values = self.values
+        if values is not None:
+            values = [values[i] for i in positions]
         return Rows(self.dims, columns, values)
 
 
@@ -146,12 +155,14 @@ class RecordStore(ABC):
 
     kind: str = "abstract"
 
-    __slots__ = ("dims", "sort_dim", "generation")
+    __slots__ = ("dims", "sort_dim", "generation", "_blob_memo")
 
     def __init__(self, dims: int, sort_dim: int) -> None:
         self.dims = dims
         self.sort_dim = sort_dim
         self.generation = 0
+        #: ``(generation, values blob)`` — see :meth:`values_blob`.
+        self._blob_memo: tuple[int, bytes] = (-1, b"")
 
     @property
     @abstractmethod
@@ -174,24 +185,41 @@ class RecordStore(ABC):
 
     @abstractmethod
     def records(self) -> list[Record]:
-        """The stored records as a list, insertion order.
-
-        The returned list is owned by the store — callers must treat it
-        as read-only (mutate through :meth:`add`/:meth:`remove`, which
-        maintain the generation contract).
-        """
+        """The stored records, insertion order; owned by the store, so
+        read-only (mutate through :meth:`add`/:meth:`remove`)."""
 
     @abstractmethod
     def to_rows(self) -> Rows:
-        """Column-major snapshot (insertion order) for codecs/splits."""
+        """Column-major contents (insertion order) for the codec; may be
+        the store's own columns, so read-only like :meth:`records`."""
 
-    def payload_values(self) -> tuple | None:
+    def rows_or_records(self) -> "Rows | list[Record]":
+        """The contents in whichever form the store already holds, for
+        split planning (:mod:`repro.core.split` partitions either)."""
+        return self.records()
+
+    def payload_values(self) -> Sequence | None:
         """Aligned record payloads, or ``None`` when every payload is
         None (the codec's compact all-None encoding)."""
-        records = self.records()
-        if any(record.value is not None for record in records):
-            return tuple(record.value for record in records)
-        return None
+        return self.to_rows().values
+
+    def values_blob(self) -> bytes:
+        """The codec's values section: the pickled payload tuple, or
+        ``b""`` when every payload is None.  Pickled once per
+        generation, however often the bucket is sized or encoded."""
+        generation = self.generation
+        tagged, blob = self._blob_memo
+        if tagged != generation:
+            values = self.payload_values()
+            blob = (
+                b""
+                if values is None
+                else pickle.dumps(
+                    tuple(values), protocol=pickle.HIGHEST_PROTOCOL
+                )
+            )
+            self._blob_memo = (generation, blob)
+        return blob
 
     @classmethod
     @abstractmethod
@@ -201,79 +229,203 @@ class RecordStore(ABC):
 
 
 class ColumnarStore(RecordStore):
-    """A record list plus a sorted columnar snapshot for matching.
+    """Insertion-order columns, or a record list plus a sorted snapshot.
 
-    ``bucket.matching(query)`` is the innermost loop of every range
-    query, k-NN ring and baseline descent; a naive scan pays, per
-    record, a generator, a ``zip`` and a tuple walk.  Here record keys
-    are transposed into per-dimension ``array('d')`` columns ordered by
-    the bucket's **split dimension**, a query narrows on that column
-    with two binary searches, and the surviving run is filtered one
-    dimension at a time with plain float compares.
-
-    Mutations are O(1) list edits; the first ``matching`` after one
-    rebuilds the snapshot, so write-heavy buckets never pay for it.
-    The rebuild condition is *generation equality only* — never a
-    record-count compare.
+    A column-form store answers the first query after a mutation with
+    one pass over its columns, building Records for the hits only (a
+    leaf fetched as codec bytes is queried once).  Queried again at the
+    same generation (a resident bucket) it turns into a record list,
+    whose snapshot — positions sorted on the bucket's split dimension
+    and the key columns in that order — a query narrows with two
+    bisects, then filters one dimension at a time.  Mutations are O(1)
+    appends; the snapshot is rebuilt by the first query that needs it,
+    tagged by generation equality only.  Subclasses change the column
+    type (:meth:`_adopt`, :meth:`_append_key`) and the matching kernels
+    (:meth:`_scan`, :meth:`_rebuild`, :meth:`_select`).
     """
 
     kind = "columnar"
 
-    __slots__ = ("_records", "_order", "_columns", "_built_generation")
+    __slots__ = (
+        "_records",
+        "_rows",
+        "_order",
+        "_snapshot",
+        "_built_generation",
+        "_scanned_generation",
+    )
 
     def __init__(
         self, dims: int, sort_dim: int, records: Sequence[Record] = ()
     ) -> None:
         super().__init__(dims, sort_dim)
-        self._records = list(records)
+        #: Exactly one of the two is the contents: the record list, or
+        #: the columns (``None`` once the store turned into records).
+        self._records: list[Record] | None = list(records)
+        self._rows: Rows | None = None
         #: The snapshot: insertion positions sorted on ``sort_dim`` and
         #: the key columns in that order, as of ``_built_generation``.
-        self._order: list[int] = []
-        self._columns: list[array] = []
+        self._order = []
+        self._snapshot = []
         self._built_generation = -1
+        self._scanned_generation = -1
+
+    @classmethod
+    def from_rows(cls, rows: Rows, sort_dim: int) -> "ColumnarStore":
+        """A store that is *rows*' columns (copied into this kind's
+        column type) and values (``None`` when all are None)."""
+        store = cls(rows.dims, sort_dim)
+        values = rows.values
+        if values is not None and all(value is None for value in values):
+            values = None
+        store._rows = Rows(
+            rows.dims,
+            [cls._adopt(column) for column in rows.columns],
+            None if values is None else list(values),
+        )
+        store._records = None
+        return store
+
+    # -- column type -----------------------------------------------------
+
+    @staticmethod
+    def _adopt(column) -> array:
+        """A store-owned copy of *column* in this kind's column type."""
+        if hasattr(column, "__array_interface__"):  # bulk-load ndarray
+            column = column.astype("d", copy=False).tobytes()
+        return array("d", column)
+
+    @staticmethod
+    def _append_key(rows: Rows, key) -> None:
+        for column, coordinate in zip(rows.columns, key):
+            column.append(coordinate)
+
+    # -- contents --------------------------------------------------------
 
     @property
     def count(self) -> int:
-        return len(self._records)
+        rows = self._rows
+        return len(self._records) if rows is None else len(rows)
 
     def add(self, record: Record) -> None:
-        self._records.append(record)
+        if self._rows is None:
+            self._records.append(record)
+        else:
+            with _COLUMNS_LOCK:
+                rows = self._rows
+                if rows is None:
+                    self._records.append(record)
+                else:
+                    value = record.value
+                    if rows.values is not None:
+                        rows.values.append(value)
+                    elif value is not None:
+                        rows.values = [None] * len(rows) + [value]
+                    self._append_key(rows, record.key)
         self.generation += 1
 
     def remove(self, record: Record) -> bool:
+        records = self.records()
         try:
-            self._records.remove(record)
+            records.remove(record)
         except ValueError:
             return False
         self.generation += 1
         return True
 
-    def _rebuild(self) -> None:
+    def records(self) -> list[Record]:
+        if self._rows is not None:
+            with _COLUMNS_LOCK:
+                rows = self._rows
+                if rows is not None:
+                    # Published before the columns are dropped: a
+                    # reader that finds no columns finds the records.
+                    self._records = _make_records(
+                        [column.tolist() for column in rows.columns],
+                        rows.values,
+                    )
+                    self._rows = None
+        return self._records
+
+    def to_rows(self) -> Rows:
+        rows = self._rows
+        if rows is not None:
+            return rows
         records = self._records
+        return Rows(
+            self.dims,
+            [self._adopt(column) for column in _key_columns(records, self.dims)],
+            _payloads(records),
+        )
+
+    def rows_or_records(self) -> "Rows | list[Record]":
+        rows = self._rows
+        return self._records if rows is None else rows
+
+    def payload_values(self) -> Sequence | None:
+        rows = self._rows
+        return _payloads(self._records) if rows is None else rows.values
+
+    # -- queries ---------------------------------------------------------
+
+    def matching(
+        self, lows: Sequence[float], highs: Sequence[float]
+    ) -> list[Record]:
+        generation = self.generation
+        if self._built_generation != generation:
+            rows = self._rows
+            if rows is not None and self._scanned_generation != generation:
+                self._scanned_generation = generation
+                return self._scan(rows, lows, highs)
+            self._rebuild()
+        return self._select(lows, highs)
+
+    def _scan(self, rows: Rows, lows, highs) -> list[Record]:
+        """One pass over the insertion-order columns; Records for the
+        hits only."""
+        columns = rows.columns
+        sort_dim = self.sort_dim
+        low = lows[sort_dim]
+        high = highs[sort_dim]
+        hits = [
+            i
+            for i, coordinate in enumerate(columns[sort_dim])
+            if low <= coordinate <= high
+        ]
+        for dim, column in enumerate(columns):
+            if dim == sort_dim or not hits:
+                continue
+            low = lows[dim]
+            high = highs[dim]
+            hits = [i for i in hits if low <= column[i] <= high]
+        values = rows.values
+        return _make_records(
+            [[column[i] for i in hits] for column in columns],
+            None if values is None else [values[i] for i in hits],
+        )
+
+    def _rebuild(self) -> None:
+        records = self.records()
         sort_dim = self.sort_dim
         order = sorted(
             range(len(records)), key=lambda i: records[i].key[sort_dim]
         )
         self._order = order
-        self._columns = [
+        self._snapshot = [
             array("d", [records[i].key[dim] for i in order])
             for dim in range(self.dims)
         ]
         self._built_generation = self.generation
 
-    def matching(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[Record]:
-        if self._built_generation != self.generation:
-            self._rebuild()
+    def _select(self, lows, highs) -> list[Record]:
         sort_dim = self.sort_dim
-        column = self._columns[sort_dim]
+        column = self._snapshot[sort_dim]
         start = bisect_left(column, lows[sort_dim])
         stop = bisect_right(column, highs[sort_dim], lo=start)
         if start >= stop:
             return []
         candidates: Sequence[int] = range(start, stop)
-        for dim, col in enumerate(self._columns):
+        for dim, col in enumerate(self._snapshot):
             if dim == sort_dim:
                 continue
             low = lows[dim]
@@ -284,18 +436,8 @@ class ColumnarStore(RecordStore):
         # Ascending insertion positions reproduce the naive scan's
         # output order exactly.
         order = self._order
-        records = self._records
+        records = self._records  # a rebuild left the store as records
         return [records[i] for i in sorted(order[i] for i in candidates)]
-
-    def records(self) -> list[Record]:
-        return self._records
-
-    def to_rows(self) -> Rows:
-        return Rows.from_records(self._records, self.dims)
-
-    @classmethod
-    def from_rows(cls, rows: Rows, sort_dim: int) -> "ColumnarStore":
-        return cls(rows.dims, sort_dim, rows.to_records())
 
 
 # ----------------------------------------------------------------------

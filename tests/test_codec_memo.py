@@ -24,6 +24,7 @@ from repro.common.labels import root_label
 from repro.core import codec
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
+from repro.core.split import ThresholdSplit
 
 BACKENDS = ["columnar", "numpy"]
 
@@ -120,6 +121,33 @@ class TestMemoInvalidation:
         assert size == len(codec.encode_bucket(bucket))
 
 
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_sizing_and_encoding_pickle_payloads_once(
+        self, kind, rng, monkeypatch
+    ):
+        """Each simulated put/get prices the bucket it carries: an
+        unmutated valued bucket sized twice and encoded once must pickle
+        its payloads once, and once more after each mutation."""
+        bucket = LeafBucket("001", 2, _records(rng, 2, 9), store=kind)
+        dumps = pickle.dumps
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting)
+        sizes = [bucket.encoded_wire_size(), bucket.encoded_wire_size()]
+        data = codec.encode_bucket(bucket)
+        assert sizes == [len(data)] * 2
+        assert len(calls) == 1
+        bucket.add(Record((0.5, 0.5), "new"))
+        assert bucket.encoded_wire_size() == len(codec.encode_bucket(bucket))
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert codec.encode_bucket(bucket) == _fresh_encoding(bucket)
+
+
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(0, 2**20), st.booleans()),
@@ -207,12 +235,56 @@ class TestLazyDecode:
             assert column.flags.owndata and column.flags.writeable
 
 
+class TestColumnForm:
+    """A leaf that arrives as codec bytes is its columns: a range match
+    builds a Record per hit, a non-splitting insert none at all."""
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("valued", [False, True], ids=["keys", "values"])
+    def test_fetched_leaf_builds_no_record_for_a_non_hit_row(
+        self, kind, valued, rng, monkeypatch
+    ):
+        records = [
+            Record(record.key, record.value if valued else None)
+            for record in _records(rng, 2, 100)
+        ]
+        label = root_label(2)
+        data = codec.encode_bucket(
+            LeafBucket(label, 2, records, store=kind)
+        )
+        target = records[37]
+        new = Record((0.5, 0.25), "new" if valued else None)
+        built = []
+        init = Record.__init__
+
+        def counting(self, key, value=None):
+            built.append(key)
+            init(self, key, value)
+
+        monkeypatch.setattr(Record, "__init__", counting)
+        bucket = codec.decode_bucket(data)
+        hits = bucket.matching(Region(target.key, target.key))
+        bucket.add(new)
+        encoded = codec.encode_bucket(bucket)
+        plan = ThresholdSplit(200).plan_split(
+            label, bucket.store.rows_or_records(), 2, 28
+        )
+        monkeypatch.undo()
+        assert hits == [target]
+        assert built == [target.key]  # the hit's Record, nothing else
+        assert plan is None
+        fresh = LeafBucket(label, 2, records + [new], store=kind)
+        assert encoded == codec.encode_bucket(fresh)
+        assert bucket == fresh
+
+
 class TestConcurrentFirstTouch:
     def test_racing_threads_end_up_with_one_store(self, rng):
         """A peer-resident bucket is reachable from the event-loop
         thread and from client threads (the ``items()`` oracle): however
         their first touches interleave, everyone must hold the same
-        store, or one side's mutation would be lost to the other."""
+        store, or one side's mutation would be lost to the other, and
+        the adds to its columns must not interleave within a row."""
         data = codec.encode_bucket(LeafBucket("001", 2, _records(rng, 2, 64)))
         workers = 4 * (os.cpu_count() or 1)
         interval = sys.getswitchinterval()
@@ -226,7 +298,8 @@ class TestConcurrentFirstTouch:
                 def touch():
                     barrier.wait(timeout=10)
                     store = bucket.store
-                    store.add(Record((0.5, 0.5), threading.get_ident()))
+                    ident = threading.get_ident()
+                    store.add(Record((0.5, (ident % 997) / 997), ident))
                     seen.append(store)
 
                 threads = [
@@ -240,6 +313,9 @@ class TestConcurrentFirstTouch:
                 assert len(seen) == workers
                 assert all(store is bucket.store for store in seen)
                 assert bucket.load == 64 + workers  # no add was lost
+                # Each row landed whole: every key with its own value.
+                for record in bucket.records[64:]:
+                    assert record.key == (0.5, (record.value % 997) / 997)
         finally:
             sys.setswitchinterval(interval)
 

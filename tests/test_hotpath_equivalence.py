@@ -28,13 +28,14 @@ from repro.common.labels import (
     root_label,
     split_dimension,
 )
+from repro.core import codec
 from repro.core.bucket import LeafBucket
 from repro.core.naming import (
     naming_function_recursive,
     packed_naming_function,
 )
 from repro.core.records import Record
-from repro.core.store import ColumnarStore
+from repro.core.store import ColumnarStore, Rows
 from repro.core.split import (
     DataAwareSplit,
     ThresholdSplit,
@@ -172,6 +173,9 @@ def _random_query(rng, dims):
     )
 
 
+STORE_BACKENDS = ["columnar", "numpy"]
+
+
 class TestColumnarMatching:
     @pytest.mark.parametrize("dims", DIMS)
     def test_matches_naive_across_random_workloads(self, dims, rng):
@@ -227,6 +231,53 @@ class TestColumnarMatching:
         assert bucket.matching(everything) == [keeper, new]
         assert bucket.matching(everything) == bucket.matching_naive(everything)
 
+    @pytest.mark.parametrize("kind", STORE_BACKENDS)
+    @pytest.mark.parametrize("valued", [False, True], ids=["keys", "values"])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_decoded_store_matches_naive_through_mutations(
+        self, kind, valued, dims, rng
+    ):
+        """A store born from codec bytes (its column form) through
+        interleaved adds (with and without payloads), removes and
+        queries — one query or two per generation, so both the column
+        scan and the snapshot answer —
+        against a model list and against the naive scan of its own
+        re-encoded bytes: keys, payloads and insertion order."""
+        region = unit_region(dims)
+        pool = _random_records(rng, region, dims, 160)
+        if not valued:
+            pool = [Record(record.key) for record in pool]
+        model = pool[:80]
+        bucket = codec.decode_bucket(codec.encode_bucket(
+            LeafBucket(root_label(dims), dims, model, store=kind)
+        ))
+        model = list(model)
+        for step in range(40):
+            if rng.random() < 0.25:  # a remove left records: refetch
+                bucket = codec.decode_bucket(codec.encode_bucket(bucket))
+            roll = rng.random()
+            if roll < 0.15 and model:
+                victim = rng.choice(model)
+                model.remove(victim)
+                assert bucket.remove(victim)
+            elif roll < 0.6:
+                # Payloads or None whatever the bucket held so far.
+                key = pool[80 + step % 80].key
+                record = Record(key, step if rng.random() < 0.5 else None)
+                model.append(record)
+                bucket.add(record)
+            for _ in range(rng.choice((1, 2))):
+                query = _random_query(rng, dims)
+                expected = [
+                    record
+                    for record in model
+                    if query.contains_point_closed(record.key)
+                ]
+                assert bucket.matching(query) == expected
+            twin = codec.decode_bucket(codec.encode_bucket(bucket))
+            assert twin.matching_naive(query) == expected
+            assert twin.records == model
+
     @pytest.mark.parametrize("dims", DIMS)
     def test_positions_are_insertion_ordered(self, dims, rng):
         # Sorted on the last dimension, answered in insertion order.
@@ -247,9 +298,6 @@ class TestColumnarMatching:
 # ----------------------------------------------------------------------
 # Record-store backends vs the naive scan, across dims and overlays
 # ----------------------------------------------------------------------
-
-
-STORE_BACKENDS = ["columnar", "numpy"]
 
 
 class TestStoreBackendEquivalence:
@@ -279,6 +327,36 @@ class TestStoreBackendEquivalence:
                     for record in inserted
                     if query.contains_point_closed(record.key)
                 ]
+
+    @pytest.mark.parametrize("kind", STORE_BACKENDS)
+    @pytest.mark.parametrize("valued", [False, True], ids=["keys", "values"])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_decoded_bucket_matching_identical_to_list_store(
+        self, kind, valued, dims, rng
+    ):
+        for _ in range(6):
+            label = rng.choice(random_tree_leaves(rng, dims, max_depth=6))
+            inserted = _random_records(
+                rng, region_of_label(label, dims), dims, rng.randrange(0, 120)
+            )
+            if not valued:
+                inserted = [Record(record.key) for record in inserted]
+            data = codec.encode_bucket(
+                LeafBucket(label, dims, inserted, store=kind)
+            )
+            for _ in range(6):
+                query = _random_query(rng, dims)
+                expected = [
+                    record
+                    for record in inserted
+                    if query.contains_point_closed(record.key)
+                ]
+                # A fresh decode per query: the column scan answers.
+                assert codec.decode_bucket(data).matching(query) == expected
+            bucket = codec.decode_bucket(data)
+            for _ in range(3):  # one bucket: scan, then snapshot
+                query = _random_query(rng, dims)
+                assert bucket.matching(query) == bucket.matching_naive(query)
 
     @pytest.mark.parametrize("kind", STORE_BACKENDS)
     @pytest.mark.parametrize("overlay", ["chord", "kademlia", "pastry"])
@@ -333,6 +411,47 @@ class TestSplitRegionThreading:
             assert partition_records(label, dims, records) == (
                 partition_records(label, dims, records, region)
             )
+
+    @pytest.mark.parametrize("kind", STORE_BACKENDS)
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "strategy",
+        [ThresholdSplit(8), DataAwareSplit(6)],
+        ids=["threshold", "data-aware"],
+    )
+    def test_plans_from_columns_equal_plans_from_records(
+        self, kind, dims, strategy, rng
+    ):
+        """The insert path plans a fetched leaf's split over its
+        columns: same leaves, same rows in the same order, payloads
+        aligned, as planning over its record list."""
+        for trial in range(10):
+            label = root_label(dims) + "".join(
+                rng.choice("01") for _ in range(rng.randrange(0, 6))
+            )
+            records = _random_records(
+                rng, region_of_label(label, dims), dims, 40
+            )
+            if trial % 2:
+                records = [Record(record.key) for record in records]
+            store = codec.decode_bucket(codec.encode_bucket(
+                LeafBucket(label, dims, records, store=kind)
+            )).store
+            columns = store.rows_or_records()
+            assert isinstance(columns, Rows)
+            by_columns = strategy.plan_split(label, columns, dims, 12)
+            by_records = strategy.plan_split(label, records, dims, 12)
+            if by_records is None:
+                assert by_columns is None
+                continue
+            assert [leaf for leaf, _ in by_columns.leaves] == [
+                leaf for leaf, _ in by_records.leaves
+            ]
+            for (leaf, rows), (_, leaf_records) in zip(
+                by_columns.leaves, by_records.leaves
+            ):
+                rebuilt = LeafBucket(leaf, dims, rows, store=kind)
+                assert rebuilt.records == list(leaf_records)
 
     @pytest.mark.parametrize("dims", [1, 2, 3])
     @pytest.mark.parametrize(

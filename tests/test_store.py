@@ -97,13 +97,13 @@ class TestRowsInterchange:
 
     def test_rows_partition_matches_record_partition(self, rng):
         records = _records(rng, 2, 60)
-        rows = Rows.from_records(records, 2)
+        rows = create_store("columnar", 2, 0, records).to_rows()
         midpoint = 0.5
         low_rows, high_rows = rows.partition(0, midpoint)
         low_ref = [r for r in records if r.key[0] < midpoint]
         high_ref = [r for r in records if r.key[0] >= midpoint]
-        assert low_rows.to_records() == low_ref
-        assert high_rows.to_records() == high_ref
+        assert create_store("columnar", 2, 0, low_rows).records() == low_ref
+        assert create_store("columnar", 2, 0, high_rows).records() == high_ref
 
 
 class TestBackendEquivalence:

@@ -2,10 +2,11 @@
 
 CI runs tier-1 on Python 3.10, 3.11 and 3.12; this script is the quick
 check for an interpreter that has no pytest.  On both transports it
-bulk-loads an index, then runs a cold lookup, a range query, a
-splitting insert, a merging delete and a whole-space ``MCAST`` query,
-checks every answer against a brute-force scan, and exits non-zero on
-the first mismatch.  It also checks that an in-process lookup starts
+bulk-loads an index of records, two in three carrying a payload, then
+runs a cold lookup, range queries, splitting inserts, merging deletes
+and a whole-space ``MCAST`` query, checks every answer — keys and
+payloads — against a brute-force scan, and exits non-zero on a
+mismatch.  It also checks that an in-process lookup starts
 no asyncio Task.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
@@ -27,11 +28,25 @@ from repro.service.node import ServiceDht
 
 CONFIG = IndexConfig(dims=2, split_threshold=8, merge_threshold=4)
 POINTS = uniform_points(400, seed=3)
+#: ``(key, value)`` pairs; every third value is None, so a bucket's
+#: payloads mix None and non-None and must stay aligned with its keys.
+RECORDS = [
+    (point, None if i % 3 == 0 else f"v{i}") for i, point in enumerate(POINTS)
+]
 QUERY = Region((0.2, 0.1), (0.6, 0.5))
 
 
-def inside(points, region):
-    return sorted(p for p in points if region.contains_point_closed(p))
+def inside(records, region):
+    return sorted(
+        (pair for pair in records if region.contains_point_closed(pair[0])),
+        key=lambda pair: pair[0],
+    )
+
+
+def pairs(result):
+    return sorted(
+        ((r.key, r.value) for r in result.records), key=lambda pair: pair[0]
+    )
 
 
 def smoke(transport: str) -> list[str]:
@@ -43,7 +58,7 @@ def smoke(transport: str) -> list[str]:
             problems.append(f"{transport}: {what}: {got!r} != {want!r}")
 
     with ServiceDht(8, transport=transport) as dht:
-        bulk_load(dht, POINTS[:300], CONFIG)
+        bulk_load(dht, RECORDS[:300], CONFIG)
         index = MLightIndex(dht, CONFIG)
         created = []
 
@@ -59,21 +74,39 @@ def smoke(transport: str) -> list[str]:
         check("lookup", found.covers(POINTS[0]), True)
         if transport == "asyncio":
             check("tasks per lookup", len(created), 0)
-        got = sorted(r.key for r in index.range_query(QUERY).records)
-        check("range query", got, inside(POINTS[:300], QUERY))
+        check(
+            "range query", pairs(index.range_query(QUERY)),
+            inside(RECORDS[:300], QUERY),
+        )
         puts = dht.stats.puts
-        for point in POINTS[300:]:
-            index.insert(point)
+        for point, value in RECORDS[300:]:
+            index.insert(point, value)
         check("inserts split", dht.stats.puts > puts, True)
+        check(
+            "range after inserts", pairs(index.range_query(QUERY)),
+            inside(RECORDS, QUERY),
+        )
+        point, value = RECORDS[301]
+        leaf = index.lookup(point).bucket
+        check(
+            "lookup payload",
+            [r.value for r in leaf.records if r.key == point], [value],
+        )
         removes = dht.stats.removes
-        for point in POINTS[:200]:
-            check("delete", index.delete(point), True)
+        for point, value in RECORDS[:200]:
+            check("delete", index.delete(point, value), True)
         check("deletes merge", dht.stats.removes > removes, True)
+        check(
+            "range after deletes", pairs(index.range_query(QUERY)),
+            inside(RECORDS[200:], QUERY),
+        )
         index.check_invariants()
         everything = Region((0.0, 0.0), (1.0, 1.0))
         mcast = ServiceMulticast(dht, 2, CONFIG.max_depth)
-        got = sorted(r.key for r in mcast.query(everything).records)
-        check("mcast query", got, sorted(POINTS[200:]))
+        check(
+            "mcast query", pairs(mcast.query(everything)),
+            inside(RECORDS[200:], everything),
+        )
     return problems
 
 
