@@ -35,10 +35,11 @@ Every label the index handles is a prefix, child or sibling of one it
 already holds, so validity is proved once, where a label *enters* the
 program, by :func:`check_label`:
 
-* ``LeafBucket(...)`` and ``LeafBucket.from_encoded``
-  (:mod:`repro.core.bucket`);
+* ``LeafBucket(...)``, and ``LeafBucket.from_encoded`` when no codec
+  parse of the header comes with it (:mod:`repro.core.bucket`);
 * a bucket header parsed off the wire or out of a journal
-  (:mod:`repro.core.codec`);
+  (:mod:`repro.core.codec`), once: the bucket keeps that parse for its
+  store build;
 * the target label of an ``MCAST`` frame (:mod:`repro.mcast.service`);
 * :func:`repro.common.geometry.region_of_label`, memoised per label so
   a label is checked on first sight only.

@@ -57,9 +57,10 @@ from repro.core.store import DEFAULT_STORE, RecordStore, Rows, create_store
 
 
 #: Serialises the one-time store build of decoded buckets: a bucket
-#: resident on a service peer is reachable from the event-loop thread
-#: and (through the ``items()`` / ``load_by_peer`` oracles) from client
-#: threads, and two threads must never end up holding different stores.
+#: resident on a service peer is reachable from whichever thread runs
+#: the event loop and (through the ``items()`` / ``load_by_peer``
+#: oracles) from client threads, and two threads must never end up
+#: holding different stores.
 _BUILD_LOCK = threading.Lock()
 
 
@@ -82,6 +83,7 @@ class LeafBucket:
         "_encoded",
         "_encoded_generation",
         "_encoded_count",
+        "_header",
     )
 
     def __init__(
@@ -117,13 +119,17 @@ class LeafBucket:
 
     @classmethod
     def from_encoded(
-        cls, label: str, dims: int, count: int, data: bytes
+        cls, label: str, dims: int, count: int, data: bytes,
+        header: tuple | None = None,
     ) -> "LeafBucket":
         """A lazy bucket over its codec bytes *data*, whose header
-        (*label*, *dims*, *count*) :func:`repro.core.codec.decode_bucket`
-        has already parsed.  The record store is built on first use;
-        until then *data* is both the memo and the contents."""
-        check_label(label, dims)
+        (*label*, *dims*, *count*) the caller has read.  The record store
+        is built on first use; until then *data* is both the memo and
+        the contents.  *header* is :func:`repro.core.codec.decode_bucket`'s
+        whole parse, label checked: the build reuses it.  Without one
+        the label is checked here and the build parses *data* again."""
+        if header is None:
+            check_label(label, dims)
         bucket = cls.__new__(cls)
         bucket.label = label
         bucket.dims = dims
@@ -132,6 +138,7 @@ class LeafBucket:
         bucket._encoded = data
         bucket._encoded_generation = -1
         bucket._encoded_count = count
+        bucket._header = header
         return bucket
 
     # ------------------------------------------------------------------
@@ -152,7 +159,9 @@ class LeafBucket:
         with _BUILD_LOCK:
             store = self._store
             if store is None:
-                store = codec.decode_store(self._encoded, self.split_dim)
+                store = codec.decode_store(
+                    self._encoded, self.split_dim, self._header
+                )
                 # The bytes describe exactly what was just built: tag
                 # them before publishing the store, which is assigned
                 # once and last.

@@ -159,15 +159,18 @@ def decode_bucket(data: bytes):
     lengths against the buffer) and answers ``label`` / ``region`` /
     ``load`` on its own; the record store is built by
     :func:`decode_store` on the bucket's first use of it, and until a
-    mutation *data* stays the bucket's encoding."""
+    mutation *data* stays the bucket's encoding.  The bucket keeps this
+    one parse (its label checked here, once) for the store build."""
     data = bytes(data)
-    dims, _, label, count, _, _ = _parse_header(data)
-    return _bucket.LeafBucket.from_encoded(label, dims, count, data)
+    header = _parse_header(data)
+    dims, _, label, count, _, _ = header
+    return _bucket.LeafBucket.from_encoded(label, dims, count, data, header)
 
 
-def decode_store(data: bytes, sort_dim: int):
+def decode_store(data: bytes, sort_dim: int, header: tuple | None = None):
     """The record store an encoded bucket holds — the deferred half of
-    :func:`decode_bucket`.  Rebuilds the same store kind (degrading per
+    :func:`decode_bucket`, which hands over its *header* parse (parsed
+    here when there is none).  Rebuilds the same store kind (degrading per
     the registry, e.g. numpy -> columnar when numpy is unavailable) in
     its column form: one ``frombytes`` per column, copied out of *data*
     (never a view of it), and no :class:`~repro.core.records.Record`
@@ -175,7 +178,7 @@ def decode_store(data: bytes, sort_dim: int):
     when asked for its records.  A values blob that does not unpickle
     to one value per record raises :class:`CodecError` here, at first
     touch."""
-    dims, kind, _, count, flags, offset = _parse_header(data)
+    dims, kind, _, count, flags, offset = header or _parse_header(data)
     column_bytes = count * 8
     columns = []
     for _ in range(dims):

@@ -63,8 +63,8 @@ DEFAULT_STORE = "columnar"
 
 #: Serialises a column-form store's row appends and its switch to a
 #: record list: a store resident on a service peer is reachable from
-#: the event-loop thread and from client threads, and one row must
-#: land in every column (and the values list) or in none.
+#: whichever thread runs the event loop and from client threads, and
+#: one row must land in every column (and the values list) or in none.
 _COLUMNS_LOCK = threading.Lock()
 
 

@@ -462,7 +462,7 @@ class Dht(ABC):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release runtime resources (loop threads, sockets).  In-process
+        """Release runtime resources (event loops, sockets).  In-process
         substrates hold none, so the default does nothing."""
 
     def __enter__(self) -> "Dht":

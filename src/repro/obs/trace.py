@@ -183,7 +183,10 @@ class Tracer:
     started with a copy of a caller's context — the service runtime's
     bridge, the eagerly started children of a batch round — parents
     under the span that caller had open, and keeps its Context across
-    a suspension.  One tracer therefore serves concurrent clients.
+    a suspension.  That holds on the caller's own thread too (the
+    in-process bridge runs the loop there): the loop side works in the
+    copy, never on the caller's stack.  One tracer therefore serves
+    concurrent clients.
     """
 
     def __init__(

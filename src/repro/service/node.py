@@ -12,9 +12,11 @@ loop interleaves requests at their awaits.
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
 facade: the index layers, the retry/fault wrappers and the tracer
 attach unchanged.  The facade's synchronous
-``_do_*`` primitives bridge into a dedicated event-loop thread, so any
-number of caller threads (the load generator's workers, say) issue
-requests concurrently.
+``_do_*`` primitives cross one bridge into the loop, from any number of
+caller threads (the load generator's workers, say).  In process the
+calling thread runs the loop itself for the length of its call, one
+caller at a time; over TCP a dedicated event-loop thread keeps it
+running, so concurrent clients' socket round trips overlap.
 
 Placement is runtime-neutral consistent hashing
 (:class:`~repro.dht.peer.HashRing` — successor-on-ring, the ownership
@@ -393,11 +395,88 @@ class _TcpChannel:
             await self._reader_task
 
 
-class _LoopThread:
-    """A dedicated event-loop thread plus a sync bridge into it."""
+class _Bridge:
+    """The blocking entry into the runtime's event loop.
+
+    :meth:`run` is the one crossing every sync facade call makes; the
+    subclass decides who runs the loop meanwhile: the calling thread
+    itself (:class:`_CallerLoop`, in process) or a dedicated thread
+    (:class:`_LoopThread`, TCP).
+    """
+
+    #: Whether the calling thread runs the loop itself: then it must be
+    #: running no event loop already, not even another one.
+    runs_on_caller = False
 
     def __init__(self) -> None:
         self.loop = asyncio.new_event_loop()
+
+    def run(self, coro) -> Any:
+        """Run *coro* on the loop, blocking until it is done.
+
+        One crossing: a loop callback starts the coroutine eagerly
+        (:func:`start_eagerly`) in a copy of the caller's context, so
+        tracer spans it opens parent under the caller's open span.  An
+        operation that never suspends — any in-process one — completes
+        in that callback; one that suspends finishes as a Task.  Either
+        way its completion wakes the caller, and the result or exception
+        surfaces here.
+        """
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:
+            running = None
+        if running is not None and (running is self.loop or self.runs_on_caller):
+            coro.close()
+            raise ReproError(
+                "blocking ServiceDht call made on the loop thread of a "
+                "running event loop (from an installed handler?); await "
+                "ServiceDht.call_captured there, or call from another thread"
+            )
+        futures: list[asyncio.Future] = []
+
+        def start(wake) -> None:
+            # This callback runs in a copy of the caller's context.
+            future = start_eagerly(self.loop, coro, contextvars.copy_context())
+            futures.append(future)
+            if future.done():
+                wake()
+            else:
+                future.add_done_callback(lambda _: wake())
+
+        self._cross(start)
+        return futures[0].result()
+
+
+class _CallerLoop(_Bridge):
+    """The in-process bridge, with no thread of its own: the calling
+    thread runs the loop for exactly the length of its call, under one
+    gate.  Concurrent callers take turns, each call whole; a loop thread
+    would serialise them the same way, since an in-process operation
+    never suspends, but costs a hand-off between two threads per call."""
+
+    runs_on_caller = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._gate = threading.Lock()
+
+    def _cross(self, start) -> None:
+        with self._gate:
+            self.loop.call_soon(start, self.loop.stop)
+            self.loop.run_forever()
+
+    def stop(self) -> None:
+        with self._gate:
+            self.loop.close()
+
+
+class _LoopThread(_Bridge):
+    """The TCP bridge: a dedicated thread keeps the loop running, so
+    concurrent clients' socket round trips overlap on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
         self._thread = threading.Thread(
             target=self._main, daemon=True, name="repro-service-loop"
         )
@@ -410,40 +489,11 @@ class _LoopThread:
         finally:
             self.loop.close()
 
-    def run(self, coro) -> Any:
-        """Run *coro* on the loop from any other thread, blocking.
-
-        One crossing: a loop callback starts the coroutine eagerly
-        (:func:`start_eagerly`) in a copy of the caller's context, so
-        tracer spans it opens parent under the caller's open span.  An
-        operation that never suspends — any in-process one — completes
-        in that callback, which releases the one-shot lock the caller
-        waits on; one that suspends releases it when its Task is done.
-        The result or exception surfaces here.
-        """
-        if threading.get_ident() == self._thread.ident:
-            coro.close()
-            raise ReproError(
-                "blocking ServiceDht call made on the service loop thread "
-                "(from an installed handler?); it would wait for the loop "
-                "it is blocking — await ServiceDht.call_captured instead"
-            )
+    def _cross(self, start) -> None:
         done = threading.Lock()
         done.acquire()
-        futures: list[asyncio.Future] = []
-
-        def start() -> None:
-            # This callback runs in a copy of the caller's context.
-            future = start_eagerly(self.loop, coro, contextvars.copy_context())
-            futures.append(future)
-            if future.done():
-                done.release()
-            else:
-                future.add_done_callback(lambda _: done.release())
-
-        self.loop.call_soon_threadsafe(start)
+        self.loop.call_soon_threadsafe(start, done.release)
         done.acquire()
-        return futures[0].result()
 
     def stop(self) -> None:
         self.loop.call_soon_threadsafe(self.loop.stop)
@@ -458,7 +508,7 @@ class ServiceDht(Dht):
     sockets (one listener per peer, one multiplexed client connection
     each).  Either way the runtime starts lazily on first use; call
     :meth:`close` (or use the instance as a context manager) to tear
-    the peers, sockets and loop thread down deterministically.
+    the peers, sockets and loop (TCP: its thread) down deterministically.
     """
 
     def __init__(
@@ -490,7 +540,11 @@ class ServiceDht(Dht):
         )
         self.network = ServiceTransport()
         self._request_ids = itertools.count(1)
-        self._loop_thread: _LoopThread | None = None
+        #: The bridge into the running runtime: ``None`` before
+        #: :meth:`start` and after :meth:`close`, which alone assign it,
+        #: under ``_lifecycle``.
+        self._live_bridge: _Bridge | None = None
+        self._lifecycle = threading.Lock()
         self._peers: dict[str, _ServicePeer] = {}
         #: Extension handlers and push sink, held here once and read by
         #: every peer per frame, a restarted one included.
@@ -503,12 +557,16 @@ class ServiceDht(Dht):
     # ------------------------------------------------------------------
 
     def start(self) -> "ServiceDht":
-        """Spin up the loop thread and every peer (idempotent)."""
-        if self._closed:
-            raise ReproError("this ServiceDht has been closed")
-        if self._loop_thread is None:
-            self._loop_thread = _LoopThread()
-            self._loop_thread.run(self._start_nodes())
+        """Build the bridge and every peer, once (idempotent, and safe
+        for first calls racing on several threads)."""
+        with self._lifecycle:
+            if self._closed:
+                raise ReproError("this ServiceDht has been closed")
+            if self._live_bridge is None:
+                tcp = self._transport_kind == "tcp"
+                bridge = _LoopThread() if tcp else _CallerLoop()
+                bridge.run(self._start_nodes())
+                self._live_bridge = bridge
         return self
 
     async def _start_nodes(self) -> None:
@@ -524,14 +582,16 @@ class ServiceDht(Dht):
             await peer.listen()
 
     def close(self) -> None:
-        """Stop peers, close sockets, and join the loop thread."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._loop_thread is not None:
-            self._loop_thread.run(self._stop_nodes())
-            self._loop_thread.stop()
-            self._loop_thread = None
+        """Stop peers, close sockets and the loop (joining the TCP
+        transport's loop thread)."""
+        with self._lifecycle:
+            if self._closed:
+                return
+            self._closed = True
+            bridge, self._live_bridge = self._live_bridge, None
+            if bridge is not None:
+                bridge.run(self._stop_nodes())
+                bridge.stop()
 
     async def _stop_nodes(self) -> None:
         for peer in self._peers.values():
@@ -612,9 +672,11 @@ class ServiceDht(Dht):
     def __enter__(self) -> "ServiceDht":
         return self.start()
 
-    def _bridge(self) -> _LoopThread:
-        self.start()
-        return self._loop_thread
+    def _bridge(self) -> _Bridge:
+        bridge = self._live_bridge
+        if bridge is None:
+            bridge = self.start()._live_bridge
+        return bridge
 
     # ------------------------------------------------------------------
     # Oracle access
@@ -627,9 +689,10 @@ class ServiceDht(Dht):
         return self._ring.peers()
 
     def items(self) -> Iterator[tuple[str, Any]]:
-        """Every peer's (key, value) pairs, copied on the loop thread:
-        it mutates the stores, so only it may iterate them."""
-        if self._loop_thread is None:
+        """Every peer's (key, value) pairs, copied by a coroutine on the
+        loop: only code the loop runs mutates the stores, so only such
+        code may iterate them."""
+        if self._live_bridge is None:
             return iter(())
         return iter(self._bridge().run(self._snapshot_items()))
 
@@ -642,7 +705,7 @@ class ServiceDht(Dht):
 
     def key_count(self) -> int:
         """Stored keys via the non-decoding ``keys()`` walk."""
-        if self._loop_thread is None:
+        if self._live_bridge is None:
             return 0
         return self._bridge().run(self._count_keys())
 
@@ -741,12 +804,12 @@ class ServiceDht(Dht):
     #
     # The sync facade crosses the bridge once per request or round.  An
     # operation is a chain of dependent steps, so driving it from the
-    # client thread pays that hand-off per step; driving it here pays
+    # client thread pays that crossing per step; driving it here pays
     # it once.  ``drive_on_loop`` is ``Dht.drive`` awaited on the loop
     # over ``perform_on_loop`` — same meters and spans (``Dht._meter``),
     # same frames, no thread hop between steps.  Only a ``CALL`` step
     # comes back: a hook makes blocking facade calls of its own, which
-    # the loop thread must not, so it runs on the caller's thread
+    # code the loop runs must not, so it runs on the caller's thread
     # between two loop segments; an installed handler awaits its own
     # (a peer's forward) on the loop.
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.common.geometry import Region
 from repro.common.labels import root_label
+from repro.core import bucket as bucket_module
 from repro.core import codec
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
@@ -215,6 +216,30 @@ class TestLazyDecode:
             original.records
         )
         assert store_builds == [kind]  # built once
+
+    def test_a_fetched_leaf_parses_and_checks_its_header_once(
+        self, rng, monkeypatch
+    ):
+        """``decode_bucket`` and the first ``matching`` after it: one
+        header parse, one label check (the parent commit made 2 and 3)."""
+        data = codec.encode_bucket(LeafBucket("0011", 2, _records(rng, 2, 9)))
+        parses, checks = [], []
+        parse, check = codec._parse_header, codec.check_label
+
+        def counting_parse(data):
+            parses.append(len(data))
+            return parse(data)
+
+        def counting_check(label, dims):
+            checks.append(label)
+            check(label, dims)
+
+        monkeypatch.setattr(codec, "_parse_header", counting_parse)
+        for module in (codec, bucket_module):
+            monkeypatch.setattr(module, "check_label", counting_check)
+        bucket = codec.decode_bucket(data)
+        assert len(bucket.matching(Region((0.0, 0.0), (1.0, 1.0)))) == 9
+        assert (len(parses), checks) == (1, ["0011"])
 
     def test_empty_decoded_bucket_is_empty_without_a_store(
         self, store_builds

@@ -315,7 +315,7 @@ class TestEagerStart:
         with ServiceDht(2) as dht:
             created = count_tasks(dht)
             thread, task = dht._bridge().run(plain())
-        assert thread != threading.get_ident()  # it ran on the loop...
+        assert thread == threading.get_ident()  # it ran on the caller...
         assert task is None  # ...inside the bridge callback, in no Task
         assert created == []
 

@@ -49,15 +49,16 @@ def loaded(dht, config: IndexConfig = CONFIG, wrap=None, **kwargs):
 
 @pytest.fixture
 def crossings(monkeypatch) -> list:
-    """One entry per ``_LoopThread.run`` call, on any thread."""
+    """One entry per ``_Bridge.run`` call — the one crossing of either
+    transport's bridge — on any thread."""
     seen: list = []
-    run = service_node._LoopThread.run
+    run = service_node._Bridge.run
 
     def counting(self, coro):
         seen.append(coro)
         return run(self, coro)
 
-    monkeypatch.setattr(service_node._LoopThread, "run", counting)
+    monkeypatch.setattr(service_node._Bridge, "run", counting)
     return seen
 
 

@@ -3,11 +3,12 @@
 CI runs tier-1 on Python 3.10, 3.11 and 3.12; this script is the quick
 check for an interpreter that has no pytest.  On both transports it
 bulk-loads an index of records, two in three carrying a payload, then
-runs a cold lookup, range queries, splitting inserts, merging deletes
-and a whole-space ``MCAST`` query, checks every answer — keys and
-payloads — against a brute-force scan, and exits non-zero on a
-mismatch.  It also checks that an in-process lookup starts
-no asyncio Task.
+runs a cold lookup, range queries, splitting inserts, merging deletes,
+a burst of four client threads, a handler that suspends and a
+whole-space ``MCAST`` query, checks every answer — keys and payloads —
+against a brute-force scan, and exits non-zero on a mismatch.  It also
+checks that an in-process lookup starts no asyncio Task and that the
+in-process runtime starts no thread of its own.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import platform
 import sys
+import threading
 
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region
@@ -25,6 +27,7 @@ from repro.core.index import MLightIndex
 from repro.datasets.synthetic import uniform_points
 from repro.mcast import ServiceMulticast
 from repro.service.node import ServiceDht
+from repro.service.wire import Op, encode_reply
 
 CONFIG = IndexConfig(dims=2, split_threshold=8, merge_threshold=4)
 POINTS = uniform_points(400, seed=3)
@@ -34,6 +37,13 @@ RECORDS = [
     (point, None if i % 3 == 0 else f"v{i}") for i, point in enumerate(POINTS)
 ]
 QUERY = Region((0.2, 0.1), (0.6, 0.5))
+#: What the burst inserts: points outside QUERY, so the burst's range
+#: queries have one answer however its threads interleave.
+BURST = [
+    (point, f"b{i}")
+    for i, point in enumerate(uniform_points(80, seed=4))
+    if not QUERY.contains_point_closed(point)
+]
 
 
 def inside(records, region):
@@ -49,6 +59,37 @@ def pairs(result):
     )
 
 
+def burst(index, expected) -> list:
+    """Four client threads at once: each inserts its quarter of BURST
+    (one lock serialises writers, as the load generator does), and
+    queries QUERY and looks up a stored point after every insert.
+    Returns each query's answer and each lookup's verdict."""
+    lock = threading.Lock()
+    seen: list = []
+
+    def client(part) -> None:
+        for point, value in part:
+            with lock:
+                index.insert(point, value)
+            seen.append(pairs(index.range_query(QUERY)) == expected)
+            seen.append(index.lookup(point).bucket.covers(point))
+
+    threads = [
+        threading.Thread(target=client, args=(part,), name="burst")
+        for part in (BURST[n::4] for n in range(4))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return seen
+
+
+async def suspending_echo(peer, frame):
+    await asyncio.sleep(0)  # finishes as a Task on either transport
+    return encode_reply(frame.request_id, (peer.name, frame.body))
+
+
 def smoke(transport: str) -> list[str]:
     """Problems found on *transport* (empty: all good)."""
     problems = []
@@ -57,57 +98,83 @@ def smoke(transport: str) -> list[str]:
         if got != want:
             problems.append(f"{transport}: {what}: {got!r} != {want!r}")
 
-    with ServiceDht(8, transport=transport) as dht:
-        bulk_load(dht, RECORDS[:300], CONFIG)
-        index = MLightIndex(dht, CONFIG)
-        created = []
+    started = []
+    start = threading.Thread.start
 
-        def factory(loop, coro, **kwargs):
-            created.append(coro)
-            return asyncio.Task(coro, loop=loop, **kwargs)
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
 
-        async def install():
-            asyncio.get_running_loop().set_task_factory(factory)
-
-        dht._bridge().run(install())
-        found = index.lookup(POINTS[0]).bucket
-        check("lookup", found.covers(POINTS[0]), True)
-        if transport == "asyncio":
-            check("tasks per lookup", len(created), 0)
-        check(
-            "range query", pairs(index.range_query(QUERY)),
-            inside(RECORDS[:300], QUERY),
-        )
-        puts = dht.stats.puts
-        for point, value in RECORDS[300:]:
-            index.insert(point, value)
-        check("inserts split", dht.stats.puts > puts, True)
-        check(
-            "range after inserts", pairs(index.range_query(QUERY)),
-            inside(RECORDS, QUERY),
-        )
-        point, value = RECORDS[301]
-        leaf = index.lookup(point).bucket
-        check(
-            "lookup payload",
-            [r.value for r in leaf.records if r.key == point], [value],
-        )
-        removes = dht.stats.removes
-        for point, value in RECORDS[:200]:
-            check("delete", index.delete(point, value), True)
-        check("deletes merge", dht.stats.removes > removes, True)
-        check(
-            "range after deletes", pairs(index.range_query(QUERY)),
-            inside(RECORDS[200:], QUERY),
-        )
-        index.check_invariants()
-        everything = Region((0.0, 0.0), (1.0, 1.0))
-        mcast = ServiceMulticast(dht, 2, CONFIG.max_depth)
-        check(
-            "mcast query", pairs(mcast.query(everything)),
-            inside(RECORDS[200:], everything),
-        )
+    threading.Thread.start = recording
+    try:
+        with ServiceDht(8, transport=transport) as dht:
+            run_everything(dht, transport, check)
+    finally:
+        threading.Thread.start = start
+    runtime_threads = [name for name in started if name != "burst"]
+    loop_threads = {"asyncio": [], "tcp": ["repro-service-loop"]}
+    check("threads started", runtime_threads, loop_threads[transport])
     return problems
+
+
+def run_everything(dht, transport: str, check) -> None:
+    """The whole scenario on *dht*; every answer goes through *check*."""
+    bulk_load(dht, RECORDS[:300], CONFIG)
+    index = MLightIndex(dht, CONFIG)
+    created = []
+
+    def factory(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def install():
+        asyncio.get_running_loop().set_task_factory(factory)
+
+    dht._bridge().run(install())
+    found = index.lookup(POINTS[0]).bucket
+    check("lookup", found.covers(POINTS[0]), True)
+    if transport == "asyncio":
+        check("tasks per lookup", len(created), 0)
+    check(
+        "range query", pairs(index.range_query(QUERY)),
+        inside(RECORDS[:300], QUERY),
+    )
+    puts = dht.stats.puts
+    for point, value in RECORDS[300:]:
+        index.insert(point, value)
+    check("inserts split", dht.stats.puts > puts, True)
+    check(
+        "range after inserts", pairs(index.range_query(QUERY)),
+        inside(RECORDS, QUERY),
+    )
+    point, value = RECORDS[301]
+    leaf = index.lookup(point).bucket
+    check(
+        "lookup payload",
+        [r.value for r in leaf.records if r.key == point], [value],
+    )
+    removes = dht.stats.removes
+    for point, value in RECORDS[:200]:
+        check("delete", index.delete(point, value), True)
+    check("deletes merge", dht.stats.removes > removes, True)
+    check(
+        "range after deletes", pairs(index.range_query(QUERY)),
+        inside(RECORDS[200:], QUERY),
+    )
+    seen = burst(index, inside(RECORDS[200:], QUERY))
+    check("burst answers", seen, [True] * (2 * len(BURST)))
+    index.check_invariants()
+    dht.install_handler(Op.PUSH, suspending_echo)
+    check(
+        "suspending handler", dht.call(Op.PUSH, "k", body="x"),
+        (dht.peer_of("k"), "x"),
+    )
+    everything = Region((0.0, 0.0), (1.0, 1.0))
+    mcast = ServiceMulticast(dht, 2, CONFIG.max_depth)
+    check(
+        "mcast query", pairs(mcast.query(everything)),
+        inside(RECORDS[200:] + BURST, everything),
+    )
 
 
 def main() -> int:
