@@ -100,6 +100,7 @@ class LeafBucket:
         self._encoded: bytes | None = None
         self._encoded_generation = -1
         self._encoded_count = 0
+        self._header = None
         if isinstance(records, RecordStore):
             self._store = records
         elif isinstance(store, RecordStore):
@@ -189,11 +190,28 @@ class LeafBucket:
 
     def add(self, record: Record) -> None:
         """Insert *record*; its key must fall inside this cell."""
-        if not self.covers(record.key):
-            raise InvalidLabelError(
-                f"record {record.key} outside cell of leaf {self.label!r}"
-            )
+        self._check_covers(record.key)
         self.store.add(record)
+
+    def appended(self, point, value) -> "LeafBucket":
+        """This bucket plus the record (*point*, *value*), as a new lazy
+        bucket over spliced codec bytes (:func:`~repro.core.codec.
+        append_row`): what a peer stores when an insert ships it one
+        record.  Builds no store and, while this bucket's memo is
+        valid, packs no column; *point* must fall inside this cell."""
+        self._check_covers(point)
+        data, header = codec.append_row(
+            codec.encode_bucket(self), point, value, self._header
+        )
+        return LeafBucket.from_encoded(
+            self.label, self.dims, self.load + 1, data, header
+        )
+
+    def _check_covers(self, point) -> None:
+        if not self.covers(point):
+            raise InvalidLabelError(
+                f"record {point} outside cell of leaf {self.label!r}"
+            )
 
     def remove(self, record: Record) -> bool:
         """Remove one occurrence of *record*; True when found."""
@@ -246,6 +264,7 @@ class LeafBucket:
         before the columns were packed)."""
         self._encoded = data
         self._encoded_generation = generation
+        self._header = None  # parsed from the old bytes, if at all
 
     def encoded_wire_size(self) -> int:
         """Exact codec byte size — the unified byte-accounting hook

@@ -46,6 +46,7 @@ __all__ = [
     "encode_bucket",
     "decode_bucket",
     "decode_store",
+    "append_row",
     "encoded_bucket_size",
     "payload_wire_size",
     "data_wire_size",
@@ -57,6 +58,8 @@ CODEC_VERSION = 1
 #: magic + version + dims + kind-length + label-length + count + flags.
 _FIXED_BYTES = 4 + 1 + 1 + 1 + 2 + 4 + 1
 _HEAD = struct.Struct("!4sBBB")
+_COUNT = struct.Struct("!IB")
+_CELL = struct.Struct("<d")
 _FLAG_VALUES = 1
 
 
@@ -107,7 +110,7 @@ def encode_bucket(bucket) -> bytes:
         kind,
         struct.pack("!H", len(label)),
         label,
-        struct.pack("!IB", len(rows), flags),
+        _COUNT.pack(len(rows), flags),
     ]
     parts.extend(_column_bytes(column) for column in rows.columns)
     if values_blob:
@@ -136,8 +139,8 @@ def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
         offset += 2
         label = data[offset : offset + label_len].decode("ascii")
         offset += label_len
-        count, flags = struct.unpack_from("!IB", data, offset)
-        offset += 5
+        count, flags = _COUNT.unpack_from(data, offset)
+        offset += _COUNT.size
     except (struct.error, UnicodeDecodeError) as exc:
         raise CodecError(f"encoded bucket header is malformed: {exc}") from exc
     check_label(label, dims)
@@ -186,20 +189,52 @@ def decode_store(data: bytes, sort_dim: int, header: tuple | None = None):
             _column_from_bytes(data[offset : offset + column_bytes])
         )
         offset += column_bytes
-    values = None
-    if flags & _FLAG_VALUES:
-        try:
-            values = pickle.loads(data[offset:])
-            n_values = len(values)
-        except Exception as exc:  # pickle raises many concrete types
-            raise CodecError(
-                f"encoded bucket values are undecodable: {exc}"
-            ) from exc
-        if n_values != count:
-            raise CodecError(
-                f"{n_values} values for {count} encoded records"
-            )
+    values = _values_at(data, offset, count) if flags & _FLAG_VALUES else None
     return create_store(kind, dims, sort_dim, Rows(dims, columns, values))
+
+
+def _values_at(data: bytes, offset: int, count: int) -> tuple:
+    """The payload tuple pickled at *offset*, one value per record."""
+    try:
+        values = pickle.loads(data[offset:])
+        n_values = len(values)
+    except Exception as exc:  # pickle raises many concrete types
+        raise CodecError(f"encoded bucket values are undecodable: {exc}") from exc
+    if n_values != count:
+        raise CodecError(f"{n_values} values for {count} encoded records")
+    return values
+
+
+def append_row(
+    data: bytes, point, value: Any, header: tuple | None = None
+) -> tuple[bytes, tuple]:
+    """*data*, an encoded bucket, with the record (*point*, *value*)
+    appended, and the header of the result (in :func:`_parse_header`'s
+    form; *header* is that of *data*, parsed here when there is none).
+
+    Byte-identical to :func:`encode_bucket` of the same bucket after
+    ``add``, with no store built and no column packed: the count goes up
+    by one, 8 bytes go onto each column, and the values section is
+    re-pickled only when the bucket or the new row carries a value."""
+    dims, kind, label, count, flags, offset = header or _parse_header(data)
+    column_bytes = count * 8
+    values_at = offset + dims * column_bytes
+    if flags & _FLAG_VALUES:
+        values = _values_at(data, values_at, count) + (value,)
+    elif value is not None:
+        values = (None,) * count + (value,)
+    else:
+        values = None
+    flags = _FLAG_VALUES if values is not None else 0
+    parts = [data[: offset - _COUNT.size], _COUNT.pack(count + 1, flags)]
+    for dim, coordinate in enumerate(point):
+        start = offset + dim * column_bytes
+        parts.append(data[start : start + column_bytes])
+        parts.append(_CELL.pack(coordinate))
+    if values is not None:
+        parts.append(pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL))
+    appended = b"".join(parts)
+    return appended, (dims, kind, label, count + 1, flags, offset)
 
 
 def encoded_bucket_size(bucket) -> int:

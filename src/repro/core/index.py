@@ -230,7 +230,8 @@ class MLightIndex:
         bucket = result.bucket
         bucket.add(record)
         self._dht.stats.records_moved += 1
-        yield (REWRITE, self._key_of(bucket), bucket)
+        # The delta rides along: a peer holding a copy takes the record.
+        yield (REWRITE, self._key_of(bucket), bucket, record)
         if self._dissemination is not None:
             # Push before any split: the subscription table is still
             # homed at the pre-split leaf the record landed in.

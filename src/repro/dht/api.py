@@ -128,7 +128,10 @@ class BatchFailure:
 #: * ``(PUT, key, value, records_moved)`` — one routed put.
 #: * ``(GET_MANY, keys)`` — one parallel round; one outcome per key, a
 #:   :class:`BatchFailure` in the slot of an unreachable one.
-#: * ``(REWRITE, key, value)`` — the free in-place write of Theorem 5.
+#: * ``(REWRITE, key, value)`` — the free in-place write of Theorem 5;
+#:   ``(REWRITE, key, bucket, record)`` when *bucket* is what the key
+#:   holds plus the one *record* (a non-splitting insert), which a
+#:   substrate holding a copy ships instead of the bucket.
 #: * ``(PUT_MANY, items, records_moved)`` — one round of routed puts;
 #:   *records_moved* is aligned with *items*.
 #: * ``(REMOVE, key, records_moved)`` — one routed remove; the value.
@@ -542,7 +545,7 @@ class Dht(ABC):
             stats.gets += 1
             return self._do_get(step[1])
         if op is REWRITE:
-            if not self._do_rewrite(step[1], step[2]):
+            if not self._do_rewrite(*step[1:]):
                 raise _absent_key(step[1])
             return None
         if op is CALL:
@@ -653,23 +656,20 @@ class Dht(ABC):
     @abstractmethod
     def _do_remove(self, key: str) -> Any: ...
 
-    @abstractmethod
-    def _do_contains(self, key: str) -> bool: ...
-
     def _do_get_direct(self, peer: str, key: str) -> Any | None:
         """Direct store-read at *peer*.  The default falls back to the
         routed read so every substrate works unmodified; routed
         substrates override this with a single point-to-point RPC."""
         return self._do_get(key)
 
-    def _do_rewrite(self, key: str, value: Any) -> bool:
-        """Replace the value at *key* where it is stored; False (and no
-        write) when it is stored nowhere.  The default asks, then puts;
-        substrates that can reach the holders do it in one step."""
-        if not self._do_contains(key):
-            return False
-        self._do_put(key, value)
-        return True
+    @abstractmethod
+    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
+        """Replace the value at *key* where it is stored, in one step;
+        False (and no write) when it is stored nowhere.  *record*, when
+        given, is the one record *value* adds to what the key holds: a
+        substrate whose peers hold copies (the service runtime) ships it
+        instead of *value*; one whose client value is the stored object
+        ignores it."""
 
     # ------------------------------------------------------------------
     # Batch primitives (unmetered; overridable per substrate)
@@ -810,11 +810,8 @@ class DhtDecorator(Dht):
     def _do_remove(self, key: str) -> Any:
         return self._inner._do_remove(key)
 
-    def _do_contains(self, key: str) -> bool:
-        return self._inner._do_contains(key)
-
-    def _do_rewrite(self, key: str, value: Any) -> bool:
-        return self._inner._do_rewrite(key, value)
+    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
+        return self._inner._do_rewrite(key, value, record)
 
     def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
         return self._inner._do_get_many(keys)

@@ -6,8 +6,8 @@ Every DHT substrate keeps each peer's objects in a
 to disk so a crashed peer can be restarted
 (:meth:`repro.dht.api.Dht.restart`) with its pre-crash store replayed
 instead of empty.  One backend ships, ``"log"``
-(:class:`AppendLogBackend`): an append-only log of ``put``/``remove``
-records, each framed with the service wire codec
+(:class:`AppendLogBackend`): an append-only log of ``put``/``append``/
+``remove`` records, each framed with the service wire codec
 (:mod:`repro.service.wire`) and CRC-checksummed, compacted in place
 once dead records dominate.  Torn tails (a crash mid-append) are
 detected by the framing/checksum and replay stops cleanly at the last
@@ -48,10 +48,12 @@ __all__ = [
     "resolve_data_dir",
 ]
 
-#: Log opcodes — reuse the wire protocol's PUT/REMOVE values so a log
-#: file is a plain stream of protocol frames any FrameDecoder can cut.
+#: Log opcodes — reuse the wire protocol's PUT/REMOVE/APPEND values so
+#: a log file is a plain stream of protocol frames any FrameDecoder can
+#: cut.
 _OP_PUT = 3
 _OP_REMOVE = 4
+_OP_APPEND = 8
 
 #: Compaction triggers once the log holds more than
 #: ``max(_COMPACT_MIN, _COMPACT_FACTOR * live_keys)`` records.
@@ -92,16 +94,18 @@ class DurableBackend(ABC):
     kind: str = ""
 
     @abstractmethod
-    def record_put(self, key: str, blob: bytes) -> None:
-        """Journal one stored (or overwritten) key."""
+    def record_put(self, key: str, blob: bytes, *, append: bool = False) -> None:
+        """Journal one write of *key*: its whole new value, or with
+        *append* one row added to the value it holds."""
 
     @abstractmethod
     def record_remove(self, key: str) -> None:
         """Journal one deleted key."""
 
     @abstractmethod
-    def replay(self) -> dict[str, bytes]:
-        """Reconstruct the surviving ``key -> blob`` state from disk.
+    def replay(self) -> dict[str, list[bytes]]:
+        """Reconstruct the surviving state from disk: per key, its last
+        full blob followed by the rows appended since, in order.
 
         Replay is forgiving at the tail — a torn final record (crash
         mid-write) is discarded, everything intact before it is kept —
@@ -110,7 +114,8 @@ class DurableBackend(ABC):
 
     @abstractmethod
     def compact(self, items: Iterable[tuple[str, bytes]]) -> None:
-        """Rewrite durable state to exactly *items* (drop dead records)."""
+        """Rewrite durable state to exactly *items*, one full blob per
+        key (drop dead records, fold appended rows)."""
 
     def should_compact(self, live_keys: int) -> bool:
         """Whether journal debt warrants a :meth:`compact` pass now."""
@@ -128,9 +133,10 @@ class DurableBackend(ABC):
 class AppendLogBackend(DurableBackend):
     """Append-only log of wire-framed, CRC-checksummed mutations.
 
-    Record = one protocol frame: opcode PUT/REMOVE, a running sequence
-    number as the request id, and a pickled ``(key, blob, crc)`` body
-    where ``crc`` covers key and blob.  A reader needs nothing beyond
+    Record = one protocol frame: opcode PUT/APPEND/REMOVE, a running
+    sequence number as the request id, and a pickled ``(key, blob, crc)``
+    body where ``crc`` covers key and blob (the whole value for a put,
+    one row for an append, ``None`` for a remove).  A reader needs nothing beyond
     :class:`repro.service.wire.FrameDecoder`.
     """
 
@@ -144,7 +150,7 @@ class AppendLogBackend(DurableBackend):
         self._records = 0  # records currently in the file
         self._file = open(self.path, "ab")
 
-    def _append(self, op: int, key: str, blob: bytes | None) -> None:
+    def _log(self, op: int, key: str, blob: bytes | None) -> None:
         if self._file.closed:
             raise ReproError(
                 f"durable log {self.path} is closed; the peer is down"
@@ -160,20 +166,20 @@ class AppendLogBackend(DurableBackend):
             os.fsync(self._file.fileno())
         self._records += 1
 
-    def record_put(self, key: str, blob: bytes) -> None:
-        self._append(_OP_PUT, key, blob)
+    def record_put(self, key: str, blob: bytes, *, append: bool = False) -> None:
+        self._log(_OP_APPEND if append else _OP_PUT, key, blob)
 
     def record_remove(self, key: str) -> None:
-        self._append(_OP_REMOVE, key, None)
+        self._log(_OP_REMOVE, key, None)
 
-    def replay(self) -> dict[str, bytes]:
+    def replay(self) -> dict[str, list[bytes]]:
         # Frames are cut one at a time (header first, then exactly the
         # declared payload), never in bulk: a mangled or half-written
         # record must not take the intact frames before it down with
         # it, and a partial frame at EOF is a torn tail, not silence.
         wire = _wire()
         data = self.path.read_bytes()
-        state: dict[str, bytes] = {}
+        state: dict[str, list[bytes]] = {}
         records = 0
         offset = 0
         torn = False
@@ -200,7 +206,10 @@ class AppendLogBackend(DurableBackend):
                 break
             records += 1
             if frame.op == _OP_PUT:
-                state[key] = blob
+                state[key] = [blob]
+            elif frame.op == _OP_APPEND:
+                if key in state:  # a live peer appends to stored keys only
+                    state[key].append(blob)
             else:
                 state.pop(key, None)
             offset = end
@@ -210,27 +219,35 @@ class AppendLogBackend(DurableBackend):
             # Rewrite the log to the intact prefix's surviving state so
             # the discarded tail cannot resurrect on a later replay —
             # and so new appends land after the prefix, not after junk.
-            self.compact(state.items())
+            self._write_log(
+                (_OP_APPEND if rank else _OP_PUT, key, blob)
+                for key, blobs in state.items()
+                for rank, blob in enumerate(blobs)
+            )
         return state
 
     def should_compact(self, live_keys: int) -> bool:
         return self._records > max(_COMPACT_MIN, _COMPACT_FACTOR * live_keys)
 
     def compact(self, items: Iterable[tuple[str, bytes]]) -> None:
+        self._write_log((_OP_PUT, key, blob) for key, blob in items)
+
+    def _write_log(self, records: Iterable[tuple[int, str, bytes]]) -> None:
+        """Replace the log with *records*, ``(opcode, key, blob)`` each."""
         wire = _wire()
         tmp_path = self.path.with_suffix(".log.tmp")
-        records = 0
+        count = 0
         with open(tmp_path, "wb") as tmp:
-            for key, blob in items:
+            for op, key, blob in records:
                 self._sequence = (self._sequence + 1) & 0xFFFFFFFF
                 tmp.write(
                     wire.encode_frame(
-                        wire.Op(_OP_PUT),
+                        wire.Op(op),
                         self._sequence,
                         (key, blob, _checksum(key, blob)),
                     )
                 )
-                records += 1
+                count += 1
             tmp.flush()
             if self._sync:
                 os.fsync(tmp.fileno())
@@ -238,7 +255,7 @@ class AppendLogBackend(DurableBackend):
         if reopen:
             self._file.close()
         os.replace(tmp_path, self.path)
-        self._records = records
+        self._records = count
         if reopen:
             self._file = open(self.path, "ab")
 

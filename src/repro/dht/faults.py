@@ -285,10 +285,6 @@ class FaultyDht(DhtDecorator):
         self._last_written.pop(key, None)
         return value
 
-    def _do_contains(self, key: str) -> bool:
-        self._inject("contains", key)
-        return self._inner._do_contains(key)
-
     # ------------------------------------------------------------------
     # Batch primitives: per-element injection, clean subset still rides
     # the inner substrate's round machinery
@@ -341,12 +337,12 @@ class FaultyDht(DhtDecorator):
     # Local and oracle operations: never faulted
     # ------------------------------------------------------------------
 
-    def _do_rewrite(self, key: str, value: Any) -> bool:
+    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
         # No peek of the inner value: on routed substrates peeking
         # costs overlay hops, which would break the zero-fault
         # bit-equivalence of this wrapper.  Stale versions are tracked
         # from writes observed through the wrapper alone.
-        if not self._inner._do_rewrite(key, value):
+        if not self._inner._do_rewrite(key, value, record):
             return False
         self._record_write(key, value)
         return True

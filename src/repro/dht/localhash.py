@@ -101,8 +101,12 @@ class LocalDht(Dht):
             raise DhtKeyError(f"key {key!r} does not exist")
         return store.remove(key)
 
-    def _do_contains(self, key: str) -> bool:
-        return key in self._store_for(key)
+    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
+        store = self._store_for(key)
+        if key not in store:
+            return False
+        store.put(key, value)  # the stored object already holds *record*
+        return True
 
     def _do_get_direct(self, peer: str, key: str) -> Any | None:
         store = self._stores.get(peer)

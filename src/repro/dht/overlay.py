@@ -385,19 +385,13 @@ class RoutedOverlay(Dht):
             raise DhtKeyError(f"key {key!r} does not exist")
         return removed[0]
 
-    def _do_contains(self, key: str) -> bool:
-        return any(
-            self._ask(target, "contains", key)
-            for target in self._targets(key)
-        )
-
-    def _do_rewrite(self, key: str, value: Any) -> bool:
+    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
         """In-place rewrite by whichever peers hold the key.
 
         On a routed substrate this models the storing peer updating its
-        own store — no routing, no wire messages (the base-class
-        implementation would route a contains + put).  All replica
-        copies are refreshed.
+        own store — no routing, no wire messages.  All replica
+        copies are refreshed, with *value* itself: the client's copy is
+        the stored object, so an insert's *record* is already in it.
         """
         holders = [
             node for node in self._nodes.values() if key in node.store

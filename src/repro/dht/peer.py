@@ -67,9 +67,11 @@ class HashRing:
 class KeyValuePeer:
     """One peer's storage plus the request server over it.
 
-    ``serve`` is the runtime-neutral entry point: the five primitive
-    operations of the :class:`~repro.dht.api.Dht` contract, dispatched
-    by name.  The routed overlays' node
+    ``serve`` is the runtime-neutral entry point: the storage
+    primitives (``get``, ``put``, ``remove``, ``contains``, ``lookup``)
+    and the one-request rewrites (``rewrite``: put where present;
+    ``append``: add one ``(point, value)`` record to the stored bucket),
+    dispatched by name.  The routed overlays' node
     (:class:`~repro.dht.overlay.OverlayNode`) extends this class and
     answers its ``store_*`` RPCs through it in-process; the service
     runtime calls it on the loop after decoding a wire frame.
@@ -95,6 +97,13 @@ class KeyValuePeer:
             if key not in self.store:
                 raise DhtKeyError(f"key {key!r} does not exist")
             return self.store.remove(key)
+        if op == "append":
+            return self.store.append(key, *value)
+        if op == "rewrite":
+            if key not in self.store:
+                return False
+            self.store.put(key, value)
+            return True
         if op == "contains":
             return key in self.store
         if op == "lookup":

@@ -42,8 +42,9 @@ class PeerStore:
     does not re-hash the whole store.
 
     With a *backend* (:class:`~repro.dht.durable.DurableBackend`)
-    attached, every mutation is journaled as a byte blob, so the
-    peer's state survives a crash and :meth:`recover` can rebuild it.
+    attached, every mutation is journaled as a byte blob — a put as the
+    whole value, an :meth:`append` as its row — so the peer's state
+    survives a crash and :meth:`recover` can rebuild it.
     """
 
     def __init__(self, backend: "DurableBackend | None" = None) -> None:
@@ -63,12 +64,16 @@ class PeerStore:
         A torn-write blob that somehow passed the backend's checksum
         surfaces as :class:`CorruptValueError`, not silent garbage.
         The backend is attached only after replay: replay itself
-        journals nothing.
+        journals nothing.  A key's rows appended since its last full
+        blob are re-applied through the append the live peer ran.
         """
         store = cls()
-        for key, blob in backend.replay().items():
+        for key, (blob, *rows) in backend.replay().items():
+            value = _value_of(blob)
+            for row in rows:
+                value = value.appended(*_value_of(row))
             store._digests[key] = key_digest(key)
-            store._values[key] = _value_of(blob)
+            store._values[key] = value
         store._backend = backend
         return store
 
@@ -88,6 +93,21 @@ class PeerStore:
         if self._backend is not None:
             self._backend.record_put(key, _blob_of(value))
             self._maybe_compact()
+
+    def append(self, key: str, point, value: Any) -> bool:
+        """Add the record (*point*, *value*) to the bucket stored at
+        *key* and journal only that row; False, and nothing written,
+        when *key* is absent.  The bucket makes the new value
+        (``appended``), refusing a point outside its cell as its
+        ``add`` does."""
+        stored = self._values.get(key)
+        if stored is None:
+            return False
+        self._values[key] = stored.appended(point, value)
+        if self._backend is not None:
+            self._backend.record_put(key, _blob_of((point, value)), append=True)
+            self._maybe_compact()
+        return True
 
     def remove(self, key: str) -> Any:
         if key not in self._values:

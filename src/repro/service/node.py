@@ -68,7 +68,8 @@ _OP_NAMES = {
     Op.GET: "get",
     Op.PUT: "put",
     Op.REMOVE: "remove",
-    Op.CONTAINS: "contains",
+    Op.APPEND: "append",
+    Op.REWRITE: "rewrite",
 }
 
 TRANSPORTS = ("asyncio", "tcp")
@@ -846,7 +847,7 @@ class ServiceDht(Dht):
         (:meth:`drive_on_loop`): any step but ``CALL``."""
         op, subject = step[0], step[1]
         if op is REWRITE:
-            if not await self._rewrite(subject, step[2]):
+            if not await self._rewrite(*step[1:]):
                 raise _absent_key(subject)
             return None
         if not subject:
@@ -860,14 +861,18 @@ class ServiceDht(Dht):
             calls = [(Op.PUT, key, value) for key, value in subject]
             return _raise_batch_failures(await self._gather_round(calls))
 
-    def _do_rewrite(self, key: str, value: Any) -> bool:
-        return self._bridge().run(self._rewrite(key, value))
+    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
+        return self._bridge().run(self._rewrite(key, value, record))
 
-    async def _rewrite(self, key: str, value: Any) -> bool:
-        if not await self._timed_request(Op.CONTAINS, key):
-            return False
-        await self._timed_request(Op.PUT, key, value)
-        return True
+    async def _rewrite(self, key: str, value: Any, record: Any = None) -> bool:
+        """One frame, served whole by the owner: the one *record* an
+        insert adds (``APPEND``), else the whole *value* (``REWRITE``);
+        False when the owner holds no *key*."""
+        if record is None:
+            return await self._timed_request(Op.REWRITE, key, value)
+        return await self._timed_request(
+            Op.APPEND, key, (record.key, record.value)
+        )
 
     # ------------------------------------------------------------------
     # Substrate primitives
@@ -884,9 +889,6 @@ class ServiceDht(Dht):
 
     def _do_remove(self, key: str) -> Any:
         return self.call(Op.REMOVE, key)
-
-    def _do_contains(self, key: str) -> bool:
-        return self.call(Op.CONTAINS, key)
 
     def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
         return self._call_many([(Op.GET, key) for key in keys])

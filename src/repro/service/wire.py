@@ -49,8 +49,14 @@ class WireError(ReproError):
 
 
 class Op(IntEnum):
-    """Frame opcodes: the five Dht primitives, the dissemination-plane
+    """Frame opcodes: the Dht primitives, the dissemination-plane
     extensions, and the two replies.
+
+    ``REWRITE`` puts ``(key, value)`` only where *key* is stored and
+    ``APPEND`` — body ``(key, (point, value))`` — adds one record to the
+    bucket stored there; each answers ``False`` for an absent key, in
+    the same frame, so no request can land between the check and the
+    write.
 
     ``MCAST`` carries one prefix-multicast subquery — body
     ``(target_label, subquery, query)`` — answered with the subtree's
@@ -65,15 +71,16 @@ class Op(IntEnum):
     GET = 2
     PUT = 3
     REMOVE = 4
-    CONTAINS = 5
     MCAST = 6
     PUSH = 7
+    APPEND = 8
+    REWRITE = 9
     REPLY_OK = 32
     REPLY_ERR = 33
 
 
 #: Requests carry (key, value); replies carry their result payload.
-REQUEST_OPS = (Op.LOOKUP, Op.GET, Op.PUT, Op.REMOVE, Op.CONTAINS)
+REQUEST_OPS = (Op.LOOKUP, Op.GET, Op.PUT, Op.REMOVE, Op.APPEND, Op.REWRITE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +224,11 @@ class FrameDecoder:
         return frames
 
 
+#: Read per frame by :func:`frame_wire_sizes`: a module global, not an
+#: ``Op`` attribute, whose lookup costs more than the rest of the check.
+_APPEND = Op.APPEND
+
+
 def frame_wire_sizes(
     op: Op, key: str = "", value: Any = None
 ) -> tuple[int, int]:
@@ -230,8 +242,16 @@ def frame_wire_sizes(
     to the real protocol so ``bytes_sent`` for a trace agrees between a
     simulated and a TCP run.  A value with data-plane bytes is all data
     (the wire model's contract), so only a control payload is priced a
-    second time, and that price does not look at its contents.
+    second time, and that price does not look at its contents.  An
+    ``APPEND`` body is one record's codec bytes: its coordinates, plus
+    its pickled value when it has one.
     """
+    if op is _APPEND:
+        point, payload = value
+        data = 8 * len(point)
+        if payload is not None:
+            data += len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        return HEADER.size + len(key.encode()) + data, data
     data = data_wire_size(value)
     payload = data if data else estimate_wire_size(value)
     return HEADER.size + len(key.encode()) + payload, data

@@ -8,12 +8,18 @@ from repro.adaptive import AdaptiveConfig, AdaptiveDht
 from repro.common.config import IndexConfig
 from repro.common.errors import (
     CorruptValueError,
+    InvalidLabelError,
     ReproError,
     UnknownDurabilityError,
 )
 from repro.common.rng import derive_seed, make_rng
+from repro.core.bucket import LeafBucket
 from repro.core.bulkload import bulk_load
+from repro.core.codec import encode_bucket
 from repro.core.index import MLightIndex
+from repro.core.keys import bucket_key
+from repro.core.naming import naming_function
+from repro.core.records import Record
 from repro.dht.chord import ChordDht
 from repro.dht.churn import generate_schedule, run_churn
 from repro.dht.durable import (
@@ -56,7 +62,22 @@ class TestBackendRoundTrip:
         backend.record_remove("b")
         backend.close()
         fresh = backend_cls(tmp_path / "peer")
-        assert fresh.replay() == {"a": b"alpha-2"}
+        assert fresh.replay() == {"a": [b"alpha-2"]}
+
+    def test_appended_rows_replay_after_the_last_full_blob(
+        self, backend_cls, tmp_path
+    ):
+        backend = backend_cls(tmp_path / "peer")
+        backend.record_put("a", b"alpha")
+        backend.record_put("a", b"row-1", append=True)
+        backend.record_put("b", b"beta")
+        backend.record_put("b", b"row-2", append=True)
+        backend.record_put("a", b"row-3", append=True)
+        backend.record_put("b", b"beta-2")  # a full write folds them
+        backend.close()
+        assert backend_cls(tmp_path / "peer").replay() == {
+            "a": [b"alpha", b"row-1", b"row-3"], "b": [b"beta-2"],
+        }
 
     def test_replay_of_empty_backend(self, backend_cls, tmp_path):
         backend = backend_cls(tmp_path / "peer")
@@ -84,7 +105,7 @@ class TestBackendRoundTrip:
         backend.compact([("k1", b"x"), ("k9", b"y")])
         backend.close()
         assert backend_cls(tmp_path / "peer").replay() == {
-            "k1": b"x", "k9": b"y",
+            "k1": [b"x"], "k9": [b"y"],
         }
 
 
@@ -118,13 +139,31 @@ class TestAppendLog:
         with open(backend.path, "ab") as handle:
             handle.truncate(backend.path.stat().st_size - cut)
         fresh = AppendLogBackend(tmp_path / "peer")
-        assert fresh.replay() == {"a": b"alpha", "b": b"beta"}
+        assert fresh.replay() == {"a": [b"alpha"], "b": [b"beta"]}
         # The torn tail was compacted away: it cannot resurrect later,
         # and the log journals on cleanly.
         fresh.record_put("d", b"delta")
         fresh.close()
         assert AppendLogBackend(tmp_path / "peer").replay() == {
-            "a": b"alpha", "b": b"beta", "d": b"delta",
+            "a": [b"alpha"], "b": [b"beta"], "d": [b"delta"],
+        }
+
+    def test_torn_final_append_drops_only_that_row(self, tmp_path):
+        backend = AppendLogBackend(tmp_path / "peer")
+        backend.record_put("a", b"alpha")
+        backend.record_put("a", b"row-1", append=True)
+        before_tail = backend.path.stat().st_size
+        backend.record_put("a", b"row-2", append=True)
+        backend.close()
+        with open(backend.path, "ab") as handle:
+            handle.truncate(before_tail + 5)
+        fresh = AppendLogBackend(tmp_path / "peer")
+        assert fresh.replay() == {"a": [b"alpha", b"row-1"]}
+        # The intact prefix is rewritten row for row, and journals on.
+        fresh.record_put("a", b"row-3", append=True)
+        fresh.close()
+        assert AppendLogBackend(tmp_path / "peer").replay() == {
+            "a": [b"alpha", b"row-1", b"row-3"],
         }
 
     def test_corrupt_middle_byte_truncates_there(self, tmp_path):
@@ -138,7 +177,7 @@ class TestAppendLog:
         data[first + 2] ^= 0xFF  # mangle the second record
         backend.path.write_bytes(bytes(data))
         assert AppendLogBackend(tmp_path / "peer").replay() == {
-            "a": b"alpha"
+            "a": [b"alpha"]
         }
 
     def test_should_compact_tracks_journal_debt(self, tmp_path):
@@ -243,10 +282,62 @@ class TestPeerStoreDurability:
         recovered = PeerStore.recover(AppendLogBackend(tmp_path / "peer"))
         assert len(recovered) == 0
 
+    def test_appends_journal_rows_and_recover_to_the_live_bytes(
+        self, tmp_path
+    ):
+        store = PeerStore(backend=AppendLogBackend(tmp_path / "peer"))
+        store.put("leaf", LeafBucket("01", 1, [Record((0.5,), "a")]))
+        assert not store.append("ghost", (0.25,), None)  # absent: no row
+        assert store.append("leaf", (0.25,), None)
+        assert store.append("leaf", (0.75,), "c")
+        with pytest.raises(InvalidLabelError):
+            store.append("leaf", (1.5,), None)  # outside the leaf's cell
+        live = store.get("leaf")
+        store.close_backend()
+        backend = AppendLogBackend(tmp_path / "peer")
+        assert len(backend.replay()["leaf"]) == 3  # one blob, two rows
+        backend.close()
+        recovered = PeerStore.recover(AppendLogBackend(tmp_path / "peer"))
+        assert len(recovered) == 1
+        assert encode_bucket(recovered.get("leaf")) == encode_bucket(live)
+        assert [(r.key, r.value) for r in recovered.get("leaf").records] == [
+            ((0.5,), "a"), ((0.25,), None), ((0.75,), "c"),
+        ]
+
+    def test_torn_final_append_drops_only_that_row(self, tmp_path):
+        store = PeerStore(backend=AppendLogBackend(tmp_path / "peer"))
+        store.put("leaf", LeafBucket("01", 1))
+        for number in range(3):
+            store.append("leaf", (number / 4,), number)
+        path = store.backend.path
+        store.close_backend()
+        with open(path, "ab") as handle:
+            handle.truncate(path.stat().st_size - 3)
+        recovered = PeerStore.recover(AppendLogBackend(tmp_path / "peer"))
+        assert [(r.key, r.value) for r in recovered.get("leaf").records] == [
+            ((0.0,), 0), ((0.25,), 1),
+        ]
+
+    def test_compacted_appends_replay_to_the_same_state(self, tmp_path):
+        backend = AppendLogBackend(tmp_path / "peer")
+        store = PeerStore(backend=backend)
+        store.put("leaf", LeafBucket("01", 1))
+        store.put("other", LeafBucket("01", 1, [Record((0.5,))]))
+        for number in range(70):
+            store.append("leaf", (number / 70,), f"v{number}")
+        assert backend._records < 72  # compaction folded rows mid-stream
+        live = {key: encode_bucket(value) for key, value in store.items()}
+        store.close_backend()
+        recovered = PeerStore.recover(AppendLogBackend(tmp_path / "peer"))
+        assert {
+            key: encode_bucket(value) for key, value in recovered.items()
+        } == live
+        assert recovered.get("leaf").load == 70
+
     def test_torn_blob_on_recover_raises_typed_error(self):
         class TornBackend:
             def replay(self):
-                return {"a": b"not a pickle"}
+                return {"a": [b"not a pickle"]}
 
         with pytest.raises(CorruptValueError) as caught:
             PeerStore.recover(TornBackend())
@@ -450,6 +541,36 @@ class TestRestartProtocol:
             assert dht.key_count() == 12
         finally:
             dht.close()
+
+    @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+    def test_service_restart_replays_appended_records(
+        self, make_dht, transport
+    ):
+        """Inserts journal their rows; the owner crashes and comes back
+        from its log holding every record it had, payloads included."""
+        dht = make_dht(kind=transport, n_peers=3, durability="log")
+        config = IndexConfig(runtime=transport, durability="log")
+        rng = make_rng(derive_seed(33, "restart-appends"))
+        base = [((rng.random(), rng.random()), None) for _ in range(300)]
+        bulk_load(dht, [point for point, _ in base], config)
+        index = MLightIndex(dht, config)
+        fresh = [((rng.random(), rng.random()), f"v{n}") for n in range(40)]
+        for point, value in fresh:
+            index.insert(point, value)
+        leaf = index.lookup(fresh[0][0]).bucket
+        victim = dht.peer_of(bucket_key(naming_function(leaf.label, 2)))
+        dht.fail(victim)
+        dht.restart(victim)
+        assert index.total_records() == len(base) + len(fresh)
+        index.check_invariants()
+        found = index.range_query(((0.0, 0.0), (1.0, 1.0)))
+        assert found.complete
+        assert sorted((r.key, r.value) for r in found.records) == sorted(
+            base + fresh, key=lambda pair: pair[0]
+        )
+        for point, value in fresh:
+            leaf = index.lookup(point).bucket
+            assert [r.value for r in leaf.records if r.key == point] == [value]
 
     @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
     def test_service_membership_before_the_first_operation(

@@ -577,10 +577,12 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once the in-process bridge ran the loop
-#: on the calling thread (``service/node.py``: ``_CallerLoop`` beside
-#: ``_LoopThread``; 10 723 before).
-SRC_CODE_LINES = 10759
+#: ``make loc``'s ``src total`` once an insert shipped its record, not
+#: its bucket (``codec.append_row``, ``LeafBucket.appended``,
+#: ``PeerStore.append``, the journal's append rows and the one-frame
+#: ``APPEND`` / ``REWRITE`` opcodes, less the ``CONTAINS`` + ``PUT``
+#: rewrite and the facade's ``_do_contains``; 10 759 before).
+SRC_CODE_LINES = 10819
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ from repro.common.rng import derive_seed, make_rng
 from repro.core import codec
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
-from repro.dht.api import ENVELOPE_WIRE_BYTES
+from repro.core.records import Record
+from repro.dht.api import ENVELOPE_WIRE_BYTES, REWRITE
 from repro.dht.durable import AppendLogBackend, backend_path
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.retry import RetryingDht
@@ -130,6 +131,16 @@ class TestWireProtocol:
             HEADER.size + len(b"leaf") + ENVELOPE_WIRE_BYTES
         )
 
+    def test_append_is_priced_as_one_record(self):
+        point = (0.25, 0.5)
+        assert frame_wire_sizes(Op.APPEND, "leaf", (point, None)) == (
+            HEADER.size + len(b"leaf") + 16, 16
+        )
+        value = pickle.dumps("payload", protocol=pickle.HIGHEST_PROTOCOL)
+        assert frame_wire_sizes(Op.APPEND, "leaf", (point, "payload")) == (
+            HEADER.size + len(b"leaf") + 16 + len(value), 16 + len(value)
+        )
+
     def test_serve_request_never_raises(self):
         peer = KeyValuePeer("p-0")
         reply = decode_frame(
@@ -166,6 +177,20 @@ class TestKeyValuePeer:
         assert peer.serve("remove", "k") == 42
         with pytest.raises(DhtKeyError):
             peer.serve("remove", "k")
+
+    def test_rewrite_and_append_write_only_a_present_key(self):
+        from repro.core.bucket import LeafBucket
+
+        peer = KeyValuePeer("p-7")
+        assert peer.serve("rewrite", "k", 1) is False
+        assert peer.serve("append", "k", ((0.5, 0.5), None)) is False
+        assert "k" not in peer.store
+        peer.serve("put", "k", LeafBucket("01", 1))
+        assert peer.serve("rewrite", "k", LeafBucket("01", 1)) is True
+        assert peer.serve("append", "k", ((0.5,), "v")) is True
+        assert [(r.key, r.value) for r in peer.serve("get", "k").records] == [
+            ((0.5,), "v")
+        ]
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ReproError, match="unknown peer operation"):
@@ -461,6 +486,93 @@ def test_a_dropped_tcp_connection_refuses_later_requests():
         assert isinstance(outcome[0], NodeUnreachableError)
 
 
+@pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+class TestOneFrameWrites:
+    """A rewrite is one frame the owner serves whole: no request can
+    land between its check and its write, and an insert's frame carries
+    its record, so two inserts into one leaf commute."""
+
+    def test_a_remove_racing_a_rewrite_is_not_undone(
+        self, transport, monkeypatch
+    ):
+        with ServiceDht(4, transport=transport) as dht:
+            dht.put("k", "v0")
+            real_serve = KeyValuePeer.serve
+            served = []
+
+            def serve(peer, op, key, value=None):
+                reply = real_serve(peer, op, key, value)
+                if not served:  # right after the rewrite's first frame,
+                    served.append(op)
+                    peer.store.remove(key)  # another client's REMOVE
+                return reply
+
+            monkeypatch.setattr(KeyValuePeer, "serve", serve)
+            dht.rewrite_local("k", "v1")
+            assert dht.get("k") is None
+            assert served == ["rewrite"]
+
+    def test_two_inserts_into_one_leaf_commute(self, transport):
+        """A's insert is advanced by hand to its rewrite, B inserts
+        into the same leaf, A finishes: no lock, no split."""
+        config = IndexConfig(dims=2, split_threshold=50, merge_threshold=2)
+        with ServiceDht(4, transport=transport) as dht:
+            a, b = MLightIndex(dht, config), MLightIndex(dht, config)
+            points = [(0.1 * n, 0.1 * n) for n in range(1, 7)]
+            for point in points[:4]:
+                a.insert(point, "old")
+            insert = a._insert(Record.make(points[4], "a", dims=2))
+            step = next(insert)
+            while step[0] is not REWRITE:  # A has read the leaf ...
+                step = insert.send(dht.perform(step))
+            b.insert(points[5], "b")  # ... B inserts into it ...
+            with pytest.raises(StopIteration):  # ... A writes its record.
+                while True:
+                    step = insert.send(dht.perform(step))
+            assert a.tree_size() == 1
+            assert a.total_records() == 6
+            a.check_invariants()
+            found = b.range_query(((0.0, 0.0), (1.0, 1.0))).records
+            assert sorted((r.key, r.value) for r in found) == sorted(
+                [(point, "old") for point in points[:4]]
+                + [(points[4], "a"), (points[5], "b")]
+            )
+
+
+@pytest.mark.parametrize("values", [False, True], ids=["none", "values"])
+@pytest.mark.parametrize("store", ["columnar", "numpy"])
+@pytest.mark.parametrize("inserts", [1, 5])
+def test_appended_bytes_equal_the_leaf_encoded_whole(
+    make_dht, inserts, store, values
+):
+    """After non-splitting inserts, every owner holds, as a bucket with
+    a valid memo, exactly the bytes ``encode_bucket`` packs for the
+    same leaf grown on ``LocalDht``."""
+    config = IndexConfig(dims=2, store=store)
+    rng = make_rng(derive_seed(33, "append-bytes"))
+    points = [(rng.random(), rng.random()) for _ in range(400)]
+    service = make_dht(kind="asyncio", n_peers=4)
+    local = make_dht(kind="sim", overlay="local", n_peers=4)
+    indexes = []
+    for dht in (service, local):
+        bulk_load(dht, points, config)
+        indexes.append(MLightIndex(dht, config))
+    leaf = min(indexes[1].buckets(), key=lambda bucket: bucket.load)
+    assert leaf.load + inserts < config.split_threshold
+    lows, highs = leaf.region.lows, leaf.region.highs
+    for number in range(inserts):
+        point = tuple(
+            low + (high - low) * rng.random() for low, high in zip(lows, highs)
+        )
+        value = f"v{number}" if values else None
+        for index in indexes:
+            index.insert(point, value)
+    assert indexes[0].tree_size() == indexes[1].tree_size()
+    held = dict(service.items())
+    for key, bucket in local.items():
+        assert held[key].encoded_memo() == codec.encode_bucket(bucket)
+
+
 class TestBucketBytePath:
     """The life of a bucket's bytes on the service runtime: packed by
     whoever mutated the bucket, copied by everyone else; a record store
@@ -494,7 +606,7 @@ class TestBucketBytePath:
         assert point in [r.key for r in result.bucket.records]
         assert store_builds == ["columnar"]  # the client asked, once
 
-    def test_plain_insert_builds_one_store_and_packs_once(
+    def test_plain_insert_builds_one_store_and_packs_none(
         self, make_dht, tmp_path, store_builds, monkeypatch
     ):
         index, _ = self._index(make_dht, tmp_path)
@@ -505,17 +617,16 @@ class TestBucketBytePath:
         packed = _count_column_packings(monkeypatch)
         store_builds.clear()
         result = index.insert(point, "payload")
-        assert store_builds == ["columnar"]      # the client's, for add()
-        assert len(packed) == self.DIMS          # one packing, the client's
+        assert store_builds == ["columnar"]  # the client's, for add()
+        assert packed == []  # the record travelled, not the bucket
         assert index.tree_size() == splits_before
-        # Reading it back copies the peer's resident bytes: no store on
-        # the peer, no packing anywhere.
-        store_builds.clear()
+        # The owner spliced the row into its resident bytes: reading it
+        # back copies them, with no store and no packing anywhere.
         again = index.lookup(point).bucket
-        assert store_builds == [] and len(packed) == self.DIMS
+        assert store_builds == ["columnar"] and packed == []
         assert codec.encode_bucket(again) == codec.encode_bucket(result.bucket)
 
-    def test_journal_holds_the_put_frames_codec_bytes(
+    def test_journal_holds_the_row_not_the_bucket(
         self, make_dht, tmp_path, monkeypatch
     ):
         from repro.service import node
@@ -530,22 +641,24 @@ class TestBucketBytePath:
 
         index, _ = self._index(make_dht, tmp_path)
         monkeypatch.setattr(node, "encode_request", recording)
-        bucket = index.insert((0.40625, 0.71875), "payload").bucket
+        point = (0.40625, 0.71875)
+        bucket = index.insert(point, "payload").bucket
         dht = index.dht
-        (put_key, put_frame), = [
-            (key, frame) for op, key, frame in frames if op is Op.PUT
+        (append_key, append_frame), = [
+            (key, frame) for op, key, frame in frames if op is not Op.GET
         ]
-        codec_bytes = codec.encode_bucket(bucket)
-        assert codec_bytes in put_frame
-        owner = dht.peer_of(put_key)
+        assert decode_frame(append_frame).op is Op.APPEND
+        assert codec.encode_bucket(bucket) not in append_frame
+        owner = dht.peer_of(append_key)
         dht.close()
         journal = AppendLogBackend(backend_path(tmp_path, owner))
         try:
-            blob = journal.replay()[put_key]
+            blob, *rows = journal.replay()[append_key]
         finally:
             journal.close()
-        assert codec_bytes in blob
-        assert blob == pickle.dumps(bucket, protocol=pickle.HIGHEST_PROTOCOL)
+        assert [pickle.loads(row) for row in rows] == [(point, "payload")]
+        replayed = pickle.loads(blob).appended(*pickle.loads(rows[0]))
+        assert codec.encode_bucket(replayed) == codec.encode_bucket(bucket)
 
     def test_oracle_reads_of_resident_buckets_stay_consistent(
         self, make_dht, tmp_path, store_builds

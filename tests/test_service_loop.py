@@ -404,8 +404,10 @@ class FailingService(ServiceDht):
 
     armed = None
 
-    async def _rewrite(self, key, value):
-        return self.armed != "rewrite" and await super()._rewrite(key, value)
+    async def _rewrite(self, key, value, record=None):
+        return self.armed != "rewrite" and await super()._rewrite(
+            key, value, record
+        )
 
     async def _gather_round(self, calls):
         if self.armed == "round":

@@ -7,8 +7,10 @@ runs a cold lookup, range queries, splitting inserts, merging deletes,
 a burst of four client threads, a handler that suspends and a
 whole-space ``MCAST`` query, checks every answer — keys and payloads —
 against a brute-force scan, and exits non-zero on a mismatch.  It also
-checks that an in-process lookup starts no asyncio Task and that the
-in-process runtime starts no thread of its own.
+checks that an in-process lookup starts no asyncio Task, that the
+in-process runtime starts no thread of its own, and that an inserted
+record survives its owner's crash: journalled as one appended row,
+replayed by the restart.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
 """
@@ -18,12 +20,15 @@ from __future__ import annotations
 import asyncio
 import platform
 import sys
+import tempfile
 import threading
 
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
+from repro.core.keys import bucket_key
+from repro.core.naming import naming_function
 from repro.datasets.synthetic import uniform_points
 from repro.mcast import ServiceMulticast
 from repro.service.node import ServiceDht
@@ -114,7 +119,33 @@ def smoke(transport: str) -> list[str]:
     runtime_threads = [name for name in started if name != "burst"]
     loop_threads = {"asyncio": [], "tcp": ["repro-service-loop"]}
     check("threads started", runtime_threads, loop_threads[transport])
+    with tempfile.TemporaryDirectory() as data_dir:
+        with ServiceDht(
+            4, transport=transport, durability="log", data_dir=data_dir
+        ) as dht:
+            durable_append(dht, check)
     return problems
+
+
+def durable_append(dht, check) -> None:
+    """Insert a record, crash the owner of its leaf, restart it from
+    its log and look the record up."""
+    bulk_load(dht, POINTS[:100], CONFIG)
+    index = MLightIndex(dht, CONFIG)
+    point, value = RECORDS[150]
+    sent = dht.network.stats.per_type
+    appends = sent.get("append", 0)
+    leaf = index.insert(point, value).bucket
+    check("insert frames", sent.get("append", 0) - appends, 1)
+    owner = dht.peer_of(bucket_key(naming_function(leaf.label, CONFIG.dims)))
+    dht.fail(owner)
+    dht.restart(owner)
+    found = index.lookup(point).bucket
+    check(
+        "record after restart",
+        [r.value for r in found.records if r.key == point], [value],
+    )
+    check("records after restart", index.total_records(), 101)
 
 
 def run_everything(dht, transport: str, check) -> None:
