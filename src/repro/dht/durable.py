@@ -137,7 +137,8 @@ class AppendLogBackend(DurableBackend):
     sequence number as the request id, and a pickled ``(key, blob, crc)``
     body where ``crc`` covers key and blob (the whole value for a put,
     one row for an append, ``None`` for a remove).  A reader needs nothing beyond
-    :class:`repro.service.wire.FrameDecoder`.
+    :class:`repro.service.wire.FrameDecoder` (replay cuts frames one at a
+    time with :func:`repro.service.wire.frame_at`).
     """
 
     kind = "log"
@@ -183,20 +184,11 @@ class AppendLogBackend(DurableBackend):
         records = 0
         offset = 0
         torn = False
-        header = wire.HEADER
-        while len(data) - offset >= header.size:
-            magic, version, _, _, length = header.unpack_from(data, offset)
-            end = offset + header.size + length
-            if (
-                magic != wire.MAGIC
-                or version != wire.VERSION
-                or length > wire.MAX_PAYLOAD
-                or end > len(data)
-            ):
-                torn = True
-                break
+        while len(data) - offset >= wire.HEADER.size:
             try:
-                (frame,) = wire.FrameDecoder().feed(data[offset:end])
+                frame, end = wire.frame_at(data, offset)
+                if frame is None:  # a partial frame at EOF
+                    raise wire.WireError("torn tail")
                 key, blob, crc = frame.body
             except (wire.WireError, ValueError, TypeError):
                 torn = True

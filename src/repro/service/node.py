@@ -5,9 +5,12 @@ thread of control under a virtual clock, this runtime serves every
 peer on one asyncio event loop under a real clock.  A request frame is
 served where it lands: on the task that sends it
 (``transport="asyncio"``), or off a real loopback socket by the peer's
-TCP listener (``transport="tcp"``).  Either way one coroutine,
-``serve_frame``, dispatches it.  A peer is no task of its own; the
-loop interleaves requests at their awaits.
+TCP listener (``transport="tcp"``).  Either way ``serve_frame``
+dispatches it: a plain opcode is served synchronously, an installed
+handler as a coroutine.  A peer is no task of its own; the loop
+interleaves requests at their awaits.  In process one exchange,
+``ServiceDht._request``, routes, frames, serves, decodes and accounts
+a request with no coroutine between it and the peer's store.
 
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
 facade: the index layers, the retry/fault wrappers and the tracer
@@ -48,6 +51,7 @@ from repro.net.stats import NetworkStats
 from repro.service.wire import (
     Frame,
     FrameDecoder,
+    REQUEST_OPS,
     Op,
     WireError,
     decode_frame,
@@ -62,15 +66,16 @@ from repro.service.wire import (
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
+#: ``NetworkStats`` message types per opcode: its request's, its reply's.
+_MESSAGE_TYPES = {op: (op.name.lower(), op.name.lower() + ":reply") for op in Op}
+
 #: Dht primitive name per request opcode (KeyValuePeer.serve dispatch).
-_OP_NAMES = {
-    Op.LOOKUP: "lookup",
-    Op.GET: "get",
-    Op.PUT: "put",
-    Op.REMOVE: "remove",
-    Op.APPEND: "append",
-    Op.REWRITE: "rewrite",
-}
+_OP_NAMES = {op: _MESSAGE_TYPES[op][0] for op in REQUEST_OPS}
+
+#: Opcodes read per frame, as module globals: an ``Op`` attribute read
+#: costs more than a frame's routing.
+_GET, _PUT, _REMOVE = Op.GET, Op.PUT, Op.REMOVE
+_APPEND, _REWRITE, _REPLY_ERR = Op.APPEND, Op.REWRITE, Op.REPLY_ERR
 
 TRANSPORTS = ("asyncio", "tcp")
 
@@ -232,23 +237,36 @@ class _ServicePeer:
         self.channel = _TcpChannel(self.runtime)
         await self.channel.connect(self.server.sockets[0].getsockname()[1])
 
-    async def call(self, frame_bytes: bytes, request_id: int) -> Frame:
-        """Send one request frame to this peer; returns its reply."""
+    def call(self, frame_bytes: bytes, request_id: int) -> "Frame | Coroutine":
+        """Send one request frame to this peer.  In process a plain
+        opcode is served right here: its reply :class:`Frame` comes back
+        at once.  Otherwise (TCP, an installed handler) a coroutine
+        comes back, to await for the reply."""
         if not self.live:
             raise NodeUnreachableError(
                 f"service peer {self.peer.name!r} is down"
             )
         if self.channel is not None:
-            return await self.channel.call(frame_bytes, request_id)
-        return decode_frame(await self.serve_frame(decode_frame(frame_bytes)))
+            return self.channel.call(frame_bytes, request_id)
+        reply = self.serve_frame(decode_frame(frame_bytes))
+        if type(reply) is bytes:
+            return decode_frame(reply)
+        return self._decoded(reply)
 
-    async def serve_frame(self, frame: Frame) -> bytes:
+    async def _decoded(self, reply: Coroutine) -> Frame:
+        return decode_frame(await reply)
+
+    def serve_frame(self, frame: Frame) -> "bytes | Coroutine":
         """Serve one request frame: the installed handler of its opcode,
-        else :func:`serve_request`.  Returns the reply frame; a failure
-        is a ``REPLY_ERR`` frame, never an exception."""
+        else :func:`serve_request`.  A plain opcode's reply frame comes
+        back at once, a handler's as a coroutine to await; a failure is
+        a ``REPLY_ERR`` frame, never an exception."""
         handler = self.runtime._handlers.get(frame.op)
         if handler is None:
             return serve_request(self.peer, frame)
+        return self._handle(handler, frame)
+
+    async def _handle(self, handler, frame: Frame) -> bytes:
         try:
             return await handler(self.peer, frame)
         except Exception as exc:
@@ -270,7 +288,9 @@ class _ServicePeer:
                 await writer.drain()
 
         async def answer(frame: Frame) -> None:
-            reply = await self.serve_frame(frame)
+            reply = self.serve_frame(frame)
+            if type(reply) is not bytes:
+                reply = await reply
             try:
                 await write(reply)
             except (ConnectionError, OSError):
@@ -674,10 +694,7 @@ class ServiceDht(Dht):
         return self.start()
 
     def _bridge(self) -> _Bridge:
-        bridge = self._live_bridge
-        if bridge is None:
-            bridge = self.start()._live_bridge
-        return bridge
+        return self._live_bridge or self.start()._live_bridge
 
     # ------------------------------------------------------------------
     # Oracle access
@@ -718,26 +735,45 @@ class ServiceDht(Dht):
     # ------------------------------------------------------------------
 
     async def _request(
-        self, op: Op, key: str, value: Any = None, *, body: Any = None
+        self, op: Op, key: str, value: Any = None, *, body: Any = None,
+        timed: bool = True,
     ) -> Any:
-        stats = self.network.stats
-        peer = self._peers[self._ring.peer_of(key)]
-        request_id = next(self._request_ids)
-        if body is not None:
-            # Extension opcode: *key* routes the frame (peer_of above)
-            # and prices it, but the payload is the opcode's own body.
-            frame_bytes = encode_frame(op, request_id, body)
-            cost_value = body
-        else:
-            frame_bytes = encode_request(op, request_id, key, value)
-            cost_value = value
-        stats.record_rpc()
-        cost, payload = frame_wire_sizes(op, key, cost_value)
-        stats.record_message(op.name.lower(), cost, payload=payload)
-        reply = await peer.call(frame_bytes, request_id)
-        cost, payload = frame_wire_sizes(reply.op, "", reply.body)
-        stats.record_message(op.name.lower() + ":reply", cost, payload=payload)
-        if reply.op is Op.REPLY_ERR:
+        """One exchange with the owner of *key*: route, frame, serve,
+        decode and account once; returns the reply body.
+
+        *body* replaces the ``(key, value)`` payload of an extension
+        opcode; *key* still routes and prices the frame.  A *timed*
+        exchange books its wall span — frame issued to reply decoded —
+        answered or not; a round's elements are not timed, the round
+        books its critical path once.
+        """
+        network = self.network
+        stats, clock = network.stats, network.clock
+        started = clock.now if timed else 0.0
+        try:
+            peer = self._peers[self._ring.peer_of(key)]
+            request_id = next(self._request_ids)
+            if body is None:
+                frame_bytes = encode_request(op, request_id, key, value)
+            else:
+                frame_bytes = encode_frame(op, request_id, body)
+                value = body
+            size, payload = frame_wire_sizes(op, key, value)
+            try:
+                reply = peer.call(frame_bytes, request_id)
+                if type(reply) is not Frame:
+                    reply = await reply
+            except BaseException:
+                stats.record_exchange(_MESSAGE_TYPES[op], size, payload)
+                raise
+            reply_size, reply_payload = frame_wire_sizes(reply.op, "", reply.body)
+            stats.record_exchange(
+                _MESSAGE_TYPES[op], size, payload, reply_size, reply_payload
+            )
+        finally:
+            if timed:
+                stats.record_wall_span(clock.now - started)
+        if reply.op is _REPLY_ERR:
             raise rebuild_error(reply.body)
         return reply.body
 
@@ -749,21 +785,9 @@ class ServiceDht(Dht):
         handler, a batch round).  An unreachable owner comes back as a
         :class:`BatchFailure` in place of the reply body."""
         try:
-            return await self._request(op, key, value, body=body)
+            return await self._request(op, key, value, body=body, timed=False)
         except NodeUnreachableError as error:
             return BatchFailure(error)
-
-    async def _timed_request(
-        self, op: Op, key: str, value: Any = None, *, body: Any = None
-    ) -> Any:
-        """One request whose wall span — frame issued to reply decoded
-        — lands on ``NetworkStats``, answered or not."""
-        clock = self.network.clock
-        started = clock.now
-        try:
-            return await self._request(op, key, value, body=body)
-        finally:
-            self.network.stats.record_wall_span(clock.now - started)
 
     def call(
         self, op: Op, key: str, value: Any = None, *, body: Any = None
@@ -772,14 +796,11 @@ class ServiceDht(Dht):
         the owner of *key* from the calling thread and return the reply
         body.  *body* replaces the ``(key, value)`` payload for
         extension opcodes served by :meth:`install_handler`."""
-        return self._bridge().run(
-            self._timed_request(op, key, value, body=body)
-        )
+        return self._bridge().run(self._request(op, key, value, body=body))
 
     async def _gather_round(self, calls: list[tuple]) -> list[Any]:
-        clock = self.network.clock
+        clock, tracer = self.network.clock, self.network.tracer
         started = clock.now
-        tracer = self.network.tracer
         with (tracer.span("net", "message_round") if tracer else UNTRACED) as span:
             outcomes = await gather_eagerly(
                 self.call_captured(*call) for call in calls
@@ -795,9 +816,6 @@ class ServiceDht(Dht):
         self.network.stats.record_round(len(calls), 0.0)
         self.network.stats.record_wall_span(elapsed)
         return outcomes
-
-    def _call_many(self, calls: list[tuple]) -> list[Any]:
-        return self._bridge().run(self._gather_round(calls))
 
     # ------------------------------------------------------------------
     # Whole operations on the loop: one bridge crossing each
@@ -854,11 +872,12 @@ class ServiceDht(Dht):
             return []  # an empty batch is no round
         with self._meter(step):
             if op is GET or op is REMOVE:
-                wire = Op.GET if op is GET else Op.REMOVE
-                return await self._timed_request(wire, subject)
+                return await self._request(
+                    _GET if op is GET else _REMOVE, subject
+                )
             if op is GET_MANY:
-                return await self._gather_round([(Op.GET, key) for key in subject])
-            calls = [(Op.PUT, key, value) for key, value in subject]
+                return await self._gather_round([(_GET, key) for key in subject])
+            calls = [(_PUT, key, value) for key, value in subject]
             return _raise_batch_failures(await self._gather_round(calls))
 
     def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
@@ -869,10 +888,8 @@ class ServiceDht(Dht):
         insert adds (``APPEND``), else the whole *value* (``REWRITE``);
         False when the owner holds no *key*."""
         if record is None:
-            return await self._timed_request(Op.REWRITE, key, value)
-        return await self._timed_request(
-            Op.APPEND, key, (record.key, record.value)
-        )
+            return await self._request(_REWRITE, key, value)
+        return await self._request(_APPEND, key, (record.key, record.value))
 
     # ------------------------------------------------------------------
     # Substrate primitives
@@ -882,18 +899,17 @@ class ServiceDht(Dht):
         return self.call(Op.LOOKUP, key)
 
     def _do_get(self, key: str) -> Any | None:
-        return self.call(Op.GET, key)
+        return self.call(_GET, key)
 
     def _do_put(self, key: str, value: Any) -> None:
-        self.call(Op.PUT, key, value)
+        self.call(_PUT, key, value)
 
     def _do_remove(self, key: str) -> Any:
-        return self.call(Op.REMOVE, key)
+        return self.call(_REMOVE, key)
 
     def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._call_many([(Op.GET, key) for key in keys])
+        return self._bridge().run(self._gather_round([(_GET, k) for k in keys]))
 
     def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        return self._call_many(
-            [(Op.PUT, key, value) for key, value in items]
-        )
+        calls = [(_PUT, key, value) for key, value in items]
+        return self._bridge().run(self._gather_round(calls))

@@ -26,11 +26,11 @@ Byte accounting deliberately has two faces:
 
 from __future__ import annotations
 
+import functools
 import pickle
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.common.errors import ReproError
 from repro.dht.api import data_wire_size, estimate_wire_size
@@ -83,8 +83,7 @@ class Op(IntEnum):
 REQUEST_OPS = (Op.LOOKUP, Op.GET, Op.PUT, Op.REMOVE, Op.APPEND, Op.REWRITE)
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded wire message."""
 
     op: Op
@@ -99,13 +98,13 @@ class Frame:
 def encode_frame(op: Op, request_id: int, body: Any) -> bytes:
     """Pack one message into header + pickled payload bytes."""
     payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_PAYLOAD:
+    length = len(payload)
+    if length > MAX_PAYLOAD:
         raise WireError(
-            f"payload of {len(payload)} bytes exceeds the "
+            f"payload of {length} bytes exceeds the "
             f"{MAX_PAYLOAD}-byte frame limit"
         )
-    header = HEADER.pack(MAGIC, VERSION, int(op), request_id, len(payload))
-    return header + payload
+    return HEADER.pack(MAGIC, VERSION, op, request_id, length) + payload
 
 
 def encode_request(
@@ -119,7 +118,7 @@ def encode_request(
 
 def encode_reply(request_id: int, result: Any) -> bytes:
     """Frame a successful reply."""
-    return encode_frame(Op.REPLY_OK, request_id, result)
+    return encode_frame(_REPLY_OK, request_id, result)
 
 
 def encode_error(request_id: int, error: Exception) -> bytes:
@@ -136,7 +135,7 @@ def encode_error(request_id: int, error: Exception) -> bytes:
         message = error.args[0]
     else:
         message = str(error)
-    return encode_frame(Op.REPLY_ERR, request_id, (type(error).__name__, message))
+    return encode_frame(_REPLY_ERR, request_id, (type(error).__name__, message))
 
 
 def rebuild_error(body: Any) -> Exception:
@@ -153,23 +152,33 @@ def rebuild_error(body: Any) -> Exception:
 #: Opcode byte to :class:`Op`, without an enum call per frame.
 _OPS = {int(op): op for op in Op}
 
+#: Read per frame: module globals, since an ``Op`` attribute read costs
+#: more than packing a header.
+_APPEND, _REPLY_OK, _REPLY_ERR = Op.APPEND, Op.REPLY_OK, Op.REPLY_ERR
+
+#: ``Frame`` from one ``(op, request_id, body)`` tuple, skipping the
+#: Python-level ``__new__`` of a named tuple.
+_new_frame = functools.partial(tuple.__new__, Frame)
+
 
 def decode_frame(data: bytes) -> Frame:
     """Decode exactly one frame from *data* (surplus bytes rejected)."""
-    view = memoryview(data)
-    frame, end = _frame_at(view, 0) if len(view) >= HEADER.size else (None, 0)
-    if frame is None or end != len(view):
+    frame, end = frame_at(data, 0) if len(data) >= HEADER.size else (None, 0)
+    if frame is None or end != len(data):
         raise WireError(
             f"expected exactly one frame, got {int(frame is not None)} "
-            f"plus {len(view) - end} leftover byte(s)"
+            f"plus {len(data) - end} leftover byte(s)"
         )
     return frame
 
 
-def _frame_at(view: memoryview, offset: int) -> tuple[Frame | None, int]:
-    """The frame whose header starts at *offset* and the offset past it,
-    or ``(None, offset)`` while its payload is incomplete."""
-    magic, version, op, request_id, length = HEADER.unpack_from(view, offset)
+def frame_at(buffer, offset: int) -> tuple[Frame | None, int]:
+    """The frame whose header starts at *offset* of *buffer* (bytes, or
+    a memoryview over a stream) and the offset past it, or ``(None,
+    offset)`` while its payload is incomplete.  The whole header —
+    magic, version, declared length, opcode — is checked before any
+    payload byte is unpickled; a violation raises :class:`WireError`."""
+    magic, version, op, request_id, length = HEADER.unpack_from(buffer, offset)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {bytes(magic)!r}")
     if version != VERSION:
@@ -182,28 +191,17 @@ def _frame_at(view: memoryview, offset: int) -> tuple[Frame | None, int]:
             f"declared payload of {length} bytes exceeds the "
             f"{MAX_PAYLOAD}-byte frame limit"
         )
-    end = offset + HEADER.size + length
-    if len(view) < end:
-        return None, offset
-    try:
-        body = pickle.loads(view[end - length : end])
-    except Exception as exc:  # pickle raises many concrete types
-        raise WireError(f"undecodable frame payload: {exc}") from exc
     opcode = _OPS.get(op)
     if opcode is None:
         raise WireError(f"unknown opcode {op}")
-    return Frame(opcode, request_id, body), end
-
-
-def _split_frames(data: bytes) -> tuple[list[Frame], bytes]:
-    frames: list[Frame] = []
-    view, offset = memoryview(data), 0
-    while len(view) - offset >= HEADER.size:
-        frame, offset = _frame_at(view, offset)
-        if frame is None:
-            break
-        frames.append(frame)
-    return frames, data[offset:]
+    end = offset + HEADER.size + length
+    if len(buffer) < end:
+        return None, offset
+    try:
+        body = pickle.loads(buffer[end - length : end])
+    except Exception as exc:  # pickle raises many concrete types
+        raise WireError(f"undecodable frame payload: {exc}") from exc
+    return _new_frame((opcode, request_id, body)), end
 
 
 class FrameDecoder:
@@ -220,13 +218,16 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[Frame]:
         """Absorb *data*, returning every frame completed by it."""
-        frames, self._buffer = _split_frames(self._buffer + data)
+        data = self._buffer + data
+        frames: list[Frame] = []
+        view, offset = memoryview(data), 0
+        while len(view) - offset >= HEADER.size:
+            frame, offset = frame_at(view, offset)
+            if frame is None:
+                break
+            frames.append(frame)
+        self._buffer = data[offset:]
         return frames
-
-
-#: Read per frame by :func:`frame_wire_sizes`: a module global, not an
-#: ``Op`` attribute, whose lookup costs more than the rest of the check.
-_APPEND = Op.APPEND
 
 
 def frame_wire_sizes(
@@ -244,8 +245,10 @@ def frame_wire_sizes(
     (the wire model's contract), so only a control payload is priced a
     second time, and that price does not look at its contents.  An
     ``APPEND`` body is one record's codec bytes: its coordinates, plus
-    its pickled value when it has one.
+    its pickled value when it has one.  A ``None`` value costs nothing.
     """
+    if value is None:
+        return HEADER.size + len(key.encode()), 0
     if op is _APPEND:
         point, payload = value
         data = 8 * len(point)

@@ -1,0 +1,70 @@
+"""Mutations cut short between two of their steps.
+
+An index operation is a generator of facade steps, so abandoning one
+after any step is one ``close()`` away: the client crashed there.  A
+split or merge stopped between its writes must leave a tree that stays
+readable and that the next operation repairs.  Both tests below pin
+windows where it does not yet (ROADMAP item 12); each operation is
+advanced by hand through ``Dht.perform`` on ``LocalDht(8)`` with a
+split threshold of 4.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.common.config import IndexConfig
+from repro.common.errors import IndexCorruptionError
+from repro.common.geometry import Region
+from repro.core.index import MLightIndex
+from repro.core.records import Record
+from repro.dht.api import PUT_MANY, REMOVE
+from repro.dht.localhash import LocalDht
+
+CONFIG = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+POINTS = [(0.1 * n, 0.1 * n) for n in range(1, 6)]
+
+
+def abandon_after(dht, operation, kind) -> None:
+    """Advance *operation* up to its first *kind* step, perform that
+    step, and abandon the operation there."""
+    step = next(operation)
+    while step[0] is not kind:
+        step = operation.send(dht.perform(step))
+    dht.perform(step)
+    operation.close()
+
+
+@pytest.mark.xfail(
+    strict=True, raises=IndexCorruptionError, reason="ROADMAP item 12"
+)
+def test_a_split_abandoned_after_its_put_many_leaves_a_sound_tree():
+    """Today the moved leaf ``0011`` lands beside the unsplit ``001``,
+    which still holds all five records: the leaves overlap and six
+    records are stored for five inserts."""
+    dht = LocalDht(8)
+    index = MLightIndex(dht, CONFIG)
+    for point in POINTS[:4]:
+        index.insert(point)
+    abandon_after(dht, index._insert(Record.make(POINTS[4], dims=2)), PUT_MANY)
+    index.check_invariants()
+    assert index.total_records() == 5
+
+
+@pytest.mark.xfail(
+    strict=True, raises=IndexCorruptionError, reason="ROADMAP item 12"
+)
+def test_a_merge_abandoned_after_its_remove_keeps_the_space_covered():
+    """Today the moved bucket is gone before the merged one is written,
+    so part of the space has no leaf and a whole-space range query
+    raises."""
+    dht = LocalDht(8)
+    index = MLightIndex(dht, CONFIG)
+    for point in POINTS:
+        index.insert(point)
+    assert index.tree_size() == 2  # the fifth insert split the root leaf
+    for point in POINTS[:3]:
+        assert index.delete(point)
+    abandon_after(dht, index._delete(POINTS[3], None), REMOVE)
+    result = index.range_query(Region((0.0, 0.0), (1.0, 1.0)))
+    assert [record.key for record in result.records] == [POINTS[4]]

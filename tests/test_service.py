@@ -24,7 +24,7 @@ from repro.core import codec
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.core.records import Record
-from repro.dht.api import ENVELOPE_WIRE_BYTES, REWRITE
+from repro.dht.api import ENVELOPE_WIRE_BYTES, GET, GET_MANY, REWRITE
 from repro.dht.durable import AppendLogBackend, backend_path
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.retry import RetryingDht
@@ -44,6 +44,9 @@ from repro.service.loadgen import (
 )
 from repro.service.wire import (
     HEADER,
+    MAGIC,
+    MAX_PAYLOAD,
+    VERSION,
     FrameDecoder,
     Op,
     WireError,
@@ -55,6 +58,37 @@ from repro.service.wire import (
     rebuild_error,
 )
 from repro.workloads.traces import Operation, request_trace
+
+#: What unpickling a :class:`_Tripwire` appended: a frame check that
+#: ran after ``pickle.loads`` shows up here.
+tripped: list = []
+
+
+def _trip() -> None:
+    tripped.append(True)
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return (_trip, ())
+
+
+class TickClock:
+    """A stub :class:`WallClock` whose ``now`` advances one second per
+    read."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    @property
+    def now(self) -> float:
+        self.reads += 1
+        return float(self.reads)
+
+
+def one_step(step):
+    """An operation of the single *step*, returning its outcome."""
+    return (yield step)
 
 
 class TestWireProtocol:
@@ -94,6 +128,51 @@ class TestWireProtocol:
         data[4] = 99
         with pytest.raises(WireError, match="version"):
             decode_frame(bytes(data))
+
+    def test_unknown_opcode_rejected_before_its_payload_is_unpickled(self):
+        tripped.clear()
+        payload = pickle.dumps(_Tripwire())
+        data = HEADER.pack(MAGIC, VERSION, 99, 1, len(payload)) + payload
+        with pytest.raises(WireError, match="unknown opcode 99"):
+            decode_frame(data)
+        # An undecodable payload behind it does not mask the opcode.
+        garbled = HEADER.pack(MAGIC, VERSION, 99, 1, 3) + b"\x80zz"
+        with pytest.raises(WireError, match="unknown opcode 99"):
+            decode_frame(garbled)
+        # A stream refuses the header before any payload byte arrives.
+        with pytest.raises(WireError, match="unknown opcode 99"):
+            FrameDecoder().feed(data[: HEADER.size])
+        assert tripped == []
+
+    def test_declared_length_over_the_limit_rejected(self):
+        tripped.clear()
+        payload = pickle.dumps(_Tripwire())
+        header = HEADER.pack(MAGIC, VERSION, int(Op.GET), 1, MAX_PAYLOAD + 1)
+        with pytest.raises(WireError, match="exceeds"):
+            decode_frame(header + payload)
+        with pytest.raises(WireError, match="exceeds"):
+            FrameDecoder().feed(header)
+        assert tripped == []
+
+    def test_undecodable_payload_rejected(self):
+        data = HEADER.pack(MAGIC, VERSION, int(Op.REPLY_OK), 1, 3) + b"\x80zz"
+        with pytest.raises(WireError, match="undecodable frame payload"):
+            decode_frame(data)
+
+    def test_encode_request_refuses_a_reply_opcode(self):
+        for op in (Op.REPLY_OK, Op.REPLY_ERR, Op.MCAST):
+            with pytest.raises(WireError, match="not a request"):
+                encode_request(op, 1, "k")
+
+    def test_oversize_payload_refused_at_encode(self, monkeypatch):
+        from repro.service import wire
+
+        monkeypatch.setattr(wire, "MAX_PAYLOAD", 64)
+        encode_reply(1, b"x" * 16)
+        with pytest.raises(WireError, match="exceeds the 64-byte frame limit"):
+            encode_reply(1, b"x" * 128)
+        with pytest.raises(WireError, match="exceeds"):
+            encode_request(Op.PUT, 1, "k", b"x" * 128)
 
     def test_surplus_bytes_rejected_by_decode_frame(self):
         data = encode_reply(1, None) + b"x"
@@ -247,6 +326,56 @@ class TestServiceDht:
             clock_kind, spent = dht.network.stats.latency_clock()
         assert clock_kind == "wall"
         assert spent > 0.0
+
+    def test_one_wall_span_per_request_and_per_round(self, transport):
+        """A single request — sync facade, a step on the loop, a rewrite,
+        an extension ``call`` — books exactly one wall span, answered or
+        not; a gather round books one, its critical path, not one per
+        element.  The stub clock ticks one second per read, so one span
+        read at its two ends adds exactly 1.0, a nested or per-element
+        span adds more and a dropped one adds 0."""
+
+        async def echo(peer, frame):
+            return encode_reply(frame.request_id, frame.body)
+
+        with ServiceDht(4, transport=transport) as dht:
+            dht.install_handler(Op.MCAST, echo)
+            dht.put_many([(f"k{i}", i) for i in range(4)])
+            dht.network.clock = TickClock()
+            stats = dht.network.stats
+
+            def span_of(action) -> float:
+                before = stats.wall_seconds
+                action()
+                return stats.wall_seconds - before
+
+            keys = [f"k{i}" for i in range(4)]
+            singles = {
+                "get": lambda: dht.get("k0"),
+                "get on the loop": lambda: dht.drive(one_step((GET, "k1"))),
+                "remove": lambda: dht.remove("k3"),
+                "rewrite": lambda: dht.rewrite_local("k2", 5),
+                "call": lambda: dht.call(Op.MCAST, "k0", body="x"),
+                "absent rewrite": lambda: pytest.raises(
+                    DhtKeyError, dht.rewrite_local, "absent", 1
+                ),
+            }
+            for name, action in singles.items():
+                assert span_of(action) == 1.0, name
+            rounds = {
+                "get_many": lambda: dht.get_many_outcomes(keys),
+                "get_many on the loop": lambda: dht.drive(
+                    one_step((GET_MANY, keys))
+                ),
+                "put_many": lambda: dht.put_many([(k, 0) for k in keys]),
+            }
+            for name, action in rounds.items():
+                assert span_of(action) == 1.0, name
+            dht.fail(dht.peer_of("k0"))
+            assert span_of(
+                lambda: pytest.raises(NodeUnreachableError, dht.get, "k0")
+            ) == 1.0
+            assert stats.rounds == 4  # the set-up round and these three
 
 
 class TestServiceOracles:
