@@ -18,16 +18,19 @@ key ``fmd(λ)``.  On the wire a bucket travels as its struct-packed
 codec form (:mod:`repro.core.codec`) — pickling a bucket (the service
 runtime's frames, churn handoff) embeds the codec bytes rather than a
 Python object graph.  A *decoded* bucket is lazy: it keeps the bytes it
-arrived as and builds its record store on the first use of
-:attr:`store` / :attr:`records` / :meth:`add` / :meth:`remove` /
-:meth:`matching`; the label store, :attr:`load`, :attr:`is_empty` and
+arrived as.  The label store, :attr:`load`, :attr:`is_empty` and
 :meth:`encoded_wire_size` answer from the validated header, so a lookup
-probe or a peer that only stores and forwards never builds one.  The
-store it builds is the bytes' columns: :meth:`matching` makes a
-:class:`~repro.core.records.Record` per hit, :meth:`add` appends to the
-columns, and re-encoding hands them back, so a fetched leaf's range
-match or non-splitting insert never builds its other rows;
-:attr:`records` builds them all, on demand.
+probe or a peer that only stores and forwards never builds a record
+store, and the first :meth:`matching` scans the bytes where they lie
+(:func:`~repro.core.codec.match_encoded`, a
+:class:`~repro.core.records.Record` per hit), so neither does a range
+query's fetched leaf.  The store is built by a second
+:meth:`matching` (which then uses its snapshot, as a resident
+bucket queried again should) or the first use of :attr:`store` /
+:attr:`records` / :meth:`add` / :meth:`remove`.  It is the bytes'
+columns: :meth:`add` appends to them and re-encoding hands them back,
+so a non-splitting insert never builds its rows; :attr:`records`
+builds them all, on demand.
 
 Hot-path caches (all derived, invisible to equality/repr):
 
@@ -84,6 +87,7 @@ class LeafBucket:
         "_encoded_generation",
         "_encoded_count",
         "_header",
+        "_byte_matched",
     )
 
     def __init__(
@@ -101,6 +105,7 @@ class LeafBucket:
         self._encoded_generation = -1
         self._encoded_count = 0
         self._header = None
+        self._byte_matched = False
         if isinstance(records, RecordStore):
             self._store = records
         elif isinstance(store, RecordStore):
@@ -140,6 +145,7 @@ class LeafBucket:
         bucket._encoded_generation = -1
         bucket._encoded_count = count
         bucket._header = header
+        bucket._byte_matched = False
         return bucket
 
     # ------------------------------------------------------------------
@@ -227,9 +233,26 @@ class LeafBucket:
         """Records whose keys match the closed *query* region.
 
         Served by the record-store backend; answers are bit-identical
-        to :meth:`matching_naive`, in the same (insertion) order.
+        to :meth:`matching_naive`, in the same (insertion) order.  A
+        bucket that is still its codec bytes answers its first match
+        from them (:func:`~repro.core.codec.match_encoded`) and builds
+        no store; a second match builds it as a record list, so that
+        match and every later one use its snapshot, as a resident
+        store's second query does.
         """
-        return self.store.matching(query.lows, query.highs)
+        store = self._store
+        if store is None:
+            if not self._byte_matched:
+                self._byte_matched = True
+                # The bytes are read before the header: a re-encoding
+                # clears the header first, so it is theirs or None.
+                return codec.match_encoded(
+                    self._encoded, self._header, self.split_dim,
+                    query.lows, query.highs,
+                )
+            store = self._build_store()
+            store.records()
+        return store.matching(query.lows, query.highs)
 
     def matching_naive(self, query: Region) -> list[Record]:
         """Reference linear scan: the oracle every store backend's
@@ -262,9 +285,9 @@ class LeafBucket:
     def remember_encoding(self, data: bytes, generation: int) -> None:
         """Keep *data* as the memo of the store at *generation* (read
         before the columns were packed)."""
+        self._header = None  # parsed from the old bytes, if at all
         self._encoded = data
         self._encoded_generation = generation
-        self._header = None  # parsed from the old bytes, if at all
 
     def encoded_wire_size(self) -> int:
         """Exact codec byte size — the unified byte-accounting hook

@@ -39,13 +39,14 @@ from repro.common.errors import ReproError
 from repro.common.labels import check_label
 from repro.dht import api as dht_api
 from repro.core import bucket as _bucket  # cyclic: used at call time only
-from repro.core.store import Rows, create_store
+from repro.core.store import Rows, create_store, match_columns
 
 __all__ = [
     "CODEC_MAGIC",
     "encode_bucket",
     "decode_bucket",
     "decode_store",
+    "match_encoded",
     "append_row",
     "encoded_bucket_size",
     "payload_wire_size",
@@ -191,6 +192,31 @@ def decode_store(data: bytes, sort_dim: int, header: tuple | None = None):
         offset += column_bytes
     values = _values_at(data, offset, count) if flags & _FLAG_VALUES else None
     return create_store(kind, dims, sort_dim, Rows(dims, columns, values))
+
+
+def match_encoded(
+    data: bytes, header: tuple | None, sort_dim: int, lows, highs
+) -> list:
+    """The records of encoded bucket *data* inside the closed box
+    (*lows*, *highs*), in insertion order: what ``decode_store(data,
+    sort_dim, header).matching(lows, highs)`` answers, without building
+    the store.  The columns are read where they lie (one ``memoryview``
+    cast; copied out only on a big-endian host), the store's own filter
+    (:func:`~repro.core.store.match_columns`) runs over them and builds
+    a Record per hit.  No registry lookup, no column copy, no numpy
+    call, whatever the store kind: the kind only matters to a built
+    store.  The values blob is unpickled whenever the flags say there is
+    one, so a garbled blob raises :class:`CodecError` here, at first
+    touch, as the build does."""
+    dims, _, _, count, flags, offset = header or _parse_header(data)
+    end = offset + dims * count * 8
+    values = _values_at(data, end, count) if flags & _FLAG_VALUES else None
+    if sys.byteorder == "little":
+        cells = memoryview(data)[offset:end].cast("d")
+    else:
+        cells = _column_from_bytes(data[offset:end])
+    columns = [cells[dim * count : (dim + 1) * count] for dim in range(dims)]
+    return match_columns(columns, values, sort_dim, lows, highs)
 
 
 def _values_at(data: bytes, offset: int, count: int) -> tuple:

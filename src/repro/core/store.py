@@ -22,13 +22,16 @@ index-semantics choice.  This module makes that choice explicit:
   with a warning when numpy is not installed).
 
 A store holds its contents in one of two forms.  Built from
-:class:`Rows` (a decoded bucket, a split or bulk-loaded leaf) it *is*
-its insertion-order columns and one values list: ``add`` appends to
-them, ``to_rows`` hands them back to the codec, and the first
-``matching`` after a mutation scans them and builds a :class:`Record`
-per hit only.  Built from records — or once ``records()`` is asked for
-(merge, delete, the oracles, ``__eq__``, a second query at one
-generation) — it is a record list with a lazily rebuilt snapshot.
+:class:`Rows` (a split or bulk-loaded leaf, a decoded bucket once it is
+mutated, queried twice or asked for its store) it *is* its
+insertion-order columns and one values list: ``add`` appends to them,
+``to_rows`` hands them back to the codec, and the first ``matching``
+after a mutation scans them (:func:`match_columns`, which also scans a
+fetched leaf's codec bytes without any store) and builds a
+:class:`Record` per hit only.  Built from records — or once
+``records()`` is asked for (merge, delete, the oracles, ``__eq__``, a
+second query at one generation) — it is a record list with a lazily
+rebuilt snapshot.
 
 Every backend returns **bit-identical, insertion-ordered** answers;
 ``tests/test_hotpath_equivalence.py`` sweeps them against the naive
@@ -43,10 +46,11 @@ from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from functools import partial
 
 from repro.common.errors import UnknownStoreError
 from repro.common.registry import Registry
-from repro.core.records import Record
+from repro.core.records import Record, build_records
 
 __all__ = [
     "Rows",
@@ -83,10 +87,35 @@ def _key_columns(records, dims: int) -> list:
 def _make_records(key_columns, values) -> list[Record]:
     """Records from per-dimension lists of floats and the aligned
     payloads (``None``: every payload is None)."""
-    keys = zip(*key_columns)
-    if values is None:
-        return [Record(key) for key in keys]
-    return [Record(key, value) for key, value in zip(keys, values)]
+    return build_records(zip(*key_columns), values)
+
+
+def match_columns(columns, values, sort_dim: int, lows, highs) -> list[Record]:
+    """The rows of insertion-order *columns* (and aligned *values*, or
+    ``None``) inside the closed box, as Records in insertion order.
+
+    Two passes: one over the *sort_dim* column, then each other column
+    over the survivors only; a Record is built per hit only.  Columns
+    are any indexable float sequences — a store's own ``array('d')``
+    ones or :func:`repro.core.codec.match_encoded`'s views of codec
+    bytes."""
+    low = lows[sort_dim]
+    high = highs[sort_dim]
+    hits = [
+        i
+        for i, coordinate in enumerate(columns[sort_dim])
+        if low <= coordinate <= high
+    ]
+    for dim, column in enumerate(columns):
+        if dim == sort_dim or not hits:
+            continue
+        low = lows[dim]
+        high = highs[dim]
+        hits = [i for i in hits if low <= column[i] <= high]
+    return _make_records(
+        [[column[i] for i in hits] for column in columns],
+        None if values is None else [values[i] for i in hits],
+    )
 
 
 class Rows:
@@ -233,7 +262,7 @@ class ColumnarStore(RecordStore):
 
     A column-form store answers the first query after a mutation with
     one pass over its columns, building Records for the hits only (a
-    leaf fetched as codec bytes is queried once).  Queried again at the
+    split leaf is often queried once).  Queried again at the
     same generation (a resident bucket) it turns into a record list,
     whose snapshot — positions sorted on the bucket's split dimension
     and the key columns in that order — a query narrows with two
@@ -383,25 +412,8 @@ class ColumnarStore(RecordStore):
     def _scan(self, rows: Rows, lows, highs) -> list[Record]:
         """One pass over the insertion-order columns; Records for the
         hits only."""
-        columns = rows.columns
-        sort_dim = self.sort_dim
-        low = lows[sort_dim]
-        high = highs[sort_dim]
-        hits = [
-            i
-            for i, coordinate in enumerate(columns[sort_dim])
-            if low <= coordinate <= high
-        ]
-        for dim, column in enumerate(columns):
-            if dim == sort_dim or not hits:
-                continue
-            low = lows[dim]
-            high = highs[dim]
-            hits = [i for i in hits if low <= column[i] <= high]
-        values = rows.values
-        return _make_records(
-            [[column[i] for i in hits] for column in columns],
-            None if values is None else [values[i] for i in hits],
+        return match_columns(
+            rows.columns, rows.values, self.sort_dim, lows, highs
         )
 
     def _rebuild(self) -> None:
@@ -445,25 +457,31 @@ class ColumnarStore(RecordStore):
 # ----------------------------------------------------------------------
 
 
-def _sequence_factory(cls):
-    def factory(dims: int, sort_dim: int, source=None) -> RecordStore:
-        if source is None:
-            return cls(dims, sort_dim)
-        if isinstance(source, Rows):
-            return cls.from_rows(source, sort_dim)
-        return cls(dims, sort_dim, source)
+def _build(cls, dims: int, sort_dim: int, source=None) -> RecordStore:
+    if source is None:
+        return cls(dims, sort_dim)
+    if isinstance(source, Rows):
+        return cls.from_rows(source, sort_dim)
+    return cls(dims, sort_dim, source)
 
-    return factory
+
+#: :mod:`repro.core.npstore`, imported by the first numpy store (it
+#: imports this module, so not at import time).
+_npstore = None
 
 
 def _numpy_factory(dims: int, sort_dim: int, source=None) -> RecordStore:
     """The ``"numpy"`` backend, degrading to columnar without numpy."""
-    from repro.core import npstore
+    global _npstore
+    npstore = _npstore
+    if npstore is None:
+        from repro.core import npstore
 
+        _npstore = npstore
     if npstore.HAVE_NUMPY:
-        return _sequence_factory(npstore.NumpyStore)(dims, sort_dim, source)
+        return _build(npstore.NumpyStore, dims, sort_dim, source)
     npstore.warn_numpy_missing()
-    return _sequence_factory(ColumnarStore)(dims, sort_dim, source)
+    return _build(ColumnarStore, dims, sort_dim, source)
 
 
 #: kind -> factory(dims, sort_dim, source) -> RecordStore, where
@@ -472,7 +490,7 @@ def _numpy_factory(dims: int, sort_dim: int, source=None) -> RecordStore:
 STORES = Registry(
     "store",
     UnknownStoreError,
-    {"columnar": _sequence_factory(ColumnarStore), "numpy": _numpy_factory},
+    {"columnar": partial(_build, ColumnarStore), "numpy": _numpy_factory},
 )
 register_store = STORES.register
 store_backends = STORES.kinds

@@ -14,6 +14,7 @@ import pickle
 import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.common.geometry import Region
 from repro.common.labels import root_label
 from repro.core import bucket as bucket_module
 from repro.core import codec
+from repro.core import store as store_module
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
 from repro.core.split import ThresholdSplit
@@ -281,12 +283,21 @@ class TestColumnForm:
         new = Record((0.5, 0.25), "new" if valued else None)
         built = []
         init = Record.__init__
+        build = store_module.build_records
 
         def counting(self, key, value=None):
             built.append(key)
             init(self, key, value)
 
+        def counting_build(keys, values=None):
+            keys = list(keys)
+            built.extend(keys)
+            return build(keys, values)
+
+        # Both seams: the dataclass constructor and the one that builds
+        # a store's (or a byte match's) hits.
         monkeypatch.setattr(Record, "__init__", counting)
+        monkeypatch.setattr(store_module, "build_records", counting_build)
         bucket = codec.decode_bucket(data)
         hits = bucket.matching(Region(target.key, target.key))
         bucket.add(new)
@@ -301,6 +312,76 @@ class TestColumnForm:
         fresh = LeafBucket(label, 2, records + [new], store=kind)
         assert encoded == codec.encode_bucket(fresh)
         assert bucket == fresh
+
+
+class TestByteMatchBuilds:
+    """A leaf that is still its bytes matches from them once; a second
+    match builds its store (straight to the snapshot), and later ones
+    reuse it."""
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_first_match_builds_none_second_one_third_none(
+        self, kind, rng, store_builds
+    ):
+        records = _records(rng, 2, 78)
+        data = codec.encode_bucket(LeafBucket("001", 2, records, store=kind))
+        bucket = codec.decode_bucket(data)
+        query = Region((0.0, 0.25), (0.5, 0.75))
+        expected = [r for r in records if query.contains_point_closed(r.key)]
+        store_builds.clear()
+        assert bucket.matching(query) == expected
+        assert store_builds == []
+        assert bucket.matching(query) == expected
+        assert store_builds == [kind]
+        assert bucket.matching(query) == expected
+        assert store_builds == [kind]
+        assert codec.encode_bucket(bucket) is data  # nothing mutated
+
+    @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+    def test_service_range_query_builds_no_store(
+        self, make_dht, store_builds, transport
+    ):
+        from repro.common.config import IndexConfig
+        from repro.core.bulkload import bulk_load
+        from repro.core.index import MLightIndex
+
+        dht = make_dht(kind=transport, n_peers=4)
+        config = IndexConfig(runtime=transport)
+        rng = __import__("random").Random(35)
+        points = [(rng.random(), rng.random()) for _ in range(300)]
+        bulk_load(dht, points[:250], config)
+        index = MLightIndex(dht, config)
+        index.insert_many([(point, "v") for point in points[250:]])
+        store_builds.clear()
+        found = index.range_query(((0.125, 0.25), (0.75, 0.875)))
+        assert found.complete and len(found.records) > 0
+        assert store_builds == []
+        assert sorted(r.key for r in found.records) == sorted(
+            p for p in points
+            if 0.125 <= p[0] <= 0.75 and 0.25 <= p[1] <= 0.875
+        )
+
+    def test_big_endian_hosts_copy_the_columns_out(self, rng, monkeypatch):
+        """Where native doubles are big-endian the byte match reads its
+        columns through ``_column_from_bytes`` (which swaps them), not
+        a cast of the little-endian bytes."""
+        records = _records(rng, 3, 20)
+        data = codec.encode_bucket(LeafBucket(root_label(3), 3, records))
+        read = []
+
+        def little_endian_copy(chunk):
+            read.append(len(chunk))
+            column = codec.array("d")
+            column.frombytes(chunk)
+            return column
+
+        monkeypatch.setattr(codec, "sys", SimpleNamespace(byteorder="big"))
+        monkeypatch.setattr(codec, "_column_from_bytes", little_endian_copy)
+        query = Region((0.0, 0.0, 0.0), (0.75, 0.5, 1.0))
+        got = codec.decode_bucket(data).matching(query)
+        monkeypatch.undo()
+        assert read == [3 * 20 * 8]
+        assert got == [r for r in records if query.contains_point_closed(r.key)]
 
 
 class TestConcurrentFirstTouch:

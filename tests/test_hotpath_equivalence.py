@@ -396,6 +396,77 @@ class TestStoreBackendEquivalence:
         assert got == answers(STORE_BACKENDS[0])
 
 
+class TestByteMatch:
+    """A leaf that is still its codec bytes answers its first match from
+    them (:func:`repro.core.codec.match_encoded`), with no store built:
+    the same records in the same order as the naive scan and as the
+    resident store of its kind."""
+
+    @staticmethod
+    def _check(records, label, dims, kind, queries, store_builds):
+        resident = LeafBucket(label, dims, records, store=kind)
+        data = codec.encode_bucket(resident)
+        for query in queries:
+            store_builds.clear()
+            got = codec.decode_bucket(data).matching(query)
+            assert store_builds == []
+            assert got == resident.matching_naive(query)
+            assert got == resident.matching(query)
+            assert got == [
+                record
+                for record in records
+                if query.contains_point_closed(record.key)
+            ]
+
+    @staticmethod
+    def _face_queries(rng, records, dims):
+        """Boxes whose faces are stored coordinates: two records' keys
+        as opposite corners (both on the boundary), and one key as a
+        degenerate box — only closed compares keep them."""
+        queries = []
+        for _ in range(4):
+            a, b = rng.choice(records).key, rng.choice(records).key
+            queries.append(Region(
+                tuple(map(min, a, b)), tuple(map(max, a, b))
+            ))
+        key = rng.choice(records).key
+        queries.append(Region(key, key))
+        return queries
+
+    @pytest.mark.parametrize("kind", STORE_BACKENDS)
+    @pytest.mark.parametrize("valued", [False, True], ids=["keys", "values"])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_matches_naive_and_resident_store(
+        self, kind, valued, dims, rng, store_builds
+    ):
+        for _ in range(5):
+            label = rng.choice(random_tree_leaves(rng, dims, max_depth=6))
+            region = region_of_label(label, dims)
+            records = _random_records(
+                rng, region, dims, rng.randrange(1, 120)
+            )
+            if not valued:
+                records = [Record(record.key) for record in records]
+            queries = [_random_query(rng, dims) for _ in range(5)]
+            queries += self._face_queries(rng, records, dims)
+            queries.append(unit_region(dims))  # every record a hit
+            self._check(records, label, dims, kind, queries, store_builds)
+
+    @pytest.mark.parametrize("kind", STORE_BACKENDS)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_empty_leaf_and_zero_hits(self, kind, dims, rng, store_builds):
+        label = root_label(dims) + "0"
+        region = region_of_label(label, dims)
+        outside = Region(  # the other half of the space
+            tuple(0.75 if dim == 0 else 0.0 for dim in range(dims)),
+            tuple(1.0 for _ in range(dims)),
+        )
+        self._check([], label, dims, kind, [unit_region(dims)], store_builds)
+        records = _random_records(rng, region, dims, 40)
+        assert not any(outside.contains_point_closed(r.key) for r in records)
+        self._check(records, label, dims, kind, [outside], store_builds)
+
+
 # ----------------------------------------------------------------------
 # Region-threaded splitting vs label-derived regions
 # ----------------------------------------------------------------------

@@ -14,24 +14,30 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import IndexConfig
-from repro.common.errors import IndexCorruptionError
+from repro.common.errors import IndexCorruptionError, NodeUnreachableError
 from repro.common.geometry import Region
 from repro.core.index import MLightIndex
 from repro.core.records import Record
-from repro.dht.api import PUT_MANY, REMOVE
+from repro.dht.api import PUT_MANY, REMOVE, REWRITE
 from repro.dht.localhash import LocalDht
 
 CONFIG = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
 POINTS = [(0.1 * n, 0.1 * n) for n in range(1, 6)]
 
 
-def abandon_after(dht, operation, kind) -> None:
-    """Advance *operation* up to its first *kind* step, perform that
-    step, and abandon the operation there."""
+def advance_past(dht, operation, kind) -> tuple:
+    """Advance *operation* through its first *kind* step; the step it
+    yields next."""
     step = next(operation)
     while step[0] is not kind:
         step = operation.send(dht.perform(step))
-    dht.perform(step)
+    return operation.send(dht.perform(step))
+
+
+def abandon_after(dht, operation, kind) -> None:
+    """Advance *operation* up to its first *kind* step, perform that
+    step, and abandon the operation there."""
+    advance_past(dht, operation, kind)
     operation.close()
 
 
@@ -66,5 +72,36 @@ def test_a_merge_abandoned_after_its_remove_keeps_the_space_covered():
     for point in POINTS[:3]:
         assert index.delete(point)
     abandon_after(dht, index._delete(POINTS[3], None), REMOVE)
+    result = index.range_query(Region((0.0, 0.0), (1.0, 1.0)))
+    assert [record.key for record in result.records] == [POINTS[4]]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=IndexCorruptionError, reason="ROADMAP item 12"
+)
+@pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+def test_a_merge_whose_rewrite_peer_fails_keeps_the_space_covered(
+    make_dht, transport
+):
+    """The owner of the merged bucket's key crashes after the merge's
+    ``REMOVE`` and before its ``REWRITE`` frame, and restarts from its
+    journal.  Today it comes back with the unmerged child while the
+    moved child is gone, so a whole-space range query raises."""
+    dht = make_dht(kind=transport, n_peers=4, durability="log")
+    index = MLightIndex(dht, CONFIG)
+    for point in POINTS:
+        index.insert(point)
+    assert index.tree_size() == 2
+    for point in POINTS[:3]:
+        assert index.delete(point)
+    operation = index._delete(POINTS[3], None)
+    step = advance_past(dht, operation, REMOVE)
+    assert step[0] is REWRITE
+    owner = dht.peer_of(step[1])
+    dht.fail(owner)
+    with pytest.raises(NodeUnreachableError):
+        dht.perform(step)
+    operation.close()
+    dht.restart(owner)
     result = index.range_query(Region((0.0, 0.0), (1.0, 1.0)))
     assert [record.key for record in result.records] == [POINTS[4]]

@@ -577,12 +577,11 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once a request became one exchange
-#: (``ServiceDht._request`` with ``_timed_request`` folded in, one
-#: ``NetworkStats.record_exchange``, a synchronous in-process serve) and
-#: journal replay cut its frames with the wire's own ``frame_at``
-#: instead of a second copy of the header checks; 10 819 before.
-SRC_CODE_LINES = 10817
+#: ``make loc``'s ``src total`` once a fetched leaf matched from its
+#: codec bytes (``codec.match_encoded`` over the store's own filter,
+#: ``store.match_columns``, moved out of ``ColumnarStore._scan``) and
+#: hits were built by ``records.build_records``; 10 817 before.
+SRC_CODE_LINES = 10864
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ against a brute-force scan, and exits non-zero on a mismatch.  It also
 checks that an in-process lookup starts no asyncio Task, that the
 in-process runtime starts no thread of its own, and that an inserted
 record survives its owner's crash: journalled as one appended row,
-replayed by the restart.
+replayed by the restart, and answered with its payload by a range query
+that matches every replayed leaf from its bytes.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
 """
@@ -129,8 +130,8 @@ def smoke(transport: str) -> list[str]:
 
 def durable_append(dht, check) -> None:
     """Insert a record, crash the owner of its leaf, restart it from
-    its log and look the record up."""
-    bulk_load(dht, POINTS[:100], CONFIG)
+    its log, look the record up and range-query everything."""
+    bulk_load(dht, RECORDS[:100], CONFIG)
     index = MLightIndex(dht, CONFIG)
     point, value = RECORDS[150]
     sent = dht.network.stats.per_type
@@ -146,6 +147,11 @@ def durable_append(dht, check) -> None:
         [r.value for r in found.records if r.key == point], [value],
     )
     check("records after restart", index.total_records(), 101)
+    everything = Region((0.0, 0.0), (1.0, 1.0))
+    check(
+        "range after restart", pairs(index.range_query(everything)),
+        inside(RECORDS[:100] + [RECORDS[150]], everything),
+    )
 
 
 def run_everything(dht, transport: str, check) -> None:
