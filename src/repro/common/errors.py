@@ -81,3 +81,11 @@ class DhtKeyError(ReproError, KeyError):
 
 class NodeUnreachableError(ReproError, RuntimeError):
     """A simulated peer was contacted after it left or failed."""
+
+
+class JournalVersionError(ReproError, RuntimeError):
+    """A durable log was written in another wire version.
+
+    Replay refuses it and leaves the file as it is: read as a torn
+    tail, every record would be discarded and the log rewritten empty.
+    """

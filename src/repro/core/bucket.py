@@ -199,15 +199,16 @@ class LeafBucket:
         self._check_covers(record.key)
         self.store.add(record)
 
-    def appended(self, point, value) -> "LeafBucket":
-        """This bucket plus the record (*point*, *value*), as a new lazy
-        bucket over spliced codec bytes (:func:`~repro.core.codec.
-        append_row`): what a peer stores when an insert ships it one
-        record.  Builds no store and, while this bucket's memo is
-        valid, packs no column; *point* must fall inside this cell."""
-        self._check_covers(point)
+    def appended(self, row: bytes) -> "LeafBucket":
+        """This bucket plus the record of codec *row*
+        (:func:`~repro.core.codec.encode_row`), as a new lazy bucket over
+        spliced codec bytes (:func:`~repro.core.codec.append_row`): what
+        a peer stores when an insert ships it one record.  Builds no
+        store and, while this bucket's memo is valid, packs no column;
+        the row's point must fall inside this cell."""
+        self._check_covers(codec.row_point(row, self.dims))
         data, header = codec.append_row(
-            codec.encode_bucket(self), point, value, self._header
+            codec.encode_bucket(self), row, self._header
         )
         return LeafBucket.from_encoded(
             self.label, self.dims, self.load + 1, data, header
@@ -298,8 +299,8 @@ class LeafBucket:
         return codec.encoded_bucket_size(self)
 
     def __reduce__(self):
-        # Pickled buckets (service frames, churn handoff, copies)
-        # travel as codec bytes, not as Python object graphs.
+        # Pickled buckets (churn handoff, copies, a pickled value that
+        # holds one) travel as codec bytes, not as Python object graphs.
         return (codec.decode_bucket, (codec.encode_bucket(self),))
 
     # ------------------------------------------------------------------

@@ -47,6 +47,8 @@ __all__ = [
     "decode_bucket",
     "decode_store",
     "match_encoded",
+    "encode_row",
+    "row_point",
     "append_row",
     "encoded_bucket_size",
     "payload_wire_size",
@@ -60,7 +62,6 @@ CODEC_VERSION = 1
 _FIXED_BYTES = 4 + 1 + 1 + 1 + 2 + 4 + 1
 _HEAD = struct.Struct("!4sBBB")
 _COUNT = struct.Struct("!IB")
-_CELL = struct.Struct("<d")
 _FLAG_VALUES = 1
 
 
@@ -231,36 +232,65 @@ def _values_at(data: bytes, offset: int, count: int) -> tuple:
     return values
 
 
+def encode_row(point, value: Any) -> bytes:
+    """One record as an ``APPEND`` frame and the journal carry it: its
+    coordinates as little-endian doubles (the bytes its column cells
+    hold), then its payload pickled, only when it has one."""
+    row = struct.pack(f"<{len(point)}d", *point)
+    if value is None:
+        return row
+    return row + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def row_point(row: bytes, dims: int) -> tuple:
+    """The coordinates of a *dims*-dimensional :func:`encode_row` row."""
+    if len(row) < dims * 8:
+        raise CodecError(f"a {len(row)}-byte row holds no {dims}-d point")
+    return struct.unpack_from(f"<{dims}d", row)
+
+
 def append_row(
-    data: bytes, point, value: Any, header: tuple | None = None
+    data: bytes, row: bytes, header: tuple | None = None
 ) -> tuple[bytes, tuple]:
-    """*data*, an encoded bucket, with the record (*point*, *value*)
+    """*data*, an encoded bucket, with the :func:`encode_row` *row*
     appended, and the header of the result (in :func:`_parse_header`'s
     form; *header* is that of *data*, parsed here when there is none).
 
     Byte-identical to :func:`encode_bucket` of the same bucket after
     ``add``, with no store built and no column packed: the count goes up
-    by one, 8 bytes go onto each column, and the values section is
-    re-pickled only when the bucket or the new row carries a value."""
+    by one, each column takes its 8 bytes of the row, and the values
+    section is re-pickled only when the bucket or the row carries a
+    value."""
     dims, kind, label, count, flags, offset = header or _parse_header(data)
     column_bytes = count * 8
     values_at = offset + dims * column_bytes
+    blob = row[dims * 8 :]
     if flags & _FLAG_VALUES:
-        values = _values_at(data, values_at, count) + (value,)
-    elif value is not None:
-        values = (None,) * count + (value,)
+        values = _values_at(data, values_at, count) + (_row_value(blob),)
+    elif blob:
+        values = (None,) * count + (_row_value(blob),)
     else:
         values = None
     flags = _FLAG_VALUES if values is not None else 0
     parts = [data[: offset - _COUNT.size], _COUNT.pack(count + 1, flags)]
-    for dim, coordinate in enumerate(point):
+    for dim in range(dims):
         start = offset + dim * column_bytes
         parts.append(data[start : start + column_bytes])
-        parts.append(_CELL.pack(coordinate))
+        parts.append(row[dim * 8 : dim * 8 + 8])
     if values is not None:
         parts.append(pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL))
     appended = b"".join(parts)
     return appended, (dims, kind, label, count + 1, flags, offset)
+
+
+def _row_value(blob: bytes) -> Any:
+    """The payload pickled behind a row's coordinates (None: none)."""
+    if not blob:
+        return None
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:  # pickle raises many concrete types
+        raise CodecError(f"row payload is undecodable: {exc}") from exc
 
 
 def encoded_bucket_size(bucket) -> int:

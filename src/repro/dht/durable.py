@@ -7,11 +7,11 @@ to disk so a crashed peer can be restarted
 (:meth:`repro.dht.api.Dht.restart`) with its pre-crash store replayed
 instead of empty.  One backend ships, ``"log"``
 (:class:`AppendLogBackend`): an append-only log of ``put``/``append``/
-``remove`` records, each framed with the service wire codec
-(:mod:`repro.service.wire`) and CRC-checksummed, compacted in place
-once dead records dominate.  Torn tails (a crash mid-append) are
+``remove`` records, each the service wire's request frame
+(:mod:`repro.service.wire`) with a CRC32 of its body, compacted in
+place once dead records dominate.  Torn tails (a crash mid-append) are
 detected by the framing/checksum and replay stops cleanly at the last
-intact record.
+intact record; a log written in another wire version is refused whole.
 
 Backends register through :func:`register_store_backend` (the
 ``BACKENDS`` :class:`~repro.common.registry.Registry`); selection
@@ -33,7 +33,11 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from pathlib import Path
 
-from repro.common.errors import ReproError, UnknownDurabilityError
+from repro.common.errors import (
+    JournalVersionError,
+    ReproError,
+    UnknownDurabilityError,
+)
 from repro.common.registry import Registry
 from repro.dht.storage import PeerStore
 
@@ -48,9 +52,8 @@ __all__ = [
     "resolve_data_dir",
 ]
 
-#: Log opcodes — reuse the wire protocol's PUT/REMOVE/APPEND values so
-#: a log file is a plain stream of protocol frames any FrameDecoder can
-#: cut.
+#: Log opcodes — the wire protocol's PUT/REMOVE/APPEND values: a log
+#: file is a plain stream of the request frames the peer applied.
 _OP_PUT = 3
 _OP_REMOVE = 4
 _OP_APPEND = 8
@@ -74,11 +77,14 @@ def _wire():
     return wire
 
 
-def _checksum(key: str, blob: bytes | None) -> int:
-    crc = zlib.crc32(key.encode())
-    if blob is not None:
-        crc = zlib.crc32(blob, crc)
-    return crc
+def _record(op: int, key: str, blob: bytes | None) -> bytes:
+    """One journal record: the request frame of *op* on *key* — its
+    body the key, then *blob* verbatim, or the bare key of a remove —
+    with the CRC32 of that body, seeded with the opcode, in the request
+    id's four bytes."""
+    wire = _wire()
+    body = key.encode() if blob is None else wire.pack_key(key) + blob
+    return wire.pack_frame(op, zlib.crc32(body, op), body)
 
 
 class DurableBackend(ABC):
@@ -109,7 +115,9 @@ class DurableBackend(ABC):
 
         Replay is forgiving at the tail — a torn final record (crash
         mid-write) is discarded, everything intact before it is kept —
-        and must leave the backend ready to journal again.
+        and must leave the backend ready to journal again.  State it
+        cannot read at all (another format version) raises instead, and
+        stays on disk as it was.
         """
 
     @abstractmethod
@@ -131,14 +139,16 @@ class DurableBackend(ABC):
 
 
 class AppendLogBackend(DurableBackend):
-    """Append-only log of wire-framed, CRC-checksummed mutations.
+    """Append-only log of the request frames a peer's store applied.
 
-    Record = one protocol frame: opcode PUT/APPEND/REMOVE, a running
-    sequence number as the request id, and a pickled ``(key, blob, crc)``
-    body where ``crc`` covers key and blob (the whole value for a put,
-    one row for an append, ``None`` for a remove).  A reader needs nothing beyond
-    :class:`repro.service.wire.FrameDecoder` (replay cuts frames one at a
-    time with :func:`repro.service.wire.frame_at`).
+    Record = one :mod:`repro.service.wire` frame: opcode PUT, APPEND or
+    REMOVE; as its body the packed key, then the blob verbatim (a put's
+    value bytes — a bucket's codec bytes behind their kind byte — or an
+    append's codec row as the ``APPEND`` frame carried it), or a
+    remove's bare key; and in the header's request-id field the CRC32 of
+    that body, seeded with the opcode.  Nothing is pickled around a record,
+    and replay hands every blob back as the bytes it was given, cutting
+    frames one at a time with :func:`repro.service.wire.split_frame`.
     """
 
     kind = "log"
@@ -147,7 +157,6 @@ class AppendLogBackend(DurableBackend):
         self.path = Path(str(path) + ".log")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._sync = sync
-        self._sequence = 0
         self._records = 0  # records currently in the file
         self._file = open(self.path, "ab")
 
@@ -156,12 +165,7 @@ class AppendLogBackend(DurableBackend):
             raise ReproError(
                 f"durable log {self.path} is closed; the peer is down"
             )
-        wire = _wire()
-        self._sequence = (self._sequence + 1) & 0xFFFFFFFF
-        frame = wire.encode_frame(
-            wire.Op(op), self._sequence, (key, blob, _checksum(key, blob))
-        )
-        self._file.write(frame)
+        self._file.write(_record(op, key, blob))
         self._file.flush()
         if self._sync:
             os.fsync(self._file.fileno())
@@ -180,34 +184,45 @@ class AppendLogBackend(DurableBackend):
         # it, and a partial frame at EOF is a torn tail, not silence.
         wire = _wire()
         data = self.path.read_bytes()
+        if data[:4] == wire.MAGIC and len(data) > 4 and data[4] != wire.VERSION:
+            # Not a torn tail: the whole log speaks another version, and
+            # rewriting its "intact prefix" would empty it.
+            self.close()
+            raise JournalVersionError(
+                f"durable log {self.path} is in wire version {data[4]}, "
+                f"this build reads version {wire.VERSION}; it is left as "
+                f"it is"
+            )
         state: dict[str, list[bytes]] = {}
-        records = 0
-        offset = 0
+        records = offset = 0
         torn = False
-        while len(data) - offset >= wire.HEADER.size:
+        while offset < len(data):
             try:
-                frame, end = wire.frame_at(data, offset)
-                if frame is None:  # a partial frame at EOF
+                cut = None
+                if len(data) - offset >= wire.HEADER.size:
+                    cut = wire.split_frame(data, offset)
+                if cut is None:  # a partial frame at EOF
                     raise wire.WireError("torn tail")
-                key, blob, crc = frame.body
-            except (wire.WireError, ValueError, TypeError):
-                torn = True
-                break
-            if crc != _checksum(key, blob):
+                op, crc, start, end = cut
+                if crc != zlib.crc32(memoryview(data)[start:end], op):
+                    raise wire.WireError("checksum mismatch")
+                if op == _OP_REMOVE:
+                    state.pop(data[start:end].decode(), None)
+                elif op == _OP_PUT or op == _OP_APPEND:
+                    key, at = wire.split_key(data, start, end)
+                    if op == _OP_PUT:
+                        state[key] = [data[at:end]]
+                    elif key in state:  # a live peer appends to stored keys
+                        state[key].append(data[at:end])
+                else:
+                    raise wire.WireError(f"opcode {op} in a journal")
+            except (wire.WireError, UnicodeDecodeError):
                 torn = True
                 break
             records += 1
-            if frame.op == _OP_PUT:
-                state[key] = [blob]
-            elif frame.op == _OP_APPEND:
-                if key in state:  # a live peer appends to stored keys only
-                    state[key].append(blob)
-            else:
-                state.pop(key, None)
             offset = end
         self._records = records
-        self._sequence = records & 0xFFFFFFFF
-        if torn or offset < len(data):
+        if torn:
             # Rewrite the log to the intact prefix's surviving state so
             # the discarded tail cannot resurrect on a later replay —
             # and so new appends land after the prefix, not after junk.
@@ -226,19 +241,11 @@ class AppendLogBackend(DurableBackend):
 
     def _write_log(self, records: Iterable[tuple[int, str, bytes]]) -> None:
         """Replace the log with *records*, ``(opcode, key, blob)`` each."""
-        wire = _wire()
         tmp_path = self.path.with_suffix(".log.tmp")
         count = 0
         with open(tmp_path, "wb") as tmp:
             for op, key, blob in records:
-                self._sequence = (self._sequence + 1) & 0xFFFFFFFF
-                tmp.write(
-                    wire.encode_frame(
-                        wire.Op(op),
-                        self._sequence,
-                        (key, blob, _checksum(key, blob)),
-                    )
-                )
+                tmp.write(_record(op, key, blob))
                 count += 1
             tmp.flush()
             if self._sync:

@@ -98,7 +98,7 @@ class KeyValuePeer:
                 raise DhtKeyError(f"key {key!r} does not exist")
             return self.store.remove(key)
         if op == "append":
-            return self.store.append(key, *value)
+            return self.store.append(key, value)
         if op == "rewrite":
             if key not in self.store:
                 return False

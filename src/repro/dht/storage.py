@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
@@ -13,21 +12,32 @@ if TYPE_CHECKING:
     from repro.dht.durable import DurableBackend
 
 
+def _wire():
+    """The service wire codec, whose value bytes a journal holds,
+    imported at call time: it imports the bucket codec, and ``dht``
+    must not import ``core`` at module level."""
+    from repro.service import wire
+
+    return wire
+
+
 def _blob_of(value: Any) -> bytes:
-    """The byte representation a durable backend journals for *value*."""
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    """The bytes a durable backend journals for *value*: the value as a
+    ``PUT`` frame carries it (a bucket's codec bytes behind their kind
+    byte)."""
+    return _wire().encode_value(value)
 
 
 def _value_of(blob: bytes) -> Any:
-    """Rebuild a journaled object from its blob.
+    """Rebuild a journaled value from its blob (a bucket lazily).
 
     A truncated or mangled blob — a torn durable-log write that somehow
     passed the backend's checksum — raises the typed
     :class:`~repro.common.errors.CorruptValueError` instead of
-    whichever bare exception :mod:`pickle` happened to hit.
+    whichever bare exception the decoder happened to hit.
     """
     try:
-        return pickle.loads(blob)
+        return _wire().decode_value(blob)
     except Exception as exc:
         raise CorruptValueError(
             f"journaled value of {len(blob)} bytes is undecodable: {exc}"
@@ -43,8 +53,8 @@ class PeerStore:
 
     With a *backend* (:class:`~repro.dht.durable.DurableBackend`)
     attached, every mutation is journaled as a byte blob — a put as the
-    whole value, an :meth:`append` as its row — so the peer's state
-    survives a crash and :meth:`recover` can rebuild it.
+    whole value, an :meth:`append` as the row it received — so the
+    peer's state survives a crash and :meth:`recover` can rebuild it.
     """
 
     def __init__(self, backend: "DurableBackend | None" = None) -> None:
@@ -65,13 +75,15 @@ class PeerStore:
         surfaces as :class:`CorruptValueError`, not silent garbage.
         The backend is attached only after replay: replay itself
         journals nothing.  A key's rows appended since its last full
-        blob are re-applied through the append the live peer ran.
+        blob are re-applied through the append the live peer ran: each
+        row is spliced into the bucket's bytes as it is, and only a row
+        that carries a payload is unpickled.
         """
         store = cls()
         for key, (blob, *rows) in backend.replay().items():
             value = _value_of(blob)
             for row in rows:
-                value = value.appended(*_value_of(row))
+                value = value.appended(row)
             store._digests[key] = key_digest(key)
             store._values[key] = value
         store._backend = backend
@@ -94,18 +106,18 @@ class PeerStore:
             self._backend.record_put(key, _blob_of(value))
             self._maybe_compact()
 
-    def append(self, key: str, point, value: Any) -> bool:
-        """Add the record (*point*, *value*) to the bucket stored at
-        *key* and journal only that row; False, and nothing written,
-        when *key* is absent.  The bucket makes the new value
-        (``appended``), refusing a point outside its cell as its
-        ``add`` does."""
+    def append(self, key: str, row: bytes) -> bool:
+        """Add the record of codec *row* (:func:`~repro.core.codec.
+        encode_row`) to the bucket stored at *key* and journal the row
+        as it came; False, and nothing written, when *key* is absent.
+        The bucket makes the new value (``appended``), refusing a point
+        outside its cell as its ``add`` does."""
         stored = self._values.get(key)
         if stored is None:
             return False
-        self._values[key] = stored.appended(point, value)
+        self._values[key] = stored.appended(row)
         if self._backend is not None:
-            self._backend.record_put(key, _blob_of((point, value)), append=True)
+            self._backend.record_put(key, row, append=True)
             self._maybe_compact()
         return True
 

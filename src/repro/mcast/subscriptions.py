@@ -20,8 +20,8 @@ the whole storage stack for free:
   tables through crash-restart cycles, which is what lets E15 deliver
   downtime inserts exactly once after recovery.
 
-Tables pickle (durable backends use pickle framing), so entries are
-plain frozen dataclasses.
+Tables travel and are journalled as the wire's pickled-value kind (they
+are not buckets), so entries are plain frozen dataclasses.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from collections.abc import Coroutine, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
+from repro.core.codec import encode_row
 from repro.dht.api import (
     CALL, GET, GET_MANY, PUT_MANY, REMOVE, REWRITE, UNTRACED,
     BatchFailure, Dht, _absent_key, _raise_batch_failures,
@@ -337,16 +338,18 @@ class _ServicePeer:
         client connection, let suspended frames finish, close
         the listener and the store's durable backend."""
         self.live = False
-        if self.channel is not None:
-            await self.channel.close()
-        if self._ext_tasks:
-            await asyncio.gather(
-                *list(self._ext_tasks), return_exceptions=True
-            )
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
-        self.peer.store.close_backend()
+        try:
+            if self.channel is not None:
+                await self.channel.close()
+            if self._ext_tasks:
+                await asyncio.gather(
+                    *list(self._ext_tasks), return_exceptions=True
+                )
+            if self.server is not None:
+                self.server.close()
+                await self.server.wait_closed()
+        finally:
+            self.peer.store.close_backend()
 
 
 class _TcpChannel:
@@ -396,8 +399,8 @@ class _TcpChannel:
                             future.set_result(frame)
                     elif self.runtime._push_sink is not None:
                         self.runtime._push_sink(frame)
-        except (ConnectionError, OSError):
-            pass
+        except (ConnectionError, OSError, WireError):
+            pass  # the peer hung up or garbled the stream: nothing answers
         finally:
             error = NodeUnreachableError("service connection closed")
             for future in self._pending.values():
@@ -885,11 +888,13 @@ class ServiceDht(Dht):
 
     async def _rewrite(self, key: str, value: Any, record: Any = None) -> bool:
         """One frame, served whole by the owner: the one *record* an
-        insert adds (``APPEND``), else the whole *value* (``REWRITE``);
-        False when the owner holds no *key*."""
+        insert adds (``APPEND``, as its codec row), else the whole
+        *value* (``REWRITE``); False when the owner holds no *key*."""
         if record is None:
             return await self._request(_REWRITE, key, value)
-        return await self._request(_APPEND, key, (record.key, record.value))
+        return await self._request(
+            _APPEND, key, encode_row(record.key, record.value)
+        )
 
     # ------------------------------------------------------------------
     # Substrate primitives

@@ -7,16 +7,46 @@ One message = one frame::
     | 4 B    | 1 B     | 1 B    | 4 B        | 4 B         | ...     |
     +--------+---------+--------+------------+-------------+---------+
 
-The header is struct-packed big-endian; the payload is a pickled
-``(key, value)`` request body or a reply body.  Frames are
-self-delimiting, so a byte stream (an asyncio TCP connection) is cut
-into messages by :class:`FrameDecoder` with no sentinel scanning, and
-the in-process transport hands one whole frame to the peer it serves.
+The header is struct-packed big-endian; the payload's layout is fixed
+by the opcode, and nothing in it is pickled on the index's path:
+
+==========================  ============================================
+opcode                      payload
+==========================  ============================================
+``LOOKUP``/``GET``/         key (UTF-8, the whole payload)
+``REMOVE``
+``PUT``/``REWRITE``         packed key, value
+``APPEND``                  packed key, one codec row
+                            (:func:`~repro.core.codec.encode_row`)
+``REPLY_OK``                value
+``REPLY_ERR``               error class name packed as a key, message
+``MCAST``/``PUSH``          the *extension* kind: a pickled body
+==========================  ============================================
+
+A key (a label, or a ``sub:`` key) is UTF-8; packed ahead of more
+bytes, it is a ``!H`` length and the UTF-8.  A value is one kind byte
+and its bytes: ``None``, ``False`` and ``True`` are the kind byte
+alone, a string (a peer name) is UTF-8, a leaf bucket is its codec
+bytes verbatim — :func:`~repro.core.codec.encode_bucket` (the memo)
+out, :func:`~repro.core.codec.decode_bucket` (lazy) in — and anything
+else is the *pickled value* kind.  The two pickled kinds are the documented
+exceptions: a pickled value is what plain ``Dht.put`` users and the
+continuous plane's subscription tables store, and what an ``MCAST``
+reply aggregates; the extension kind carries the dissemination plane's
+``MCAST``/``PUSH`` bodies.  Index traffic reaches neither.  The whole
+header is checked before any payload byte is read, so a frame of
+another version is refused without being decoded.
+
+Frames are self-delimiting, so a byte stream (an asyncio TCP
+connection) is cut into messages by :class:`FrameDecoder` with no
+sentinel scanning, and the in-process transport hands one whole frame
+to the peer it serves.  The durable log
+(:class:`~repro.dht.durable.AppendLogBackend`) is a stream of the same
+request frames, cut by :func:`split_frame`.
 
 Byte accounting deliberately has two faces:
 
-* ``len(encode_frame(...))`` — the bytes actually crossing a socket
-  (pickle is an implementation detail of this runtime);
+* ``len(encode_frame(...))`` — the bytes actually crossing a socket;
 * :func:`frame_wire_sizes` — the *modelled* size used for
   ``NetworkStats.bytes_sent``, built from the same
   :func:`~repro.dht.api.estimate_wire_size` accounting (the codec's
@@ -33,19 +63,31 @@ from enum import IntEnum
 from typing import Any, NamedTuple
 
 from repro.common.errors import ReproError
+from repro.core.bucket import LeafBucket
+from repro.core.codec import decode_bucket, encode_bucket
 from repro.dht.api import data_wire_size, estimate_wire_size
 
 #: Frame header: magic, version, opcode, request id, payload length.
 HEADER = struct.Struct("!4sBBII")
 MAGIC = b"mLGT"
-VERSION = 1
+VERSION = 2
 
 #: Refuse absurd frames instead of allocating attacker-sized buffers.
 MAX_PAYLOAD = 64 * 1024 * 1024
 
+#: A packed key's length prefix.
+_KEY_LEN = struct.Struct("!H")
+
+#: Value kinds: the first byte of an encoded value.
+_NONE, _FALSE, _TRUE, _TEXT, _BUCKET, _PICKLED = range(6)
+_CONSTANTS = {_NONE: None, _FALSE: False, _TRUE: True}
+_NONE_BYTES, _FALSE_BYTES, _TRUE_BYTES = b"\x00", b"\x01", b"\x02"
+_TEXT_BYTE, _BUCKET_BYTE, _PICKLED_BYTE = b"\x03", b"\x04", b"\x05"
+
 
 class WireError(ReproError):
-    """A frame violated the protocol (bad magic, version, or length)."""
+    """A frame violated the protocol (bad magic, version, length or
+    body)."""
 
 
 class Op(IntEnum):
@@ -53,10 +95,10 @@ class Op(IntEnum):
     extensions, and the two replies.
 
     ``REWRITE`` puts ``(key, value)`` only where *key* is stored and
-    ``APPEND`` — body ``(key, (point, value))`` — adds one record to the
-    bucket stored there; each answers ``False`` for an absent key, in
-    the same frame, so no request can land between the check and the
-    write.
+    ``APPEND`` — body ``(key, row)`` — adds one record, a codec row, to
+    the bucket stored there; each answers ``False`` for an absent key,
+    in the same frame, so no request can land between the check and
+    the write.
 
     ``MCAST`` carries one prefix-multicast subquery — body
     ``(target_label, subquery, query)`` — answered with the subtree's
@@ -81,6 +123,9 @@ class Op(IntEnum):
 
 #: Requests carry (key, value); replies carry their result payload.
 REQUEST_OPS = (Op.LOOKUP, Op.GET, Op.PUT, Op.REMOVE, Op.APPEND, Op.REWRITE)
+_REQUESTS = frozenset(REQUEST_OPS)
+#: Requests whose body is the key alone.
+_KEY_ONLY = frozenset((Op.LOOKUP, Op.GET, Op.REMOVE))
 
 
 class Frame(NamedTuple):
@@ -95,9 +140,13 @@ class Frame(NamedTuple):
         return self.op in (Op.REPLY_OK, Op.REPLY_ERR)
 
 
-def encode_frame(op: Op, request_id: int, body: Any) -> bytes:
-    """Pack one message into header + pickled payload bytes."""
-    payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
+# ----------------------------------------------------------------------
+# Bodies
+# ----------------------------------------------------------------------
+
+
+def pack_frame(op: int, request_id: int, payload: bytes) -> bytes:
+    """Header + *payload*, refused past :data:`MAX_PAYLOAD`."""
     length = len(payload)
     if length > MAX_PAYLOAD:
         raise WireError(
@@ -107,11 +156,145 @@ def encode_frame(op: Op, request_id: int, body: Any) -> bytes:
     return HEADER.pack(MAGIC, VERSION, op, request_id, length) + payload
 
 
+def pack_key(key: str) -> bytes:
+    """A key's body bytes: its UTF-8 length, then the UTF-8."""
+    label = key.encode()
+    if len(label) > 0xFFFF:
+        raise WireError(f"key of {len(label)} bytes is too long for a frame")
+    return _KEY_LEN.pack(len(label)) + label
+
+
+def split_key(buffer: bytes, start: int, end: int) -> tuple[str, int]:
+    """The key packed at *start* of a body ending at *end*, and the
+    offset past it."""
+    if end - start < _KEY_LEN.size:
+        raise WireError("frame body too short for its key")
+    (length,) = _KEY_LEN.unpack_from(buffer, start)
+    start += _KEY_LEN.size
+    stop = start + length
+    if stop > end:
+        raise WireError("key runs past the end of its frame")
+    return buffer[start:stop].decode(), stop
+
+
+def encode_value(value: Any) -> bytes:
+    """One value as a frame (or a journal record) carries it: its kind
+    byte, then its bytes — a bucket's codec bytes verbatim."""
+    if value is None:
+        return _NONE_BYTES
+    if value is True:
+        return _TRUE_BYTES
+    if value is False:
+        return _FALSE_BYTES
+    cls = type(value)
+    if cls is LeafBucket:
+        return _BUCKET_BYTE + encode_bucket(value)
+    if cls is str:
+        return _TEXT_BYTE + value.encode()
+    # The pickled-value kind, one of the two documented exceptions: a
+    # value that is not a bucket (a subscription table, a plain
+    # ``Dht.put`` user's object, an ``MCAST`` reply).
+    return _PICKLED_BYTE + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_value(data) -> Any:
+    """Inverse of :func:`encode_value`; a bucket comes back lazy."""
+    return _value_at(data, 0, len(data))
+
+
+def _value_at(buffer: bytes, start: int, end: int) -> Any:
+    if start >= end:
+        raise WireError("empty value")
+    kind = buffer[start]
+    start += 1
+    if kind == _BUCKET:
+        return decode_bucket(buffer[start:end])
+    if kind in _CONSTANTS and start == end:
+        return _CONSTANTS[kind]
+    if kind == _TEXT:
+        return buffer[start:end].decode()
+    if kind == _PICKLED:
+        # The pickled-value kind: one of the two documented exceptions
+        # (see encode_value); no bucket, key or row travels this way.
+        return pickle.loads(buffer[start:end])
+    raise WireError(f"malformed value of kind {kind}")
+
+
+def _key_body(buffer: bytes, start: int, end: int) -> tuple[str, None]:
+    return buffer[start:end].decode(), None
+
+
+def _value_body(buffer: bytes, start: int, end: int) -> tuple[str, Any]:
+    key, stop = split_key(buffer, start, end)
+    return key, _value_at(buffer, stop, end)
+
+
+def _row_body(buffer: bytes, start: int, end: int) -> tuple[str, bytes]:
+    key, stop = split_key(buffer, start, end)
+    return key, buffer[stop:end]
+
+
+def _error_body(buffer: bytes, start: int, end: int) -> tuple[str, str]:
+    name, stop = split_key(buffer, start, end)
+    return name, buffer[stop:end].decode()
+
+
+def _extension_body(buffer: bytes, start: int, end: int) -> Any:
+    # The extension kind, the other documented exception: the bodies of
+    # the dissemination plane's MCAST and PUSH frames.
+    return pickle.loads(buffer[start:end])
+
+
+#: Body decoder per opcode: ``(buffer, payload start, end) -> body``.
+_BODIES = {
+    **dict.fromkeys(_KEY_ONLY, _key_body),
+    Op.PUT: _value_body,
+    Op.REWRITE: _value_body,
+    Op.APPEND: _row_body,
+    Op.REPLY_OK: _value_at,
+    Op.REPLY_ERR: _error_body,
+    Op.MCAST: _extension_body,
+    Op.PUSH: _extension_body,
+}
+
+
+# ----------------------------------------------------------------------
+# Frames
+# ----------------------------------------------------------------------
+
+
+def encode_frame(op: Op, request_id: int, body: Any) -> bytes:
+    """Pack one message; *body* is what decoding gives back for *op*:
+    ``(key, value)`` for a request (an ``APPEND``'s value is its row
+    bytes), the result value for ``REPLY_OK``, ``(error name,
+    message)`` for ``REPLY_ERR`` and any picklable object for an
+    extension opcode."""
+    if op in _REQUESTS:
+        key, value = body
+        if op in _KEY_ONLY:
+            if value is not None:
+                raise WireError(f"a {Op(op).name} request carries no value")
+            return pack_frame(op, request_id, key.encode())
+        if op is _APPEND:  # the value is one codec row
+            return pack_frame(op, request_id, pack_key(key) + value)
+        return pack_frame(op, request_id, pack_key(key) + encode_value(value))
+    if op is _REPLY_OK:
+        return pack_frame(op, request_id, encode_value(body))
+    if op is _REPLY_ERR:
+        name, message = body
+        return pack_frame(op, request_id, pack_key(name) + message.encode())
+    # The extension kind: an MCAST or PUSH body (see _extension_body).
+    return pack_frame(
+        op, request_id, pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+
+
 def encode_request(
     op: Op, request_id: int, key: str, value: Any = None
 ) -> bytes:
-    """Frame one primitive request (``value`` only meaningful for put)."""
-    if op not in REQUEST_OPS:
+    """Frame one primitive request (``value`` only meaningful for put,
+    rewrite and append)."""
+    if op not in _REQUESTS:
         raise WireError(f"opcode {op!r} is not a request")
     return encode_frame(op, request_id, (key, value))
 
@@ -124,10 +307,10 @@ def encode_reply(request_id: int, result: Any) -> bytes:
 def encode_error(request_id: int, error: Exception) -> bytes:
     """Frame a failed reply.
 
-    The error's *class* travels by name with its message, never as a
-    pickled object: the receiving side rebuilds a known library error
-    (or a :class:`WireError` for anything unrecognised), so a peer can
-    never make a client unpickle arbitrary exception state.
+    The error's *class* travels by name with its message, never as an
+    object: the receiving side rebuilds a known library error (or a
+    :class:`WireError` for anything unrecognised), so a peer can never
+    make a client decode arbitrary exception state.
     """
     if len(error.args) == 1 and isinstance(error.args[0], str):
         # str() on a KeyError subclass repr-quotes its message; the
@@ -172,12 +355,13 @@ def decode_frame(data: bytes) -> Frame:
     return frame
 
 
-def frame_at(buffer, offset: int) -> tuple[Frame | None, int]:
-    """The frame whose header starts at *offset* of *buffer* (bytes, or
-    a memoryview over a stream) and the offset past it, or ``(None,
-    offset)`` while its payload is incomplete.  The whole header —
-    magic, version, declared length, opcode — is checked before any
-    payload byte is unpickled; a violation raises :class:`WireError`."""
+def split_frame(buffer: bytes, offset: int) -> tuple[Op, int, int, int] | None:
+    """``(opcode, request id, payload start, payload end)`` of the frame
+    whose header starts at *offset* of *buffer*, or ``None`` while its
+    payload is incomplete.  The
+    whole header — magic, version, declared length, opcode — is checked
+    before any payload byte is read; a violation raises
+    :class:`WireError`."""
     magic, version, op, request_id, length = HEADER.unpack_from(buffer, offset)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {bytes(magic)!r}")
@@ -194,12 +378,25 @@ def frame_at(buffer, offset: int) -> tuple[Frame | None, int]:
     opcode = _OPS.get(op)
     if opcode is None:
         raise WireError(f"unknown opcode {op}")
-    end = offset + HEADER.size + length
+    start = offset + HEADER.size
+    end = start + length
     if len(buffer) < end:
+        return None
+    return opcode, request_id, start, end
+
+
+def frame_at(buffer: bytes, offset: int) -> tuple[Frame | None, int]:
+    """The frame whose header starts at *offset* of *buffer* and the
+    offset past it, or ``(None, offset)`` while its payload is
+    incomplete: :func:`split_frame`, then the opcode's body decoder.  A
+    malformed body raises :class:`WireError`."""
+    cut = split_frame(buffer, offset)
+    if cut is None:
         return None, offset
+    opcode, request_id, start, end = cut
     try:
-        body = pickle.loads(buffer[end - length : end])
-    except Exception as exc:  # pickle raises many concrete types
+        body = _BODIES[opcode](buffer, start, end)
+    except Exception as exc:  # a body decoder raises many concrete types
         raise WireError(f"undecodable frame payload: {exc}") from exc
     return _new_frame((opcode, request_id, body)), end
 
@@ -220,9 +417,9 @@ class FrameDecoder:
         """Absorb *data*, returning every frame completed by it."""
         data = self._buffer + data
         frames: list[Frame] = []
-        view, offset = memoryview(data), 0
-        while len(view) - offset >= HEADER.size:
-            frame, offset = frame_at(view, offset)
+        offset = 0
+        while len(data) - offset >= HEADER.size:
+            frame, offset = frame_at(data, offset)
             if frame is None:
                 break
             frames.append(frame)
@@ -244,16 +441,13 @@ def frame_wire_sizes(
     simulated and a TCP run.  A value with data-plane bytes is all data
     (the wire model's contract), so only a control payload is priced a
     second time, and that price does not look at its contents.  An
-    ``APPEND`` body is one record's codec bytes: its coordinates, plus
-    its pickled value when it has one.  A ``None`` value costs nothing.
+    ``APPEND`` value is one record's codec row, priced as its bytes.  A
+    ``None`` value costs nothing.
     """
     if value is None:
         return HEADER.size + len(key.encode()), 0
     if op is _APPEND:
-        point, payload = value
-        data = 8 * len(point)
-        if payload is not None:
-            data += len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        data = len(value)
         return HEADER.size + len(key.encode()) + data, data
     data = data_wire_size(value)
     payload = data if data else estimate_wire_size(value)

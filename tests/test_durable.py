@@ -9,13 +9,14 @@ from repro.common.config import IndexConfig
 from repro.common.errors import (
     CorruptValueError,
     InvalidLabelError,
+    JournalVersionError,
     ReproError,
     UnknownDurabilityError,
 )
 from repro.common.rng import derive_seed, make_rng
 from repro.core.bucket import LeafBucket
 from repro.core.bulkload import bulk_load
-from repro.core.codec import encode_bucket
+from repro.core.codec import encode_bucket, encode_row
 from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
@@ -39,6 +40,7 @@ from repro.dht.retry import RetryingDht
 from repro.dht.storage import PeerStore
 from repro.obs.trace import Tracer
 from repro.runtime import RuntimeConfig, create_dht
+from repro.service import wire
 from repro.service.wire import FrameDecoder
 
 
@@ -111,20 +113,32 @@ class TestBackendRoundTrip:
 
 class TestAppendLog:
     def test_log_is_a_plain_wire_frame_stream(self, tmp_path):
-        """A durable log decodes with nothing beyond FrameDecoder —
-        fed one byte at a time, every record still comes out."""
-        backend = AppendLogBackend(tmp_path / "peer")
-        backend.record_put("a", b"alpha")
-        backend.record_put("b", b"b" * 200)
-        backend.record_remove("a")
-        backend.close()
-        data = backend.path.read_bytes()
+        """A durable log is the request frames its store applied: fed
+        one byte at a time, FrameDecoder gives back every put, append
+        and remove with the body the owner received — the bucket, a
+        string value, the codec row."""
+        store = PeerStore(backend=AppendLogBackend(tmp_path / "peer"))
+        leaf = LeafBucket("01", 1, [Record((0.5,))])
+        row = encode_row((0.25,), None)
+        store.put("a", leaf)
+        store.put("b", "b" * 200)
+        store.append("a", row)
+        store.remove("b")
+        path = store.backend.path
+        store.close_backend()
+        data = path.read_bytes()
         decoder = FrameDecoder()
         frames = []
         for offset in range(len(data)):
             frames.extend(decoder.feed(data[offset:offset + 1]))
-        assert [frame.body[0] for frame in frames] == ["a", "b", "a"]
-        assert frames[1].body[1] == b"b" * 200
+        assert [(frame.op, frame.body[0]) for frame in frames] == [
+            (wire.Op.PUT, "a"), (wire.Op.PUT, "b"),
+            (wire.Op.APPEND, "a"), (wire.Op.REMOVE, "b"),
+        ]
+        assert encode_bucket(frames[0].body[1]) == encode_bucket(leaf)
+        assert frames[1].body[1] == "b" * 200
+        assert frames[2].body[1] == row
+        assert frames[3].body[1] is None
 
     @pytest.mark.parametrize("cut", [1, 7, 20])
     def test_torn_tail_recovers_to_intact_prefix(self, tmp_path, cut):
@@ -165,6 +179,41 @@ class TestAppendLog:
         assert AppendLogBackend(tmp_path / "peer").replay() == {
             "a": [b"alpha", b"row-1", b"row-3"],
         }
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_a_log_in_another_wire_version_is_refused_untouched(
+        self, tmp_path, step
+    ):
+        """A version bump must not read an older journal as a torn tail
+        and rewrite it to nothing: replay raises, the file stays as it
+        was."""
+        backend = AppendLogBackend(tmp_path / "peer")
+        backend.record_put("a", b"alpha")
+        backend.record_remove("a")
+        backend.record_put("b", b"beta")
+        backend.close()
+        data = bytearray(backend.path.read_bytes())
+        data[4] = wire.VERSION + step
+        backend.path.write_bytes(bytes(data))
+        fresh = AppendLogBackend(tmp_path / "peer")
+        with pytest.raises(JournalVersionError, match="version"):
+            fresh.replay()
+        fresh.close()
+        assert backend.path.read_bytes() == bytes(data)
+
+    def test_a_mid_log_version_byte_is_corruption(self, tmp_path):
+        backend = AppendLogBackend(tmp_path / "peer")
+        backend.record_put("a", b"alpha")
+        first = backend.path.stat().st_size
+        backend.record_put("b", b"beta")
+        backend.close()
+        data = bytearray(backend.path.read_bytes())
+        data[first + 4] = wire.VERSION + 1
+        backend.path.write_bytes(bytes(data))
+        assert AppendLogBackend(tmp_path / "peer").replay() == {
+            "a": [b"alpha"]
+        }
+        assert backend.path.stat().st_size == first
 
     def test_corrupt_middle_byte_truncates_there(self, tmp_path):
         backend = AppendLogBackend(tmp_path / "peer")
@@ -287,11 +336,12 @@ class TestPeerStoreDurability:
     ):
         store = PeerStore(backend=AppendLogBackend(tmp_path / "peer"))
         store.put("leaf", LeafBucket("01", 1, [Record((0.5,), "a")]))
-        assert not store.append("ghost", (0.25,), None)  # absent: no row
-        assert store.append("leaf", (0.25,), None)
-        assert store.append("leaf", (0.75,), "c")
+        # An absent key takes no row; a point outside the cell is refused.
+        assert not store.append("ghost", encode_row((0.25,), None))
+        assert store.append("leaf", encode_row((0.25,), None))
+        assert store.append("leaf", encode_row((0.75,), "c"))
         with pytest.raises(InvalidLabelError):
-            store.append("leaf", (1.5,), None)  # outside the leaf's cell
+            store.append("leaf", encode_row((1.5,), None))
         live = store.get("leaf")
         store.close_backend()
         backend = AppendLogBackend(tmp_path / "peer")
@@ -308,7 +358,7 @@ class TestPeerStoreDurability:
         store = PeerStore(backend=AppendLogBackend(tmp_path / "peer"))
         store.put("leaf", LeafBucket("01", 1))
         for number in range(3):
-            store.append("leaf", (number / 4,), number)
+            store.append("leaf", encode_row((number / 4,), number))
         path = store.backend.path
         store.close_backend()
         with open(path, "ab") as handle:
@@ -324,7 +374,7 @@ class TestPeerStoreDurability:
         store.put("leaf", LeafBucket("01", 1))
         store.put("other", LeafBucket("01", 1, [Record((0.5,))]))
         for number in range(70):
-            store.append("leaf", (number / 70,), f"v{number}")
+            store.append("leaf", encode_row((number / 70,), f"v{number}"))
         assert backend._records < 72  # compaction folded rows mid-stream
         live = {key: encode_bucket(value) for key, value in store.items()}
         store.close_backend()

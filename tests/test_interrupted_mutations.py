@@ -3,10 +3,11 @@
 An index operation is a generator of facade steps, so abandoning one
 after any step is one ``close()`` away: the client crashed there.  A
 split or merge stopped between its writes must leave a tree that stays
-readable and that the next operation repairs.  Both tests below pin
+readable and that the next operation repairs.  The tests below pin
 windows where it does not yet (ROADMAP item 12); each operation is
 advanced by hand through ``Dht.perform`` on ``LocalDht(8)`` with a
-split threshold of 4.
+split threshold of 4, or, in the last one, cut short by dropped frames
+behind the retry wrapper.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ from repro.common.errors import IndexCorruptionError, NodeUnreachableError
 from repro.common.geometry import Region
 from repro.core.index import MLightIndex
 from repro.core.records import Record
+from repro.datasets.synthetic import uniform_points
 from repro.dht.api import PUT_MANY, REMOVE, REWRITE
+from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.localhash import LocalDht
+from repro.dht.retry import RetryingDht
 
 CONFIG = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
 POINTS = [(0.1 * n, 0.1 * n) for n in range(1, 6)]
@@ -105,3 +109,34 @@ def test_a_merge_whose_rewrite_peer_fails_keeps_the_space_covered(
     dht.restart(owner)
     result = index.range_query(Region((0.0, 0.0), (1.0, 1.0)))
     assert [record.key for record in result.records] == [POINTS[4]]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 12"
+)
+def test_a_retried_insert_is_stored_once():
+    """One frame in three is dropped under the retry wrapper, with
+    data-aware splits.  Today an insert can raise after its record write
+    landed (a later write of its split ran out of retries), so a client
+    that retries the raised insert stores the record twice: 13 records
+    for 12 inserts in this seeded world."""
+    config = IndexConfig(
+        dims=2, split_threshold=4, merge_threshold=2,
+        strategy="data-aware", expected_load=2,
+    )
+    faulty = FaultyDht(LocalDht(8), FaultPlan(0, drop_rate=0.3))
+    with faulty.suspended():
+        index = MLightIndex(RetryingDht(faulty), config)
+    points = uniform_points(12, seed=0)
+    for point in points:
+        for _ in range(50):
+            try:
+                index.insert(point)
+                break
+            except NodeUnreachableError:
+                continue  # the client retries a raised insert
+        else:
+            pytest.fail(f"insert of {point} never went through")
+    with faulty.suspended():
+        index.check_invariants()
+        assert index.total_records() == len(points)

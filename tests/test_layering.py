@@ -577,11 +577,10 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once a fetched leaf matched from its
-#: codec bytes (``codec.match_encoded`` over the store's own filter,
-#: ``store.match_columns``, moved out of ``ColumnarStore._scan``) and
-#: hits were built by ``records.build_records``; 10 817 before.
-SRC_CODE_LINES = 10864
+#: ``make loc``'s ``src total`` once every index opcode got a typed frame
+#: body (``service/wire.py``'s body codec, ``codec.encode_row`` and the
+#: journal of request frames in place of pickled bodies); 10 864 before.
+SRC_CODE_LINES = 10984
 
 
 # ----------------------------------------------------------------------

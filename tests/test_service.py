@@ -51,6 +51,7 @@ from repro.service.wire import (
     Op,
     WireError,
     decode_frame,
+    decode_value,
     encode_error,
     encode_reply,
     encode_request,
@@ -212,11 +213,14 @@ class TestWireProtocol:
 
     def test_append_is_priced_as_one_record(self):
         point = (0.25, 0.5)
-        assert frame_wire_sizes(Op.APPEND, "leaf", (point, None)) == (
+        row = codec.encode_row(point, None)
+        assert frame_wire_sizes(Op.APPEND, "leaf", row) == (
             HEADER.size + len(b"leaf") + 16, 16
         )
         value = pickle.dumps("payload", protocol=pickle.HIGHEST_PROTOCOL)
-        assert frame_wire_sizes(Op.APPEND, "leaf", (point, "payload")) == (
+        row = codec.encode_row(point, "payload")
+        assert row == codec.encode_row(point, None) + value
+        assert frame_wire_sizes(Op.APPEND, "leaf", row) == (
             HEADER.size + len(b"leaf") + 16 + len(value), 16 + len(value)
         )
 
@@ -262,11 +266,11 @@ class TestKeyValuePeer:
 
         peer = KeyValuePeer("p-7")
         assert peer.serve("rewrite", "k", 1) is False
-        assert peer.serve("append", "k", ((0.5, 0.5), None)) is False
+        assert peer.serve("append", "k", codec.encode_row((0.5, 0.5), None)) is False
         assert "k" not in peer.store
         peer.serve("put", "k", LeafBucket("01", 1))
         assert peer.serve("rewrite", "k", LeafBucket("01", 1)) is True
-        assert peer.serve("append", "k", ((0.5,), "v")) is True
+        assert peer.serve("append", "k", codec.encode_row((0.5,), "v")) is True
         assert [(r.key, r.value) for r in peer.serve("get", "k").records] == [
             ((0.5,), "v")
         ]
@@ -615,6 +619,30 @@ def test_a_dropped_tcp_connection_refuses_later_requests():
         assert isinstance(outcome[0], NodeUnreachableError)
 
 
+@pytest.mark.parametrize("durability", [None, "log"])
+def test_a_garbled_reply_stream_fails_its_call_and_close_still_stops_all(
+    tmp_path, durability
+):
+    """A peer that answers bytes which are no frame ends its channel's
+    read loop: the pending call fails as unreachable, and ``close()``
+    still returns, with every peer stopped and every backend closed."""
+
+    async def garbled(peer, frame):
+        return b"XXXX" * 8
+
+    dht = ServiceDht(
+        4, transport="tcp", durability=durability, data_dir=tmp_path
+    )
+    dht.put("k", 1)
+    dht.install_handler(Op.MCAST, garbled)
+    with pytest.raises(NodeUnreachableError):
+        dht.call(Op.MCAST, "k", body="x")
+    peers = list(dht._peers.values())
+    dht.close()
+    assert [peer.live for peer in peers] == [False] * 4
+    assert [peer.peer.store.backend for peer in peers] == [None] * 4
+
+
 @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
 class TestOneFrameWrites:
     """A rewrite is one frame the owner serves whole: no request can
@@ -785,8 +813,10 @@ class TestBucketBytePath:
             blob, *rows = journal.replay()[append_key]
         finally:
             journal.close()
-        assert [pickle.loads(row) for row in rows] == [(point, "payload")]
-        replayed = pickle.loads(blob).appended(*pickle.loads(rows[0]))
+        # The row the owner received, journalled as it came.
+        assert rows == [codec.encode_row(point, "payload")]
+        assert rows[0] in append_frame
+        replayed = decode_value(blob).appended(rows[0])
         assert codec.encode_bucket(replayed) == codec.encode_bucket(bucket)
 
     def test_oracle_reads_of_resident_buckets_stay_consistent(

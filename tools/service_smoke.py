@@ -8,10 +8,13 @@ a burst of four client threads, a handler that suspends and a
 whole-space ``MCAST`` query, checks every answer — keys and payloads —
 against a brute-force scan, and exits non-zero on a mismatch.  It also
 checks that an in-process lookup starts no asyncio Task, that the
-in-process runtime starts no thread of its own, and that an inserted
-record survives its owner's crash: journalled as one appended row,
-replayed by the restart, and answered with its payload by a range query
-that matches every replayed leaf from its bytes.
+in-process runtime starts no thread of its own, and that inserted
+records, with and without a payload, survive their owners' crash:
+journalled as one appended row each, replayed by the restart, and
+answered with their payloads by a whole-space range query that matches
+every replayed leaf from its bytes.  Over TCP it also sends a peer a
+frame of the old wire version with a pickled body, and checks that the
+peer hangs up without unpickling it.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
 """
@@ -19,7 +22,9 @@ Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import platform
+import socket
 import sys
 import tempfile
 import threading
@@ -33,7 +38,7 @@ from repro.core.naming import naming_function
 from repro.datasets.synthetic import uniform_points
 from repro.mcast import ServiceMulticast
 from repro.service.node import ServiceDht
-from repro.service.wire import Op, encode_reply
+from repro.service.wire import HEADER, MAGIC, Op, encode_reply
 
 CONFIG = IndexConfig(dims=2, split_threshold=8, merge_threshold=4)
 POINTS = uniform_points(400, seed=3)
@@ -91,6 +96,30 @@ def burst(index, expected) -> list:
     return seen
 
 
+#: What unpickling a :class:`Tripwire` appended.
+TRIPPED: list = []
+
+
+def trip() -> None:
+    TRIPPED.append(True)
+
+
+class Tripwire:
+    def __reduce__(self):
+        return (trip, ())
+
+
+def foreign_frame(dht, check) -> None:
+    """A version-1 ``GET`` frame with a pickled body: the peer must hang
+    up without a reply and without unpickling it."""
+    body = pickle.dumps(("k", Tripwire()), protocol=pickle.HIGHEST_PROTOCOL)
+    port = dht._member(dht.peers()[0]).server.sockets[0].getsockname()[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(HEADER.pack(MAGIC, 1, Op.GET, 1, len(body)) + body)
+        check("reply to a foreign frame", sock.recv(64), b"")
+    check("foreign frame unpickled", TRIPPED, [])
+
+
 async def suspending_echo(peer, frame):
     await asyncio.sleep(0)  # finishes as a Task on either transport
     return encode_reply(frame.request_id, (peer.name, frame.body))
@@ -115,6 +144,8 @@ def smoke(transport: str) -> list[str]:
     try:
         with ServiceDht(8, transport=transport) as dht:
             run_everything(dht, transport, check)
+            if transport == "tcp":
+                foreign_frame(dht, check)
     finally:
         threading.Thread.start = start
     runtime_threads = [name for name in started if name != "burst"]
@@ -129,28 +160,34 @@ def smoke(transport: str) -> list[str]:
 
 
 def durable_append(dht, check) -> None:
-    """Insert a record, crash the owner of its leaf, restart it from
-    its log, look the record up and range-query everything."""
+    """Insert a record without a payload and one with, crash the owners
+    of their leaves, restart them from their logs, look the records up
+    and range-query everything."""
     bulk_load(dht, RECORDS[:100], CONFIG)
     index = MLightIndex(dht, CONFIG)
-    point, value = RECORDS[150]
+    inserted = RECORDS[150:152]  # payloads None and "v151"
     sent = dht.network.stats.per_type
     appends = sent.get("append", 0)
-    leaf = index.insert(point, value).bucket
-    check("insert frames", sent.get("append", 0) - appends, 1)
-    owner = dht.peer_of(bucket_key(naming_function(leaf.label, CONFIG.dims)))
-    dht.fail(owner)
-    dht.restart(owner)
-    found = index.lookup(point).bucket
-    check(
-        "record after restart",
-        [r.value for r in found.records if r.key == point], [value],
-    )
-    check("records after restart", index.total_records(), 101)
+    owners = set()
+    for point, value in inserted:
+        leaf = index.insert(point, value).bucket
+        name = naming_function(leaf.label, CONFIG.dims)
+        owners.add(dht.peer_of(bucket_key(name)))
+    check("insert frames", sent.get("append", 0) - appends, len(inserted))
+    for owner in sorted(owners):
+        dht.fail(owner)
+        dht.restart(owner)
+    for point, value in inserted:
+        found = index.lookup(point).bucket
+        check(
+            "record after restart",
+            [r.value for r in found.records if r.key == point], [value],
+        )
+    check("records after restart", index.total_records(), 102)
     everything = Region((0.0, 0.0), (1.0, 1.0))
     check(
         "range after restart", pairs(index.range_query(everything)),
-        inside(RECORDS[:100] + [RECORDS[150]], everything),
+        inside(RECORDS[:100] + inserted, everything),
     )
 
 
