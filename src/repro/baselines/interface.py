@@ -17,7 +17,7 @@ from typing import Any
 from repro.common.geometry import Point, Region
 from repro.core.records import Record
 from repro.core.results import RangeQueryResult
-from repro.core.store import DEFAULT_STORE, RecordStore, create_store
+from repro.core.store import DEFAULT_STORE, ColumnarStore, create_store
 from repro.dht.api import Dht
 
 
@@ -29,7 +29,7 @@ class TrieNode:
 
     #: Lazily built record store behind the filter; rebuilt whenever
     #: the generation counter says the records changed.
-    _store: RecordStore | None = field(
+    _store: ColumnarStore | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _generation: int = field(default=0, init=False, repr=False, compare=False)

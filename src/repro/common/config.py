@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.common.errors import ReproError
+from repro.common.errors import (
+    ReproError,
+    UnknownRuntimeError,
+    UnknownStoreError,
+    unknown_kind,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,24 +49,20 @@ class IndexConfig:
             ``"sim"`` (the single-threaded simulated substrates, the
             reference semantics), ``"asyncio"`` (every peer served on
             one asyncio loop behind the framed wire protocol) or
-            ``"tcp"`` (the same peers behind real loopback sockets),
-            or any kind added with
-            :func:`repro.runtime.register_runtime`.  Query answers and
-            index-level cost meters are identical across runtimes; only
-            clocks differ (simulated rounds vs wall-clock spans).
-        store: which record-store backend leaf buckets keep their
-            records in — a kind registered with
-            :func:`repro.core.store.register_store`: ``"columnar"``
+            ``"tcp"`` (the same peers behind real loopback sockets).
+            Query answers and index-level cost meters are identical
+            across runtimes; only clocks differ (simulated rounds vs
+            wall-clock spans).
+        store: which record-store kind leaf buckets keep their
+            records in (``repro.core.store.STORES``): ``"columnar"``
             (sorted struct-of-arrays snapshots, the default) or
             ``"numpy"`` (per-dimension ``float64`` ndarrays with
             vectorized mask-reduction matching; falls back to columnar
             with a warning when numpy is not installed).  Query answers
             are bit-identical across backends; only the constant
             factors differ.
-        durability: durable per-peer storage for the DHT substrate — a
-            backend kind registered with
-            :func:`repro.dht.durable.register_store_backend`:
-            ``"log"`` is the one that ships (checksummed append-only
+        durability: durable per-peer storage for the DHT substrate:
+            ``"log"``, the one durable backend (checksummed append-only
             log framed with the service wire codec, compacted in
             place).  ``None`` (the default) keeps peer stores purely
             in-memory, bit-identical to a build without the durability
@@ -123,15 +124,17 @@ class IndexConfig:
                 "cache_capacity must be >= 0 (0 disables the cache), "
                 f"got {self.cache_capacity}"
             )
-        # Kinds are validated against the live registries, not frozen
-        # tuples, so one added with ``register_*`` is configurable at
-        # once.  Imported lazily (here and for ``adaptive``):
-        # repro.common stays importable below every other package.
+        # Kinds are validated against the tables that build them,
+        # imported lazily (here and for ``adaptive``): repro.common
+        # stays importable below every other package.
         from repro.core.store import STORES
-        from repro.dht.durable import BACKENDS
+        from repro.dht.durable import check_durability
         from repro.runtime import RUNTIMES
 
-        RUNTIMES.lookup(self.runtime)
+        if self.runtime not in RUNTIMES:
+            raise unknown_kind(
+                UnknownRuntimeError, "runtime", self.runtime, RUNTIMES
+            )
         if self.adaptive is not None:
             from repro.adaptive.config import AdaptiveConfig
 
@@ -140,9 +143,11 @@ class IndexConfig:
                     "adaptive must be an AdaptiveConfig or None, got "
                     f"{self.adaptive!r}"
                 )
-        STORES.lookup(self.store, "store backend")
-        if self.durability is not None:
-            BACKENDS.lookup(self.durability, "durability")
+        if self.store not in STORES:
+            raise unknown_kind(
+                UnknownStoreError, "store backend", self.store, STORES
+            )
+        check_durability(self.durability)
 
     def __repr__(self) -> str:
         """Every field, in declaration order, derived from the

@@ -24,7 +24,7 @@ class InvalidRegionError(ReproError, ValueError):
 
 
 class UnknownRuntimeError(ReproError, ValueError):
-    """A runtime kind or overlay name is not in the runtime registry.
+    """A runtime kind or overlay name is not one the runtime builds.
 
     Raised by :func:`repro.runtime.create_dht` and by
     :class:`~repro.common.config.IndexConfig` validation of the
@@ -35,7 +35,7 @@ class UnknownRuntimeError(ReproError, ValueError):
 
 
 class UnknownStoreError(ReproError, ValueError):
-    """A record-store backend name is not in the store registry.
+    """A record-store name is not one of ``repro.core.store.STORES``.
 
     Raised by :func:`repro.core.store.create_store` and by
     :class:`~repro.common.config.IndexConfig` validation of the
@@ -46,14 +46,20 @@ class UnknownStoreError(ReproError, ValueError):
 
 
 class UnknownDurabilityError(ReproError, ValueError):
-    """A durable-backend name is not in the durability registry.
+    """A durability kind is not ``"log"``, the one durable backend.
 
-    Raised by :func:`repro.dht.durable.create_store_backend` and by
+    Raised by :func:`repro.dht.durable.check_durability`: from
+    :func:`~repro.dht.durable.open_peer_store`, the substrates and
     :class:`~repro.runtime.RuntimeConfig` /
     :class:`~repro.common.config.IndexConfig` validation of the
     ``durability=`` field.  Subclasses :class:`ValueError` for the
-    same reason as its sibling registry errors.
+    same reason as its sibling unknown-kind errors.
     """
+
+
+def unknown_kind(error: type, noun: str, kind: object, kinds) -> ReproError:
+    """*error* saying *kind* is not one of the *kinds* of *noun*."""
+    return error(f"unknown {noun} {kind!r}; expected one of {tuple(kinds)}")
 
 
 class CorruptValueError(ReproError, RuntimeError):

@@ -7,11 +7,10 @@ A leaf bucket stores two components (Section 3.3):
   node (an ancestor's sibling) is a modified prefix with the final bit
   inverted.  No adjacency lists are materialised or maintained;
 * the **record store** — the data records whose keys fall in the
-  leaf's cell, held by a pluggable
-  :class:`~repro.core.store.RecordStore` backend (``"columnar"`` or
-  ``"numpy"``, selected per index via ``IndexConfig(store=...)``).  The
-  bucket delegates mutation and querying; backends answer
-  bit-identically, in insertion order.
+  leaf's cell, held by a :class:`~repro.core.store.ColumnarStore` of
+  kind ``"columnar"`` or ``"numpy"`` (selected per index via
+  ``IndexConfig(store=...)``).  The bucket delegates mutation and
+  querying; both kinds answer bit-identically, in insertion order.
 
 Buckets are the unit of DHT storage: the bucket of leaf λ lives at DHT
 key ``fmd(λ)``.  On the wire a bucket travels as its struct-packed
@@ -56,7 +55,7 @@ from repro.common.geometry import Region, region_of_label
 from repro.common.labels import check_label
 from repro.core import codec
 from repro.core.records import Record
-from repro.core.store import DEFAULT_STORE, RecordStore, Rows, create_store
+from repro.core.store import DEFAULT_STORE, ColumnarStore, Rows, create_store
 
 
 #: Serialises the one-time store build of decoded buckets: a bucket
@@ -95,7 +94,7 @@ class LeafBucket:
         label: str,
         dims: int,
         records=None,
-        store: str | RecordStore | None = None,
+        store: str | ColumnarStore | None = None,
     ) -> None:
         check_label(label, dims)
         self.label = label
@@ -106,9 +105,9 @@ class LeafBucket:
         self._encoded_count = 0
         self._header = None
         self._byte_matched = False
-        if isinstance(records, RecordStore):
+        if isinstance(records, ColumnarStore):
             self._store = records
-        elif isinstance(store, RecordStore):
+        elif isinstance(store, ColumnarStore):
             if records:
                 raise ValueError(
                     "pass records through the store, not alongside it"
@@ -153,7 +152,7 @@ class LeafBucket:
     # ------------------------------------------------------------------
 
     @property
-    def store(self) -> RecordStore:
+    def store(self) -> ColumnarStore:
         """The pluggable record-store backend holding this leaf's data
         (built from the codec bytes on first use, for a decoded
         bucket)."""
@@ -162,7 +161,7 @@ class LeafBucket:
             store = self._build_store()
         return store
 
-    def _build_store(self) -> RecordStore:
+    def _build_store(self) -> ColumnarStore:
         with _BUILD_LOCK:
             store = self._store
             if store is None:

@@ -176,7 +176,7 @@ def decode_store(data: bytes, sort_dim: int, header: tuple | None = None):
     """The record store an encoded bucket holds — the deferred half of
     :func:`decode_bucket`, which hands over its *header* parse (parsed
     here when there is none).  Rebuilds the same store kind (degrading per
-    the registry, e.g. numpy -> columnar when numpy is unavailable) in
+    ``STORES``, e.g. numpy -> columnar when numpy is unavailable) in
     its column form: one ``frombytes`` per column, copied out of *data*
     (never a view of it), and no :class:`~repro.core.records.Record`
     per row — the store builds those for query hits, or all of them
@@ -204,7 +204,7 @@ def match_encoded(
     the store.  The columns are read where they lie (one ``memoryview``
     cast; copied out only on a big-endian host), the store's own filter
     (:func:`~repro.core.store.match_columns`) runs over them and builds
-    a Record per hit.  No registry lookup, no column copy, no numpy
+    a Record per hit.  No ``STORES`` lookup, no column copy, no numpy
     call, whatever the store kind: the kind only matters to a built
     store.  The values blob is unpickled whenever the flags say there is
     one, so a garbled blob raises :class:`CodecError` here, at first

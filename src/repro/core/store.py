@@ -1,25 +1,24 @@
-"""The record-store plane: pluggable bucket interiors.
+"""The record-store plane: bucket interiors.
 
 A :class:`~repro.core.bucket.LeafBucket` is the DHT's storage unit, but
 *how* a bucket holds its records is a representation choice, not an
 index-semantics choice.  This module makes that choice explicit:
 
-* :class:`RecordStore` is the contract every backend satisfies —
-  ``add`` / ``remove`` / ``count`` / ``matching`` / ``records`` /
-  ``to_rows`` / ``from_rows`` — with a **generation counter** bumped on
-  every successful mutation, so owners (and the stores' own lazily
-  built query structures) invalidate derived state exactly when the
-  contents changed, never by comparing record counts;
+* :class:`ColumnarStore` is the one store body — ``add`` / ``remove``
+  / ``count`` / ``matching`` / ``records`` / ``to_rows`` /
+  ``from_rows`` — with a **generation counter** bumped on every
+  successful mutation, so owners (and the store's own lazily built
+  query structures) invalidate derived state exactly when the contents
+  changed, never by comparing record counts;
 * :class:`Rows` is the column form of a record batch: per-dimension
   coordinate columns plus an optional values list — what the codec
   packs, what splitting and the bulk loader partition;
-* ``STORES`` is the open :class:`~repro.common.registry.Registry` of
-  backends (:func:`register_store` / :func:`store_backends` /
-  :func:`create_store`).  Two ship built in, one body with two column
-  types and matching kernels: ``"columnar"`` (:class:`ColumnarStore`,
-  the default, ``array('d')`` columns) and ``"numpy"`` (``float64``
-  ndarrays, :mod:`repro.core.npstore`; falls back to ``"columnar"``
-  with a warning when numpy is not installed).
+* ``STORES`` is the closed table of the two kinds, one body with two
+  column types and matching kernels, that :func:`create_store` builds:
+  ``"columnar"`` (:class:`ColumnarStore`, the default, ``array('d')``
+  columns) and ``"numpy"`` (``float64`` ndarrays,
+  :class:`~repro.core.npstore.NumpyStore`; falls back to
+  ``"columnar"`` with a warning when numpy is not installed).
 
 A store holds its contents in one of two forms.  Built from
 :class:`Rows` (a split or bulk-loaded leaf, a decoded bucket once it is
@@ -33,7 +32,7 @@ fetched leaf's codec bytes without any store) and builds a
 second query at one generation) — it is a record list with a lazily
 rebuilt snapshot.
 
-Every backend returns **bit-identical, insertion-ordered** answers;
+Both kinds return **bit-identical, insertion-ordered** answers;
 ``tests/test_hotpath_equivalence.py`` sweeps them against the naive
 scan (``LeafBucket.matching_naive``) in 1–4 dimensions.
 """
@@ -42,23 +41,18 @@ from __future__ import annotations
 
 import pickle
 import threading
-from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import partial
 
-from repro.common.errors import UnknownStoreError
-from repro.common.registry import Registry
+from repro.common.errors import UnknownStoreError, unknown_kind
 from repro.core.records import Record, build_records
 
 __all__ = [
     "Rows",
-    "RecordStore",
     "ColumnarStore",
     "STORES",
-    "register_store",
-    "store_backends",
     "create_store",
     "DEFAULT_STORE",
 ]
@@ -173,92 +167,13 @@ class Rows:
         return Rows(self.dims, columns, values)
 
 
-class RecordStore(ABC):
-    """One bucket interior: records plus a query structure over them.
+class ColumnarStore:
+    """One bucket interior: insertion-order columns, or a record list
+    plus a sorted snapshot.
 
-    Subclasses set :attr:`kind` (the registry name) and must bump
-    :attr:`generation` on every successful mutation — it is the *only*
+    Every successful mutation bumps :attr:`generation` — the *only*
     staleness signal owners may rely on.  ``matching`` answers a closed
     box query in insertion order, bit-identical to the naive scan.
-    """
-
-    kind: str = "abstract"
-
-    __slots__ = ("dims", "sort_dim", "generation", "_blob_memo")
-
-    def __init__(self, dims: int, sort_dim: int) -> None:
-        self.dims = dims
-        self.sort_dim = sort_dim
-        self.generation = 0
-        #: ``(generation, values blob)`` — see :meth:`values_blob`.
-        self._blob_memo: tuple[int, bytes] = (-1, b"")
-
-    @property
-    @abstractmethod
-    def count(self) -> int:
-        """Number of records stored."""
-
-    @abstractmethod
-    def add(self, record: Record) -> None:
-        """Append *record* (bumps :attr:`generation`)."""
-
-    @abstractmethod
-    def remove(self, record: Record) -> bool:
-        """Remove one occurrence; True when found (bumps generation)."""
-
-    @abstractmethod
-    def matching(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> list[Record]:
-        """Records inside the closed box, in insertion order."""
-
-    @abstractmethod
-    def records(self) -> list[Record]:
-        """The stored records, insertion order; owned by the store, so
-        read-only (mutate through :meth:`add`/:meth:`remove`)."""
-
-    @abstractmethod
-    def to_rows(self) -> Rows:
-        """Column-major contents (insertion order) for the codec; may be
-        the store's own columns, so read-only like :meth:`records`."""
-
-    def rows_or_records(self) -> "Rows | list[Record]":
-        """The contents in whichever form the store already holds, for
-        split planning (:mod:`repro.core.split` partitions either)."""
-        return self.records()
-
-    def payload_values(self) -> Sequence | None:
-        """Aligned record payloads, or ``None`` when every payload is
-        None (the codec's compact all-None encoding)."""
-        return self.to_rows().values
-
-    def values_blob(self) -> bytes:
-        """The codec's values section: the pickled payload tuple, or
-        ``b""`` when every payload is None.  Pickled once per
-        generation, however often the bucket is sized or encoded."""
-        generation = self.generation
-        tagged, blob = self._blob_memo
-        if tagged != generation:
-            values = self.payload_values()
-            blob = (
-                b""
-                if values is None
-                else pickle.dumps(
-                    tuple(values), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            )
-            self._blob_memo = (generation, blob)
-        return blob
-
-    @classmethod
-    @abstractmethod
-    def from_rows(cls, rows: Rows, sort_dim: int) -> "RecordStore":
-        """Build a store from interchange rows without going through
-        per-record ``add`` calls."""
-
-
-class ColumnarStore(RecordStore):
-    """Insertion-order columns, or a record list plus a sorted snapshot.
 
     A column-form store answers the first query after a mutation with
     one pass over its columns, building Records for the hits only (a
@@ -273,9 +188,14 @@ class ColumnarStore(RecordStore):
     (:meth:`_scan`, :meth:`_rebuild`, :meth:`_select`).
     """
 
+    #: The ``STORES`` kind; the codec writes it into a bucket's header.
     kind = "columnar"
 
     __slots__ = (
+        "dims",
+        "sort_dim",
+        "generation",
+        "_blob_memo",
         "_records",
         "_rows",
         "_order",
@@ -287,7 +207,11 @@ class ColumnarStore(RecordStore):
     def __init__(
         self, dims: int, sort_dim: int, records: Sequence[Record] = ()
     ) -> None:
-        super().__init__(dims, sort_dim)
+        self.dims = dims
+        self.sort_dim = sort_dim
+        self.generation = 0
+        #: ``(generation, values blob)`` — see :meth:`values_blob`.
+        self._blob_memo: tuple[int, bytes] = (-1, b"")
         #: Exactly one of the two is the contents: the record list, or
         #: the columns (``None`` once the store turned into records).
         self._records: list[Record] | None = list(records)
@@ -333,10 +257,12 @@ class ColumnarStore(RecordStore):
 
     @property
     def count(self) -> int:
+        """Number of records stored."""
         rows = self._rows
         return len(self._records) if rows is None else len(rows)
 
     def add(self, record: Record) -> None:
+        """Append *record* (bumps :attr:`generation`)."""
         if self._rows is None:
             self._records.append(record)
         else:
@@ -354,6 +280,7 @@ class ColumnarStore(RecordStore):
         self.generation += 1
 
     def remove(self, record: Record) -> bool:
+        """Remove one occurrence; True when found (bumps generation)."""
         records = self.records()
         try:
             records.remove(record)
@@ -363,6 +290,8 @@ class ColumnarStore(RecordStore):
         return True
 
     def records(self) -> list[Record]:
+        """The stored records, insertion order; owned by the store, so
+        read-only (mutate through :meth:`add`/:meth:`remove`)."""
         if self._rows is not None:
             with _COLUMNS_LOCK:
                 rows = self._rows
@@ -377,6 +306,8 @@ class ColumnarStore(RecordStore):
         return self._records
 
     def to_rows(self) -> Rows:
+        """Column-major contents (insertion order) for the codec; may be
+        the store's own columns, so read-only like :meth:`records`."""
         rows = self._rows
         if rows is not None:
             return rows
@@ -388,18 +319,41 @@ class ColumnarStore(RecordStore):
         )
 
     def rows_or_records(self) -> "Rows | list[Record]":
+        """The contents in whichever form the store already holds, for
+        split planning (:mod:`repro.core.split` partitions either)."""
         rows = self._rows
         return self._records if rows is None else rows
 
     def payload_values(self) -> Sequence | None:
+        """Aligned record payloads, or ``None`` when every payload is
+        None (the codec's compact all-None encoding)."""
         rows = self._rows
         return _payloads(self._records) if rows is None else rows.values
+
+    def values_blob(self) -> bytes:
+        """The codec's values section: the pickled payload tuple, or
+        ``b""`` when every payload is None.  Pickled once per
+        generation, however often the bucket is sized or encoded."""
+        generation = self.generation
+        tagged, blob = self._blob_memo
+        if tagged != generation:
+            values = self.payload_values()
+            blob = (
+                b""
+                if values is None
+                else pickle.dumps(
+                    tuple(values), protocol=pickle.HIGHEST_PROTOCOL
+                )
+            )
+            self._blob_memo = (generation, blob)
+        return blob
 
     # -- queries ---------------------------------------------------------
 
     def matching(
         self, lows: Sequence[float], highs: Sequence[float]
     ) -> list[Record]:
+        """Records inside the closed box, in insertion order."""
         generation = self.generation
         if self._built_generation != generation:
             rows = self._rows
@@ -453,11 +407,11 @@ class ColumnarStore(RecordStore):
 
 
 # ----------------------------------------------------------------------
-# The open backend registry
+# The closed kind table
 # ----------------------------------------------------------------------
 
 
-def _build(cls, dims: int, sort_dim: int, source=None) -> RecordStore:
+def _build(cls, dims: int, sort_dim: int, source=None) -> ColumnarStore:
     if source is None:
         return cls(dims, sort_dim)
     if isinstance(source, Rows):
@@ -470,7 +424,7 @@ def _build(cls, dims: int, sort_dim: int, source=None) -> RecordStore:
 _npstore = None
 
 
-def _numpy_factory(dims: int, sort_dim: int, source=None) -> RecordStore:
+def _numpy_factory(dims: int, sort_dim: int, source=None) -> ColumnarStore:
     """The ``"numpy"`` backend, degrading to columnar without numpy."""
     global _npstore
     npstore = _npstore
@@ -484,23 +438,17 @@ def _numpy_factory(dims: int, sort_dim: int, source=None) -> RecordStore:
     return _build(ColumnarStore, dims, sort_dim, source)
 
 
-#: kind -> factory(dims, sort_dim, source) -> RecordStore, where
+#: kind -> factory(dims, sort_dim, source) -> ColumnarStore, where
 #: *source* is ``None`` (empty store), a sequence of :class:`Record`,
 #: or a :class:`Rows` batch.
-STORES = Registry(
-    "store",
-    UnknownStoreError,
-    {"columnar": partial(_build, ColumnarStore), "numpy": _numpy_factory},
-)
-register_store = STORES.register
-store_backends = STORES.kinds
+STORES = {"columnar": partial(_build, ColumnarStore), "numpy": _numpy_factory}
 
 
 def create_store(
     kind: str, dims: int, sort_dim: int, source=None
-) -> RecordStore:
-    """Instantiate backend *kind* over *source* records or rows."""
-    factory = STORES.table.get(kind)
+) -> ColumnarStore:
+    """Instantiate store *kind* over *source* records or rows."""
+    factory = STORES.get(kind)
     if factory is None:
-        factory = STORES.lookup(kind, "record store")  # raises, typed
+        raise unknown_kind(UnknownStoreError, "record store", kind, STORES)
     return factory(dims, sort_dim, source)

@@ -1,11 +1,11 @@
-"""Per-peer durable storage backends and their registry.
+"""Per-peer durable storage: the append-only journal.
 
 Every DHT substrate keeps each peer's objects in a
 :class:`~repro.dht.storage.PeerStore`; this module supplies the
 *durability plane* behind that seam: a backend journals every mutation
 to disk so a crashed peer can be restarted
 (:meth:`repro.dht.api.Dht.restart`) with its pre-crash store replayed
-instead of empty.  One backend ships, ``"log"``
+instead of empty.  There is one backend, ``"log"``
 (:class:`AppendLogBackend`): an append-only log of ``put``/``append``/
 ``remove`` records, each the service wire's request frame
 (:mod:`repro.service.wire`) with a CRC32 of its body, compacted in
@@ -13,10 +13,9 @@ place once dead records dominate.  Torn tails (a crash mid-append) are
 detected by the framing/checksum and replay stops cleanly at the last
 intact record; a log written in another wire version is refused whole.
 
-Backends register through :func:`register_store_backend` (the
-``BACKENDS`` :class:`~repro.common.registry.Registry`); selection
-happens via ``RuntimeConfig(durability=...)`` /
-``IndexConfig(durability=...)``.
+It is selected by ``RuntimeConfig(durability="log")`` /
+``IndexConfig(durability="log")``; :func:`check_durability` refuses
+any other kind, and a ``data_dir`` given without one.
 
 The crash model is process-level: a simulated ``fail`` drops all
 in-memory state but the backend's files survive, exactly what a real
@@ -29,7 +28,6 @@ from __future__ import annotations
 import os
 import tempfile
 import zlib
-from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -37,16 +35,13 @@ from repro.common.errors import (
     JournalVersionError,
     ReproError,
     UnknownDurabilityError,
+    unknown_kind,
 )
-from repro.common.registry import Registry
 from repro.dht.storage import PeerStore
 
 __all__ = [
-    "DurableBackend",
     "AppendLogBackend",
-    "register_store_backend",
-    "store_backend_kinds",
-    "create_store_backend",
+    "check_durability",
     "open_peer_store",
     "peer_data_dir",
     "resolve_data_dir",
@@ -87,58 +82,7 @@ def _record(op: int, key: str, blob: bytes | None) -> bytes:
     return wire.pack_frame(op, zlib.crc32(body, op), body)
 
 
-class DurableBackend(ABC):
-    """What a :class:`~repro.dht.storage.PeerStore` journals into.
-
-    One backend instance belongs to exactly one peer (one file path);
-    parallel peers — and parallel pytest workers — must never share
-    one, which :func:`resolve_data_dir` guarantees by minting a fresh
-    temporary directory per substrate when the caller does not pin one.
-    """
-
-    #: Registry name, set per subclass.
-    kind: str = ""
-
-    @abstractmethod
-    def record_put(self, key: str, blob: bytes, *, append: bool = False) -> None:
-        """Journal one write of *key*: its whole new value, or with
-        *append* one row added to the value it holds."""
-
-    @abstractmethod
-    def record_remove(self, key: str) -> None:
-        """Journal one deleted key."""
-
-    @abstractmethod
-    def replay(self) -> dict[str, list[bytes]]:
-        """Reconstruct the surviving state from disk: per key, its last
-        full blob followed by the rows appended since, in order.
-
-        Replay is forgiving at the tail — a torn final record (crash
-        mid-write) is discarded, everything intact before it is kept —
-        and must leave the backend ready to journal again.  State it
-        cannot read at all (another format version) raises instead, and
-        stays on disk as it was.
-        """
-
-    @abstractmethod
-    def compact(self, items: Iterable[tuple[str, bytes]]) -> None:
-        """Rewrite durable state to exactly *items*, one full blob per
-        key (drop dead records, fold appended rows)."""
-
-    def should_compact(self, live_keys: int) -> bool:
-        """Whether journal debt warrants a :meth:`compact` pass now."""
-        return False
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release file handles; durable state stays on disk."""
-
-    @abstractmethod
-    def wipe(self) -> None:
-        """Close and delete all durable state (graceful departure)."""
-
-
-class AppendLogBackend(DurableBackend):
+class AppendLogBackend:
     """Append-only log of the request frames a peer's store applied.
 
     Record = one :mod:`repro.service.wire` frame: opcode PUT, APPEND or
@@ -149,9 +93,12 @@ class AppendLogBackend(DurableBackend):
     that body, seeded with the opcode.  Nothing is pickled around a record,
     and replay hands every blob back as the bytes it was given, cutting
     frames one at a time with :func:`repro.service.wire.split_frame`.
-    """
 
-    kind = "log"
+    One backend belongs to exactly one peer (one file path); parallel
+    peers — and parallel pytest workers — never share one, which
+    :func:`resolve_data_dir` guarantees by minting a fresh temporary
+    directory per substrate when the caller does not pin one.
+    """
 
     def __init__(self, path: str | os.PathLike, *, sync: bool = False) -> None:
         self.path = Path(str(path) + ".log")
@@ -172,12 +119,24 @@ class AppendLogBackend(DurableBackend):
         self._records += 1
 
     def record_put(self, key: str, blob: bytes, *, append: bool = False) -> None:
+        """Journal one write of *key*: its whole new value, or with
+        *append* one row added to the value it holds."""
         self._log(_OP_APPEND if append else _OP_PUT, key, blob)
 
     def record_remove(self, key: str) -> None:
+        """Journal one deleted key."""
         self._log(_OP_REMOVE, key, None)
 
     def replay(self) -> dict[str, list[bytes]]:
+        """Reconstruct the surviving state from disk: per key, its last
+        full blob followed by the rows appended since, in order.
+
+        Replay is forgiving at the tail — a torn final record (crash
+        mid-write) is discarded, everything intact before it is kept —
+        and leaves the backend ready to journal again.  A log in
+        another wire version raises instead, and stays on disk as it
+        was.
+        """
         # Frames are cut one at a time (header first, then exactly the
         # declared payload), never in bulk: a mangled or half-written
         # record must not take the intact frames before it down with
@@ -234,9 +193,12 @@ class AppendLogBackend(DurableBackend):
         return state
 
     def should_compact(self, live_keys: int) -> bool:
+        """Whether journal debt warrants a :meth:`compact` pass now."""
         return self._records > max(_COMPACT_MIN, _COMPACT_FACTOR * live_keys)
 
     def compact(self, items: Iterable[tuple[str, bytes]]) -> None:
+        """Rewrite the log to exactly *items*, one full blob per key
+        (dead records dropped, appended rows folded)."""
         self._write_log((_OP_PUT, key, blob) for key, blob in items)
 
     def _write_log(self, records: Iterable[tuple[int, str, bytes]]) -> None:
@@ -259,34 +221,34 @@ class AppendLogBackend(DurableBackend):
             self._file = open(self.path, "ab")
 
     def close(self) -> None:
+        """Release the file handle; the log stays on disk."""
         if not self._file.closed:
             self._file.close()
 
     def wipe(self) -> None:
+        """Close and delete the log (graceful departure)."""
         self.close()
         self.path.unlink(missing_ok=True)
 
 
-# ---------------------------------------------------------------------------
-# The open backend registry
-# ---------------------------------------------------------------------------
-
-#: kind -> factory(path, **options) -> DurableBackend, where *path* is
-#: a per-peer base path without extension.
-BACKENDS = Registry(
-    "durable backend",
-    UnknownDurabilityError,
-    {"log": AppendLogBackend},
-)
-store_backend_kinds = BACKENDS.kinds
-register_store_backend = BACKENDS.register
-
-
-def create_store_backend(
-    kind: str, path: str | os.PathLike, **options
-) -> DurableBackend:
-    """Build the durable backend *kind* rooted at *path*."""
-    return BACKENDS.lookup(kind)(path, **options)
+def check_durability(
+    durability: str | None,
+    data_dir: str | os.PathLike | None = None,
+    noun: str = "durability",
+) -> None:
+    """Refuse a *durability* other than ``None`` and ``"log"``, naming
+    it an unknown *noun*, and a *data_dir* without a *durability*:
+    nothing would be written there."""
+    if durability is None:
+        if data_dir is not None:
+            raise ReproError(
+                "data_dir has no effect without durability; pass "
+                "durability='log' alongside it"
+            )
+    elif durability != "log":
+        raise unknown_kind(
+            UnknownDurabilityError, noun, durability, ("log",)
+        )
 
 
 def open_peer_store(
@@ -310,7 +272,8 @@ def open_peer_store(
                 "with durability=..."
             )
         return PeerStore()
-    backend = create_store_backend(durability, backend_path(data_dir, name))
+    check_durability(durability, noun="durable backend")
+    backend = AppendLogBackend(backend_path(data_dir, name))
     return PeerStore.recover(backend) if recover else PeerStore(backend)
 
 
@@ -319,7 +282,9 @@ def peer_data_dir(
 ) -> Path | None:
     """Where a substrate built with these options keeps its peers'
     backends: nowhere without *durability*, else
-    :func:`resolve_data_dir`."""
+    :func:`resolve_data_dir`.  Refuses what :func:`check_durability`
+    refuses."""
+    check_durability(durability, data_dir, "durable backend")
     if durability is None:
         return None
     return resolve_data_dir(data_dir, prefix)

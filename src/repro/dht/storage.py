@@ -9,7 +9,7 @@ from repro.common.errors import CorruptValueError, DhtKeyError
 from repro.dht.hashing import key_digest
 
 if TYPE_CHECKING:
-    from repro.dht.durable import DurableBackend
+    from repro.dht.durable import AppendLogBackend
 
 
 def _wire():
@@ -51,24 +51,24 @@ class PeerStore:
     churn (transferring the sub-range of keys a new peer takes over)
     does not re-hash the whole store.
 
-    With a *backend* (:class:`~repro.dht.durable.DurableBackend`)
+    With a *backend* (:class:`~repro.dht.durable.AppendLogBackend`)
     attached, every mutation is journaled as a byte blob — a put as the
     whole value, an :meth:`append` as the row it received — so the
     peer's state survives a crash and :meth:`recover` can rebuild it.
     """
 
-    def __init__(self, backend: "DurableBackend | None" = None) -> None:
+    def __init__(self, backend: "AppendLogBackend | None" = None) -> None:
         self._values: dict[str, Any] = {}
         self._digests: dict[str, int] = {}
         self._backend = backend
 
     @property
-    def backend(self) -> "DurableBackend | None":
+    def backend(self) -> "AppendLogBackend | None":
         """The attached durable backend, if any."""
         return self._backend
 
     @classmethod
-    def recover(cls, backend: "DurableBackend") -> "PeerStore":
+    def recover(cls, backend: "AppendLogBackend") -> "PeerStore":
         """Rebuild a store from *backend*'s durable state.
 
         A torn-write blob that somehow passed the backend's checksum

@@ -4,7 +4,7 @@ Historically every experiment picked its substrate by importing a
 concrete constructor (``LocalDht(n_peers)``, ``ChordDht.build(...)``,
 ...).  With the service plane there are now two *runtimes* (simulated
 and asyncio/TCP) times several *overlays*, so construction goes through
-a single registry-backed factory instead::
+a single factory over the closed ``RUNTIMES`` table instead::
 
     from repro.runtime import RuntimeConfig, create_dht
 
@@ -32,9 +32,8 @@ are identical whichever runtime serves them — that is the over-DHT
 contract, and ``tests/test_service_equivalence.py`` holds the factory
 to it.
 
-Third-party runtimes register with :func:`register_runtime`; unknown
-kinds and overlays raise :class:`~repro.common.errors.
-UnknownRuntimeError` (a ``ValueError``) naming the registry contents.
+Unknown kinds and overlays raise :class:`~repro.common.errors.
+UnknownRuntimeError` (a ``ValueError``) naming the ones there are.
 """
 
 from __future__ import annotations
@@ -42,11 +41,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from repro.common.errors import ReproError, UnknownRuntimeError
-from repro.common.registry import Registry
+from repro.common.errors import ReproError, UnknownRuntimeError, unknown_kind
 from repro.dht.api import Dht
 from repro.dht.chord import ChordDht
-from repro.dht.durable import BACKENDS
+from repro.dht.durable import check_durability
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
@@ -60,8 +58,7 @@ class RuntimeConfig:
     """Everything needed to construct one DHT substrate.
 
     Attributes:
-        kind: runtime plane — ``"sim"``, ``"asyncio"`` or ``"tcp"``
-            (or any kind added via :func:`register_runtime`).
+        kind: runtime plane — ``"sim"``, ``"asyncio"`` or ``"tcp"``.
         overlay: substrate flavour within the runtime; one of
             ``"local"``, ``"chord"``, ``"kademlia"``, ``"pastry"``.
         n_peers: how many peers the substrate simulates or serves.
@@ -69,13 +66,12 @@ class RuntimeConfig:
             placements only, i.e. ``local`` and the service runtime).
         replication: stored copies per key (``sim``/``chord`` only).
         durability: durable-backend kind journaling every peer store
-            (``"log"``, or any kind added via
-            :func:`~repro.dht.durable.register_store_backend`); ``None``
-            keeps stores purely in-memory.  Required for
-            :meth:`~repro.dht.api.Dht.restart`.
-        data_dir: directory for the durable backend files; ``None``
-            gives each substrate its own fresh temporary directory, so
-            parallel test workers never share a log.
+            (``"log"``, the one there is); ``None`` keeps stores purely
+            in-memory.  Required for :meth:`~repro.dht.api.Dht.restart`.
+        data_dir: directory for the durable backend files (only with
+            *durability*); ``None`` gives each substrate its own fresh
+            temporary directory, so parallel test workers never share a
+            log.
     """
 
     kind: str = "sim"
@@ -117,13 +113,7 @@ class RuntimeConfig:
                 "replication is implemented by the chord overlay only, "
                 f"not {self.overlay!r}"
             )
-        if self.durability is not None:
-            BACKENDS.lookup(self.durability, "durability")
-        if self.data_dir is not None and self.durability is None:
-            raise ReproError(
-                "data_dir has no effect without durability; pass "
-                "durability='log' alongside it"
-            )
+        check_durability(self.durability, self.data_dir)
 
 
 def _build_sim(config: RuntimeConfig) -> Dht:
@@ -158,17 +148,11 @@ def _build_service(transport: str) -> Callable[[RuntimeConfig], Dht]:
 
 
 #: kind -> builder(RuntimeConfig) -> Dht.
-RUNTIMES = Registry(
-    "runtime",
-    UnknownRuntimeError,
-    {
-        "sim": _build_sim,
-        "asyncio": _build_service("asyncio"),
-        "tcp": _build_service("tcp"),
-    },
-)
-runtime_kinds = RUNTIMES.kinds
-register_runtime = RUNTIMES.register
+RUNTIMES = {
+    "sim": _build_sim,
+    "asyncio": _build_service("asyncio"),
+    "tcp": _build_service("tcp"),
+}
 
 
 def create_dht(config: RuntimeConfig | None = None, **overrides) -> Dht:
@@ -184,4 +168,9 @@ def create_dht(config: RuntimeConfig | None = None, **overrides) -> Dht:
         config = RuntimeConfig(**overrides)
     elif overrides:
         config = replace(config, **overrides)
-    return RUNTIMES.lookup(config.kind, "runtime kind")(config)
+    build = RUNTIMES.get(config.kind)
+    if build is None:
+        raise unknown_kind(
+            UnknownRuntimeError, "runtime kind", config.kind, RUNTIMES
+        )
+    return build(config)

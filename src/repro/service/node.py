@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.core.codec import encode_row
 from repro.dht.api import (
-    CALL, GET, GET_MANY, PUT_MANY, REMOVE, REWRITE, UNTRACED,
+    CALL, GET, GET_MANY, REMOVE, REWRITE, UNTRACED,
     BatchFailure, Dht, _absent_key, _raise_batch_failures,
 )
 from repro.dht.durable import open_peer_store, peer_data_dir

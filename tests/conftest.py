@@ -124,7 +124,7 @@ def make_dht():
 
 @pytest.fixture
 def store_builds(monkeypatch) -> list[str]:
-    """The kind of every record store built through the registry while
+    """The kind of every record store built through ``STORES`` while
     the test runs, on any thread (a service runtime's event loop
     included) — how tests observe that a decoded bucket stayed lazy."""
     from repro.core import store as store_module
@@ -138,7 +138,7 @@ def store_builds(monkeypatch) -> list[str]:
 
         return build
 
-    table = store_module.STORES.table
+    table = store_module.STORES
     for kind, factory in list(table.items()):
         monkeypatch.setitem(table, kind, counting(kind, factory))
     return built

@@ -106,19 +106,6 @@ class TestRuntime:
     def test_default_is_the_simulated_plane(self):
         assert IndexConfig().runtime == "sim"
 
-    def test_registered_kind_is_configurable(self):
-        """One live registry validates both surfaces: a kind
-        ``create_dht`` builds is a kind ``IndexConfig`` accepts."""
-        from repro.dht.localhash import LocalDht
-        from repro.runtime import RUNTIMES, create_dht, register_runtime
-
-        register_runtime("in-memory", lambda config: LocalDht(config.n_peers))
-        try:
-            assert len(create_dht(kind="in-memory", n_peers=3).peers()) == 3
-            assert IndexConfig(runtime="in-memory").runtime == "in-memory"
-        finally:
-            del RUNTIMES.table["in-memory"]
-
 
 class TestRepr:
     def test_repr_lists_every_field(self):

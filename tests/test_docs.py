@@ -116,6 +116,11 @@ class TestRemovedNames:
         "lookup_many_outcomes", "_do_lookup_many", "`Forward`",
         "Forward(", "AGENT_SUFFIX", "RECORD_WIRE_BYTES",
         "frame_wire_cost",
+        # the open kind registries and the one-subclass bases
+        "register_runtime", "register_store", "register_store_backend",
+        "store_backend_kinds", "runtime_kinds", "store_backends",
+        "create_store_backend", "RecordStore", "DurableBackend",
+        "common.registry",
     )
 
     @pytest.mark.parametrize(

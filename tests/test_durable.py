@@ -24,13 +24,10 @@ from repro.core.records import Record
 from repro.dht.chord import ChordDht
 from repro.dht.churn import generate_schedule, run_churn
 from repro.dht.durable import (
-    BACKENDS,
     AppendLogBackend,
     backend_path,
-    create_store_backend,
-    register_store_backend,
+    open_peer_store,
     resolve_data_dir,
-    store_backend_kinds,
 )
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.kademlia import KademliaDht
@@ -41,6 +38,7 @@ from repro.dht.storage import PeerStore
 from repro.obs.trace import Tracer
 from repro.runtime import RuntimeConfig, create_dht
 from repro.service import wire
+from repro.service.node import ServiceDht
 from repro.service.wire import FrameDecoder
 
 
@@ -49,8 +47,7 @@ from repro.service.wire import FrameDecoder
 # ----------------------------------------------------------------------
 
 
-#: The contract of :class:`DurableBackend`, over every backend that
-#: ships; a new one joins this list.
+#: The journal's contract, over the one backend there is.
 BACKEND_CLASSES = [AppendLogBackend]
 
 
@@ -229,6 +226,45 @@ class TestAppendLog:
             "a": [b"alpha"]
         }
 
+    def test_sync_fsyncs_every_record_and_every_rewrite(
+        self, tmp_path, monkeypatch
+    ):
+        """``sync=True`` fsyncs once per journalled put, append and
+        remove and once per log rewrite (a compaction, a torn tail's
+        rewrite); an intact replay and the default backend never do."""
+        synced = []
+        monkeypatch.setattr("repro.dht.durable.os.fsync", synced.append)
+        backend = AppendLogBackend(tmp_path / "synced", sync=True)
+        backend.record_put("a", b"alpha")
+        backend.record_put("a", b"row", append=True)
+        backend.record_remove("a")
+        assert len(synced) == 3
+        backend.compact([("b", b"beta")])
+        assert len(synced) == 4
+        backend.close()
+        assert AppendLogBackend(tmp_path / "synced", sync=True).replay() == {
+            "b": [b"beta"],
+        }
+        assert len(synced) == 4
+        with open(backend.path, "ab") as log:
+            log.write(b"torn")  # a partial frame at EOF
+        torn = AppendLogBackend(tmp_path / "synced", sync=True)
+        assert torn.replay() == {"b": [b"beta"]}
+        assert len(synced) == 5
+
+        plain = AppendLogBackend(tmp_path / "plain")
+        plain.record_put("a", b"alpha")
+        plain.record_put("a", b"row", append=True)
+        plain.record_remove("a")
+        plain.compact([("b", b"beta")])
+        plain.close()
+        with open(plain.path, "ab") as log:
+            log.write(b"torn")
+        assert AppendLogBackend(tmp_path / "plain").replay() == {
+            "b": [b"beta"],
+        }
+        assert len(synced) == 5
+
     def test_should_compact_tracks_journal_debt(self, tmp_path):
         backend = AppendLogBackend(tmp_path / "peer")
         for _ in range(65):
@@ -239,27 +275,24 @@ class TestAppendLog:
 
 
 class TestRegistry:
-    def test_shipped_kinds(self):
-        assert store_backend_kinds() == ("log",)
+    def test_shipped_kinds(self, tmp_path):
+        store = open_peer_store("log", tmp_path, "peer")
+        assert type(store.backend) is AppendLogBackend
+        store.close_backend()
 
     def test_unknown_kind_raises_typed_error(self, tmp_path):
-        with pytest.raises(UnknownDurabilityError, match="carbonite"):
-            create_store_backend("carbonite", tmp_path / "peer")
+        with pytest.raises(
+            UnknownDurabilityError,
+            match=r"unknown durable backend 'carbonite'; expected one of "
+            r"\('log',\)",
+        ):
+            open_peer_store("carbonite", tmp_path, "peer")
 
-    def test_register_custom_backend(self, tmp_path):
-        register_store_backend("custom-log", AppendLogBackend)
-        try:
-            backend = create_store_backend("custom-log", tmp_path / "p")
-            assert isinstance(backend, AppendLogBackend)
-            # The config surfaces validate against the live registry.
-            RuntimeConfig(durability="custom-log")
-            IndexConfig(durability="custom-log")
-        finally:
-            del BACKENDS.table["custom-log"]
-
-    def test_empty_kind_rejected(self):
-        with pytest.raises(ReproError):
-            register_store_backend("", AppendLogBackend)
+    def test_empty_kind_rejected(self, tmp_path):
+        with pytest.raises(UnknownDurabilityError):
+            open_peer_store("", tmp_path, "peer")
+        with pytest.raises(UnknownDurabilityError):
+            RuntimeConfig(durability="")
 
     def test_resolve_data_dir_mints_unique_tmp_dirs(self):
         first = resolve_data_dir(None, "test")
@@ -398,7 +431,7 @@ class TestLocalDhtBatchesJournalInline:
     """Elements of one batch that share an owner share its journal,
     which nothing locks: a batch must run on the calling thread."""
 
-    def test_put_many_journals_on_the_callers_thread(self):
+    def test_put_many_journals_on_the_callers_thread(self, monkeypatch):
         journalled_on = []
 
         class RecordingBackend(AppendLogBackend):
@@ -406,12 +439,11 @@ class TestLocalDhtBatchesJournalInline:
                 journalled_on.append(threading.get_ident())
                 super().record_put(key, blob)
 
-        register_store_backend("recording", RecordingBackend)
-        try:
-            dht = LocalDht(2, durability="recording")
-            dht.put_many([(f"k{index}", index) for index in range(8)])
-        finally:
-            del BACKENDS.table["recording"]
+        monkeypatch.setattr(
+            "repro.dht.durable.AppendLogBackend", RecordingBackend
+        )
+        dht = LocalDht(2, durability="log")
+        dht.put_many([(f"k{index}", index) for index in range(8)])
         assert journalled_on == [threading.get_ident()] * 8
 
     def test_put_many_rounds_replay_to_the_live_state(self):
@@ -560,9 +592,7 @@ class TestRestartProtocol:
                 name,
                 second.network,
                 store=PeerStore.recover(
-                    create_store_backend(
-                        "log", backend_path(tmp_path, name)
-                    )
+                    AppendLogBackend(backend_path(tmp_path, name))
                 ),
             )
         second.rewire()
@@ -866,6 +896,22 @@ class TestDurabilityConfig:
     def test_runtime_config_rejects_orphan_data_dir(self):
         with pytest.raises(ReproError, match="data_dir"):
             RuntimeConfig(data_dir="/tmp/somewhere")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda path: LocalDht(4, data_dir=path),
+            lambda path: ChordDht.build(4, data_dir=path),
+            lambda path: ServiceDht(4, transport="asyncio", data_dir=path),
+            lambda path: ServiceDht(4, transport="tcp", data_dir=path),
+        ],
+        ids=["local", "chord", "asyncio", "tcp"],
+    )
+    def test_substrates_reject_orphan_data_dir(self, build, tmp_path):
+        """A data_dir without durability would be ignored: every
+        substrate refuses it, as RuntimeConfig does."""
+        with pytest.raises(ReproError, match="data_dir"):
+            build(tmp_path)
 
     def test_index_config_rejects_unknown_durability(self):
         with pytest.raises(UnknownDurabilityError):

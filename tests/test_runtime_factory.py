@@ -17,12 +17,7 @@ from repro.dht.chord import ChordDht
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
 from repro.dht.pastry import PastryDht
-from repro.runtime import (
-    RuntimeConfig,
-    create_dht,
-    register_runtime,
-    runtime_kinds,
-)
+from repro.runtime import RuntimeConfig, create_dht
 from repro.service.node import ServiceDht
 
 
@@ -72,17 +67,6 @@ class TestFactoryDispatch:
                           virtual_nodes=8)
         )
         assert len(local.peers()) == 4
-
-    def test_registry_is_extensible(self):
-        sentinel = LocalDht(1)
-        register_runtime("inmem-test", lambda config: sentinel)
-        try:
-            assert create_dht(kind="inmem-test") is sentinel
-            assert "inmem-test" in runtime_kinds()
-        finally:
-            import repro.runtime as runtime_module
-
-            runtime_module.RUNTIMES.table.pop("inmem-test")
 
 
 class TestRuntimeConfigValidation:

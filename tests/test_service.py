@@ -631,7 +631,8 @@ def test_a_garbled_reply_stream_fails_its_call_and_close_still_stops_all(
         return b"XXXX" * 8
 
     dht = ServiceDht(
-        4, transport="tcp", durability=durability, data_dir=tmp_path
+        4, transport="tcp", durability=durability,
+        data_dir=tmp_path if durability else None,
     )
     dht.put("k", 1)
     dht.install_handler(Op.MCAST, garbled)

@@ -1,6 +1,6 @@
 """The record-store plane: backends, Rows interchange, codec, wiring.
 
-The seam contract: every registered :class:`RecordStore` backend is an
+The seam contract: both store kinds (``STORES``) are an
 exact re-expression of the naive record list — same answers, same
 insertion order, bit-identical floats — and the codec round-trips any
 bucket through its wire bytes without changing either.
@@ -19,13 +19,7 @@ from repro.common.labels import interleave, root_label
 from repro.core import codec, npstore
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
-from repro.core.store import (
-    DEFAULT_STORE,
-    Rows,
-    create_store,
-    register_store,
-    store_backends,
-)
+from repro.core.store import DEFAULT_STORE, STORES, Rows, create_store
 
 BACKENDS = ["columnar", "numpy"]
 
@@ -39,8 +33,8 @@ def _records(rng, dims, count):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(BACKENDS) <= set(store_backends())
-        assert DEFAULT_STORE in store_backends()
+        assert set(BACKENDS) == set(STORES)
+        assert DEFAULT_STORE in STORES
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(UnknownStoreError):
@@ -53,26 +47,11 @@ class TestRegistry:
         # bad config strings keep working.
         assert issubclass(UnknownStoreError, ValueError)
 
-    def test_register_store_extends_config_surface(self):
-        from repro.core import store as store_mod
-
-        def factory(dims, sort_dim, source=None):
-            return store_mod.ColumnarStore(dims, sort_dim, source or ())
-
-        register_store("test-custom", factory)
-        try:
-            assert "test-custom" in store_backends()
-            config = IndexConfig(store="test-custom")
-            assert config.store == "test-custom"
-            bucket = LeafBucket("00", 2, store="test-custom")
-            bucket.add(Record((0.5, 0.5)))
-            assert bucket.load == 1
-        finally:
-            store_mod.STORES.table.pop("test-custom", None)
-
     def test_empty_kind_rejected(self):
-        with pytest.raises(UnknownStoreError):
-            register_store("", lambda *a: None)
+        with pytest.raises(UnknownStoreError, match="record store ''"):
+            LeafBucket("00", 2, store="")
+        with pytest.raises(UnknownStoreError, match="store backend ''"):
+            IndexConfig(store="")
 
 
 class TestRowsInterchange:
