@@ -10,22 +10,26 @@ from range queries.
 
 from __future__ import annotations
 
+import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.geometry import Point, Region
+from repro.core.codec import FIXED_BYTES
 from repro.core.records import Record
 from repro.core.results import RangeQueryResult
 from repro.core.store import DEFAULT_STORE, ColumnarStore, create_store
 from repro.dht.api import Dht
+from repro.net.message import WireSized
 
 
 @dataclass(slots=True)
-class TrieNode:
+class TrieNode(WireSized):
     """What PHT's and DST's stored nodes share: a record list behind a
-    lazily built record store.  Subclasses declare ``prefix`` and
-    ``records`` (and whatever else their scheme stores)."""
+    lazily built record store, priced on the wire as the bucket codec
+    would carry it.  Subclasses declare ``prefix`` and ``records`` (and
+    whatever else their scheme stores)."""
 
     #: Lazily built record store behind the filter; rebuilt whenever
     #: the generation counter says the records changed.
@@ -40,6 +44,22 @@ class TrieNode:
     @property
     def load(self) -> int:
         return len(self.records)
+
+    def encoded_wire_size(self) -> int:
+        """Codec-shaped bytes: the bucket codec's fixed framing with the
+        prefix as label, the coordinate columns and, when any record
+        carries a value, the values' pickle."""
+        records = self.records
+        dims = len(records[0].key) if records else 0
+        size = FIXED_BYTES + len(self.prefix) + dims * len(records) * 8
+        if any(record.value is not None for record in records):
+            size += len(
+                pickle.dumps(
+                    tuple(record.value for record in records),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+            )
+        return size
 
     def touch(self) -> None:
         """Invalidate derived state after mutating ``records``.

@@ -33,12 +33,6 @@ from repro.core.results import (
 )
 from repro.core.index import MLightIndex
 
-# Importing the codec installs the real wire model into repro.dht.api
-# (and the simnet reply-cost hook), so byte accounting is codec-exact
-# from the first message — not only after something happens to encode a
-# bucket.  Import order, not luck, decides the accounting model.
-import repro.core.codec  # noqa: E402,F401  (imported for its side effect)
-
 __all__ = [
     "Record",
     "LeafBucket",

@@ -56,6 +56,7 @@ from repro.common.labels import check_label
 from repro.core import codec
 from repro.core.records import Record
 from repro.core.store import DEFAULT_STORE, ColumnarStore, Rows, create_store
+from repro.net.message import WireSized
 
 
 #: Serialises the one-time store build of decoded buckets: a bucket
@@ -74,7 +75,7 @@ def split_dim_of(label: str, dims: int) -> int:
     return depth % dims if depth > 0 else 0
 
 
-class LeafBucket:
+class LeafBucket(WireSized):
     """One leaf of the space kd-tree, as stored in the DHT."""
 
     __slots__ = (
@@ -290,8 +291,8 @@ class LeafBucket:
         self._encoded_generation = generation
 
     def encoded_wire_size(self) -> int:
-        """Exact codec byte size — the unified byte-accounting hook
-        (:func:`repro.core.codec.payload_wire_size`).  Packs no column:
+        """Exact codec byte size, what
+        :func:`~repro.net.message.message_sizes` charges.  Packs no column:
         the memo's length when it is valid, else arithmetic plus the
         store's payload pickle, made once per generation and reused by
         :func:`~repro.core.codec.encode_bucket`."""

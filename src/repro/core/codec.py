@@ -1,4 +1,4 @@
-"""Struct-packed record/bucket codec and the unified byte accounting.
+"""Struct-packed record/bucket codec.
 
 One frame layout for a bucket on the wire::
 
@@ -15,16 +15,11 @@ the record store holds, so a decoded bucket answers queries
 bit-identically.  Payloads (record values) are pickled only when at
 least one is non-None; bulk-loaded point sets pay one flag byte.
 
-This codec is also the **byte-accounting contract**: the same
-:func:`payload_wire_size` prices a stored object on every substrate —
-the simulated overlays charge it on ``store_put``/``store_get``
-messages, ``SimNetwork`` prices replies with it, and the service
-plane's :func:`repro.service.wire.frame_wire_sizes` builds on it via
-:func:`repro.dht.api.estimate_wire_size` — so ``bytes_sent`` is
-comparable between a simulated and a TCP run of the same trace.  The
-module installs itself as the wire model at import time (the registry
-indirection in :mod:`repro.dht.api` exists only to keep the dependency
-graph acyclic: ``dht`` must not import ``core`` at module level).
+Its sizes are what every runtime charges: a leaf bucket prices itself
+at :func:`encoded_bucket_size` (``LeafBucket.encoded_wire_size``), and
+the one byte model, :func:`repro.net.message.message_sizes`, adds the
+framing — so ``bytes_sent`` is comparable between a simulated and a
+TCP run of the same trace.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from typing import Any
 
 from repro.common.errors import ReproError
 from repro.common.labels import check_label
-from repro.dht import api as dht_api
 from repro.core import bucket as _bucket  # cyclic: used at call time only
 from repro.core.store import Rows, create_store, match_columns
 
@@ -51,15 +45,14 @@ __all__ = [
     "row_point",
     "append_row",
     "encoded_bucket_size",
-    "payload_wire_size",
-    "data_wire_size",
+    "FIXED_BYTES",
 ]
 
 CODEC_MAGIC = b"mLB1"
 CODEC_VERSION = 1
 
 #: magic + version + dims + kind-length + label-length + count + flags.
-_FIXED_BYTES = 4 + 1 + 1 + 1 + 2 + 4 + 1
+FIXED_BYTES = 4 + 1 + 1 + 1 + 2 + 4 + 1
 _HEAD = struct.Struct("!4sBBB")
 _COUNT = struct.Struct("!IB")
 _FLAG_VALUES = 1
@@ -128,7 +121,7 @@ def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
     (:class:`~repro.common.errors.InvalidLabelError`) and every declared
     length checked against the buffer: whatever passes can be cut into
     columns and a values blob without running off the end."""
-    if len(data) < _FIXED_BYTES or data[:4] != CODEC_MAGIC:
+    if len(data) < FIXED_BYTES or data[:4] != CODEC_MAGIC:
         raise CodecError("not an encoded bucket (bad magic or truncated)")
     _, version, dims, kind_len = _HEAD.unpack_from(data)
     if version != CODEC_VERSION:
@@ -303,76 +296,9 @@ def encoded_bucket_size(bucket) -> int:
         return len(data)
     store = bucket.store
     return (
-        _FIXED_BYTES
+        FIXED_BYTES
         + len(store.kind)
         + len(bucket.label)
         + bucket.dims * store.count * 8
         + len(store.values_blob())
     )
-
-
-# ----------------------------------------------------------------------
-# The shared byte-accounting model
-# ----------------------------------------------------------------------
-
-
-def _record_like(records) -> bool:
-    """True for a list of key/value records (possibly empty)."""
-    return isinstance(records, list) and (
-        not records
-        or (hasattr(records[0], "key") and hasattr(records[0], "value"))
-    )
-
-
-def _record_list_size(value, records) -> int:
-    """Codec-shaped size of a records-carrying node that is not a
-    :class:`~repro.core.bucket.LeafBucket` (the PHT/DST baselines):
-    same fixed framing, per-record column bytes and payload pickle."""
-    dims = len(records[0].key) if records else 0
-    name = getattr(value, "prefix", "") or ""
-    size = _FIXED_BYTES + len(name) + dims * len(records) * 8
-    if any(record.value is not None for record in records):
-        size += len(
-            pickle.dumps(
-                tuple(record.value for record in records),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        )
-    return size
-
-
-def _row_bytes(value: Any) -> int | None:
-    """Codec bytes of a row-bearing object (a leaf bucket, a baseline
-    trie node); ``None`` for anything else."""
-    sizer = getattr(value, "encoded_wire_size", None)
-    if callable(sizer):
-        return sizer()
-    records = getattr(value, "records", None)
-    if _record_like(records):
-        return _record_list_size(value, records)
-    return None
-
-
-def payload_wire_size(value: Any) -> int:
-    """Bytes *value* occupies as a message payload.
-
-    Row-bearing objects (leaf buckets, baseline trie nodes) are priced
-    by the codec exactly; ``None`` is free (an absent reply body); any
-    other object costs one envelope
-    (:data:`~repro.dht.api.ENVELOPE_WIRE_BYTES`).
-    """
-    if value is None:
-        return 0
-    size = _row_bytes(value)
-    return dht_api.ENVELOPE_WIRE_BYTES if size is None else size
-
-
-def data_wire_size(value: Any) -> int:
-    """Data-plane bytes of *value*: codec bytes for row-bearing objects,
-    zero for control payloads — feeds ``NetworkStats.payload_bytes``."""
-    if value is None:
-        return 0
-    return _row_bytes(value) or 0
-
-
-dht_api.install_wire_model(payload_wire_size, data_wire_size)

@@ -36,73 +36,6 @@ if TYPE_CHECKING:
 from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
 from repro.net.events import EventScheduler
 
-#: Rough wire size of an object envelope: prices control payloads
-#: (peer names, booleans) under the codec model.
-ENVELOPE_WIRE_BYTES = 16
-
-#: Bytes of per-message framing — kept equal to the service plane's
-#: frame header (``repro.service.wire.HEADER.size``: magic, version,
-#: opcode, request id, payload length), so simulated and TCP byte
-#: counts frame messages identically.
-MESSAGE_HEADER_BYTES = 14
-
-
-#: (payload_size, data_size) — installed by :mod:`repro.core.codec` at
-#: import time.  The indirection keeps the layering acyclic (``dht``
-#: cannot import ``core`` at module level); importing :mod:`repro`
-#: imports the codec, so there is no model before it.
-_wire_model: tuple[Any, Any]
-
-
-def install_wire_model(payload_size, data_size) -> None:
-    """Install the byte-accounting model all substrates charge with.
-
-    *payload_size(value)* prices a message payload; *data_size(value)*
-    prices only its data-plane bytes (encoded records), feeding
-    ``NetworkStats.payload_bytes``.  A value with data-plane bytes is
-    all data — both functions return the same number for it — so a
-    caller needing both sizes it once.  Called once by
-    :mod:`repro.core.codec`; replaceable by external codecs the same
-    way.
-    """
-    global _wire_model
-    _wire_model = (payload_size, data_size)
-    from repro.net import simnet
-
-    simnet.install_reply_cost_model(
-        lambda result: (reply_wire_size(result), data_size(result))
-    )
-
-
-def estimate_wire_size(value: Any) -> int:
-    """Bytes a stored object occupies as a message payload.
-
-    Under the codec model (the default once :mod:`repro` is imported)
-    this is the *exact* encoded size for record-bearing objects and
-    one envelope for control payloads; ``None`` costs nothing.
-    """
-    if value is None:
-        return 0
-    return _wire_model[0](value)
-
-
-def data_wire_size(value: Any) -> int:
-    """Data-plane bytes of *value* (0 for control payloads)."""
-    if value is None:
-        return 0
-    return _wire_model[1](value)
-
-
-def request_wire_size(key: str, value: Any = None) -> int:
-    """Modelled bytes of one request message: framing header, the key
-    itself, plus the payload for value-carrying operations."""
-    return MESSAGE_HEADER_BYTES + len(key.encode()) + estimate_wire_size(value)
-
-
-def reply_wire_size(body: Any) -> int:
-    """Modelled bytes of one reply message (``None`` body = bare ack)."""
-    return MESSAGE_HEADER_BYTES + estimate_wire_size(body)
-
 
 @dataclass(frozen=True, slots=True)
 class BatchFailure:

@@ -3,14 +3,14 @@
 Produces a deterministic schedule of joins, graceful leaves, and
 crashes, and applies it to any overlay exposing ``join``/``leave``/
 ``fail`` — Chord, Kademlia and Pastry all do — interleaved with
-stabilization rounds when the overlay has a periodic protocol
-(``stabilize_all``).  Overlays that replicate (``replication > 1``
-plus a ``repair_replicas`` method, e.g. :class:`~repro.dht.chord.
-ChordDht`) are repaired after every membership event and once more at
-the end of the run, restoring the replica invariant *between*
-consecutive crashes — without this, replicated rings degrade across a
-churn burst and ``survival_ratio`` under-reports what replication
-buys.
+stabilization rounds when the substrate is a routed overlay
+(:meth:`~repro.dht.overlay.RoutedOverlay.stabilize_all`).  Overlays
+that replicate (``replication > 1``, e.g. :class:`~repro.dht.chord.
+ChordDht`) are repaired (``repair_replicas``) after every membership
+event and once more at the end of the run, restoring the replica
+invariant *between* consecutive crashes — without this, replicated
+rings degrade across a churn burst and ``survival_ratio``
+under-reports what replication buys.
 
 Used by the churn example, the DHT integration tests and the E10/E12
 experiments; the figure reproductions run on a stable membership, as
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import ReproError
 from repro.common.rng import derive_seed, make_rng
 from repro.dht.api import Dht
+from repro.dht.overlay import RoutedOverlay
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +86,16 @@ def generate_schedule(
     return rng.choices(list(names), weights=weights, k=n_events)
 
 
-def _repair(dht: Dht, report: ChurnReport) -> None:
-    """Restore the replica invariant when the overlay maintains one."""
-    repair = getattr(dht, "repair_replicas", None)
-    if repair is not None and getattr(dht, "replication", 1) > 1:
-        report.repairs += repair()
+def _maintain(
+    overlay: RoutedOverlay | None, rounds: int, report: ChurnReport
+) -> None:
+    """Stabilize a routed overlay, then restore its replica invariant
+    when it keeps more than one copy per key."""
+    if overlay is None:
+        return
+    overlay.stabilize_all(rounds)
+    if overlay.replication > 1:
+        report.repairs += overlay.repair_replicas()
 
 
 def run_churn(
@@ -108,8 +114,8 @@ def run_churn(
 
     Works on any overlay exposing ``join(name, gateway=...)``,
     ``leave(name)`` and ``fail(name)`` — bare or under a wrapper stack;
-    the substrate's ``stabilize_all`` and ``repair_replicas`` are
-    driven when present.  Leaves and crashes
+    a routed overlay's ``stabilize_all`` and ``repair_replicas`` are
+    driven after every event.  Leaves and crashes
     are suppressed while the overlay has *min_peers* or fewer, so the
     ring never churns itself away.
 
@@ -132,7 +138,7 @@ def run_churn(
     report = ChurnReport()
     report.keys_before = dht.key_count()
     *_, substrate = dht.unwrap()
-    stabilize = getattr(substrate, "stabilize_all", None)
+    overlay = substrate if isinstance(substrate, RoutedOverlay) else None
     next_id = 100_000
     down: list[str] = []  # crash victims awaiting a restart draw
     for kind in generate_schedule(
@@ -160,14 +166,10 @@ def run_churn(
         else:
             continue
         report.events.append(ChurnEvent(kind, name))
-        if stabilize is not None:
-            stabilize(stabilize_rounds)
         # Repair between events, not only at the end: two crashes with
         # an unrepaired replica set between them can both land on the
         # same key's holders, losing data replication should have kept.
-        _repair(substrate, report)
-    if stabilize is not None:
-        stabilize(stabilize_rounds)
-    _repair(substrate, report)
+        _maintain(overlay, stabilize_rounds, report)
+    _maintain(overlay, stabilize_rounds, report)
     report.keys_after = dht.key_count()
     return report

@@ -62,10 +62,11 @@ _COMPACT_FACTOR = 4
 def _wire():
     """The service wire codec, imported lazily.
 
-    ``repro.service.wire`` imports ``repro.dht.api`` for its byte
-    model; resolving it at call time (never at module import) keeps
-    the ``dht`` <-> ``service`` package pair free of import-order
-    traps.
+    ``repro.service.wire`` imports ``repro.core`` for the bucket codec,
+    and its package imports the service runtime, which opens its stores
+    through this module; resolving it at call time (never at module
+    import) keeps the ``dht`` <-> ``service`` package pair free of
+    import-order traps.
     """
     from repro.service import wire
 

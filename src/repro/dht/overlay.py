@@ -14,7 +14,8 @@ A routed overlay is a routing table over one storage node:
   overlay supplies its identifier metric (:meth:`_owner_of_digest`),
   :meth:`route_owner`, the neighbour exchange of a (re)joining or
   leaving peer, and its convergence shortcuts (``rewire``,
-  ``stabilize_all``).
+  ``stabilize_all``); a replicating overlay also its ``replication``
+  and ``repair_replicas``.
 
 A routed substrate executes one batch element as a *chain* of
 dependent RPCs — every routing hop plus the storage exchange.  Chains
@@ -38,12 +39,12 @@ from collections.abc import Iterator, Sequence
 from typing import Any
 
 from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
-from repro.dht.api import Dht, _capture, data_wire_size, request_wire_size
+from repro.dht.api import Dht, _capture
 from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.hashing import key_digest, node_id_from_name
 from repro.dht.peer import KeyValuePeer
 from repro.dht.storage import PeerStore
-from repro.net.message import Message
+from repro.net.message import Message, message_sizes
 from repro.net.simnet import RpcError, SimNetwork
 
 
@@ -90,6 +91,8 @@ class RoutedOverlay(Dht):
     prefix: str
     #: The overlay's :class:`OverlayNode` subclass.
     node_class: type[OverlayNode]
+    #: Stored copies per key; an overlay that replicates sets more.
+    replication = 1
 
     def __init__(
         self,
@@ -133,6 +136,16 @@ class RoutedOverlay(Dht):
         the steady state the join protocol converges to, reached
         directly so large overlays construct quickly."""
         raise NotImplementedError
+
+    def stabilize_all(self, rounds: int = 1) -> None:
+        """Run the overlay's periodic maintenance *rounds* times: purge
+        dead contacts, re-learn live ones, re-home moved keys."""
+        raise NotImplementedError
+
+    def repair_replicas(self) -> int:
+        """Restore the replica invariant after churn; returns the copies
+        written — none on an overlay that keeps one copy per key."""
+        return 0
 
     def _enter(self, node: Any, gateway: Any, rejoining: bool) -> list:
         """Neighbour exchange of a peer entering through *gateway*:
@@ -260,7 +273,7 @@ class RoutedOverlay(Dht):
             return
         for key, value in self._enter(node, entry, rejoining=True):
             stats.restart_reconciled += 1
-            stats.restart_repair_bytes += request_wire_size(key, value)
+            stats.restart_repair_bytes += message_sizes(key, value)[0]
         self._rehome(node, repair=True)
 
     def _rehome(self, node: Any, repair: bool = False) -> None:
@@ -343,15 +356,15 @@ class RoutedOverlay(Dht):
         """One sized key-only storage RPC from the gateway to *peer*."""
         return self.network.rpc(
             self._gateway().name, peer, "store_" + op, key,
-            size_bytes=request_wire_size(key),
+            size_bytes=message_sizes(key)[0],
         )
 
     def _sized_put(self, src: str, dst: str, key: str, value: Any) -> int:
         """One ``store_put`` from *src* to *dst*; returns its size."""
-        size = request_wire_size(key, value)
+        size, data = message_sizes(key, value)
         self.network.rpc(
             src, dst, "store_put", key, value,
-            size_bytes=size, payload_bytes=data_wire_size(value),
+            size_bytes=size, payload_bytes=data,
         )
         return size
 

@@ -26,9 +26,9 @@ from collections.abc import Sequence
 from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
 from repro.common.geometry import Point
-from repro.dht.api import request_wire_size
 from repro.dht.churn import run_churn
 from repro.experiments.harness import load_index, recall, truth_sets
+from repro.net.message import message_sizes
 from repro.workloads.queries import uniform_range_queries
 
 
@@ -119,7 +119,7 @@ def run_restart_recovery(
             recall_after = recall(index, queries, truth).recall
             stats = dht.stats
             store_bytes = sum(
-                request_wire_size(key, value)
+                message_sizes(key, value)[0]
                 for key, value in dht.items()
             )
             samples.append(

@@ -22,6 +22,12 @@ class LatencyModel(ABC):
     def delay(self, src: str, dst: str) -> float:
         """One-way message delay in virtual time units."""
 
+    def round_trip(self, src: str, dst: str) -> float:
+        """Request plus reply delay of one RPC, request leg first.  A
+        stateful model (queueing) overrides it to price the whole round
+        trip in one call, serializing requests per destination."""
+        return self.delay(src, dst) + self.delay(dst, src)
+
 
 class ConstantLatency(LatencyModel):
     """Every link has the same fixed delay (LAN-like)."""

@@ -6,7 +6,10 @@ response message.  The call itself executes synchronously (the DHT
 protocols here are sequential request/response chains), while the
 discrete-event clock in :mod:`repro.net.events` advances by the modelled
 round-trip latency, so time-based protocols (stabilization, churn)
-observe realistic orderings.
+observe realistic orderings.  The network prices every reply with the
+one byte model, :func:`~repro.net.message.message_sizes`; a storage
+request carries the size its caller priced with the same function
+(routing requests are unsized).
 
 Fault injection supports: unregistered/crashed destinations, seeded
 random message drops, and explicit bidirectional partitions.  All of it
@@ -23,7 +26,7 @@ from repro.common.errors import NodeUnreachableError
 from repro.common.rng import make_rng
 from repro.net.events import EventScheduler
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.message import Message
+from repro.net.message import Message, message_sizes
 from repro.net.stats import NetworkStats
 
 if TYPE_CHECKING:
@@ -32,20 +35,6 @@ if TYPE_CHECKING:
 
 class RpcError(NodeUnreachableError):
     """An RPC failed to reach its destination (crash, drop, partition)."""
-
-
-#: result -> (reply_size_bytes, reply_payload_bytes).  Installed by
-#: :func:`repro.dht.api.install_wire_model` (ultimately the codec in
-#: :mod:`repro.core.codec`); the default prices replies at zero, the
-#: pre-codec behaviour.  A module-level hook rather than an import so
-#: the net layer stays below dht/core in the dependency graph.
-_reply_cost_model = None
-
-
-def install_reply_cost_model(model) -> None:
-    """Set the function pricing RPC replies for byte accounting."""
-    global _reply_cost_model
-    _reply_cost_model = model
 
 
 class MessageRound:
@@ -173,10 +162,12 @@ class SimNetwork:
     ) -> Any:
         """Invoke ``handle_rpc(method, *args, **kwargs)`` on peer *dst*.
 
-        Accounts two messages (request + response) and advances the
-        virtual clock by the round-trip latency.  Raises
-        :class:`RpcError` when the destination is dead, partitioned
-        away, or the message is dropped by fault injection.
+        Accounts two messages — the request at the *size_bytes* /
+        *payload_bytes* the caller priced, the reply at
+        :func:`~repro.net.message.message_sizes` of the result — and
+        advances the virtual clock by the latency model's round trip.
+        Raises :class:`RpcError` when the destination is dead,
+        partitioned away, or the message is dropped by fault injection.
         """
         self.stats.record_rpc()
         if dst not in self._handlers:
@@ -199,22 +190,11 @@ class SimNetwork:
         self.stats.record_message(method, size_bytes, payload=payload_bytes)
         handler = self._handlers[dst]
         result = handler.handle_rpc(request)
-        if _reply_cost_model is None:
-            reply_size = reply_payload = 0
-        else:
-            reply_size, reply_payload = _reply_cost_model(result)
+        reply_size, reply_payload = message_sizes("", result)
         self.stats.record_message(
             method + ":reply", reply_size, payload=reply_payload
         )
-        round_tripper = getattr(self._latency, "round_trip", None)
-        if round_tripper is not None:
-            # Stateful models (queueing) price the full round trip in
-            # one call so they can serialize requests per destination.
-            round_trip = round_tripper(src, dst)
-        else:
-            round_trip = self._latency.delay(src, dst) + self._latency.delay(
-                dst, src
-            )
+        round_trip = self._latency.round_trip(src, dst)
         if self._round is not None:
             self._round.add_latency(round_trip)
         else:

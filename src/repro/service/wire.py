@@ -48,10 +48,10 @@ Byte accounting deliberately has two faces:
 
 * ``len(encode_frame(...))`` — the bytes actually crossing a socket;
 * :func:`frame_wire_sizes` — the *modelled* size used for
-  ``NetworkStats.bytes_sent``, built from the same
-  :func:`~repro.dht.api.estimate_wire_size` accounting (the codec's
-  sizes) the simulated substrates charge, so byte counters stay
-  comparable across runtimes.
+  ``NetworkStats.bytes_sent``: :func:`repro.net.message.message_sizes`,
+  the one function every runtime prices a message with (its header is
+  :data:`HEADER`'s size), so byte counters stay comparable across
+  runtimes.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Any, NamedTuple
 from repro.common.errors import ReproError
 from repro.core.bucket import LeafBucket
 from repro.core.codec import decode_bucket, encode_bucket
-from repro.dht.api import data_wire_size, estimate_wire_size
+from repro.net.message import message_sizes
 
 #: Frame header: magic, version, opcode, request id, payload length.
 HEADER = struct.Struct("!4sBBII")
@@ -430,25 +430,13 @@ class FrameDecoder:
 def frame_wire_sizes(
     op: Op, key: str = "", value: Any = None
 ) -> tuple[int, int]:
-    """``(modelled frame bytes, data-plane bytes)`` of one message,
-    sizing *value* once.
-
-    The frame is header plus the key's own bytes plus the value's
-    payload size — the same :func:`~repro.dht.api.estimate_wire_size`
-    accounting the simulated substrates charge (exact encoded bytes for
-    record-bearing payloads, one envelope for control payloads), applied
-    to the real protocol so ``bytes_sent`` for a trace agrees between a
-    simulated and a TCP run.  A value with data-plane bytes is all data
-    (the wire model's contract), so only a control payload is priced a
-    second time, and that price does not look at its contents.  An
-    ``APPEND`` value is one record's codec row, priced as its bytes.  A
-    ``None`` value costs nothing.
-    """
-    if value is None:
-        return HEADER.size + len(key.encode()), 0
+    """``(modelled frame bytes, data-plane bytes)`` of one message:
+    :func:`~repro.net.message.message_sizes`, the byte model the
+    simulated substrates charge too, so ``bytes_sent`` for a trace
+    agrees between a simulated and a TCP run.  Only an ``APPEND`` value
+    depends on the opcode: it is one record's codec row, priced as its
+    bytes."""
     if op is _APPEND:
         data = len(value)
-        return HEADER.size + len(key.encode()) + data, data
-    data = data_wire_size(value)
-    payload = data if data else estimate_wire_size(value)
-    return HEADER.size + len(key.encode()) + payload, data
+        return message_sizes(key)[0] + data, data
+    return message_sizes(key, value)

@@ -121,6 +121,13 @@ class TestRemovedNames:
         "store_backend_kinds", "runtime_kinds", "store_backends",
         "create_store_backend", "RecordStore", "DurableBackend",
         "common.registry",
+        # the install hooks and the record sniffing of the byte model,
+        # which lives in repro.net.message now
+        "install_wire_model", "install_reply_cost_model", "_wire_model",
+        "_reply_cost_model", "estimate_wire_size", "data_wire_size",
+        "request_wire_size", "reply_wire_size", "payload_wire_size",
+        "_row_bytes", "_record_like", "_record_list_size", "_FIXED_BYTES",
+        "api.ENVELOPE_WIRE_BYTES", "api.MESSAGE_HEADER_BYTES",
     )
 
     @pytest.mark.parametrize(

@@ -128,16 +128,22 @@ class TestWireByteAccounting:
         from repro.core.bucket import LeafBucket
         from repro.core.codec import encoded_bucket_size
         from repro.core.records import Record
-        from repro.dht.api import ENVELOPE_WIRE_BYTES, estimate_wire_size
+        from repro.net.message import (
+            ENVELOPE_WIRE_BYTES,
+            MESSAGE_HEADER_BYTES,
+            message_sizes,
+        )
 
         bucket = LeafBucket("001", 2)
         bucket.add(Record((0.5, 0.5)))
         bucket.add(Record((0.6, 0.6)))
         # Record-bearing payloads are priced at their exact encoded
-        # size — the same bytes a wire frame would carry.
-        assert estimate_wire_size(bucket) == encoded_bucket_size(bucket)
-        assert estimate_wire_size("plain") == ENVELOPE_WIRE_BYTES
-        assert estimate_wire_size(None) == 0
+        # size — the same bytes a wire frame would carry — all data.
+        size = encoded_bucket_size(bucket)
+        head = MESSAGE_HEADER_BYTES
+        assert message_sizes("", bucket) == (head + size, size)
+        assert message_sizes("", "plain") == (head + ENVELOPE_WIRE_BYTES, 0)
+        assert message_sizes("", None) == (head, 0)
 
     def test_network_bytes_grow_with_bucket_size(self):
         from repro.core.bucket import LeafBucket

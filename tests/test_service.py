@@ -24,11 +24,12 @@ from repro.core import codec
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.core.records import Record
-from repro.dht.api import ENVELOPE_WIRE_BYTES, GET, GET_MANY, REWRITE
+from repro.dht.api import GET, GET_MANY, REWRITE
 from repro.dht.durable import AppendLogBackend, backend_path
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.retry import RetryingDht
 from repro.dht.faults import FaultPlan, FaultyDht
+from repro.net.message import ENVELOPE_WIRE_BYTES
 from repro.obs.trace import Tracer
 from repro.service.node import (
     ServiceDht,

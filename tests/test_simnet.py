@@ -49,8 +49,7 @@ class TestRegistration:
 
 class TestAccounting:
     def test_messages_and_bytes_counted(self):
-        import repro.core  # noqa: F401 (installs the codec wire model)
-        from repro.dht.api import reply_wire_size
+        from repro.net.message import message_sizes
 
         net = SimNetwork()
         net.register("b", Echo())
@@ -60,9 +59,10 @@ class TestAccounting:
         assert stats["rpc_calls"] == 2
         assert stats["messages"] == 4  # request + reply each
         # Requests charge their declared size; replies are priced by
-        # the installed codec model (an Echo reply is a plain envelope).
+        # the byte model (an Echo reply is a plain envelope).
         echo_reply = ("echo", "put", (), {})
-        assert stats["bytes_sent"] == 100 + 2 * reply_wire_size(echo_reply)
+        reply_size = message_sizes("", echo_reply)[0]
+        assert stats["bytes_sent"] == 100 + 2 * reply_size
         assert stats["payload_bytes"] == 0  # no record-bearing payloads
         assert net.stats.per_type["put"] == 1
 
