@@ -28,8 +28,8 @@ from repro.common.errors import IndexCorruptionError
 from repro.common.geometry import (
     Point,
     Region,
-    cell_resolves_query,
     check_point,
+    query_lca_bits,
     query_overlaps_cell,
     region_of_bits,
 )
@@ -250,20 +250,10 @@ class PhtIndex(OverDhtIndex):
         internal nodes), which is exactly why its bandwidth exceeds
         m-LIGHT's."""
         builder = RangeQueryBuilder()
-        lca = ""
-        while len(lca) < self._depth:
-            extended = None
-            for child in (lca + "0", lca + "1"):
-                if cell_resolves_query(
-                    region_of_bits(child, self._dims), query
-                ):
-                    extended = child
-                    break
-            if extended is None:
-                break
-            lca = extended
-
-        frontier = [lca]
+        # The trie's cells are the kd-tree's, so its LCA is m-LIGHT's
+        # below the root label: the same closed-form kernel.
+        bits, length = query_lca_bits(query, self._depth)
+        frontier = [format(bits, f"0{length}b") if length else ""]
         round_number = 0
         while frontier:
             round_number += 1

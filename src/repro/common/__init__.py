@@ -21,7 +21,6 @@ from repro.common.labels import (
     parent,
     children,
     sibling,
-    branch_nodes_between,
     split_dimension,
     interleave,
     candidate_string,
@@ -51,7 +50,6 @@ __all__ = [
     "parent",
     "children",
     "sibling",
-    "branch_nodes_between",
     "split_dimension",
     "interleave",
     "candidate_string",

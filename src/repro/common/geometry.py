@@ -14,6 +14,15 @@ different boundary semantics:
 Both are represented by the same frozen :class:`Region`; the functions
 below make the mixed-semantics predicates (overlap, coverage) explicit
 so no call site re-derives boundary logic.
+
+``Region(...)`` and :func:`as_region` validate, because that is where
+user input enters.  A box derived from valid ones — a half
+(:meth:`Region.split`), an intersection (:func:`clip`), a branch cell
+of the range decomposition — is valid by construction, so it is built
+by :func:`trusted_region`: ``object.__new__`` plus the two slot
+setters, without the frozen dataclass's ``__init__`` and
+``__post_init__`` (the same construction as
+:func:`repro.core.records.build_records`).
 """
 
 from __future__ import annotations
@@ -27,7 +36,12 @@ from repro.common.errors import (
     InvalidPointError,
     InvalidRegionError,
 )
-from repro.common.labels import check_label
+from repro.common.labels import (
+    MAX_RESOLUTION_BITS,
+    PackedLabel,
+    check_label,
+    packed_interleave,
+)
 
 #: A data key: one float in [0, 1) per dimension.
 Point = tuple[float, ...]
@@ -134,8 +148,8 @@ class Region:
         lower_highs = self.highs[:dim] + (mid,) + self.highs[dim + 1:]
         upper_lows = self.lows[:dim] + (mid,) + self.lows[dim + 1:]
         return (
-            Region(self.lows, lower_highs),
-            Region(upper_lows, self.highs),
+            trusted_region(self.lows, lower_highs),
+            trusted_region(upper_lows, self.highs),
         )
 
     def contains_region(self, other: "Region") -> bool:
@@ -166,6 +180,22 @@ class Region:
             low <= value <= high
             for value, low, high in zip(point, self.lows, self.highs)
         )
+
+
+_new = object.__new__
+_set_lows = Region.lows.__set__
+_set_highs = Region.highs.__set__
+
+
+def trusted_region(lows: tuple[float, ...], highs: tuple[float, ...]) -> Region:
+    """A :class:`Region` of bounds known valid (derived from valid
+    boxes), built without re-validation: ``object.__new__`` plus the
+    two slots written through their descriptors.  The class is
+    unchanged, so equality, hashing and pickling are any Region's."""
+    region = _new(Region)
+    _set_lows(region, lows)
+    _set_highs(region, highs)
+    return region
 
 
 def unit_region(dims: int) -> Region:
@@ -235,33 +265,68 @@ def query_covers_cell(query: Region, cell: Region) -> bool:
     )
 
 
-def cell_resolves_query(cell: Region, query: Region) -> bool:
-    """True when *cell* alone holds every record matching *query*.
-
-    Besides nesting, the query's upper face must be strictly inside the
-    cell (or on the global boundary), because records sitting exactly on
-    a shared upper face belong to the *adjacent* cell.
-    """
-    for c_low, q_low, q_high, c_high in zip(
-        cell.lows, query.lows, query.highs, cell.highs
-    ):
-        if q_low < c_low:
-            return False
-        if q_high > c_high:
-            return False
-        if q_high == c_high and c_high != 1.0:
-            return False
-    return True
-
-
 def clip(query: Region, cell: Region) -> Region | None:
     """Intersection of *query* and *cell*, or None when they do not
-    overlap (in the mixed closed/half-open sense)."""
+    overlap (in the mixed closed/half-open sense).  The intersection of
+    two valid boxes is valid, so it is a :func:`trusted_region`."""
     if not query_overlaps_cell(query, cell):
         return None
-    lows = tuple(max(q, c) for q, c in zip(query.lows, cell.lows))
-    highs = tuple(min(q, c) for q, c in zip(query.highs, cell.highs))
-    return Region(lows, highs)
+    return trusted_region(
+        tuple(map(max, query.lows, cell.lows)),
+        tuple(map(min, query.highs, cell.highs)),
+    )
+
+
+#: The fixed-point cell of the global upper face 1.0: the all-ones
+#: cell at every resolution, the one cell a query may close on its
+#: upper face.
+_TOP_FACE = (1 << MAX_RESOLUTION_BITS) - 1
+_SCALE = float(1 << MAX_RESOLUTION_BITS)
+
+
+def query_lca_bits(query: Region, max_depth: int) -> PackedLabel:
+    """The edge bits, below the root, of the deepest cell that resolves
+    *query* — holds every record it can match — at most *max_depth* of
+    them, as ``(bits, length)``.
+
+    A cell resolves a query when, per dimension, the query's low face
+    is inside the half-open cell and its high face is strictly below
+    the cell's upper face, or on it where that face is the global
+    boundary 1.0: a record on a shared upper face belongs to the
+    adjacent cell.
+
+    Closed form, no descent: a cell at depth ``t`` halves dimension
+    ``d`` ``ceil((t - d) / m)`` times, and it resolves the query iff,
+    in every dimension, the low and high faces share that many leading
+    bits — faces in fixed point (``int(x * 2**60)``), the global face
+    1.0 as the all-ones cell.  With ``c_d`` shared bits in dimension
+    ``d`` the deepest such ``t`` is ``min_d(c_d * m + d)``, and the
+    cell's bits are the low corner's Morton code to that length: the
+    longest common prefix of the two corners' codes.  The m-LIGHT LCA
+    (:func:`repro.core.rangequery.compute_lca`) is these bits below the
+    root label, PHT's trie entry point (:mod:`repro.baselines.pht`)
+    the bits alone.
+    """
+    dims = len(query.lows)
+    depth = max_depth
+    for dim, (low, high) in enumerate(zip(query.lows, query.highs)):
+        low = _TOP_FACE if low == 1.0 else int(low * _SCALE)
+        high = _TOP_FACE if high == 1.0 else int(high * _SCALE)
+        shared = MAX_RESOLUTION_BITS - (low ^ high).bit_length()
+        if shared * dims + dim < depth:
+            depth = shared * dims + dim
+    if 1.0 not in query.lows:
+        return packed_interleave(query.lows, depth)
+    # A low face on the global face 1.0 (its high face is 1.0 too) lies
+    # in the all-ones cell: interleave 0.0 there, then set its bits.
+    bits, _ = packed_interleave(
+        [0.0 if low == 1.0 else low for low in query.lows], depth
+    )
+    for dim, low in enumerate(query.lows):
+        if low == 1.0:
+            for position in range(dim, depth, dims):
+                bits |= 1 << (depth - 1 - position)
+    return bits, depth
 
 
 @lru_cache(maxsize=1 << 16)

@@ -25,7 +25,9 @@ in :mod:`repro.core.naming`, the lookup cursor and the range kernel
 take and return strings, and a probe's DHT key is the string itself.
 Integers appear in exactly one place, the Morton interleave:
 :func:`packed_interleave` / :func:`packed_candidate` spread each
-coordinate's expansion bits table-driven and OR-merge them, and
+coordinate's expansion bits table-driven and OR-merge them — for a
+point, and for a query's LCA
+(:func:`repro.common.geometry.query_lca_bits`) — and
 :func:`interleave` / :func:`candidate_string` render that integer with
 one ``format`` call.  It is the only implementation, not a twin;
 :func:`coordinate_bits` is the per-character oracle the tests compare
@@ -46,9 +48,9 @@ program, by :func:`check_label`:
 
 The helpers trust their caller and keep only their O(1) structural
 preconditions — the virtual root has no parent, children or split, the
-root has no sibling, ``top`` is a proper prefix of ``leaf`` — as length
-and prefix compares.  ``tests/test_layering.py`` keeps the call sites
-of :func:`check_label` / :func:`is_valid_label` to that list.
+root has no sibling — as length compares.  ``tests/test_layering.py``
+keeps the call sites of :func:`check_label` / :func:`is_valid_label`
+to that list.
 
 Coordinate convention
 ---------------------
@@ -158,25 +160,6 @@ def sibling(label: str, dims: int) -> str:
     return label[:-1] + last
 
 
-def branch_nodes_between(leaf: str, top: str, dims: int) -> list[str]:
-    """Return the *branch nodes* between *leaf* and its ancestor *top*.
-
-    Branch nodes are the siblings of every node on the path from *leaf*
-    up to, but excluding, *top* (Section 3.3).  Together with *leaf*
-    itself their regions exactly tile the region of *top*, which is what
-    the range-query decomposition exploits.  Returned nearest-to-*top*
-    first (shallowest first).
-    """
-    if not leaf.startswith(top) or leaf == top:
-        raise InvalidLabelError(
-            f"{top!r} is not a proper ancestor of {leaf!r}"
-        )
-    branches = []
-    for end in range(len(top) + 1, len(leaf) + 1):
-        branches.append(sibling(leaf[:end], dims))
-    return branches
-
-
 def split_dimension(label: str, dims: int) -> int:
     """Return the dimension halved when *label*'s cell splits.
 
@@ -274,23 +257,12 @@ def _spread_table(dims: int) -> list[int]:
     return table
 
 
-def _spread(value: int, dims: int, table: list[int]) -> int:
-    """Insert ``dims - 1`` zeros between consecutive bits of *value*."""
-    out = 0
-    shift = 0
-    while value:
-        out |= table[value & 0xFF] << (shift * dims)
-        value >>= 8
-        shift += 8
-    return out
-
-
 def packed_interleave(point: Sequence[float], depth: int) -> PackedLabel:
     """*depth* Morton bits of *point* as ``(bits, length)``.
 
     Each coordinate contributes its top ``ceil(depth / m)`` expansion
-    bits, spread table-driven to stride ``m`` and OR-merged — no
-    per-bit Python loop.
+    bits, spread eight at a time by table to stride ``m`` and OR-merged
+    — no per-bit Python loop.
     """
     dims = len(point)
     _check_dims(dims)
@@ -303,15 +275,19 @@ def packed_interleave(point: Sequence[float], depth: int) -> PackedLabel:
         )
     table = _spread_table(dims)
     drop = MAX_RESOLUTION_BITS - per_dim
+    stride = 8 * dims
     out = 0
-    for position, value in enumerate(point):
+    offset = dims - 1  # dimension 0 takes the highest bit of each group
+    for value in point:
         if not 0.0 <= value < 1.0:
-            raise InvalidPointError(
-                f"coordinate {value!r} outside [0, 1)"
-            )
-        out |= _spread(int(value * _SCALE) >> drop, dims, table) << (
-            dims - 1 - position
-        )
+            raise InvalidPointError(f"coordinate {value!r} outside [0, 1)")
+        value = int(value * _SCALE) >> drop
+        shift = offset
+        while value:
+            out |= table[value & 0xFF] << shift
+            value >>= 8
+            shift += stride
+        offset -= 1
     return out >> (per_dim * dims - depth), depth
 
 

@@ -20,35 +20,54 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.common.config import IndexConfig
-from repro.common.errors import ReproError
+from repro.common.errors import InvalidPointError, ReproError
 from repro.common.labels import root_label
 from repro.core import npstore
 from repro.core.bucket import LeafBucket
 from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
-from repro.core.records import Record
+from repro.core.records import Record, build_records
 from repro.core.split import SplitStrategy, build_strategy
-from repro.core.store import Rows
+from repro.core.store import Rows, check_columns
 from repro.dht.api import Dht
 
 
 def coerce_bulk_items(items, dims: int):
-    """Normalise a bulk-load input to Rows or a list of records.
+    """Normalise a bulk-load input to Rows or a list of records, every
+    coordinate checked (NaN included) before anything is placed.
 
     A numpy ``(n, dims)`` matrix becomes a :class:`Rows` block backed by
     its columns — validated vectorially, never materialised as
-    :class:`Record` objects.  A ``Rows`` block passes through.  Anything
-    else goes item-by-item through :meth:`Record.coerce`, the same rule
-    ``MLightIndex.insert_many`` uses.
+    :class:`Record` objects.  A ``Rows`` block passes through, its
+    columns checked.  A list of bare ``dims``-tuples is checked column
+    by column and becomes Records through
+    :func:`~repro.core.records.build_records`, the tuples kept as the
+    keys.  Anything else — or a list whose check fails — goes item by
+    item through :meth:`Record.coerce`, the same rule
+    ``MLightIndex.insert_many`` uses, so a bad point raises its own
+    :class:`~repro.common.errors.InvalidPointError`.
     """
     if isinstance(items, Rows):
         if items.dims != dims:
             raise ReproError(
                 f"Rows carry {items.dims} dims, config says {dims}"
             )
+        check_columns(items.columns)
         return items
     if npstore.HAVE_NUMPY and hasattr(items, "__array_interface__"):
         return npstore.rows_from_matrix(items, dims)
+    if not isinstance(items, list):
+        items = list(items)
+    if all(type(item) is tuple and len(item) == dims for item in items):
+        try:
+            # Each column read lazily off the tuples: no transposed copy.
+            check_columns(
+                (item[dim] for item in items) for dim in range(dims)
+            )
+        except (InvalidPointError, TypeError):
+            pass  # an irregular list: let the per-item rule say why
+        else:
+            return build_records(items)
     return [Record.coerce(item, dims=dims) for item in items]
 
 

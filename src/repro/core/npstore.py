@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from repro.common.errors import InvalidPointError
 from repro.common.labels import MAX_RESOLUTION_BITS
 from repro.core.records import Record
-from repro.core.store import ColumnarStore, Rows, _make_records
+from repro.core.store import ColumnarStore, Rows, _make_records, check_columns
 
 try:  # pragma: no cover - exercised via both branches in CI matrices
     import numpy as np
@@ -85,7 +85,9 @@ def _require_numpy() -> None:
 
 
 def validate_columns(columns) -> list:
-    """Check every coordinate lies in ``[0, 1)``; return uint64 packing.
+    """Check every coordinate lies in ``[0, 1)``
+    (:func:`~repro.core.store.check_columns`, NaN-safe); return uint64
+    packing.
 
     The returned arrays hold ``int(c * 2**60)`` per coordinate — exact,
     because a power-of-two multiply only changes the float's exponent —
@@ -95,17 +97,9 @@ def validate_columns(columns) -> list:
     on the bulk-load fast path.
     """
     _require_numpy()
-    scaled = []
-    for dim, column in enumerate(columns):
-        column = np.asarray(column, dtype=np.float64)
-        if column.size and (
-            float(column.min()) < 0.0 or float(column.max()) >= 1.0
-        ):
-            raise InvalidPointError(
-                f"coordinate outside [0, 1) in dimension {dim}"
-            )
-        scaled.append((column * _SCALE).astype(np.uint64))
-    return scaled
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    check_columns(columns)
+    return [(column * _SCALE).astype(np.uint64) for column in columns]
 
 
 def batch_morton_codes(columns, depth: int):

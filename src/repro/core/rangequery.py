@@ -62,18 +62,23 @@ step through ``ServiceDht.drive_on_loop``.  A peer's forward is an
 ordinary ``CALL`` step carrying its driver's forward function, so it
 runs where that driver's IO lives.
 
-CPU hot path: with rounds batched (PR 2), local computation dominates
-wall-clock.  Every ``region_of_label`` this engine issues (LCA
-descent, speculative expansion, branch clipping) hits the memoized
-geometry cache, and every ``bucket.matching`` collection runs on the
-bucket's columnar store — see ``docs/architecture.md`` ("The hot
-path").
+CPU hot path: with rounds batched, local computation dominates
+wall-clock, so the geometry is float and bit arithmetic on bounds
+tuples.  The LCA is one closed form over the query corners' fixed-point
+faces (:func:`~repro.common.geometry.query_lca_bits`), no per-level
+descent.  :func:`branch_subqueries` looks up one cell, the target's
+(memoised), and walks down the leaf's path halving one dimension per
+level; the speculative expansion splits each frontier cell it carries.
+Every box they derive is a
+:func:`~repro.common.geometry.trusted_region` — an intersection or a
+half of a valid box is valid — so none is re-validated.  Every
+``bucket.matching`` collection runs on the bucket's columnar store or
+its codec bytes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.common.errors import (
@@ -85,23 +90,22 @@ from repro.common.geometry import (
     Region,
     RegionLike,
     as_region,
-    cell_resolves_query,
     clip,
+    query_lca_bits,
     region_of_label,
+    trusted_region,
 )
-from repro.common.labels import (
-    branch_nodes_between,
-    label_depth,
-    root_label,
-)
+from repro.common.labels import root_label
 from repro.core.bucket import LeafBucket
 from repro.core.cache import LeafCache
+from repro.core.codec import encode_row
 from repro.core.keys import bucket_key
 from repro.core.lookup import PointLookupCursor, lookup_steps
 from repro.core.naming import naming_function
 from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
 from repro.dht.api import CALL, GET_MANY, BatchFailure, Dht, DhtStats
+from repro.net.message import WireSized
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
@@ -122,8 +126,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class _Task:
+class _Task(NamedTuple):
     """One pending subquery: probe *target*'s name for *subquery*.
 
     ``anchor`` is the deepest label known (or assumed) to exist above
@@ -144,24 +147,19 @@ def compute_lca(query: Region, dims: int, max_depth: int) -> str:
     data independent, so no communication is needed (Section 6).
 
     Boundary semantics are deliberately mixed: the query is closed,
-    cells are half-open, and ``cell_resolves_query`` accepts a query
-    face on the cell's upper face only at the global boundary 1.0.  At
-    most one child can resolve at each level, so greedy descent finds
-    *the* LCA; ``tests/test_rangequery.py`` codifies this against an
+    cells are half-open, and a cell resolves a query whose face sits on
+    the cell's upper face only at the global boundary 1.0.  At most one
+    child resolves at each level, so the LCA is the root label followed
+    by the longest common prefix of the query corners' Morton codes,
+    :func:`~repro.common.geometry.query_lca_bits` — a closed form, no
+    per-level descent.  ``tests/test_decomposition_kernel.py`` compares
+    it with that descent, and ``tests/test_rangequery.py`` with an
     exhaustive point-level baseline for dims 1–4, including faces on
     binary split planes (this is also the label prefix multicast
     routes to, so a wrong LCA would silently drop matches).
     """
-    label = root_label(dims)
-    while label_depth(label, dims) < max_depth:
-        for child in (label + "0", label + "1"):
-            if cell_resolves_query(region_of_label(child, dims), query):
-                label = child
-                break
-        else:
-            break
-    return label
-
+    bits, depth = query_lca_bits(query, max_depth)
+    return format((1 << depth) | bits, f"0{dims + 1 + depth}b")
 
 
 def branch_subqueries(
@@ -190,11 +188,56 @@ def branch_subqueries(
             f"not prefix-comparable with target {target!r}; the naming "
             "invariant is broken"
         )
+    # One walk from the target's cell down the leaf's path: each level
+    # halves one dimension, the leaf's half carries the path on and the
+    # other half is the branch node.  Halves differ from their parent
+    # in the split dimension only, so while the path cell overlaps
+    # *subquery* a branch overlaps iff it does in that dimension; once
+    # the path leaves the subquery every deeper branch lies inside the
+    # part it left, and the walk stops.
+    cell = region_of_label(target, dims)
+    lows = list(cell.lows)
+    highs = list(cell.highs)
+    q_lows = subquery.lows
+    q_highs = subquery.highs
+    for q_low, q_high, low, high in zip(q_lows, q_highs, lows, highs):
+        if q_high < low or q_low >= high:
+            return []  # the target's cell misses the subquery
     branches = []
-    for branch in branch_nodes_between(leaf, target, dims):
-        clipped = clip(subquery, region_of_label(branch, dims))
-        if clipped is not None:
-            branches.append((branch, clipped))
+    dim = (len(target) - dims - 1) % dims
+    for position in range(len(target), len(leaf)):
+        low = lows[dim]
+        high = highs[dim]
+        mid = (low + high) / 2.0
+        if leaf[position] == "1":  # the branch is the lower half
+            if q_lows[dim] < mid:
+                highs[dim] = mid
+                branches.append((
+                    leaf[:position] + "0",
+                    trusted_region(
+                        tuple(map(max, q_lows, lows)),
+                        tuple(map(min, q_highs, highs)),
+                    ),
+                ))
+            if q_highs[dim] < mid:
+                break
+            lows[dim] = mid
+            highs[dim] = high
+        else:  # the branch is the upper half
+            if q_highs[dim] >= mid:
+                lows[dim] = mid
+                branches.append((
+                    leaf[:position] + "1",
+                    trusted_region(
+                        tuple(map(max, q_lows, lows)),
+                        tuple(map(min, q_highs, highs)),
+                    ),
+                ))
+            if q_lows[dim] >= mid:
+                break
+            lows[dim] = low
+            highs[dim] = mid
+        dim = dim + 1 if dim + 1 < dims else 0
     return branches
 
 
@@ -237,9 +280,34 @@ def fallback_cursor(
 # Peer-side execution: the same decisions, taken where the bucket lives
 # ----------------------------------------------------------------------
 
-#: What one peer answers for one subquery: (matching records, visited
-#: leaf labels, wire rounds its subtree spent, unresolved subregions).
-AgentResult = tuple[list[Record], list[str], int, list[Region]]
+class AgentResult(tuple, WireSized):
+    """What one peer answers for one subquery: ``(matching records,
+    visited leaf labels, wire rounds its subtree spent, unresolved
+    subregions)``.
+
+    It is the reply of a peer-side step on every runtime, so it prices
+    itself as data (:class:`~repro.net.message.WireSized`): its records'
+    codec rows, :func:`~repro.core.codec.encode_row` bytes each — what
+    the client engine's fetched leaves carry for the same records."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        records: list[Record],
+        visited: list[str],
+        rounds: int,
+        unresolved: list[Region],
+    ) -> "AgentResult":
+        return tuple.__new__(cls, (records, visited, rounds, unresolved))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def encoded_wire_size(self) -> int:
+        return sum(
+            len(encode_row(record.key, record.value)) for record in self[0]
+        )
 
 
 class Hop(NamedTuple):
@@ -258,7 +326,7 @@ HopOutcome = tuple[AgentResult | BatchFailure, int]
 
 def _hop_result(
     reply: AgentResult | BatchFailure, spent: int, subquery: Region
-) -> AgentResult:
+) -> tuple[list[Record], list[str], int, list[Region]]:
     """Fold one hop into what it carried back: *spent* rounds on top of
     the receiver's own, or — undeliverable — its subquery unresolved."""
     if isinstance(reply, BatchFailure):
@@ -301,7 +369,7 @@ def peer_subquery(
         try:
             found = yield from lookup_steps(cursor)
         except NodeUnreachableError:
-            return [], [], cursor.probes, [subquery]
+            return AgentResult([], [], cursor.probes, [subquery])
         bucket, rounds = found.bucket, found.rounds
     branches = branch_subqueries(bucket.label, target, subquery, dims)
     records = list(bucket.matching(query))
@@ -320,7 +388,7 @@ def peer_subquery(
             visited.extend(leaves)
             rounds = max(rounds, depth)
             unresolved.extend(lost)
-    return records, visited, rounds, unresolved
+    return AgentResult(records, visited, rounds, unresolved)
 
 
 def query_via_peers(
@@ -442,9 +510,11 @@ class RangeCursor:
         in-flight fallback search."""
         builder = self.builder
         builder.open_round()
-        frontier: list[_Task] = []
-        for task in self._tasks:
-            frontier.extend(self._expand(task))
+        frontier = self._tasks
+        if self._levels:
+            frontier = [
+                deeper for task in frontier for deeper in self._expand(task)
+            ]
         self._frontier = frontier
         keys = [
             bucket_key(naming_function(task.target, self._dims))
@@ -498,22 +568,36 @@ class RangeCursor:
     def _expand(self, task: _Task) -> list[_Task]:
         """Speculative frontier of *task* ``levels`` deeper (parallel
         variant); the frontier cells tile the target cell, so coverage
-        is preserved.  ``levels == 0`` returns the task unchanged."""
-        frontier = [task]
+        is preserved.
+
+        One walk down from the target's cell: each frontier entry
+        carries its cell, a child's is one half of it, and a child
+        joins only when its clipped subquery exists."""
+        dims = self._dims
+        max_depth = self._max_depth
+        frontier = [
+            (task.target, task.subquery, region_of_label(task.target, dims))
+        ]
         for _ in range(self._levels):
-            deeper: list[_Task] = []
+            deeper = []
             for item in frontier:
-                if label_depth(item.target, self._dims) >= self._max_depth:
+                target, subquery, cell = item
+                depth = len(target) - dims - 1
+                if depth >= max_depth:
                     deeper.append(item)
                     continue
-                for child in (item.target + "0", item.target + "1"):
-                    clipped = clip(
-                        item.subquery, region_of_label(child, self._dims)
-                    )
-                    if clipped is not None:
-                        deeper.append(_Task(child, clipped, item.anchor))
+                lower, upper = cell.split(depth % dims)
+                clipped = clip(subquery, lower)
+                if clipped is not None:
+                    deeper.append((target + "0", clipped, lower))
+                clipped = clip(subquery, upper)
+                if clipped is not None:
+                    deeper.append((target + "1", clipped, upper))
             frontier = deeper
-        return frontier
+        anchor = task.anchor
+        return [
+            _Task(target, subquery, anchor) for target, subquery, _ in frontier
+        ]
 
     def _mark_unresolved(self, region: Region) -> None:
         """Record a degraded subregion, annotating the active trace."""

@@ -46,11 +46,12 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import partial
 
-from repro.common.errors import UnknownStoreError, unknown_kind
+from repro.common.errors import InvalidPointError, UnknownStoreError, unknown_kind
 from repro.core.records import Record, build_records
 
 __all__ = [
     "Rows",
+    "check_columns",
     "ColumnarStore",
     "STORES",
     "create_store",
@@ -110,6 +111,26 @@ def match_columns(columns, values, sort_dim: int, lows, highs) -> list[Record]:
         [[column[i] for i in hits] for column in columns],
         None if values is None else [values[i] for i in hits],
     )
+
+
+def check_columns(columns) -> None:
+    """Raise :class:`InvalidPointError` unless every coordinate of every
+    column lies in ``[0, 1)``, the data-key domain.
+
+    One compare per cell that a NaN fails (``min``/``max`` of a NaN
+    column compare false and let it through): a ``float64`` ndarray in
+    one vectorized mask, any other sequence value by value (a cell that
+    is no number raises :class:`TypeError`).  The bulk loader checks
+    all three of its input forms with it before placing anything."""
+    for dim, column in enumerate(columns):
+        if hasattr(column, "__array_interface__"):
+            inside = bool(((column >= 0.0) & (column < 1.0)).all())
+        else:
+            inside = all(0.0 <= value < 1.0 for value in column)
+        if not inside:
+            raise InvalidPointError(
+                f"coordinate outside [0, 1) in dimension {dim}"
+            )
 
 
 class Rows:

@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from repro.common.labels import root_label
+from repro.common.errors import InvalidLabelError
+from repro.common.geometry import clip, region_of_bits, region_of_label
+from repro.common.labels import root_label, sibling
 from repro.dht.api import GET_MANY, PUT_MANY, DhtDecorator, _capture
 from repro.runtime import RuntimeConfig, create_dht
 
@@ -55,6 +57,69 @@ def internal_nodes_of(leaves: list[str], dims: int) -> set[str]:
 def brute_force_range(points, query):
     """Reference answer for a closed range query over raw keys."""
     return sorted(p for p in points if query.contains_point_closed(p))
+
+
+# ----------------------------------------------------------------------
+# Range-decomposition oracles: the per-level forms the closed-form
+# kernels of repro.common.geometry / repro.core.rangequery replaced
+# ----------------------------------------------------------------------
+
+def cell_resolves_query(cell, query) -> bool:
+    """True when *cell* alone holds every record matching *query*.
+
+    Besides nesting, the query's upper face must be strictly inside the
+    cell (or on the global boundary), because records sitting exactly on
+    a shared upper face belong to the *adjacent* cell.
+    """
+    for c_low, q_low, q_high, c_high in zip(
+        cell.lows, query.lows, query.highs, cell.highs
+    ):
+        if q_low < c_low:
+            return False
+        if q_high > c_high:
+            return False
+        if q_high == c_high and c_high != 1.0:
+            return False
+    return True
+
+
+def lca_bits_by_descent(query, dims: int, max_depth: int) -> str:
+    """The LCA's edge bits below the root, one level at a time: take
+    the child whose cell resolves *query* until none does or
+    *max_depth* is reached (at most one child resolves per level)."""
+    bits = ""
+    while len(bits) < max_depth:
+        for child in (bits + "0", bits + "1"):
+            if cell_resolves_query(region_of_bits(child, dims), query):
+                bits = child
+                break
+        else:
+            break
+    return bits
+
+
+def branch_nodes_between(leaf: str, top: str, dims: int) -> list[str]:
+    """The *branch nodes* between *leaf* and its proper ancestor *top*:
+    the siblings of every node on the path from *leaf* up to, but
+    excluding, *top* (Section 3.3), shallowest first.  Together with
+    *leaf* their cells tile *top*'s."""
+    if not leaf.startswith(top) or leaf == top:
+        raise InvalidLabelError(
+            f"{top!r} is not a proper ancestor of {leaf!r}"
+        )
+    return [
+        sibling(leaf[:end], dims) for end in range(len(top) + 1, len(leaf) + 1)
+    ]
+
+
+def branch_subqueries_by_clip(leaf: str, target: str, subquery, dims: int):
+    """Algorithm 3's branches, one ``clip`` per branch node's cell."""
+    branches = []
+    for branch in branch_nodes_between(leaf, target, dims):
+        clipped = clip(subquery, region_of_label(branch, dims))
+        if clipped is not None:
+            branches.append((branch, clipped))
+    return branches
 
 
 class PerKeyDht(DhtDecorator):

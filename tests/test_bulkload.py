@@ -1,16 +1,18 @@
 """Tests for bulk loading (the static Theorem-6 construction)."""
 
 import random
+from array import array
 
 import pytest
 
 from repro.common.config import IndexConfig
-from repro.common.errors import ReproError
+from repro.common.errors import InvalidPointError, ReproError
 from repro.common.geometry import Region
-from repro.core.bulkload import bulk_load, plan_bulk_tree
+from repro.core.bulkload import bulk_load, coerce_bulk_items, plan_bulk_tree
 from repro.core.index import MLightIndex
 from repro.core.records import Record
 from repro.core.split import DataAwareSplit, ThresholdSplit
+from repro.core.store import Rows
 from repro.dht.localhash import LocalDht
 from tests.conftest import brute_force_range
 
@@ -109,6 +111,56 @@ class TestBulkLoad:
         threshold = bulk_load(LocalDht(8), points, small_config())
         assert by_config == explicit
         assert by_config != threshold
+
+
+class TestInputValidation:
+    """Every input form is checked, NaN included, before anything is
+    placed: a coordinate no query can return never reaches a bucket."""
+
+    def assert_refused(self, items, config=None):
+        dht = LocalDht(8)
+        with pytest.raises(InvalidPointError):
+            bulk_load(dht, items, config or small_config())
+        assert not list(dht.items())
+
+    def test_point_list_with_nan_or_out_of_range(self):
+        self.assert_refused([(0.1, 0.2), (float("nan"), 0.5), (0.3, 0.4)])
+        self.assert_refused([(0.1, 0.2), (0.3, 1.0)])
+
+    def test_point_list_keeps_the_per_point_message(self):
+        with pytest.raises(InvalidPointError, match=r"coordinate 1\.5 outside"):
+            bulk_load(LocalDht(8), [(0.1, 0.2), (0.3, 1.5)], small_config())
+        with pytest.raises(InvalidPointError, match="expected 2 coordinates"):
+            bulk_load(LocalDht(8), [(0.1, 0.2), (0.3,)], small_config())
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), -0.25])
+    def test_rows_block(self, bad):
+        columns = [array("d", [0.1, bad, 0.3]), array("d", [0.2, 0.5, 0.4])]
+        self.assert_refused(Rows(2, columns, None))
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_numpy_matrix(self, bad):
+        np = pytest.importorskip("numpy")
+        self.assert_refused(np.array([[0.1, 0.2], [bad, 0.5], [0.3, 0.4]]))
+
+    def test_bare_tuples_become_the_records_coerce_builds(self):
+        rng = random.Random(5)
+        points = [(rng.random(), rng.random()) for _ in range(200)]
+        points.append((0, 0.5))  # an int coordinate is kept as given
+        config = small_config()
+        assert coerce_bulk_items(points, 2) == [
+            Record.coerce(point, dims=2) for point in points
+        ]
+        placed = bulk_load(LocalDht(8), points, config)
+        assert placed == bulk_load(
+            LocalDht(8), [Record(point) for point in points], config
+        )
+
+    def test_mixed_spellings_still_go_item_by_item(self):
+        items = [(0.1, 0.1), ((0.2, 0.2), "p"), Record((0.3, 0.3), "r")]
+        assert coerce_bulk_items(items, 2) == [
+            Record((0.1, 0.1)), Record((0.2, 0.2), "p"), Record((0.3, 0.3), "r")
+        ]
 
 
 class TestStaticBeatsIncremental:

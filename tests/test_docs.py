@@ -128,6 +128,9 @@ class TestRemovedNames:
         "request_wire_size", "reply_wire_size", "payload_wire_size",
         "_row_bytes", "_record_like", "_record_list_size", "_FIXED_BYTES",
         "api.ENVELOPE_WIRE_BYTES", "api.MESSAGE_HEADER_BYTES",
+        # the per-level range geometry the closed-form kernels replaced,
+        # kept as test oracles in tests/conftest.py
+        "cell_resolves_query", "branch_nodes_between",
     )
 
     @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from repro.common.errors import (
 )
 from repro.common.geometry import (
     Region,
-    cell_resolves_query,
     check_point,
     clip,
     query_covers_cell,
@@ -19,7 +18,11 @@ from repro.common.geometry import (
     region_of_label,
     unit_region,
 )
-from tests.conftest import labels_strategy, points_strategy
+from tests.conftest import (
+    cell_resolves_query,
+    labels_strategy,
+    points_strategy,
+)
 
 
 class TestRegionBasics:

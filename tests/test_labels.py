@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import InvalidLabelError, InvalidPointError
 from repro.common.labels import (
-    branch_nodes_between,
     candidate_string,
     children,
     coordinate_bits,
@@ -19,7 +18,7 @@ from repro.common.labels import (
     split_dimension,
     virtual_root,
 )
-from tests.conftest import labels_strategy
+from tests.conftest import branch_nodes_between, labels_strategy
 
 
 class TestRoots:

@@ -662,10 +662,11 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once the byte model moved to
-#: ``net/message.py`` (no install hooks, no record sniffing); 10 916
-#: before.
-SRC_CODE_LINES = 10877
+#: ``make loc``'s ``src total`` once the range decomposition became a
+#: closed-form kernel (the LCA bits, the branch walk, trusted regions),
+#: a peer's reply priced itself and bulk loading checked every input
+#: form; 10 877 before.
+SRC_CODE_LINES = 10945
 
 
 # ----------------------------------------------------------------------

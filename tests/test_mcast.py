@@ -23,6 +23,7 @@ import pytest
 from repro.common.config import IndexConfig
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.geometry import Region, region_of_label
+from repro.core.codec import encode_row
 from repro.core.index import MLightIndex
 from repro.core.naming import naming_function
 from repro.dht.api import GET, PUT, DhtDecorator
@@ -238,6 +239,60 @@ class TestMembershipChanges:
         self.insert_more(index)
         assert len(dht.node("chord-0008").store)  # it serves buckets
         self.assert_answers_like_the_engine(index, mcast)
+
+
+class TestReplyBytes:
+    """A peer's reply is data: its records' codec rows, on both
+    runtimes, where it used to be one 16-byte control envelope."""
+
+    WHOLE = Region((0.0, 0.0), (1.0, 1.0))
+
+    @staticmethod
+    def row_bytes(records):
+        return sum(len(encode_row(r.key, r.value)) for r in records)
+
+    def booked(self, monkeypatch, module, dht, mcast):
+        """``payload_bytes`` booked by one whole-space query, the
+        replies the peers' steps returned, and the answer."""
+        replies = []
+        step = module.peer_subquery
+
+        def recorded(*args):
+            reply = yield from step(*args)
+            replies.append(reply)
+            return reply
+
+        monkeypatch.setattr(module, "peer_subquery", recorded)
+        before = dht.network.stats.payload_bytes
+        result = mcast.query(self.WHOLE)
+        return dht.network.stats.payload_bytes - before, replies, result
+
+    def test_sim_and_asyncio_book_the_rows_of_every_reply(self, monkeypatch):
+        import repro.mcast.runtime as sim_module
+        import repro.mcast.service as service_module
+
+        dht = ChordDht.build(8)
+        _, points = build_over(dht, n_points=200)
+        sim = self.booked(
+            monkeypatch, sim_module, dht,
+            MulticastRuntime(dht, 2, CONFIG.max_depth),
+        )
+        with create_dht(kind="asyncio", n_peers=8) as service_dht:
+            build_over(service_dht, n_points=200)
+            served = self.booked(
+                monkeypatch, service_module, service_dht,
+                ServiceMulticast(service_dht, 2, CONFIG.max_depth),
+            )
+        for payload, replies, result in (sim, served):
+            assert len(result.records) == len(points) == 200
+            # The reply to the initiator carries every record once ...
+            whole = self.row_bytes(result.records)
+            assert max(r.encoded_wire_size() for r in replies) == whole
+            assert whole == 200 * 16  # two doubles, no payload
+            # ... and every reply on the way is booked at its rows.
+            assert payload == sum(self.row_bytes(r[0]) for r in replies)
+            assert payload > whole
+        assert sim[0] == served[0]
 
 
 class TestServiceMulticast:

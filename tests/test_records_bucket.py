@@ -4,10 +4,11 @@ import pytest
 
 from repro.common.errors import InvalidLabelError, InvalidPointError
 from repro.common.geometry import Region
-from repro.common.labels import branch_nodes_between, parent, virtual_root
+from repro.common.labels import parent, virtual_root
 from repro.core.bucket import LeafBucket
 from repro.core.keys import bucket_key, name_from_key
 from repro.core.records import Record
+from tests.conftest import branch_nodes_between
 
 
 class TestRecord:
