@@ -264,8 +264,11 @@ class PhtIndex(OverDhtIndex):
                 node = self.dht.get(_key(prefix))
                 if node is None:
                     # Only possible at the LCA probe: the covering leaf
-                    # is an ancestor — find it by a point lookup.
-                    leaf, probes = self.lookup(query.lows)
+                    # is an ancestor — find it by a point lookup of the
+                    # cell's low corner (in [0, 1), unlike a face).
+                    leaf, probes = self.lookup(
+                        region_of_bits(prefix, self._dims).lows
+                    )
                     builder.lookups += probes
                     builder.rounds = max(
                         builder.rounds, round_number + probes

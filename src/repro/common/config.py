@@ -15,6 +15,7 @@ from repro.common.errors import (
     UnknownStoreError,
     unknown_kind,
 )
+from repro.common.labels import MAX_RESOLUTION_BITS
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +106,14 @@ class IndexConfig:
             raise ReproError(f"dims must be >= 1, got {self.dims}")
         if self.max_depth < 1:
             raise ReproError(f"max_depth must be >= 1, got {self.max_depth}")
+        # A label bit is a coordinate bit: no deeper than every
+        # coordinate's fixed-point resolution allows.
+        deepest = MAX_RESOLUTION_BITS * self.dims
+        if self.max_depth > deepest:
+            raise ReproError(
+                f"max_depth must be <= {deepest} ({MAX_RESOLUTION_BITS} "
+                f"bits per dimension), got {self.max_depth}"
+            )
         if self.split_threshold < 1:
             raise ReproError("split_threshold must be >= 1")
         if not 0 <= self.merge_threshold < self.split_threshold:

@@ -24,7 +24,7 @@ store, and the first :meth:`matching` scans the bytes where they lie
 (:func:`~repro.core.codec.match_encoded`, a
 :class:`~repro.core.records.Record` per hit), so neither does a range
 query's fetched leaf.  The store is built by a second
-:meth:`matching` (which then uses its snapshot, as a resident
+:meth:`matching` (which then uses its run, as a resident
 bucket queried again should) or the first use of :attr:`store` /
 :attr:`records` / :meth:`add` / :meth:`remove`.  It is the bytes'
 columns: :meth:`add` appends to them and re-encoding hands them back,
@@ -39,10 +39,11 @@ Hot-path caches (all derived, invisible to equality/repr):
   with the store's generation (:meth:`encoded_memo`): re-encoding an
   unmutated bucket, or one whose store was never built, copies nothing
   and packs nothing;
-* each store backend rebuilds its own query structure lazily, tagged
-  by the store's **generation counter** (bumped on every mutation) —
-  never by comparing record counts, so an equal-count remove+add can
-  never serve a stale answer.  :meth:`matching_naive` keeps the
+* each store backend keeps its own query structure (its run) current
+  lazily, tagged by the store's **generation counter** (bumped on every
+  mutation): a query merges in the rows appended since, and rebuilds
+  after a remove — never by comparing record counts, so an equal-count
+  remove+add can never serve a stale answer.  :meth:`matching_naive` keeps the
   original scan as the equivalence oracle for tests and benchmarks.
 """
 
@@ -238,7 +239,7 @@ class LeafBucket(WireSized):
         bucket that is still its codec bytes answers its first match
         from them (:func:`~repro.core.codec.match_encoded`) and builds
         no store; a second match builds it as a record list, so that
-        match and every later one use its snapshot, as a resident
+        match and every later one use its run, as a resident
         store's second query does.
         """
         store = self._store

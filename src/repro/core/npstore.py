@@ -4,7 +4,8 @@ The ``"numpy"`` backend is the :class:`~repro.core.store.ColumnarStore`
 body over one ``float64`` ndarray per dimension, with whole-column
 kernels: a query is one boolean-mask reduction over insertion-order
 columns (a column-form store builds Records for the hits only; a
-record list keeps an ndarray snapshot of its keys per generation), so
+record list keeps an ndarray run of its keys, which a query extends by
+the rows appended since and builds again only after a ``remove``), so
 hits come out in insertion order.  Answers are bit-identical to the
 naive scan (same IEEE-754 compares on the same doubles), which the
 equivalence sweep in ``tests/test_hotpath_equivalence.py`` asserts.
@@ -177,7 +178,7 @@ class NumpyStore(ColumnarStore):
 
     Every query is one mask reduction over insertion-order columns:
     a column-form store's own (Records for the hits only), or for a
-    record list the snapshot of its keys, kept per generation.  An
+    record list the run of its keys, extended by the appended tail.  An
     append copies each column (``np.append``) — still one pass in C
     where materialising the bucket would build a Record per row.
     """
@@ -220,24 +221,29 @@ class NumpyStore(ColumnarStore):
             None if values is None else [values[i] for i in hits.tolist()],
         )
 
-    def _rebuild(self) -> None:
-        # The snapshot is the insertion-order key columns: a whole-
-        # column mask costs no more than a sorted run's would.
-        records = self.records()
-        self._snapshot = [
-            np.fromiter(
-                (record.key[dim] for record in records),
-                dtype=np.float64,
-                count=len(records),
-            )
-            for dim in range(self.dims)
-        ]
-        self._built_generation = self.generation
+    # The run is the insertion-order key columns (``order`` is None):
+    # a whole-column mask costs no more than a sorted run's would.
 
-    def _select(self, lows, highs) -> list[Record]:
-        # The record list is kept (a rebuild left the store as records),
+    def _fresh_run(self, keys, generation: int) -> tuple:
+        return generation, None, [
+            np.asarray(column, dtype=np.float64) for column in keys
+        ]
+
+    def _merged_run(self, run, records, generation: int) -> tuple:
+        columns = run[2]
+        tail = records[len(columns[0]):]
+        keys = np.array(
+            [record.key for record in tail], dtype=np.float64
+        ).reshape(len(tail), self.dims)
+        return generation, None, [
+            np.concatenate((column, keys[:, dim]))
+            for dim, column in enumerate(columns)
+        ]
+
+    def _select(self, run, lows, highs) -> list[Record]:
+        # The record list is kept (a run is only built over records),
         # so answers are plain list indexing — a fresh Record per match
         # per query would dominate the vectorized filter.
         records = self._records
-        hits = self._hits(self._snapshot, lows, highs)
-        return [records[i] for i in hits.tolist()]
+        hits = self._hits(run[2], lows, highs)
+        return list(map(records.__getitem__, hits.tolist()))

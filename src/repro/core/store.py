@@ -29,8 +29,9 @@ after a mutation scans them (:func:`match_columns`, which also scans a
 fetched leaf's codec bytes without any store) and builds a
 :class:`Record` per hit only.  Built from records — or once
 ``records()`` is asked for (merge, delete, the oracles, ``__eq__``, a
-second query at one generation) — it is a record list with a lazily
-rebuilt snapshot.
+second query at one generation) — it is a record list plus a sorted
+run, which a query brings up to date: it merges the rows appended since
+the run was built, and builds it from scratch only after a ``remove``.
 
 Both kinds return **bit-identical, insertion-ordered** answers;
 ``tests/test_hotpath_equivalence.py`` sweeps them against the naive
@@ -190,7 +191,7 @@ class Rows:
 
 class ColumnarStore:
     """One bucket interior: insertion-order columns, or a record list
-    plus a sorted snapshot.
+    plus a sorted run.
 
     Every successful mutation bumps :attr:`generation` — the *only*
     staleness signal owners may rely on.  ``matching`` answers a closed
@@ -200,13 +201,19 @@ class ColumnarStore:
     one pass over its columns, building Records for the hits only (a
     split leaf is often queried once).  Queried again at the
     same generation (a resident bucket) it turns into a record list,
-    whose snapshot — positions sorted on the bucket's split dimension
-    and the key columns in that order — a query narrows with two
-    bisects, then filters one dimension at a time.  Mutations are O(1)
-    appends; the snapshot is rebuilt by the first query that needs it,
-    tagged by generation equality only.  Subclasses change the column
-    type (:meth:`_adopt`, :meth:`_append_key`) and the matching kernels
-    (:meth:`_scan`, :meth:`_rebuild`, :meth:`_select`).
+    whose run — positions sorted on the bucket's split dimension
+    and the key columns in that order, sorted from the columns it had —
+    a query narrows with two bisects, then filters one dimension at a
+    time.  Mutations are O(1)
+    appends.  The first query that finds the run older than the store
+    merges the rows appended since into a fresh copy (``bisect_right``
+    per row: the stable sort's tie order); after a ``remove`` it sorts
+    all rows again.  The run is one ``(generation, order, columns)``
+    tuple, replaced whole and never mutated, so a reader on another
+    thread sees the old run or the new one.  Subclasses change the
+    column type (:meth:`_adopt`, :meth:`_append_key`) and the matching
+    kernels (:meth:`_scan`, :meth:`_fresh_run`, :meth:`_merged_run`,
+    :meth:`_select`).
     """
 
     #: The ``STORES`` kind; the codec writes it into a bucket's header.
@@ -219,9 +226,8 @@ class ColumnarStore:
         "_blob_memo",
         "_records",
         "_rows",
-        "_order",
-        "_snapshot",
-        "_built_generation",
+        "_run",
+        "_removed_at",
         "_scanned_generation",
     )
 
@@ -237,11 +243,14 @@ class ColumnarStore:
         #: the columns (``None`` once the store turned into records).
         self._records: list[Record] | None = list(records)
         self._rows: Rows | None = None
-        #: The snapshot: insertion positions sorted on ``sort_dim`` and
-        #: the key columns in that order, as of ``_built_generation``.
-        self._order = []
-        self._snapshot = []
-        self._built_generation = -1
+        #: The sorted run, ``(generation, order, columns)``: insertion
+        #: positions sorted on ``sort_dim`` and the key columns in that
+        #: order, as of ``generation``.  Replaced whole, never mutated.
+        self._run = None
+        #: The generation the last ``remove`` made.  A run tagged older
+        #: is built again, not merged into (its positions shifted), even
+        #: one a query on another thread published after the remove.
+        self._removed_at = 0
         self._scanned_generation = -1
 
     @classmethod
@@ -307,6 +316,7 @@ class ColumnarStore:
             records.remove(record)
         except ValueError:
             return False
+        self._removed_at = self.generation + 1
         self.generation += 1
         return True
 
@@ -376,13 +386,24 @@ class ColumnarStore:
     ) -> list[Record]:
         """Records inside the closed box, in insertion order."""
         generation = self.generation
-        if self._built_generation != generation:
+        run = self._run
+        if run is None or run[0] != generation:
             rows = self._rows
             if rows is not None and self._scanned_generation != generation:
                 self._scanned_generation = generation
                 return self._scan(rows, lows, highs)
-            self._rebuild()
-        return self._select(lows, highs)
+            records = self.records()
+            if run is None or run[0] < self._removed_at:
+                keys = (
+                    _key_columns(records, self.dims)
+                    if rows is None
+                    else rows.columns  # the columns that just became records
+                )
+                run = self._fresh_run(keys, generation)
+            else:
+                run = self._merged_run(run, records, generation)
+            self._run = run
+        return self._select(run, lows, highs)
 
     def _scan(self, rows: Rows, lows, highs) -> list[Record]:
         """One pass over the insertion-order columns; Records for the
@@ -391,28 +412,46 @@ class ColumnarStore:
             rows.columns, rows.values, self.sort_dim, lows, highs
         )
 
-    def _rebuild(self) -> None:
-        records = self.records()
-        sort_dim = self.sort_dim
-        order = sorted(
-            range(len(records)), key=lambda i: records[i].key[sort_dim]
+    def _fresh_run(self, keys, generation: int) -> tuple:
+        """The run from scratch over insertion-order key columns *keys*:
+        a stable sort of the positions on the ``sort_dim`` column."""
+        sort_column = keys[self.sort_dim]
+        order = sorted(range(len(sort_column)), key=sort_column.__getitem__)
+        return (
+            generation,
+            order,
+            [array("d", [column[i] for i in order]) for column in keys],
         )
-        self._order = order
-        self._snapshot = [
-            array("d", [records[i].key[dim] for i in order])
-            for dim in range(self.dims)
-        ]
-        self._built_generation = self.generation
 
-    def _select(self, lows, highs) -> list[Record]:
+    def _merged_run(self, run, records, generation: int) -> tuple:
+        """*run* plus the records appended after it, in a fresh copy.
+
+        Each appended position lands after every entry whose key is
+        ``<=`` its own (``bisect_right``): it is larger than all of
+        them, so this is exactly the stable sort's tie order."""
+        _, order, columns = run
+        order = order.copy()
+        columns = [column[:] for column in columns]
         sort_dim = self.sort_dim
-        column = self._snapshot[sort_dim]
+        sort_column = columns[sort_dim]
+        for position in range(len(order), len(records)):
+            key = records[position].key
+            at = bisect_right(sort_column, key[sort_dim])
+            order.insert(at, position)
+            for column, coordinate in zip(columns, key):
+                column.insert(at, coordinate)
+        return generation, order, columns
+
+    def _select(self, run, lows, highs) -> list[Record]:
+        _, order, columns = run
+        sort_dim = self.sort_dim
+        column = columns[sort_dim]
         start = bisect_left(column, lows[sort_dim])
         stop = bisect_right(column, highs[sort_dim], lo=start)
         if start >= stop:
             return []
         candidates: Sequence[int] = range(start, stop)
-        for dim, col in enumerate(self._snapshot):
+        for dim, col in enumerate(columns):
             if dim == sort_dim:
                 continue
             low = lows[dim]
@@ -422,9 +461,10 @@ class ColumnarStore:
                 return []
         # Ascending insertion positions reproduce the naive scan's
         # output order exactly.
-        order = self._order
-        records = self._records  # a rebuild left the store as records
-        return [records[i] for i in sorted(order[i] for i in candidates)]
+        records = self._records  # a run is only built over records
+        return list(
+            map(records.__getitem__, sorted(map(order.__getitem__, candidates)))
+        )
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import fields
 import pytest
 
 from repro.common.config import IndexConfig
+from repro.common.labels import MAX_RESOLUTION_BITS
 from repro.common.errors import ReproError, UnknownRuntimeError
 from repro.core.index import MLightIndex
 from repro.dht.localhash import LocalDht
@@ -86,6 +87,31 @@ class TestDefaultLookahead:
         assert widened.lookups > defaulted.lookups
         with pytest.raises(TypeError):
             IndexConfig(default_lookahead=4)
+
+
+class TestMaxDepth:
+    """A label bit is a coordinate bit: ``max_depth`` cannot exceed
+    the ``MAX_RESOLUTION_BITS`` bits each of the ``dims`` coordinates
+    carries, or every insert and lookup would fail deep inside the
+    label code instead of at construction."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_above_the_resolution_rejected_naming_the_bound(self, dims):
+        bound = MAX_RESOLUTION_BITS * dims
+        with pytest.raises(
+            ReproError, match=rf"max_depth must be <= {bound}.*got {bound + 1}"
+        ):
+            IndexConfig(dims=dims, max_depth=bound + 1)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_the_bound_itself_indexes(self, dims):
+        depth = MAX_RESOLUTION_BITS * dims
+        index = MLightIndex(
+            LocalDht(4), IndexConfig(dims=dims, max_depth=depth)
+        )
+        point = (0.5,) * dims
+        index.insert(point)
+        assert [record.key for record in index.exact_match(point)] == [point]
 
 
 class TestRuntime:

@@ -172,12 +172,33 @@ class TestPhtSharesTheKernel:
             index.insert((rng.random(), rng.random()))
         for _ in range(300):
             query = random_query(rng, dims)
-            if 1.0 in query.lows:
-                # PHT's fallback point-looks-up the low corner, which
-                # cannot be 1.0; the entry point is not what fails.
-                continue
             dht.keys.clear()
             index.range_query(query)
             lca = compute_lca(query, dims, depth)[dims + 1:]
             assert lca == lca_bits_by_descent(query, dims, depth)
             assert dht.keys[0] == "pht:" + lca
+
+    def test_a_missing_lca_with_a_low_face_of_one_finds_its_leaf(self):
+        """The point lookup behind a missing LCA node probes a point of
+        the LCA cell in ``[0, 1)`` even when the query's low face is the
+        space's high edge, and costs what any point of that cell does."""
+        dims, depth = 2, 16
+        index = PhtIndex(
+            LocalDht(8),
+            IndexConfig(
+                dims=dims, max_depth=depth, split_threshold=4,
+                merge_threshold=2,
+            ),
+        )
+        rng = random.Random(3)
+        for _ in range(300):
+            index.insert((rng.random(), rng.random()))
+        query = Region((1.0, 1.0), (1.0, 1.0))
+        lca = compute_lca(query, dims, depth)[dims + 1:]
+        assert index.dht.get("pht:" + lca) is None
+        inside = (1.0 - 2.0 ** -10,) * dims  # in the depth-16 corner cell
+        leaf, probes = index.lookup(inside)
+        result = index.range_query(query)
+        assert not result.records
+        assert result.visited_leaves == {leaf.prefix}
+        assert result.lookups == 1 + probes
