@@ -20,6 +20,12 @@ step's outcome and returns its result.  :meth:`Dht.perform` runs one
 step — the one metered entry point, which the public methods are
 sugar over — and :meth:`Dht.drive` is the trampoline; see the opcodes
 below.
+
+Under the steps sit the **exchanges**: a substrate supplies placement
+(:meth:`Dht.targets`) and one exchange (:meth:`Dht.exchange`, a request
+``(peer, op, key, value)`` that :meth:`~repro.dht.peer.KeyValuePeer.serve`
+answers on that peer), and :meth:`Dht.map_step` / :meth:`Dht.ask` map every
+step onto exchanges once, for every substrate and runtime.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from repro.net.events import EventScheduler
 class BatchFailure:
     """Per-element failure marker inside a batch outcome list.
 
-    The ``_do_*_many`` primitives never abort a whole batch on one
-    unreachable peer: they record the element's error in place and keep
+    A batch's round (:meth:`Dht.run_round`) never aborts on one
+    unreachable peer: it records the element's error in place and keeps
     going, so wrappers such as :class:`~repro.dht.retry.RetryingDht`
     can retry exactly the failed subset (partial-failure semantics).
     """
@@ -52,7 +58,7 @@ class BatchFailure:
 
 #: The step vocabulary.  A step is a plain tuple, opcode first (a class
 #: per step cost the in-process runtime ~7 % of a lookup); each opcode
-#: is also the name of the ``dht`` span its primitive runs under.
+#: is also the name of the ``dht`` span it runs under.
 #:
 #: * ``(GET, key)`` — one metered get; the outcome is the value or
 #:   ``None``.
@@ -73,6 +79,9 @@ class BatchFailure:
 #:   (run on the client's thread, never on a runtime's loop) or a
 #:   peer's forward (run where its driver's IO lives: in process, or
 #:   awaited on the service loop by the ``MCAST`` handler).
+#: * ``(op, key)`` or ``(op, key, value)`` — any other *op*: one metered
+#:   request at *key*'s targets, answered by the ``serve`` branch of
+#:   that name.
 #:
 #: One convention for failure: whatever a step raises — an unreachable
 #: ``GET`` included — is thrown into the operation at its ``yield``, so
@@ -81,6 +90,12 @@ class BatchFailure:
 GET, GET_MANY, REWRITE = "get", "get_many", "rewrite"
 PUT_MANY, REMOVE, CALL = "put_many", "remove", "call"
 LOOKUP, GET_DIRECT, PUT = "lookup", "get_direct", "put"
+
+#: Peer ops: what an exchange asks ``KeyValuePeer.serve``.  ``GET``,
+#: ``PUT``, ``REMOVE``, ``LOOKUP`` and ``REWRITE`` are also step opcodes;
+#: ``APPEND`` adds an insert's one record where the peer holds a copy,
+#: ``CONTAINS`` asks whether the peer holds a key.
+APPEND, CONTAINS = "append", "contains"
 
 #: Stands in for a span while no tracer is attached.  Entering it costs
 #: two calls, which the hottest step (an untraced ``GET``) avoids.
@@ -249,9 +264,13 @@ class DhtStats:
 class Dht(ABC):
     """Abstract ``put/get/remove/lookup`` interface plus metering.
 
-    Concrete substrates implement the five ``_do_*`` primitives;
-    :meth:`perform` handles accounting, and the public methods are
-    sugar over it, so that every substrate meters identically.
+    A concrete substrate supplies one exchange (:meth:`exchange`), and
+    its own placement (:meth:`targets`) and way of running a batch's
+    round (:meth:`run_round`) where the defaults do not fit;
+    :meth:`perform` meters each step and maps it onto exchanges
+    (:meth:`map_step`, :meth:`ask`), and the public methods are sugar
+    over it, so that every substrate meters identically and a new step
+    kind costs one ``KeyValuePeer.serve`` branch.
 
     ``tracer`` is the observability hook: ``None`` (the default) keeps
     every operation on the exact untraced path — one attribute load and
@@ -332,10 +351,7 @@ class Dht(ABC):
     # the paper's bandwidth measure is unchanged — but the batch counts
     # as one round: latency-wise the elements proceed in parallel, and
     # substrates that model time advance their clock by the slowest
-    # element instead of the sum.  The default primitives fall back to
-    # sequential ones so every substrate works unmodified (``LocalDht``
-    # runs them as they are: in-process there is no latency to overlap,
-    # and a peer's journal is not locked).
+    # element instead of the sum (:meth:`run_round`).
 
     def get_many_outcomes(self, keys: Sequence[str]) -> list[Any]:
         """Fetch several keys as one parallel round.
@@ -380,13 +396,11 @@ class Dht(ABC):
         substrates without membership at all — this raises
         :class:`ReproError`.
         """
-        if self.tracer is None:
-            self._do_restart(name)
-            return
-        with self.tracer.span("dht", "restart", peer=name):
-            self._do_restart(name)
+        tracer = self.tracer
+        with UNTRACED if tracer is None else tracer.span("dht", "restart", peer=name):
+            self._recover(name)
 
-    def _do_restart(self, name: str) -> None:
+    def _recover(self, name: str) -> None:
         raise ReproError(
             f"{type(self).__name__} does not support restart; build the "
             "substrate with durability enabled "
@@ -425,11 +439,11 @@ class Dht(ABC):
         """Tick what a metered *step* costs and return its ``dht`` span,
         not yet entered (:data:`UNTRACED` when no tracer is attached).
 
-        The half of a metered primitive that does not depend on where
-        its IO runs: :meth:`perform` calls it, and so do a retry wave
-        and a runtime that performs steps on a loop of its own, so all
-        of them meter and trace alike by construction.  A ``REWRITE``
-        and a ``CALL`` cost nothing here and are never passed in.
+        What a step costs is decided here only: :meth:`perform` calls
+        it, and so do a retry wave and a runtime that performs steps on
+        a loop of its own, so all of them meter and trace alike by
+        construction.  A ``REWRITE`` costs nothing (Theorem 5), nor does
+        an empty batch (no round); a ``CALL`` is never passed in.
         """
         op, stats, tracer = step[0], self.stats, self.tracer
         if op is GET:
@@ -437,6 +451,8 @@ class Dht(ABC):
             stats.lookups += 1
             stats.gets += 1
             return UNTRACED if tracer is None else tracer.span("dht", op, key=step[1])
+        if op is REWRITE or (op is GET_MANY or op is PUT_MANY) and not step[1]:
+            return UNTRACED
         if op is GET_MANY:
             count = len(step[1])
             stats.meter_batch(count, gets=count)
@@ -451,7 +467,7 @@ class Dht(ABC):
             if op is GET_DIRECT:
                 stats.gets += 1
                 attrs["peer"] = step[2]
-            elif op is not LOOKUP:
+            elif op is PUT or op is REMOVE:
                 if op is PUT:
                     stats.puts += 1
                 else:
@@ -462,7 +478,7 @@ class Dht(ABC):
 
     def perform(self, step: tuple) -> Any:
         """Run one step: tick its meter, open its span, run its
-        primitive; the outcome.
+        requests (:meth:`map_step`); the outcome.
 
         The one metered entry point of the facade and the one seam a
         wrapper overrides to intercept whole steps (retry, adaptive
@@ -476,31 +492,24 @@ class Dht(ABC):
             stats = self.stats
             stats.lookups += 1
             stats.gets += 1
-            return self._do_get(step[1])
-        if op is REWRITE:
-            if not self._do_rewrite(*step[1:]):
-                raise _absent_key(step[1])
-            return None
+            return self.ask(GET, step[1])
         if op is CALL:
             return step[1](*step[2])
-        if op is GET_MANY or op is PUT_MANY:
-            if not step[1]:
-                return [] if op is GET_MANY else None  # no round
-            with self._meter(step):
-                if op is GET_MANY:
-                    return self._do_get_many(step[1])
-                _raise_batch_failures(self._do_put_many(step[1]))
-                return None
-        with self._meter(step):
-            if op is GET:
-                return self._do_get(step[1])
-            if op is REMOVE:
-                return self._do_remove(step[1])
-            if op is LOOKUP:
-                return self._do_lookup(step[1])
-            if op is GET_DIRECT:
-                return self._do_get_direct(step[2], step[1])
-            return self._do_put(step[1], step[2])
+        span = self._meter(step)
+        if span is UNTRACED:  # no tracer, or a free step: nothing to enter
+            return self._carry(step)
+        with span:
+            return self._carry(step)
+
+    def _carry(self, step: tuple) -> Any:
+        """Run *step*'s requests (:meth:`map_step`) and settle its
+        outcome, unmetered."""
+        request, settle = self.map_step(step)
+        if type(request) is tuple:
+            reply = self.ask(*request)
+        else:
+            reply = self.run_round(request) if request else []
+        return reply if settle is None else settle(step, reply)
 
     def drive(self, operation: Generator[tuple, Any, Any]) -> Any:
         """Run *operation* to completion against this facade; its result.
@@ -538,7 +547,7 @@ class Dht(ABC):
     def peek(self, key: str) -> Any | None:
         """Read a key without metering.  Experiments must not use this
         on query paths; it exists for invariant checks and metrics."""
-        return self._do_get(key)
+        return self.ask(GET, key)
 
     def key_count(self) -> int:
         """Number of distinct keys stored anywhere (oracle, unmetered).
@@ -574,52 +583,99 @@ class Dht(ABC):
         """Iterate every (key, value) pair stored anywhere (oracle)."""
 
     # ------------------------------------------------------------------
-    # Substrate primitives
+    # What a substrate supplies: placement and one exchange
     # ------------------------------------------------------------------
 
-    @abstractmethod
-    def _do_lookup(self, key: str) -> str: ...
+    #: True when a peer's store holds a copy of what crossed the wire
+    #: rather than the client's own object: an insert that splits
+    #: nothing then ships its one record (``APPEND``), not the bucket.
+    holds_copies = False
+
+    def targets(self, key: str) -> list[str]:
+        """Placement: the peers a request for *key* goes to, its owner
+        first; by default the owner alone.  A routed substrate routes
+        here and meters the hops."""
+        return [self.peer_of(key)]
 
     @abstractmethod
-    def _do_get(self, key: str) -> Any | None: ...
+    def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
+        """One request to *peer*, answered there by
+        ``KeyValuePeer.serve(op, key, value)``; the reply.  *peer* is
+        ``None`` for a rewrite: the peer that holds *key*, found without
+        a route.  Raises :class:`NodeUnreachableError` when *peer*
+        cannot be reached, and whatever ``serve`` raised otherwise."""
 
-    @abstractmethod
-    def _do_put(self, key: str, value: Any) -> None: ...
-
-    @abstractmethod
-    def _do_remove(self, key: str) -> Any: ...
-
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        """Direct store-read at *peer*.  The default falls back to the
-        routed read so every substrate works unmodified; routed
-        substrates override this with a single point-to-point RPC."""
-        return self._do_get(key)
-
-    @abstractmethod
-    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        """Replace the value at *key* where it is stored, in one step;
-        False (and no write) when it is stored nowhere.  *record*, when
-        given, is the one record *value* adds to what the key holds: a
-        substrate whose peers hold copies (the service runtime) ships it
-        instead of *value*; one whose client value is the stored object
-        ignores it."""
+    def run_round(self, requests: list[tuple]) -> list[Any]:
+        """Run *requests* — :meth:`ask`'s arguments, one tuple each — as
+        one parallel round: one reply per request, in order, with a
+        :class:`BatchFailure` in the slot of one whose peer was
+        unreachable.  Data errors (``DhtKeyError``) still propagate:
+        they are caller bugs, not network weather.  In process there is
+        no latency to overlap, so this default asks them in turn."""
+        return [_capture(self.ask, *request) for request in requests]
 
     # ------------------------------------------------------------------
-    # Batch primitives (unmetered; overridable per substrate)
+    # The one mapping of steps onto exchanges
     # ------------------------------------------------------------------
-    #
-    # Contract: one outcome per element, in order.  An element whose
-    # execution raised :class:`NodeUnreachableError` yields a
-    # :class:`BatchFailure` in its slot instead of aborting the batch —
-    # partial-failure semantics for retry wrappers.  Data errors
-    # (``DhtKeyError``) still propagate immediately: they are caller
-    # bugs, not transient network weather.
 
-    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        return [_capture(self._do_get, key) for key in keys]
+    def map_step(self, step: tuple) -> tuple[Any, Any]:
+        """What *step* asks of the peers: ``(request, settle)``.
 
-    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        return [_capture(self._do_put, key, value) for key, value in items]
+        *request* is one :meth:`ask` request ``(op, key, value, peer)``
+        — *peer* ``None`` sends it to the key's targets, or for a
+        rewrite where the key is held — or a list of them for a batch's
+        one round, empty for an empty batch (no round).  *settle*,
+        unless ``None``, makes the step's outcome of the reply: a
+        ``PUT_MANY`` raises its first failed slot, a ``REWRITE`` of a
+        key stored nowhere raises :class:`DhtKeyError`.  A runtime that
+        performs steps on a loop of its own (``ServiceDht``) runs the
+        same map, so no step kind is mapped twice.
+        """
+        op, key = step[0], step[1]
+        if op is GET_MANY:
+            return [(GET, each, None, None) for each in key], None
+        if op is PUT_MANY:
+            return [(PUT, *item, None) for item in step[1]], _raise_first_failure
+        if op is REWRITE:
+            if len(step) > 3 and self.holds_copies:
+                return (APPEND, key, step[3], None), _rewritten
+            return (REWRITE, key, step[2], None), _rewritten
+        if op is GET_DIRECT:
+            return (GET, key, None, step[2]), None
+        if op is REMOVE or len(step) < 3:
+            return (op, key, None, None), None
+        return (op, key, step[2], None), None  # a PUT, or an op of no rule
+
+    def ask(self, op: str, key: str, value: Any = None, peer: str | None = None) -> Any:
+        """One request: to *peer*, else to each of *key*'s targets, the
+        replies combined by *op*'s rule.  A ``GET`` answers with the
+        first reply that is not ``None`` and asks no further; a
+        ``REMOVE`` removes wherever *key* is held and raises
+        :class:`DhtKeyError` when it is held nowhere; any other op goes
+        to every target and answers with the owner's reply.  A rewrite
+        takes no route (Theorem 5: the peer holding *key* rewrites it),
+        so it is one exchange the substrate sends where *key* is held."""
+        if peer is not None or op is REWRITE or op is APPEND:
+            return self.exchange(peer, op, key, value)
+        targets = self.targets(key)
+        if op is GET:
+            for peer in targets:
+                reply = self.exchange(peer, op, key)
+                if reply is not None:
+                    return reply
+            return None
+        if op is REMOVE:
+            removed = []
+            for peer in targets:
+                with contextlib.suppress(DhtKeyError):
+                    removed.append(self.exchange(peer, op, key))
+            if not removed:
+                raise DhtKeyError(f"key {key!r} does not exist")
+            return removed[0]
+        reply = self.exchange(targets[0], op, key, value)
+        for peer in targets[1:]:
+            self.exchange(peer, op, key, value)
+        return reply
 
 
 class DhtDecorator(Dht):
@@ -629,12 +685,13 @@ class DhtDecorator(Dht):
     ``tracer`` (one counter set, one span tree for the whole stack),
     resolves the simulated clock time-costing wrappers charge, and
     forwards the complete facade once: :meth:`Dht.perform`, the
-    ``_do_*`` primitives, the unmetered oracle, membership and
-    lifecycle.  A subclass overrides only what it changes, at one of
-    two seams: ``perform`` above the meter to intercept whole steps
-    (retry, adaptive reads), ``_do_*`` primitives below it (fault
-    injection).  The public methods are :class:`Dht`'s sugar over
-    ``perform``, so a direct call and a driven step meet the same seam.
+    requests and exchanges below it, the unmetered oracle, membership
+    and lifecycle.  A subclass overrides only what it changes, at one
+    of two seams: ``perform`` above the meter to intercept whole steps
+    (retry, adaptive reads), or :meth:`Dht.ask` / :meth:`Dht.run_round`
+    below it, each request of a step once (fault injection).  The
+    public methods are :class:`Dht`'s sugar over ``perform``, so a
+    direct call and a driven step meet the same seam.
 
     The one thing deliberately *not* forwarded is :meth:`Dht.drive`: a
     wrapped stack keeps the base trampoline, so every step of every
@@ -653,6 +710,7 @@ class DhtDecorator(Dht):
         # own — every attempt, injection and copy is metered on the
         # substrate's.
         self._inner = inner
+        self.holds_copies = inner.holds_copies
         self.stats = inner.stats
         self.tracer = inner.tracer
         if clock is None:
@@ -716,8 +774,8 @@ class DhtDecorator(Dht):
     def fail(self, name: str) -> None:
         self._inner.fail(name)
 
-    def _do_restart(self, name: str) -> None:
-        self._inner._do_restart(name)
+    def _recover(self, name: str) -> None:
+        self._inner._recover(name)
 
     def close(self) -> None:
         self._inner.close()
@@ -726,31 +784,19 @@ class DhtDecorator(Dht):
         self._inner.__enter__()
         return self
 
-    # Substrate primitives.
+    # Requests and exchanges.
 
-    def _do_lookup(self, key: str) -> str:
-        return self._inner._do_lookup(key)
+    def ask(self, op: str, key: str, value: Any = None, peer: str | None = None) -> Any:
+        return self._inner.ask(op, key, value, peer)
 
-    def _do_get(self, key: str) -> Any | None:
-        return self._inner._do_get(key)
+    def run_round(self, requests: list[tuple]) -> list[Any]:
+        return self._inner.run_round(requests)
 
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        return self._inner._do_get_direct(peer, key)
+    def targets(self, key: str) -> list[str]:
+        return self._inner.targets(key)
 
-    def _do_put(self, key: str, value: Any) -> None:
-        self._inner._do_put(key, value)
-
-    def _do_remove(self, key: str) -> Any:
-        return self._inner._do_remove(key)
-
-    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        return self._inner._do_rewrite(key, value, record)
-
-    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._inner._do_get_many(keys)
-
-    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        return self._inner._do_put_many(items)
+    def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
+        return self._inner.exchange(peer, op, key, value)
 
 
 def _capture(operation, *args: Any) -> Any:
@@ -761,19 +807,20 @@ def _capture(operation, *args: Any) -> Any:
         return BatchFailure(error)
 
 
-def _raise_batch_failures(outcomes: list[Any]) -> list[Any]:
-    """Surface the first per-element failure, or pass outcomes through."""
+def _raise_first_failure(step: tuple, outcomes: list[Any]) -> None:
+    """Settle a ``PUT_MANY``: surface its first failed slot, if any."""
     for outcome in outcomes:
         if isinstance(outcome, BatchFailure):
             raise outcome.error
-    return outcomes
 
 
-def _absent_key(key: str) -> DhtKeyError:
-    return DhtKeyError(
-        f"rewrite_local of absent key {key!r}; a routed put is "
-        "required to create it"
-    )
+def _rewritten(step: tuple, stored: bool) -> None:
+    """Settle a ``REWRITE``: a key stored nowhere needed a routed put."""
+    if not stored:
+        raise DhtKeyError(
+            f"rewrite_local of absent key {step[1]!r}; a routed put is "
+            "required to create it"
+        )
 
 
 def _check_records_moved(

@@ -409,15 +409,15 @@ class ChordDht(RoutedOverlay):
 
     def _replica_targets(self, owner: ChordNode) -> list[str]:
         """The owner plus its next ``replication - 1`` live successors."""
-        targets = [owner.name]
+        holders = [owner.name]
         for ref in owner.successors:
-            if len(targets) >= self.replication:
+            if len(holders) >= self.replication:
                 break
-            if ref.name not in targets and self.network.is_registered(
+            if ref.name not in holders and self.network.is_registered(
                 ref.name
             ):
-                targets.append(ref.name)
-        return targets
+                holders.append(ref.name)
+        return holders
 
     def repair_replicas(self) -> int:
         """Restore the replication invariant after churn.
@@ -432,9 +432,9 @@ class ChordDht(RoutedOverlay):
         # One authoritative value per key, from any holder.
         for key, value in dict(self.items()).items():
             owner = self._owner_of_digest(key_digest(key))
-            targets = set(self._replica_targets(owner))
+            holders = set(self._replica_targets(owner))
             for name, node in self._nodes.items():
-                if name in targets:
+                if name in holders:
                     if key not in node.store:
                         node.store.put(key, value)
                         written += 1

@@ -3,15 +3,15 @@
 The paper delegates robustness to the underlying DHT ("m-LIGHT
 inherits Bamboo's resilience") and never quantifies what the *index*
 loses when probes fail mid-query.  This module supplies the missing
-instrument: a wrapper that injects reproducible faults at the
-``_do_*`` primitive boundary, so every substrate — LocalDht oracle or
-routed overlay — can be made exactly as unreliable as an experiment
-demands.
+instrument: a wrapper that injects reproducible faults into each
+request a step makes (:meth:`~repro.dht.api.Dht.ask`), so every
+substrate — LocalDht oracle or routed overlay — can be made exactly as
+unreliable as an experiment demands.
 
 Two pieces:
 
-* :class:`FaultPlan` — a seeded decision stream.  Each primitive
-  operation draws one uniform variate from a private RNG and maps it
+* :class:`FaultPlan` — a seeded decision stream.  Each request of a
+  step draws one uniform variate from a private RNG and maps it
   to a fault kind (or none) by the configured rates, so the same plan
   seed over the same operation sequence reproduces the same faults
   bit-for-bit.  Keys listed in ``dead_keys`` fail deterministically on
@@ -25,35 +25,37 @@ Two pieces:
 Fault kinds:
 
 ``drop``
-    The primitive raises :class:`FaultInjectedError` immediately — a
+    The request raises :class:`FaultInjectedError` immediately — a
     lost request or a crashed responder.
 ``timeout``
     The clock advances by ``timeout_delay`` first (the caller waited
-    for a reply that never came), then the primitive raises.
+    for a reply that never came), then the request raises.
 ``slow``
-    The clock advances by ``slow_delay`` and the primitive succeeds —
+    The clock advances by ``slow_delay`` and the request succeeds —
     a congested link.
 ``stale``
     A read returns the value a prior write *replaced*, when one is
     known; writes and never-overwritten keys fall through to the live
     value.  Models read-your-replica-behind semantics.
 
-Batch primitives inject per element: faulted slots carry a
+A batch's round injects per element: faulted slots carry a
 :class:`~repro.dht.api.BatchFailure` while the clean subset still runs
-through the inner substrate's own batch machinery, so round-parallel
-latency modelling is preserved and one injected fault never poisons
-the other slots of its round.
+as the inner substrate's own round, so round-parallel latency
+modelling is preserved and one injected fault never poisons the other
+slots of its round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.rng import derive_seed, make_rng
-from repro.dht.api import BatchFailure, Dht, DhtDecorator
+from repro.dht.api import (
+    APPEND, GET, PUT, REMOVE, REWRITE, BatchFailure, Dht, DhtDecorator, _capture,
+)
 from repro.net.events import EventScheduler
 
 __all__ = [
@@ -74,7 +76,7 @@ class FaultPlan:
     """Seeded, reproducible stream of per-operation fault decisions.
 
     *drop_rate*, *timeout_rate*, *slow_rate* and *stale_rate* are
-    probabilities per primitive operation; their sum must stay below
+    probabilities per request; their sum must stay below
     1.0.  Every decision consumes exactly one RNG draw whatever its
     outcome, so the stream stays aligned across configurations with
     the same seed.
@@ -132,9 +134,9 @@ class FaultPlan:
         self._rng = make_rng(derive_seed(self.seed, "fault-plan"))
 
     def decide(self, op: str, key: str | None) -> str | None:
-        """The fault to inject for one primitive operation, or None.
+        """The fault to inject for one request, or None.
 
-        *op* names the primitive (``"get"``, ``"put"``, ...); *key* is
+        *op* names the peer op (``"get"``, ``"put"``, ...); *key* is
         the key it touches (None for keyless operations).  Dead keys
         short-circuit to ``"drop"`` without consuming a draw.
         """
@@ -150,7 +152,7 @@ class FaultPlan:
 
 
 class FaultyDht(DhtDecorator):
-    """Wrap *inner* so its primitives fail according to a *plan*.
+    """Wrap *inner* so its requests fail according to a *plan*.
 
     Shares the inner substrate's :class:`~repro.dht.api.DhtStats` (so
     index layers keep reading one counter set) and meters every
@@ -158,10 +160,11 @@ class FaultyDht(DhtDecorator):
     advance *clock* (default: the stack's own, see
     :class:`~repro.dht.api.DhtDecorator`).
 
-    Injection sits at the ``_do_*`` boundary: steps meter as usual,
-    then the primitive consults the plan.  ``rewrite_local`` and the
-    oracle methods (``peek``/``peer_of``/``peers``/``items``) never
-    fault — they model local work, not wire traffic.
+    Injection sits at the request boundary: steps meter as usual, then
+    each request of the step — one per key, however many replicas it
+    reaches — consults the plan.  ``rewrite_local`` and the oracle
+    methods (``peek``/``peer_of``/``peers``/``items``) never fault —
+    they model local work, not wire traffic.
     """
 
     def __init__(
@@ -237,112 +240,61 @@ class FaultyDht(DhtDecorator):
             self._superseded[key] = self._last_written[key]
         self._last_written[key] = value
 
-    def _serves_stale(self, key: str) -> bool:
-        """Decide one read of *key*: True when it answers with the
-        superseded value (:meth:`_stale_read`); False when it goes on
-        to the primitive's own live read — no fault drawn, a slow one,
-        or a stale draw on a key written once (no stale version)."""
-        return self._inject("get", key) == "stale" and key in self._superseded
-
     def _stale_read(self, key: str) -> Any:
         self.stats.faults_stale += 1
         return self._superseded[key]
 
     # ------------------------------------------------------------------
-    # Substrate primitives (inject, then delegate)
+    # The requests of a step: inject, then delegate
     # ------------------------------------------------------------------
     #
     # Injection sits *below* the metering, so ``perform`` is the
     # metering facade itself rather than the decorator's forwarder:
-    # each step meters once on the shared stats, then reaches the
-    # injecting primitives.
+    # each step meters once on the shared stats, then makes its
+    # requests here.  Only a read can answer stale, and only with a
+    # superseded value: a stale draw on a key written once, like a slow
+    # one, goes on to the live read.
 
-    perform = Dht.perform
+    def perform(self, step: tuple) -> Any:
+        outcome = Dht.perform(self, step)
+        if step[0] is REWRITE:
+            # Never faulted.  Stale versions come from the writes seen
+            # here, never from a peek: on an overlay a peek routes.
+            self._record_write(step[1], step[2])
+        return outcome
 
-    def _do_lookup(self, key: str) -> str:
-        self._inject("lookup", key)
-        return self._inner._do_lookup(key)
-
-    def _do_get(self, key: str) -> Any | None:
-        if self._serves_stale(key):
+    def ask(self, op: str, key: str, value: Any = None, peer: str | None = None) -> Any:
+        if op is REWRITE or op is APPEND:
+            return self._inner.ask(op, key, value, peer)
+        if self._inject(op, key) == "stale" and op is GET and key in self._superseded:
             return self._stale_read(key)
-        return self._inner._do_get(key)
+        reply = self._inner.ask(op, key, value, peer)
+        if op is PUT:
+            self._record_write(key, value)
+        elif op is REMOVE:
+            self._superseded.pop(key, None)
+            self._last_written.pop(key, None)
+        return reply
 
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        if self._serves_stale(key):
-            return self._stale_read(key)
-        return self._inner._do_get_direct(peer, key)
-
-    def _do_put(self, key: str, value: Any) -> None:
-        self._inject("put", key)
-        self._inner._do_put(key, value)
-        self._record_write(key, value)
-
-    def _do_remove(self, key: str) -> Any:
-        self._inject("remove", key)
-        value = self._inner._do_remove(key)
-        self._superseded.pop(key, None)
-        self._last_written.pop(key, None)
-        return value
-
-    # ------------------------------------------------------------------
-    # Batch primitives: per-element injection, clean subset still rides
-    # the inner substrate's round machinery
-    # ------------------------------------------------------------------
-
-    def _batch_inject(
-        self, op: str, keys: Sequence[str]
-    ) -> tuple[list[Any | None], list[int]]:
-        """Pre-draw each element's fault; failed slots get their
-        BatchFailure and stale reads their superseded value
-        immediately, the slot indices left are returned for the
-        delegated live sub-batch."""
-        outcomes: list[Any | None] = [None] * len(keys)
+    def run_round(self, requests: list[tuple]) -> list[Any]:
+        """Pre-draw each request's fault: failed slots get their
+        BatchFailure and stale reads their superseded value at once,
+        and the requests left run as the inner substrate's round."""
+        outcomes: list[Any] = [None] * len(requests)
         live: list[int] = []
-        for slot, key in enumerate(keys):
-            try:
-                kind = self._inject(op, key)
-            except FaultInjectedError as error:
-                outcomes[slot] = BatchFailure(error)
-                continue
-            if kind == "stale" and op == "get" and key in self._superseded:
+        for slot, (op, key, *_) in enumerate(requests):
+            kind = _capture(self._inject, op, key)
+            if type(kind) is BatchFailure:
+                outcomes[slot] = kind
+            elif kind == "stale" and op is GET and key in self._superseded:
                 outcomes[slot] = self._stale_read(key)
             else:
                 live.append(slot)
-        return outcomes, live
-
-    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        outcomes, live = self._batch_inject("get", keys)
         if live:
-            results = self._inner._do_get_many([keys[slot] for slot in live])
-            for slot, result in zip(live, results):
-                outcomes[slot] = result
+            replies = self._inner.run_round([requests[slot] for slot in live])
+            for slot, reply in zip(live, replies):
+                outcomes[slot] = reply
+                op, key, value, _ = requests[slot]
+                if op is PUT and not isinstance(reply, BatchFailure):
+                    self._record_write(key, value)
         return outcomes
-
-    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        outcomes, survivors = self._batch_inject(
-            "put", [key for key, _ in items]
-        )
-        if survivors:
-            results = self._inner._do_put_many(
-                [items[slot] for slot in survivors]
-            )
-            for slot, result in zip(survivors, results):
-                outcomes[slot] = result
-                if not isinstance(result, BatchFailure):
-                    self._record_write(*items[slot])
-        return outcomes
-
-    # ------------------------------------------------------------------
-    # Local and oracle operations: never faulted
-    # ------------------------------------------------------------------
-
-    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        # No peek of the inner value: on routed substrates peeking
-        # costs overlay hops, which would break the zero-fault
-        # bit-equivalence of this wrapper.  Stale versions are tracked
-        # from writes observed through the wrapper alone.
-        if not self._inner._do_rewrite(key, value, record):
-            return False
-        self._record_write(key, value)
-        return True

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 
 from repro.common.errors import NodeUnreachableError, ReproError
+from repro.dht.api import PUT
 from repro.dht.hashing import ID_BITS, key_digest, xor_distance
 from repro.dht.overlay import OverlayNode, RoutedOverlay
 from repro.dht.storage import PeerStore
@@ -132,7 +133,7 @@ class KademliaDht(RoutedOverlay):
             )
             for key, value in moved:
                 if rejoining:
-                    self._sized_put(other.name, node.name, key, value)
+                    self._rpc(other.name, node.name, PUT, key, value)
                 else:
                     node.store.put(key, value)
             pulled += moved

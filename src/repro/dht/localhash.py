@@ -15,15 +15,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import Any
 
-from repro.common.errors import (
-    DhtKeyError,
-    NodeUnreachableError,
-    ReproError,
-)
+from repro.common.errors import NodeUnreachableError, ReproError
 from repro.dht.api import Dht
 from repro.dht.durable import open_peer_store, peer_data_dir
-from repro.dht.peer import HashRing
-from repro.dht.storage import PeerStore
+from repro.dht.peer import HashRing, KeyValuePeer
 
 
 class LocalDht(Dht):
@@ -55,8 +50,10 @@ class LocalDht(Dht):
             [f"peer-{index:04d}" for index in range(n_peers)],
             virtual_nodes,
         )
-        self._stores: dict[str, PeerStore] = {
-            name: open_peer_store(durability, self.data_dir, name)
+        self._peers = {
+            name: KeyValuePeer(
+                name, open_peer_store(durability, self.data_dir, name)
+            )
             for name in self._ring.peers()
         }
 
@@ -72,44 +69,23 @@ class LocalDht(Dht):
         return self._ring.peers()
 
     def items(self) -> Iterator[tuple[str, Any]]:
-        for store in self._stores.values():
-            yield from store.items()
+        for peer in self._peers.values():
+            yield from peer.store.items()
 
     def key_count(self) -> int:
         """Stored keys via the non-decoding ``keys()`` walk."""
-        return sum(len(store) for store in self._stores.values())
+        return sum(len(peer.store) for peer in self._peers.values())
 
     # ------------------------------------------------------------------
-    # Substrate primitives
+    # Placement and the exchange: a ring lookup and a method call
     # ------------------------------------------------------------------
 
-    def _store_for(self, key: str) -> PeerStore:
-        return self._stores[self.peer_of(key)]
+    def targets(self, key: str) -> list[str]:
+        # The default's answer, one call shorter: every probe asks this.
+        return [self._ring.peer_of(key)]
 
-    def _do_lookup(self, key: str) -> str:
-        return self.peer_of(key)
-
-    def _do_get(self, key: str) -> Any | None:
-        return self._store_for(key).get(key)
-
-    def _do_put(self, key: str, value: Any) -> None:
-        self._store_for(key).put(key, value)
-
-    def _do_remove(self, key: str) -> Any:
-        store = self._store_for(key)
-        if key not in store:
-            raise DhtKeyError(f"key {key!r} does not exist")
-        return store.remove(key)
-
-    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        store = self._store_for(key)
-        if key not in store:
-            return False
-        store.put(key, value)  # the stored object already holds *record*
-        return True
-
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        store = self._stores.get(peer)
-        if store is None:
+    def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
+        node = self._peers.get(self._ring.peer_of(key) if peer is None else peer)
+        if node is None:
             raise NodeUnreachableError(f"peer {peer!r} is not on the ring")
-        return store.get(key)
+        return node.serve(op, key, value)

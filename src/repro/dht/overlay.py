@@ -4,13 +4,14 @@ A routed overlay is a routing table over one storage node:
 
 * :class:`OverlayNode` is that node — a
   :class:`~repro.dht.peer.KeyValuePeer` registered on a
-  :class:`~repro.net.simnet.SimNetwork`, serving the four ``store_*``
-  RPCs.  An overlay's node class adds routing state and routing RPCs,
-  nothing about storage.
+  :class:`~repro.net.simnet.SimNetwork`, serving every ``store_<op>``
+  RPC with ``serve(op, ...)``.  An overlay's node class adds routing
+  state and routing RPCs, nothing about storage.
 * :class:`RoutedOverlay` is the :class:`~repro.dht.api.Dht` facade over
   a set of such nodes: construction, membership (``join`` / ``leave`` /
-  ``fail`` / restart), the oracle views and the storage primitives,
-  each written once over :meth:`RoutedOverlay._replica_targets`.  An
+  ``fail`` / restart), the oracle views, placement (a route, then
+  :meth:`RoutedOverlay._replica_targets`) and the one exchange, a sized
+  ``store_<op>`` RPC from the gateway.  An
   overlay supplies its identifier metric (:meth:`_owner_of_digest`),
   :meth:`route_owner`, the neighbour exchange of a (re)joining or
   leaving peer, and its convergence shortcuts (``rewire``,
@@ -18,7 +19,7 @@ A routed overlay is a routing table over one storage node:
   and ``repair_replicas``.
 
 A routed substrate executes one batch element as a *chain* of
-dependent RPCs — every routing hop plus the storage exchange.  Chains
+dependent RPCs — every routing hop plus the storage exchanges.  Chains
 of one batch are independent, so the whole batch runs inside a single
 :meth:`~repro.net.simnet.SimNetwork.message_round`: each element's
 RPC latencies sum along its own chain, and the event clock advances by
@@ -35,11 +36,13 @@ retry wrappers can re-issue exactly the failed subset.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from typing import Any
 
 from repro.common.errors import DhtKeyError, NodeUnreachableError, ReproError
-from repro.dht.api import Dht, _capture
+from repro.dht.api import (
+    CONTAINS, LOOKUP, PUT, REMOVE, REWRITE, Dht, _capture,
+)
 from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.hashing import key_digest, node_id_from_name
 from repro.dht.peer import KeyValuePeer
@@ -50,7 +53,7 @@ from repro.net.simnet import RpcError, SimNetwork
 
 class OverlayNode(KeyValuePeer):
     """One simulated peer: an identifier, a network address and the
-    storage server behind the ``store_*`` RPCs."""
+    storage server behind the ``store_<op>`` RPCs."""
 
     def __init__(
         self,
@@ -65,22 +68,12 @@ class OverlayNode(KeyValuePeer):
 
     def handle_rpc(self, message: Message) -> Any:
         args, kwargs = message.payload
+        if message.msg_type.startswith("store_"):
+            return self.serve(message.msg_type[6:], *args, **kwargs)
         method = getattr(self, "rpc_" + message.msg_type, None)
         if method is None:
             raise RpcError(f"unknown RPC {message.msg_type!r}")
         return method(*args, **kwargs)
-
-    def rpc_store_get(self, key: str) -> Any | None:
-        return self.serve("get", key)
-
-    def rpc_store_put(self, key: str, value: Any) -> None:
-        self.serve("put", key, value)
-
-    def rpc_store_remove(self, key: str) -> Any:
-        return self.serve("remove", key)
-
-    def rpc_store_contains(self, key: str) -> bool:
-        return self.serve("contains", key)
 
 
 class RoutedOverlay(Dht):
@@ -248,7 +241,7 @@ class RoutedOverlay(Dht):
         self.network.unregister(name)
         self._forget(name)
 
-    def _do_restart(self, name: str) -> None:
+    def _recover(self, name: str) -> None:
         """Recover a crashed peer from its durable log and rejoin.
 
         Three phases, with repair traffic proportional to ownership
@@ -293,9 +286,8 @@ class RoutedOverlay(Dht):
             owner = self._owner_of_digest(key_digest(key)).name
             if repair:
                 stats.restart_rehomed += 1
-                stats.restart_repair_bytes += self._sized_put(
-                    node.name, owner, key, value
-                )
+                self._rpc(node.name, owner, PUT, key, value)
+                stats.restart_repair_bytes += message_sizes(key, value)[0]
             else:
                 self.network.rpc(node.name, owner, "store_put", key, value)
 
@@ -330,7 +322,7 @@ class RoutedOverlay(Dht):
         return self._nodes[name]
 
     # ------------------------------------------------------------------
-    # Substrate primitives
+    # Placement, the exchange and the round
     # ------------------------------------------------------------------
 
     def _gateway(self) -> Any:
@@ -348,85 +340,42 @@ class RoutedOverlay(Dht):
             )
         return node
 
-    def _targets(self, key: str) -> list[str]:
+    def targets(self, key: str) -> list[str]:
         """Route to *key*'s owner; the peers holding its copies."""
         return self._replica_targets(self._nodes[self.route_owner(key)])
 
-    def _ask(self, peer: str, op: str, key: str) -> Any:
-        """One sized key-only storage RPC from the gateway to *peer*."""
-        return self.network.rpc(
-            self._gateway().name, peer, "store_" + op, key,
-            size_bytes=message_sizes(key)[0],
-        )
+    def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
+        """One sized ``store_<op>`` RPC from the gateway to *peer*.
 
-    def _sized_put(self, src: str, dst: str, key: str, value: Any) -> int:
-        """One ``store_put`` from *src* to *dst*; returns its size."""
+        Two requests keep the accounting this substrate has always had:
+        a lookup is answered by the route that found *peer*, with no
+        storage message, and a rewrite (no *peer*) is Theorem 5's write
+        in place by whichever peers hold *key* — every replica copy,
+        with no message at all.  A remove asks ``contains`` first.
+        """
+        if op is LOOKUP:
+            return peer
+        if op is REWRITE:
+            nodes = self._nodes.values()
+            return bool([n.serve(op, key, value) for n in nodes if key in n.store])
+        gateway = self._gateway().name
+        if op is REMOVE and not self._rpc(gateway, peer, CONTAINS, key):
+            raise DhtKeyError(f"key {key!r} does not exist")
+        return self._rpc(gateway, peer, op, key, value)
+
+    def _rpc(self, src: str, dst: str, op: str, key: str, value: Any = None) -> Any:
+        """One ``store_<op>`` RPC, priced by the one byte model."""
         size, data = message_sizes(key, value)
-        self.network.rpc(
-            src, dst, "store_put", key, value,
+        return self.network.rpc(
+            src, dst, "store_" + op, key, value,
             size_bytes=size, payload_bytes=data,
         )
-        return size
 
-    def _do_lookup(self, key: str) -> str:
-        return self.route_owner(key)
-
-    def _do_get(self, key: str) -> Any | None:
-        for target in self._targets(key):
-            value = self._ask(target, "get", key)
-            if value is not None:
-                return value
-        return None
-
-    def _do_get_direct(self, peer: str, key: str) -> Any | None:
-        # One point-to-point store read, no routing, no hop metering:
-        # this is exactly what a learned shortcut buys.
-        return self._ask(peer, "get", key)
-
-    def _do_put(self, key: str, value: Any) -> None:
-        gateway = self._gateway().name
-        for target in self._targets(key):
-            self._sized_put(gateway, target, key, value)
-
-    def _do_remove(self, key: str) -> Any:
-        removed = [
-            self._ask(target, "remove", key)
-            for target in self._targets(key)
-            if self._ask(target, "contains", key)
-        ]
-        if not removed:
-            raise DhtKeyError(f"key {key!r} does not exist")
-        return removed[0]
-
-    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        """In-place rewrite by whichever peers hold the key.
-
-        On a routed substrate this models the storing peer updating its
-        own store — no routing, no wire messages.  All replica
-        copies are refreshed, with *value* itself: the client's copy is
-        the stored object, so an insert's *record* is already in it.
-        """
-        holders = [
-            node for node in self._nodes.values() if key in node.store
-        ]
-        for node in holders:
-            node.store.put(key, value)
-        return bool(holders)
-
-    # ------------------------------------------------------------------
-    # Batch primitives: one message round, one chain per element
-    # ------------------------------------------------------------------
-
-    def _run_round(self, operation, calls: Sequence[tuple]) -> list[Any]:
+    def run_round(self, requests: list[tuple]) -> list[Any]:
+        """One message round, one chain per request."""
         outcomes: list[Any] = []
         with self.network.message_round() as round_:
-            for args in calls:
+            for request in requests:
                 with round_.chain():
-                    outcomes.append(_capture(operation, *args))
+                    outcomes.append(_capture(self.ask, *request))
         return outcomes
-
-    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._run_round(self._do_get, [(key,) for key in keys])
-
-    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        return self._run_round(self._do_put, [tuple(item) for item in items])

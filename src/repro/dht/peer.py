@@ -5,10 +5,11 @@ oracle, the routed overlays over :class:`~repro.net.simnet.SimNetwork`,
 and the asyncio/TCP service runtime (:mod:`repro.service`) — needs the
 same two ingredients: a *placement* rule mapping keys to peers, and a
 per-peer *request server* over a :class:`~repro.dht.storage.PeerStore`.
-Both used to live tangled inside substrate classes; this module hosts
-them runtime-free so a peer can be driven by a plain method call, a
-simulated RPC, a decoded wire frame, or a real socket without
-rewriting storage semantics.
+This module hosts both runtime-free.  A substrate's one exchange
+(:meth:`~repro.dht.api.Dht.exchange`) carries a request to a
+:class:`KeyValuePeer` — as a plain method call, a simulated RPC, a
+decoded wire frame or a real socket — and :meth:`KeyValuePeer.serve`
+answers it, so a new kind of request is one ``serve`` branch.
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ class KeyValuePeer:
     primitives (``get``, ``put``, ``remove``, ``contains``, ``lookup``)
     and the one-request rewrites (``rewrite``: put where present;
     ``append``: add one ``(point, value)`` record to the stored bucket),
-    dispatched by name.  The routed overlays' node
+    dispatched by name.  Every substrate's peers are these: ``LocalDht``
+    calls ``serve`` directly, the routed overlays' node
     (:class:`~repro.dht.overlay.OverlayNode`) extends this class and
-    answers its ``store_*`` RPCs through it in-process; the service
-    runtime calls it on the loop after decoding a wire frame.
-    Storage semantics (absent-key errors included) therefore cannot
-    drift between runtimes.  (``LocalDht`` keeps bare
-    :class:`PeerStore` objects — it has no request server to share.)
+    answers its ``store_*`` RPCs through it, and the service runtime
+    calls it on the loop after decoding a wire frame.  Storage
+    semantics (absent-key errors included) therefore cannot drift
+    between runtimes.
     """
 
     __slots__ = ("name", "store")

@@ -3,14 +3,14 @@
 The routed overlays raise :class:`~repro.net.simnet.RpcError` when a
 message is dropped or a peer is mid-churn.  Index layers stay oblivious
 (over-DHT layering), so resilience belongs here: ``RetryingDht`` wraps
-any :class:`~repro.dht.api.Dht` and retries failed primitives a bounded
+any :class:`~repro.dht.api.Dht` and retries failed steps a bounded
 number of times.  Retried attempts are *metered* — a retry really does
 cost another DHT-lookup on the wire, and the meters are the experiment
 ground truth — and the retry counter is exposed for observability.
 
 Each operation's retry budget is two-sided:
 
-* **attempts** — at most this many tries of the primitive;
+* **attempts** — at most this many tries of the step;
 * **deadline** — an optional cap on simulated time the operation may
   spend (first try included); once backoff would cross it, the last
   error propagates instead.
@@ -29,16 +29,7 @@ from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.common.rng import derive_seed, make_rng
-from repro.dht.api import (
-    CALL,
-    GET_MANY,
-    PUT_MANY,
-    REWRITE,
-    BatchFailure,
-    Dht,
-    DhtDecorator,
-    _raise_batch_failures,
-)
+from repro.dht.api import CALL, REWRITE, BatchFailure, Dht, DhtDecorator
 from repro.net.events import EventScheduler
 
 
@@ -132,16 +123,15 @@ class RetryingDht(DhtDecorator):
 
     def perform(self, step: tuple) -> Any:
         op = step[0]
-        if op is GET_MANY:
-            return self._batch_with_retries(step)
-        if op is PUT_MANY:
-            _raise_batch_failures(self._batch_with_retries(step))
-            return None
         if op is REWRITE or op is CALL:
             return self._inner.perform(step)  # local work: no retry
         # The inner facade meters each attempt.  A dead peer behind a
         # ``GET_DIRECT`` still exhausts the budget and propagates, so
         # shortcut eviction fires.
+        request, settle = self.map_step(step)
+        if type(request) is list:
+            outcomes = self._round_with_retries(step, request)
+            return outcomes if settle is None else settle(step, outcomes)
         started = self._clock.now
         last_error: Exception | None = None
         for attempt in range(self._attempts):
@@ -165,28 +155,22 @@ class RetryingDht(DhtDecorator):
     # Batched steps: retry only the failed subset
     # ------------------------------------------------------------------
     #
-    # The inner ``_do_*_many`` primitives report per-element outcomes
-    # (partial-failure semantics), so a retry wave re-issues exactly
-    # the elements that failed — as its own batch round, because on the
-    # wire it is one.  Every wave is metered and spanned by ``_meter``
-    # as a step of its own, retried elements included: a retry really
-    # does cost another DHT-lookup.
+    # A round reports per-element outcomes (partial-failure semantics),
+    # so a retry wave re-issues exactly the elements that failed — as
+    # its own round, because on the wire it is one.  Every wave is
+    # metered and spanned by ``_meter`` as a step of its own, retried
+    # elements included: a retry really does cost another DHT-lookup.
 
-    def _batch_with_retries(self, step: tuple) -> list[Any]:
-        """Per-element outcomes of a ``GET_MANY`` / ``PUT_MANY`` *step*
-        after retrying only the failed subset.
+    def _round_with_retries(self, step: tuple, requests: list[tuple]) -> list[Any]:
+        """Per-element outcomes of a batch *step*, whose round is
+        *requests*, after retrying only the failed subset.
 
         Slots still failing when the attempt or deadline budget runs
-        out keep their :class:`BatchFailure`; the caller decides
+        out keep their :class:`BatchFailure`; the step's settle decides
         whether to raise (``PUT_MANY``) or degrade (``GET_MANY``)."""
-        op, elements = step[0], step[1]
-        if op is GET_MANY:
-            primitive = self._inner._do_get_many
-        else:
-            primitive = self._inner._do_put_many
         started = self._clock.now
-        outcomes: list[Any] = [None] * len(elements)
-        pending = list(range(len(elements)))
+        outcomes: list[Any] = [None] * len(requests)
+        pending = list(range(len(requests)))
         for attempt in range(self._attempts):
             if not pending:
                 break
@@ -199,13 +183,15 @@ class RetryingDht(DhtDecorator):
                     self.tracer.event(
                         "retry", attempt=attempt, pending=len(pending)
                     )
-            wave: tuple = (op, [elements[slot] for slot in pending])
-            if op is PUT_MANY:
-                wave += ([step[2][slot] for slot in pending],)
+            # The wave as a step of its own: the pending slots of each
+            # part (the keys or items, and their records moved).
+            wave = (step[0], *(
+                [part[slot] for slot in pending] for part in step[1:]
+            ))
             with self._meter(wave) as span:
                 if span is not None:
                     span.attrs["attempt"] = attempt
-                results = primitive(wave[1])
+                results = self._inner.run_round([requests[slot] for slot in pending])
             failed = []
             for slot, outcome in zip(pending, results):
                 outcomes[slot] = outcome

@@ -1,7 +1,7 @@
 """The dissemination plane: prefix multicast + continuous queries.
 
-Two capabilities built on the m-LIGHT label tree (ROADMAP item 4,
-grounded in "Optimally Efficient Prefix Search and Multicast in
+Two capabilities built on the m-LIGHT label tree (the dissemination
+plane, grounded in "Optimally Efficient Prefix Search and Multicast in
 Structured P2P Networks"):
 
 * :class:`MulticastRuntime` — the initiator routes **one** message to

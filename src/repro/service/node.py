@@ -14,12 +14,12 @@ a request with no coroutine between it and the peer's store.
 
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
 facade: the index layers, the retry/fault wrappers and the tracer
-attach unchanged.  The facade's synchronous
-``_do_*`` primitives cross one bridge into the loop, from any number of
-caller threads (the load generator's workers, say).  In process the
-calling thread runs the loop itself for the length of its call, one
-caller at a time; over TCP a dedicated event-loop thread keeps it
-running, so concurrent clients' socket round trips overlap.
+attach unchanged.  The facade's synchronous exchanges and rounds cross
+one bridge into the loop, from any number of caller threads (the load
+generator's workers, say).  In process the calling thread runs the loop
+itself for the length of its call, one caller at a time; over TCP a
+dedicated event-loop thread keeps it running, so concurrent clients'
+socket round trips overlap.
 
 Placement is runtime-neutral consistent hashing
 (:class:`~repro.dht.peer.HashRing` — successor-on-ring, the ownership
@@ -36,15 +36,12 @@ import contextvars
 import itertools
 import threading
 import time
-from collections.abc import Coroutine, Iterable, Iterator, Sequence
+from collections.abc import Coroutine, Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.core.codec import encode_row
-from repro.dht.api import (
-    CALL, GET, GET_MANY, REMOVE, REWRITE, UNTRACED,
-    BatchFailure, Dht, _absent_key, _raise_batch_failures,
-)
+from repro.dht.api import APPEND, CALL, UNTRACED, BatchFailure, Dht
 from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.storage import PeerStore
@@ -70,13 +67,14 @@ if TYPE_CHECKING:
 #: ``NetworkStats`` message types per opcode: its request's, its reply's.
 _MESSAGE_TYPES = {op: (op.name.lower(), op.name.lower() + ":reply") for op in Op}
 
-#: Dht primitive name per request opcode (KeyValuePeer.serve dispatch).
+#: Peer op (``KeyValuePeer.serve`` dispatch) per request opcode, and
+#: back: a peer op travels as the request opcode of its name.
 _OP_NAMES = {op: _MESSAGE_TYPES[op][0] for op in REQUEST_OPS}
+_WIRE_OPS = {name: op for op, name in _OP_NAMES.items()}
 
-#: Opcodes read per frame, as module globals: an ``Op`` attribute read
-#: costs more than a frame's routing.
-_GET, _PUT, _REMOVE = Op.GET, Op.PUT, Op.REMOVE
-_APPEND, _REWRITE, _REPLY_ERR = Op.APPEND, Op.REWRITE, Op.REPLY_ERR
+#: Read per frame, as a module global: an ``Op`` attribute read costs
+#: more than a frame's routing.
+_REPLY_ERR = Op.REPLY_ERR
 
 TRANSPORTS = ("asyncio", "tcp")
 
@@ -535,6 +533,9 @@ class ServiceDht(Dht):
     the peers, sockets and loop (TCP: its thread) down deterministically.
     """
 
+    #: A peer's store holds what a frame carried, not the client's object.
+    holds_copies = True
+
     def __init__(
         self,
         n_peers: int = 8,
@@ -650,7 +651,7 @@ class ServiceDht(Dht):
             raise ReproError(f"service peer {name!r} is already down")
         self._bridge().run(peer.stop())
 
-    def _do_restart(self, name: str) -> None:
+    def _recover(self, name: str) -> None:
         if self._member(name).live:
             raise ReproError(f"service peer {name!r} is already live")
         store = open_peer_store(
@@ -739,10 +740,11 @@ class ServiceDht(Dht):
 
     async def _request(
         self, op: Op, key: str, value: Any = None, *, body: Any = None,
-        timed: bool = True,
+        peer: str | None = None, timed: bool = True,
     ) -> Any:
-        """One exchange with the owner of *key*: route, frame, serve,
-        decode and account once; returns the reply body.
+        """One exchange with *peer*, by default the owner of *key*:
+        route, frame, serve, decode and account once; returns the reply
+        body.
 
         *body* replaces the ``(key, value)`` payload of an extension
         opcode; *key* still routes and prices the frame.  A *timed*
@@ -754,7 +756,9 @@ class ServiceDht(Dht):
         stats, clock = network.stats, network.clock
         started = clock.now if timed else 0.0
         try:
-            peer = self._peers[self._ring.peer_of(key)]
+            node = self._peers.get(self._ring.peer_of(key) if peer is None else peer)
+            if node is None:
+                raise NodeUnreachableError(f"no service peer {peer!r}")
             request_id = next(self._request_ids)
             if body is None:
                 frame_bytes = encode_request(op, request_id, key, value)
@@ -763,7 +767,7 @@ class ServiceDht(Dht):
                 value = body
             size, payload = frame_wire_sizes(op, key, value)
             try:
-                reply = peer.call(frame_bytes, request_id)
+                reply = node.call(frame_bytes, request_id)
                 if type(reply) is not Frame:
                     reply = await reply
             except BaseException:
@@ -781,42 +785,46 @@ class ServiceDht(Dht):
         return reply.body
 
     async def call_captured(
-        self, op: Op, key: str, value: Any = None, *, body: Any = None
+        self, op: Op, key: str, value: Any = None, *, body: Any = None,
+        peer: str | None = None,
     ) -> Any:
         """Handler half of the extension seam: await one *op* frame to
-        the owner of *key* from code already on the loop (an installed
-        handler, a batch round).  An unreachable owner comes back as a
-        :class:`BatchFailure` in place of the reply body."""
+        *peer*, by default the owner of *key*, from code already on the
+        loop (an installed handler, a batch round).  An unreachable peer
+        comes back as a :class:`BatchFailure` in place of the reply
+        body."""
         try:
-            return await self._request(op, key, value, body=body, timed=False)
+            return await self._request(
+                op, key, value, body=body, peer=peer, timed=False
+            )
         except NodeUnreachableError as error:
             return BatchFailure(error)
 
-    def call(
-        self, op: Op, key: str, value: Any = None, *, body: Any = None
-    ) -> Any:
+    def call(self, op: Op, key: str, value: Any = None, *, body: Any = None) -> Any:
         """Client half of the extension seam: send one *op* frame to
         the owner of *key* from the calling thread and return the reply
         body.  *body* replaces the ``(key, value)`` payload for
         extension opcodes served by :meth:`install_handler`."""
         return self._bridge().run(self._request(op, key, value, body=body))
 
-    async def _gather_round(self, calls: list[tuple]) -> list[Any]:
+    async def _gather_round(self, requests: list[tuple]) -> list[Any]:
+        """:meth:`run_round` on the loop: every request's frame at once."""
         clock, tracer = self.network.clock, self.network.tracer
         started = clock.now
         with (tracer.span("net", "message_round") if tracer else UNTRACED) as span:
             outcomes = await gather_eagerly(
-                self.call_captured(*call) for call in calls
+                self.call_captured(_WIRE_OPS[op], key, value, peer=peer)
+                for op, key, value, peer in requests
             )
             elapsed = clock.now - started
             if span is not None:
-                span.attrs["fanout"] = len(calls)
+                span.attrs["fanout"] = len(requests)
                 span.attrs["critical_path"] = elapsed
         # The round's wall span is its critical path: the elements ran
         # concurrently, so the batch costs the slowest element, exactly
         # the accounting SimNetwork.message_round applies to the
         # simulated clock.  The simulated-latency axis stays untouched.
-        self.network.stats.record_round(len(calls), 0.0)
+        self.network.stats.record_round(len(requests), 0.0)
         self.network.stats.record_wall_span(elapsed)
         return outcomes
 
@@ -828,12 +836,12 @@ class ServiceDht(Dht):
     # operation is a chain of dependent steps, so driving it from the
     # client thread pays that crossing per step; driving it here pays
     # it once.  ``drive_on_loop`` is ``Dht.drive`` awaited on the loop
-    # over ``perform_on_loop`` — same meters and spans (``Dht._meter``),
-    # same frames, no thread hop between steps.  Only a ``CALL`` step
-    # comes back: a hook makes blocking facade calls of its own, which
-    # code the loop runs must not, so it runs on the caller's thread
-    # between two loop segments; an installed handler awaits its own
-    # (a peer's forward) on the loop.
+    # over ``perform_on_loop`` — same map (``Dht.map_step``), same meters
+    # and spans (``Dht._meter``), same frames, no thread hop between
+    # steps.  Only a ``CALL`` step comes back: a hook makes blocking
+    # facade calls of its own, which code the loop runs must not, so it
+    # runs on the caller's thread between two loop segments; an
+    # installed handler awaits its own (a peer's forward) on the loop.
 
     def drive(self, operation) -> Any:
         run = self._bridge().run
@@ -865,56 +873,33 @@ class ServiceDht(Dht):
 
     async def perform_on_loop(self, step: tuple) -> Any:
         """:meth:`Dht.perform` for code already on the loop
-        (:meth:`drive_on_loop`): any step but ``CALL``."""
-        op, subject = step[0], step[1]
-        if op is REWRITE:
-            if not await self._rewrite(*step[1:]):
-                raise _absent_key(subject)
-            return None
-        if not subject:
-            return []  # an empty batch is no round
+        (:meth:`drive_on_loop`), any step but ``CALL``: the same map
+        and meter, its exchanges awaited here."""
+        request, settle = self.map_step(step)
         with self._meter(step):
-            if op is GET or op is REMOVE:
-                return await self._request(
-                    _GET if op is GET else _REMOVE, subject
-                )
-            if op is GET_MANY:
-                return await self._gather_round([(_GET, key) for key in subject])
-            calls = [(_PUT, key, value) for key, value in subject]
-            return _raise_batch_failures(await self._gather_round(calls))
-
-    def _do_rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        return self._bridge().run(self._rewrite(key, value, record))
-
-    async def _rewrite(self, key: str, value: Any, record: Any = None) -> bool:
-        """One frame, served whole by the owner: the one *record* an
-        insert adds (``APPEND``, as its codec row), else the whole
-        *value* (``REWRITE``); False when the owner holds no *key*."""
-        if record is None:
-            return await self._request(_REWRITE, key, value)
-        return await self._request(
-            _APPEND, key, encode_row(record.key, record.value)
-        )
+            if type(request) is tuple:
+                reply = await self.ask_on_loop(*request)
+            else:
+                reply = await self._gather_round(request) if request else []
+            return reply if settle is None else settle(step, reply)
 
     # ------------------------------------------------------------------
-    # Substrate primitives
+    # The exchange: one frame, sent from the loop
     # ------------------------------------------------------------------
 
-    def _do_lookup(self, key: str) -> str:
-        return self.call(Op.LOOKUP, key)
+    def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
+        return self._bridge().run(self.ask_on_loop(op, key, value, peer))
 
-    def _do_get(self, key: str) -> Any | None:
-        return self.call(_GET, key)
+    async def ask_on_loop(
+        self, op: str, key: str, value: Any = None, peer: str | None = None
+    ) -> Any:
+        """:meth:`Dht.ask` for code already on the loop: one frame to
+        *peer*, or to *key*'s owner — the ring places a key on one peer,
+        so a request is one exchange and its reply needs no combining.
+        An insert's one record (``APPEND``) travels as its codec row."""
+        if op is APPEND:
+            value = encode_row(value.key, value.value)
+        return await self._request(_WIRE_OPS[op], key, value, peer=peer)
 
-    def _do_put(self, key: str, value: Any) -> None:
-        self.call(_PUT, key, value)
-
-    def _do_remove(self, key: str) -> Any:
-        return self.call(_REMOVE, key)
-
-    def _do_get_many(self, keys: Sequence[str]) -> list[Any]:
-        return self._bridge().run(self._gather_round([(_GET, k) for k in keys]))
-
-    def _do_put_many(self, items: Sequence[tuple[str, Any]]) -> list[Any]:
-        calls = [(_PUT, key, value) for key, value in items]
-        return self._bridge().run(self._gather_round(calls))
+    def run_round(self, requests: list[tuple]) -> list[Any]:
+        return self._bridge().run(self._gather_round(requests))

@@ -121,8 +121,13 @@ class Op(IntEnum):
     REPLY_ERR = 33
 
 
-#: Requests carry (key, value); replies carry their result payload.
-REQUEST_OPS = (Op.LOOKUP, Op.GET, Op.PUT, Op.REMOVE, Op.APPEND, Op.REWRITE)
+#: Requests carry (key, value) — every opcode but the replies and the
+#: extensions, each named after the peer op it asks for, so a new peer
+#: op travels once it has an ``Op`` value — and replies carry their
+#: result payload.
+REQUEST_OPS = tuple(
+    op for op in Op if op not in (Op.MCAST, Op.PUSH, Op.REPLY_OK, Op.REPLY_ERR)
+)
 _REQUESTS = frozenset(REQUEST_OPS)
 #: Requests whose body is the key alone.
 _KEY_ONLY = frozenset((Op.LOOKUP, Op.GET, Op.REMOVE))
@@ -247,9 +252,8 @@ def _extension_body(buffer: bytes, start: int, end: int) -> Any:
 
 #: Body decoder per opcode: ``(buffer, payload start, end) -> body``.
 _BODIES = {
+    **dict.fromkeys(REQUEST_OPS, _value_body),
     **dict.fromkeys(_KEY_ONLY, _key_body),
-    Op.PUT: _value_body,
-    Op.REWRITE: _value_body,
     Op.APPEND: _row_body,
     Op.REPLY_OK: _value_at,
     Op.REPLY_ERR: _error_body,

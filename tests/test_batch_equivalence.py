@@ -262,18 +262,11 @@ class FlakyBatchDht(LocalDht):
         for key in keys:
             self._budget[key] = failures
 
-    def _maybe_fail(self, key):
+    def exchange(self, peer, op, key, value=None):
         if self._budget.get(key, 0) > 0:
             self._budget[key] -= 1
             raise RpcError(f"injected failure for {key!r}")
-
-    def _do_get(self, key):
-        self._maybe_fail(key)
-        return super()._do_get(key)
-
-    def _do_put(self, key, value):
-        self._maybe_fail(key)
-        super()._do_put(key, value)
+        return super().exchange(peer, op, key, value)
 
 
 class TestBatchRetries:

@@ -21,7 +21,7 @@ from repro.common.config import IndexConfig
 from repro.common.geometry import Region, clip, query_lca_bits, region_of_label
 from repro.common.labels import root_label
 from repro.core.rangequery import branch_subqueries, compute_lca
-from repro.dht.api import GET, DhtDecorator
+from repro.dht.api import GET
 from repro.dht.localhash import LocalDht
 from tests.conftest import branch_subqueries_by_clip, lca_bits_by_descent
 
@@ -143,23 +143,23 @@ class TestBranchWalk:
         assert branch_subqueries("001", "00110", query, 2) == []
 
 
-class _GetKeys(DhtDecorator):
-    """Records the key of every ``GET`` step it forwards."""
+class _GetKeys(LocalDht):
+    """Records the key of every ``GET`` request it exchanges."""
 
-    def __init__(self, inner):
-        super().__init__(inner)
+    def __init__(self, n_peers):
+        super().__init__(n_peers)
         self.keys = []
 
-    def perform(self, step):
-        if step[0] is GET:
-            self.keys.append(step[1])
-        return self.inner.perform(step)
+    def exchange(self, peer, op, key, value=None):
+        if op is GET:
+            self.keys.append(key)
+        return super().exchange(peer, op, key, value)
 
 
 class TestPhtSharesTheKernel:
     def test_pht_enters_its_trie_at_the_mlight_lca_bits(self):
         dims, depth = 2, 16
-        dht = _GetKeys(LocalDht(8))
+        dht = _GetKeys(8)
         index = PhtIndex(
             dht,
             IndexConfig(

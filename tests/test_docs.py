@@ -131,6 +131,9 @@ class TestRemovedNames:
         # the per-level range geometry the closed-form kernels replaced,
         # kept as test oracles in tests/conftest.py
         "cell_resolves_query", "branch_nodes_between",
+        # the per-opcode primitives one exchange per substrate replaced
+        "_do_get", "_do_put", "_do_remove", "_do_rewrite", "_do_lookup",
+        "_do_restart", "perform_on_loop's", "rpc_store_",
     )
 
     @pytest.mark.parametrize(

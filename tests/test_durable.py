@@ -723,7 +723,8 @@ class TestRestartProtocol:
 
 
 # ----------------------------------------------------------------------
-# Membership through the wrapper chain (ROADMAP 4-ii)
+# Membership through the wrapper chain: join, leave, fail and restart
+# reach the substrate through every wrapper
 # ----------------------------------------------------------------------
 
 

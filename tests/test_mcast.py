@@ -26,7 +26,7 @@ from repro.common.geometry import Region, region_of_label
 from repro.core.codec import encode_row
 from repro.core.index import MLightIndex
 from repro.core.naming import naming_function
-from repro.dht.api import GET, PUT, DhtDecorator
+from repro.dht.api import GET, PUT
 from repro.dht.chord import ChordDht
 from repro.dht.kademlia import KademliaDht
 from repro.dht.localhash import LocalDht
@@ -519,7 +519,7 @@ class TestContinuousQueries:
         config = IndexConfig(
             dims=2, max_depth=14, split_threshold=4, merge_threshold=2
         )
-        dht = KeyOutageDht(LocalDht(8))
+        dht = KeyOutageDht(8)
         index, _ = build_over(dht, 40, seed=2, config=config)
         plane = ContinuousQueryPlane(index)
         subscriber = plane.subscribe(REGION)
@@ -570,16 +570,17 @@ class TestContinuousQueries:
             assert sorted(subscriber.delivered_keys) == sorted(batch)
 
 
-class KeyOutageDht(DhtDecorator):
-    """The keys in ``down`` answer :class:`NodeUnreachableError`, as a
-    service-runtime peer that is down does, without losing state."""
+class KeyOutageDht(LocalDht):
+    """The keys in ``down`` answer :class:`NodeUnreachableError` to a
+    get or a put, as a service-runtime peer that is down does, without
+    losing state."""
 
     down = frozenset()
 
-    def perform(self, step):
-        if step[0] in (GET, PUT) and step[1] in self.down:
-            raise NodeUnreachableError(f"owner of {step[1]!r} is down")
-        return self.inner.perform(step)
+    def exchange(self, peer, op, key, value=None):
+        if op in (GET, PUT) and key in self.down:
+            raise NodeUnreachableError(f"owner of {key!r} is down")
+        return super().exchange(peer, op, key, value)
 
 
 @contextlib.contextmanager

@@ -22,22 +22,11 @@ class FlakyDht(LocalDht):
         super().__init__(8)
         self._failures = failures
 
-    def _maybe_fail(self):
+    def exchange(self, peer, op, key, value=None):
         if self._failures > 0:
             self._failures -= 1
             raise RpcError("injected failure")
-
-    def _do_lookup(self, key):
-        self._maybe_fail()
-        return super()._do_lookup(key)
-
-    def _do_get(self, key):
-        self._maybe_fail()
-        return super()._do_get(key)
-
-    def _do_put(self, key, value):
-        self._maybe_fail()
-        super()._do_put(key, value)
+        return super().exchange(peer, op, key, value)
 
 
 class TestRetrySemantics:

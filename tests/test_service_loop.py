@@ -25,6 +25,7 @@ from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
 from repro.datasets.synthetic import uniform_points
+from repro.dht.api import APPEND, REWRITE
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
@@ -404,15 +405,15 @@ class FailingService(ServiceDht):
 
     armed = None
 
-    async def _rewrite(self, key, value, record=None):
-        return self.armed != "rewrite" and await super()._rewrite(
-            key, value, record
-        )
+    async def ask_on_loop(self, op, key, value=None, peer=None):
+        if self.armed == "rewrite" and op in (REWRITE, APPEND):
+            return False
+        return await super().ask_on_loop(op, key, value, peer)
 
-    async def _gather_round(self, calls):
+    async def _gather_round(self, requests):
         if self.armed == "round":
             raise NodeUnreachableError("down")
-        return await super()._gather_round(calls)
+        return await super()._gather_round(requests)
 
 
 class TestFailuresUnwindTheOperation:

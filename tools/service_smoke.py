@@ -16,6 +16,11 @@ every replayed leaf from its bytes.  Over TCP it also sends a peer a
 frame of the old wire version with a pickled body, and checks that the
 peer hangs up without unpickling it.
 
+Last, it drives one step of every kind (:data:`STEPS`), each as a
+one-step operation, on both transports and on ``LocalDht``, and checks
+that each step's outcome, raised type, meter delta and stored value
+agree with ``LocalDht``'s.
+
 Usage: ``PYTHONPATH=src python tools/service_smoke.py``.
 """
 
@@ -31,11 +36,19 @@ import threading
 
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region
+from repro.common.labels import root_label
+from repro.core.bucket import LeafBucket
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.core.keys import bucket_key
 from repro.core.naming import naming_function
+from repro.core.records import Record
 from repro.datasets.synthetic import uniform_points
+from repro.dht.api import (
+    CALL, GET, GET_DIRECT, GET_MANY, LOOKUP, PUT, PUT_MANY, REMOVE, REWRITE,
+    BatchFailure,
+)
+from repro.dht.localhash import LocalDht
 from repro.mcast import ServiceMulticast
 from repro.service.node import ServiceDht
 from repro.service.wire import HEADER, MAGIC, Op, encode_reply
@@ -251,8 +264,101 @@ def run_everything(dht, transport: str, check) -> None:
     )
 
 
+#: Stands for the owner of ``"k"`` in a step and in an outcome.
+OWNER = "<owner>"
+#: What a ``REWRITE`` that appends a record adds to the bucket at "b".
+RECORD = Record((0.75, 0.25), "appended")
+
+#: One step of every kind, each run as a one-step operation on a DHT
+#: holding ``"k" -> "v"`` and a one-record bucket at ``"b"``.  A
+#: ``None`` value in a ``REWRITE`` stands for that bucket, as read,
+#: plus :data:`RECORD`.
+STEPS = {
+    "get": (GET, "k"),
+    "get absent": (GET, "absent"),
+    "get empty key": (GET, ""),
+    "lookup": (LOOKUP, "k"),
+    "get_direct": (GET_DIRECT, "k", OWNER),
+    "put": (PUT, "k", "v2", 0),
+    "put moving records": (PUT, "new", "v3", 2),
+    "get_many": (GET_MANY, ["k", "absent", "b"]),
+    "get_many empty": (GET_MANY, []),
+    "put_many": (PUT_MANY, [("k", "v4"), ("new", "v5")], [1, 0]),
+    "put_many empty": (PUT_MANY, [], []),
+    "rewrite": (REWRITE, "k", "v6"),
+    "rewrite absent": (REWRITE, "absent", "v7"),
+    "rewrite appending a record": (REWRITE, "b", None, RECORD),
+    "remove": (REMOVE, "k", 1),
+    "remove absent": (REMOVE, "absent", 0),
+    "remove empty key": (REMOVE, "", 0),
+    "call": (CALL, len, ("four",)),
+}
+
+
+def one_step(step):
+    """An operation of exactly one step; its outcome."""
+    return (yield step)
+
+
+def comparable(value, owner: str):
+    """*value* with what differs between runtimes by construction taken
+    out: the owner's name, a bucket's identity, a failure's message."""
+    if isinstance(value, list):
+        return [comparable(item, owner) for item in value]
+    if isinstance(value, LeafBucket):
+        return ("bucket", sorted((r.key, r.value) for r in value.records))
+    if isinstance(value, BatchFailure):
+        return ("failure", type(value.error).__name__)
+    return OWNER if value == owner else value
+
+
+def step_outcome(dht, name: str) -> tuple:
+    """Run step *name* of :data:`STEPS` as a one-step operation on
+    *dht*: ``(outcome or raised type, meter delta, stored value of the
+    step's key)``.  The meter delta leaves out ``hops``, which counts
+    overlay routing, not the step."""
+    dht.put("k", "v")
+    dht.put("b", LeafBucket(root_label(2), 2, [Record((0.25, 0.5), "a")]))
+    owner = dht.peer_of("k")
+    step = tuple(owner if part == OWNER else part for part in STEPS[name])
+    if step[0] is REWRITE and step[2] is None:
+        bucket = dht.get("b")
+        bucket.add(RECORD)
+        step = (REWRITE, "b", bucket, RECORD)
+    before = dht.stats.snapshot()
+    try:
+        outcome = comparable(dht.drive(one_step(step)), owner)
+    except Exception as error:
+        outcome = type(error).__name__
+    after = dht.stats.snapshot()
+    delta = {
+        field: after[field] - before[field]
+        for field in before
+        if field != "hops" and after[field] != before[field]
+    }
+    key = step[1] if isinstance(step[1], str) else "k"
+    return outcome, delta, comparable(dht.peek(key), owner)
+
+
+def step_table(transport: str) -> list[str]:
+    """Problems found driving :data:`STEPS` on *transport* against
+    ``LocalDht`` (empty: all good)."""
+    problems = []
+    for name in STEPS:
+        want = step_outcome(LocalDht(4), name)
+        with ServiceDht(4, transport=transport) as dht:
+            got = step_outcome(dht, name)
+        if got != want:
+            problems.append(f"{transport}: step {name!r}: {got!r} != {want!r}")
+    return problems
+
+
 def main() -> int:
-    problems = [p for transport in ("asyncio", "tcp") for p in smoke(transport)]
+    problems = [
+        p
+        for transport in ("asyncio", "tcp")
+        for p in smoke(transport) + step_table(transport)
+    ]
     for problem in problems:
         print("FAIL", problem)
     status = "FAIL" if problems else "ok"
