@@ -28,6 +28,7 @@ from repro.dht.hashing import (
     key_digest,
     ring_between,
     ring_between_right_inclusive,
+    ring_distance,
 )
 from repro.dht.overlay import OverlayNode, RoutedOverlay
 from repro.dht.storage import PeerStore
@@ -401,11 +402,10 @@ class ChordDht(RoutedOverlay):
 
     def _owner_of_digest(self, digest: int) -> ChordNode:
         """Ring successor of *digest* among live nodes (oracle)."""
-        refs = sorted(
-            (node.ident, node.name) for node in self._nodes.values()
+        return min(
+            self._nodes.values(),
+            key=lambda node: ring_distance(digest, node.ident),
         )
-        index = bisect.bisect_left(refs, (digest, ""))
-        return self._nodes[refs[index % len(refs)][1]]
 
     def _replica_targets(self, owner: ChordNode) -> list[str]:
         """The owner plus its next ``replication - 1`` live successors."""

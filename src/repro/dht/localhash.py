@@ -3,8 +3,9 @@
 ``LocalDht`` assigns every key to one of ``n_peers`` virtual peers by
 consistent hashing on the same 160-bit ring the routed overlays use
 (each peer owns the arc ending at its identifier), but resolves
-ownership in O(log n) locally instead of routing.  Because the paper's
-metrics count DHT *operations* — not overlay hops — all figure
+ownership locally instead of routing: in O(log n) the first time a key
+is asked, and from the ring's per-key memo after that.  Because the
+paper's metrics count DHT *operations* — not overlay hops — all figure
 reproductions run on this substrate; the routed overlays are exercised
 by their own tests and by the substrate-swap ablation, which verifies
 the index-level counters are identical across substrates.

@@ -138,14 +138,6 @@ class PeerStore:
     def items(self) -> Iterator[tuple[str, Any]]:
         return iter(self._values.items())
 
-    def digest_of(self, key: str) -> int:
-        try:
-            return self._digests[key]
-        except KeyError:
-            raise DhtKeyError(
-                f"key {key!r} not stored on this peer"
-            ) from None
-
     def pop_range(self, predicate) -> list[tuple[str, Any]]:
         """Remove and return every (key, value) whose digest satisfies
         *predicate*; used for key handoff during churn."""

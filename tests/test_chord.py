@@ -1,6 +1,10 @@
 """Tests for the Chord overlay."""
 
+import bisect
+import random
+
 from repro.dht.chord import ChordDht, SUCCESSOR_LIST_LEN
+from repro.dht.hashing import ID_SPACE, key_digest
 
 
 def ring_oracle(dht: ChordDht, key: str) -> str:
@@ -83,3 +87,51 @@ class TestChurnSequence:
         assert len(report.events) > 0
         for index in range(60):
             assert dht.get(f"key-{index}") == index
+
+
+def sorted_successor(dht: ChordDht, digest: int) -> str:
+    """Ring successor of *digest* by sorting every live node and
+    bisecting: the reference for the oracle's one-pass ``min``."""
+    refs = sorted((node.ident, node.name) for node in dht._nodes.values())
+    index = bisect.bisect_left(refs, (digest, ""))
+    return refs[index % len(refs)][1]
+
+
+class TestOwnerOracle:
+    def probe_digests(self, dht: ChordDht, rng: random.Random) -> list[int]:
+        idents = sorted(node.ident for node in dht._nodes.values())
+        # Each id itself, one either side of it (one past the largest
+        # id wraps to the smallest), and both ends of the id space.
+        return [
+            *idents,
+            *(ident + 1 for ident in idents),
+            *(ident - 1 for ident in idents),
+            0,
+            ID_SPACE - 1,
+            *(rng.randrange(ID_SPACE) for _ in range(200)),
+            *(key_digest(f"key-{index}") for index in range(200)),
+        ]
+
+    def assert_oracle_matches(self, dht: ChordDht, rng: random.Random):
+        for digest in self.probe_digests(dht, rng):
+            assert dht._owner_of_digest(digest).name == sorted_successor(
+                dht, digest
+            )
+
+    def test_successor_equals_sorted_bisect_through_churn(self):
+        rng = random.Random(17)
+        dht = ChordDht.build(16)
+        self.assert_oracle_matches(dht, rng)
+        for index in range(4):
+            dht.join(f"late-{index}")
+        self.assert_oracle_matches(dht, rng)
+        dht.leave(dht.peers()[3])
+        dht.leave(dht.peers()[7])
+        self.assert_oracle_matches(dht, rng)
+        dht.fail(dht.peers()[0])
+        dht.fail(dht.peers()[-1])
+        dht.stabilize_all(2)
+        self.assert_oracle_matches(dht, rng)
+        for index in range(50):
+            key = f"key-{index}"
+            assert dht.peer_of(key) == sorted_successor(dht, key_digest(key))

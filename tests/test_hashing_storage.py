@@ -1,10 +1,14 @@
 """Tests for consistent-hashing primitives and the peer store."""
 
+import bisect
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import DhtKeyError
+from repro.dht import peer as peer_module
 from repro.dht.hashing import (
     ID_BITS,
     ID_SPACE,
@@ -15,6 +19,7 @@ from repro.dht.hashing import (
     ring_distance,
     xor_distance,
 )
+from repro.dht.peer import OWNER_MEMO_ENTRIES, HashRing
 from repro.dht.storage import PeerStore
 
 
@@ -91,11 +96,6 @@ class TestPeerStore:
         assert store.get("k") == 2
         assert len(store) == 1
 
-    def test_digest_cached(self):
-        store = PeerStore()
-        store.put("k", 1)
-        assert store.digest_of("k") == key_digest("k")
-
     def test_pop_range_moves_matching(self):
         store = PeerStore()
         for index in range(20):
@@ -143,21 +143,98 @@ class TestPeerStore:
             assert value == key.upper()
         assert len(store) == len(keys) - len(moved)
 
-    def test_pop_range_then_digest_of_raises_dht_error(self):
+    def test_pop_range_then_key_is_gone(self):
         store = PeerStore()
         store.put("gone", 1)
         store.pop_range(lambda digest: True)
-        with pytest.raises(DhtKeyError):
-            store.digest_of("gone")
+        assert "gone" not in store
 
-    def test_digest_of_after_remove_raises_dht_error(self):
-        """A removed key must raise the domain error, not bare KeyError."""
+    def test_remove_then_key_is_gone(self):
         store = PeerStore()
         store.put("k", 1)
         store.remove("k")
-        with pytest.raises(DhtKeyError):
-            store.digest_of("k")
+        assert "k" not in store
 
-    def test_digest_of_missing_raises_dht_error(self):
-        with pytest.raises(DhtKeyError):
-            PeerStore().digest_of("never-stored")
+
+class UncachedRing:
+    """The ring's placement rule computed from scratch on every call:
+    the SHA-1 digest of a key, bisected into the sorted virtual-node
+    ids, wrapping past the largest to the first."""
+
+    def __init__(self, peer_names, virtual_nodes=1):
+        ring = sorted(
+            (node_id_from_name(f"{name}#{vnode}"), name)
+            for name in peer_names
+            for vnode in range(virtual_nodes)
+        )
+        self.ids = [ident for ident, _ in ring]
+        self.names = [name for _, name in ring]
+
+    def peer_of(self, key):
+        index = bisect.bisect_left(self.ids, key_digest(key))
+        return self.names[index % len(self.ids)]
+
+
+def seeded_keys(count, seed):
+    rng = random.Random(seed)
+    return [
+        f"ml:{rng.getrandbits(rng.randint(16, 48)):b}" for _ in range(count)
+    ]
+
+
+class TestHashRingMemo:
+    PEERS = [f"peer-{index:04d}" for index in range(32)]
+
+    @pytest.mark.parametrize("virtual_nodes", [1, 4])
+    def test_memo_answers_equal_the_uncached_rule(self, virtual_nodes):
+        """20 000 seeded keys, each asked twice (a miss, then a hit),
+        overflow the real bound, so the memo is filled and cleared on
+        the way; it never holds more than the bound."""
+        ring = HashRing(self.PEERS, virtual_nodes)
+        oracle = UncachedRing(self.PEERS, virtual_nodes)
+        keys = seeded_keys(20_000, seed=virtual_nodes)
+        assert len(set(keys)) > OWNER_MEMO_ENTRIES
+        for key in keys:
+            expected = oracle.peer_of(key)
+            assert ring.peer_of(key) == expected
+            assert ring.peer_of(key) == expected
+            assert len(ring._owners) <= OWNER_MEMO_ENTRIES
+
+    @pytest.mark.parametrize("virtual_nodes", [1, 4])
+    def test_digest_past_the_largest_id_wraps_to_the_first(
+        self, virtual_nodes
+    ):
+        ring = HashRing(self.PEERS, virtual_nodes)
+        oracle = UncachedRing(self.PEERS, virtual_nodes)
+        key = next(
+            key
+            for key in (f"wrap-{index}" for index in range(100_000))
+            if key_digest(key) > oracle.ids[-1]
+        )
+        assert ring.peer_of(key) == oracle.names[0]
+        assert ring.peer_of(key) == oracle.names[0]
+
+    def test_answers_hold_across_a_fill_and_clear(self, monkeypatch):
+        monkeypatch.setattr(peer_module, "OWNER_MEMO_ENTRIES", 64)
+        ring = HashRing(self.PEERS)
+        oracle = UncachedRing(self.PEERS)
+        sizes = []
+        for key in seeded_keys(500, seed=11) * 2:
+            assert ring.peer_of(key) == oracle.peer_of(key)
+            sizes.append(len(ring._owners))
+        assert max(sizes) == 64
+        # Cleared at least once on each pass, and refilled after it.
+        assert sizes.count(1) >= 2
+
+    def test_rings_over_different_peers_share_no_answer(self):
+        peer_sets = (self.PEERS[:8], self.PEERS[:9])
+        rings = [HashRing(peers) for peers in peer_sets]
+        oracles = [UncachedRing(peers) for peers in peer_sets]
+        differ = 0
+        for key in seeded_keys(2_000, seed=5):
+            answers = [ring.peer_of(key) for ring in rings]
+            assert answers == [oracle.peer_of(key) for oracle in oracles]
+            differ += answers[0] != answers[1]
+        # The ninth peer takes over part of the ring: a memo shared
+        # between the rings would have answered those keys alike.
+        assert differ > 0
