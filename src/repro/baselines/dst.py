@@ -24,11 +24,14 @@ Because the virtual height ``D`` exceeds the data's real depth, range
 decomposition near the query boundary produces a very large number of
 depth-``D`` cells — the paper's explanation for DST's order-of-
 magnitude bandwidth in Fig. 7a.
+
+A virtual node's cell is a kd-tree cell, so it keeps its records in
+the :class:`~repro.core.bucket.LeafBucket` m-LIGHT would give that cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.config import IndexConfig
@@ -41,9 +44,10 @@ from repro.common.geometry import (
     region_of_bits,
 )
 from repro.common.labels import interleave
+from repro.core.bucket import LeafBucket
 from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.baselines.interface import OverDhtIndex, TrieNode
+from repro.baselines.interface import TrieIndex, TrieNode
 from repro.dht.api import Dht
 
 _PREFIX = "dst:"
@@ -57,17 +61,17 @@ def _key(prefix: str) -> str:
 class DstNode(TrieNode):
     """One virtual-tree node as stored in the DHT.
 
-    An unsaturated node holds *every* record of its subtree; once
-    ``saturated`` flips, its record list is frozen as a partial set
+    An unsaturated node's bucket holds *every* record of its subtree;
+    once ``saturated`` flips, the bucket is frozen as a partial set
     that queries must not trust.
     """
 
     prefix: str
-    records: list[Record] = field(default_factory=list)
+    bucket: LeafBucket
     saturated: bool = False
 
 
-class DstIndex(OverDhtIndex):
+class DstIndex(TrieIndex):
     """DST with ancestor replication and saturation."""
 
     def __init__(
@@ -76,10 +80,7 @@ class DstIndex(OverDhtIndex):
         config: IndexConfig | None = None,
         saturation: int | None = None,
     ) -> None:
-        self.dht = dht
-        self._config = config if config is not None else IndexConfig()
-        self._dims = self._config.dims
-        self._depth = self._config.max_depth
+        super().__init__(dht, config)
         #: Replication cap per internal node; the evaluation ties it to
         #: theta_split so the Fig. 5c/d sweep drives both schemes.
         self._saturation = (
@@ -104,8 +105,7 @@ class DstIndex(OverDhtIndex):
             prefix = full[:depth]
             node = self.dht.get(_key(prefix))
             if node is None:
-                node = DstNode(prefix)
-                node.records.append(record)
+                node = DstNode(prefix, self._bucket(prefix, [record]))
                 self.dht.put(_key(prefix), node, records_moved=1)
                 continue
             at_leaf = depth == self._depth
@@ -116,8 +116,10 @@ class DstIndex(OverDhtIndex):
                     node.saturated = True
                     self.dht.rewrite_local(_key(prefix), node)
                 continue
-            node.records.append(record)
-            node.touch()
+            # The node's cell holds the record by construction (its
+            # prefix is the record's own), so the bucket's cell check
+            # is skipped: a store append per replica, nothing more.
+            node.bucket.store.add(record)
             self.dht.stats.records_moved += 1
             self.dht.rewrite_local(_key(prefix), node)
 
@@ -129,18 +131,7 @@ class DstIndex(OverDhtIndex):
         for depth in range(self._depth + 1):
             prefix = full[:depth]
             node = self.dht.get(_key(prefix))
-            if node is None:
-                continue
-            victim = None
-            for record in node.records:
-                if record.key == point and (
-                    value is None or record.value == value
-                ):
-                    victim = record
-                    break
-            if victim is not None:
-                node.records.remove(victim)
-                node.touch()
+            if node is not None and node.bucket.discard(point, value):
                 self.dht.rewrite_local(_key(prefix), node)
                 removed_any = True
         return removed_any
@@ -204,9 +195,7 @@ class DstIndex(OverDhtIndex):
         if node.prefix in builder.visited_leaves:
             return
         builder.visited_leaves.add(node.prefix)
-        builder.records.extend(
-            node.matching(query, self._dims, self._config.store)
-        )
+        builder.records.extend(node.bucket.matching(query))
 
     # ------------------------------------------------------------------
     # Oracle access
@@ -215,7 +204,7 @@ class DstIndex(OverDhtIndex):
     def total_records(self) -> int:
         """Distinct records = records stored at depth-D leaf cells."""
         return sum(
-            len(value.records)
+            value.load
             for key, value in self.dht.items()
             if key.startswith(_PREFIX)
             and isinstance(value, DstNode)
@@ -225,7 +214,7 @@ class DstIndex(OverDhtIndex):
     def replica_count(self) -> int:
         """Total stored copies across all levels (replication bill)."""
         return sum(
-            len(value.records)
+            value.load
             for key, value in self.dht.items()
             if key.startswith(_PREFIX) and isinstance(value, DstNode)
         )

@@ -6,87 +6,44 @@ protocol only, so every figure runner is index-agnostic.  All three
 report costs through the shared :class:`~repro.dht.api.DhtStats` of
 their DHT and return :class:`~repro.core.rangequery.RangeQueryResult`
 from range queries.
+
+A trie cell is a kd-tree cell (:func:`~repro.common.geometry.
+region_of_bits` halves the same dimensions in the same order), so a
+trie node keeps its records in the :class:`~repro.core.bucket.
+LeafBucket` of that cell, labelled ``root_label(dims) + prefix``: the
+record store, the codec and the byte model are m-LIGHT's.
 """
 
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro.common.config import IndexConfig
 from repro.common.geometry import Point, Region
-from repro.core.codec import FIXED_BYTES
-from repro.core.records import Record
+from repro.common.labels import root_label
+from repro.core.bucket import LeafBucket
+from repro.core.codec import encoded_bucket_size
 from repro.core.results import RangeQueryResult
-from repro.core.store import DEFAULT_STORE, ColumnarStore, create_store
 from repro.dht.api import Dht
 from repro.net.message import WireSized
 
 
 @dataclass(slots=True)
 class TrieNode(WireSized):
-    """What PHT's and DST's stored nodes share: a record list behind a
-    lazily built record store, priced on the wire as the bucket codec
-    would carry it.  Subclasses declare ``prefix`` and ``records`` (and
-    whatever else their scheme stores)."""
-
-    #: Lazily built record store behind the filter; rebuilt whenever
-    #: the generation counter says the records changed.
-    _store: ColumnarStore | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _generation: int = field(default=0, init=False, repr=False, compare=False)
-    _built_generation: int = field(
-        default=-1, init=False, repr=False, compare=False
-    )
+    """What PHT's and DST's stored nodes share: the records of their
+    cell in one :class:`~repro.core.bucket.LeafBucket`, priced on the
+    wire at that bucket's codec size and pickled as its codec bytes.
+    Subclasses declare ``prefix`` and ``bucket`` (and whatever else
+    their scheme stores)."""
 
     @property
     def load(self) -> int:
-        return len(self.records)
+        return self.bucket.load
 
     def encoded_wire_size(self) -> int:
-        """Codec-shaped bytes: the bucket codec's fixed framing with the
-        prefix as label, the coordinate columns and, when any record
-        carries a value, the values' pickle."""
-        records = self.records
-        dims = len(records[0].key) if records else 0
-        size = FIXED_BYTES + len(self.prefix) + dims * len(records) * 8
-        if any(record.value is not None for record in records):
-            size += len(
-                pickle.dumps(
-                    tuple(record.value for record in records),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            )
-        return size
-
-    def touch(self) -> None:
-        """Invalidate derived state after mutating ``records``.
-
-        A generation counter, not a count compare: an equal-count
-        remove+add between queries must still invalidate the store.
-        """
-        self._generation += 1
-
-    def matching(
-        self, query: Region, dims: int, kind: str = DEFAULT_STORE
-    ) -> list[Record]:
-        """Records inside the closed *query*, via the configured record
-        store (both tries share the kd split cycle, so the cell's next
-        split dimension orders the store)."""
-        store = self._store
-        if (
-            store is None
-            or store.kind != kind
-            or self._built_generation != self._generation
-        ):
-            store = create_store(
-                kind, dims, len(self.prefix) % dims, self.records
-            )
-            self._store = store
-            self._built_generation = self._generation
-        return store.matching(query.lows, query.highs)
+        return encoded_bucket_size(self.bucket)
 
 
 class OverDhtIndex(ABC):
@@ -109,3 +66,24 @@ class OverDhtIndex(ABC):
     @abstractmethod
     def total_records(self) -> int:
         """Number of *distinct* records indexed (replicas not counted)."""
+
+
+class TrieIndex(OverDhtIndex):
+    """What PHT and DST share: a binary trie over the kd-tree's cells
+    (depth at most ``config.max_depth``) whose node at prefix ``p``
+    keeps its records in the bucket of label ``root_label(dims) + p``."""
+
+    def __init__(self, dht: Dht, config: IndexConfig | None = None) -> None:
+        self.dht = dht
+        self._config = config if config is not None else IndexConfig()
+        self._dims = self._config.dims
+        self._depth = self._config.max_depth
+        self._root = root_label(self._dims)
+
+    def _bucket(self, prefix: str, records=None) -> LeafBucket:
+        """The bucket of trie cell *prefix*, holding *records* (a record
+        list or :class:`~repro.core.store.Rows`) in a store of the
+        configured kind."""
+        return LeafBucket(
+            self._root + prefix, self._dims, records, self._config.store
+        )

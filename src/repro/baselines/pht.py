@@ -15,12 +15,15 @@ from below, so ``O(log D)`` DHT-gets suffice.
 Multi-dimensional keys are linearised by the z-order curve
 (:func:`repro.common.labels.interleave`); the trie's cells coincide with the
 kd-tree's space partition, which makes the comparison with m-LIGHT
-apples-to-apples.
+apples-to-apples: a node keeps its cell's records in the
+:class:`~repro.core.bucket.LeafBucket` m-LIGHT would give that cell
+(an internal marker's is empty), and a split halves them with
+m-LIGHT's :func:`~repro.core.split.partition_records`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.config import IndexConfig
@@ -34,9 +37,11 @@ from repro.common.geometry import (
     region_of_bits,
 )
 from repro.common.labels import interleave
+from repro.core.bucket import LeafBucket
 from repro.core.records import Record
 from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.baselines.interface import OverDhtIndex, TrieNode
+from repro.core.split import partition_records
+from repro.baselines.interface import TrieIndex, TrieNode
 from repro.dht.api import Dht
 
 _PREFIX = "pht:"
@@ -48,25 +53,23 @@ def _key(prefix: str) -> str:
 
 @dataclass(slots=True)
 class PhtNode(TrieNode):
-    """One trie node as stored in the DHT."""
+    """One trie node as stored in the DHT: a leaf's records, or an
+    internal marker's empty bucket, and the leaf-list pointers."""
 
     prefix: str
     is_leaf: bool
-    records: list[Record] = field(default_factory=list)
+    bucket: LeafBucket
     prev_leaf: str | None = None
     next_leaf: str | None = None
 
 
-class PhtIndex(OverDhtIndex):
+class PhtIndex(TrieIndex):
     """PHT with threshold split/merge and linked leaves."""
 
     def __init__(self, dht: Dht, config: IndexConfig | None = None) -> None:
-        self.dht = dht
-        self._config = config if config is not None else IndexConfig()
-        self._dims = self._config.dims
-        self._depth = self._config.max_depth
+        super().__init__(dht, config)
         if self.dht.peek(_key("")) is None:
-            self.dht.put(_key(""), PhtNode("", True))
+            self.dht.put(_key(""), PhtNode("", True, self._bucket("")))
 
     # ------------------------------------------------------------------
     # Lookup (binary search on prefix length)
@@ -99,8 +102,7 @@ class PhtIndex(OverDhtIndex):
     def insert(self, key: Point, value: Any = None) -> None:
         record = Record.make(key, value, dims=self._dims)
         leaf, _ = self.lookup(record.key)
-        leaf.records.append(record)
-        leaf.touch()
+        leaf.bucket.add(record)
         self.dht.stats.records_moved += 1
         self.dht.rewrite_local(_key(leaf.prefix), leaf)
         if leaf.load > self._config.split_threshold:
@@ -109,29 +111,11 @@ class PhtIndex(OverDhtIndex):
     def delete(self, key: Point, value: Any = None) -> bool:
         point = check_point(tuple(key), self._dims)
         leaf, _ = self.lookup(point)
-        victim = None
-        for record in leaf.records:
-            if record.key == point and (value is None or record.value == value):
-                victim = record
-                break
-        if victim is None:
+        if not leaf.bucket.discard(point, value):
             return False
-        leaf.records.remove(victim)
-        leaf.touch()
         self.dht.rewrite_local(_key(leaf.prefix), leaf)
         self._maybe_merge(leaf)
         return True
-
-    def _partition(
-        self, prefix: str, records: list[Record]
-    ) -> tuple[list[Record], list[Record]]:
-        """Split *records* of trie cell *prefix* between its children."""
-        dim = len(prefix) % self._dims
-        region = region_of_bits(prefix, self._dims)
-        midpoint = (region.lows[dim] + region.highs[dim]) / 2.0
-        lower = [r for r in records if r.key[dim] < midpoint]
-        upper = [r for r in records if r.key[dim] >= midpoint]
-        return lower, upper
 
     def _split(self, leaf: PhtNode) -> None:
         """Replace an overfull leaf by a subtree of small-enough leaves.
@@ -142,9 +126,9 @@ class PhtIndex(OverDhtIndex):
         linked list is re-stitched around the new leaves.
         """
         origin = leaf.prefix
-        produced: list[tuple[str, list[Record]]] = []
+        produced = []
         internal: list[str] = []
-        stack = [(origin, list(leaf.records))]
+        stack = [(origin, leaf.bucket.store.rows_or_records())]
         while stack:
             prefix, records = stack.pop()
             if (
@@ -154,7 +138,9 @@ class PhtIndex(OverDhtIndex):
                 produced.append((prefix, records))
                 continue
             internal.append(prefix)
-            lower, upper = self._partition(prefix, records)
+            lower, upper = partition_records(
+                self._root + prefix, self._dims, records
+            )
             stack.append((prefix + "1", upper))
             stack.append((prefix + "0", lower))
         if not internal:
@@ -167,7 +153,7 @@ class PhtIndex(OverDhtIndex):
             node = PhtNode(
                 prefix,
                 True,
-                records,
+                self._bucket(prefix, records),
                 prev_leaf=chain[position - 1] if position > 0 else old_prev,
                 next_leaf=(
                     chain[position + 1]
@@ -179,7 +165,7 @@ class PhtIndex(OverDhtIndex):
         # The origin becomes an internal marker on the same key (local
         # rewrite); deeper internal markers are routed puts.
         for prefix in internal:
-            marker = PhtNode(prefix, False)
+            marker = PhtNode(prefix, False, self._bucket(prefix))
             if prefix == origin:
                 self.dht.rewrite_local(_key(prefix), marker)
             else:
@@ -213,7 +199,9 @@ class PhtIndex(OverDhtIndex):
             merged = PhtNode(
                 prefix[:-1],
                 True,
-                first.records + second.records,
+                self._bucket(
+                    prefix[:-1], first.bucket.records + second.bucket.records
+                ),
                 prev_leaf=first.prev_leaf,
                 next_leaf=second.next_leaf,
             )
@@ -293,7 +281,7 @@ class PhtIndex(OverDhtIndex):
             return
         builder.collect(
             leaf.prefix,
-            leaf.matching(query, self._dims, self._config.store),
+            leaf.bucket.matching(query),
         )
 
     # ------------------------------------------------------------------

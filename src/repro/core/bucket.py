@@ -56,7 +56,7 @@ from repro.common.geometry import Region, region_of_label
 from repro.common.labels import check_label
 from repro.core import codec
 from repro.core.records import Record
-from repro.core.store import DEFAULT_STORE, ColumnarStore, Rows, create_store
+from repro.core.store import DEFAULT_STORE, ColumnarStore, create_store
 from repro.net.message import WireSized
 
 
@@ -92,11 +92,7 @@ class LeafBucket(WireSized):
     )
 
     def __init__(
-        self,
-        label: str,
-        dims: int,
-        records=None,
-        store: str | ColumnarStore | None = None,
+        self, label: str, dims: int, records=None, store: str = DEFAULT_STORE
     ) -> None:
         check_label(label, dims)
         self.label = label
@@ -107,22 +103,9 @@ class LeafBucket(WireSized):
         self._encoded_count = 0
         self._header = None
         self._byte_matched = False
-        if isinstance(records, ColumnarStore):
-            self._store = records
-        elif isinstance(store, ColumnarStore):
-            if records:
-                raise ValueError(
-                    "pass records through the store, not alongside it"
-                )
-            self._store = store
-        else:
-            kind = store if store is not None else DEFAULT_STORE
-            source = records
-            if source is not None and not isinstance(source, Rows):
-                source = list(source)
-            self._store = create_store(
-                kind, dims, split_dim_of(label, dims), source
-            )
+        self._store = create_store(
+            store, dims, split_dim_of(label, dims), records
+        )
 
     @classmethod
     def from_encoded(
@@ -224,6 +207,14 @@ class LeafBucket(WireSized):
     def remove(self, record: Record) -> bool:
         """Remove one occurrence of *record*; True when found."""
         return self.store.remove(record)
+
+    def discard(self, point, value=None) -> bool:
+        """Remove the first record at *point* whose payload is *value*
+        (any payload when *value* is None); True when one was found."""
+        for record in self.records:
+            if record.key == point and (value is None or record.value == value):
+                return self.remove(record)
+        return False
 
     @property
     def split_dim(self) -> int:

@@ -279,14 +279,8 @@ class MLightIndex:
 
     def _delete(self, point: Point, value: Any) -> Generator[tuple, Any, bool]:
         bucket = (yield from self._find(point)).bucket
-        victim = None
-        for record in bucket.records:
-            if record.key == point and (value is None or record.value == value):
-                victim = record
-                break
-        if victim is None:
+        if not bucket.discard(point, value):
             return False
-        bucket.remove(victim)
         yield (REWRITE, self._key_of(bucket), bucket)
         yield from self._merge(bucket)
         return True

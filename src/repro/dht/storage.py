@@ -47,9 +47,8 @@ def _value_of(blob: bytes) -> Any:
 class PeerStore:
     """The objects one peer is responsible for.
 
-    Keys are stored together with their 160-bit digests, so handoff on
-    churn (transferring the sub-range of keys a new peer takes over)
-    does not re-hash the whole store.
+    Only churn handoff (:meth:`pop_range`) asks for a key's 160-bit
+    digest, so it hashes the keys it scans and nothing else does.
 
     With a *backend* (:class:`~repro.dht.durable.AppendLogBackend`)
     attached, every mutation is journaled as a byte blob — a put as the
@@ -59,7 +58,6 @@ class PeerStore:
 
     def __init__(self, backend: "AppendLogBackend | None" = None) -> None:
         self._values: dict[str, Any] = {}
-        self._digests: dict[str, int] = {}
         self._backend = backend
 
     @property
@@ -84,7 +82,6 @@ class PeerStore:
             value = _value_of(blob)
             for row in rows:
                 value = value.appended(row)
-            store._digests[key] = key_digest(key)
             store._values[key] = value
         store._backend = backend
         return store
@@ -99,8 +96,6 @@ class PeerStore:
         return self._values.get(key)
 
     def put(self, key: str, value: Any) -> None:
-        if key not in self._digests:
-            self._digests[key] = key_digest(key)
         self._values[key] = value
         if self._backend is not None:
             self._backend.record_put(key, _blob_of(value))
@@ -124,7 +119,6 @@ class PeerStore:
     def remove(self, key: str) -> Any:
         if key not in self._values:
             raise DhtKeyError(f"key {key!r} not stored on this peer")
-        self._digests.pop(key, None)
         value = self._values.pop(key)
         if self._backend is not None:
             self._backend.record_remove(key)
@@ -144,11 +138,10 @@ class PeerStore:
         moved = [
             (key, value)
             for key, value in self._values.items()
-            if predicate(self._digests[key])
+            if predicate(key_digest(key))
         ]
         for key, _ in moved:
             del self._values[key]
-            del self._digests[key]
             if self._backend is not None:
                 self._backend.record_remove(key)
         return moved

@@ -25,11 +25,21 @@ ROWS = [((0.1, 0.2), None), ((0.3, 0.4), None)]
 VALUED = [((0.1, 0.2), "a"), ((0.3, 0.4), 7)]
 
 
+def records(rows):
+    return [Record(point, value) for point, value in rows]
+
+
 def bucket(rows):
     leaf = LeafBucket("001", 2)
-    for point, value in rows:
-        leaf.add(Record(point, value))
+    for record in records(rows):
+        leaf.add(record)
     return leaf
+
+
+def cell(prefix, rows=()):
+    """The bucket a PHT/DST node at *prefix* holds: its cell's (label
+    ``001`` + prefix), sized with the store kind and the whole label."""
+    return LeafBucket("001" + prefix, 2, records(rows))
 
 
 #: name -> (value factory, data bytes).
@@ -38,11 +48,9 @@ VALUES = {
     "control": (lambda: "peer-0001", 0),
     "unvalued_bucket": (lambda: bucket(ROWS), 57),
     "valued_bucket": (lambda: bucket(VALUED), 77),
-    "pht_leaf": (
-        lambda: PhtNode("01", True, [Record(k, v) for k, v in VALUED]), 68
-    ),
-    "pht_internal": (lambda: PhtNode("01", False), 16),
-    "dst_node": (lambda: DstNode("0", [Record((0.1, 0.2))]), 31),
+    "pht_leaf": (lambda: PhtNode("01", True, cell("01", VALUED)), 79),
+    "pht_internal": (lambda: PhtNode("01", False, cell("01")), 27),
+    "dst_node": (lambda: DstNode("0", cell("0", ROWS[:1])), 42),
 }
 
 

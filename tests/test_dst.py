@@ -31,7 +31,7 @@ class TestReplication:
         stored_levels = sum(
             1
             for key, value in index.dht.items()
-            if key.startswith("dst:") and value.records
+            if key.startswith("dst:") and value.load
         )
         assert stored_levels == depth + 1
 
@@ -48,7 +48,7 @@ class TestReplication:
             index.insert((rng.random(), rng.random()))
         root = index.dht.peek(_key(""))
         assert root.saturated
-        assert len(root.records) == 3
+        assert root.load == 3
         assert index.total_records() == 50
         assert index.replica_count() < 50 * (index._depth + 1)
 
@@ -109,10 +109,11 @@ class TestDecomposition:
 
 
 class TestRangeQuery:
+    @pytest.mark.parametrize("store", ["columnar", "numpy"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_brute_force(self, seed):
+    def test_matches_brute_force(self, seed, store):
         rng = random.Random(seed)
-        index = make_index(saturation=5)  # force saturation descents
+        index = make_index(saturation=5, store=store)  # force saturation descents
         points = [(rng.random(), rng.random()) for _ in range(250)]
         for point in points:
             index.insert(point)

@@ -7,6 +7,9 @@ import pytest
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region
 from repro.baselines.pht import PhtIndex, _key
+from repro.core.store import ColumnarStore
+from repro.datasets.synthetic import uniform_points
+from repro.dht.api import PUT, REWRITE
 from repro.dht.localhash import LocalDht
 from tests.conftest import brute_force_range
 
@@ -41,7 +44,7 @@ class TestTrieStructure:
             if key.startswith("pht:") and not value.is_leaf
         ]
         assert internals  # splits happened
-        assert all(not node.records for node in internals)
+        assert all(node.bucket.is_empty for node in internals)
 
     def test_leaves_respect_threshold(self):
         rng = random.Random(1)
@@ -117,10 +120,11 @@ class TestMaintenance:
 
 
 class TestRangeQuery:
+    @pytest.mark.parametrize("store", ["columnar", "numpy"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_brute_force(self, seed):
+    def test_matches_brute_force(self, seed, store):
         rng = random.Random(seed)
-        index = make_index()
+        index = make_index(store=store)
         points = [(rng.random(), rng.random()) for _ in range(300)]
         for point in points:
             index.insert(point)
@@ -143,3 +147,45 @@ class TestRangeQuery:
             index.insert((rng.random(), rng.random()))
         result = index.range_query(Region((0.0, 0.0), (1.0, 1.0)))
         assert result.lookups > len(result.visited_leaves)
+
+
+class TestLeafStore:
+    def test_a_queried_leaf_keeps_one_store(self, store_builds, monkeypatch):
+        """Insert-then-query into one region: each write lands in the
+        leaf's one store, whose sorted run absorbs it; only the nodes a
+        split writes build a store, and a new leaf sorts once."""
+        sorts = []
+        fresh_run = ColumnarStore._fresh_run
+
+        def counting(store, keys, generation):
+            sorts.append(store)
+            return fresh_run(store, keys, generation)
+
+        monkeypatch.setattr(ColumnarStore, "_fresh_run", counting)
+        index = make_index(
+            max_depth=28, split_threshold=100, merge_threshold=50
+        )
+        for point in uniform_points(2000, seed=8):
+            index.insert(point)
+        region = Region((0.40, 0.40), (0.45, 0.45))
+        index.range_query(region)  # the region's leaves sort once
+        before = {id(node) for _, node in index.dht.items()}
+        written = {}  # the node objects the steps store, new ones only
+        perform = index.dht.perform
+
+        def recording(step):
+            if step[0] in (PUT, REWRITE) and id(step[2]) not in before:
+                written[id(step[2])] = step[2]
+            return perform(step)
+
+        monkeypatch.setattr(index.dht, "perform", recording)
+        del store_builds[:], sorts[:]
+        rng = random.Random(9)
+        for _ in range(200):
+            index.insert(
+                (0.40 + rng.random() * 0.05, 0.40 + rng.random() * 0.05)
+            )
+            index.range_query(region)
+        assert written  # the region's leaf split
+        assert len(store_builds) <= len(written)
+        assert len(sorts) <= len(written)
