@@ -7,11 +7,7 @@ bit-identically to a pre-adaptive build.  See
 """
 
 from repro.adaptive.config import AdaptiveConfig
-from repro.adaptive.detector import (
-    READS_SOURCE,
-    BucketReadCounters,
-    HotspotDetector,
-)
+from repro.adaptive.detector import HotspotDetector
 from repro.adaptive.plane import AdaptiveDht, AdaptiveStats
 from repro.adaptive.replication import (
     REPLICA_SEP,
@@ -21,19 +17,14 @@ from repro.adaptive.replication import (
     replica_key,
     replica_keys,
 )
-from repro.adaptive.shortcuts import DEFAULT_SHORTCUT_CAPACITY, ShortcutTable
 
 __all__ = [
     "AdaptiveConfig",
     "AdaptiveDht",
     "AdaptiveStats",
-    "BucketReadCounters",
-    "DEFAULT_SHORTCUT_CAPACITY",
     "HotspotDetector",
-    "READS_SOURCE",
     "REPLICA_SEP",
     "ReplicaDirectory",
-    "ShortcutTable",
     "is_replica_key",
     "primary_of",
     "replica_key",

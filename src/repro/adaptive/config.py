@@ -9,7 +9,7 @@ plane at all — the index runs bit-identically to a pre-adaptive build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.common.errors import ReproError
 
@@ -91,10 +91,3 @@ class AdaptiveConfig:
             raise ReproError(
                 f"learn_after must be >= 1, got {self.learn_after}"
             )
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{spec.name}={getattr(self, spec.name)!r}"
-            for spec in fields(self)
-        )
-        return f"{type(self).__name__}({body})"

@@ -1,21 +1,12 @@
-"""Online hotspot detection over per-bucket read counters.
+"""Online hotspot detection over per-bucket read counts.
 
-The plane tallies every index read per bucket key in
-:class:`BucketReadCounters` — a plain snapshot()/reset() source
-registered on a :class:`~repro.obs.registry.MetricsRegistry` — and the
-:class:`HotspotDetector` *samples the registry*, never the raw dict:
-each :meth:`HotspotDetector.sample` diffs the registry's cumulative
-counters against the previous sample and maintains a sliding window of
-the last ``window_samples`` deltas.  A bucket whose share of window
-reads reaches ``hot_share`` is flagged hot.
-
-Going through the registry keeps the detector decoupled from who does
-the counting: anything that publishes cumulative per-key read counts
-under the agreed source name (another plane instance, a service-side
-exporter) drives the same detector, and a registry-wide ``reset()``
-between experiment phases is observed as a counter rollback and
-handled (the window restarts from the new baseline instead of seeing
-a huge negative delta).
+The plane tallies every index read per bucket key in one plain dict,
+and the :class:`HotspotDetector` samples that dict: each
+:meth:`HotspotDetector.sample` diffs the cumulative counts against the
+previous sample and maintains a sliding window of the last
+``window_samples`` deltas.  A bucket whose share of window reads
+reaches ``hot_share`` is flagged hot.  The counts only ever grow (no
+code path resets them), so every delta is a count of new reads.
 """
 
 from __future__ import annotations
@@ -23,55 +14,23 @@ from __future__ import annotations
 from collections import deque
 
 from repro.common.errors import ReproError
-from repro.obs.registry import MetricsRegistry
-
-#: Registry source name the plane publishes its read counters under.
-READS_SOURCE = "bucket_reads"
-
-
-class BucketReadCounters:
-    """Cumulative per-key read tallies, registry-adaptable.
-
-    ``snapshot()`` returns the per-key counts (the contract
-    :meth:`MetricsRegistry.register` adapts); ``reset()`` zeroes them.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def inc(self, key: str) -> None:
-        """Account one read of *key*."""
-        self._counts[key] = self._counts.get(key, 0) + 1
-
-    @property
-    def total(self) -> int:
-        """Total reads across all keys."""
-        return sum(self._counts.values())
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()
 
 
 class HotspotDetector:
     """Flag buckets above a traffic-share threshold, online.
 
-    Samples cumulative per-key read counters from *registry* (source
-    *source*) and keeps a sliding window of the last *window_samples*
-    inter-sample deltas.  :meth:`sample` returns the current hot set:
-    keys whose share of window reads is at least *hot_share*, provided
-    the window carries at least *min_reads* reads in total.
+    Samples the cumulative per-key read counts in *counts* (read live,
+    never copied by the caller) and keeps a sliding window of the last
+    *window_samples* inter-sample deltas.  :meth:`sample` returns the
+    current hot set: keys whose share of window reads is at least
+    *hot_share*, provided the window carries at least *min_reads* reads
+    in total.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        counts: dict[str, int],
         *,
-        source: str = READS_SOURCE,
         window_samples: int = 4,
         hot_share: float = 0.05,
         min_reads: int = 64,
@@ -86,18 +45,17 @@ class HotspotDetector:
             )
         if min_reads < 0:
             raise ReproError(f"min_reads must be >= 0, got {min_reads}")
-        self._registry = registry
-        self._prefix = source + "."
+        self._counts = counts
         self._window_samples = window_samples
         self._hot_share = hot_share
         self._min_reads = min_reads
-        self._previous: dict[str, float] = {}
-        self._deltas: deque[dict[str, float]] = deque()
-        self._window: dict[str, float] = {}
-        self._window_total = 0.0
+        self._previous: dict[str, int] = {}
+        self._deltas: deque[dict[str, int]] = deque()
+        self._window: dict[str, int] = {}
+        self._window_total = 0
 
     @property
-    def window_reads(self) -> float:
+    def window_reads(self) -> int:
         """Reads in the current sliding window."""
         return self._window_total
 
@@ -105,34 +63,25 @@ class HotspotDetector:
         """The window traffic share of *key* (0.0 for an empty window)."""
         if self._window_total <= 0:
             return 0.0
-        return self._window.get(key, 0.0) / self._window_total
+        return self._window.get(key, 0) / self._window_total
 
     def sample(self) -> frozenset[str]:
         """Take one sample; return the current hot key set."""
-        prefix = self._prefix
-        current = {
-            name[len(prefix):]: value
-            for name, value in self._registry.snapshot().items()
-            if name.startswith(prefix)
-        }
-        delta: dict[str, float] = {}
-        for key, value in current.items():
-            previous = self._previous.get(key, 0.0)
-            if value < previous:
-                # The counters were reset between samples; the current
-                # value is the whole new-epoch tally.
-                previous = 0.0
-            if value > previous:
-                delta[key] = value - previous
-        self._previous = current
+        previous = self._previous
+        delta: dict[str, int] = {}
+        for key, value in self._counts.items():
+            grown = value - previous.get(key, 0)
+            if grown > 0:
+                delta[key] = grown
+        self._previous = dict(self._counts)
         self._deltas.append(delta)
         for key, count in delta.items():
-            self._window[key] = self._window.get(key, 0.0) + count
+            self._window[key] = self._window.get(key, 0) + count
             self._window_total += count
         while len(self._deltas) > self._window_samples:
             expired = self._deltas.popleft()
             for key, count in expired.items():
-                remaining = self._window.get(key, 0.0) - count
+                remaining = self._window.get(key, 0) - count
                 if remaining <= 0:
                     self._window.pop(key, None)
                 else:

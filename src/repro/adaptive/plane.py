@@ -6,12 +6,10 @@ stacks with both and works on every runtime) and adds, for index reads
 under the ``"ml:"`` namespace:
 
 * **read counting + hotspot detection** — every ``get`` of a bucket
-  key tallies into :class:`~repro.adaptive.detector.BucketReadCounters`
-  (published on a :class:`~repro.obs.registry.MetricsRegistry`); every
+  key tallies into the plane's per-key read dict; every
   ``sample_every`` reads the
-  :class:`~repro.adaptive.detector.HotspotDetector` samples the
-  registry and the plane promotes newly hot buckets / decays cooled
-  ones;
+  :class:`~repro.adaptive.detector.HotspotDetector` samples that dict
+  and the plane promotes newly hot buckets / decays cooled ones;
 * **read replication** — a promoted bucket is copied to
   ``key#r1..#rK`` (:mod:`~repro.adaptive.replication`) and each read
   of it is spread across the copies by the directory's seeded picker.
@@ -22,10 +20,11 @@ under the ``"ml:"`` namespace:
   and split/merge re-homing rides Theorem 5's single in-place rewrite;
 * **learned routing shortcuts** — after ``learn_after`` routed reads
   of one key the plane spends one metered ``lookup`` learning its
-  owner and stores it in the
-  :class:`~repro.adaptive.shortcuts.ShortcutTable`; later reads go
-  straight to the owner via :meth:`~repro.dht.api.Dht.get_direct`,
-  skipping overlay routing entirely.
+  owner in a :class:`~repro.core.cache.HintTable` (key -> peer, the
+  leaf cache's table); later reads go straight to the owner via
+  :meth:`~repro.dht.api.Dht.get_direct`, skipping overlay routing
+  entirely.  A second table, of the same kind, tallies the routed
+  reads of keys not learned yet.
 
 Failure discipline (what keeps the LeafCache interplay sound): a
 shortcut that fails (dead peer or ``None``) is evicted and the read
@@ -49,24 +48,19 @@ tracer is attached.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.adaptive.config import AdaptiveConfig
-from repro.adaptive.detector import (
-    READS_SOURCE,
-    BucketReadCounters,
-    HotspotDetector,
-)
+from repro.adaptive.detector import HotspotDetector
 from repro.adaptive.replication import (
     REPLICA_SEP,
     ReplicaDirectory,
     replica_keys,
 )
-from repro.adaptive.shortcuts import ShortcutTable
 from repro.common.errors import DhtKeyError, NodeUnreachableError
+from repro.core.cache import HintTable
 from repro.dht.api import (
     GET,
     GET_MANY,
@@ -74,11 +68,11 @@ from repro.dht.api import (
     PUT_MANY,
     REMOVE,
     REWRITE,
+    UNTRACED,
     BatchFailure,
     Dht,
     DhtDecorator,
 )
-from repro.obs.registry import MetricsRegistry
 
 #: The index key namespace the plane adapts; other keys pass through.
 _INDEX_PREFIX = "ml:"
@@ -127,41 +121,26 @@ class AdaptiveDht(DhtDecorator):
     behaviour; ``max_replicas=0`` with ``shortcut_capacity=0`` yields
     a pure observation plane (read counting only), which the fig6
     query-balance instrumentation uses.
-
-    *registry*, when given, is where the per-bucket read counters are
-    published (source ``"bucket_reads"``) and the plane's own tallies
-    (source ``"adaptive"``); by default the plane owns a private
-    :class:`~repro.obs.registry.MetricsRegistry`.
     """
 
-    def __init__(
-        self,
-        inner: Dht,
-        config: AdaptiveConfig | None = None,
-        *,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, inner: Dht, config: AdaptiveConfig | None = None) -> None:
         super().__init__(inner)
         self._config = config if config is not None else AdaptiveConfig()
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self._reads = BucketReadCounters()
-        self.metrics.register(READS_SOURCE, self._reads)
+        self._reads: dict[str, int] = {}
         self.adaptive_stats = AdaptiveStats()
-        self.metrics.register("adaptive", self.adaptive_stats)
         self._detector = HotspotDetector(
-            self.metrics,
-            source=READS_SOURCE,
+            self._reads,
             window_samples=self._config.window_samples,
             hot_share=self._config.hot_share,
             min_reads=self._config.min_window_reads,
         )
         self._replicas = ReplicaDirectory(seed=self._config.seed)
         self._shortcuts = (
-            ShortcutTable(self._config.shortcut_capacity)
+            HintTable(self._config.shortcut_capacity)
             if self._config.shortcut_capacity > 0
             else None
         )
-        self._pending_learn: OrderedDict[str, int] = OrderedDict()
+        self._pending_learn = HintTable(_PENDING_LIMIT)
         self._cold_streak: dict[str, int] = {}
         self._since_sample = 0
 
@@ -185,13 +164,14 @@ class AdaptiveDht(DhtDecorator):
         return self._replicas
 
     @property
-    def shortcuts(self) -> ShortcutTable | None:
-        """The learned shortcut table; None when disabled."""
+    def shortcuts(self) -> HintTable | None:
+        """The learned shortcut table (key -> owner peer); None when
+        disabled."""
         return self._shortcuts
 
     def read_counts(self) -> dict[str, int]:
         """Cumulative per-bucket-key read tallies (a copy)."""
-        return self._reads.snapshot()
+        return dict(self._reads)
 
     def bump_generation(self) -> None:
         """Invalidate every learned shortcut in O(1).
@@ -208,7 +188,8 @@ class AdaptiveDht(DhtDecorator):
     # ------------------------------------------------------------------
 
     def _note_read(self, key: str) -> None:
-        self._reads.inc(key)
+        reads = self._reads
+        reads[key] = reads.get(key, 0) + 1
         self.adaptive_stats.reads += 1
         self._since_sample += 1
         if self._since_sample >= self._config.sample_every:
@@ -233,35 +214,33 @@ class AdaptiveDht(DhtDecorator):
                 self._cold_streak[key] = streak
 
     def _promote(self, key: str) -> None:
+        """Copy the bucket at *key* to its replica keys; a promotion
+        that creates no copy is abandoned."""
         tracer = self.tracer
-        if tracer is None:
-            self._do_promote(key)
-            return
-        with tracer.span("adaptive", "promote", key=key) as span:
-            span.attrs["replicas"] = self._do_promote(key)
-
-    def _do_promote(self, key: str) -> int:
-        """Copy the bucket at *key* to its replica keys; returns how
-        many copies were created (0 aborts the promotion)."""
-        try:
-            value = self._inner.get(key)
-        except NodeUnreachableError:
-            return 0
-        if value is None:
-            return 0  # the bucket merged away since the window formed
-        load = getattr(value, "load", 0)
-        created = 0
-        for copy_key in replica_keys(key, self._config.max_replicas):
+        with (
+            UNTRACED if tracer is None
+            else tracer.span("adaptive", "promote", key=key)
+        ) as span:
+            created = 0
             try:
-                self._inner.put(copy_key, value, records_moved=load)
+                value = self._inner.get(key)
             except NodeUnreachableError:
-                break
-            created += 1
-            self._learn_owner(copy_key)
+                value = None
+            # None: unreachable, or merged away since the window formed.
+            if value is not None:
+                load = getattr(value, "load", 0)
+                for copy_key in replica_keys(key, self._config.max_replicas):
+                    try:
+                        self._inner.put(copy_key, value, records_moved=load)
+                    except NodeUnreachableError:
+                        break
+                    created += 1
+                    self._learn_owner(copy_key)
+            if span is not None:
+                span.attrs["replicas"] = created
         if created:
             self._replicas.add(key, created)
             self.adaptive_stats.promotions += 1
-        return created
 
     def _demote(self, key: str, *, reason: str) -> None:
         count = self._replicas.drop(key)
@@ -269,24 +248,21 @@ class AdaptiveDht(DhtDecorator):
             return
         self._cold_streak.pop(key, None)
         tracer = self.tracer
-        if tracer is None:
-            self._do_demote(key, count)
-        else:
-            with tracer.span(
-                "adaptive", "demote", key=key, reason=reason
-            ) as span:
-                span.attrs["replicas"] = count
-                self._do_demote(key, count)
+        with (
+            UNTRACED if tracer is None
+            else tracer.span(
+                "adaptive", "demote", key=key, reason=reason,
+                replicas=count,
+            )
+        ):
+            for copy_key in replica_keys(key, count):
+                if self._shortcuts is not None:
+                    self._shortcuts.forget(copy_key)
+                try:
+                    self._inner.remove(copy_key)
+                except (DhtKeyError, NodeUnreachableError):
+                    pass  # the copy is already gone or its peer is dead
         self.adaptive_stats.demotions += 1
-
-    def _do_demote(self, key: str, count: int) -> None:
-        for copy_key in replica_keys(key, count):
-            if self._shortcuts is not None:
-                self._shortcuts.forget(copy_key)
-            try:
-                self._inner.remove(copy_key)
-            except (DhtKeyError, NodeUnreachableError):
-                pass  # the copy is already gone or its peer is dead
 
     def _refresh_replicas(self, key: str, value: Any) -> None:
         """Write-through a primary update to every copy of *key*.
@@ -322,13 +298,12 @@ class AdaptiveDht(DhtDecorator):
         if self._shortcuts is None or target in self._shortcuts:
             return
         pending = self._pending_learn
-        seen = pending.pop(target, 0) + 1
+        seen = (pending.get(target) or 0) + 1
         if seen >= self._config.learn_after:
+            pending.forget(target)
             self._learn_owner(target)
-            return
-        pending[target] = seen
-        while len(pending) > _PENDING_LIMIT:
-            pending.popitem(last=False)
+        else:
+            pending.observe(target, seen)
 
     def _adapted(self, key: str) -> bool:
         return key.startswith(_INDEX_PREFIX) and REPLICA_SEP not in key
@@ -368,7 +343,7 @@ class AdaptiveDht(DhtDecorator):
         target = self._replicas.pick(key)
         stats = self.adaptive_stats
         if self._shortcuts is not None:
-            peer = self._shortcuts.propose(target)
+            peer = self._shortcuts.get(target)
             if peer is not None:
                 try:
                     value = inner.get_direct(peer, target)
@@ -440,7 +415,7 @@ class AdaptiveDht(DhtDecorator):
         self._demote(key, reason="removed")
         if self._shortcuts is not None:
             self._shortcuts.forget(key)
-        self._pending_learn.pop(key, None)
+        self._pending_learn.forget(key)
 
     # ------------------------------------------------------------------
     # Oracle access

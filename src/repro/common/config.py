@@ -7,7 +7,7 @@ values as defaults, so an experiment is fully described by one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.common.errors import (
     ReproError,
@@ -157,15 +157,3 @@ class IndexConfig:
                 UnknownStoreError, "store backend", self.store, STORES
             )
         check_durability(self.durability)
-
-    def __repr__(self) -> str:
-        """Every field, in declaration order, derived from the
-        dataclass machinery — the one authoritative listing of the
-        config surface (a field added above appears here, in
-        :meth:`snapshot`-style docs and in ``repr`` output by
-        construction, so the three can never drift apart)."""
-        body = ", ".join(
-            f"{spec.name}={getattr(self, spec.name)!r}"
-            for spec in fields(self)
-        )
-        return f"{type(self).__name__}({body})"

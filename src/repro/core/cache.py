@@ -1,4 +1,5 @@
-"""Client-side leaf cache: O(1) warm lookups over the Section-5 search.
+"""Client-side hints: the leaf cache's O(1) warm lookups, and the one
+hint table it and the adaptive plane's shortcuts are built on.
 
 Every cold :func:`~repro.core.lookup.lookup_point` pays a binary search
 over the candidate set — O(log D) DHT-gets (ablation A2 meters it).
@@ -28,10 +29,12 @@ probe (:meth:`~repro.core.lookup.PointLookupCursor.probe_failed`) —
 leaving it cached would steer every subsequent lookup in the region
 back into the same dead peer's retry budget.
 
-Bounding and invalidation:
+Bounding and invalidation are the :class:`HintTable`'s, which the
+adaptive plane (:mod:`repro.adaptive.plane`) also uses for its learned
+key → owner-peer shortcuts and its learn-candidate tallies:
 
-* the cache is LRU-bounded (``capacity`` entries);
-* :meth:`LeafCache.bump_generation` invalidates every current entry in
+* the table is LRU-bounded (``capacity`` entries);
+* :meth:`HintTable.bump_generation` invalidates every current entry in
   O(1) — entries are tagged with the generation that observed them and
   stale-generation entries are dropped lazily on access.  Clients use
   it when they learn the tree churned wholesale (e.g. after a bulk
@@ -45,6 +48,7 @@ paper's cost counters, so experiments read them from one place.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Any
 
 from repro.common.errors import ReproError
 
@@ -52,13 +56,13 @@ from repro.common.errors import ReproError
 DEFAULT_CACHE_CAPACITY = 256
 
 
-class LeafCache:
-    """LRU-bounded map of recently observed leaf labels.
+class HintTable:
+    """LRU-bounded, generation-tagged map of hints ``key -> value``.
 
-    Entries are leaf labels (plain bit strings); values are the
-    generation tag current when the label was observed.  The cache is
-    a pure data structure: it issues no DHT traffic and keeps no cost
-    counters of its own.
+    Each entry keeps the generation current when it was observed; an
+    entry of an older generation is no hint and is dropped when next
+    touched.  The table is a pure data structure: it issues no DHT
+    traffic and keeps no cost counters of its own.
     """
 
     __slots__ = ("_capacity", "_entries", "_generation")
@@ -66,19 +70,15 @@ class LeafCache:
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ReproError(
-                f"cache capacity must be >= 1, got {capacity}"
+                f"hint table capacity must be >= 1, got {capacity}"
             )
         self._capacity = capacity
-        self._entries: OrderedDict[str, int] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[Any, int]] = OrderedDict()
         self._generation = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
 
     @property
     def capacity(self) -> int:
-        """Maximum number of labels retained."""
+        """Maximum number of entries retained."""
         return self._capacity
 
     @property
@@ -89,25 +89,34 @@ class LeafCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, label: str) -> bool:
-        return self._entries.get(label) == self._generation
+    def __contains__(self, key: str) -> bool:
+        entry = self._entries.get(key)
+        return entry is not None and entry[1] == self._generation
 
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-
-    def observe(self, label: str) -> None:
-        """Record *label* as a currently existing leaf (most recent)."""
+    def get(self, key: str) -> Any | None:
+        """The value hinted for *key* (now the most recent), or None."""
         entries = self._entries
-        if label in entries:
-            entries.move_to_end(label)
-        entries[label] = self._generation
-        while len(entries) > self._capacity:
+        entry = entries.get(key)
+        if entry is None:
+            return None
+        if entry[1] != self._generation:
+            del entries[key]  # lazy generation invalidation
+            return None
+        entries.move_to_end(key)
+        return entry[0]
+
+    def observe(self, key: str, value: Any = True) -> None:
+        """Record *value* for *key* (most recent); a table that only
+        records which keys exist, like the leaf cache, keeps ``True``."""
+        entries = self._entries
+        entries[key] = (value, self._generation)
+        entries.move_to_end(key)
+        if len(entries) > self._capacity:
             entries.popitem(last=False)
 
-    def forget(self, label: str) -> None:
-        """Drop *label* (a probe proved it is no longer a leaf)."""
-        self._entries.pop(label, None)
+    def forget(self, key: str) -> None:
+        """Drop *key* (a probe proved its hint stale or dead)."""
+        self._entries.pop(key, None)
 
     def bump_generation(self) -> None:
         """Invalidate every current entry in O(1)."""
@@ -117,9 +126,15 @@ class LeafCache:
         """Drop all entries."""
         self._entries.clear()
 
-    # ------------------------------------------------------------------
-    # Proposals
-    # ------------------------------------------------------------------
+
+class LeafCache(HintTable):
+    """The recently observed leaf labels of one client.
+
+    A :class:`HintTable` of labels (plain bit strings) that adds the
+    prefix walk the lookup engine asks it for.
+    """
+
+    __slots__ = ()
 
     def propose(
         self, candidate: str, low: int, high: int
@@ -134,14 +149,16 @@ class LeafCache:
         ``None`` when nothing useful is cached — the caller falls back
         to the cold binary search.
         """
+        # The loop reads the entries dict itself: a get() call per
+        # candidate length would cost more than the walk.
         entries = self._entries
         generation = self._generation
         for length in range(min(high, len(candidate)), low - 1, -1):
             label = candidate[:length]
-            tag = entries.get(label)
-            if tag is None:
+            entry = entries.get(label)
+            if entry is None:
                 continue
-            if tag != generation:
+            if entry[1] != generation:
                 del entries[label]  # lazy generation invalidation
                 continue
             entries.move_to_end(label)

@@ -33,7 +33,7 @@ from typing import Any
 from repro.common.errors import ReproError
 from repro.common.labels import check_label
 from repro.core import bucket as _bucket  # cyclic: used at call time only
-from repro.core.store import Rows, create_store, match_columns
+from repro.core.store import STORES, Rows, create_store, match_columns
 
 __all__ = [
     "CODEC_MAGIC",
@@ -59,7 +59,8 @@ _FLAG_VALUES = 1
 
 
 class CodecError(ReproError):
-    """An encoded bucket is malformed (bad magic, version, or length)."""
+    """An encoded bucket is malformed (bad magic, version, store kind or
+    length)."""
 
 
 def _column_bytes(column) -> bytes:
@@ -117,7 +118,7 @@ def encode_bucket(bucket) -> bytes:
 
 def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
     """``(dims, kind, label, count, flags, offset of the columns)`` of
-    an encoded bucket, with the label checked
+    an encoded bucket, with the store kind and the label checked
     (:class:`~repro.common.errors.InvalidLabelError`) and every declared
     length checked against the buffer: whatever passes can be cut into
     columns and a values blob without running off the end."""
@@ -138,6 +139,8 @@ def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
         offset += _COUNT.size
     except (struct.error, UnicodeDecodeError) as exc:
         raise CodecError(f"encoded bucket header is malformed: {exc}") from exc
+    if kind not in STORES:
+        raise CodecError(f"encoded bucket has unknown store kind {kind!r}")
     check_label(label, dims)
     surplus = len(data) - (offset + dims * count * 8)
     if surplus < 0:
@@ -153,8 +156,8 @@ def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
 def decode_bucket(data: bytes):
     """Inverse of :func:`encode_bucket`, lazily.
 
-    The header is validated here (magic, version, label, declared
-    lengths against the buffer) and answers ``label`` / ``region`` /
+    The header is validated here (magic, version, store kind, label,
+    declared lengths against the buffer) and answers ``label`` / ``region`` /
     ``load`` on its own; the record store is built by
     :func:`decode_store` on the bucket's first use of it, and until a
     mutation *data* stays the bucket's encoding.  The bucket keeps this

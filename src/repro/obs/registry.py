@@ -200,7 +200,7 @@ class MetricsRegistry:
         routes over one) as ``net``, and the client leaf cache (when
         configured) as the ``cache`` gauge group.
         """
-        from repro.adaptive.plane import AdaptiveDht  # imports this module
+        from repro.adaptive.plane import AdaptiveDht  # obs sits below it
 
         registry = cls()
         dht = index.dht

@@ -14,11 +14,8 @@ import pytest
 from repro.adaptive import (
     AdaptiveConfig,
     AdaptiveDht,
-    BucketReadCounters,
     HotspotDetector,
-    READS_SOURCE,
     ReplicaDirectory,
-    ShortcutTable,
     is_replica_key,
     primary_of,
     replica_key,
@@ -34,7 +31,6 @@ from repro.datasets.synthetic import uniform_points
 from repro.dht.chord import ChordDht
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
-from repro.obs.registry import MetricsRegistry
 from repro.workloads.queries import uniform_range_queries
 from repro.workloads.traces import request_trace, zipf_sampler
 
@@ -90,11 +86,9 @@ def test_request_trace_skew_targets_hot_keys():
 
 
 def _detector(window_samples=2, hot_share=0.5, min_reads=4):
-    registry = MetricsRegistry()
-    counters = BucketReadCounters()
-    registry.register(READS_SOURCE, counters)
-    return registry, counters, HotspotDetector(
-        registry,
+    counts: dict[str, int] = {}
+    return counts, HotspotDetector(
+        counts,
         window_samples=window_samples,
         hot_share=hot_share,
         min_reads=min_reads,
@@ -102,10 +96,8 @@ def _detector(window_samples=2, hot_share=0.5, min_reads=4):
 
 
 def test_detector_flags_hot_and_decays():
-    _, counters, detector = _detector()
-    for _ in range(10):
-        counters.inc("ml:a")
-    counters.inc("ml:b")
+    counts, detector = _detector()
+    counts.update({"ml:a": 10, "ml:b": 1})
     hot = detector.sample()
     assert "ml:a" in hot and "ml:b" not in hot
     assert detector.share("ml:a") > 0.8
@@ -117,63 +109,9 @@ def test_detector_flags_hot_and_decays():
 
 
 def test_detector_min_reads_gates_noise():
-    _, counters, detector = _detector(min_reads=100)
-    for _ in range(10):
-        counters.inc("ml:a")
+    counts, detector = _detector(min_reads=100)
+    counts["ml:a"] = 10
     assert detector.sample() == frozenset()
-
-
-def test_detector_survives_counter_rollback():
-    registry, counters, detector = _detector()
-    for _ in range(8):
-        counters.inc("ml:a")
-    assert "ml:a" in detector.sample()
-    registry.reset()  # a phase reset rolls every counter back to zero
-    for _ in range(6):
-        counters.inc("ml:c")
-    # No negative delta: the new-epoch tally counts whole, the old
-    # burst ages out of the sliding window one sample later.
-    detector.sample()
-    assert detector.window_reads >= 6
-    hot = detector.sample()
-    assert "ml:c" in hot and "ml:a" not in hot
-    assert detector.window_reads == 6
-
-
-# ----------------------------------------------------------------------
-# Shortcut table
-# ----------------------------------------------------------------------
-
-
-def test_shortcut_table_lru_eviction():
-    table = ShortcutTable(capacity=2)
-    table.observe("k1", "p1")
-    table.observe("k2", "p2")
-    assert table.propose("k1") == "p1"  # k1 is now most recent
-    table.observe("k3", "p3")  # evicts k2, the least recent
-    assert table.propose("k2") is None
-    assert table.propose("k1") == "p1" and table.propose("k3") == "p3"
-
-
-def test_shortcut_table_generation_invalidation():
-    table = ShortcutTable(capacity=4)
-    table.observe("k", "p")
-    assert "k" in table
-    table.bump_generation()
-    assert "k" not in table
-    assert table.propose("k") is None  # lazily evicted
-    assert len(table) == 0
-    table.observe("k", "p2")
-    assert table.propose("k") == "p2"
-
-
-def test_shortcut_table_forget_and_bounds():
-    with pytest.raises(ReproError):
-        ShortcutTable(capacity=0)
-    table = ShortcutTable(capacity=4)
-    table.observe("k", "p")
-    table.forget("k")
-    assert table.propose("k") is None
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +191,7 @@ def test_plane_learns_shortcuts_and_heals_lost_copies():
     plane = AdaptiveDht(inner, FAST)
     plane.put("ml:00", "v")
     plane.get("ml:00")  # first routed read learns the owner
-    assert plane.shortcuts.propose("ml:00") == inner.peer_of("ml:00")
+    assert plane.shortcuts.get("ml:00") == inner.peer_of("ml:00")
     plane.get("ml:00")
     assert plane.adaptive_stats.shortcut_hits >= 1
 
@@ -297,7 +235,7 @@ def test_plane_remove_tears_replicas_down():
     assert plane.remove("ml:00") == "v"
     assert plane.replicas.count("ml:00") == 0
     assert not any(is_replica_key(key) for key, _ in inner.items())
-    assert plane.shortcuts.propose("ml:00") is None
+    assert plane.shortcuts.get("ml:00") is None
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.config import IndexConfig
 from repro.common.errors import ReproError
-from repro.core.cache import LeafCache
+from repro.core.cache import HintTable, LeafCache
 from repro.core.index import MLightIndex
 from repro.core.lookup import lookup_point
 from repro.core.naming import moved_child, naming_function, survivor_child
@@ -45,35 +45,76 @@ def cluster(rng, n, corner=0.0, side=0.12):
     ]
 
 
-class TestLeafCacheUnit:
-    def test_capacity_must_be_positive(self):
+@pytest.mark.parametrize("table_class", [HintTable, LeafCache])
+class TestHintTableUnit:
+    """The one hint table, as the adaptive plane's shortcuts (key ->
+    peer) and as the leaf cache (labels) use it."""
+
+    def test_capacity_must_be_positive(self, table_class):
         with pytest.raises(ReproError):
-            LeafCache(0)
+            table_class(0)
 
-    def test_observe_and_contains(self):
-        cache = LeafCache(4)
-        cache.observe("0010")
-        assert "0010" in cache
-        assert "0011" not in cache
-        assert len(cache) == 1
+    def test_observe_get_and_contains(self, table_class):
+        table = table_class(4)
+        table.observe("0010", "p1")
+        table.observe("0011")  # presence only, as the leaf cache keeps
+        assert "0010" in table and "0011" in table
+        assert "0100" not in table
+        assert table.get("0010") == "p1"
+        assert table.get("0011") is True
+        assert table.get("0100") is None
+        assert len(table) == 2
 
-    def test_lru_eviction_drops_oldest(self):
-        cache = LeafCache(2)
-        cache.observe("0010")
-        cache.observe("0011")
-        cache.observe("0100")
-        assert "0010" not in cache
-        assert "0011" in cache and "0100" in cache
+    def test_lru_eviction_drops_oldest(self, table_class):
+        table = table_class(2)
+        table.observe("0010")
+        table.observe("0011")
+        table.observe("0100")
+        assert "0010" not in table
+        assert "0011" in table and "0100" in table
+        assert len(table) == 2
 
-    def test_observe_refreshes_recency(self):
-        cache = LeafCache(2)
-        cache.observe("0010")
-        cache.observe("0011")
-        cache.observe("0010")  # refresh: 0011 is now the oldest
-        cache.observe("0100")
-        assert "0011" not in cache
-        assert "0010" in cache
+    def test_observe_refreshes_recency(self, table_class):
+        table = table_class(2)
+        table.observe("0010")
+        table.observe("0011")
+        table.observe("0010", "p2")  # refresh: 0011 is now the oldest
+        table.observe("0100")
+        assert "0011" not in table
+        assert table.get("0010") == "p2"
 
+    def test_get_refreshes_recency(self, table_class):
+        table = table_class(2)
+        table.observe("k1", "p1")
+        table.observe("k2", "p2")
+        assert table.get("k1") == "p1"  # k1 is now most recent
+        table.observe("k3", "p3")  # evicts k2, the least recent
+        assert table.get("k2") is None
+        assert table.get("k1") == "p1" and table.get("k3") == "p3"
+
+    def test_generation_bump_invalidates_everything(self, table_class):
+        table = table_class(4)
+        table.observe("k", "p")
+        assert "k" in table
+        table.bump_generation()
+        assert "k" not in table
+        assert table.get("k") is None  # lazily evicted
+        assert len(table) == 0
+        table.observe("k", "p2")  # observable again in the new generation
+        assert table.get("k") == "p2"
+
+    def test_forget_and_clear(self, table_class):
+        table = table_class(8)
+        table.observe("0010")
+        table.observe("0011")
+        table.forget("0010")
+        table.forget("0100")  # absent: nothing to drop
+        assert "0010" not in table and "0011" in table
+        table.clear()
+        assert len(table) == 0
+
+
+class TestLeafCacheUnit:
     def test_propose_refreshes_recency(self):
         cache = LeafCache(2)
         cache.observe("0010")
@@ -101,23 +142,14 @@ class TestLeafCacheUnit:
         cache.observe("00110")
         assert cache.propose("00101101", 3, 8) is None
 
-    def test_generation_bump_invalidates_everything(self):
+    def test_propose_drops_a_stale_generation(self):
         cache = LeafCache(8)
-        cache.observe("0010")
+        cache.observe("001")
         cache.bump_generation()
-        assert "0010" not in cache
-        assert cache.propose("00101101", 3, 8) is None
-        cache.observe("0010")  # observable again in the new generation
-        assert "0010" in cache
-
-    def test_forget_and_clear(self):
-        cache = LeafCache(8)
-        cache.observe("0010")
-        cache.observe("0011")
-        cache.forget("0010")
-        assert "0010" not in cache and "0011" in cache
-        cache.clear()
-        assert len(cache) == 0
+        cache.observe("00101")
+        assert cache.propose("00101101", 3, 4) is None
+        assert len(cache) == 1  # the stale label went on the walk
+        assert cache.propose("00101101", 3, 8) == "00101"
 
 
 class TestHintedLookup:

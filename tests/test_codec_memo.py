@@ -453,6 +453,14 @@ class TestCorruption:
         with pytest.raises(codec.CodecError, match="column"):
             codec.decode_bucket(data[:40])  # inside the columns
 
+    def test_unknown_store_kind_rejected_at_decode(self, rng):
+        """A garbled kind string is a malformed header, like a bad magic
+        or version, not a bucket that fails at its first use."""
+        data = self._encoded(rng)
+        assert data.count(b"columnar") == 1
+        with pytest.raises(codec.CodecError, match="columnaz"):
+            codec.decode_bucket(data.replace(b"columnar", b"columnaz"))
+
     def test_declared_count_is_checked_against_the_buffer(self, rng):
         points = codec.encode_bucket(
             LeafBucket("001", 2, [Record((0.5, 0.5)), Record((0.25, 0.5))])

@@ -10,6 +10,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.adaptive.config import AdaptiveConfig
 from repro.common.config import IndexConfig
 from repro.common.labels import MAX_RESOLUTION_BITS
 from repro.common.errors import ReproError, UnknownRuntimeError
@@ -133,17 +134,31 @@ class TestRuntime:
         assert IndexConfig().runtime == "sim"
 
 
+#: Configs whose ``repr`` the tests below read: both config classes,
+#: and one nested in the other.
+REPR_CONFIGS = {
+    "index": IndexConfig(dims=3, runtime="asyncio", tracing=True),
+    "thresholds": IndexConfig(split_threshold=40, merge_threshold=20),
+    "adaptive": AdaptiveConfig(hot_share=0.25, shortcut_capacity=0),
+    "nested": IndexConfig(adaptive=AdaptiveConfig(max_replicas=1, seed=3)),
+}
+
+
 class TestRepr:
-    def test_repr_lists_every_field(self):
+    @pytest.mark.parametrize(
+        "config", REPR_CONFIGS.values(), ids=REPR_CONFIGS.keys()
+    )
+    def test_repr_lists_every_field(self, config):
         """``repr`` is the one authoritative listing of the config
         surface: every declared field must appear with its value, so a
         field added later can never be invisible in logs."""
-        config = IndexConfig(dims=3, runtime="asyncio", tracing=True)
         text = repr(config)
-        assert text.startswith("IndexConfig(")
-        for spec in fields(IndexConfig):
+        assert text.startswith(f"{type(config).__name__}(")
+        for spec in fields(config):
             assert f"{spec.name}={getattr(config, spec.name)!r}" in text
 
-    def test_repr_round_trips_through_eval(self):
-        config = IndexConfig(split_threshold=40, merge_threshold=20)
+    @pytest.mark.parametrize(
+        "config", REPR_CONFIGS.values(), ids=REPR_CONFIGS.keys()
+    )
+    def test_repr_round_trips_through_eval(self, config):
         assert eval(repr(config)) == config  # noqa: S307

@@ -134,6 +134,10 @@ class TestRemovedNames:
         # the per-opcode primitives one exchange per substrate replaced
         "_do_get", "_do_put", "_do_remove", "_do_rewrite", "_do_lookup",
         "_do_restart", "perform_on_loop's", "rpc_store_",
+        # the adaptive plane's copy of the leaf cache's table, and the
+        # private registry its detector read its counts through
+        "ShortcutTable", "DEFAULT_SHORTCUT_CAPACITY", "adaptive.shortcuts",
+        "BucketReadCounters", "READS_SOURCE",
     )
 
     @pytest.mark.parametrize(
