@@ -317,7 +317,11 @@ class AdaptiveDht(DhtDecorator):
         if op is GET:
             return self._read(step[1])
         if op is GET_MANY:
-            return self._read_many(step[1])
+            keys = step[1]
+            targets = self._redirect(keys)
+            return self._heal(
+                keys, targets, self._inner.get_many_outcomes(targets)
+            )
         outcome = self._inner.perform(step)
         if op is PUT or op is REWRITE:
             # A REWRITE is Theorem 5's in-place rewrite: the one
@@ -380,34 +384,57 @@ class AdaptiveDht(DhtDecorator):
             self._maybe_learn(target)
         return value
 
-    def _read_many(self, keys: Sequence[str]) -> list[Any]:
+    def _redirect(self, keys: Sequence[str]) -> list[str]:
+        """Count the reads of a batch's index keys; the key each slot
+        reads, a copy for a promoted one."""
         targets: list[str] = []
-        redirected: list[int] = []
-        for slot, key in enumerate(keys):
-            target = key
+        for key in keys:
             if self._adapted(key):
                 self._note_read(key)
-                target = self._replicas.pick(key)
-                if target is not key:
-                    redirected.append(slot)
-            targets.append(target)
-        outcomes = self._inner.get_many_outcomes(targets)
+                key = self._replicas.pick(key)
+            targets.append(key)
+        return targets
+
+    def _heal(
+        self, keys: Sequence[str], targets: list[str], outcomes: list[Any]
+    ) -> list[Any]:
+        """Settle a batch read whose slots read *targets*."""
         stats = self.adaptive_stats
-        for slot in redirected:
+        for slot, (key, target) in enumerate(zip(keys, targets)):
+            if target is key:
+                continue
             outcome = outcomes[slot]
             if outcome is None or isinstance(outcome, BatchFailure):
                 # A lost or unreachable copy inside a batch heals in
                 # place: demote, then answer the slot from the primary
                 # (one extra metered get) so one stale replica never
                 # degrades a whole round.
-                self._demote(key=keys[slot], reason="batch-failed")
+                self._demote(key, reason="batch-failed")
                 stats.replica_heals += 1
                 try:
-                    outcomes[slot] = self._inner.get(keys[slot])
+                    outcomes[slot] = self._inner.get(key)
                 except NodeUnreachableError as error:
                     outcomes[slot] = BatchFailure(error)
             else:
                 stats.replica_reads += 1
+        return outcomes
+
+    def run_round(self, requests: list[tuple]) -> list[Any]:
+        """A round a wrapper outside the plane metered and sent (a
+        retry wave): adapted as the plane's own batch steps are, so the
+        wrapper order changes no answer (a retried read is one more
+        read here)."""
+        if all(request[0] is GET for request in requests):
+            keys = [request[1] for request in requests]
+            targets = self._redirect(keys)
+            outcomes = self._inner.run_round(
+                [(GET, target, None, None) for target in targets]
+            )
+            return self._heal(keys, targets, outcomes)
+        outcomes = self._inner.run_round(requests)
+        for (op, key, value, _), outcome in zip(requests, outcomes):
+            if op is PUT and not isinstance(outcome, BatchFailure):
+                self._refresh_replicas(key, value)
         return outcomes
 
     def _forget(self, key: str) -> None:

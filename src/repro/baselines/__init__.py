@@ -6,14 +6,20 @@
 * :class:`~repro.baselines.dst.DstIndex` — Distributed Segment Tree
   (Zheng et al., IPTPS'06; quad-tree flavour per Shen et al.'s TR),
   with ancestor replication and node saturation.
+* :class:`~repro.baselines.naive.NaiveTreeIndex` — m-LIGHT's kd-tree
+  without its naming function (a leaf at DHT key = its label), the
+  subject of ablation A1.
 
-Both consume only the generic DHT facade, exactly like m-LIGHT, so the
-three schemes are compared on identical substrates and identical cost
-meters.
+All three are tries over the kd-tree's cells, driven by one
+:class:`~repro.baselines.interface.TrieIndex` (one range descent, one
+split kernel, one oracle walk), and consume only the generic DHT
+facade, exactly like m-LIGHT, so the schemes are compared on identical
+substrates and identical cost meters.
 """
 
-from repro.baselines.interface import OverDhtIndex
+from repro.baselines.interface import TrieIndex
 from repro.baselines.pht import PhtIndex
 from repro.baselines.dst import DstIndex
+from repro.baselines.naive import NaiveTreeIndex
 
-__all__ = ["OverDhtIndex", "PhtIndex", "DstIndex"]
+__all__ = ["TrieIndex", "PhtIndex", "DstIndex", "NaiveTreeIndex"]

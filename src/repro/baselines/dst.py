@@ -46,15 +46,9 @@ from repro.common.geometry import (
 from repro.common.labels import interleave
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
-from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.baselines.interface import TrieIndex, TrieNode
+from repro.core.results import RangeQueryBuilder
+from repro.baselines.interface import DESCEND, TrieIndex, TrieNode
 from repro.dht.api import Dht
-
-_PREFIX = "dst:"
-
-
-def _key(prefix: str) -> str:
-    return _PREFIX + prefix
 
 
 @dataclass(slots=True)
@@ -73,6 +67,8 @@ class DstNode(TrieNode):
 
 class DstIndex(TrieIndex):
     """DST with ancestor replication and saturation."""
+
+    namespace = "dst:"
 
     def __init__(
         self,
@@ -103,10 +99,10 @@ class DstIndex(TrieIndex):
         full = interleave(record.key, self._depth)
         for depth in range(self._depth + 1):
             prefix = full[:depth]
-            node = self.dht.get(_key(prefix))
+            node = self.dht.get(self._key(prefix))
             if node is None:
                 node = DstNode(prefix, self._bucket(prefix, [record]))
-                self.dht.put(_key(prefix), node, records_moved=1)
+                self.dht.put(self._key(prefix), node, records_moved=1)
                 continue
             at_leaf = depth == self._depth
             if not at_leaf and (
@@ -114,14 +110,14 @@ class DstIndex(TrieIndex):
             ):
                 if not node.saturated:
                     node.saturated = True
-                    self.dht.rewrite_local(_key(prefix), node)
+                    self.dht.rewrite_local(self._key(prefix), node)
                 continue
             # The node's cell holds the record by construction (its
             # prefix is the record's own), so the bucket's cell check
             # is skipped: a store append per replica, nothing more.
             node.bucket.store.add(record)
             self.dht.stats.records_moved += 1
-            self.dht.rewrite_local(_key(prefix), node)
+            self.dht.rewrite_local(self._key(prefix), node)
 
     def delete(self, key: Point, value: Any = None) -> bool:
         """Remove one matching record from every level that holds it."""
@@ -130,9 +126,9 @@ class DstIndex(TrieIndex):
         removed_any = False
         for depth in range(self._depth + 1):
             prefix = full[:depth]
-            node = self.dht.get(_key(prefix))
+            node = self.dht.get(self._key(prefix))
             if node is not None and node.bucket.discard(point, value):
-                self.dht.rewrite_local(_key(prefix), node)
+                self.dht.rewrite_local(self._key(prefix), node)
                 removed_any = True
         return removed_any
 
@@ -140,34 +136,22 @@ class DstIndex(TrieIndex):
     # Range queries (canonical decomposition, O(1) rounds)
     # ------------------------------------------------------------------
 
-    def range_query(self, query: Region) -> RangeQueryResult:
-        """Decompose *query* into canonical nodes and probe them all in
-        parallel; descend past saturated nodes (one extra round per
-        level of saturation)."""
-        builder = RangeQueryBuilder()
+    def _start(self, query: Region) -> list[str]:
         canonical: list[str] = []
         self._decompose(query, "", region_of_bits("", self._dims), canonical)
-        frontier = canonical
-        round_number = 0
-        while frontier:
-            round_number += 1
-            builder.rounds = max(builder.rounds, round_number)
-            next_frontier: list[str] = []
-            for prefix in frontier:
-                builder.lookups += 1
-                node = self.dht.get(_key(prefix))
-                if node is None:
-                    continue  # empty region: nothing stored there
-                if node.saturated and len(prefix) < self._depth:
-                    for child in (prefix + "0", prefix + "1"):
-                        if query_overlaps_cell(
-                            query, region_of_bits(child, self._dims)
-                        ):
-                            next_frontier.append(child)
-                    continue
-                self._collect(node, query, builder)
-            frontier = next_frontier
-        return builder.build()
+        return canonical
+
+    def _probed(
+        self, prefix: str, node: DstNode | None, builder: RangeQueryBuilder
+    ) -> LeafBucket | str | None:
+        """A canonical node answers its subrange in one probe, unless
+        saturation froze it partial: then the query descends past it
+        (one extra round per level of saturation)."""
+        if node is None:
+            return None  # empty region: nothing stored there
+        if node.saturated and len(prefix) < self._depth:
+            return DESCEND
+        return node.bucket
 
     def _decompose(
         self, query: Region, prefix: str, cell: Region, out: list[str]
@@ -189,32 +173,14 @@ class DstIndex(TrieIndex):
         self._decompose(query, prefix + "0", lower, out)
         self._decompose(query, prefix + "1", upper, out)
 
-    def _collect(
-        self, node: DstNode, query: Region, builder: RangeQueryBuilder
-    ) -> None:
-        if node.prefix in builder.visited_leaves:
-            return
-        builder.visited_leaves.add(node.prefix)
-        builder.records.extend(node.bucket.matching(query))
-
     # ------------------------------------------------------------------
     # Oracle access
     # ------------------------------------------------------------------
 
-    def total_records(self) -> int:
-        """Distinct records = records stored at depth-D leaf cells."""
-        return sum(
-            value.load
-            for key, value in self.dht.items()
-            if key.startswith(_PREFIX)
-            and isinstance(value, DstNode)
-            and len(value.prefix) == self._depth
-        )
+    def _holds_own(self, node: DstNode) -> bool:
+        # Distinct records are the ones stored at depth-D leaf cells.
+        return len(node.prefix) == self._depth
 
     def replica_count(self) -> int:
         """Total stored copies across all levels (replication bill)."""
-        return sum(
-            value.load
-            for key, value in self.dht.items()
-            if key.startswith(_PREFIX) and isinstance(value, DstNode)
-        )
+        return sum(node.load for node in self._nodes())

@@ -10,6 +10,9 @@ point of ablation A1:
   cannot distinguish "below a leaf" from "internal node", because
   internal labels hold nothing — so lookups probe candidate prefixes
   linearly from the root, O(depth) instead of O(log D).
+
+A range query is the trie descent from the root: a stored bucket is a
+leaf, a missing one an internal node.
 """
 
 from __future__ import annotations
@@ -18,49 +21,35 @@ from typing import Any
 
 from repro.common.config import IndexConfig
 from repro.common.errors import IndexCorruptionError
-from repro.common.geometry import Point, Region, check_point
-from repro.common.labels import candidate_string, root_label
+from repro.common.geometry import Point, check_point
+from repro.common.labels import interleave
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
-from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.core.split import ThresholdSplit
-from repro.baselines.interface import OverDhtIndex
+from repro.core.results import RangeQueryBuilder
+from repro.baselines.interface import DESCEND, TrieIndex
 from repro.dht.api import Dht
 
 _PREFIX = "naive:"
 
 
-def _key(label: str) -> str:
-    return _PREFIX + label
-
-
-class NaiveTreeIndex(OverDhtIndex):
+class NaiveTreeIndex(TrieIndex):
     """Space kd-tree with identity label-to-key mapping."""
 
     def __init__(self, dht: Dht, config: IndexConfig | None = None) -> None:
-        self.dht = dht
-        self._config = config if config is not None else IndexConfig()
-        self._dims = self._config.dims
-        self._strategy = ThresholdSplit(
-            self._config.split_threshold, self._config.merge_threshold
-        )
-        root = root_label(self._dims)
-        if self.dht.peek(_key(root)) is None:
-            self.dht.put(
-                _key(root),
-                LeafBucket(root, self._dims, store=self._config.store),
-            )
+        super().__init__(dht, config)
+        #: A leaf's key is its kd-tree label, root label included.
+        self.namespace = _PREFIX + self._root
+        if self.dht.peek(self._key("")) is None:
+            self.dht.put(self._key(""), self._bucket(""))
 
     def lookup(self, point: Point) -> tuple[LeafBucket, int]:
         """Linear probing of candidate labels from the root downward."""
         point = check_point(point, self._dims)
-        candidate = candidate_string(point, self._config.max_depth)
-        probes = 0
-        for length in range(self._dims + 1, len(candidate) + 1):
-            probes += 1
-            bucket = self.dht.get(_key(candidate[:length]))
+        full = interleave(point, self._depth)
+        for length in range(len(full) + 1):
+            bucket = self.dht.get(self._key(full[:length]))
             if bucket is not None:
-                return bucket, probes
+                return bucket, length + 1
         raise IndexCorruptionError(
             f"naive lookup of {point} found no leaf on its path"
         )
@@ -70,64 +59,29 @@ class NaiveTreeIndex(OverDhtIndex):
         bucket, _ = self.lookup(record.key)
         bucket.add(record)
         self.dht.stats.records_moved += 1
-        self.dht.rewrite_local(_key(bucket.label), bucket)
-        plan = self._strategy.plan_split(
-            bucket.label, bucket.records, self._dims, self._config.max_depth
-        )
+        self.dht.rewrite_local(_PREFIX + bucket.label, bucket)
+        plan = self._plan(bucket)
         if plan is None:
             return
         # Without the naming bijection there is no surviving child:
         # every plan leaf is a routed put and the origin key is freed.
-        self.dht.remove(_key(bucket.label))
+        self.dht.remove(_PREFIX + bucket.label)
         for label, records in plan.leaves:
             self.dht.put(
-                _key(label),
-                LeafBucket(
-                    label, self._dims, records, store=self._config.store
-                ),
+                _PREFIX + label,
+                LeafBucket(label, self._dims, records, self._config.store),
                 records_moved=len(records),
             )
 
     def delete(self, key: Point, value: Any = None) -> bool:
         point = check_point(tuple(key), self._dims)
         bucket, _ = self.lookup(point)
-        for record in bucket.records:
-            if record.key == point and (
-                value is None or record.value == value
-            ):
-                bucket.remove(record)
-                self.dht.rewrite_local(_key(bucket.label), bucket)
-                return True
-        return False
+        if not bucket.discard(point, value):
+            return False
+        self.dht.rewrite_local(_PREFIX + bucket.label, bucket)
+        return True
 
-    def range_query(self, query: Region) -> RangeQueryResult:
-        """Root-anchored tree descent (each visited label is one get)."""
-        from repro.common.geometry import query_overlaps_cell, region_of_label
-
-        builder = RangeQueryBuilder()
-        frontier = [root_label(self._dims)]
-        round_number = 0
-        while frontier:
-            round_number += 1
-            builder.rounds = max(builder.rounds, round_number)
-            next_frontier: list[str] = []
-            for label in frontier:
-                builder.lookups += 1
-                bucket = self.dht.get(_key(label))
-                if bucket is not None:
-                    builder.collect(label, bucket.matching(query))
-                    continue
-                for child in (label + "0", label + "1"):
-                    if query_overlaps_cell(
-                        query, region_of_label(child, self._dims)
-                    ):
-                        next_frontier.append(child)
-            frontier = next_frontier
-        return builder.build()
-
-    def total_records(self) -> int:
-        return sum(
-            value.load
-            for key, value in self.dht.items()
-            if key.startswith(_PREFIX) and isinstance(value, LeafBucket)
-        )
+    def _probed(
+        self, prefix: str, node: LeafBucket | None, builder: RangeQueryBuilder
+    ) -> LeafBucket | str:
+        return DESCEND if node is None else node

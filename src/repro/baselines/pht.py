@@ -17,8 +17,8 @@ Multi-dimensional keys are linearised by the z-order curve
 kd-tree's space partition, which makes the comparison with m-LIGHT
 apples-to-apples: a node keeps its cell's records in the
 :class:`~repro.core.bucket.LeafBucket` m-LIGHT would give that cell
-(an internal marker's is empty), and a split halves them with
-m-LIGHT's :func:`~repro.core.split.partition_records`.
+(an internal marker's is empty), and a split is m-LIGHT's threshold
+plan (:class:`~repro.core.split.ThresholdSplit`).
 """
 
 from __future__ import annotations
@@ -33,22 +33,14 @@ from repro.common.geometry import (
     Region,
     check_point,
     query_lca_bits,
-    query_overlaps_cell,
     region_of_bits,
 )
 from repro.common.labels import interleave
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
-from repro.core.results import RangeQueryBuilder, RangeQueryResult
-from repro.core.split import partition_records
-from repro.baselines.interface import TrieIndex, TrieNode
+from repro.core.results import RangeQueryBuilder
+from repro.baselines.interface import DESCEND, TrieIndex, TrieNode
 from repro.dht.api import Dht
-
-_PREFIX = "pht:"
-
-
-def _key(prefix: str) -> str:
-    return _PREFIX + prefix
 
 
 @dataclass(slots=True)
@@ -66,10 +58,12 @@ class PhtNode(TrieNode):
 class PhtIndex(TrieIndex):
     """PHT with threshold split/merge and linked leaves."""
 
+    namespace = "pht:"
+
     def __init__(self, dht: Dht, config: IndexConfig | None = None) -> None:
         super().__init__(dht, config)
-        if self.dht.peek(_key("")) is None:
-            self.dht.put(_key(""), PhtNode("", True, self._bucket("")))
+        if self.dht.peek(self._key("")) is None:
+            self.dht.put(self._key(""), PhtNode("", True, self._bucket("")))
 
     # ------------------------------------------------------------------
     # Lookup (binary search on prefix length)
@@ -84,7 +78,7 @@ class PhtIndex(TrieIndex):
         while low <= high:
             mid = (low + high) // 2
             probes += 1
-            node = self.dht.get(_key(full[:mid]))
+            node = self.dht.get(self._key(full[:mid]))
             if node is None:
                 high = mid - 1
             elif node.is_leaf:
@@ -104,51 +98,33 @@ class PhtIndex(TrieIndex):
         leaf, _ = self.lookup(record.key)
         leaf.bucket.add(record)
         self.dht.stats.records_moved += 1
-        self.dht.rewrite_local(_key(leaf.prefix), leaf)
-        if leaf.load > self._config.split_threshold:
-            self._split(leaf)
+        self.dht.rewrite_local(self._key(leaf.prefix), leaf)
+        self._split(leaf)
 
     def delete(self, key: Point, value: Any = None) -> bool:
         point = check_point(tuple(key), self._dims)
         leaf, _ = self.lookup(point)
         if not leaf.bucket.discard(point, value):
             return False
-        self.dht.rewrite_local(_key(leaf.prefix), leaf)
+        self.dht.rewrite_local(self._key(leaf.prefix), leaf)
         self._maybe_merge(leaf)
         return True
 
     def _split(self, leaf: PhtNode) -> None:
-        """Replace an overfull leaf by a subtree of small-enough leaves.
+        """Replace an overfull leaf by the leaves of its threshold plan.
 
         Unlike m-LIGHT, *every* new leaf changes DHT key, so all of the
         old leaf's records move; the old prefix and any intermediate
         prefixes become routing-only internal nodes; and the leaf
         linked list is re-stitched around the new leaves.
         """
-        origin = leaf.prefix
-        produced = []
-        internal: list[str] = []
-        stack = [(origin, leaf.bucket.store.rows_or_records())]
-        while stack:
-            prefix, records = stack.pop()
-            if (
-                len(records) <= self._config.split_threshold
-                or len(prefix) >= self._depth
-            ):
-                produced.append((prefix, records))
-                continue
-            internal.append(prefix)
-            lower, upper = partition_records(
-                self._root + prefix, self._dims, records
-            )
-            stack.append((prefix + "1", upper))
-            stack.append((prefix + "0", lower))
-        if not internal:
-            return  # depth cap: the leaf stays overfull
-        produced.sort(key=lambda pair: pair[0])  # curve order
-
+        plan = self._plan(leaf.bucket)
+        if plan is None:
+            return  # not overfull, or the depth cap keeps it whole
+        cut = len(self._root)
+        produced = [(label[cut:], records) for label, records in plan.leaves]
+        chain = [prefix for prefix, _ in produced]  # curve order
         old_prev, old_next = leaf.prev_leaf, leaf.next_leaf
-        chain = [prefix for prefix, _ in produced]
         for position, (prefix, records) in enumerate(produced):
             node = PhtNode(
                 prefix,
@@ -161,22 +137,30 @@ class PhtIndex(TrieIndex):
                     else old_next
                 ),
             )
-            self.dht.put(_key(prefix), node, records_moved=len(records))
-        # The origin becomes an internal marker on the same key (local
-        # rewrite); deeper internal markers are routed puts.
+            self.dht.put(self._key(prefix), node, records_moved=len(records))
+        # The plan's inner cells become internal markers, in pre-order:
+        # the origin on the same key (local rewrite), deeper ones by
+        # routed puts.
+        origin = leaf.prefix
+        internal = sorted({
+            prefix[:end]
+            for prefix in chain
+            for end in range(len(origin), len(prefix))
+        })
         for prefix in internal:
             marker = PhtNode(prefix, False, self._bucket(prefix))
             if prefix == origin:
-                self.dht.rewrite_local(_key(prefix), marker)
+                self.dht.rewrite_local(self._key(prefix), marker)
             else:
-                self.dht.put(_key(prefix), marker)
+                self.dht.put(self._key(prefix), marker)
         if old_prev is not None:
             self._pointer_update(old_prev, next_leaf=chain[0])
         if old_next is not None:
             self._pointer_update(old_next, prev_leaf=chain[-1])
 
     def _maybe_merge(self, leaf: PhtNode) -> None:
-        """Collapse sibling leaf pairs while under the merge threshold.
+        """Collapse sibling leaf pairs while the threshold kernel says
+        merge.
 
         Both children's records move to the parent's key, and the leaf
         list is re-stitched — two removes, one put, two pointer updates
@@ -185,13 +169,10 @@ class PhtIndex(TrieIndex):
         while leaf.prefix:
             prefix = leaf.prefix
             sibling_prefix = prefix[:-1] + ("1" if prefix[-1] == "0" else "0")
-            sibling = self.dht.get(_key(sibling_prefix))
+            sibling = self.dht.get(self._key(sibling_prefix))
             if sibling is None or not sibling.is_leaf:
                 return
-            if (
-                leaf.load + sibling.load
-                >= self._config.merge_threshold
-            ):
+            if not self._strategy.should_merge(leaf.load, sibling.load):
                 return
             first, second = (
                 (leaf, sibling) if prefix < sibling_prefix else (sibling, leaf)
@@ -205,11 +186,11 @@ class PhtIndex(TrieIndex):
                 prev_leaf=first.prev_leaf,
                 next_leaf=second.next_leaf,
             )
-            self.dht.remove(_key(leaf.prefix), records_moved=leaf.load)
-            self.dht.remove(_key(sibling_prefix), records_moved=sibling.load)
-            self.dht.put(
-                _key(merged.prefix), merged, records_moved=0
+            self.dht.remove(self._key(leaf.prefix), records_moved=leaf.load)
+            self.dht.remove(
+                self._key(sibling_prefix), records_moved=sibling.load
             )
+            self.dht.put(self._key(merged.prefix), merged, records_moved=0)
             if merged.prev_leaf is not None:
                 self._pointer_update(merged.prev_leaf, next_leaf=merged.prefix)
             if merged.next_leaf is not None:
@@ -218,90 +199,52 @@ class PhtIndex(TrieIndex):
 
     def _pointer_update(self, prefix: str, **fields: str | None) -> None:
         """One routed message telling a leaf to update a list pointer."""
-        self.dht.lookup(_key(prefix))
-        node = self.dht.peek(_key(prefix))
+        self.dht.lookup(self._key(prefix))
+        node = self.dht.peek(self._key(prefix))
         if node is None:
             raise IndexCorruptionError(
                 f"PHT leaf-list pointer to missing node {prefix!r}"
             )
         for name, value in fields.items():
             setattr(node, name, value)
-        self.dht.rewrite_local(_key(prefix), node)
+        self.dht.rewrite_local(self._key(prefix), node)
 
     # ------------------------------------------------------------------
-    # Range queries (trie descent)
+    # Range queries: the descent from the query's LCA
     # ------------------------------------------------------------------
 
-    def range_query(self, query: Region) -> RangeQueryResult:
-        """Descend the trie from the query's LCA to every overlapping
-        leaf.  Internal probes return no data (PHT's routing-only
-        internal nodes), which is exactly why its bandwidth exceeds
-        m-LIGHT's."""
-        builder = RangeQueryBuilder()
+    def _start(self, query: Region) -> list[str]:
         # The trie's cells are the kd-tree's, so its LCA is m-LIGHT's
         # below the root label: the same closed-form kernel.
         bits, length = query_lca_bits(query, self._depth)
-        frontier = [format(bits, f"0{length}b") if length else ""]
-        round_number = 0
-        while frontier:
-            round_number += 1
-            builder.rounds = max(builder.rounds, round_number)
-            next_frontier: list[str] = []
-            for prefix in frontier:
-                builder.lookups += 1
-                node = self.dht.get(_key(prefix))
-                if node is None:
-                    # Only possible at the LCA probe: the covering leaf
-                    # is an ancestor — find it by a point lookup of the
-                    # cell's low corner (in [0, 1), unlike a face).
-                    leaf, probes = self.lookup(
-                        region_of_bits(prefix, self._dims).lows
-                    )
-                    builder.lookups += probes
-                    builder.rounds = max(
-                        builder.rounds, round_number + probes
-                    )
-                    self._collect(leaf, query, builder)
-                    continue
-                if node.is_leaf:
-                    self._collect(node, query, builder)
-                    continue
-                for child in (prefix + "0", prefix + "1"):
-                    if query_overlaps_cell(
-                        query, region_of_bits(child, self._dims)
-                    ):
-                        next_frontier.append(child)
-            frontier = next_frontier
-        return builder.build()
+        return [format(bits, f"0{length}b") if length else ""]
 
-    def _collect(
-        self, leaf: PhtNode, query: Region, builder: RangeQueryBuilder
-    ) -> None:
-        if leaf.prefix in builder.visited_leaves:
-            return
-        builder.collect(
-            leaf.prefix,
-            leaf.bucket.matching(query),
-        )
+    def _probed(
+        self, prefix: str, node: PhtNode | None, builder: RangeQueryBuilder
+    ) -> LeafBucket | str:
+        """A leaf's records, or :data:`DESCEND` past a routing-only
+        marker — which is why PHT's bandwidth exceeds m-LIGHT's."""
+        if node is None:
+            # Only possible at the LCA probe: the covering leaf is an
+            # ancestor — find it by a point lookup of the cell's low
+            # corner (in [0, 1), unlike a face), a chain of probes from
+            # this round on.
+            node, probes = self.lookup(region_of_bits(prefix, self._dims).lows)
+            builder.lookups += probes
+            builder.rounds = max(builder.rounds, builder.waves + probes)
+        return node.bucket if node.is_leaf else DESCEND
 
     # ------------------------------------------------------------------
     # Oracle access
     # ------------------------------------------------------------------
 
+    def _holds_own(self, node: PhtNode) -> bool:
+        return node.is_leaf
+
     def leaves(self):
         """Iterate every leaf node (zero metered cost)."""
-        for key, value in self.dht.items():
-            if key.startswith(_PREFIX) and isinstance(value, PhtNode):
-                if value.is_leaf:
-                    yield value
-
-    def total_records(self) -> int:
-        return sum(leaf.load for leaf in self.leaves())
+        return filter(self._holds_own, self._nodes())
 
     def tree_size(self) -> int:
         """Number of trie nodes, internal markers included."""
-        return sum(
-            1
-            for key, value in self.dht.items()
-            if key.startswith(_PREFIX) and isinstance(value, PhtNode)
-        )
+        return sum(1 for _ in self._nodes())

@@ -239,6 +239,45 @@ def test_plane_remove_tears_replicas_down():
 
 
 # ----------------------------------------------------------------------
+# Wrapper order: a retry wrapper outside the plane changes nothing
+# ----------------------------------------------------------------------
+
+
+def stack(outer: str, config: AdaptiveConfig):
+    """``(facade, plane)``: the plane over a retry wrapper, or a retry
+    wrapper over the plane, on one fresh substrate."""
+    if outer == "plane":
+        plane = AdaptiveDht(RetryingDht(LocalDht(8)), config)
+        return plane, plane
+    plane = AdaptiveDht(LocalDht(8), config)
+    return RetryingDht(plane), plane
+
+
+@pytest.mark.parametrize("outer", ["plane", "retry"])
+def test_batched_reads_are_counted_under_either_wrapper_order(outer):
+    dht, plane = stack(outer, replace(FAST, sample_every=1000))
+    keys = [f"ml:{slot}" for slot in range(4)]
+    dht.put_many([(key, key) for key in keys])
+    assert dht.get_many_outcomes(keys) == keys
+    assert dht.get(keys[0]) == keys[0]
+    assert plane.adaptive_stats.reads == 5
+    assert plane.read_counts() == {keys[0]: 2, keys[1]: 1, keys[2]: 1,
+                                   keys[3]: 1}
+
+
+@pytest.mark.parametrize("outer", ["plane", "retry"])
+def test_batched_writes_refresh_replicas_under_either_wrapper_order(outer):
+    dht, plane = stack(outer, FAST)
+    dht.put("ml:0", "v1")
+    plane._promote("ml:0")
+    assert plane.replicas.count("ml:0") == 2
+    dht.put_many([("ml:0", "v2")])
+    for copy in replica_keys("ml:0", 2):
+        assert plane.inner.peek(copy) == "v2"
+    assert {dht.get("ml:0") for _ in range(12)} == {"v2"}
+
+
+# ----------------------------------------------------------------------
 # get_direct across substrates
 # ----------------------------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""PHT and DST on the service runtime.
+"""PHT, DST and the naive mapping on the service runtime.
 
 The baselines consume only the :class:`~repro.dht.api.Dht` facade, so
-on ``asyncio`` a seeded mix of inserts (PHT splits), deletes (PHT
-merges) and range queries must answer and meter exactly as on ``sim``.
-A trie node keeps its records in the bucket of its cell, so it travels
-with its records as that bucket's codec bytes — no
+on ``asyncio`` a seeded mix of inserts (splits), deletes (PHT merges)
+and range queries (the one trie descent) must answer and meter exactly
+as on ``sim``.  A trie node keeps its records in the bucket of its
+cell, so it travels with its records as that bucket's codec bytes — no
 :class:`~repro.core.records.Record` is pickled — and it is priced at
 exactly those bytes.
 """
@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.baselines.dst import DstIndex
+from repro.baselines.naive import NaiveTreeIndex
 from repro.baselines.pht import PhtIndex
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region
@@ -24,7 +25,10 @@ from repro.core.records import Record
 from repro.datasets.synthetic import uniform_points
 from repro.runtime import RuntimeConfig, create_dht
 
-SCHEMES = {"pht": PhtIndex, "dst": DstIndex}
+SCHEMES = {"pht": PhtIndex, "dst": DstIndex, "naive": NaiveTreeIndex}
+#: The schemes whose stored node wraps its bucket (the naive mapping
+#: stores the bucket itself, as m-LIGHT does).
+TRIE_NODES = ["dst", "pht"]
 KINDS = ["columnar", "numpy"]
 POINTS = uniform_points(100, seed=5)
 
@@ -79,14 +83,22 @@ def scenario(scheme: str, kind: str, store: str = "columnar") -> dict:
                      result.lookups, result.rounds)
                 )
         stats = dht.stats.snapshot()
-        shape = (
-            (index.tree_size(), leaf_chain(index)) if scheme == "pht"
-            else (index.replica_count(), index.total_records())
-        )
+        shape = [index.total_records()]
+        if scheme == "pht":
+            shape += [index.tree_size(), leaf_chain(index)]
+        elif scheme == "dst":
+            shape.append(index.replica_count())
         nodes = [value for key, value in dht.items() if key.startswith(scheme)]
+        # The leaves (PHT and naive) or depth-D cells (DST) hold
+        # exactly what is left.
+        stored = sorted(
+            record.key
+            for node in index._nodes() if index._holds_own(node)
+            for record in (node if scheme == "naive" else node.bucket).records
+        )
         return {
             "answers": answers, "stats": stats, "shape": shape,
-            "nodes": nodes, "present": sorted(present),
+            "nodes": nodes, "present": sorted(present), "stored": stored,
         }
     finally:
         close = getattr(dht, "close", None)
@@ -102,24 +114,19 @@ def test_sim_and_asyncio_agree(scheme, store):
     assert sim["answers"] == svc["answers"]
     assert sim["stats"] == svc["stats"]
     assert sim["shape"] == svc["shape"]
+    if scheme != "dst":
+        # PHT merged, the naive mapping split (freeing the origin key).
+        assert sim["stats"]["removes"] > 0
     if scheme == "pht":
-        assert sim["stats"]["removes"] > 0  # merges happened
-        chain = sim["shape"][1]
+        chain = sim["shape"][2]
         assert len(chain) > 1 and chain == sorted(chain)  # z-order
-    # The leaves (PHT) or depth-D cells (DST) hold exactly what is left.
-    depth = config(store).max_depth
-    stored = sorted(
-        record.key
-        for node in sim["nodes"]
-        if (node.is_leaf if scheme == "pht" else len(node.prefix) == depth)
-        for record in node.bucket.records
-    )
-    assert stored == sim["present"]
+    assert sim["stored"] == svc["stored"] == sim["present"]
+    assert sim["shape"][0] == len(sim["present"])
 
 
 @pytest.mark.parametrize("kind", ["sim", "asyncio"])
 def test_a_node_is_priced_at_its_bucket_bytes(kind):
-    for scheme in SCHEMES:
+    for scheme in TRIE_NODES:
         nodes = scenario(scheme, kind)["nodes"]
         for node in nodes:
             assert node.encoded_wire_size() == len(encode_bucket(node.bucket))

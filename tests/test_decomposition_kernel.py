@@ -200,5 +200,5 @@ class TestPhtSharesTheKernel:
         leaf, probes = index.lookup(inside)
         result = index.range_query(query)
         assert not result.records
-        assert result.visited_leaves == {leaf.prefix}
+        assert result.visited_leaves == {leaf.bucket.label}
         assert result.lookups == 1 + probes

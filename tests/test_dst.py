@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region, region_of_bits
-from repro.baselines.dst import DstIndex, _key
+from repro.baselines.dst import DstIndex
 from repro.dht.localhash import LocalDht
 from tests.conftest import brute_force_range
 
@@ -46,7 +46,7 @@ class TestReplication:
         rng = random.Random(0)
         for _ in range(50):
             index.insert((rng.random(), rng.random()))
-        root = index.dht.peek(_key(""))
+        root = index.dht.peek(index._key(""))
         assert root.saturated
         assert root.load == 3
         assert index.total_records() == 50

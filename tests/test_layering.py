@@ -660,10 +660,10 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once the adaptive plane kept its hints
-#: in the leaf cache's ``HintTable`` and its detector read the plane's
-#: read-count dict; 10 797 before.
-SRC_CODE_LINES = 10699
+#: ``make loc``'s ``src total`` once PHT, DST and the naive mapping
+#: shared one ``TrieIndex`` descent and m-LIGHT's split kernel; 10 699
+#: before.
+SRC_CODE_LINES = 10624
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import IndexConfig
 from repro.common.geometry import Region
-from repro.baselines.pht import PhtIndex, _key
+from repro.baselines.pht import PhtIndex
 from repro.core.store import ColumnarStore
 from repro.datasets.synthetic import uniform_points
 from repro.dht.api import PUT, REWRITE
@@ -29,7 +29,7 @@ def make_index(**overrides):
 class TestTrieStructure:
     def test_bootstrap_root_leaf(self):
         index = make_index()
-        root = index.dht.peek(_key(""))
+        root = index.dht.peek(index._key(""))
         assert root.is_leaf
         assert root.prefix == ""
 
