@@ -9,7 +9,7 @@ opcodes:
   to the owner of ``fmd(LCA(R))``; that peer's handler splits the
   region against its local bucket and forwards sub-region ``MCAST``
   frames peer-to-peer (a handler awaits its forward, and a frame is
-  served on the task that sends it, so a peer can forward to itself),
+  served where it is sent, so a peer can forward to itself),
   aggregation flowing back up through the replies.  The
   handler runs :func:`repro.core.rangequery.peer_subquery` — the same
   operation the simulated agents ``drive`` — on the service loop's
@@ -33,6 +33,9 @@ on the simulated substrates.
 
 from __future__ import annotations
 
+import asyncio
+import contextvars
+from collections.abc import Iterable
 from typing import Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -47,8 +50,25 @@ from repro.core.rangequery import (
 from repro.core.results import RangeQueryResult
 from repro.dht.api import CALL, BatchFailure, Dht
 from repro.mcast.continuous import ContinuousQueryPlane
-from repro.service.node import ServiceDht, gather_eagerly
+from repro.service.node import ServiceDht, start_eagerly
 from repro.service.wire import Op, encode_frame, encode_reply
+
+
+async def gather_eagerly(coros: Iterable) -> list[Any]:
+    """``asyncio.gather`` over :func:`start_eagerly`: each child starts
+    at once in a copy of the current context, only the children that
+    suspended are awaited, and the outcomes come back in call order.
+    The first failure in call order is raised once every child is done;
+    every child's exception is retrieved."""
+    loop, copy = asyncio.get_running_loop(), contextvars.copy_context
+    futures = [start_eagerly(loop, coro, copy()) for coro in coros]
+    pending = [future for future in futures if not future.done()]
+    if pending:
+        await asyncio.wait(pending)
+    for error in [future.exception() for future in futures]:
+        if error is not None:
+            raise error
+    return [future.result() for future in futures]
 
 
 def service_under(dht: Dht) -> ServiceDht:

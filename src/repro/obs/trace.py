@@ -181,11 +181,11 @@ class Tracer:
     The stack of open spans is context-local (:mod:`contextvars`): each
     client thread and each asyncio task nests its own spans, and code
     started with a copy of a caller's context — the service runtime's
-    bridge, the eagerly started children of a batch round — parents
+    bridge, the eagerly started replies of a batch round — parents
     under the span that caller had open, and keeps its Context across
     a suspension.  That holds on the caller's own thread too (the
-    in-process bridge runs the loop there): the loop side works in the
-    copy, never on the caller's stack.  One tracer therefore serves
+    in-process bridge runs operations there): the loop side works in
+    the copy, never on the caller's stack.  One tracer therefore serves
     concurrent clients.
     """
 

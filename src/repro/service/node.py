@@ -3,23 +3,26 @@
 Where :class:`~repro.net.simnet.SimNetwork` runs all peers in one
 thread of control under a virtual clock, this runtime serves every
 peer on one asyncio event loop under a real clock.  A request frame is
-served where it lands: on the task that sends it
-(``transport="asyncio"``), or off a real loopback socket by the peer's
-TCP listener (``transport="tcp"``).  Either way ``serve_frame``
-dispatches it: a plain opcode is served synchronously, an installed
-handler as a coroutine.  A peer is no task of its own; the loop
-interleaves requests at their awaits.  In process one exchange,
-``ServiceDht._request``, routes, frames, serves, decodes and accounts
-a request with no coroutine between it and the peer's store.
+served where it lands: where it is sent (``transport="asyncio"``), or
+off a real loopback socket by the peer's TCP listener
+(``transport="tcp"``).  Either way ``serve_frame`` dispatches it: a
+plain opcode is served synchronously, an installed handler as a
+coroutine.  A peer is no task of its own; the loop interleaves requests
+at their awaits.  One exchange is two plain calls, ``ServiceDht._send``
+(route, frame, send) and ``ServiceDht._settle`` (account, rebuild an
+error reply); in process a plain opcode's reply comes back from the
+send itself, so only a TCP reply or an installed handler is awaited.
 
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
 facade: the index layers, the retry/fault wrappers and the tracer
 attach unchanged.  The facade's synchronous exchanges and rounds cross
 one bridge into the loop, from any number of caller threads (the load
-generator's workers, say).  In process the calling thread runs the loop
-itself for the length of its call, one caller at a time; over TCP a
-dedicated event-loop thread keeps it running, so concurrent clients'
-socket round trips overlap.
+generator's workers, say).  In process an operation runs on the calling
+thread as a chain of plain calls, one caller at a time, with the loop
+marked running meanwhile; the loop turns only if the operation suspends
+(an installed handler that awaits).  Over TCP a dedicated event-loop
+thread keeps the loop running, so concurrent clients' socket round
+trips overlap.
 
 Placement is runtime-neutral consistent hashing
 (:class:`~repro.dht.peer.HashRing` — successor-on-ring, the ownership
@@ -36,7 +39,12 @@ import contextvars
 import itertools
 import threading
 import time
-from collections.abc import Coroutine, Iterable, Iterator
+
+# Both are in ``asyncio.__all__``, for event-loop implementations: the
+# in-process bridge marks its loop running while an operation runs on
+# the caller's thread, without turning the loop.
+from asyncio import _get_running_loop, _set_running_loop
+from collections.abc import Awaitable, Coroutine, Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
@@ -187,31 +195,14 @@ class _Resumed(Coroutine):
         raise TypeError("a resumed coroutine is driven by its Task only")
 
 
-async def gather_eagerly(coros: Iterable) -> list[Any]:
-    """``asyncio.gather`` over :func:`start_eagerly`: each child starts
-    at once in a copy of the current context, only the children that
-    suspended are awaited, and the outcomes come back in call order.
-    The first failure in call order is raised once every child is done;
-    every child's exception is retrieved."""
-    loop, copy = asyncio.get_running_loop(), contextvars.copy_context
-    futures = [start_eagerly(loop, coro, copy()) for coro in coros]
-    pending = [future for future in futures if not future.done()]
-    if pending:
-        await asyncio.wait(pending)
-    for error in [future.exception() for future in futures]:
-        if error is not None:
-            raise error
-    return [future.result() for future in futures]
-
-
 class _ServicePeer:
     """One service peer: its storage and, on the TCP transport, its
     listener and the client connection to it.
 
     Constructed inside the runtime's event loop.  A peer is no task of
-    its own: the in-process transport serves a request frame on the
-    task that sends it, and the TCP listener serves the same frames
-    off the socket, one connection handler per client.  The extension
+    its own: the in-process transport serves a request frame where it
+    is sent, in the sender's call, and the TCP listener serves the same
+    frames off the socket, one connection handler per client.  The extension
     handlers and the push sink are the runtime's, read per frame, so a
     restarted peer serves whatever was installed before its crash.
     """
@@ -421,13 +412,13 @@ class _Bridge:
     """The blocking entry into the runtime's event loop.
 
     :meth:`run` is the one crossing every sync facade call makes; the
-    subclass decides who runs the loop meanwhile: the calling thread
-    itself (:class:`_CallerLoop`, in process) or a dedicated thread
-    (:class:`_LoopThread`, TCP).
+    subclass decides where the operation runs: on the calling thread
+    itself (:class:`_CallerLoop`, in process) or on a dedicated loop
+    thread (:class:`_LoopThread`, TCP).
     """
 
-    #: Whether the calling thread runs the loop itself: then it must be
-    #: running no event loop already, not even another one.
+    #: Whether the operation runs on the calling thread: then that
+    #: thread must be running no event loop already, not even another.
     runs_on_caller = False
 
     def __init__(self) -> None:
@@ -436,18 +427,14 @@ class _Bridge:
     def run(self, coro) -> Any:
         """Run *coro* on the loop, blocking until it is done.
 
-        One crossing: a loop callback starts the coroutine eagerly
-        (:func:`start_eagerly`) in a copy of the caller's context, so
-        tracer spans it opens parent under the caller's open span.  An
-        operation that never suspends — any in-process one — completes
-        in that callback; one that suspends finishes as a Task.  Either
-        way its completion wakes the caller, and the result or exception
-        surfaces here.
+        One crossing: the coroutine starts eagerly (:func:`start_eagerly`)
+        in a copy of the caller's context, so tracer spans it opens
+        parent under the caller's open span.  An operation that never
+        suspends — any in-process one without a suspending handler —
+        completes right there; one that suspends finishes as a Task.
+        Either way the result or exception surfaces here.
         """
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
+        running = _get_running_loop()
         if running is not None and (running is self.loop or self.runs_on_caller):
             coro.close()
             raise ReproError(
@@ -455,27 +442,17 @@ class _Bridge:
                 "running event loop (from an installed handler?); await "
                 "ServiceDht.call_captured there, or call from another thread"
             )
-        futures: list[asyncio.Future] = []
-
-        def start(wake) -> None:
-            # This callback runs in a copy of the caller's context.
-            future = start_eagerly(self.loop, coro, contextvars.copy_context())
-            futures.append(future)
-            if future.done():
-                wake()
-            else:
-                future.add_done_callback(lambda _: wake())
-
-        self._cross(start)
-        return futures[0].result()
+        return self._cross(coro).result()
 
 
 class _CallerLoop(_Bridge):
     """The in-process bridge, with no thread of its own: the calling
-    thread runs the loop for exactly the length of its call, under one
-    gate.  Concurrent callers take turns, each call whole; a loop thread
-    would serialise them the same way, since an in-process operation
-    never suspends, but costs a hand-off between two threads per call."""
+    thread runs the operation, under one gate, as plain calls with the
+    loop marked running; it turns the loop only if the operation
+    suspended, until it is done.  Concurrent callers take turns, each
+    call whole; a loop thread would serialise them the same way, since
+    an in-process operation rarely suspends, but costs a hand-off
+    between two threads per call."""
 
     runs_on_caller = True
 
@@ -483,10 +460,18 @@ class _CallerLoop(_Bridge):
         super().__init__()
         self._gate = threading.Lock()
 
-    def _cross(self, start) -> None:
+    def _cross(self, coro) -> asyncio.Future:
+        loop = self.loop
         with self._gate:
-            self.loop.call_soon(start, self.loop.stop)
-            self.loop.run_forever()
+            _set_running_loop(loop)
+            try:
+                future = start_eagerly(loop, coro, contextvars.copy_context())
+            finally:
+                _set_running_loop(None)
+            if not future.done():
+                future.add_done_callback(lambda _: loop.stop())
+                loop.run_forever()
+        return future
 
     def stop(self) -> None:
         with self._gate:
@@ -511,11 +496,23 @@ class _LoopThread(_Bridge):
         finally:
             self.loop.close()
 
-    def _cross(self, start) -> None:
+    def _cross(self, coro) -> asyncio.Future:
+        futures: list[asyncio.Future] = []
         done = threading.Lock()
         done.acquire()
-        self.loop.call_soon_threadsafe(start, done.release)
+
+        def start() -> None:
+            # This callback runs in a copy of the caller's context.
+            future = start_eagerly(self.loop, coro, contextvars.copy_context())
+            futures.append(future)
+            if future.done():
+                done.release()
+            else:
+                future.add_done_callback(lambda _: done.release())
+
+        self.loop.call_soon_threadsafe(start)
         done.acquire()
+        return futures[0]
 
     def stop(self) -> None:
         self.loop.call_soon_threadsafe(self.loop.stop)
@@ -525,8 +522,8 @@ class _LoopThread(_Bridge):
 class ServiceDht(Dht):
     """The :class:`Dht` facade over the asyncio/TCP service runtime.
 
-    ``transport="asyncio"`` serves each frame on the task that sends
-    it; ``transport="tcp"`` sends the same frames through real loopback
+    ``transport="asyncio"`` serves each frame where it is sent, in the
+    sender's call; ``transport="tcp"`` sends the same frames through real loopback
     sockets (one listener per peer, one multiplexed client connection
     each).  Either way the runtime starts lazily on first use; call
     :meth:`close` (or use the instance as a context manager) to tear
@@ -738,23 +735,20 @@ class ServiceDht(Dht):
     # Requests
     # ------------------------------------------------------------------
 
-    async def _request(
-        self, op: Op, key: str, value: Any = None, *, body: Any = None,
-        peer: str | None = None, timed: bool = True,
-    ) -> Any:
-        """One exchange with *peer*, by default the owner of *key*:
-        route, frame, serve, decode and account once; returns the reply
-        body.
+    def _send(
+        self, op: Op, key: str, value: Any, body: Any, peer: str | None
+    ) -> tuple:
+        """Route, frame and send one request to *peer*, by default the
+        owner of *key*; never raises.  Returns what :meth:`_settle`
+        takes: the frame's message types and modelled sizes (``None``
+        if no frame went out) and its reply — the :class:`Frame`, an
+        awaitable of it (TCP, an installed handler), or the exception
+        sending raised.
 
         *body* replaces the ``(key, value)`` payload of an extension
-        opcode; *key* still routes and prices the frame.  A *timed*
-        exchange books its wall span — frame issued to reply decoded —
-        answered or not; a round's elements are not timed, the round
-        books its critical path once.
+        opcode; *key* still routes and prices the frame.
         """
-        network = self.network
-        stats, clock = network.stats, network.clock
-        started = clock.now if timed else 0.0
+        priced = None
         try:
             node = self._peers.get(self._ring.peer_of(key) if peer is None else peer)
             if node is None:
@@ -765,24 +759,50 @@ class ServiceDht(Dht):
             else:
                 frame_bytes = encode_frame(op, request_id, body)
                 value = body
-            size, payload = frame_wire_sizes(op, key, value)
-            try:
-                reply = node.call(frame_bytes, request_id)
-                if type(reply) is not Frame:
-                    reply = await reply
-            except BaseException:
-                stats.record_exchange(_MESSAGE_TYPES[op], size, payload)
-                raise
-            reply_size, reply_payload = frame_wire_sizes(reply.op, "", reply.body)
-            stats.record_exchange(
-                _MESSAGE_TYPES[op], size, payload, reply_size, reply_payload
-            )
-        finally:
-            if timed:
-                stats.record_wall_span(clock.now - started)
+            priced = (_MESSAGE_TYPES[op], *frame_wire_sizes(op, key, value))
+            return priced, node.call(frame_bytes, request_id)
+        except BaseException as error:
+            return priced, error
+
+    def _settle(self, priced: tuple | None, reply: Any) -> Any:
+        """Account one sent exchange, once, and return its reply body:
+        *reply* is the reply :class:`Frame` or the exception sending or
+        awaiting it raised, which is raised here, as is the error a
+        ``REPLY_ERR`` frame carries."""
+        stats = self.network.stats
+        if type(reply) is not Frame:
+            if priced is not None:
+                stats.record_exchange(*priced)
+            raise reply
+        stats.record_exchange(
+            *priced, *frame_wire_sizes(reply.op, "", reply.body)
+        )
         if reply.op is _REPLY_ERR:
             raise rebuild_error(reply.body)
         return reply.body
+
+    async def _request(
+        self, op: Op, key: str, value: Any = None, *, body: Any = None,
+        peer: str | None = None, timed: bool = True,
+    ) -> Any:
+        """One exchange (:meth:`_send`, the reply awaited only if it has
+        to be, :meth:`_settle`); returns the reply body.  A *timed*
+        exchange books its wall span — frame issued to reply decoded —
+        answered or not; a round's elements are not timed, the round
+        books its critical path once."""
+        clock = self.network.clock
+        started = clock.now if timed else 0.0
+        try:
+            priced, reply = self._send(op, key, value, body, peer)
+            if type(reply) is not Frame and not isinstance(reply, BaseException):
+                try:
+                    reply = await reply
+                except BaseException as error:
+                    reply = error
+            return self._settle(priced, reply)
+        finally:
+            if timed:
+                self.network.stats.record_wall_span(clock.now - started)
 
     async def call_captured(
         self, op: Op, key: str, value: Any = None, *, body: Any = None,
@@ -790,9 +810,8 @@ class ServiceDht(Dht):
     ) -> Any:
         """Handler half of the extension seam: await one *op* frame to
         *peer*, by default the owner of *key*, from code already on the
-        loop (an installed handler, a batch round).  An unreachable peer
-        comes back as a :class:`BatchFailure` in place of the reply
-        body."""
+        loop (an installed handler).  An unreachable peer comes back as
+        a :class:`BatchFailure` in place of the reply body."""
         try:
             return await self._request(
                 op, key, value, body=body, peer=peer, timed=False
@@ -808,14 +827,40 @@ class ServiceDht(Dht):
         return self._bridge().run(self._request(op, key, value, body=body))
 
     async def _gather_round(self, requests: list[tuple]) -> list[Any]:
-        """:meth:`run_round` on the loop: every request's frame at once."""
+        """:meth:`run_round` on the loop: every request's frame sent at
+        once, only the replies still to come awaited, every exchange
+        settled in call order.  An unreachable peer's outcome is a
+        :class:`BatchFailure`; any other failure, the first in call
+        order, is raised once every element is done."""
         clock, tracer = self.network.clock, self.network.tracer
         started = clock.now
         with (tracer.span("net", "message_round") if tracer else UNTRACED) as span:
-            outcomes = await gather_eagerly(
-                self.call_captured(_WIRE_OPS[op], key, value, peer=peer)
-                for op, key, value, peer in requests
-            )
+            sent, pending = [], []
+            for op, key, value, peer in requests:
+                priced, reply = self._send(_WIRE_OPS[op], key, value, None, peer)
+                if type(reply) is not Frame and not isinstance(reply, BaseException):
+                    reply = start_eagerly(
+                        asyncio.get_running_loop(), reply,
+                        contextvars.copy_context(),
+                    )
+                    if not reply.done():
+                        pending.append(reply)
+                sent.append((priced, reply))
+            if pending:
+                await asyncio.wait(pending)
+            outcomes, failure = [], None
+            for priced, reply in sent:
+                if isinstance(reply, asyncio.Future):
+                    reply = reply.exception() or reply.result()
+                try:
+                    outcomes.append(self._settle(priced, reply))
+                except NodeUnreachableError as error:
+                    outcomes.append(BatchFailure(error))
+                except BaseException as error:
+                    if failure is None:
+                        failure = error
+            if failure is not None:
+                raise failure
             elapsed = clock.now - started
             if span is not None:
                 span.attrs["fanout"] = len(requests)
@@ -890,16 +935,17 @@ class ServiceDht(Dht):
     def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
         return self._bridge().run(self.ask_on_loop(op, key, value, peer))
 
-    async def ask_on_loop(
+    def ask_on_loop(
         self, op: str, key: str, value: Any = None, peer: str | None = None
-    ) -> Any:
-        """:meth:`Dht.ask` for code already on the loop: one frame to
-        *peer*, or to *key*'s owner — the ring places a key on one peer,
-        so a request is one exchange and its reply needs no combining.
-        An insert's one record (``APPEND``) travels as its codec row."""
+    ) -> Awaitable:
+        """:meth:`Dht.ask` for code already on the loop, as an awaitable:
+        one frame to *peer*, or to *key*'s owner — the ring places a key
+        on one peer, so a request is one exchange and its reply needs no
+        combining.  An insert's one record (``APPEND``) travels as its
+        codec row."""
         if op is APPEND:
             value = encode_row(value.key, value.value)
-        return await self._request(_WIRE_OPS[op], key, value, peer=peer)
+        return self._request(_WIRE_OPS[op], key, value, peer=peer)
 
     def run_round(self, requests: list[tuple]) -> list[Any]:
         return self._bridge().run(self._gather_round(requests))

@@ -29,6 +29,7 @@ from repro.core.cache import LeafCache
 from repro.core.index import MLightIndex
 from repro.datasets.synthetic import uniform_points
 from repro.dht.chord import ChordDht
+from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.localhash import LocalDht
 from repro.dht.retry import RetryingDht
 from repro.workloads.queries import uniform_range_queries
@@ -275,6 +276,20 @@ def test_batched_writes_refresh_replicas_under_either_wrapper_order(outer):
     for copy in replica_keys("ml:0", 2):
         assert plane.inner.peek(copy) == "v2"
     assert {dht.get("ml:0") for _ in range(12)} == {"v2"}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 21: FaultyDht.ask sends a single GET past the "
+    "adaptive plane under it, so the read is not counted",
+)
+def test_a_single_read_under_a_fault_wrapper_is_counted():
+    plane = AdaptiveDht(LocalDht(8), replace(FAST, sample_every=1000))
+    dht = FaultyDht(plane, FaultPlan(seed=0))
+    dht.put("ml:0", "v")
+    assert dht.get("ml:0") == "v"
+    assert plane.adaptive_stats.reads == 1
 
 
 # ----------------------------------------------------------------------

@@ -24,19 +24,15 @@ from repro.core import codec
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.core.records import Record
-from repro.dht.api import GET, GET_MANY, REWRITE
+from repro.dht.api import GET, GET_MANY, REWRITE, BatchFailure
 from repro.dht.durable import AppendLogBackend, backend_path
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.retry import RetryingDht
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.net.message import ENVELOPE_WIRE_BYTES
+from repro.mcast.service import gather_eagerly
 from repro.obs.trace import Tracer
-from repro.service.node import (
-    ServiceDht,
-    WallClock,
-    gather_eagerly,
-    serve_request,
-)
+from repro.service.node import ServiceDht, WallClock, serve_request
 from repro.service.loadgen import (
     LoadReport,
     percentile,
@@ -381,6 +377,48 @@ class TestServiceDht:
                 lambda: pytest.raises(NodeUnreachableError, dht.get, "k0")
             ) == 1.0
             assert stats.rounds == 4  # the set-up round and these three
+
+
+def test_a_round_with_a_down_peer_fails_only_its_slots():
+    """A ``GET_MANY`` over keys on several peers, one of them down: that
+    peer's slots are exactly :class:`BatchFailure`, every other slot
+    holds its value in call order, and both transports account the
+    round alike."""
+    keys = [f"k{n}" for n in range(12)]
+    accounted = []
+    for transport in ("asyncio", "tcp"):
+        with ServiceDht(4, transport=transport) as dht:
+            dht.put_many([(key, n) for n, key in enumerate(keys)])
+            down = dht.peer_of(keys[0])
+            owners = [dht.peer_of(key) for key in keys]
+            assert len(set(owners)) > 2  # the down peer and live ones
+            dht.fail(down)
+            stats = dht.network.stats
+            before, types = stats.snapshot(), dict(stats.per_type)
+            outcomes = dht.get_many_outcomes(keys)
+            after = stats.snapshot()
+            moved = {
+                name: after[name] - before[name]
+                for name in (
+                    "rpc_calls", "messages", "bytes_sent", "payload_bytes",
+                    "rounds",
+                )
+            }
+            moved["per_type"] = {
+                kind: count - types.get(kind, 0)
+                for kind, count in stats.per_type.items()
+                if count != types.get(kind, 0)
+            }
+            accounted.append(moved)
+        for n, (owner, outcome) in enumerate(zip(owners, outcomes)):
+            if owner == down:
+                assert type(outcome) is BatchFailure
+                assert isinstance(outcome.error, NodeUnreachableError)
+            else:
+                assert outcome == n
+    assert accounted[0] == accounted[1]
+    assert accounted[0]["rounds"] == 1
+    assert accounted[0]["rpc_calls"] == len(keys)
 
 
 class TestServiceOracles:

@@ -1,11 +1,13 @@
 """The bridge into the service loop follows the transport.
 
-In process (``transport="asyncio"``) the calling thread runs the event
-loop for the length of its call, behind one gate: the runtime starts no
-thread, and concurrent callers take turns.  Over TCP one loop thread
-keeps the loop running and is joined at ``close()``.  Either way the
-first use builds the bridge and the peers exactly once, however many
-threads race to it.
+In process (``transport="asyncio"``) the calling thread runs each
+operation itself, behind one gate, as plain calls with the event loop
+marked running; it turns the loop only when the operation suspends (an
+installed handler that awaits).  The runtime starts no thread, and
+concurrent callers take turns.  Over TCP one loop thread keeps the loop
+running and is joined at ``close()``.  Either way the first use builds
+the bridge and the peers exactly once, however many threads race to
+it.
 """
 
 from __future__ import annotations
@@ -78,6 +80,47 @@ def test_the_in_process_runtime_starts_no_thread(monkeypatch):
     dht.close()
     assert started == []
     assert handled == [threading.get_ident()]
+
+
+def test_in_process_operations_turn_the_loop_only_to_suspend(monkeypatch):
+    """A lookup, a range query, a splitting insert and a merging delete
+    run as plain calls on the caller's thread: none turns the event
+    loop or leaves a callback scheduled on it.  An installed handler
+    that suspends still answers, through one loop turn."""
+    config = IndexConfig(dims=2, split_threshold=4, merge_threshold=2)
+    corner = [(0.01 * n, 0.01 * n) for n in range(1, 6)]
+
+    async def suspending(peer, frame):
+        await asyncio.sleep(0)
+        return encode_reply(frame.request_id, frame.body)
+
+    with ServiceDht(8) as dht:
+        bulk_load(dht, POINTS[:60], config)
+        index = MLightIndex(dht, config)
+        loop = dht._bridge().loop
+        turns: list = []
+        run_forever = loop.run_forever
+
+        def counting():
+            turns.append(loop)
+            return run_forever()
+
+        monkeypatch.setattr(loop, "run_forever", counting)
+        assert index.lookup(POINTS[0]).bucket.covers(POINTS[0])
+        assert index.range_query(box(POINTS[1])).complete
+        for point in corner[:4]:
+            index.insert(point)
+        puts = dht.stats.puts
+        index.insert(corner[4])
+        assert dht.stats.puts > puts  # it split
+        removes = dht.stats.removes
+        for point in corner:
+            assert index.delete(point)
+        assert dht.stats.removes > removes  # it merged
+        assert turns == [] and not loop._ready
+        dht.install_handler(Op.MCAST, suspending)
+        assert dht.call(Op.MCAST, "k", body="echo") == "echo"
+        assert turns == [loop] and not loop._ready
 
 
 def test_a_call_from_inside_another_event_loop_is_refused_cleanly():
