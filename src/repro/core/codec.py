@@ -54,8 +54,11 @@ CODEC_VERSION = 1
 #: magic + version + dims + kind-length + label-length + count + flags.
 FIXED_BYTES = 4 + 1 + 1 + 1 + 2 + 4 + 1
 _HEAD = struct.Struct("!4sBBB")
+_LABEL_LEN = struct.Struct("!H")
 _COUNT = struct.Struct("!IB")
 _FLAG_VALUES = 1
+#: Store kind per its encoded name: a known kind is one dict read.
+_KINDS = {kind.encode("ascii"): kind for kind in STORES}
 
 
 class CodecError(ReproError):
@@ -104,7 +107,7 @@ def encode_bucket(bucket) -> bytes:
     parts = [
         _HEAD.pack(CODEC_MAGIC, CODEC_VERSION, bucket.dims, len(kind)),
         kind,
-        struct.pack("!H", len(label)),
+        _LABEL_LEN.pack(len(label)),
         label,
         _COUNT.pack(len(rows), flags),
     ]
@@ -118,29 +121,33 @@ def encode_bucket(bucket) -> bytes:
 
 def _parse_header(data: bytes) -> tuple[int, str, str, int, int, int]:
     """``(dims, kind, label, count, flags, offset of the columns)`` of
-    an encoded bucket, with the store kind and the label checked
+    an encoded bucket, read with precompiled structs, with the store
+    kind and the label checked
     (:class:`~repro.common.errors.InvalidLabelError`) and every declared
     length checked against the buffer: whatever passes can be cut into
     columns and a values blob without running off the end."""
-    if len(data) < FIXED_BYTES or data[:4] != CODEC_MAGIC:
+    if len(data) < FIXED_BYTES:
+        magic = None
+    else:
+        magic, version, dims, kind_len = _HEAD.unpack_from(data)
+    if magic != CODEC_MAGIC:
         raise CodecError("not an encoded bucket (bad magic or truncated)")
-    _, version, dims, kind_len = _HEAD.unpack_from(data)
     if version != CODEC_VERSION:
         raise CodecError(f"unsupported bucket codec version {version}")
+    offset = _HEAD.size + kind_len
+    kind_name = data[_HEAD.size : offset]
+    kind = _KINDS.get(kind_name)
+    if kind is None:
+        raise CodecError(f"encoded bucket has unknown store kind {kind_name!r}")
     try:
-        offset = _HEAD.size
-        kind = data[offset : offset + kind_len].decode("ascii")
-        offset += kind_len
-        (label_len,) = struct.unpack_from("!H", data, offset)
-        offset += 2
+        (label_len,) = _LABEL_LEN.unpack_from(data, offset)
+        offset += _LABEL_LEN.size
         label = data[offset : offset + label_len].decode("ascii")
         offset += label_len
         count, flags = _COUNT.unpack_from(data, offset)
         offset += _COUNT.size
     except (struct.error, UnicodeDecodeError) as exc:
         raise CodecError(f"encoded bucket header is malformed: {exc}") from exc
-    if kind not in STORES:
-        raise CodecError(f"encoded bucket has unknown store kind {kind!r}")
     check_label(label, dims)
     surplus = len(data) - (offset + dims * count * 8)
     if surplus < 0:

@@ -51,19 +51,6 @@ class NetworkStats:
             self.bytes_per_type.get(msg_type, 0) + size_bytes
         )
 
-    def record_exchange(
-        self, msg_types: tuple[str, str], size_bytes: int, payload: int,
-        reply_bytes: int | None = None, reply_payload: int = 0,
-    ) -> None:
-        """Account one request/response exchange in one call: its RPC,
-        the request message of ``msg_types[0]`` and — unless
-        *reply_bytes* is ``None``: no reply came back — the reply of
-        ``msg_types[1]``."""
-        self.rpc_calls += 1
-        self.record_message(msg_types[0], size_bytes, payload)
-        if reply_bytes is not None:
-            self.record_message(msg_types[1], reply_bytes, reply_payload)
-
     def record_drop(self) -> None:
         """Account one injected message drop."""
         self.dropped += 1

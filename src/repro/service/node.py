@@ -9,9 +9,10 @@ off a real loopback socket by the peer's TCP listener
 plain opcode is served synchronously, an installed handler as a
 coroutine.  A peer is no task of its own; the loop interleaves requests
 at their awaits.  One exchange is two plain calls, ``ServiceDht._send``
-(route, frame, send) and ``ServiceDht._settle`` (account, rebuild an
-error reply); in process a plain opcode's reply comes back from the
-send itself, so only a TCP reply or an installed handler is awaited.
+(route, frame, price, send) and ``ServiceDht._settle`` (one
+``NetworkStats`` update, an error reply rebuilt); in process a plain
+opcode's reply comes back from the send itself, so only a TCP reply or
+an installed handler is awaited.
 
 The whole thing hides behind the standard :class:`~repro.dht.api.Dht`
 facade: the index layers, the retry/fault wrappers and the tracer
@@ -49,13 +50,15 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import NodeUnreachableError, ReproError
 from repro.core.codec import encode_row
-from repro.dht.api import APPEND, CALL, UNTRACED, BatchFailure, Dht
+from repro.dht.api import APPEND, CALL, GET, UNTRACED, BatchFailure, Dht
 from repro.dht.durable import open_peer_store, peer_data_dir
 from repro.dht.peer import HashRing, KeyValuePeer
 from repro.dht.storage import PeerStore
+from repro.net.message import message_sizes
 from repro.net.stats import NetworkStats
 from repro.service.wire import (
     Frame,
+    KEY_ONLY_OPS,
     FrameDecoder,
     REQUEST_OPS,
     Op,
@@ -63,7 +66,6 @@ from repro.service.wire import (
     decode_frame,
     encode_error,
     encode_frame,
-    encode_reply,
     encode_request,
     frame_wire_sizes,
     rebuild_error,
@@ -82,7 +84,7 @@ _WIRE_OPS = {name: op for op, name in _OP_NAMES.items()}
 
 #: Read per frame, as a module global: an ``Op`` attribute read costs
 #: more than a frame's routing.
-_REPLY_ERR = Op.REPLY_ERR
+_GET, _REPLY_OK, _REPLY_ERR = Op.GET, Op.REPLY_OK, Op.REPLY_ERR
 
 TRANSPORTS = ("asyncio", "tcp")
 
@@ -132,20 +134,24 @@ class ServiceTransport:
 
 
 def serve_request(peer: KeyValuePeer, frame: Frame) -> bytes:
-    """Execute one request frame against *peer*; returns the reply frame.
+    """Execute one request frame against *peer*; returns the reply frame,
+    packed by :func:`~repro.service.wire.encode_frame` itself: its first
+    test is ``REPLY_OK``, and a traced run counts the wire's frames
+    there.
 
     Every failure — protocol or storage — becomes a ``REPLY_ERR``
     frame: a service peer answers, it never lets an exception escape
     into the task or connection handler serving it.
     """
+    op, request_id, body = frame
     try:
-        op_name = _OP_NAMES.get(frame.op)
+        op_name = _OP_NAMES.get(op)
         if op_name is None:
-            raise ReproError(f"frame opcode {frame.op!r} is not a request")
-        key, value = frame.body
-        return encode_reply(frame.request_id, peer.serve(op_name, key, value))
+            raise ReproError(f"frame opcode {op!r} is not a request")
+        key, value = body
+        return encode_frame(_REPLY_OK, request_id, peer.serve(op_name, key, value))
     except Exception as exc:
-        return encode_error(frame.request_id, exc)
+        return encode_error(request_id, exc)
 
 
 def start_eagerly(loop, coro, context: contextvars.Context) -> asyncio.Future:
@@ -745,6 +751,10 @@ class ServiceDht(Dht):
         awaitable of it (TCP, an installed handler), or the exception
         sending raised.
 
+        The request is priced once, here: a plain key-only request by
+        its frame's length (the header and the key's UTF-8, which is
+        what :func:`~repro.net.message.message_sizes` charges for
+        *key*), any other by :func:`~repro.service.wire.frame_wire_sizes`.
         *body* replaces the ``(key, value)`` payload of an extension
         opcode; *key* still routes and prices the frame.
         """
@@ -759,24 +769,41 @@ class ServiceDht(Dht):
             else:
                 frame_bytes = encode_frame(op, request_id, body)
                 value = body
-            priced = (_MESSAGE_TYPES[op], *frame_wire_sizes(op, key, value))
+            if body is None and op in KEY_ONLY_OPS:  # header and key UTF-8
+                priced = (_MESSAGE_TYPES[op], len(frame_bytes), 0)
+            else:
+                priced = (_MESSAGE_TYPES[op], *frame_wire_sizes(op, key, value))
             return priced, node.call(frame_bytes, request_id)
         except BaseException as error:
             return priced, error
 
     def _settle(self, priced: tuple | None, reply: Any) -> Any:
-        """Account one sent exchange, once, and return its reply body:
-        *reply* is the reply :class:`Frame` or the exception sending or
-        awaiting it raised, which is raised here, as is the error a
-        ``REPLY_ERR`` frame carries."""
-        stats = self.network.stats
-        if type(reply) is not Frame:
-            if priced is not None:
-                stats.record_exchange(*priced)
+        """Account one sent exchange and return its reply body: *reply*
+        is the reply :class:`Frame` or the exception sending or awaiting
+        it raised, which is raised here, as is the error a ``REPLY_ERR``
+        frame carries.  One ``NetworkStats`` update books the RPC, the
+        request as :meth:`_send` priced it and, if one came back, the
+        reply, priced from its decoded value by
+        :func:`~repro.net.message.message_sizes`."""
+        answered = type(reply) is Frame
+        if priced is not None:
+            (request_type, reply_type), size, payload = priced
+            stats = self.network.stats
+            counts, sizes = stats.per_type, stats.bytes_per_type
+            counts[request_type] = counts.get(request_type, 0) + 1
+            sizes[request_type] = sizes.get(request_type, 0) + size
+            if answered:
+                reply_size, reply_payload = message_sizes("", reply.body)
+                counts[reply_type] = counts.get(reply_type, 0) + 1
+                sizes[reply_type] = sizes.get(reply_type, 0) + reply_size
+                size += reply_size
+                payload += reply_payload
+            stats.rpc_calls += 1
+            stats.messages += 1 + answered
+            stats.bytes_sent += size
+            stats.payload_bytes += payload
+        if not answered:
             raise reply
-        stats.record_exchange(
-            *priced, *frame_wire_sizes(reply.op, "", reply.body)
-        )
         if reply.op is _REPLY_ERR:
             raise rebuild_error(reply.body)
         return reply.body
@@ -919,7 +946,14 @@ class ServiceDht(Dht):
     async def perform_on_loop(self, step: tuple) -> Any:
         """:meth:`Dht.perform` for code already on the loop
         (:meth:`drive_on_loop`), any step but ``CALL``: the same map
-        and meter, its exchanges awaited here."""
+        and meter, its exchanges awaited here.  The same fast path too:
+        an untraced ``GET`` ticks its meter
+        (:meth:`~repro.dht.api.DhtStats.meter_get`) and goes straight to
+        its one exchange, with no map, span or context manager; a traced
+        one takes the metered path."""
+        if step[0] is GET and self.tracer is None:
+            self.stats.meter_get()
+            return await self._request(_GET, step[1])
         request, settle = self.map_step(step)
         with self._meter(step):
             if type(request) is tuple:

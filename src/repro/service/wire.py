@@ -52,6 +52,15 @@ Byte accounting deliberately has two faces:
   the one function every runtime prices a message with (its header is
   :data:`HEADER`'s size), so byte counters stay comparable across
   runtimes.
+
+The two meet in one place: a key-only request (:data:`KEY_ONLY_OPS`)
+is the header and the key's UTF-8, which is exactly what
+``message_sizes(key)`` charges, so the service runtime prices such a
+frame by its length, from the key bytes framing already encoded.  Any
+other request is priced by :func:`frame_wire_sizes` when it is sent,
+and a reply by ``message_sizes`` of the value it decoded to; one
+``NetworkStats`` update books the exchange
+(``repro.service.node.ServiceDht._settle``).
 """
 
 from __future__ import annotations
@@ -129,8 +138,9 @@ REQUEST_OPS = tuple(
     op for op in Op if op not in (Op.MCAST, Op.PUSH, Op.REPLY_OK, Op.REPLY_ERR)
 )
 _REQUESTS = frozenset(REQUEST_OPS)
-#: Requests whose body is the key alone.
-_KEY_ONLY = frozenset((Op.LOOKUP, Op.GET, Op.REMOVE))
+#: Requests whose body is the key alone: the frame is the header and
+#: the key's UTF-8.
+KEY_ONLY_OPS = frozenset((Op.LOOKUP, Op.GET, Op.REMOVE))
 
 
 class Frame(NamedTuple):
@@ -253,7 +263,7 @@ def _extension_body(buffer: bytes, start: int, end: int) -> Any:
 #: Body decoder per opcode: ``(buffer, payload start, end) -> body``.
 _BODIES = {
     **dict.fromkeys(REQUEST_OPS, _value_body),
-    **dict.fromkeys(_KEY_ONLY, _key_body),
+    **dict.fromkeys(KEY_ONLY_OPS, _key_body),
     Op.APPEND: _row_body,
     Op.REPLY_OK: _value_at,
     Op.REPLY_ERR: _error_body,
@@ -273,17 +283,17 @@ def encode_frame(op: Op, request_id: int, body: Any) -> bytes:
     bytes), the result value for ``REPLY_OK``, ``(error name,
     message)`` for ``REPLY_ERR`` and any picklable object for an
     extension opcode."""
+    if op is _REPLY_OK:  # every plain exchange's reply: one test
+        return pack_frame(op, request_id, encode_value(body))
     if op in _REQUESTS:
         key, value = body
-        if op in _KEY_ONLY:
+        if op in KEY_ONLY_OPS:
             if value is not None:
                 raise WireError(f"a {Op(op).name} request carries no value")
             return pack_frame(op, request_id, key.encode())
         if op is _APPEND:  # the value is one codec row
             return pack_frame(op, request_id, pack_key(key) + value)
         return pack_frame(op, request_id, pack_key(key) + encode_value(value))
-    if op is _REPLY_OK:
-        return pack_frame(op, request_id, encode_value(body))
     if op is _REPLY_ERR:
         name, message = body
         return pack_frame(op, request_id, pack_key(name) + message.encode())
@@ -349,14 +359,29 @@ _new_frame = functools.partial(tuple.__new__, Frame)
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Decode exactly one frame from *data* (surplus bytes rejected)."""
-    frame, end = frame_at(data, 0) if len(data) >= HEADER.size else (None, 0)
-    if frame is None or end != len(data):
+    """Decode exactly one frame from *data* (surplus bytes rejected), in
+    one pass: the header checked once (:func:`split_frame`), then the
+    opcode's body decoder."""
+    cut = split_frame(data, 0) if len(data) >= HEADER.size else None
+    if cut is None or cut[3] != len(data):
+        end = 0 if cut is None else cut[3]
         raise WireError(
-            f"expected exactly one frame, got {int(frame is not None)} "
+            f"expected exactly one frame, got {int(cut is not None)} "
             f"plus {len(data) - end} leftover byte(s)"
         )
-    return frame
+    return _frame(data, cut)
+
+
+def _frame(buffer: bytes, cut: tuple[Op, int, int, int]) -> Frame:
+    """The frame :func:`split_frame` cut from *buffer*: its opcode's body
+    decoder run on the payload.  A malformed body raises
+    :class:`WireError`."""
+    opcode, request_id, start, end = cut
+    try:
+        body = _BODIES[opcode](buffer, start, end)
+    except Exception as exc:  # a body decoder raises many concrete types
+        raise WireError(f"undecodable frame payload: {exc}") from exc
+    return _new_frame((opcode, request_id, body))
 
 
 def split_frame(buffer: bytes, offset: int) -> tuple[Op, int, int, int] | None:
@@ -389,22 +414,6 @@ def split_frame(buffer: bytes, offset: int) -> tuple[Op, int, int, int] | None:
     return opcode, request_id, start, end
 
 
-def frame_at(buffer: bytes, offset: int) -> tuple[Frame | None, int]:
-    """The frame whose header starts at *offset* of *buffer* and the
-    offset past it, or ``(None, offset)`` while its payload is
-    incomplete: :func:`split_frame`, then the opcode's body decoder.  A
-    malformed body raises :class:`WireError`."""
-    cut = split_frame(buffer, offset)
-    if cut is None:
-        return None, offset
-    opcode, request_id, start, end = cut
-    try:
-        body = _BODIES[opcode](buffer, start, end)
-    except Exception as exc:  # a body decoder raises many concrete types
-        raise WireError(f"undecodable frame payload: {exc}") from exc
-    return _new_frame((opcode, request_id, body)), end
-
-
 class FrameDecoder:
     """Incremental decoder for a byte stream of frames.
 
@@ -423,10 +432,12 @@ class FrameDecoder:
         frames: list[Frame] = []
         offset = 0
         while len(data) - offset >= HEADER.size:
-            frame, offset = frame_at(data, offset)
-            if frame is None:
+            # split_frame refuses a bad header before its payload arrives.
+            cut = split_frame(data, offset)
+            if cut is None:
                 break
-            frames.append(frame)
+            frames.append(_frame(data, cut))
+            offset = cut[3]
         self._buffer = data[offset:]
         return frames
 

@@ -1,7 +1,8 @@
 """Decoders are total: flipped bits raise typed errors, or nothing.
 
 Every decoder of stored or received bytes — the bucket codec, a frame
-that carries a bucket, a durable journal on replay — must turn a
+that carries a bucket, a key-only request or an error reply, a durable
+journal on replay — must turn a
 corrupt input into a :class:`~repro.common.errors.ReproError` subclass
 or a value that can be used, never a bare ``IndexError`` /
 ``struct.error`` / ``UnicodeDecodeError`` from somewhere inside.  Each
@@ -16,14 +17,16 @@ import random
 
 import pytest
 
-from repro.common.errors import ReproError
+from repro.common.errors import DhtKeyError, ReproError
 from repro.common.geometry import Region
 from repro.core import codec
 from repro.core.bucket import LeafBucket
 from repro.core.records import Record
 from repro.dht.durable import AppendLogBackend
+from repro.dht.peer import KeyValuePeer
 from repro.dht.storage import PeerStore
 from repro.service import wire
+from repro.service.node import serve_request
 
 KINDS = ["columnar", "numpy"]
 QUERIES = [
@@ -96,6 +99,42 @@ def test_flipped_frames_raise_only_typed_errors(op):
     def decode_and_use():
         frame = wire.decode_frame(flipped(data, rng))
         use(frame.body[1] if frame.op is wire.Op.PUT else frame.body)
+
+    outcomes = {typed_only(decode_and_use) for _ in range(400)}
+    assert "WireError" in outcomes and len(outcomes) > 1
+
+
+def use_frame(frame: wire.Frame, peer: KeyValuePeer) -> None:
+    """Do what a peer or a client does with a decoded frame: a request
+    is served (its reply decoded and used), an error reply is rebuilt,
+    any other body is used as a value."""
+    if frame.op in wire.REQUEST_OPS:
+        reply = wire.decode_frame(serve_request(peer, frame))
+        use(reply.body)
+    elif frame.op is wire.Op.REPLY_ERR:
+        assert isinstance(wire.rebuild_error(frame.body), ReproError)
+    else:
+        use(frame.body)
+
+
+@pytest.mark.parametrize(
+    "op", [wire.Op.GET, wire.Op.LOOKUP, wire.Op.REMOVE, wire.Op.REPLY_ERR]
+)
+def test_flipped_key_and_error_frames_raise_only_typed_errors(op):
+    """A key-only request (its body the key's UTF-8) and an error reply
+    (a packed class name, then the message): through ``decode_frame``
+    and then served or rebuilt."""
+    rng = random.Random(f"frame-{op.name}")
+    key = "ml:0010"
+    if op is wire.Op.REPLY_ERR:
+        data = wire.encode_error(7, DhtKeyError(f"key {key!r} does not exist"))
+    else:
+        data = wire.encode_request(op, 7, key)
+
+    def decode_and_use():
+        peer = KeyValuePeer("peer-0000")
+        peer.serve("put", key, bucket(rng, "columnar", values=False))
+        use_frame(wire.decode_frame(flipped(data, rng)), peer)
 
     outcomes = {typed_only(decode_and_use) for _ in range(400)}
     assert "WireError" in outcomes and len(outcomes) > 1

@@ -138,6 +138,9 @@ class TestRemovedNames:
         # private registry its detector read its counts through
         "ShortcutTable", "DEFAULT_SHORTCUT_CAPACITY", "adaptive.shortcuts",
         "BucketReadCounters", "READS_SOURCE",
+        # the stream decoder's frame cutter and the two-message booking
+        # the exchange's one NetworkStats update replaced
+        "frame_at", "record_exchange",
     )
 
     @pytest.mark.parametrize(

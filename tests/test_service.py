@@ -21,6 +21,7 @@ from repro.common.errors import (
 )
 from repro.common.rng import derive_seed, make_rng
 from repro.core import codec
+from repro.core.bucket import LeafBucket
 from repro.core.bulkload import bulk_load
 from repro.core.index import MLightIndex
 from repro.core.records import Record
@@ -32,6 +33,7 @@ from repro.dht.faults import FaultPlan, FaultyDht
 from repro.net.message import ENVELOPE_WIRE_BYTES
 from repro.mcast.service import gather_eagerly
 from repro.obs.trace import Tracer
+from repro.runtime import create_dht
 from repro.service.node import ServiceDht, WallClock, serve_request
 from repro.service.loadgen import (
     LoadReport,
@@ -377,6 +379,137 @@ class TestServiceDht:
                 lambda: pytest.raises(NodeUnreachableError, dht.get, "k0")
             ) == 1.0
             assert stats.rounds == 4  # the set-up round and these three
+
+
+def _leaf(*xs: float) -> LeafBucket:
+    """A leaf of 2-d cell ``0010`` (x below 0.5) with a record at each
+    ``(x, 0.5)``."""
+    return LeafBucket("0010", 2, [Record((x, 0.5)) for x in xs])
+
+
+@pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+class TestExchangePrice:
+    """One exchange of each reply kind moves ``NetworkStats`` by exactly
+    what the byte model, :func:`frame_wire_sizes`, charges its request
+    and its reply: one RPC, two messages, their bytes booked under the
+    opcode's two message types."""
+
+    KEY, ABSENT = "ml:0010", "ml:absent"
+
+    @staticmethod
+    def _moved(dht, action) -> dict:
+        stats = dht.network.stats
+        before = stats.snapshot()
+        types, sizes = dict(stats.per_type), dict(stats.bytes_per_type)
+        action()
+        after = stats.snapshot()
+        return {
+            "counters": {
+                name: after[name] - before[name]
+                for name in (
+                    "rpc_calls", "messages", "bytes_sent", "payload_bytes"
+                )
+            },
+            "per_type": {
+                kind: count - types.get(kind, 0)
+                for kind, count in stats.per_type.items()
+                if count != types.get(kind, 0)
+            },
+            "bytes_per_type": {
+                kind: size - sizes.get(kind, 0)
+                for kind, size in stats.bytes_per_type.items()
+                if size != sizes.get(kind, 0)
+            },
+        }
+
+    @staticmethod
+    def _model(op: Op, key: str, value, reply_op: Op, reply) -> dict:
+        request, answer = op.name.lower(), op.name.lower() + ":reply"
+        sent = frame_wire_sizes(op, key, value)
+        back = frame_wire_sizes(reply_op, "", reply)
+        return {
+            "counters": {
+                "rpc_calls": 1, "messages": 2,
+                "bytes_sent": sent[0] + back[0],
+                "payload_bytes": sent[1] + back[1],
+            },
+            "per_type": {request: 1, answer: 1},
+            "bytes_per_type": {request: sent[0], answer: back[0]},
+        }
+
+    def test_each_reply_kind_costs_what_the_byte_model_says(self, transport):
+        leaf, grown = _leaf(0.1, 0.2), _leaf(0.1, 0.2, 0.3)
+        appended = _leaf(0.1, 0.2, 0.3, 0.4)
+        row = codec.encode_row((0.4, 0.5), None)
+        key, absent = self.KEY, self.ABSENT
+        with ServiceDht(4, transport=transport) as dht:
+            dht.put(key, leaf)
+            owner = dht.peer_of(key)
+            cases = {
+                "get a bucket": (
+                    lambda: dht.get(key),
+                    (Op.GET, key, None, Op.REPLY_OK, leaf),
+                ),
+                "get an absent key": (
+                    lambda: dht.get(absent),
+                    (Op.GET, absent, None, Op.REPLY_OK, None),
+                ),
+                "lookup": (
+                    lambda: dht.lookup(key),
+                    (Op.LOOKUP, key, None, Op.REPLY_OK, owner),
+                ),
+                "rewrite": (
+                    lambda: dht.rewrite_local(key, grown),
+                    (Op.REWRITE, key, grown, Op.REPLY_OK, True),
+                ),
+                "append": (
+                    lambda: dht.exchange(None, "append", key, Record((0.4, 0.5))),
+                    (Op.APPEND, key, row, Op.REPLY_OK, True),
+                ),
+                "remove": (
+                    lambda: dht.remove(key),
+                    (Op.REMOVE, key, None, Op.REPLY_OK, appended),
+                ),
+                "an error reply": (
+                    lambda: pytest.raises(DhtKeyError, dht.remove, key),
+                    (
+                        Op.REMOVE, key, None, Op.REPLY_ERR,
+                        ("DhtKeyError", f"key {key!r} does not exist"),
+                    ),
+                ),
+            }
+            for name, (action, exchange) in cases.items():
+                assert self._moved(dht, action) == self._model(*exchange), name
+
+
+def test_a_traced_get_step_matches_localdht():
+    """The service loop's bare ``GET`` fast path is for untraced steps
+    only: with a :class:`Tracer` attached, a ``GET`` step driven on the
+    loop opens the ``dht`` span, with its ``key`` attr, and ticks the
+    ``DhtStats`` a ``GET`` step does on ``LocalDht``; untraced, it ticks
+    the same and opens none."""
+    seen = []
+    for kind in ("sim", "asyncio"):
+        with create_dht(kind=kind, n_peers=4) as dht:
+            dht.put("k", "v")
+            tracer = Tracer().attach(dht)
+            before = dht.stats.snapshot()
+            assert dht.drive(one_step((GET, "k"))) == "v"
+            traced = [
+                (span.kind, span.name, span.attrs, span.status)
+                for span in tracer.spans
+            ]
+            tracer.detach(dht)
+            assert dht.drive(one_step((GET, "absent"))) is None
+            assert len(tracer.spans) == len(traced)
+            after = dht.stats.snapshot()
+            seen.append((
+                traced, {name: after[name] - before[name] for name in after}
+            ))
+    assert seen[0] == seen[1]
+    traced, ticks = seen[0]
+    assert traced == [("dht", GET, {"key": "k"}, "ok")]
+    assert (ticks["lookups"], ticks["gets"]) == (2, 2)
 
 
 def test_a_round_with_a_down_peer_fails_only_its_slots():

@@ -29,11 +29,11 @@ TRACE = request_trace(
 )
 
 
-def run_workload(runtime: RuntimeConfig):
+def run_workload(runtime: RuntimeConfig, config: IndexConfig = CONFIG):
     """Load the index, replay the trace, return (answers, stats)."""
     dht = create_dht(runtime)
     try:
-        index = MLightIndex(dht, CONFIG)
+        index = MLightIndex(dht, config)
         index.insert_many(POINTS)
         answers = []
         for operation in TRACE:
@@ -96,6 +96,46 @@ class TestSimVsAsyncio:
         assert stats["puts"] > 0
         assert stats["records_moved"] > 0
         assert stats["batch_rounds"] > 0
+
+
+#: The benchmark's two service shapes: ``svc_scan`` (numpy store, a
+#: leaf cache smaller than the leaf count) and ``svc_journal`` (every
+#: peer store journaled to an append log).
+SHAPES = {
+    "numpy store, small cache": (
+        {}, IndexConfig(
+            dims=2, split_threshold=20, merge_threshold=10, store="numpy",
+            cache_capacity=8,
+        ),
+    ),
+    "append log": (
+        {"durability": "log"}, IndexConfig(
+            dims=2, split_threshold=20, merge_threshold=10, durability="log",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_benchmark_shapes_match_between_sim_and_service(shape):
+    """The same replay on ``LocalDht`` and on the asyncio service
+    runtime in each benchmark shape: the same answers and the full
+    ``DhtStats`` keyset."""
+    extra, config = SHAPES[shape]
+    sim = run_workload(
+        RuntimeConfig(kind="sim", overlay="local", n_peers=8, **extra), config
+    )
+    service = run_workload(
+        RuntimeConfig(kind="asyncio", n_peers=8, **extra), config
+    )
+    assert sim == service
+    stats = service[1]
+    if config.cache_capacity:
+        # A leaf holds at most split_threshold records: more leaves
+        # than the cache holds, so it evicts and misses.
+        assert len(POINTS) / config.split_threshold > config.cache_capacity
+        assert stats["cache_hits"] > 0 and stats["cache_misses"] > 0
+    assert stats["lookups"] > 0 and stats["puts"] > 0
 
 
 class TestTcpTransport:

@@ -3,8 +3,10 @@
 One scripted scenario — bulk load, cold and repeated lookups, range
 queries at ``lookahead`` 1 and 2, inserts through splits, deletes
 through a merge — over both transports, with the leaf cache off and on.
-Its full ``DhtStats`` snapshot and the message, byte and round counters
-of ``NetworkStats`` must equal the numbers in ``service_wire_pin.json``,
+Its full ``DhtStats`` snapshot, the message, byte and round counters
+of ``NetworkStats`` and its messages and bytes per message type
+(``per_type``, ``bytes_per_type``, so no byte moves between the types
+unnoticed) must equal the numbers in ``service_wire_pin.json``,
 recorded before the lookup and range drivers moved onto the service
 loop: "the same messages, fewer thread hops" is a tier-1 assertion.
 
