@@ -12,7 +12,11 @@ for ``<0.3, 0.9>`` in the paper):
 * **miss** (no bucket at ``fmd(c_mid)``): then ``fmd(c_mid)`` is not an
   internal node, so the target leaf is no longer than it — the upper
   bound drops to ``len(fmd(c_mid))``, strictly below ``mid``.
-* **hit, covering**: done.
+* **hit, covering**: done.  A leaf covers δ iff its label is a prefix
+  of the candidate string — the rule
+  :meth:`~repro.core.cache.LeafCache.propose` walks by.  Cell faces are
+  dyadic and the interleave takes exact floors, so this string test
+  answers as the cell's geometry would, without building a region.
 * **hit, not covering**: ``fmd(c_mid)`` is internal (a leaf is named to
   it), so the target is strictly deeper; moreover *every* candidate in
   the contiguous run named to ``fmd(c_mid)`` is ruled out at once
@@ -188,7 +192,7 @@ class PointLookupCursor:
 
         if self._hint is not None:
             hint, self._hint = self._hint, None
-            if bucket is not None and bucket.covers(self._point):
+            if bucket is not None and self._candidate.startswith(bucket.label):
                 self._stats.cache_hits += 1
                 self._cache.observe(bucket.label)
                 self.result = LookupResult(bucket, self.probes, self.probes)
@@ -225,7 +229,7 @@ class PointLookupCursor:
                     f"contradicts lower bound {self._low}"
                 )
             self._high = len(name)
-        elif bucket.covers(self._point):
+        elif self._candidate.startswith(bucket.label):
             if self._cache is not None:
                 self._cache.observe(bucket.label)
             self.result = LookupResult(bucket, self.probes, self.probes)

@@ -4,8 +4,10 @@
 consistent hashing on the same 160-bit ring the routed overlays use
 (each peer owns the arc ending at its identifier), but resolves
 ownership locally instead of routing: in O(log n) the first time a key
-is asked, and from the ring's per-key memo after that.  Because the
-paper's metrics count DHT *operations* — not overlay hops — all figure
+is asked, and from the ring's per-key memo after that.  Every key has
+that one owner, so a request is one call of :meth:`LocalDht.exchange`,
+answered by the owner's ``KeyValuePeer.serve``.  Because the paper's
+metrics count DHT *operations* — not overlay hops — all figure
 reproductions run on this substrate; the routed overlays are exercised
 by their own tests and by the substrate-swap ablation, which verifies
 the index-level counters are identical across substrates.
@@ -80,10 +82,14 @@ class LocalDht(Dht):
     # ------------------------------------------------------------------
     # Placement and the exchange: a ring lookup and a method call
     # ------------------------------------------------------------------
+    #
+    # The ring places every key on one peer, so a request is one
+    # exchange with its owner (or with *peer*, when named) and its reply
+    # needs no combining: ``ask`` skips the generic targets walk.  The
+    # exchange stays the one seam a subclass overrides to fail requests.
 
-    def targets(self, key: str) -> list[str]:
-        # The default's answer, one call shorter: every probe asks this.
-        return [self._ring.peer_of(key)]
+    def ask(self, op: str, key: str, value: Any = None, peer: str | None = None) -> Any:
+        return self.exchange(peer, op, key, value)
 
     def exchange(self, peer: str, op: str, key: str, value: Any = None) -> Any:
         node = self._peers.get(self._ring.peer_of(key) if peer is None else peer)

@@ -1,8 +1,16 @@
 """Tests for the oracle DHT and the facade's metering semantics."""
 
+from functools import partial
+
 import pytest
 
 from repro.common.errors import DhtKeyError, ReproError
+from repro.core import codec
+from repro.core.bucket import LeafBucket
+from repro.core.records import Record
+from repro.dht.api import (
+    APPEND, CONTAINS, GET, LOOKUP, PUT, REMOVE, REWRITE, Dht,
+)
 from repro.dht.localhash import LocalDht
 
 
@@ -123,3 +131,74 @@ class TestOperationsAndMetering:
         loads = dht.load_by_peer(weigh=len)
         assert sum(loads.values()) == 4
         assert set(loads) == set(dht.peers())
+
+
+def _leaf(*xs: float) -> LeafBucket:
+    """A leaf of 2-d cell ``0010`` with a record at each ``(x, 0.5)``."""
+    return LeafBucket("0010", 2, [Record((x, 0.5)) for x in xs])
+
+
+def _requests(dht: LocalDht) -> list[tuple]:
+    """One :meth:`Dht.ask` request of every op, absent keys included."""
+    key, absent = "ml:0010", "ml:absent"
+    owner = dht.peer_of(key)
+    other = next(peer for peer in dht.peers() if peer != owner)
+    return [
+        (GET, absent, None, None),
+        (PUT, key, _leaf(0.1), None),
+        (GET, key, None, None),
+        (GET, key, None, owner),
+        (GET, key, None, other),
+        (GET, key, None, "peer-9999"),
+        (CONTAINS, key, None, None),
+        (CONTAINS, absent, None, None),
+        (LOOKUP, key, None, None),
+        (REWRITE, key, _leaf(0.1, 0.2), None),
+        (REWRITE, absent, _leaf(0.3), None),
+        (APPEND, key, codec.encode_row((0.3, 0.5), None), None),
+        (APPEND, absent, codec.encode_row((0.3, 0.5), None), None),
+        (REMOVE, absent, None, None),
+        (REMOVE, key, None, None),
+        (REMOVE, key, None, None),
+    ]
+
+
+def _outcome(ask, request: tuple) -> tuple:
+    """What *request* answered or raised, a bucket as its codec bytes."""
+    try:
+        reply = ask(*request)
+    except ReproError as error:
+        return type(error).__name__, error.args
+    if isinstance(reply, LeafBucket):
+        return "bucket", codec.encode_bucket(reply)
+    return "reply", reply
+
+
+@pytest.mark.parametrize("durability", [None, "log"])
+def test_ask_is_the_generic_ask_on_one_owner(tmp_path, durability):
+    """``LocalDht.ask`` (one exchange with the key's one owner) answers,
+    raises and stores exactly as :meth:`Dht.ask`'s walk over the key's
+    targets would, for every op — a named peer, an unknown one and
+    absent keys included — and journals the same bytes."""
+    sides = {}
+    for side, ask in (("local", LocalDht.ask), ("generic", Dht.ask)):
+        data_dir = tmp_path / side if durability else None
+        dht = LocalDht(4, durability=durability, data_dir=data_dir)
+        outcomes = [
+            _outcome(partial(ask, dht), request) for request in _requests(dht)
+        ]
+        stored = sorted(
+            (dht.peer_of(key), key, codec.encode_bucket(value))
+            for key, value in dht.items()
+        )
+        journal = {
+            path.name: path.read_bytes() for path in sorted(data_dir.iterdir())
+        } if durability else {}
+        sides[side] = outcomes, stored, journal, dht.stats.snapshot()
+    assert sides["local"] == sides["generic"]
+    outcomes = sides["local"][0]
+    assert outcomes[5][0] == "NodeUnreachableError"
+    assert outcomes[4] == ("reply", None)  # a peer that holds no copy
+    assert outcomes[-1] == ("DhtKeyError", ("key 'ml:0010' does not exist",))
+    if durability:
+        assert sides["local"][2]

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import IndexCorruptionError
+from repro.common.labels import candidate_string, root_label, sibling
 from repro.core.bucket import LeafBucket
+from repro.core.cache import LeafCache
 from repro.core.keys import bucket_key
 from repro.core.lookup import PointLookupCursor, lookup_point, lookup_steps
 from repro.core.naming import naming_function
@@ -58,6 +60,79 @@ class TestAgainstOracle:
         materialize_tree(leaves, 2, dht)
         result = lookup_point(dht, point, 2, 10)
         assert result.bucket.label == covering_leaf(leaves, 2, point)
+
+
+def edge_coordinates(max_depth: int, dims: int):
+    """One coordinate: 0.0, a dyadic split plane a cell of *max_depth*
+    can have (and one level below the cap), one ulp below such a plane,
+    the largest float below 1.0, or any value in ``[0, 1)``."""
+    bits = -(-max_depth // dims) + 1
+    plane = st.integers(1, bits).flatmap(
+        lambda level: st.integers(0, (1 << (level - 1)) - 1).map(
+            lambda k: (2 * k + 1) / (1 << level)
+        )
+    )
+    return st.one_of(
+        st.just(0.0),
+        st.just(math.nextafter(1.0, 0.0)),
+        plane,
+        plane.map(lambda value: math.nextafter(value, 0.0)),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+
+
+class TestCoverageRule:
+    """A leaf covers a point iff its label is a prefix of the point's
+    candidate string: the lookup decides on labels, and this is the
+    cell geometry's answer for every label from the root to the depth
+    cap, at split planes and one ulp below them included."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_depth", [1, 3, 8, 28])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_prefix_of_the_candidate_is_the_cell_test(self, dims, max_depth, data):
+        point = tuple(
+            data.draw(edge_coordinates(max_depth, dims)) for _ in range(dims)
+        )
+        candidate = candidate_string(point, max_depth)
+        root = root_label(dims)
+        assert len(candidate) == len(root) + max_depth
+        drawn = root + "".join(data.draw(st.lists(
+            st.sampled_from("01"), max_size=max_depth
+        )))
+        labels = [drawn]
+        for length in range(len(root), len(candidate) + 1):
+            labels.append(candidate[:length])
+            if length > len(root):
+                labels.append(sibling(candidate[:length], dims))
+        for label in labels:
+            assert candidate.startswith(label) == LeafBucket(
+                label, dims
+            ).covers(point), (point, label)
+
+        # The cursor decides by the same rule: on the tree that splits
+        # down to ``target`` (every sibling on the way a leaf), the cold
+        # search and a stale ancestor hint both end at ``target``.
+        depth = data.draw(st.integers(0, max_depth))
+        target = candidate[:len(root) + depth]
+        leaves = [target] + [
+            sibling(candidate[:length], dims)
+            for length in range(len(root) + 1, len(target) + 1)
+        ]
+        dht = LocalDht(4)
+        materialize_tree(leaves, dims, dht)
+        assert covering_leaf(leaves, dims, point) == target
+        assert lookup_point(dht, point, dims, max_depth).bucket.label == target
+        cache = LeafCache()
+        if depth:
+            cache.observe(candidate[:len(root) + depth - 1])
+        result = lookup_point(dht, point, dims, max_depth, cache=cache)
+        assert result.bucket.label == target
+        hits, stale = dht.stats.cache_hits, dht.stats.cache_stale
+        result = lookup_point(dht, point, dims, max_depth, cache=cache)
+        assert result.bucket.label == target and result.lookups == 1
+        assert (dht.stats.cache_hits, dht.stats.cache_stale) == (hits + 1, stale)
 
 
 class TestCostBounds:

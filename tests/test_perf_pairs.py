@@ -1,9 +1,15 @@
-"""The verdict rule of ``tools/perf_pairs.py``: ``judge`` decides whether
-a change is a gain, no worse, worse or unresolved on one metric."""
+"""``tools/perf_pairs.py``: the verdict rule (``judge`` decides whether a
+change is a gain, no worse, worse or unresolved on one metric) and how
+an interrupted script stops the run in progress."""
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -98,3 +104,61 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(better):
     # Worse by more than the bound stays WORSE, spread or not.
     row = judge(tight, PARENT, shifted(PARENT, -5, better))
     assert row["verdict"] == "WORSE"
+
+
+#: A stand-in ``perf/run.py``: it makes its scratch directory as the
+#: real one does, notes its pid, and sleeps; only its ``finally`` (on
+#: the KeyboardInterrupt a SIGINT raises) removes the directory.
+STUB_RUN = textwrap.dedent("""\
+    import os, pathlib, shutil, tempfile, time
+    out = pathlib.Path(__file__).resolve().parent / "out"
+    out.mkdir(exist_ok=True)
+    (out / "pid").write_text(str(os.getpid()))
+    scratch = tempfile.mkdtemp(dir=out, prefix="tmp-")
+    try:
+        time.sleep(120)
+    finally:
+        shutil.rmtree(scratch)
+""")
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_a_stopped_script_stops_its_run_and_leaves_no_scratch(tmp_path, signum):
+    """Signalled mid-run, the script sends the run (its own session)
+    SIGINT and waits for it: the run's ``finally`` removes its
+    ``perf/out/tmp-*`` directory, and the script exits non-zero."""
+    checkout = tmp_path / "parent"
+    (checkout / "perf").mkdir(parents=True)
+    (checkout / "perf" / "run.py").write_text(STUB_RUN)
+    out = checkout / "perf" / "out"
+    script = subprocess.Popen(
+        [
+            sys.executable, str(ROOT / "tools" / "perf_pairs.py"),
+            "--parent-dir", str(checkout), "--pairs", "1",
+            "--workload", "sim_query", "--seconds", "1",
+        ],
+        cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob("tmp-*")) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert list(out.glob("tmp-*")), "the stub run never started"
+        script.send_signal(signum)
+        _, stderr = script.communicate(timeout=60)
+    finally:
+        if script.poll() is None:
+            script.kill()
+            script.wait()
+    assert script.returncode != 0
+    assert signal.Signals(signum).name in stderr.decode()
+    assert not list(out.glob("tmp-*"))
+    assert _gone(int((out / "pid").read_text()))

@@ -20,11 +20,13 @@ import pytest
 
 from repro.adaptive import AdaptiveConfig
 from repro.adaptive.plane import AdaptiveDht
+from repro.dht.api import GET_MANY
 from repro.dht.chord import ChordDht
 from repro.dht.faults import FaultPlan, FaultyDht
 from repro.dht.localhash import LocalDht
 from repro.dht.peer import KeyValuePeer
 from repro.dht.retry import RetryingDht
+from repro.obs.trace import Tracer
 from repro.runtime import create_dht
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,3 +131,48 @@ def test_faults_draw_once_per_key_per_step_over_replicas():
         ("put", "k"), ("get", "k"), ("get", "k"), ("get", "absent"),
         ("remove", "k"),
     ]
+
+
+def one_step(step):
+    """An operation of the single *step*, returning its outcome."""
+    return (yield step)
+
+
+@pytest.mark.parametrize("substrate", list(SUBSTRATES))
+def test_a_traced_get_many_step_matches_the_bare_one(substrate):
+    """An untraced ``GET_MANY`` step runs bare (one batch tick, then its
+    round), a traced one through the meter and its span: both answer
+    and tick the same, performed or driven, and only the traced one
+    opens a ``dht`` span, with its ``count`` attr.  An empty batch is
+    free either way: no tick, no span."""
+    keys = ["k0", "absent", "k1"]
+    with create_dht(n_peers=4, **SUBSTRATES[substrate]) as dht:
+        dht.put("k0", "v0")
+        dht.put("k1", "v1")
+        seen, spans = {}, {}
+        for traced in (False, True):
+            tracer = Tracer().attach(dht) if traced else None
+            for how in ("perform", "drive"):
+                before = dht.stats.snapshot()
+                step = (GET_MANY, list(keys))
+                if how == "perform":
+                    outcome = dht.perform(step)
+                else:
+                    outcome = dht.drive(one_step(step))
+                empty = dht.perform((GET_MANY, []))
+                after = dht.stats.snapshot()
+                seen[traced, how] = outcome, empty, {
+                    name: after[name] - before[name] for name in after
+                }
+            if traced:
+                spans = [
+                    (span.kind, span.name, span.attrs, span.status)
+                    for span in tracer.spans if span.kind == "dht"
+                ]
+                tracer.detach(dht)
+    outcome, empty, ticks = seen[False, "perform"]
+    assert all(value == seen[False, "perform"] for value in seen.values())
+    assert (outcome, empty) == (["v0", None, "v1"], [])
+    assert ticks["lookups"] == ticks["gets"] == ticks["batch_ops"] == 3
+    assert ticks["batch_rounds"] == 1
+    assert spans == [("dht", GET_MANY, {"count": 3}, "ok")] * 2

@@ -26,12 +26,18 @@ count for neither side) and a verdict:
 Counts (unit ``count``) must repeat exactly per seed on both sides; a
 seed where they differ is listed.  ``make perf-pairs PARENT=<rev>``
 runs this with the defaults.
+
+Each run starts a session of its own.  On SIGINT or SIGTERM the script
+sends the run in progress SIGINT, waits until its ``finally`` has
+removed its ``perf/out/tmp-*`` directory, and exits non-zero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -42,20 +48,34 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in *checkout*; its closing JSON line."""
-    done = subprocess.run(
+    """One benchmark run in *checkout*; its closing JSON line.
+
+    Interrupted, it stops the run with SIGINT and waits for it, then
+    lets the interrupt go on."""
+    run = subprocess.Popen(
         [
             "python3", str(checkout / "perf" / "run.py"),
             "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0",
         ],
         cwd=checkout, stdout=subprocess.PIPE, text=True,
+        start_new_session=True,
     )
-    lines = done.stdout.splitlines()
+    try:
+        stdout, _ = run.communicate()
+    except BaseException:
+        os.killpg(run.pid, signal.SIGINT)
+        run.wait()
+        raise
+    lines = stdout.splitlines()
     if not lines:
         sys.exit(f"{checkout}: {workload} seed {seed} printed nothing "
-                 f"(exit {done.returncode})")
+                 f"(exit {run.returncode})")
     return json.loads(lines[-1])
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt(signal.Signals(signum).name)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -195,4 +215,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Handled, not ignored: a run then starts with both at their default.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _interrupt)
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt as stop:
+        sys.exit(f"perf_pairs: stopped by {stop}")
