@@ -492,19 +492,13 @@ class Dht(ABC):
         wrapper stack.
         """
         op = step[0]
-        if self.tracer is None:
-            # The hot steps run bare: meter_get's ticks, in place (the
-            # call would cost the in-process step a few per cent), or a
-            # batch's one tick and its round, with no map or span.
-            if op is GET:
-                stats = self.stats
-                stats.lookups += 1
-                stats.gets += 1
-                return self.ask(GET, step[1])
-            if op is GET_MANY and step[1]:
-                count = len(step[1])
-                self.stats.meter_batch(count, gets=count)
-                return self.run_round([(GET, key, None, None) for key in step[1]])
+        if op is GET and self.tracer is None:
+            # The hot step runs bare: meter_get's ticks, in place (the
+            # call would cost the in-process step a few per cent).
+            stats = self.stats
+            stats.lookups += 1
+            stats.gets += 1
+            return self.ask(GET, step[1])
         if op is CALL:
             return step[1](*step[2])
         span = self._meter(step)

@@ -660,10 +660,10 @@ def test_src_stays_under_its_code_line_ceiling():
     assert sum(loc.count(ROOT / "src").values()) <= SRC_CODE_LINES
 
 
-#: ``make loc``'s ``src total`` once an untraced ``GET_MANY`` step ran
-#: bare (one batch tick, then its round) and ``LocalDht.ask`` became one
-#: exchange; 10 684 before.
-SRC_CODE_LINES = 10689
+#: ``make loc``'s ``src total`` once a lookup probe decided on labels
+#: and ``LocalDht.ask`` became one exchange (no net change: 10 684
+#: before, after a service exchange paid its per-frame work once).
+SRC_CODE_LINES = 10684
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,8 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(better):
 
 #: A stand-in ``perf/run.py``: it makes its scratch directory as the
 #: real one does, notes its pid, and sleeps; only its ``finally`` (on
-#: the KeyboardInterrupt a SIGINT raises) removes the directory.
+#: the KeyboardInterrupt a SIGINT raises) removes the directory, after
+#: marking that it is stopping and taking a moment about it.
 STUB_RUN = textwrap.dedent("""\
     import os, pathlib, shutil, tempfile, time
     out = pathlib.Path(__file__).resolve().parent / "out"
@@ -118,8 +119,17 @@ STUB_RUN = textwrap.dedent("""\
     try:
         time.sleep(120)
     finally:
+        (out / "stopping").touch()
+        time.sleep(0.5)
         shutil.rmtree(scratch)
 """)
+
+
+def wait_for(predicate, what: str) -> None:
+    deadline = time.monotonic() + 60
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert predicate(), what
 
 
 def _gone(pid: int) -> bool:
@@ -130,11 +140,13 @@ def _gone(pid: int) -> bool:
     return False
 
 
+@pytest.mark.parametrize("times", [1, 2])
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
-def test_a_stopped_script_stops_its_run_and_leaves_no_scratch(tmp_path, signum):
+def test_a_stopped_script_stops_its_run_and_leaves_no_scratch(tmp_path, signum, times):
     """Signalled mid-run, the script sends the run (its own session)
     SIGINT and waits for it: the run's ``finally`` removes its
-    ``perf/out/tmp-*`` directory, and the script exits non-zero."""
+    ``perf/out/tmp-*`` directory, and the script exits non-zero with its
+    message.  A second signal while it waits does not cut the wait."""
     checkout = tmp_path / "parent"
     (checkout / "perf").mkdir(parents=True)
     (checkout / "perf" / "run.py").write_text(STUB_RUN)
@@ -148,17 +160,38 @@ def test_a_stopped_script_stops_its_run_and_leaves_no_scratch(tmp_path, signum):
         cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     try:
-        deadline = time.monotonic() + 60
-        while not list(out.glob("tmp-*")) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert list(out.glob("tmp-*")), "the stub run never started"
+        wait_for(lambda: list(out.glob("tmp-*")), "the stub run never started")
         script.send_signal(signum)
+        if times == 2:
+            wait_for((out / "stopping").exists, "the stub run was not stopped")
+            script.send_signal(signum)
         _, stderr = script.communicate(timeout=60)
     finally:
         if script.poll() is None:
             script.kill()
             script.wait()
     assert script.returncode != 0
-    assert signal.Signals(signum).name in stderr.decode()
+    # The stub's own traceback may come first; the script's is none.
+    stderr = stderr.decode()
+    assert stderr.endswith(f"\nperf_pairs: stopped by {signal.Signals(signum).name}\n")
+    assert "perf_pairs.py" not in stderr
     assert not list(out.glob("tmp-*"))
     assert _gone(int((out / "pid").read_text()))
+
+
+def test_an_interrupt_after_the_run_ended_still_stops_cleanly(tmp_path, monkeypatch):
+    """An interrupt that lands once the run is reaped finds no process
+    group to signal: the interrupt itself goes on, not a lookup error."""
+    perf_pairs = load_perf_pairs()
+    checkout = tmp_path / "parent"
+    (checkout / "perf").mkdir(parents=True)
+    (checkout / "perf" / "run.py").write_text("print('{}')\n")
+
+    class ReapedThenInterrupted(subprocess.Popen):
+        def communicate(self, *args, **kwargs):
+            super().communicate(*args, **kwargs)
+            raise KeyboardInterrupt("SIGINT")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "Popen", ReapedThenInterrupted)
+    with pytest.raises(KeyboardInterrupt):
+        perf_pairs.run_once(checkout, "sim_query", 1, 1.0)

@@ -140,11 +140,10 @@ def one_step(step):
 
 @pytest.mark.parametrize("substrate", list(SUBSTRATES))
 def test_a_traced_get_many_step_matches_the_bare_one(substrate):
-    """An untraced ``GET_MANY`` step runs bare (one batch tick, then its
-    round), a traced one through the meter and its span: both answer
-    and tick the same, performed or driven, and only the traced one
-    opens a ``dht`` span, with its ``count`` attr.  An empty batch is
-    free either way: no tick, no span."""
+    """A traced ``GET_MANY`` step and an untraced one answer and tick
+    the same, performed or driven, and only the traced one opens a
+    ``dht`` span, with its ``count`` attr.  An empty batch is free
+    either way: no tick, no span."""
     keys = ["k0", "absent", "k1"]
     with create_dht(n_peers=4, **SUBSTRATES[substrate]) as dht:
         dht.put("k0", "v0")

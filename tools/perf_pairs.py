@@ -35,6 +35,7 @@ removed its ``perf/out/tmp-*`` directory, and exits non-zero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -50,8 +51,9 @@ REPO = Path(__file__).resolve().parent.parent
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in *checkout*; its closing JSON line.
 
-    Interrupted, it stops the run with SIGINT and waits for it, then
-    lets the interrupt go on."""
+    Interrupted, it stops the run with SIGINT (unless the run has
+    already ended) and waits for it, through any further interrupt,
+    then lets the first one go on."""
     run = subprocess.Popen(
         [
             "python3", str(checkout / "perf" / "run.py"),
@@ -64,8 +66,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         stdout, _ = run.communicate()
     except BaseException:
-        os.killpg(run.pid, signal.SIGINT)
-        run.wait()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGINT)
+        while run.returncode is None:
+            with contextlib.suppress(KeyboardInterrupt):
+                run.wait()
         raise
     lines = stdout.splitlines()
     if not lines:
