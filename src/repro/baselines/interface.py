@@ -88,7 +88,10 @@ class TrieIndex:
 
     def _plan(self, bucket: LeafBucket) -> SplitPlan | None:
         """m-LIGHT's threshold split of an overfull *bucket*: the leaves
-        (labels and records) that replace it, or None to keep it."""
+        (labels and records) that replace it, or None to keep it.  A
+        bucket that cannot split keeps its rows unread."""
+        if not self._strategy.can_split(bucket.load):
+            return None
         return self._strategy.plan_split(
             bucket.label, bucket.store.rows_or_records(), self._dims,
             self._depth,

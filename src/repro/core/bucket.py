@@ -23,13 +23,14 @@ probe or a peer that only stores and forwards never builds a record
 store, and the first :meth:`matching` scans the bytes where they lie
 (:func:`~repro.core.codec.match_encoded`, a
 :class:`~repro.core.records.Record` per hit), so neither does a range
-query's fetched leaf.  The store is built by a second
+query's fetched leaf.  :meth:`add` splices the record's row into the
+bytes (:func:`~repro.core.codec.append_row`), so neither does a
+non-splitting insert.  The store is built by a second
 :meth:`matching` (which then uses its run, as a resident
 bucket queried again should) or the first use of :attr:`store` /
-:attr:`records` / :meth:`add` / :meth:`remove`.  It is the bytes'
-columns: :meth:`add` appends to them and re-encoding hands them back,
-so a non-splitting insert never builds its rows; :attr:`records`
-builds them all, on demand.
+:attr:`records` / :meth:`remove`.  It is the bytes' columns, and
+re-encoding hands them back; :attr:`records` builds its Records all,
+on demand.
 
 Hot-path caches (all derived, invisible to equality/repr):
 
@@ -60,7 +61,8 @@ from repro.core.store import DEFAULT_STORE, ColumnarStore, create_store
 from repro.net.message import WireSized
 
 
-#: Serialises the one-time store build of decoded buckets: a bucket
+#: Serialises the one-time store build of decoded buckets, and a splice
+#: (:meth:`LeafBucket.add` while no store is built) with it: a bucket
 #: resident on a service peer is reachable from whichever thread runs
 #: the event loop and (through the ``items()`` / ``load_by_peer``
 #: oracles) from client threads, and two threads must never end up
@@ -179,17 +181,35 @@ class LeafBucket(WireSized):
         return self.load == 0
 
     def add(self, record: Record) -> None:
-        """Insert *record*; its key must fall inside this cell."""
+        """Insert *record*; its key must fall inside this cell.
+
+        A bucket that is still its codec bytes splices the record's
+        :func:`~repro.core.codec.encode_row` into them
+        (:func:`~repro.core.codec.append_row`, the splice
+        :meth:`appended` makes) and builds no store; a built store takes
+        the record itself."""
         self._check_covers(record.key)
+        if self._store is None:
+            row = codec.encode_row(record.key, record.value)
+            with _BUILD_LOCK:  # a build never reads half-spliced bytes
+                if self._store is None:
+                    data, _ = codec.append_row(self._encoded, row, self._header)
+                    # A reader takes the bytes before the header: the
+                    # header goes first, so it is theirs or None.
+                    self._header = None
+                    self._encoded = data
+                    self._encoded_count += 1
+                    return
         self.store.add(record)
 
     def appended(self, row: bytes) -> "LeafBucket":
         """This bucket plus the record of codec *row*
         (:func:`~repro.core.codec.encode_row`), as a new lazy bucket over
         spliced codec bytes (:func:`~repro.core.codec.append_row`): what
-        a peer stores when an insert ships it one record.  Builds no
-        store and, while this bucket's memo is valid, packs no column;
-        the row's point must fall inside this cell."""
+        a peer stores when an insert ships it one record, where
+        :meth:`add` splices in place.  Builds no store and, while this
+        bucket's memo is valid, packs no column; the row's point must
+        fall inside this cell."""
         self._check_covers(codec.row_point(row, self.dims))
         data, header = codec.append_row(
             codec.encode_bucket(self), row, self._header
@@ -238,7 +258,8 @@ class LeafBucket(WireSized):
             if not self._byte_matched:
                 self._byte_matched = True
                 # The bytes are read before the header: a re-encoding
-                # clears the header first, so it is theirs or None.
+                # or a splice clears the header first, so it is theirs
+                # or None.
                 return codec.match_encoded(
                     self._encoded, self._header, self.split_dim,
                     query.lows, query.highs,

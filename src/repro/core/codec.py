@@ -236,9 +236,11 @@ def _values_at(data: bytes, offset: int, count: int) -> tuple:
 
 
 def encode_row(point, value: Any) -> bytes:
-    """One record as an ``APPEND`` frame and the journal carry it: its
-    coordinates as little-endian doubles (the bytes its column cells
-    hold), then its payload pickled, only when it has one."""
+    """One record as an ``APPEND`` frame and the journal carry it, and
+    as :meth:`~repro.core.bucket.LeafBucket.add` splices it into a
+    bucket's bytes: its coordinates as little-endian doubles (the bytes
+    its column cells hold), then its payload pickled, only when it has
+    one."""
     row = struct.pack(f"<{len(point)}d", *point)
     if value is None:
         return row
@@ -259,11 +261,14 @@ def append_row(
     appended, and the header of the result (in :func:`_parse_header`'s
     form; *header* is that of *data*, parsed here when there is none).
 
-    Byte-identical to :func:`encode_bucket` of the same bucket after
-    ``add``, with no store built and no column packed: the count goes up
-    by one, each column takes its 8 bytes of the row, and the values
-    section is re-pickled only when the bucket or the row carries a
-    value."""
+    The one splice of a record into a bucket's bytes: a peer's stored
+    copy (``LeafBucket.appended``, also journal replay) and a client's
+    fetched leaf (``LeafBucket.add`` while no store is built) both take
+    it.  Byte-identical to :func:`encode_bucket` of a fresh bucket with
+    the same records, with no store built and no column packed: the
+    count goes up by one, each column takes its 8 bytes of the row, and
+    the values section is re-pickled only when the bucket or the row
+    carries a value."""
     dims, kind, label, count, flags, offset = header or _parse_header(data)
     column_bytes = count * 8
     values_at = offset + dims * column_bytes

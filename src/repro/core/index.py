@@ -236,8 +236,11 @@ class MLightIndex:
             # Push before any split: the subscription table is still
             # homed at the pre-split leaf the record landed in.
             yield (CALL, self._dissemination.on_insert, (bucket.label, record))
-        # The columns of a leaf that arrived as codec bytes, else its
-        # record list: planning builds no Record for either.
+        # The load decides first: a leaf that cannot split is never
+        # read.  Planning takes the columns of a leaf that arrived as
+        # codec bytes, else its record list, and builds no Record.
+        if not self._strategy.can_split(bucket.load):
+            return result
         plan = self._strategy.plan_split(
             bucket.label, bucket.store.rows_or_records(), self.dims,
             self.max_depth,

@@ -98,7 +98,15 @@ def partition_records(
 
 
 class SplitStrategy(ABC):
-    """Decides leaf splits and sibling merges from loads alone."""
+    """Decides leaf splits and sibling merges from loads alone.
+
+    :meth:`can_split` answers from a leaf's load whether
+    :meth:`plan_split` could return a plan, so an insert reads its
+    leaf's rows only when it may split."""
+
+    @abstractmethod
+    def can_split(self, load: int) -> bool:
+        """False when a leaf holding *load* records never splits."""
 
     @abstractmethod
     def plan_split(
@@ -127,10 +135,13 @@ class ThresholdSplit(SplitStrategy):
         self.split_threshold = split_threshold
         self.merge_threshold = merge_threshold
 
+    def can_split(self, load: int) -> bool:
+        return load > self.split_threshold
+
     def plan_split(
         self, label: str, records: list[Record], dims: int, max_depth: int
     ) -> SplitPlan | None:
-        if len(records) <= self.split_threshold:
+        if not self.can_split(len(records)):
             return None
         leaves: list[tuple[str, tuple[Record, ...]]] = []
         self._split_into(
@@ -172,9 +183,15 @@ class DataAwareSplit(SplitStrategy):
             raise ReproError("expected_load (epsilon) must be >= 1")
         self.expected_load = expected_load
 
+    def can_split(self, load: int) -> bool:
+        """A leaf at or below epsilon is its own optimal subtree."""
+        return load > self.expected_load
+
     def plan_split(
         self, label: str, records: list[Record], dims: int, max_depth: int
     ) -> SplitPlan | None:
+        if not self.can_split(len(records)):
+            return None
         local_cost = self._deviation(len(records))
         best_cost, leaves = self._local_split(label, records, dims, max_depth)
         if best_cost >= local_cost or len(leaves) < 2:

@@ -65,7 +65,6 @@ and a reply by ``message_sizes`` of the value it decoded to; one
 
 from __future__ import annotations
 
-import functools
 import pickle
 import struct
 from enum import IntEnum
@@ -353,9 +352,10 @@ _OPS = {int(op): op for op in Op}
 #: more than packing a header.
 _APPEND, _REPLY_OK, _REPLY_ERR = Op.APPEND, Op.REPLY_OK, Op.REPLY_ERR
 
-#: ``Frame`` from one ``(op, request_id, body)`` tuple, skipping the
-#: Python-level ``__new__`` of a named tuple.
-_new_frame = functools.partial(tuple.__new__, Frame)
+#: ``_tuple_new(Frame, (op, request_id, body))`` skips the Python-level
+#: ``__new__`` of a named tuple; as a global it is cheaper per frame
+#: than ``tuple.__new__`` or a ``functools.partial`` of it.
+_tuple_new = tuple.__new__
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -381,7 +381,7 @@ def _frame(buffer: bytes, cut: tuple[Op, int, int, int]) -> Frame:
         body = _BODIES[opcode](buffer, start, end)
     except Exception as exc:  # a body decoder raises many concrete types
         raise WireError(f"undecodable frame payload: {exc}") from exc
-    return _new_frame((opcode, request_id, body))
+    return _tuple_new(Frame, (opcode, request_id, body))
 
 
 def split_frame(buffer: bytes, offset: int) -> tuple[Op, int, int, int] | None:

@@ -936,7 +936,7 @@ class TestBucketBytePath:
         assert point in [r.key for r in result.bucket.records]
         assert store_builds == ["columnar"]  # the client asked, once
 
-    def test_plain_insert_builds_one_store_and_packs_none(
+    def test_plain_insert_builds_no_store_and_packs_none(
         self, make_dht, tmp_path, store_builds, monkeypatch
     ):
         index, _ = self._index(make_dht, tmp_path)
@@ -947,13 +947,13 @@ class TestBucketBytePath:
         packed = _count_column_packings(monkeypatch)
         store_builds.clear()
         result = index.insert(point, "payload")
-        assert store_builds == ["columnar"]  # the client's, for add()
+        assert store_builds == []  # add() spliced the client's bytes
         assert packed == []  # the record travelled, not the bucket
         assert index.tree_size() == splits_before
         # The owner spliced the row into its resident bytes: reading it
         # back copies them, with no store and no packing anywhere.
         again = index.lookup(point).bucket
-        assert store_builds == ["columnar"] and packed == []
+        assert store_builds == [] and packed == []
         assert codec.encode_bucket(again) == codec.encode_bucket(result.bucket)
 
     def test_journal_holds_the_row_not_the_bucket(
